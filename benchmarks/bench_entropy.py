@@ -111,12 +111,13 @@ def dataset(request):
 def test_decode_speedup_64cubed(benchmark, dataset):
     """Headline criterion: auto-K lockstep decode >= 10x the scalar loop.
 
-    The scalar reference is the legacy single-stream ``HUF1`` decode — the
-    exact per-symbol Python loop that was the pre-HUF2 production path.
-    Reconstructions must match the input symbol-for-symbol.
+    The scalar reference is a single-stream blob (``k_streams=1``), which
+    decodes through the per-symbol Python loop that was the pre-HUF2
+    production path. Reconstructions must match the input
+    symbol-for-symbol.
     """
     name, syms = dataset
-    blob_scalar = huffman._encode_huf1(syms)
+    blob_scalar = huffman.encode(syms, k_streams=1)
     blob_kway = huffman.encode(syms, k_streams="auto")
 
     decoded = huffman.decode(blob_kway)
@@ -137,9 +138,9 @@ def test_decode_speedup_64cubed(benchmark, dataset):
         higher_is_better=True,
     )
     emit(
-        f"HUF1 scalar vs HUF2 auto-K decode ({name}, 64^3)",
+        f"scalar (K=1) vs auto-K HUF2 decode ({name}, 64^3)",
         [
-            Row("HUF1", "1", float("nan"), _mb_s(syms.size, t_scalar), 1.0),
+            Row("HUF2", "1", float("nan"), _mb_s(syms.size, t_scalar), 1.0),
             Row(
                 "HUF2",
                 str(huffman.resolve_k_streams("auto", syms.size)),
@@ -163,7 +164,9 @@ def test_kway_throughput_sweep(dataset):
     wins and ``auto`` refuses to go) stays visible.
     """
     name, syms = dataset
-    t_scalar = _best(lambda: huffman.decode(huffman._encode_huf1(syms)), repeats=1)
+    t_scalar = _best(
+        lambda: huffman.decode(huffman.encode(syms, k_streams=1)), repeats=1
+    )
     rows = []
     for k in K_SWEEP:
         t_enc = _best(lambda: huffman.encode(syms, k_streams=k), repeats=2)
@@ -206,7 +209,7 @@ def test_scalar_table_tradeoff():
     """
     rng = np.random.default_rng(3)
     syms = rng.integers(-2000, 2000, size=512).astype(np.int64)
-    blob = huffman._encode_huf1(syms)
+    blob = huffman.encode(syms, k_streams=1)
     assert np.array_equal(huffman.decode(blob), syms)
 
     n_symbols = 512

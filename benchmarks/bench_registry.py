@@ -3,9 +3,8 @@
 One test per registry entry (figures, tables, ablations, scenarios), each
 running at ``REPRO_BENCH_SCALE`` and recording its declared metrics so the
 session hook emits ``BENCH_<name>.json`` per entry — the pytest-side twin
-of ``python -m repro.experiments run all --out <dir>``. The per-figure
-``bench_fig*.py`` files remain as thin back-compat wrappers for running a
-single figure by filename.
+of ``python -m repro.experiments run all --out <dir>``. Run a single
+figure with ``-k <name>`` (``bench_registry.py -k fig01``).
 """
 
 from __future__ import annotations

@@ -62,8 +62,7 @@ def once(benchmark, fn, *args, **kwargs):
 def registry_entry(benchmark, name: str, scale: float):
     """Run one registry experiment under the benchmark timer.
 
-    The back-compat body of every ``bench_fig*/bench_table*/
-    bench_ablation_*`` wrapper and of ``bench_registry.py``: executes the
+    The body of ``bench_registry.py``'s one test per entry: executes the
     entry (its paper-shape checks raise on violation) and records its
     declared metrics so the session hook emits ``BENCH_<name>.json``.
     """

@@ -21,9 +21,8 @@ result into a seekable, patch-indexed container (see
   sources (:mod:`repro.insitu`), one timestep via ``steps=`` selectors.
 
 Containers written before the indexed format (magic ``RPRH``) are no
-longer readable: the one-release compatibility shim was removed, and
-:meth:`CompressedHierarchy.frombytes` now raises a clear "unsupported
-legacy magic" error instead.
+longer readable: :class:`~repro.compression.container.ContainerReader`
+raises a clear "unsupported legacy magic" error instead.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
 from repro.compression.base import BatchResult, Compressor, SharedEntropy
 from repro.compression.container import (
-    CONTAINER_MAGIC,
     ContainerReader,
     GroupHandle,
     _normalize_selector,
@@ -62,10 +60,6 @@ __all__ = [
     "average_down",
 ]
 
-#: Magic of the pre-index monolithic container. Writing it stopped with the
-#: RPH2 container and the one-release read shim has been removed; the magic
-#: is kept only to name the format in the rejection error.
-_LEGACY_MAGIC = b"RPRH"
 #: Magic of the RPH2S time-series container (see :mod:`repro.insitu.series`).
 _SERIES_MAGIC = b"RPH2S"
 
@@ -225,24 +219,12 @@ class CompressedHierarchy:
     def frombytes(cls, raw: bytes) -> "CompressedHierarchy":
         """Parse a container produced by :meth:`tobytes`.
 
-        Accepts the indexed ``RPH2`` format only. The legacy monolithic
-        ``RPRH`` shim was removed one release after the indexed container
-        landed; old blobs must be re-compressed with the current writer.
+        Accepts the indexed ``RPH2`` format only; anything else —
+        including the legacy monolithic ``RPRH`` magic, which
+        :class:`ContainerReader` names in its rejection — is a
+        :class:`~repro.errors.FormatError`.
         """
-        magic = bytes(raw[:4])
-        if magic == _LEGACY_MAGIC:
-            raise FormatError(
-                f"unsupported legacy magic {_LEGACY_MAGIC!r}: the pre-index "
-                "monolithic container is no longer readable (the one-release "
-                "read shim was removed); re-compress the source data into an "
-                f"{CONTAINER_MAGIC!r} container with the current writer"
-            )
-        if magic == CONTAINER_MAGIC:
-            return cls.fromreader(ContainerReader(raw))
-        raise FormatError(
-            f"not a compressed-hierarchy container (magic {magic!r}; "
-            f"expected {CONTAINER_MAGIC!r})"
-        )
+        return cls.fromreader(ContainerReader(raw))
 
     @classmethod
     def fromreader(cls, reader: ContainerReader) -> "CompressedHierarchy":

@@ -575,15 +575,18 @@ class ContainerReader:
             raise
 
     def _parse_index(self, total: int) -> None:
-        if total < _HEADER.size + _FOOTER.size:
-            raise FormatError(f"container too short ({total} bytes) for RPH2 framing")
-        magic, version = _HEADER.unpack(self._read_at(0, _HEADER.size))
-        if magic == b"RPRH":
+        head = self._read_at(0, _HEADER.size)
+        # The one rejection of the pre-index monolithic format, ahead of
+        # the size check: a legacy blob of any length is named as such.
+        if head[:4] == b"RPRH":
             raise FormatError(
                 "unsupported legacy magic b'RPRH': the pre-index monolithic "
                 "container is no longer readable; re-compress the source data "
                 "with the current writer"
             )
+        if total < _HEADER.size + _FOOTER.size:
+            raise FormatError(f"container too short ({total} bytes) for RPH2 framing")
+        magic, version = _HEADER.unpack(head)
         if magic != CONTAINER_MAGIC:
             raise FormatError(
                 f"not an RPH2 container (magic {magic!r}, expected {CONTAINER_MAGIC!r})"

@@ -44,13 +44,11 @@ therefore scales K with the input so each lockstep round stays wide
 [:data:`_AUTO_MIN_STREAMS`, :data:`_AUTO_MAX_STREAMS`]; tiny inputs and
 narrow interleaves fall back to the scalar loop, which wins there.
 
-Blob compatibility
-------------------
-:func:`encode` emits the ``HUF2`` layout. :func:`decode` reads both
-``HUF2`` and the previous headerless single-stream layout (``HUF1``);
-HUF1 read support is kept for one release after HUF2 landed, mirroring
-the container policy in ``docs/container_format.md``. ``HUFS`` payloads
-are *not* self-contained on purpose — they decode only through
+Blob layouts
+------------
+:func:`encode` emits, and :func:`decode` reads, the ``HUF2`` layout; any
+other magic is rejected with a typed error. ``HUFS`` payloads are *not*
+self-contained on purpose — they decode only through
 :func:`decode_with_codebook` with their group's ``HUFB`` codebook (see
 the grouped-stream layout in ``docs/container_format.md``).
 """
@@ -492,7 +490,7 @@ def _scatter_pack(
       passes total instead of ~3 per bit position. The per-byte sums stay
       < 256 exactly because contributions never overlap.
 
-    Shared by the HUF1/HUF2 encoders and the grouped batch encoder.
+    Shared by the HUF2 encoder and the grouped batch encoder.
     """
     n = sym_codes.size
     if n == 0 or total_bytes == 0:
@@ -690,39 +688,6 @@ def encode_with_codebook(
     return encode_batch(syms[None, :], codebook, k_streams=k_streams)[0]
 
 
-def _encode_huf1(symbols: np.ndarray) -> bytes:
-    """Legacy single-stream ``HUF1`` encoder (headerless layout).
-
-    Kept only so tests and benchmarks can produce HUF1 blobs and exercise
-    the one-release read-compat path; production encoding is :func:`encode`.
-    """
-    syms = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
-    if syms.size == 0:
-        return struct.pack("<QI", 0, 0)
-    alphabet, inverse = np.unique(syms, return_inverse=True)
-    if alphabet.size > (1 << MAX_CODE_LENGTH):
-        raise HuffmanAlphabetError(
-            f"alphabet of {alphabet.size} symbols exceeds {1 << MAX_CODE_LENGTH}"
-        )
-    freqs = np.bincount(inverse)
-    lengths = code_lengths(freqs)
-    codes = _canonical_codes(lengths)
-    sym_codes = codes[inverse]
-    sym_lens = lengths[inverse].astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sym_lens)[:-1]))
-    total_bits = int(sym_lens.sum())
-    packed = _scatter_pack(
-        sym_codes, sym_lens, offsets, (total_bits + 7) // 8, int(lengths.max())
-    )
-    out = bytearray()
-    out += struct.pack("<QI", syms.size, alphabet.size)
-    out += alphabet.tobytes()
-    out += lengths.tobytes()
-    out += struct.pack("<Q", total_bits)
-    out += packed.tobytes()
-    return bytes(out)
-
-
 # ----------------------------------------------------------------------
 # Decode
 # ----------------------------------------------------------------------
@@ -730,48 +695,23 @@ def decode(blob) -> np.ndarray:
     """Inverse of :func:`encode`; returns the int64 symbol array.
 
     Accepts any buffer (``bytes`` or a zero-copy ``memoryview`` from the
-    mmap container path). Reads both the current ``HUF2`` layout and the
-    legacy single-stream ``HUF1`` layout (kept for one release). ``HUFS``
-    shared-codebook payloads are rejected with a pointer to
-    :func:`decode_with_codebook` — they are not self-contained.
+    mmap container path). ``HUFS`` shared-codebook payloads are rejected
+    with a pointer to :func:`decode_with_codebook` — they are not
+    self-contained — and any magic other than ``HUF2`` (the headerless
+    pre-``HUF2`` layout included) is a typed error.
     """
-    if len(blob) >= 4 and bytes(blob[:4]) == HUFS_MAGIC:
+    magic = bytes(blob[:4])
+    if magic == HUFS_MAGIC:
         raise DecompressionError(
             "HUFS shared-codebook payloads carry no alphabet; decode them "
             "with decode_with_codebook and their group's HUFB codebook"
         )
-    if len(blob) >= 4 and bytes(blob[:4]) == HUF2_MAGIC:
-        return _decode_huf2(blob)
-    return _decode_huf1(blob)
-
-
-def _decode_huf1(blob) -> np.ndarray:
-    """Legacy headerless single-stream layout."""
-    if len(blob) < 12:
-        raise DecompressionError("truncated Huffman blob")
-    n_symbols, alpha_size = struct.unpack_from("<QI", blob, 0)
-    pos = 12
-    if n_symbols == 0:
-        return np.empty(0, dtype=np.int64)
-    if len(blob) < pos + 9 * alpha_size + 8:
-        raise DecompressionError("truncated Huffman blob header")
-    alphabet = np.frombuffer(blob, dtype=np.int64, count=alpha_size, offset=pos)
-    pos += 8 * alpha_size
-    lengths = np.frombuffer(blob, dtype=np.uint8, count=alpha_size, offset=pos)
-    pos += alpha_size
-    (total_bits,) = struct.unpack_from("<Q", blob, pos)
-    pos += 8
-    packed = np.frombuffer(blob, dtype=np.uint8, offset=pos)
-    if packed.size * 8 < total_bits:
-        raise DecompressionError("Huffman bitstream truncated")
-    if alpha_size == 1:
-        # Degenerate single-symbol alphabet: nothing was written per symbol
-        # beyond its 1-bit placeholder; reconstruct directly.
-        return np.full(n_symbols, alphabet[0], dtype=np.int64)
-    table_sym, table_len, max_len = _flat_tables(alphabet, lengths)
-    tsym, tlen = _scalar_tables(table_sym, table_len, int(n_symbols))
-    out, _ = _decode_stream(packed.tobytes(), int(n_symbols), tsym, tlen, max_len)
-    return out
+    if magic != HUF2_MAGIC:
+        raise DecompressionError(
+            f"not a HUF2 Huffman blob (magic {magic!r}); the headerless "
+            "pre-HUF2 layout is no longer readable"
+        )
+    return _decode_huf2(blob)
 
 
 def _parse_huf2(blob):

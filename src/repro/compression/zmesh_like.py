@@ -12,7 +12,7 @@ measurable: patch values are serialized along a locality-preserving Morton
 (Z-order) curve, levels are concatenated (coarse first, so co-located
 coarse/fine values land near each other for the entropy stage), and the
 resulting 1-D stream is compressed with a 1-D SZ codec. The
-``bench_ablation_zmesh`` benchmark compares it against per-patch 3-D
+``ablation_zmesh`` registry experiment compares it against per-patch 3-D
 compression and reproduces the paper's premise that 3-D wins.
 """
 

@@ -5,8 +5,8 @@ the computation delegates to the existing ``run_*`` experiment functions,
 the driver's paper-shape asserts become :func:`~.registry.check` calls
 (so they run under pytest *and* under the CLI/nightly), and the scalar
 measurements worth tracking become declared metrics (see
-:class:`~.registry.MetricSpec` for gate semantics). The legacy bench files
-are thin wrappers over these entries now.
+:class:`~.registry.MetricSpec` for gate semantics). Under pytest the
+entries run through ``benchmarks/bench_registry.py`` (``-k <name>`` for one).
 
 Metric-design convention: prefer *ratios that encode a paper claim*
 (artifact amplification, codec advantage, exclusion gain) — they travel

@@ -5,8 +5,8 @@ its group (``figures`` / ``tables`` / ``ablations`` / ``scenarios``), the
 function that computes it, the scales it runs at, and the metrics it emits
 (each with a unit, a gate direction, and an optional regression
 tolerance). The registry replaces one ad-hoc ``bench_*`` driver per figure
-with declarative entries; the old ``benchmarks/bench_fig*.py`` files are
-thin wrappers over these entries now.
+with declarative entries; ``benchmarks/bench_registry.py`` runs them under
+pytest-benchmark (``-k <name>`` for a single figure).
 
 Running an entry does three things:
 

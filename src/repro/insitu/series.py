@@ -265,8 +265,86 @@ class _SegmentWindow:
         self._pos += len(out)
         return out
 
+    def close(self) -> None:
+        """A window borrows its base; whoever opened that closes it."""
 
-class SeriesReader:
+
+class _SeriesView:
+    """The series-level metadata view both readers serve —
+    :class:`SeriesReader` over one file's timestep index,
+    :class:`repro.insitu.sharded.ShardedSeriesReader` over the union of its
+    shards' — computed from ``self._meta`` and ``self.step_entries``."""
+
+    _meta: dict
+    step_entries: "list[SeriesStepEntry]"
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def codec(self) -> str:
+        """Default codec name recorded at write time."""
+        return str(self._meta["codec"])
+
+    @property
+    def error_bound(self) -> float:
+        """Error bound the series was compressed under."""
+        return float(self._meta["error_bound"])
+
+    @property
+    def mode(self) -> str:
+        """Error-bound mode (``"abs"`` or ``"rel"``)."""
+        return str(self._meta["mode"])
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Compressed field names (identical across steps)."""
+        return tuple(self._meta["fields"])
+
+    @property
+    def exclude_covered(self) -> bool:
+        """Whether the §2.2 covered-cell optimization was applied."""
+        return bool(self._meta["exclude_covered"])
+
+    @property
+    def field_bounds(self) -> dict[str, float]:
+        """Per-field error-bound overrides (empty when single-bound)."""
+        return dict(self._meta.get("field_bounds", {}))
+
+    @property
+    def n_steps(self) -> int:
+        """Number of timesteps in the series."""
+        return len(self.step_entries)
+
+    @property
+    def steps(self) -> tuple[int, ...]:
+        """Stored timestep numbers, ascending."""
+        return tuple(e.step for e in self.step_entries)
+
+    @property
+    def times(self) -> tuple[float, ...]:
+        """Simulation times, one per stored step."""
+        return tuple(e.time for e in self.step_entries)
+
+    @property
+    def original_bytes(self) -> int:
+        """Uncompressed size of the stored fields across all steps."""
+        return sum(e.original_bytes for e in self.step_entries)
+
+    @property
+    def compressed_bytes(self) -> int:
+        """Total segment size across all steps (payload + per-step indexes)."""
+        return sum(e.length for e in self.step_entries)
+
+    def meta(self) -> dict[str, Any]:
+        """Copy of the series-level metadata."""
+        return dict(self._meta)
+
+
+class SeriesReader(_SeriesView):
     """Random access over a seekable ``RPH2S`` time-series container.
 
     Reads the series footer and timestep index eagerly (a few hundred bytes
@@ -576,74 +654,6 @@ class SeriesReader:
             self._mmap = None
         if self._owns and self._file is not None:
             self._file.close()
-
-    def __enter__(self) -> "SeriesReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Metadata
-    # ------------------------------------------------------------------
-    @property
-    def codec(self) -> str:
-        """Default codec name recorded at write time."""
-        return str(self._meta["codec"])
-
-    @property
-    def error_bound(self) -> float:
-        """Error bound the series was compressed under."""
-        return float(self._meta["error_bound"])
-
-    @property
-    def mode(self) -> str:
-        """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._meta["mode"])
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Compressed field names (identical across steps)."""
-        return tuple(self._meta["fields"])
-
-    @property
-    def exclude_covered(self) -> bool:
-        """Whether the §2.2 covered-cell optimization was applied."""
-        return bool(self._meta["exclude_covered"])
-
-    @property
-    def field_bounds(self) -> dict[str, float]:
-        """Per-field error-bound overrides (empty when single-bound)."""
-        return dict(self._meta.get("field_bounds", {}))
-
-    @property
-    def n_steps(self) -> int:
-        """Number of timesteps in the series."""
-        return len(self.step_entries)
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        """Stored timestep numbers, ascending."""
-        return tuple(e.step for e in self.step_entries)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        """Simulation times, one per stored step."""
-        return tuple(e.time for e in self.step_entries)
-
-    @property
-    def original_bytes(self) -> int:
-        """Uncompressed size of the stored fields across all steps."""
-        return sum(e.original_bytes for e in self.step_entries)
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Total segment size across all steps (payload + per-step indexes)."""
-        return sum(e.length for e in self.step_entries)
-
-    def meta(self) -> dict[str, Any]:
-        """Copy of the series-level metadata."""
-        return dict(self._meta)
 
     # ------------------------------------------------------------------
     # Random access

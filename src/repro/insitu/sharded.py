@@ -83,6 +83,7 @@ from repro.insitu.series import (
     SEAL_SIZE,
     SeriesReader,
     SeriesStepEntry,
+    _SeriesView,
     extract_series_meta,
 )
 from repro.insitu.writer import (
@@ -676,7 +677,7 @@ class _ShardedRecovery:
     dropped: list[tuple[str, str]]
 
 
-class ShardedSeriesReader:
+class ShardedSeriesReader(_SeriesView):
     """Random access over a sharded campaign through its RPHM manifest.
 
     Exposes the :class:`~repro.insitu.series.SeriesReader` API surface
@@ -839,45 +840,9 @@ class ShardedSeriesReader:
         for reader in self._readers.values():
             reader.close()
 
-    def __enter__(self) -> "ShardedSeriesReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # Metadata (mirrors SeriesReader)
+    # Metadata (the rest is :class:`~repro.insitu.series._SeriesView`)
     # ------------------------------------------------------------------
-    @property
-    def codec(self) -> str:
-        """Default codec name recorded at write time."""
-        return str(self._meta["codec"])
-
-    @property
-    def error_bound(self) -> float:
-        """Error bound the campaign was compressed under."""
-        return float(self._meta["error_bound"])
-
-    @property
-    def mode(self) -> str:
-        """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._meta["mode"])
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Compressed field names (identical across steps and shards)."""
-        return tuple(self._meta["fields"])
-
-    @property
-    def exclude_covered(self) -> bool:
-        """Whether the covered-cell optimization was applied."""
-        return bool(self._meta["exclude_covered"])
-
-    @property
-    def field_bounds(self) -> dict[str, float]:
-        """Per-field error-bound overrides (empty when single-bound)."""
-        return dict(self._meta.get("field_bounds", {}))
-
     @property
     def n_shards(self) -> int:
         """Number of shard files serving this campaign."""
@@ -887,35 +852,6 @@ class ShardedSeriesReader:
     def shards(self) -> tuple[str, ...]:
         """Full shard object names, in manifest order."""
         return tuple(self._readers)
-
-    @property
-    def n_steps(self) -> int:
-        """Total timesteps across all shards."""
-        return len(self.step_entries)
-
-    @property
-    def steps(self) -> tuple[int, ...]:
-        """Stored timestep numbers, ascending, across all shards."""
-        return tuple(e.step for e in self.step_entries)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        """Simulation times, one per stored step."""
-        return tuple(e.time for e in self.step_entries)
-
-    @property
-    def original_bytes(self) -> int:
-        """Uncompressed size of the stored fields across all steps."""
-        return sum(e.original_bytes for e in self.step_entries)
-
-    @property
-    def compressed_bytes(self) -> int:
-        """Total segment size across all steps and shards."""
-        return sum(e.length for e in self.step_entries)
-
-    def meta(self) -> dict[str, Any]:
-        """Copy of the campaign-level metadata."""
-        return dict(self._meta)
 
     # ------------------------------------------------------------------
     # Random access (routes each step to its owning shard)
@@ -953,6 +889,35 @@ class ShardedSeriesReader:
             step, level, field, patch, verify=verify
         )
 
+    def _select(self, steps, missing: list | None, **options) -> dict:
+        """The routing loop under :meth:`select` and :meth:`select_partial`:
+        each owning shard serves its share of the selected steps. With a
+        ``missing`` list, a shard that fails is reported there, one record
+        per step it owned, instead of failing the selection."""
+        want_steps = _normalize_selector(steps, "step")
+        per_shard: dict[str, list[int]] = {}
+        for e in self.step_entries:
+            if want_steps is not None and e.step not in want_steps:
+                continue
+            per_shard.setdefault(self._owner[e.step], []).append(e.step)
+        out: dict[tuple[int, int, str, int], np.ndarray] = {}
+        for name, shard_steps in per_shard.items():
+            try:
+                out.update(self._readers[name].select(steps=shard_steps, **options))
+            except (StorageError, FormatError) as exc:
+                if missing is None:
+                    raise
+                missing.extend(
+                    {
+                        "step": s,
+                        "file": name,
+                        "error": type(exc).__name__,
+                        "detail": str(exc),
+                    }
+                    for s in shard_steps
+                )
+        return dict(sorted(out.items()))
+
     def select(
         self,
         steps=None,
@@ -970,22 +935,10 @@ class ShardedSeriesReader:
         ``(step, level, field, patch)``. Each selected step is served by
         its owning shard; unselected shards cost zero bytes.
         """
-        want_steps = _normalize_selector(steps, "step")
-        per_shard: dict[str, list[int]] = {}
-        for e in self.step_entries:
-            if want_steps is not None and e.step not in want_steps:
-                continue
-            per_shard.setdefault(self._owner[e.step], []).append(e.step)
-        out: dict[tuple[int, int, str, int], np.ndarray] = {}
-        for name, shard_steps in per_shard.items():
-            out.update(
-                self._readers[name].select(
-                    steps=shard_steps, levels=levels, fields=fields,
-                    patches=patches, verify=verify, parallel=parallel,
-                    workers=workers, pool=pool,
-                )
-            )
-        return dict(sorted(out.items()))
+        return self._select(
+            steps, None, levels=levels, fields=fields, patches=patches,
+            verify=verify, parallel=parallel, workers=workers, pool=pool,
+        )
 
     def select_partial(
         self,
@@ -1008,35 +961,13 @@ class ShardedSeriesReader:
         record per selected step an unservable shard owned. An empty
         ``missing`` list means the result is complete.
         """
-        want_steps = _normalize_selector(steps, "step")
-        per_shard: dict[str, list[int]] = {}
-        for e in self.step_entries:
-            if want_steps is not None and e.step not in want_steps:
-                continue
-            per_shard.setdefault(self._owner[e.step], []).append(e.step)
-        out: dict[tuple[int, int, str, int], np.ndarray] = {}
         missing: list[dict] = []
-        for name, shard_steps in per_shard.items():
-            try:
-                out.update(
-                    self._readers[name].select(
-                        steps=shard_steps, levels=levels, fields=fields,
-                        patches=patches, verify=verify, parallel=parallel,
-                        workers=workers, pool=pool,
-                    )
-                )
-            except (StorageError, FormatError) as exc:
-                missing.extend(
-                    {
-                        "step": s,
-                        "file": name,
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    }
-                    for s in shard_steps
-                )
+        out = self._select(
+            steps, missing, levels=levels, fields=fields, patches=patches,
+            verify=verify, parallel=parallel, workers=workers, pool=pool,
+        )
         missing.sort(key=lambda m: m["step"])
-        return dict(sorted(out.items())), missing
+        return out, missing
 
 
 def recover_sharded(

@@ -47,7 +47,12 @@ from repro.errors import (
     StorageError,
     TruncatedSeriesError,
 )
-from repro.insitu.series import _SERIES_HEADER, SERIES_MAGIC, SERIES_VERSION
+from repro.insitu.series import (
+    _SERIES_HEADER,
+    SEAL_SIZE,
+    SERIES_MAGIC,
+    SERIES_VERSION,
+)
 from repro.insitu.sharded import _shard_path, parse_manifest
 from repro.integrity.parity import (
     ParityReader,
@@ -339,7 +344,7 @@ def _commit_repair(
     reconstruction to the recovery machinery."""
     from repro.insitu.recovery import recover_series
     from repro.insitu.sharded import _write_manifest, recover_sharded
-    from repro.insitu.series import SEAL_SIZE, SeriesReader
+    from repro.insitu.series import SeriesReader
 
     # 1. Rewrite each damaged shard: surviving segment bytes come from the
     # old file (crc-proven against the parity index), lost ones from the
@@ -459,14 +464,13 @@ class SegmentHealer:
         self._manifest = str(manifest_path)
         self._rows = list(parity_rows or [])
         self._backend = backend or LocalFileBackend()
-        self._readers: dict[str, ParityReader | None] = {}
+        self._readers: dict[str, ParityReader] = {}
         self._lock = Lock()
 
     def close(self) -> None:
         with self._lock:
             for r in self._readers.values():
-                if r is not None:
-                    r.close()
+                r.close()
             self._readers.clear()
 
     @property
@@ -480,15 +484,37 @@ class SegmentHealer:
                 continue
             pfile = _shard_path(self._manifest, row["name"])
             with self._lock:
+                # A failed open is not remembered: the healer outlives a
+                # transient storage fault.
                 if pfile not in self._readers:
                     try:
                         self._readers[pfile] = ParityReader(
                             pfile, backend=self._backend
                         )
                     except (FormatError, StorageError):
-                        self._readers[pfile] = None
+                        return None
                 return self._readers[pfile]
         return None
+
+    def segments(self, shard_name: str) -> list[tuple[int, int, int]]:
+        """The ``(step, offset, length)`` extent of every segment of one
+        member shard, as its parity stripe index records them (without the
+        seal a stripe member also spans) — what stands in for the step
+        table of a shard that cannot be opened. Raises
+        :class:`~repro.errors.IntegrityError` when no readable parity
+        shard covers it."""
+        base = os.path.basename(shard_name)
+        reader = self._reader_for(base)
+        if reader is None:
+            raise IntegrityError(
+                f"{base} is not covered by a readable parity shard"
+            )
+        return [
+            (m.step, m.offset, m.length - SEAL_SIZE)
+            for stripe in reader.stripes
+            for m in stripe.members
+            if m.shard == base
+        ]
 
     def heal(self, shard_name: str, step: int) -> tuple[StripeMember, bytes]:
         """Reconstruct ``step``'s segment+seal bytes from parity.

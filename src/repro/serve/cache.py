@@ -4,8 +4,9 @@ One cache, three kinds of entry, one byte budget:
 
 * ``"catalog"`` — a parsed segment index (the per-step
   :class:`~repro.compression.container.ContainerReader` over a counting
-  window), charged at the bytes read to parse it. Group headers loaded
-  later through the same catalog *inflate* its charge in place.
+  window), charged at the bytes read to parse it — or, for a step healed
+  from parity, at the size of the reconstructed segment it holds. Group
+  headers loaded later through the same catalog *inflate* its charge.
 * ``"patch"`` — a decoded, read-only ``ndarray``, charged at ``nbytes``.
   This is what makes a warm repeat query touch **zero** payload bytes.
 

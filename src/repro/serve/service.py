@@ -12,7 +12,9 @@ end to end:
   into minimal ranged reads under an explicit slack budget, and all byte
   access goes through a :mod:`repro.storage` backend — so a
   :class:`~repro.storage.RangedBackend`'s readahead, retry, and request
-  accounting apply to the serving path unchanged.
+  accounting apply to the serving path unchanged. *Which* bytes serve a
+  step (its file, or a parity reconstruction of it) is decided by the
+  :class:`~repro.serve.source.StepSource` underneath.
 * **The event loop never blocks on decode.** Entropy decode runs on a
   :class:`~repro.parallel.WorkerPool` (``asyncio`` futures wrap the pool's
   ``concurrent.futures`` ones), and byte fetches run on the loop's default
@@ -41,7 +43,6 @@ multi-threaded callers use. The TCP front end lives in
 from __future__ import annotations
 
 import asyncio
-import io
 import threading
 import time
 import zlib
@@ -53,8 +54,6 @@ import numpy as np
 
 from repro.compression.base import SharedEntropy
 from repro.compression.container import (
-    CONTAINER_MAGIC,
-    ContainerReader,
     PatchIndexEntry,
     _decode_entry_stream,
     _normalize_selector,
@@ -66,8 +65,6 @@ from repro.errors import (
     ServeError,
     StorageError,
 )
-from repro.insitu.series import SEAL_SIZE, SERIES_MAGIC, SeriesReader
-from repro.insitu.sharded import MANIFEST_MAGIC
 from repro.parallel.pool import WorkerPool
 from repro.serve.cache import ServeCache
 from repro.serve.planner import (
@@ -77,7 +74,8 @@ from repro.serve.planner import (
     StepPlan,
     plan_step,
 )
-from repro.serve.resilience import AdmissionGate, CircuitBreaker, Deadline
+from repro.serve.resilience import AdmissionGate, Deadline
+from repro.serve.source import StepSource, _StepCatalog
 from repro.storage import LocalFileBackend, StorageBackend
 
 __all__ = ["QueryService", "QueryInfo", "InProcessClient"]
@@ -95,7 +93,9 @@ class QueryInfo:
     reads actually touched (``<= (1 + slack) * extent_bytes`` by planner
     construction, and 0 for a fully warm query); ``meta_bytes`` counts
     segment footers/indexes and group headers read on this query's
-    behalf.
+    behalf, plus every byte a parity reconstruction read (a healed step's
+    planned reads are slices of that reconstruction and count nowhere) —
+    so ``fetched_bytes + meta_bytes`` is what the backend saw.
     """
 
     keys: int = 0
@@ -114,62 +114,6 @@ class QueryInfo:
     #: Degraded-mode report: one ``{"step", "file", "error", "detail"}``
     #: dict per selected step whose shard/segment could not be served.
     missing: list = field(default_factory=list)
-
-
-@dataclass
-class _StepCatalog:
-    """One step's parsed segment index plus its counting byte window."""
-
-    file: str
-    step: int
-    base: int
-    reader: ContainerReader
-    window: "_CatalogWindow"
-
-
-class _CatalogWindow:
-    """Seekable read-only view of one segment, fetched through the
-    service's backend handle and counting every byte it reads (the
-    ``meta_bytes`` accounting surface). The
-    :class:`~repro.compression.container.ContainerReader` built over it
-    reads the segment footer, index, and group headers this way — never
-    payload (payload extents go through the planner's coalesced reads).
-    """
-
-    def __init__(self, service: "QueryService", file: str, base: int, length: int):
-        self._service = service
-        self._file = file
-        self._base = base
-        self._length = length
-        self._pos = 0
-        self.bytes_read = 0
-
-    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
-        if whence == io.SEEK_SET:
-            pos = offset
-        elif whence == io.SEEK_CUR:
-            pos = self._pos + offset
-        elif whence == io.SEEK_END:
-            pos = self._length + offset
-        else:  # pragma: no cover - mirrors io semantics
-            raise ValueError(f"invalid whence {whence}")
-        if pos < 0:
-            raise ValueError("negative seek position")
-        self._pos = pos
-        return pos
-
-    def tell(self) -> int:
-        return self._pos
-
-    def read(self, size: int = -1) -> bytes:
-        if self._pos >= self._length:
-            return b""
-        budget = self._length - self._pos
-        n = budget if size is None or size < 0 else min(size, budget)
-        out = self._service._fetch_sync(self._file, self._base + self._pos, n)
-        self._pos += len(out)
-        self.bytes_read += len(out)
-        return out
 
 
 def _check_extent(blob, length: int, crc: int, what: str, verify: bool):
@@ -290,14 +234,13 @@ class QueryService:
         seconds (then one probe is let through).
         ``breaker_threshold=None`` disables breakers.
     heal:
-        Self-healing reads: when a shard of a parity-carrying campaign
-        (``ShardedSeriesWriter(parity=p)``) fails with a
-        :class:`~repro.errors.StorageError` / ``FormatError``, reconstruct
-        the needed segment from the surviving shards
-        (:class:`repro.integrity.SegmentHealer`) instead of failing the
-        query (or, under ``partial=True``, instead of reporting the step
-        ``missing``). Each reconstruction counts in ``stats["repairs"]``
-        and :attr:`QueryInfo.repairs`.
+        Self-healing reads: when a step of a parity-carrying campaign
+        (``ShardedSeriesWriter(parity=p)``) cannot be read — a
+        :class:`~repro.errors.StorageError` / ``FormatError`` — its segment
+        is reconstructed from the surviving shards, once, and served like
+        any other (cached inside ``cache_bytes``) instead of failing the
+        query or, under ``partial=True``, being reported ``missing``.
+        Counts in ``stats["repairs"]`` and :attr:`QueryInfo.repairs`.
     heal_write_back:
         Additionally patch each reconstruction back into the damaged
         shard file, best-effort (a deleted shard still needs
@@ -328,33 +271,11 @@ class QueryService:
         heal_write_back: bool = False,
         clock=time.monotonic,
     ):
-        self._path = str(path)
-        self._given_backend = backend
-        self._backend = backend if backend is not None else LocalFileBackend()
         self._gap_cap = int(gap_cap)
         self._slack = float(slack)
         self._cache = ServeCache(cache_bytes) if cache_bytes is not None else None
-        self._plain_catalogs: dict[tuple, _StepCatalog] = {}
-        self._owns_pool = pool is None
-        self._decode_mode = decode_mode if pool is None else pool.mode
-        self._workers_arg = workers
-        self._pool = (
-            pool if pool is not None
-            else WorkerPool(decode_mode, workers=workers)
-        )
         self._clock = clock
         self._admission = AdmissionGate(max_inflight, max_queue, max_bytes)
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = float(breaker_cooldown)
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._heal = bool(heal)
-        self._heal_write_back = bool(heal_write_back)
-        #: Parity accounting rows from the campaign manifest (sharded
-        #: sources only); the lazy SegmentHealer is built from them.
-        self._parity_rows: tuple = ()
-        self._healer = None
-        self._handles: dict[str, tuple[Any, threading.Lock]] = {}
-        self._locks: dict[tuple, asyncio.Lock] = {}
         #: Single-flight table: patch cache key -> future of the decode a
         #: concurrent query already started (thundering-herd protection).
         self._inflight: dict[tuple, asyncio.Future] = {}
@@ -365,169 +286,39 @@ class QueryService:
             "cache_hits": 0,
             "cache_misses": 0,
             "extent_bytes": 0,
-            "payload_bytes": 0,
-            "meta_bytes": 0,
-            "ranged_reads": 0,
             "group_batches": 0,
             "deadline_exceeded": 0,
             "partial_queries": 0,
             "pool_rebuilds": 0,
-            "repairs": 0,
         }
+        self._source = StepSource(
+            path,
+            backend if backend is not None else LocalFileBackend(),
+            recover=recover,
+            cache=self._cache,
+            heal=heal,
+            heal_write_back=heal_write_back,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+            clock=clock,
+        )
         #: step -> (file, segment offset, segment length)
-        self._segments: dict[int, tuple[str, int, int]] = {}
-        self.is_sharded = False
-        self.recovered = False
-        try:
-            self._harvest(recover)
-        except BaseException:
-            self._release()
-            raise
-
-    def _harvest(self, recover: bool) -> None:
-        """Read the source's step table and metadata once, then let go of
-        the reader — the service does its own (planned, counted) reads."""
-        probe = self._backend.open_read(self._path)
-        try:
-            head = probe.read(len(SERIES_MAGIC))
-        finally:
-            probe.close()
-        if head == SERIES_MAGIC or head[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC:
-            try:
-                reader = SeriesReader.open(
-                    self._path, recover=recover, backend=self._given_backend
-                )
-            except (StorageError, FormatError, OSError) as exc:
-                # A campaign with a dead shard cannot federate the normal
-                # way — but if it carries parity, the missing shard's step
-                # table is recorded in the parity stripe indexes and its
-                # payload is reconstructible on demand.
-                if not (
-                    self._heal
-                    and head[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC
-                ):
-                    raise
-                self._harvest_degraded(recover, exc)
-                self._step_order = sorted(self._segments)
-                return
-            try:
-                self.is_sharded = bool(reader.is_sharded)
-                self.recovered = bool(reader.recovered)
-                self._parity_rows = tuple(getattr(reader, "parity", ()) or ())
-                self._meta = reader.meta()
-                for e in reader.step_entries:
-                    file = (
-                        reader.shard_of(e.step) if self.is_sharded else self._path
-                    )
-                    self._segments[e.step] = (file, e.offset, e.length)
-            finally:
-                reader.close()
-        elif head[: len(CONTAINER_MAGIC)] == CONTAINER_MAGIC:
-            snap = ContainerReader.open(self._path, backend=self._given_backend)
-            try:
-                self._meta = {
-                    k: snap.meta()[k]
-                    for k in ("codec", "error_bound", "mode", "fields",
-                              "exclude_covered")
-                }
-            finally:
-                snap.close()
-            self._segments[0] = (self._path, 0, self._backend.size(self._path))
-        else:
-            raise FormatError(
-                f"{self._path}: not an RPH2 container, RPH2S series, or RPHM "
-                f"manifest (magic {head!r})"
-            )
+        self._segments = self._source.segments
         self._step_order = sorted(self._segments)
-
-    def _harvest_degraded(self, recover: bool, cause: BaseException) -> None:
-        """Manifest-driven harvest for a campaign whose federated open
-        failed: live shards contribute their own step tables, and a dead
-        shard's segment extents come from the parity shards' stripe
-        indexes (its bytes are reconstructed on first touch). Re-raises
-        the original open failure when the campaign carries no parity or
-        a dead shard is outside parity coverage."""
-        from repro.insitu.sharded import _shard_path, parse_manifest
-        from repro.integrity.parity import ParityReader
-
-        handle = self._backend.open_read(self._path)
-        try:
-            man = parse_manifest(handle.read())
-        finally:
-            handle.close()
-        rows = list(man.get("parity") or [])
-        if not rows:
-            raise cause
-        self.is_sharded = True
-        self._parity_rows = tuple(rows)
-        self._meta = {
-            k: man[k]
-            for k in ("codec", "error_bound", "mode", "fields",
-                      "exclude_covered")
-        }
-        dead: list[str] = []
-        for base in (str(row["name"]) for row in man["shards"]):
-            full = _shard_path(self._path, base)
-            try:
-                sub = SeriesReader.open(
-                    full, recover=recover, backend=self._given_backend
-                )
-            except (StorageError, FormatError, OSError):
-                dead.append(base)
-                continue
-            try:
-                self.recovered = self.recovered or bool(sub.recovered)
-                for e in sub.step_entries:
-                    self._segments[e.step] = (full, e.offset, e.length)
-            finally:
-                sub.close()
-        for base in dead:
-            covered = False
-            for row in rows:
-                if base not in row["members"]:
-                    continue
-                try:
-                    pr = ParityReader(
-                        _shard_path(self._path, str(row["name"])),
-                        backend=self._backend,
-                    )
-                except (StorageError, FormatError):
-                    continue
-                try:
-                    covered = True
-                    full = _shard_path(self._path, base)
-                    for stripe in pr.stripes:
-                        for m in stripe.members:
-                            if m.shard == base and m.step not in self._segments:
-                                # Stripe members span segment + seal; the
-                                # step table records the bare segment.
-                                self._segments[m.step] = (
-                                    full, m.offset, m.length - SEAL_SIZE
-                                )
-                finally:
-                    pr.close()
-            if not covered:
-                raise cause
+        self.is_sharded = self._source.is_sharded
+        self.recovered = self._source.recovered
+        # The pool comes last: nothing above leaves anything to release.
+        self._owns_pool = pool is None
+        self._decode_mode = decode_mode if pool is None else pool.mode
+        self._workers_arg = workers
+        self._pool = (
+            pool if pool is not None
+            else WorkerPool(decode_mode, workers=workers)
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle / metadata
     # ------------------------------------------------------------------
-    def _release(self) -> None:
-        for handle, _ in self._handles.values():
-            try:
-                handle.close()
-            except Exception:
-                pass
-        self._handles.clear()
-        if self._healer is not None:
-            try:
-                self._healer.close()
-            except Exception:
-                pass
-            self._healer = None
-        if self._owns_pool:
-            self._pool.close()
-
     def close(self) -> None:
         """Release file handles and the owned worker pool (idempotent).
         Call from the loop the service ran on, after in-flight queries
@@ -535,7 +326,9 @@ class QueryService:
         if self._closed:
             return
         self._closed = True
-        self._release()
+        self._source.close()
+        if self._owns_pool:
+            self._pool.close()
 
     @property
     def closed(self) -> bool:
@@ -544,7 +337,7 @@ class QueryService:
     @property
     def path(self) -> str:
         """The served series/manifest/snapshot path."""
-        return self._path
+        return self._source.path
 
     @property
     def steps(self) -> tuple[int, ...]:
@@ -554,74 +347,41 @@ class QueryService:
     @property
     def fields(self) -> tuple[str, ...]:
         """Field names recorded at write time."""
-        return tuple(self._meta["fields"])
+        return tuple(self._source.meta["fields"])
 
     @property
     def codec(self) -> str:
         """Default codec name recorded at write time."""
-        return str(self._meta["codec"])
+        return str(self._source.meta["codec"])
 
     @property
     def error_bound(self) -> float:
         """Error bound the source was compressed under."""
-        return float(self._meta["error_bound"])
+        return float(self._source.meta["error_bound"])
 
     @property
     def mode(self) -> str:
         """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._meta["mode"])
+        return str(self._source.meta["mode"])
 
     @property
     def stats(self) -> dict:
-        """Cumulative counter snapshot (plus cache, admission-control,
-        and per-file circuit-breaker stats)."""
-        out = dict(self._stats)
+        """Cumulative counter snapshot (plus what the source read and
+        repaired, and cache, admission-control and per-file circuit-breaker
+        stats)."""
+        out = {**self._stats, **self._source.spent}
+        out["payload_bytes"] = out.pop("fetched_bytes")
         out["cache"] = self._cache.stats if self._cache is not None else None
         out["admission"] = self._admission.stats
         out["shed"] = self._admission.shed
         out["breakers"] = {
-            file: b.stats for file, b in sorted(self._breakers.items())
+            file: b.stats for file, b in sorted(self._source.breakers.items())
         }
         return out
 
     # ------------------------------------------------------------------
-    # Byte access (executor side)
-    # ------------------------------------------------------------------
-    def _handle(self, file: str):
-        """The (handle, lock) pair for one file — loop-thread only; the
-        executor jobs receive the pair, never the dict."""
-        pair = self._handles.get(file)
-        if pair is None:
-            pair = (self._backend.open_read(file), threading.Lock())
-            self._handles[file] = pair
-        return pair
-
-    def _fetch_sync(self, file: str, offset: int, length: int) -> bytes:
-        """One ranged fetch through the per-file handle (executor side)."""
-        handle, lock = self._handles[file]
-        with lock:
-            handle.seek(offset)
-            blob = handle.read(length)
-        return blob
-
-    # ------------------------------------------------------------------
     # Failure isolation
     # ------------------------------------------------------------------
-    def _breaker(self, file: str) -> CircuitBreaker | None:
-        """This file's circuit breaker (lazily created; ``None`` when
-        breakers are disabled). Only :class:`~repro.errors.StorageError`
-        counts as a failure — a :class:`~repro.errors.FormatError` means
-        the *data* is bad, not the backend."""
-        if self._breaker_threshold is None:
-            return None
-        b = self._breakers.get(file)
-        if b is None:
-            b = CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooldown, self._clock
-            )
-            self._breakers[file] = b
-        return b
-
     def _note_pool_failure(self) -> bool:
         """Rebuild the owned decode pool after a worker death poisoned it
         (``BrokenProcessPool`` fails every future on a broken pool until
@@ -647,176 +407,17 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------
-    # Parity self-healing
-    # ------------------------------------------------------------------
-    def _get_healer(self):
-        """The lazy :class:`~repro.integrity.SegmentHealer` over this
-        campaign's parity shards, or ``None`` when healing is off or the
-        source is not a parity-carrying sharded campaign."""
-        if not (self._heal and self.is_sharded and self._parity_rows):
-            return None
-        if self._healer is None:
-            # Lazy import: repro.serve must stay importable without the
-            # integrity subsystem loaded (and most services never heal).
-            from repro.integrity.repair import SegmentHealer
-
-            self._healer = SegmentHealer(
-                self._path, self._parity_rows, backend=self._backend
-            )
-        return self._healer
-
-    def _heal_step_sync(
-        self, step, want_levels, want_fields, want_patches, verify
-    ) -> dict[tuple, np.ndarray]:
-        """Reconstruct one step's segment from parity and decode the
-        selected patches out of it (executor side). The reconstruction is
-        checksum-proven by :meth:`SegmentHealer.heal` before any decode.
-        Returns arrays keyed ``(level, field, patch)``."""
-        healer = self._healer
-        file = self._segments[step][0]
-        member, blob = healer.heal(file, step)
-        if self._heal_write_back:
-            healer.write_back(file, member, blob)
-        # The stripe member spans segment + seal; the RPH2 container ends
-        # at the seal boundary.
-        reader = ContainerReader(bytes(blob[: member.length - SEAL_SIZE]))
-        return reader.select(
-            levels=want_levels, fields=want_fields, patches=want_patches,
-            verify=verify,
-        )
-
-    async def _heal_step(
-        self, step, want_levels, want_fields, want_patches, verify,
-        info: QueryInfo,
-    ) -> dict[tuple, np.ndarray] | None:
-        """Try to serve one unservable step by parity reconstruction.
-        Returns the decoded ``(level, field, patch) -> array`` map, or
-        ``None`` when the step cannot be healed (no parity, multi-loss
-        stripe, a survivor failed its checksum) — the caller then falls
-        back to the ordinary failure path."""
-        if self._get_healer() is None:
-            return None
-        loop = asyncio.get_running_loop()
-        try:
-            healed = await loop.run_in_executor(
-                None, self._heal_step_sync, step,
-                want_levels, want_fields, want_patches, verify,
-            )
-        except (ReproError, OSError):
-            return None
-        self._stats["repairs"] += 1
-        info.repairs += 1
-        return healed
-
-    def _absorb_healed(
-        self, step: int, file: str, healed: dict, verify: bool,
-        hits: dict, owned: dict | None,
-    ) -> None:
-        """Install one healed step's patches: cache them, resolve any
-        single-flight futures this query registered for the step, and
-        merge them into the hit map."""
-        for (lvl, fld, p), arr in healed.items():
-            arr.setflags(write=False)
-            key = (step, lvl, fld, p)
-            # Mirrors _patch_key (which takes a PatchIndexEntry).
-            pkey = ("patch", file, step, lvl, fld, p, verify)
-            if self._cache is not None:
-                self._cache.put(pkey, arr, arr.nbytes)
-            if owned is not None and key in owned:
-                opkey, fut = owned.pop(key)
-                self._inflight.pop(opkey, None)
-                if not fut.done():
-                    fut.set_result(arr)
-            hits.setdefault(key, arr)
-
-    # ------------------------------------------------------------------
-    # Catalogs and group headers
-    # ------------------------------------------------------------------
-    def _catalog_key(self, file: str, step: int) -> tuple:
-        return ("catalog", file, step)
-
-    def _catalog_cached(self, file: str, step: int) -> _StepCatalog | None:
-        if self._cache is not None:
-            return self._cache.get(self._catalog_key(file, step))
-        return self._plain_catalogs.get((file, step))
-
-    async def _catalog(self, step: int, info: QueryInfo) -> _StepCatalog:
-        file, base, length = self._segments[step]
-        cat = self._catalog_cached(file, step)
-        if cat is not None:
-            return cat
-        breaker = self._breaker(file)
-        if breaker is not None:
-            breaker.check(f"step {step} catalog ({file})")
-        lock = self._locks.setdefault((file, step), asyncio.Lock())
-        async with lock:
-            cat = self._catalog_cached(file, step)
-            if cat is not None:
-                return cat
-            self._handle(file)  # open before entering the executor
-            window = _CatalogWindow(self, file, base, length)
-            loop = asyncio.get_running_loop()
-            try:
-                reader = await loop.run_in_executor(None, ContainerReader, window)
-            except FormatError as exc:
-                raise FormatError(f"step {step} segment: {exc}") from exc
-            except StorageError:
-                if breaker is not None:
-                    breaker.record_failure()
-                raise
-            if breaker is not None:
-                breaker.record_success()
-            cat = _StepCatalog(file, step, base, reader, window)
-            self._stats["meta_bytes"] += window.bytes_read
-            info.meta_bytes += window.bytes_read
-            if self._cache is not None:
-                self._cache.put(self._catalog_key(file, step), cat,
-                                window.bytes_read)
-            else:
-                self._plain_catalogs[(file, step)] = cat
-            return cat
-
-    async def _load_groups(
-        self, cat: _StepCatalog, gids: Sequence[int], verify: bool, info: QueryInfo
-    ) -> None:
-        """Ensure every needed group header (codebook + extent table) is
-        parsed on the catalog, counting header bytes as metadata."""
-        if not gids:
-            return
-        lock = self._locks.setdefault((cat.file, cat.step), asyncio.Lock())
-        async with lock:
-            before = cat.window.bytes_read
-
-            def load() -> None:
-                for gid in gids:
-                    handle = cat.reader.group(gid, verify=verify)
-                    handle.codebook  # parse the decode tables now,
-                    # immutable afterwards: worker threads only read them
-
-            loop = asyncio.get_running_loop()
-            try:
-                await loop.run_in_executor(None, load)
-            except StorageError:
-                breaker = self._breaker(cat.file)
-                if breaker is not None:
-                    breaker.record_failure()
-                raise
-            delta = cat.window.bytes_read - before
-            if delta:
-                self._stats["meta_bytes"] += delta
-                info.meta_bytes += delta
-                if self._cache is not None:
-                    self._cache.inflate(self._catalog_key(cat.file, cat.step), delta)
-
-    # ------------------------------------------------------------------
     # Planning
     # ------------------------------------------------------------------
-    def _patch_key(self, file: str, step: int, e: PatchIndexEntry, verify: bool):
-        return ("patch", file, step, e.level, e.field, e.patch, verify)
-
-    def _plan_for(self, cat: _StepCatalog, misses: list[PatchIndexEntry]) -> StepPlan:
+    async def _plan_misses(
+        self, cat: _StepCatalog, misses: Sequence[PatchIndexEntry],
+        verify: bool, info: QueryInfo,
+    ) -> tuple[_StepCatalog, StepPlan]:
+        """Load the group headers the missed entries need and plan their
+        reads against ``cat``'s bytes."""
         gids = sorted({e.group for e in misses if e.group is not None})
-        return plan_step(
+        await self._source.load_groups(cat, gids, verify, info)
+        return cat, plan_step(
             cat.file,
             cat.step,
             cat.base,
@@ -827,70 +428,89 @@ class QueryService:
             slack_frac=self._slack,
         )
 
-    @staticmethod
-    def _note_missing(info: QueryInfo, step: int, file: str,
-                      exc: BaseException) -> None:
-        """Record one unservable step in the query's degraded-mode report
-        (idempotent per step)."""
-        if any(m["step"] == step for m in info.missing):
-            return
-        info.missing.append({
-            "step": step,
-            "file": file,
-            "error": type(exc).__name__,
-            "detail": str(exc),
-        })
+    async def _fail_over(
+        self, step: int, attempt, info: QueryInfo, owned: dict | None,
+        partial: bool, heal: bool = True,
+    ):
+        """The one fail-over: what happens when a step's bytes cannot be read.
+
+        ``attempt(None)`` runs one phase (catalog, plan, execute) of one
+        step. When it fails with a :class:`~repro.errors.StorageError` (dead
+        shard, tripped breaker) or :class:`~repro.errors.FormatError`
+        (corrupt index, group header or payload), the source is asked to
+        heal the step from parity and the phase is retried once, as
+        ``attempt(healed)`` — the path a healthy step takes, over the
+        reconstructed bytes (``heal=False``: there is nothing to retry — the
+        attempt only joins another query's decode, which has healed what it
+        could). A step that stays unreadable raises; under
+        ``partial`` it fails the single-flight futures this query owns for
+        it, is recorded in ``info.missing``, and yields ``None``."""
+        healed = None
+        while True:
+            try:
+                return await attempt(healed)
+            except (StorageError, FormatError) as exc:
+                failure = exc
+            if healed is not None or not heal:
+                break
+            healed = await self._source.heal(step, info)
+            if healed is None:
+                break
+        if not partial:
+            raise failure
+        if owned:
+            self._fail_owned(owned, failure, step)
+        if not any(m["step"] == step for m in info.missing):
+            info.missing.append({
+                "step": step,
+                "file": self._segments[step][0],
+                "error": type(failure).__name__,
+                "detail": str(failure),
+            })
+        return None
 
     async def _gather(
-        self, want_steps, want_levels, want_fields, want_patches, verify: bool,
+        self, steps, levels, fields, patches, verify: bool,
         info: QueryInfo, owned: dict | None = None, partial: bool = False,
-    ) -> tuple[dict, list, list[tuple[_StepCatalog, StepPlan]]]:
+    ) -> tuple[dict, dict, list[tuple[_StepCatalog, StepPlan]]]:
         """Walk the selection: serve cache hits, join in-flight decodes
-        another query already started (recorded in ``waits``; counted as
-        hits — they cost this query no bytes), and plan the true misses.
-        When ``owned`` is given, each planned patch registers a
-        single-flight future there (and in ``_inflight``) that the caller
-        MUST resolve or fail; ``owned=None`` (the ``plan()`` path) skips
-        the single-flight table entirely. With ``partial=True``, a step
-        whose catalog cannot be loaded (dead shard, tripped breaker,
-        corrupt segment) is reported in ``info.missing`` instead of
-        failing the query."""
+        another query already started (``waits``, by step; counted as hits
+        — they cost this query no bytes), and plan the true misses. With
+        ``owned``, each planned patch registers a single-flight future
+        there (and in ``_inflight``) that the caller MUST resolve or fail;
+        ``owned=None`` (the ``plan()`` path) skips the single-flight table.
+        A fully cached step costs no ``await``; an unreadable catalog or
+        group header goes through :meth:`_fail_over`."""
+        want_steps = _normalize_selector(steps, "step")
+        want_levels = _normalize_selector(levels, "level")
+        want_fields = _normalize_selector(fields, "field")
+        want_patches = _normalize_selector(patches, "patch")
         hits: dict[tuple, np.ndarray] = {}
-        waits: list[tuple[tuple, asyncio.Future]] = []
+        waits: dict[int, list[tuple[tuple, asyncio.Future]]] = {}
         work: list[tuple[_StepCatalog, StepPlan]] = []
         for s in self._step_order:
             if want_steps is not None and s not in want_steps:
                 continue
-            try:
-                cat = await self._catalog(s, info)
-            except (StorageError, FormatError) as exc:
-                file = self._segments[s][0]
-                healed = await self._heal_step(
-                    s, want_levels, want_fields, want_patches, verify, info
-                )
-                if healed is not None:
-                    # The catalog never loaded, so this step's patches
-                    # were never enumerated: count them here.
-                    info.keys += len(healed)
-                    info.cache_misses += len(healed)
-                    self._absorb_healed(s, file, healed, verify, hits, owned)
+            cat = self._source.cached(s)
+            if cat is None:
+
+                async def load(healed, s=s):
+                    return healed or await self._source.load_catalog(s, info)
+
+                cat = await self._fail_over(s, load, info, owned, partial)
+                if cat is None:
                     continue
-                if not partial:
-                    raise
-                self._note_missing(info, s, file, exc)
-                continue
-            chosen = [
-                e
-                for e in cat.reader.entries
-                if (want_levels is None or e.level in want_levels)
-                and (want_fields is None or e.field in want_fields)
-                and (want_patches is None or e.patch in want_patches)
-            ]
             misses: list[PatchIndexEntry] = []
-            for e in chosen:
+            for e in cat.reader.entries:
+                if not (
+                    (want_levels is None or e.level in want_levels)
+                    and (want_fields is None or e.field in want_fields)
+                    and (want_patches is None or e.patch in want_patches)
+                ):
+                    continue
                 info.keys += 1
                 key = (s, e.level, e.field, e.patch)
-                pkey = self._patch_key(cat.file, s, e, verify)
+                pkey = ("patch", cat.file, s, e.level, e.field, e.patch, verify)
                 cached = (
                     self._cache.get(pkey) if self._cache is not None else None
                 )
@@ -901,7 +521,7 @@ class QueryService:
                 if owned is not None:
                     pending = self._inflight.get(pkey)
                     if pending is not None:
-                        waits.append((key, pending))
+                        waits.setdefault(s, []).append((key, pending))
                         info.cache_hits += 1
                         continue
                     fut = asyncio.get_running_loop().create_future()
@@ -909,37 +529,21 @@ class QueryService:
                     owned[key] = (pkey, fut)
                 misses.append(e)
                 info.cache_misses += 1
-            if misses:
-                try:
-                    await self._load_groups(
-                        cat,
-                        sorted({e.group for e in misses if e.group is not None}),
-                        verify, info,
-                    )
-                    plan = self._plan_for(cat, misses)
-                except (StorageError, FormatError) as exc:
-                    healed = await self._heal_step(
-                        s, want_levels, want_fields, want_patches, verify,
-                        info,
-                    )
-                    if healed is not None:
-                        self._absorb_healed(
-                            s, cat.file, healed, verify, hits, owned
-                        )
-                        continue
-                    if not partial:
-                        raise
-                    self._note_missing(info, s, cat.file, exc)
-                    if owned is not None:
-                        self._fail_step_owned(owned, s, exc)
-                    continue
-                info.extent_bytes += plan.extent_bytes
-                info.fetched_bytes += plan.fetched_bytes
-                info.ranged_reads += len(plan.reads)
-                info.group_batches += sum(
-                    1 for b in plan.batches if b.group is not None
-                )
-                work.append((cat, plan))
+            if not misses:
+                continue
+
+            async def plan(healed, cat=cat, misses=misses):
+                return await self._plan_misses(healed or cat, misses, verify, info)
+
+            planned = await self._fail_over(s, plan, info, owned, partial)
+            if planned is None:
+                continue
+            cat, step_plan = planned
+            info.extent_bytes += step_plan.extent_bytes
+            info.group_batches += sum(
+                1 for b in step_plan.batches if b.group is not None
+            )
+            work.append((cat, step_plan))
         return hits, waits, work
 
     async def plan(
@@ -953,12 +557,7 @@ class QueryService:
         self._check_open()
         info = QueryInfo()
         _, _, work = await self._gather(
-            _normalize_selector(steps, "step"),
-            _normalize_selector(levels, "level"),
-            _normalize_selector(fields, "field"),
-            _normalize_selector(patches, "patch"),
-            verify,
-            info,
+            steps, levels, fields, patches, verify, info
         )
         return QueryPlan(steps=[plan for _, plan in work])
 
@@ -966,28 +565,18 @@ class QueryService:
     # Execution
     # ------------------------------------------------------------------
     async def _execute(
-        self, cat: _StepCatalog, plan: StepPlan, verify: bool
+        self, healed: _StepCatalog | None, cat: _StepCatalog, plan: StepPlan,
+        verify: bool, info: QueryInfo,
     ) -> dict[tuple, np.ndarray]:
-        loop = asyncio.get_running_loop()
-        breaker = self._breaker(plan.file)
-        if breaker is not None:
-            breaker.check(f"step {plan.step} payload ({plan.file})")
-        self._handle(plan.file)  # open before entering the executor
-        try:
-            blobs = await asyncio.gather(
-                *[
-                    loop.run_in_executor(
-                        None, self._fetch_sync, plan.file, r.offset, r.length
-                    )
-                    for r in plan.reads
-                ]
+        """Fetch and decode one step's plan (a :meth:`_fail_over` attempt:
+        after a heal the step's bytes are the reconstruction, so the same
+        entries are planned again, against it)."""
+        if healed is not None:
+            cat, plan = await self._plan_misses(
+                healed, [e for b in plan.batches for e in b.entries],
+                verify, info,
             )
-        except StorageError:
-            if breaker is not None:
-                breaker.record_failure()
-            raise
-        if breaker is not None:
-            breaker.record_success()
+        blobs = await self._source.fetch(cat, plan.reads, info)
         copy = self._pool.mode == "process"
         data: dict[tuple, Any] = {
             (e.key, e.kind): b"" for e in plan.extents
@@ -1065,22 +654,15 @@ class QueryService:
         if self._closed:
             raise ServeError("query service is closed")
 
-    def _fail_owned(self, owned: dict, exc: BaseException) -> None:
-        """Fail every single-flight future this query registered, so
+    def _fail_owned(
+        self, owned: dict, exc: BaseException, step: int | None = None
+    ) -> None:
+        """Fail the single-flight futures this query registered — all of
+        them, or (degraded mode) only those of one unservable ``step``,
+        leaving the surviving steps' futures to resolve normally — so
         queries waiting on a shared decode see the error instead of
         hanging; the cache is never populated on this path."""
-        for pkey, fut in owned.values():
-            self._inflight.pop(pkey, None)
-            if not fut.done():
-                fut.set_exception(exc)
-                fut.exception()  # mark retrieved: waiters may be gone
-        owned.clear()
-
-    def _fail_step_owned(self, owned: dict, step: int, exc: BaseException) -> None:
-        """Degraded mode: fail only the single-flight futures of one
-        unservable step, leaving the surviving steps' futures to resolve
-        normally."""
-        for key in [k for k in owned if k[0] == step]:
+        for key in [k for k in owned if step is None or k[0] == step]:
             pkey, fut = owned.pop(key)
             self._inflight.pop(pkey, None)
             if not fut.done():
@@ -1140,19 +722,9 @@ class QueryService:
         caller)."""
         info = QueryInfo(partial=partial)
         owned: dict[tuple, tuple[tuple, asyncio.Future]] = {}
-        want_levels = _normalize_selector(levels, "level")
-        want_fields = _normalize_selector(fields, "field")
-        want_patches = _normalize_selector(patches, "patch")
         try:
             hits, waits, work = await self._gather(
-                _normalize_selector(steps, "step"),
-                want_levels,
-                want_fields,
-                want_patches,
-                verify,
-                info,
-                owned,
-                partial,
+                steps, levels, fields, patches, verify, info, owned, partial
             )
             # Reserve the planned fetch bytes against the admission
             # byte budget for the duration of execution.
@@ -1161,36 +733,25 @@ class QueryService:
             )
             try:
                 executed = await asyncio.gather(
-                    *[self._execute(cat, plan, verify) for cat, plan in work],
-                    # Collect every step's outcome so a failed shard can
-                    # be healed from parity (or reported in degraded
-                    # mode) without abandoning the surviving steps.
+                    *[
+                        self._fail_over(
+                            plan.step,
+                            lambda healed, cat=cat, plan=plan: self._execute(
+                                healed, cat, plan, verify, info
+                            ),
+                            info, owned, partial,
+                        )
+                        for cat, plan in work
+                    ],
+                    # Collect every step's outcome: one step's failure
+                    # must not abandon the others mid-decode.
                     return_exceptions=True,
                 )
             finally:
                 self._admission.release_bytes(reserved)
-            kept = []
-            for (cat, plan), res in zip(work, executed):
+            for res in executed:
                 if isinstance(res, BaseException):
-                    storageish = isinstance(res, (StorageError, FormatError))
-                    if storageish:
-                        healed = await self._heal_step(
-                            plan.step, want_levels, want_fields,
-                            want_patches, verify, info,
-                        )
-                        if healed is not None:
-                            self._absorb_healed(
-                                plan.step, plan.file, healed, verify,
-                                hits, owned,
-                            )
-                            continue
-                    if not partial or not storageish:
-                        raise res
-                    self._fail_step_owned(owned, plan.step, res)
-                    self._note_missing(info, plan.step, plan.file, res)
-                    continue
-                kept.append(res)
-            executed = kept
+                    raise res
         except BaseException as exc:
             fail = exc
             if (
@@ -1208,7 +769,7 @@ class QueryService:
             raise
         results = dict(hits)
         for sub in executed:
-            for key, arr in sub.items():
+            for key, arr in (sub or {}).items():  # None: reported missing
                 arr.setflags(write=False)
                 pkey, fut = owned.pop(key)
                 self._inflight.pop(pkey, None)
@@ -1223,29 +784,25 @@ class QueryService:
             self._fail_owned(
                 owned, ServeError("planned patch was not decoded")
             )
-        if waits:
-            # shield: our cancellation (deadline) must not cancel the
-            # owning query's decode out from under its other waiters.
-            joined = await asyncio.gather(
-                *[asyncio.shield(fut) for _, fut in waits],
-                return_exceptions=partial,
+        for step, pairs in waits.items():
+
+            async def join(_, pairs=pairs):
+                # shield: our cancellation (deadline) must not cancel the
+                # owning query's decode out from under its other waiters.
+                return await asyncio.gather(
+                    *[asyncio.shield(fut) for _, fut in pairs]
+                )
+
+            joined = await self._fail_over(
+                step, join, info, None, partial, heal=False
             )
-            for (key, _), arr in zip(waits, joined):
-                if partial and isinstance(arr, BaseException):
-                    if not isinstance(arr, (StorageError, FormatError)):
-                        raise arr
-                    self._note_missing(
-                        info, key[0], self._segments[key[0]][0], arr
-                    )
-                    continue
-                results[key] = arr
+            if joined is not None:
+                results.update(zip((key for key, _ in pairs), joined))
         self._stats["queries"] += 1
         self._stats["patches_served"] += len(results)
         self._stats["cache_hits"] += info.cache_hits
         self._stats["cache_misses"] += info.cache_misses
         self._stats["extent_bytes"] += info.extent_bytes
-        self._stats["payload_bytes"] += info.fetched_bytes
-        self._stats["ranged_reads"] += info.ranged_reads
         self._stats["group_batches"] += info.group_batches
         if partial:
             self._stats["partial_queries"] += 1

@@ -115,18 +115,15 @@ class TestHUF2Layout:
         syms = rng.integers(-5, 5, size=100).astype(np.int64)
         assert huffman.encode(syms)[:4] == huffman.HUF2_MAGIC
 
-    def test_legacy_encoder_is_headerless(self, rng):
+    def test_legacy_or_unknown_magic_is_rejected_typed(self, rng):
+        """A blob without the ``HUF2`` magic — such as the headerless
+        pre-HUF2 layout, which opened with a u64 symbol count — is a typed
+        error naming the magic, never a guess at another layout."""
         syms = rng.integers(-5, 5, size=100).astype(np.int64)
-        assert huffman._encode_huf1(syms)[:4] != huffman.HUF2_MAGIC
-
-    def test_huf1_huf2_cross_decode(self, rng):
-        """Both layouts decode to the same symbols through one decode()."""
-        syms = (rng.geometric(0.3, size=5000) - 1).astype(np.int64)
-        syms *= rng.choice([-1, 1], size=syms.size)
-        out1 = huffman.decode(huffman._encode_huf1(syms))
-        out2 = huffman.decode(huffman.encode(syms, k_streams=8))
-        assert np.array_equal(out1, syms)
-        assert np.array_equal(out2, syms)
+        blob = huffman.encode(syms, k_streams=8)
+        for head in (struct.pack("<QI", 100, 10), b"HUF1", b"HUF3" + blob[4:8]):
+            with pytest.raises(DecompressionError, match="magic"):
+                huffman.decode(head + blob[len(head):])
 
     def test_k_does_not_divide_n(self, rng):
         """Ragged final round: lanes k >= n % K decode one symbol fewer."""

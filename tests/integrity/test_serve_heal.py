@@ -11,6 +11,7 @@ import pytest
 
 from repro.compression.amr_codec import decompress_selection
 from repro.serve import InProcessClient
+from repro.storage import LocalFileBackend, RangedBackend
 
 from tests.integrity.conftest import flip_byte
 
@@ -62,14 +63,18 @@ def test_bit_rot_heals_mid_query(campaign, truth):
 def test_healed_patches_are_cached(campaign, truth):
     victim = campaign["shards"][1]
     os.remove(campaign["root"] / victim)
-    with InProcessClient(str(campaign["manifest_path"])) as client:
+    backend = RangedBackend(LocalFileBackend(), readahead=1)
+    with InProcessClient(str(campaign["manifest_path"]), backend=backend) as client:
         client.query()
         first = client.stats()["repairs"]
-        # Re-query only the dead shard's steps: served from cache, but the
-        # catalog probe still fails over to parity per query.
+        fetched = dict(backend.stats)
+        # Re-query only the dead shard's steps: patches and the healed
+        # catalogs are cached, so nothing is reconstructed or read again.
         steps = [s for s, _, _ in campaign["extents"][victim]]
         served2, info2 = client.query_info(steps=steps)
-    assert first >= 1
+    assert first == len(steps)
+    assert info2.repairs == 0
+    assert backend.stats == fetched
     assert_byte_identical(
         served2, {k: v for k, v in truth.items() if k[0] in steps}
     )

@@ -304,6 +304,7 @@ def scenario_serve_heal(corpus: dict, root: Path,
     truth = corpus["truth"]
     with InProcessClient(str(work / corpus["manifest"])) as client:
         served, info = client.query_info()
+        again, info2 = client.query_info()
         stats = client.stats()
     if info.partial or info.missing:
         raise Violation(
@@ -320,8 +321,16 @@ def scenario_serve_heal(corpus: dict, root: Path,
             f"serve-heal: reconstruction invisible in accounting "
             f"(info.repairs={info.repairs}, stats={stats['repairs']})"
         )
+    if info2.repairs or stats["repairs"] != info.repairs or (
+        any(again[key] is not arr for key, arr in served.items())
+    ):
+        raise Violation(
+            f"serve-heal: the repeat query reconstructed again "
+            f"(info.repairs={info2.repairs}, stats={stats['repairs']}) or "
+            "served different arrays — a healed step must stay healed"
+        )
     return (f"destroyed {victim}; query complete and byte-exact with "
-            f"{info.repairs} on-the-fly repair(s)")
+            f"{info.repairs} on-the-fly repair(s), repeat served with none")
 
 
 #: name -> (in quick subset, scenario function)
