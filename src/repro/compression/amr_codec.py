@@ -266,16 +266,45 @@ class CompressedHierarchy:
             field_bounds=reader.field_bounds,
         )
 
-def _compress_task(task: tuple[Compressor, np.ndarray, float, str]) -> bytes:
-    """Module-level compress task (picklable for process mode)."""
-    comp, data, error_bound, mode = task
-    return comp.compress(data, error_bound, mode)
+#: Cells a run of patches may hold before it is encoded. ``benchmarks/e2e``
+#: ``campaign_write`` (62 fine patches per field, median 8^3; parent 1170 ms/op,
+#: 162.5 MB): 8 k cells 544 ms, RSS +0.3 %; 16 k 425 ms; 64 k 331 ms, +6.5 %
+#: (int64 temporaries never go back to the OS). Runs spread by 5-10 % at every
+#: size and the benchmark resolves ``ops_per_s`` only under 0.22 /s of spread:
+#: 8 k is the largest size safely inside that (``docs/performance.md``).
+RUN_CELL_BUDGET = 1 << 13
 
 
-def _compress_group_task(task: tuple[Compressor, np.ndarray, np.ndarray]) -> BatchResult:
-    """Module-level fused-group compress task (picklable for process mode)."""
-    comp, stacked, bounds = task
-    return comp.compress_batch(stacked, bounds, mode="abs")
+class PatchRuns:
+    """Where runs of patches ``(key, members, bounds)`` are cut, for the
+    streaming writer and :func:`compress_hierarchy` alike: consecutive
+    patches of one key, up to :data:`RUN_CELL_BUDGET` cells."""
+
+    def __init__(self):
+        self.key, self.members, self.bounds, self.cells = None, [], [], 0
+
+    def add(self, key, data: np.ndarray, bound: float) -> list:
+        """Buffer one patch; returns the runs that completes (the previous
+        key's, then this key's once it holds the budget)."""
+        done = self.flush() if key != self.key else []
+        self.key = key
+        self.members.append(data)
+        self.bounds.append(bound)
+        self.cells += data.size
+        return done + self.flush() if self.cells >= RUN_CELL_BUDGET else done
+
+    def flush(self) -> list:
+        """The buffered run (a list of one, or empty); starts a new one."""
+        done = [(self.key, self.members, self.bounds)] if self.members else []
+        self.members, self.bounds, self.cells = [], [], 0
+        return done
+
+
+def _compress_task(task: tuple[Compressor, object, object, str]) -> BatchResult:
+    """Module-level compress task (picklable for process mode): one group
+    of patches under resolved absolute bounds, in layout ``batch``."""
+    comp, members, bounds, batch = task
+    return comp.compress_batch(members, bounds, "abs", batch=batch)
 
 
 def _decompress_task(task: tuple[str, bytes, SharedEntropy | None]) -> np.ndarray:
@@ -413,39 +442,32 @@ def compress_hierarchy(
             hierarchy, comp, error_bound, mode, names, exclude_covered,
             parallel, workers, pool, field_bounds,
         )
-    # Flatten the hierarchy into an ordered task list: the map over patches
-    # is pure (paper §3.3), so any executor that preserves order produces
-    # the same streams — and therefore the same container bytes.
-    tasks: list[tuple[Compressor, np.ndarray, float, str]] = []
-    layout: list[dict[str, int]] = []
+    # Cut each (level, field) into runs of patches (PatchRuns): the map
+    # over runs is pure (paper §3.3) and a run's streams are the per-patch
+    # streams byte for byte, so any executor that preserves order — and
+    # any cut — produces the same container bytes.
+    runs, cutter = [], PatchRuns()
     for lev_idx, lev in enumerate(hierarchy):
         masks = level_covered_masks(hierarchy, lev_idx) if exclude_covered else None
-        counts: dict[str, int] = {}
         for name in names:
-            patches = lev.patches(name)
-            counts[name] = len(patches)
             field_eb = field_bounds.get(name, error_bound)
-            for p_idx, patch in enumerate(patches):
+            for p_idx, patch in enumerate(lev.patches(name)):
                 data = patch.data
                 if masks is not None and masks[p_idx].any():
                     # Resolve the bound against the *original* values first:
                     # filling may shrink the range (peaks often live under
                     # the refined region) and must not tighten the bound.
-                    eb_abs = comp.resolve_error_bound(data, field_eb, mode)
+                    bound = comp.resolve_error_bound(data, field_eb, mode)
                     data = _fill_covered(data, masks[p_idx])
-                    tasks.append((comp, data, eb_abs, "abs"))
                 else:
-                    tasks.append((comp, data, field_eb, mode))
-        layout.append(counts)
-    blobs = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
-    streams: list[dict[str, list[bytes]]] = []
-    cursor = 0
-    for counts in layout:
-        ldict: dict[str, list[bytes]] = {}
-        for name in names:
-            ldict[name] = blobs[cursor : cursor + counts[name]]
-            cursor += counts[name]
-        streams.append(ldict)
+                    bound = comp.resolve_member_bound(data, field_eb, mode)
+                runs += cutter.add((lev_idx, name), data, bound)
+    runs += cutter.flush()
+    tasks = [(comp, members, bounds, "patch") for _, members, bounds in runs]
+    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
+    streams: list[dict[str, list[bytes]]] = [{name: [] for name in names} for _ in hierarchy]
+    for ((lev_idx, name), _, _), result in zip(runs, results):
+        streams[lev_idx][name] += result.streams
     original = sum(hierarchy.nbytes(name) for name in names)
     return CompressedHierarchy(
         codec=comp.name,
@@ -487,7 +509,7 @@ def _compress_hierarchy_batched(
     # One task per (level, field, patch shape): stack the members and
     # resolve every bound to an absolute value up front (identical math to
     # the per-patch path, including the covered-cell fill ordering).
-    tasks: list[tuple[Compressor, np.ndarray, np.ndarray]] = []
+    tasks: list[tuple] = []
     memberships: list[list[tuple[int, str, int]]] = []  # task -> member keys
     counts_by_level: list[dict[str, int]] = []
     for lev_idx, lev in enumerate(hierarchy):
@@ -510,12 +532,10 @@ def _compress_hierarchy_batched(
                     for row, p_idx in enumerate(idxs):
                         if masks[p_idx].any():
                             stacked[row] = _fill_covered(stacked[row], masks[p_idx])
-                tasks.append((comp, stacked, bounds))
+                tasks.append((comp, stacked, bounds, "level"))
                 memberships.append([(lev_idx, name, p) for p in idxs])
         counts_by_level.append(counts)
-    results = parallel_map(
-        _compress_group_task, tasks, mode=parallel, workers=workers, pool=pool
-    )
+    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
     # Deterministic assembly: gids in task order, skipping fallback groups
     # (pooled alphabet too large -> members became self-contained streams).
     streams: list[dict[str, list[bytes]]] = [

@@ -22,6 +22,7 @@ hands out section views without copying.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -161,6 +162,23 @@ def check_backend_level(backend_level: int | None) -> None:
         )
 
 
+def _encode_members(members, entropy, backend, k_streams, level) -> tuple[list, list]:
+    """``(blobs, stages)``: one self-contained codes section per member of
+    a run. The Huffman stage packs the whole run in one pass; a member
+    whose alphabet is too large falls back to DEFLATE alone."""
+    coded = [None] * len(members)
+    if entropy == "huffman":
+        coded = huffman.encode_many(members, k_streams=k_streams)
+    huf = HUFFMAN_SECTION_LEVEL if level is None else level
+    raw = RAW_SECTION_LEVEL if level is None else level
+    blobs = [
+        pack_ints(np.ascontiguousarray(codes), backend, raw) if blob is None
+        else compress_bytes(blob, backend, huf)
+        for codes, blob in zip(members, coded)
+    ]
+    return blobs, ["deflate" if blob is None else "huffman" for blob in coded]
+
+
 def encode_codes(
     codes: np.ndarray,
     entropy: str,
@@ -178,50 +196,44 @@ def encode_codes(
     :data:`RAW_SECTION_LEVEL` for the fallback, where DEFLATE *is* the
     entropy coder). Returns ``(blob, stage)`` where ``stage`` names the
     encoding actually used — codecs record it in their stream params so
-    :func:`decode_codes` can invert it.
+    :func:`decode_codes` can invert it. The one-member case of
+    :func:`encode_codes_batch` with ``batch="patch"``.
     """
-    if entropy == "huffman":
-        try:
-            return (
-                compress_bytes(
-                    huffman.encode(codes, k_streams=k_streams),
-                    backend,
-                    HUFFMAN_SECTION_LEVEL if level is None else level,
-                ),
-                "huffman",
-            )
-        except huffman.HuffmanAlphabetError:
-            pass
-    return (
-        pack_ints(
-            np.ascontiguousarray(codes),
-            backend,
-            RAW_SECTION_LEVEL if level is None else level,
-        ),
-        "deflate",
-    )
+    blobs, stages = _encode_members([codes], entropy, backend, k_streams, level)
+    return blobs[0], stages[0]
 
 
 def encode_codes_batch(
-    codes: np.ndarray,
+    codes,
     entropy: str,
     backend: str,
     k_streams: int | str = "auto",
     level: int | None = None,
-) -> tuple[bytes | None, list, str]:
-    """Entropy-encode the ``(members, symbols)`` code matrix of one group.
+    batch: str = "level",
+) -> tuple[bytes | None, list, list]:
+    """Entropy-encode the code arrays of one group of patches, in the
+    layout ``compress_hierarchy``'s ``batch=`` names. Returns
+    ``(codebook_bytes, payloads, stages)``: one payload and one recorded
+    stage name per member, and the group's shared codebook if it has one.
 
-    The Huffman path builds **one** shared codebook from the pooled
-    frequencies and packs every member in a single vectorized scatter pass
+    ``"patch"``: ``codes`` is a sequence of ragged per-member arrays; each
+    gets the section :func:`encode_codes` would write for it, bit-packed
+    in one pass (no codebook; a member may fall back to ``"deflate"``
+    alone).
+
+    ``"level"``: ``codes`` is the ``(members, symbols)`` matrix of
+    same-shape patches. The Huffman path builds **one** shared codebook
+    from the pooled frequencies and packs every member in a single pass
     (:func:`repro.compression.huffman.encode_batch`); per-member payloads
     are wrapped individually so random access stays per-member. By default
     they are *stored*, not re-DEFLATEd (:data:`GROUPED_SECTION_BACKEND` —
     measured gain is ~1% for real time); pass ``level`` to opt back into
-    ``backend`` at that level. Returns ``(codebook_bytes, payloads,
-    stage)``; a pooled alphabet too large to Huffman-code (or
-    ``entropy="deflate"``) falls back to self-contained per-member DEFLATE
-    sections with ``codebook=None``.
+    ``backend`` at that level. A pooled alphabet too large to Huffman-code
+    (or ``entropy="deflate"``) falls back to self-contained per-member
+    DEFLATE sections with ``codebook=None``.
     """
+    if batch == "patch":
+        return (None, *_encode_members(codes, entropy, backend, k_streams, level))
     mat = np.ascontiguousarray(codes, dtype=np.int64)
     if entropy == "huffman" and mat.size:
         try:
@@ -236,11 +248,11 @@ def encode_codes_batch(
                     mat, codebook, k_streams=k_streams, inverse=inverse
                 )
             ]
-            return codebook.tobytes(), payloads, GROUPED_STAGE
+            return codebook.tobytes(), payloads, [GROUPED_STAGE] * len(payloads)
         except huffman.HuffmanAlphabetError:
             pass
     lvl = RAW_SECTION_LEVEL if level is None else level
-    return None, [pack_ints(row, backend, lvl) for row in mat], "deflate"
+    return None, [pack_ints(row, backend, lvl) for row in mat], ["deflate"] * len(mat)
 
 
 def decode_codes(section, entropy: str, shared: SharedEntropy | None = None) -> np.ndarray:
@@ -267,6 +279,8 @@ def decode_codes(section, entropy: str, shared: SharedEntropy | None = None) -> 
     if entropy == "deflate":
         return unpack_ints(section)
     raise DecompressionError(f"stream records unknown entropy stage {entropy!r}")
+
+NONFINITE_INPUT = "input contains NaN/Inf; mask before compressing"
 
 #: Magic prefix of every framed codec stream.
 STREAM_MAGIC = b"RPRC"
@@ -421,49 +435,77 @@ class Compressor(ABC):
     def decompress(self, blob: bytes) -> np.ndarray:
         """Reconstruct the array from a stream produced by this codec."""
 
+    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
+        """Compress a group of patches in one call.
+
+        ``batch="patch"``: ``data`` is a sequence of arrays of any shapes,
+        ``error_bound`` one spec or one per member, and ``streams[i]`` is
+        byte for byte ``compress(data[i], error_bound[i], mode)``. This
+        default is that loop; :class:`~repro.compression.sz_lr.SZLR` runs
+        the members as one block matrix instead. ``batch="level"``
+        (shared-codebook grouped streams) needs ``supports_batch``.
+        """
+        if batch != "patch":
+            raise CompressionError(
+                f"codec {self.name!r} does not implement the level-batched fused path"
+            )
+        return BatchResult(None, [], [
+            self.compress(a, eb, mode) for a, eb in zip(data, self._member_specs(data, error_bound))
+        ])
+
+    @staticmethod
+    def _member_specs(members, error_bound) -> list:
+        """One error-bound spec per member from a scalar or a sequence."""
+        specs = list(error_bound) if np.ndim(error_bound) else [error_bound] * len(members)
+        if len(specs) != len(members):
+            raise CompressionError(f"{len(specs)} error bounds for {len(members)} members")
+        return specs
+
+    def resolve_member_bound(self, data, error_bound: float, mode: str) -> float:
+        """Validate ``data`` as :meth:`compress` would and return its
+        absolute bound — for callers that defer the encode (the streaming
+        writer's run buffer) but must fail at hand-over. The min/max a
+        ``"rel"`` bound needs double as the NaN/Inf check."""
+        arr = self._validate_input(data, finite=False)
+        lo, hi = float(arr.min()), float(arr.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise CompressionError(NONFINITE_INPUT)
+        return self.resolve_error_bound(arr, error_bound, mode, value_range=hi - lo)
+
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _validate_input(data: np.ndarray) -> np.ndarray:
+    def _validate_input(data, batch: bool = False, finite: bool = True) -> np.ndarray:
+        """``data`` as a C-contiguous float64 array after the checks every
+        codec makes: a 1-3 D float array — with ``batch``, a
+        ``(n_patches, *shape)`` stack of them — non-empty and (unless the
+        caller checks that itself, ``finite=False``) free of NaN/Inf."""
         arr = np.ascontiguousarray(data)
         if arr.dtype.kind != "f":
             raise CompressionError(f"only float arrays are supported, got {arr.dtype}")
-        if arr.ndim not in (1, 2, 3):
-            raise CompressionError(f"only 1-3 D arrays supported, got {arr.ndim}-D")
+        if arr.ndim - batch not in (1, 2, 3):
+            raise CompressionError(
+                f"only 1-3 D arrays{' (plus a leading patch axis)' * batch} "
+                f"supported, got {arr.ndim}-D"
+            )
         if arr.size == 0:
             raise CompressionError("cannot compress an empty array")
-        if not np.isfinite(arr).all():
-            raise CompressionError("input contains NaN/Inf; mask before compressing")
+        if finite and not np.isfinite(arr).all():
+            raise CompressionError(NONFINITE_INPUT)
         return arr.astype(np.float64, copy=False)
 
     @staticmethod
-    def _validate_batch(data: np.ndarray) -> np.ndarray:
-        """Validate a ``(n_patches, *shape)`` batch of same-shape patches
-        (the level-batched fused path)."""
-        arr = np.ascontiguousarray(data)
-        if arr.dtype.kind != "f":
-            raise CompressionError(f"only float arrays are supported, got {arr.dtype}")
-        if arr.ndim not in (2, 3, 4):
-            raise CompressionError(
-                f"batch must be (n_patches, *shape) with 1-3 spatial dims, "
-                f"got {arr.ndim}-D"
-            )
-        if arr.shape[0] == 0 or arr.size == 0:
-            raise CompressionError("cannot compress an empty batch")
-        if not np.isfinite(arr).all():
-            raise CompressionError("input contains NaN/Inf; mask before compressing")
-        return arr.astype(np.float64, copy=False)
-
-    @staticmethod
-    def resolve_error_bound(data: np.ndarray, error_bound: float, mode: str) -> float:
-        """Convert a (value, mode) pair to an absolute bound."""
+    def resolve_error_bound(data, error_bound: float, mode: str, value_range=None) -> float:
+        """Convert a (value, mode) pair to an absolute bound
+        (``value_range``: ``max - min`` of ``data`` when already known)."""
         if error_bound <= 0:
             raise CompressionError(f"error bound must be > 0, got {error_bound}")
         if mode == "abs":
             return float(error_bound)
         if mode == "rel":
-            value_range = float(np.max(data) - np.min(data))
+            if value_range is None:
+                value_range = float(np.max(data) - np.min(data))
             if value_range == 0.0:
                 # Constant field: any positive bound works; pick the value.
                 return float(error_bound)

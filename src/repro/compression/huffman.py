@@ -14,8 +14,10 @@ implements that stage:
   codebook, so the decoder can run all K in lockstep — each vectorized
   round gathers K windows against the flat table and emits K symbols,
   replacing the per-symbol Python loop,
-* vectorized bit packing on encode (one scatter pass per bit position,
-  for all K streams at once),
+* vectorized bit packing on encode (a scatter per bit position, or byte
+  accumulation on large inputs): one pass for all K streams and, through
+  :func:`encode_many`, for a whole run of ragged members, each keeping its
+  own codebook, K and byte-aligned streams (:func:`encode`: one member),
 * **shared codebooks** (``HUFB`` + ``HUFS`` layouts): many small symbol
   arrays — the per-patch quantization codes of one AMR level — can be
   coded against one :class:`SharedCodebook` built from their pooled
@@ -71,6 +73,7 @@ __all__ = [
     "HuffmanAlphabetError",
     "SharedCodebook",
     "encode",
+    "encode_many",
     "decode",
     "encode_batch",
     "encode_with_codebook",
@@ -205,46 +208,56 @@ def code_lengths(freqs: np.ndarray) -> np.ndarray:
         work = (work + 1) // 2
 
 
+#: Heap keys are ``freq << 20 | node_id``: the largest tree (2**16 leaves)
+#: has 2**17 - 1 nodes, so ids fit with room to spare.
+_ID_MASK = (1 << 20) - 1
+
+
 def _heap_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Unrestricted Huffman code lengths via pairwise merging."""
+    """Unrestricted Huffman code lengths via pairwise merging.
+
+    One int per heap item, not a ``(freq, tiebreak, node_id)`` tuple:
+    leaves are 0..n-1 and merges take n, n+1, ... in creation order, so
+    the tiebreak always *was* the node id. Plain lists, not ndarrays:
+    per-element ndarray indexing costs more than the merge itself.
+    """
     n = freqs.size
-    # Heap items: (freq, tiebreak, node_id); leaves are 0..n-1.
-    heap: list[tuple[int, int, int]] = [(int(freqs[i]), i, i) for i in range(n)]
+    heap = [(f << 20) | i for i, f in enumerate(freqs.tolist())]
     heapq.heapify(heap)
-    parent = np.full(2 * n - 1, -1, dtype=np.int64)
-    next_id = n
-    tiebreak = n
-    while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (fa + fb, tiebreak, next_id))
-        next_id += 1
-        tiebreak += 1
-    depths = np.zeros(2 * n - 1, dtype=np.uint32)
+    pop, push = heapq.heappop, heapq.heappush
+    parent = [0] * (2 * n - 1)
+    for next_id in range(n, 2 * n - 1):
+        a = pop(heap)
+        b = pop(heap)
+        ia = a & _ID_MASK
+        ib = b & _ID_MASK
+        parent[ia] = parent[ib] = next_id
+        push(heap, a - ia + b - ib + next_id)
+    depths = [0] * (2 * n - 1)
     # Nodes were created bottom-up, so iterate top-down for depths.
-    for node in range(next_id - 2, -1, -1):
+    for node in range(2 * n - 3, -1, -1):
         depths[node] = depths[parent[node]] + 1
-    return depths[:n].astype(np.uint8)
+    return np.array(depths[:n], dtype=np.uint8)
 
 
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Canonical code values (uint32) for given lengths.
 
     Codes are assigned in (length, symbol-index) order, the standard
-    canonical construction, so lengths alone reproduce the codebook.
+    canonical construction, so lengths alone reproduce the codebook: a
+    symbol's code is the first code of its length plus its rank among the
+    symbols of that length.
     """
-    order = np.lexsort((np.arange(lengths.size), lengths))
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    code = 0
-    prev_len = 0
-    for sym in order:
-        length = int(lengths[sym])
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
+    lens = lengths.astype(np.int64)
+    first = start = 0
+    base = []  # per length: its first code minus the sorted position of its first symbol
+    for count in np.bincount(lens).tolist():
+        base.append(first - start)
+        first = (first + count) << 1
+        start += count
+    order = np.argsort(lens, kind="stable")
+    codes = np.empty(lens.size, dtype=np.uint32)
+    codes[order] = np.array(base)[lens[order]] + np.arange(lens.size)
     return codes
 
 
@@ -302,7 +315,7 @@ class SharedCodebook:
     """
 
     __slots__ = (
-        "alphabet", "lengths", "_codes", "_codes_f", "_lengths64", "_tables",
+        "alphabet", "lengths", "_codes_f", "_lengths64", "_tables",
         "_fused", "_lists",
     )
 
@@ -324,7 +337,6 @@ class SharedCodebook:
             raise CompressionError("codebook alphabet must be strictly increasing")
         self.alphabet = alphabet
         self.lengths = lengths
-        self._codes: np.ndarray | None = None
         self._codes_f: np.ndarray | None = None
         self._lengths64: np.ndarray | None = None
         self._tables: tuple[np.ndarray, np.ndarray, int] | None = None
@@ -364,18 +376,11 @@ class SharedCodebook:
 
     # -- encode side ---------------------------------------------------
     @property
-    def codes(self) -> np.ndarray:
-        """Canonical code values (uint32), cached."""
-        if self._codes is None:
-            self._codes = _canonical_codes(self.lengths)
-        return self._codes
-
-    @property
     def codes_f(self) -> np.ndarray:
         """Canonical code values as float64 (exact: codes < 2**16), cached
         — the dtype the histogram-based bit packer consumes directly."""
         if self._codes_f is None:
-            self._codes_f = self.codes.astype(np.float64)
+            self._codes_f = _canonical_codes(self.lengths).astype(np.float64)
         return self._codes_f
 
     @property
@@ -462,9 +467,10 @@ class SharedCodebook:
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------
-#: Above this symbol count the byte-accumulation packer beats the
-#: per-bit-position scatter (fewer, cache-friendlier passes); below it the
-#: classic scatter's smaller constant wins (measured on 16^3-patch codes).
+#: Below this symbol count :func:`_scatter_pack` scatters per bit position.
+#: Byte accumulation measures 5-20x faster from 512 symbols up; dropping
+#: the scatter moves ``bench_batched``'s gated ratio, so it is its own
+#: change (ROADMAP open items).
 _PACK_BINCOUNT_CUTOFF = 1 << 16
 
 
@@ -473,37 +479,27 @@ def _scatter_pack(
     sym_lens: np.ndarray,
     offsets: np.ndarray,
     total_bytes: int,
-    max_len: int,
 ) -> np.ndarray:
     """Pack symbols into a byte array, vectorized (no per-symbol loop).
 
-    Two equivalent strategies, picked by input size:
-
-    * **bit-position scatter** (small inputs): one boolean-masked scatter
-      per bit position, <= ``max_len`` <= :data:`MAX_CODE_LENGTH` passes.
-    * **byte accumulation** (large inputs — the level-batched group
-      encoder): every symbol's code occupies a disjoint bit range, so each
-      output byte is the *sum* of the symbols' byte-aligned contributions.
-      A code spans at most ``7 + MAX_CODE_LENGTH = 23 < 24`` bits from its
-      byte-aligned window start, so three :func:`numpy.bincount`
-      accumulations (one per window byte) build the whole stream — ~5
-      passes total instead of ~3 per bit position. The per-byte sums stay
-      < 256 exactly because contributions never overlap.
-
-    Shared by the HUF2 encoder and the grouped batch encoder.
+    Two equivalent strategies, picked by input size: a **bit-position
+    scatter** (one boolean-masked scatter per bit position, at most
+    :data:`MAX_CODE_LENGTH` passes) below :data:`_PACK_BINCOUNT_CUTOFF`
+    symbols, **byte accumulation** (below) from there up. Shared by the
+    HUF2 encoder and the grouped batch encoder.
     """
-    n = sym_codes.size
-    if n == 0 or total_bytes == 0:
+    if sym_codes.size == 0 or total_bytes == 0:
         return np.zeros(total_bytes, dtype=np.uint8)
-    if n < _PACK_BINCOUNT_CUTOFF:
+    if sym_codes.size < _PACK_BINCOUNT_CUTOFF:
+        codes = sym_codes.astype(np.uint32, copy=False)
         bits = np.zeros(8 * total_bytes, dtype=np.uint8)
-        for b in range(max_len):
+        for b in range(int(sym_lens.max())):
             active = sym_lens > b
-            if not active.any():
-                break
             shift = (sym_lens[active] - 1 - b).astype(np.uint32)
-            bits[offsets[active] + b] = (sym_codes[active] >> shift) & 1
+            bits[offsets[active] + b] = (codes[active] >> shift) & 1
         return np.packbits(bits)
+    # Every symbol's code occupies a disjoint bit range and spans at most
+    # 7 + MAX_CODE_LENGTH = 23 < 24 bits from the start of its byte.
     # Left-align each code inside the 24-bit window that starts at its
     # byte; a window's unused low bits are zero, so windows rooted at the
     # same byte occupy disjoint bits and their SUM equals their OR. One
@@ -514,12 +510,9 @@ def _scatter_pack(
     # instead of an integer shift plus a float conversion.
     byte_idx = offsets >> 3
     shift = 24 - (offsets & 7) - sym_lens
-    codes_f = (
-        sym_codes
-        if sym_codes.dtype == np.float64
-        else sym_codes.astype(np.float64)
+    windows = np.ldexp(
+        sym_codes.astype(np.float64, copy=False), shift.astype(np.int32, copy=False)
     )
-    windows = np.ldexp(codes_f, shift.astype(np.int32, copy=False))
     acc = np.bincount(byte_idx, weights=windows, minlength=total_bytes).astype(np.int64)
     out = acc >> 16
     out[1:] += (acc[:-1] >> 8) & 0xFF
@@ -527,53 +520,128 @@ def _scatter_pack(
     return out[:total_bytes].astype(np.uint8)
 
 
-def encode(symbols: np.ndarray, k_streams: int | str = "auto") -> bytes:
-    """Huffman-encode an int64 symbol array into a self-contained blob.
+def _stream_layout(sym_lens: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bit layout of ``(members, symbols)`` code lengths, K streams each:
+    ``(stream_bits (P, K), offsets (P, n), member_bytes (P,))`` — every
+    symbol's bit offset from the start of *its member's* payload (streams
+    byte-aligned, in stream order). Symbol ``i`` is (round ``i // K``,
+    stream ``i % K``), so a ``(rounds, K)`` reshape turns all prefix sums
+    into one cumsum. Behind both the ``HUF2`` and ``HUFS`` encoders."""
+    P, n = sym_lens.shape
+    n_rounds = -(-n // K)
+    pad = n_rounds * K - n  # 0 when K divides the member size (patch shapes): a view
+    lens_mat = (np.pad(sym_lens, ((0, 0), (0, pad))) if pad else sym_lens).reshape(P, n_rounds, K)
+    csum = np.cumsum(lens_mat, axis=1)
+    stream_bits = csum[:, -1, :]
+    stream_bytes = (stream_bits + 7) // 8
+    ends = np.cumsum(stream_bytes, axis=1)
+    base_bits = 8 * (ends - stream_bytes)
+    offsets = ((csum - lens_mat) + base_bits[:, None, :]).reshape(P, n_rounds * K)[:, :n]
+    return stream_bits, offsets, ends[:, -1]
 
-    The symbols are split round-robin into ``k_streams`` independent
-    bitstreams (symbol ``i`` goes to stream ``i % K``) that share one
-    canonical codebook, enabling the lockstep vectorized decode.
+
+def _run_alphabets(arrays: list) -> list:
+    """Per-member ``(alphabet, freqs, rows)`` of a run of flat int64 arrays
+    — ``rows`` maps each symbol to its row in the concatenation of the
+    run's alphabets — or ``None`` for a member whose alphabet is too large
+    to Huffman-code (it adds no rows). Neighbouring patches' codes share
+    one narrow value band, so one joint ``member x value`` histogram
+    replaces the per-member passes of :func:`_alphabet_inverse`; a wide
+    band falls back to those."""
+    sizes = [a.size for a in arrays]
+    total, limit = sum(sizes), 1 << MAX_CODE_LENGTH
+    if total:
+        flat = np.concatenate(arrays)
+        lo = int(flat.min())
+        span = int(flat.max()) - lo + 1
+        if span <= limit and len(arrays) * span <= max(4 * total, limit):
+            key = (flat - lo) + np.repeat(np.arange(0, len(arrays) * span, span), sizes)
+            counts = np.bincount(key, minlength=len(arrays) * span)
+            present = counts > 0
+            rows = (np.cumsum(present) - 1)[key]
+            values = np.flatnonzero(present) % span + lo
+            freqs = counts[present]
+            cuts = np.cumsum(present.reshape(-1, span).sum(axis=1)).tolist()
+            ends = np.cumsum(sizes).tolist()
+            return [
+                (values[a:b], freqs[a:b], rows[c:d])
+                for a, b, c, d in zip([0] + cuts, cuts, [0] + ends, ends)
+            ]
+    books, base = [], 0
+    for syms in arrays:
+        alphabet, inverse, freqs = _alphabet_inverse(syms) if syms.size else (syms,) * 3
+        fits = alphabet.size <= limit
+        books.append((alphabet, freqs, inverse + base) if fits else None)
+        base += alphabet.size * fits
+    return books
+
+
+def encode_many(members, k_streams: int | str = "auto") -> list:
+    """Huffman-encode several symbol arrays, each into its own
+    self-contained ``HUF2`` blob, in one bit-packing pass.
+
+    Blob ``i`` is exactly what :func:`encode` returns for ``members[i]``
+    alone — own alphabet, canonical codebook, interleave width K and
+    byte-aligned streams — but the code/length gathers run once over the
+    run's concatenated codebooks, same-size members share one
+    :func:`_stream_layout`, and a single :func:`_scatter_pack` packs every
+    member's bits. Members are ragged; one whose alphabet is too large to
+    Huffman-code yields ``None`` (callers fall back to DEFLATE for it
+    alone), an empty one its header-only blob.
 
     ``HUF2`` layout: ``magic b"HUF2" | n_symbols (u64) | k_streams (u32) |
     alphabet_size (u32) | alphabet (i64[]) | lengths (u8[]) |
     stream_bits (u64[K]) | per-stream packed bits, each byte-aligned``.
     """
-    syms = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
-    if syms.size == 0:
-        return _HUF2_HEAD.pack(HUF2_MAGIC, 0, 0, 0)
-    n = syms.size
-    K = resolve_k_streams(k_streams, n)
-    alphabet, inverse, freqs = _alphabet_inverse(syms)
-    if alphabet.size > (1 << MAX_CODE_LENGTH):
-        raise HuffmanAlphabetError(
-            f"alphabet of {alphabet.size} symbols exceeds {1 << MAX_CODE_LENGTH}"
-        )
-    lengths = code_lengths(freqs)
-    codes = _canonical_codes(lengths)
-    sym_codes = codes[inverse]
-    sym_lens = lengths[inverse].astype(np.int64)
-    # Per-symbol destination bit offsets, all K streams in one pass:
-    # symbol i = (round i // K, stream i % K), so a (rounds, K) reshape
-    # turns per-stream prefix sums into one column-wise cumsum.
-    n_rounds = -(-n // K)
-    lens_mat = np.zeros(n_rounds * K, dtype=np.int64)
-    lens_mat[:n] = sym_lens
-    lens_mat = lens_mat.reshape(n_rounds, K)
-    csum = np.cumsum(lens_mat, axis=0)
-    stream_bits = csum[-1]
-    stream_bytes = (stream_bits + 7) // 8
-    base_bits = 8 * np.concatenate(([0], np.cumsum(stream_bytes)[:-1]))
-    offsets = ((csum - lens_mat) + base_bits[None, :]).ravel()[:n]
-    packed = _scatter_pack(
-        sym_codes, sym_lens, offsets, int(stream_bytes.sum()), int(lengths.max())
-    )
-    out = bytearray()
-    out += _HUF2_HEAD.pack(HUF2_MAGIC, n, K, alphabet.size)
-    out += alphabet.tobytes()
-    out += lengths.tobytes()
-    out += stream_bits.astype(np.uint64).tobytes()
-    out += packed.tobytes()
-    return bytes(out)
+    arrays = [np.ascontiguousarray(m, dtype=np.int64).ravel() for m in members]
+    out: list = [None] * len(arrays)
+    coded: list[tuple] = []  # (slot, alphabet, lengths, rows of the pooled tables)
+    by_size: dict[int, list[int]] = {}
+    for slot, book in enumerate(_run_alphabets(arrays)):
+        if book is not None and book[2].size:
+            by_size.setdefault(book[2].size, []).append(len(coded))
+            coded.append((slot, book[0], code_lengths(book[1]), book[2]))
+        elif book is not None:
+            out[slot] = _HUF2_HEAD.pack(HUF2_MAGIC, 0, 0, 0)
+    if not coded:
+        return out
+    all_lens = np.concatenate([c[2] for c in coded]).astype(np.int64)
+    all_codes = np.concatenate([_canonical_codes(c[2]) for c in coded])
+    # Members of one size share K, so their layout is one batched cumsum;
+    # payloads are laid out group by group in one byte space.
+    row_parts, offset_parts, layout, cursor = [], [], {}, 0
+    for n, group in by_size.items():
+        K = resolve_k_streams(k_streams, n)
+        rows = np.stack([coded[j][3] for j in group])
+        stream_bits, offsets, member_bytes = _stream_layout(all_lens[rows], K)
+        starts = cursor + np.concatenate(([0], np.cumsum(member_bytes)))
+        row_parts.append(rows.ravel())
+        offset_parts.append((offsets + 8 * starts[:-1, None]).ravel())
+        bits = stream_bits.astype(np.uint64)
+        for r, j in enumerate(group):
+            layout[j] = (K, bits[r], int(starts[r]), int(starts[r + 1]))
+        cursor = int(starts[-1])
+    rows = np.concatenate(row_parts)
+    packed = _scatter_pack(all_codes[rows], all_lens[rows], np.concatenate(offset_parts), cursor)
+    for j, (slot, alphabet, lengths, member_rows) in enumerate(coded):
+        K, bits, start, end = layout[j]
+        out[slot] = b"".join((
+            _HUF2_HEAD.pack(HUF2_MAGIC, member_rows.size, K, alphabet.size),
+            alphabet.tobytes(), lengths.tobytes(), bits.tobytes(),
+            packed[start:end].tobytes(),
+        ))
+    return out
+
+
+def encode(symbols: np.ndarray, k_streams: int | str = "auto") -> bytes:
+    """Huffman-encode an int64 symbol array into a self-contained ``HUF2``
+    blob — the one-member case of :func:`encode_many`. Symbol ``i`` goes
+    to stream ``i % K``: ``k_streams`` independent bitstreams sharing one
+    canonical codebook, enabling the lockstep vectorized decode."""
+    blob = encode_many([symbols], k_streams)[0]
+    if blob is None:
+        raise HuffmanAlphabetError(f"alphabet exceeds {1 << MAX_CODE_LENGTH} symbols")
+    return blob
 
 
 def encode_batch(
@@ -636,46 +704,24 @@ def encode_batch(
         else np.int64
     )
     sym_lens = codebook.lengths64[inverse].astype(off_dtype, copy=False)
-    # The large-input packer wants float64 windows (bincount weights); the
-    # small-input packer shifts integers. Gather the right dtype directly.
-    if P * n >= _PACK_BINCOUNT_CUTOFF:
-        sym_codes = codebook.codes_f[inverse]
-    else:
-        sym_codes = codebook.codes[inverse]
-    n_rounds = -(-n // K)
-    if n_rounds * K == n:
-        # K divides the member size (the common patch-shaped case): the
-        # (rounds, K) matrix is a reshape view, no zero-padded copy.
-        lens_mat = sym_lens.reshape(P, n_rounds, K)
-    else:
-        lens_mat = np.zeros((P, n_rounds * K), dtype=off_dtype)
-        lens_mat[:, :n] = sym_lens
-        lens_mat = lens_mat.reshape(P, n_rounds, K)
-    csum = np.cumsum(lens_mat, axis=1)
-    stream_bits = csum[:, -1, :]  # (P, K)
-    stream_bytes = (stream_bits + 7) // 8
+    sym_codes = codebook.codes_f[inverse]  # float64: what the packer's bincount weighs
     # Byte layout: member-major, stream-minor — member p's payload is the
     # contiguous run of its K streams, so per-member slicing is free.
-    flat_bytes = stream_bytes.ravel()
-    byte_starts = np.concatenate(([0], np.cumsum(flat_bytes, dtype=np.int64)))
-    base_bits = (8 * byte_starts[:-1]).astype(off_dtype).reshape(P, K)
-    offsets = ((csum - lens_mat) + base_bits[:, None, :]).reshape(P, n_rounds * K)[:, :n]
+    stream_bits, offsets, member_bytes = _stream_layout(sym_lens, K)
+    starts = np.concatenate(([0], np.cumsum(member_bytes, dtype=np.int64)))
+    offsets = offsets + (8 * starts[:-1]).astype(off_dtype)[:, None]
     packed = _scatter_pack(
         sym_codes.ravel(),
         sym_lens.ravel(),
         offsets.ravel(),
-        int(flat_bytes.sum()),
-        int(codebook.lengths.max()),
+        int(starts[-1]),
     )
     head = _HUFS_HEAD.pack(HUFS_MAGIC, n, K)
     headers = stream_bits.astype(np.uint64)
-    member_bytes = stream_bytes.sum(axis=1)
-    out: list[bytes] = []
-    for p in range(P):
-        start = int(byte_starts[p * K])
-        end = start + int(member_bytes[p])
-        out.append(head + headers[p].tobytes() + packed[start:end].tobytes())
-    return out
+    return [
+        head + headers[p].tobytes() + packed[starts[p] : starts[p + 1]].tobytes()
+        for p in range(P)
+    ]
 
 
 def encode_with_codebook(

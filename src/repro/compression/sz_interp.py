@@ -152,7 +152,7 @@ class SZInterp(Compressor):
         self.last_stage_times = times
         return blob
 
-    def compress_batch(self, data: np.ndarray, error_bound, mode: str = "abs") -> BatchResult:
+    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
         """Compress a ``(n_patches, *shape)`` group in one fused run.
 
         Every interpolation pass operates on the whole batch at once (the
@@ -160,9 +160,13 @@ class SZInterp(Compressor):
         along for free), and all patches' correction codes pool into one
         shared Huffman codebook. ``error_bound``/``mode`` follow
         :meth:`~repro.compression.base.Compressor.resolve_error_bounds`.
+        ``batch="patch"`` is the base class's per-member loop: the passes
+        depend on the patch shape, so ragged members share no kernel work.
         """
+        if batch == "patch":
+            return super().compress_batch(data, error_bound, mode, batch)
         orig_dtype = np.asarray(data).dtype
-        arr = self._validate_batch(data)
+        arr = self._validate_input(data, batch=True)
         n_patches = arr.shape[0]
         shape = arr.shape[1:]
         ebs = self.resolve_error_bounds(arr, error_bound, mode)
@@ -192,7 +196,7 @@ class SZInterp(Compressor):
             else np.empty((n_patches, 0), dtype=np.int64)
         )
         with times.measure("entropy"):
-            codebook, payloads, entropy_used = encode_codes_batch(
+            codebook, payloads, (entropy_used, *_) = encode_codes_batch(
                 all_codes, self.entropy, self.backend, self.k_streams,
                 level=self.backend_level,
             )
@@ -220,9 +224,7 @@ class SZInterp(Compressor):
                     writer.add_section("codes", payloads[i])
                 streams.append(writer.tobytes())
         self.last_stage_times = times
-        if entropy_used != GROUPED_STAGE:
-            return BatchResult(None, [], streams)
-        return BatchResult(codebook, payloads, streams)
+        return BatchResult(codebook, payloads if codebook is not None else [], streams)
 
     def decompress(self, blob: bytes, shared: SharedEntropy | None = None) -> np.ndarray:
         reader = StreamReader(blob)

@@ -12,13 +12,15 @@ random-access property the paper highlights and the *block-wise artifacts*
 it analyzes in Figures 9/11. Streams: per-block mode bits, per-block DC /
 coefficients, and one Huffman+DEFLATE-coded quantization-code array.
 
-Besides the per-array :meth:`SZLR.compress`, the codec implements the
-**level-batched fused path** (:meth:`SZLR.compress_batch`): a whole group
-of same-shape patches runs prediction, quantization, and predictor
-selection as *one* batched kernel invocation, and their quantization codes
-are entropy-coded against one shared canonical Huffman codebook — the
-per-patch tree build, codebook bytes, and most per-call NumPy dispatch are
-paid once per group (see ``docs/architecture.md``).
+The unit the kernel chain sees is the *block*, not the patch: every array
+blockifies to an ``(n_blocks, bs**ndim)`` matrix whatever its shape, so
+one body (:meth:`SZLR._kernel`) serves a single array
+(:meth:`SZLR.compress`), a run of ragged patches written as per-patch
+streams (``compress_batch(batch="patch")`` — byte for byte what
+``compress`` writes for each member, from one kernel pass and one Huffman
+bit-pack per run), and the **level-batched fused path**
+(``batch="level"``), which additionally pools a group's codes under one
+shared canonical Huffman codebook (see ``docs/architecture.md``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.compression.base import (
     check_backend_level,
     check_entropy_params,
     decode_codes,
-    encode_codes,
     encode_codes_batch,
 )
 from repro.compression.lorenzo import lorenzo_forward, lorenzo_inverse
@@ -115,161 +116,172 @@ class SZLR(Compressor):
     # Compression
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        orig_dtype = np.asarray(data).dtype
         arr = self._validate_input(data)
         eb = self.resolve_error_bound(arr, error_bound, mode)
-        bs = self._resolve_block_size(arr.shape)
-        ndim = arr.ndim
+        return self._compress_run([arr], [np.asarray(data).dtype], [eb])[0]
+
+    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
+        """Compress a group of patches as one fused kernel run.
+
+        Every stage that :meth:`compress` runs per patch — blockify,
+        dual-quant Lorenzo, the regression fit, predictor selection —
+        executes once over the group's block matrix. ``batch`` names what
+        the members are written as:
+
+        * ``"level"``: ``data`` is a ``(n_patches, *shape)`` stack whose
+          codes are pooled into **one** shared canonical Huffman codebook
+          (:func:`repro.compression.base.encode_codes_batch`). Member
+          streams record :data:`~repro.compression.base.GROUPED_STAGE` and
+          decode through :meth:`decompress` with their group's
+          :class:`~repro.compression.base.SharedEntropy`. A scalar
+          ``error_bound`` is resolved per patch; a ``(n_patches,)`` array
+          is absolute (:meth:`resolve_error_bounds`).
+        * ``"patch"``: ``data`` is a sequence of arrays of any shapes and
+          ``streams[i]`` is **byte for byte** ``compress(data[i],
+          error_bound[i], mode)`` — own codebook, own sections (see
+          :meth:`Compressor.compress_batch`).
+        """
+        if batch == "patch":
+            dtypes = [np.asarray(a).dtype for a in data]
+            arrs = [self._validate_input(a) for a in data]
+            ebs = [
+                self.resolve_error_bound(a, eb, mode)
+                for a, eb in zip(arrs, self._member_specs(arrs, error_bound))
+            ]
+            return BatchResult(None, [], self._compress_run(arrs, dtypes, ebs))
+        orig_dtype = np.asarray(data).dtype
+        arr = self._validate_input(data, batch=True)
+        n_patches = arr.shape[0]
+        shape = arr.shape[1:]
+        ebs = self.resolve_error_bounds(arr, error_bound, mode)
+        bs = self._resolve_block_size(shape)
         times = StageTimes()
 
         with times.measure("blockify"):
-            blocks, padded_shape = reg.blockify(arr, bs)
-        n_blocks = blocks.shape[0]
-        block_cells = bs**ndim
+            blocks, padded_shape = reg.blockify(arr, bs, batch=True)
+        per_patch = blocks.shape[0] // n_patches
+        eb_blocks = np.repeat(ebs, per_patch)
+        out = self._kernel(blocks, eb_blocks, bs, len(shape), times, [slice(None)])
+        with times.measure("entropy"):
+            codebook, payloads, stages = encode_codes_batch(
+                out[3].reshape(n_patches, -1),
+                self.entropy, self.backend, self.k_streams,
+                level=self.backend_level,
+            )
+        with times.measure("pack"):
+            grouped = stages[0] == GROUPED_STAGE
+            streams = [
+                self._pack_member(
+                    shape, orig_dtype, float(ebs[i]), (bs, padded_shape), stages[i],
+                    slice(i * per_patch, (i + 1) * per_patch), out,
+                    None if grouped else payloads[i], i if grouped else None,
+                )
+                for i in range(n_patches)
+            ]
+        self.last_stage_times = times
+        return BatchResult(codebook, payloads if grouped else [], streams)
 
+    def _compress_run(self, arrs: list, dtypes: list, ebs: list) -> list[bytes]:
+        """Self-contained streams of validated float64 members under
+        absolute bounds: the body of :meth:`compress` (one member) and of
+        ``compress_batch(batch="patch")``. Members agreeing on ``(bs,
+        ndim)`` run the kernel chain as one block matrix, all members'
+        codes go through one ragged Huffman pass, and only the sections
+        are written per member."""
+        times = StageTimes()
+        geometries: dict[tuple[int, int], list[int]] = {}
+        for i, arr in enumerate(arrs):
+            geometries.setdefault((self._resolve_block_size(arr.shape), arr.ndim), []).append(i)
+        plan = []  # (member, (bs, padded shape), its rows, its group's kernel output)
+        for (bs, ndim), members in geometries.items():
+            with times.measure("blockify"):
+                parts = [reg.blockify(arrs[i], bs) for i in members]
+                blocks = np.concatenate([p[0] for p in parts]) if len(parts) > 1 else parts[0][0]
+            ends = np.cumsum([p[0].shape[0] for p in parts]).tolist()
+            rows = [slice(a, b) for a, b in zip([0] + ends, ends)]
+            eb_blocks = np.repeat([ebs[i] for i in members], np.diff([0] + ends))
+            out = self._kernel(blocks, eb_blocks, bs, ndim, times, rows)
+            plan += [(i, (bs, p[1]), r, out) for i, p, r in zip(members, parts, rows)]
+        with times.measure("entropy"):
+            _, blobs, stages = encode_codes_batch(
+                [out[3][r].ravel() for _, _, r, out in plan],
+                self.entropy, self.backend, self.k_streams,
+                level=self.backend_level, batch="patch",
+            )
+        with times.measure("pack"):
+            streams: list = [None] * len(arrs)
+            for (i, geometry, r, out), blob, stage in zip(plan, blobs, stages):
+                streams[i] = self._pack_member(
+                    arrs[i].shape, dtypes[i], ebs[i], geometry, stage, r, out, blob
+                )
+        self.last_stage_times = times
+        return streams
+
+    def _kernel(self, blocks, eb_blocks, bs: int, ndim: int, times: StageTimes, fits):
+        """The SZ-L/R kernel chain over a block matrix under per-block
+        bounds — prequantize, Lorenzo, regression fit/quantize/predict,
+        predictor selection. Returns ``(modes, dc, qcoefs, codes)``.
+
+        Every step is element- or block-wise, so stacking blocks changes
+        no value — except the two regression matmuls: BLAS picks its
+        kernel by row count and they round differently (OpenBLAS/Haswell:
+        1, 2-300 and >= 500 rows give three different last bits). ``fits``
+        are the row slices the matmuls run over: a member's fit sees the
+        rows it would see alone, so its stream stays byte-identical.
+        """
+        n_blocks, block_cells = blocks.shape
         with times.measure("lorenzo"):
-            q = prequantize(blocks.reshape((n_blocks,) + (bs,) * ndim), eb)
+            q = prequantize(
+                blocks.reshape((n_blocks,) + (bs,) * ndim),
+                eb_blocks.reshape((n_blocks,) + (1,) * ndim),
+            )
             lor = lorenzo_forward(q, axes=tuple(range(1, ndim + 1)), overwrite=True)
             lor = lor.reshape(n_blocks, block_cells)
             dc_all = lor[:, 0].copy()
             lor[:, 0] = 0
 
         with times.measure("regression"):
-            coefs = reg.fit_blocks(blocks, bs, ndim)
-            qcoefs = reg.quantize_coefficients(coefs, eb, bs, ndim)
-            dqcoefs = reg.dequantize_coefficients(qcoefs, eb, bs, ndim)
-            preds = reg.predict_blocks(dqcoefs, bs, ndim)
-            res = quantize_residuals(blocks, preds, eb)
-
-        with times.measure("select"):
-            modes = self._select_modes(lor, res)
-            codes = np.where((modes == MODE_LORENZO)[:, None], lor, res)
-
-        with times.measure("entropy"):
-            code_blob, entropy_used = encode_codes(
-                codes.ravel(), self.entropy, self.backend, self.k_streams,
-                level=self.backend_level,
-            )
-
-        with times.measure("pack"):
-            writer = StreamWriter(
-                self.name,
-                arr.shape,
-                orig_dtype,
-                {
-                    "eb": eb,
-                    "block_size": bs,
-                    "padded_shape": list(padded_shape),
-                    "entropy": entropy_used,
-                    "k_streams": self.k_streams,
-                    "predictor": self.predictor,
-                },
-            )
-            lvl = self._raw_level()
-            writer.add_section(
-                "modes", compress_bytes(modes.astype(np.uint8).tobytes(), self.backend, lvl)
-            )
-            lor_sel = modes == MODE_LORENZO
-            writer.add_section("dc", pack_ints(dc_all[lor_sel], self.backend, lvl))
-            writer.add_section("coefs", pack_ints(qcoefs[~lor_sel].ravel(), self.backend, lvl))
-            writer.add_section("codes", code_blob)
-            blob = writer.tobytes()
-        self.last_stage_times = times
-        return blob
-
-    def compress_batch(self, data: np.ndarray, error_bound, mode: str = "abs") -> BatchResult:
-        """Compress a ``(n_patches, *shape)`` group as one fused kernel run.
-
-        Every stage that :meth:`compress` runs per patch — blockify,
-        dual-quant Lorenzo, the regression fit, predictor selection —
-        executes once over the whole group, and the quantization codes of
-        all patches are pooled into **one** shared canonical Huffman
-        codebook (see :func:`repro.compression.base.encode_codes_batch`).
-        ``error_bound``/``mode`` follow
-        :meth:`~repro.compression.base.Compressor.resolve_error_bounds`:
-        a scalar spec is resolved per patch, or a pre-resolved
-        ``(n_patches,)`` absolute-bound array is used as-is.
-
-        Returns a :class:`~repro.compression.base.BatchResult`; member
-        streams record :data:`~repro.compression.base.GROUPED_STAGE` and
-        decode through :meth:`decompress` with their group's
-        :class:`~repro.compression.base.SharedEntropy`.
-        """
-        orig_dtype = np.asarray(data).dtype
-        arr = self._validate_batch(data)
-        n_patches = arr.shape[0]
-        shape = arr.shape[1:]
-        ebs = self.resolve_error_bounds(arr, error_bound, mode)
-        bs = self._resolve_block_size(shape)
-        ndim = len(shape)
-        times = StageTimes()
-
-        with times.measure("blockify"):
-            blocks, padded_shape = reg.blockify(arr, bs, batch=True)
-        block_cells = bs**ndim
-        per_patch = blocks.shape[0] // n_patches
-        eb_blocks = np.repeat(ebs, per_patch)
-
-        with times.measure("lorenzo"):
-            q = prequantize(
-                blocks.reshape((-1,) + (bs,) * ndim),
-                eb_blocks.reshape((-1,) + (1,) * ndim),
-            )
-            lor = lorenzo_forward(q, axes=tuple(range(1, ndim + 1)), overwrite=True)
-            lor = lor.reshape(-1, block_cells)
-            dc_all = lor[:, 0].copy()
-            lor[:, 0] = 0
-
-        with times.measure("regression"):
-            coefs = reg.fit_blocks(blocks, bs, ndim)
+            coefs = np.empty((n_blocks, 1 + ndim))
+            for rows in fits:
+                coefs[rows] = reg.fit_blocks(blocks[rows], bs, ndim)
             qcoefs = reg.quantize_coefficients(coefs, eb_blocks, bs, ndim)
             dqcoefs = reg.dequantize_coefficients(qcoefs, eb_blocks, bs, ndim)
-            preds = reg.predict_blocks(dqcoefs, bs, ndim)
+            preds = np.empty((n_blocks, block_cells))
+            for rows in fits:
+                preds[rows] = reg.predict_blocks(dqcoefs[rows], bs, ndim)
             res = quantize_residuals(blocks, preds, eb_blocks[:, None])
 
         with times.measure("select"):
             modes = self._select_modes(lor, res)
             codes = np.where((modes == MODE_LORENZO)[:, None], lor, res)
+        return modes, dc_all, qcoefs, codes
 
-        with times.measure("entropy"):
-            codebook, payloads, entropy_used = encode_codes_batch(
-                codes.reshape(n_patches, per_patch * block_cells),
-                self.entropy, self.backend, self.k_streams,
-                level=self.backend_level,
-            )
-
-        with times.measure("pack"):
-            lvl = self._raw_level()
-            streams: list[bytes] = []
-            for i in range(n_patches):
-                params = {
-                    "eb": float(ebs[i]),
-                    "block_size": bs,
-                    "padded_shape": list(padded_shape),
-                    "entropy": entropy_used,
-                    "k_streams": self.k_streams,
-                    "predictor": self.predictor,
-                }
-                if entropy_used == GROUPED_STAGE:
-                    params["group_member"] = i
-                writer = StreamWriter(self.name, shape, orig_dtype, params)
-                rows = slice(i * per_patch, (i + 1) * per_patch)
-                m = modes[rows]
-                lor_sel = m == MODE_LORENZO
-                writer.add_section(
-                    "modes", compress_bytes(m.astype(np.uint8).tobytes(), self.backend, lvl)
-                )
-                writer.add_section("dc", pack_ints(dc_all[rows][lor_sel], self.backend, lvl))
-                writer.add_section(
-                    "coefs", pack_ints(qcoefs[rows][~lor_sel].ravel(), self.backend, lvl)
-                )
-                if entropy_used != GROUPED_STAGE:
-                    writer.add_section("codes", payloads[i])
-                streams.append(writer.tobytes())
-        self.last_stage_times = times
-        if entropy_used != GROUPED_STAGE:
-            return BatchResult(None, [], streams)
-        return BatchResult(codebook, payloads, streams)
+    def _pack_member(
+        self, shape, dtype, eb: float, geometry, entropy_used: str, rows: slice,
+        kernel_out, code_blob=None, group_member=None,
+    ) -> bytes:
+        """One member's framed stream from its rows of the kernel output."""
+        bs, padded_shape = geometry
+        params = {
+            "eb": eb,
+            "block_size": bs,
+            "padded_shape": list(padded_shape),
+            "entropy": entropy_used,
+            "k_streams": self.k_streams,
+            "predictor": self.predictor,
+        }
+        if group_member is not None:
+            params["group_member"] = group_member
+        writer = StreamWriter(self.name, shape, dtype, params)
+        lvl = self._raw_level()
+        modes, dc, qcoefs = (a[rows] for a in kernel_out[:3])
+        lor_sel = modes == MODE_LORENZO
+        writer.add_section("modes", compress_bytes(modes.astype(np.uint8).tobytes(), self.backend, lvl))
+        writer.add_section("dc", pack_ints(dc[lor_sel], self.backend, lvl))
+        writer.add_section("coefs", pack_ints(qcoefs[~lor_sel].ravel(), self.backend, lvl))
+        if code_blob is not None:
+            writer.add_section("codes", code_blob)
+        return writer.tobytes()
 
     def _resolve_block_size(self, shape: tuple[int, ...]) -> int:
         """Concrete block edge for this array.

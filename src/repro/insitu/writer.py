@@ -2,10 +2,11 @@
 
 :class:`StreamingWriter` accepts patches incrementally — in the order a
 (simulated) solver produces them — and compresses them *while the step is
-still accumulating*: each ``add_patch`` submits the array to the
-:mod:`repro.parallel` pool and the writer drains finished blobs straight to
-disk in submission order. Memory stays bounded by the in-flight window
-(``max_pending`` raw patches plus their compressed blobs), never by the
+still accumulating*: ``add_patch`` copies the array into the run of its
+``(level, field)``, a full run goes to the :mod:`repro.parallel` pool as one
+task, and the writer drains finished blobs straight to disk in submission
+order. Memory stays bounded by the in-flight window (``max_pending`` runs of
+``RUN_CELL_BUDGET`` cells plus their compressed blobs), never by the
 hierarchy or the campaign:
 
 .. code-block:: python
@@ -42,6 +43,7 @@ import numpy as np
 from repro.amr.coverage import level_covered_masks
 from repro.amr.hierarchy import AMRHierarchy
 from repro.compression.amr_codec import (
+    PatchRuns,
     _compress_task,
     _fill_covered,
     resolve_patch_codec,
@@ -112,8 +114,9 @@ class StreamingWriter:
         Execution mode for the per-patch compression pipeline
         (``"serial"``, ``"thread"``, or ``"process"``).
     max_pending:
-        In-flight patch limit for the parallel modes (default
-        ``2 * workers``): the hard bound on buffered raw arrays.
+        In-flight *run* limit for the parallel modes (default
+        ``2 * workers``): with the run being filled, at most
+        ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`. The writer
         then pipelines through the pool's executor — which survives across
@@ -344,12 +347,14 @@ class StreamingWriter:
         if self._in_step:
             self._seg_crc = zlib.crc32(blob, self._seg_crc)
 
-    def _write_stream(self, level: int, field: str, p_idx: int, blob: bytes) -> None:
-        rel = self._pos - self._seg_start
-        self._entries.append(
-            [level, field, p_idx, rel, len(blob), self._comp.name, zlib.crc32(blob)]
-        )
-        self._write(blob)
+    def _write_streams(self, level: int, field: str, p_idx: int, blobs: list) -> None:
+        """Append a run's streams: patches ``p_idx``, ``p_idx + 1``, ..."""
+        for p_idx, blob in enumerate(blobs, p_idx):
+            rel = self._pos - self._seg_start
+            self._entries.append(
+                [level, field, p_idx, rel, len(blob), self._comp.name, zlib.crc32(blob)]
+            )
+            self._write(blob)
 
     def _sync(self) -> None:
         """Flush and fsync the underlying file.
@@ -392,7 +397,18 @@ class StreamingWriter:
         deterministic) until at most ``down_to`` remain in flight."""
         while len(self._pending) > down_to:
             level, field, p_idx, fut = self._pending.popleft()
-            self._write_stream(level, field, p_idx, fut.result())
+            self._write_streams(level, field, p_idx, fut.result().streams)
+
+    def _encode_runs(self, runs: list) -> None:
+        """Encode completed runs: inline, or one pool task each."""
+        for key, members, bounds in runs:
+            task = (self._comp, members, bounds, "patch")
+            first = (*key, self._counts[key] - len(members))
+            if self._pool is None:
+                self._write_streams(*first, _compress_task(task).streams)
+            else:
+                self._pending.append((*first, self._pool.submit(_compress_task, task)))
+                self._drain(self._max_pending - 1)
 
     # ------------------------------------------------------------------
     # Step protocol
@@ -459,6 +475,7 @@ class StreamingWriter:
         self._counts: dict[tuple[int, str], int] = {}
         self._orig_bytes = 0
         self._pending: deque = deque()
+        self._run = PatchRuns()  # consecutive patches of one (level, field)
         self._write(pack_header())
         return n
 
@@ -476,6 +493,14 @@ class StreamingWriter:
         ``error_bound`` / ``mode`` override the series-wide bound for this
         patch only (used by the covered-cell optimization, which fixes an
         absolute bound before filling).
+
+        The writer **copies** ``data`` — the caller may reuse its buffer
+        at once — into the run of its ``(level, field)``
+        (:class:`~repro.compression.amr_codec.PatchRuns`), flushed at
+        :meth:`end_step` at the latest. Input the codec rejects (non-float,
+        empty, NaN/Inf, a bad bound) raises from this call, before the
+        patch is buffered; a failing encode surfaces when its run is
+        flushed or drained (``docs/api.md``).
         """
         if not self._in_step:
             raise CompressionError("no open step; call begin_step() first")
@@ -487,23 +512,25 @@ class StreamingWriter:
                 f"field {field!r} is not part of this series (have {list(self._fields)})"
             )
         arr = np.asarray(data)
+        eb = self._comp.resolve_member_bound(
+            arr,
+            self._bound_for(field) if error_bound is None else float(error_bound),
+            self._mode if mode is None else mode,
+        )
+        # Own the values. tobytes() is a memcpy under the GIL; an ndarray
+        # copy of > 500 cells releases it, and on a writer lane every
+        # release is a hand-off to the other lane (~25 us per patch).
+        arr = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
         self._orig_bytes += arr.nbytes
-        p_idx = self._counts.get((level, field), 0)
-        self._counts[(level, field)] = p_idx + 1
-        eb = self._bound_for(field) if error_bound is None else float(error_bound)
-        md = self._mode if mode is None else mode
-        task = (self._comp, arr, eb, md)
-        if self._pool is None:
-            self._write_stream(level, field, p_idx, _compress_task(task))
-        else:
-            self._pending.append((level, field, p_idx, self._pool.submit(_compress_task, task)))
-            self._drain(self._max_pending - 1)
+        self._counts[level, field] = self._counts.get((level, field), 0) + 1
+        self._encode_runs(self._run.add((level, field), arr, eb))
 
     def end_step(self) -> SeriesStepEntry:
         """Finish the open step: flush the pipeline, write the segment's
         index and footer, and record the step in the timestep index."""
         if not self._in_step:
             raise CompressionError("no open step to end")
+        self._encode_runs(self._run.flush())
         self._drain(0)
         if not self._entries:
             self._in_step = False
@@ -573,6 +600,7 @@ class StreamingWriter:
         if self._closed:
             raise CompressionError("writer is closed")
         self._in_step = False
+        self._run = PatchRuns()  # the unflushed run goes with the step
         pending = getattr(self, "_pending", None)
         while pending:
             *_, fut = pending.popleft()

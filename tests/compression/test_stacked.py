@@ -1,0 +1,311 @@
+"""Block-stacked per-patch encode: same bytes, fewer kernel passes.
+
+A run of patches goes through the SZ-L/R kernel chain as one block matrix
+and through the Huffman bit-packer as one ragged pass, but every member's
+stream must stay **byte for byte** what ``codec.compress`` writes for it
+alone — and what the repo wrote before runs were stacked: ``DIGESTS``
+holds sha256 digests taken from the one-at-a-time encoder of the parent
+commit over the same seeded inputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
+from repro.amr.io import write_series, write_sharded_series
+from repro.compression import amr_codec, sz_lr
+from repro.compression.amr_codec import compress_hierarchy
+from repro.compression.base import StreamReader
+from repro.compression.registry import make_codec
+from repro.compression.sz_lr import SZLR
+from repro.errors import CompressionError
+from repro.insitu import StreamingWriter
+from repro.parallel import WorkerPool
+
+
+def _field(rng: np.random.Generator, shape, kind: str = "rough") -> np.ndarray:
+    axes = np.meshgrid(*[np.linspace(0.0, 1.0, s) for s in shape], indexing="ij")
+    base = sum(np.sin((3 + d) * x) for d, x in enumerate(axes))
+    if kind == "const":
+        return np.full(shape, 2.5)
+    if kind == "lattice":  # exact ties on the quantization lattice
+        return np.round(base * 4)
+    if kind == "wild":  # > 2**16 distinct codes: too many to Huffman-code
+        return rng.standard_normal(shape) * 1e6
+    noise = 0.0 if kind == "smooth" else 0.05
+    return base + noise * rng.standard_normal(shape)
+
+
+RAGGED_3D = [(8, 8, 8), (8, 8, 8), (16, 8, 8), (8, 64, 8), (8, 8, 8), (16, 16, 16),
+             (8, 8, 16), (12, 8, 8), (5, 7, 9), (8, 8, 8)]
+
+
+def _run(name: str) -> list[np.ndarray]:
+    """The seeded members of one matrix case."""
+    rng = np.random.default_rng(sum(name.encode()))
+    if name == "1d":
+        return [_field(rng, (n,)) for n in (16, 64, 100, 512, 64)]
+    if name == "2d":
+        return [_field(rng, s) for s in ((8, 8), (16, 24), (30, 8), (8, 8))]
+    if name == "mixed_ndim":
+        return [_field(rng, s) for s in ((8, 8, 8), (64,), (16, 8), (8, 8, 8), (64,))]
+    if name == "float32":
+        return [_field(rng, s).astype(np.float32) for s in RAGGED_3D[:6]]
+    if name == "constant":
+        kinds = ("rough", "const", "rough", "const", "smooth")
+        return [_field(rng, s, k) for s, k in zip(RAGGED_3D, kinds)]
+    if name == "lattice":
+        return [_field(rng, s, "lattice") for s in RAGGED_3D]
+    if name == "one_symbol":  # a smooth ramp under a loose bound: every code is 0
+        return [_field(rng, (8, 8, 8), "smooth") * 1e-6 for _ in range(3)]
+    if name == "deflate_mid_run":
+        return [_field(rng, (8, 8, 8)), _field(rng, (48, 48, 48), "wild"),
+                _field(rng, (16, 8, 8))]
+    return [_field(rng, s) for s in RAGGED_3D]
+
+
+#: case -> (run, codec kwargs, error bound, mode)
+CASES = {
+    "ragged3d": ("ragged3d", {"block_size": "auto"}, 1e-3, "rel"),
+    "ragged3d_abs": ("ragged3d", {"block_size": "auto"}, 1e-2, "abs"),
+    "fixed_bs6": ("ragged3d", {}, 1e-3, "rel"),
+    "1d": ("1d", {"block_size": "auto"}, 1e-3, "rel"),
+    "2d": ("2d", {"block_size": "auto"}, 1e-3, "rel"),
+    "mixed_ndim": ("mixed_ndim", {"block_size": "auto"}, 1e-3, "rel"),
+    "float32": ("float32", {"block_size": "auto"}, 1e-3, "rel"),
+    "constant": ("constant", {"block_size": "auto"}, 1e-3, "rel"),
+    "lattice": ("lattice", {"block_size": "auto"}, 0.25, "abs"),
+    "one_symbol": ("one_symbol", {"block_size": "auto", "predictor": "lorenzo"}, 1.0, "abs"),
+    "deflate_mid_run": ("deflate_mid_run", {"block_size": "auto"}, 1e-9, "rel"),
+    "entropy_deflate": ("ragged3d", {"block_size": "auto", "entropy": "deflate"}, 1e-3, "rel"),
+    "lorenzo": ("ragged3d", {"block_size": "auto", "predictor": "lorenzo"}, 1e-3, "rel"),
+    "regression": ("ragged3d", {"block_size": "auto", "predictor": "regression"}, 1e-3, "rel"),
+    "k_streams": ("ragged3d", {"block_size": "auto", "k_streams": 4}, 1e-3, "rel"),
+    "backend_level": ("ragged3d", {"block_size": "auto", "backend_level": 3}, 1e-3, "rel"),
+}
+
+#: sha256 over the case's streams, from ``[codec.compress(a, eb, mode) for a
+#: in run]`` at the parent commit (before runs were stacked).
+DIGESTS = {
+    "1d": "80fff8ccc21fec7970c609ab490e8e94c17f963bada13667c6fd27e2b9218a6d",
+    "2d": "b77c14fa49e60c0bd80ceb6fd78df2550c5bcef46b6a93b8493ff85fae50986c",
+    "backend_level": "61a44b33f4e6c77fdda1dee9c8502ed9ad63e86a95d5d3b6d6aba89b3c155247",
+    "constant": "018626d70a8643e75c9633d648995db530ab199c72d366775bb36414691ff52c",
+    "deflate_mid_run": "31ef76480529f1b77bfd0e91ccb2bd6009ea2f86b4ebb2b02de54f57af2c0c00",
+    "entropy_deflate": "3073594982c2a75117c1839d25ba5083f5f4adb0932a5b084804a14863043040",
+    "fixed_bs6": "b864bce7967fafbab30a9e68a78b049ec9266934f87b7cae2c6ddb93cd292fc6",
+    "float32": "dcd0134e3e3e802b14fe7a9e72862d2e1bca4790d5f032dc01234ffc4e75dbe6",
+    "k_streams": "c5f2cfbb7d8eb21feb36a62639ec398cecf559bd518b520da1101ebc0100ff57",
+    "lattice": "12f15b6a80880323215dd01e01bb5d157f89d60a936e08ee51a931cf4155dfe4",
+    "lorenzo": "ee85a853c0ab063694097a78659d5bd7e8254d3e29c8564c48a5c0e9f314ca58",
+    "mixed_ndim": "29941600f0247a8d7f5cfe4dfc7add9753483d7f5c7dbacfbd2fcc3aa348d443",
+    "one_symbol": "2a4aafb14d86844b1a502e697ba6c3c859a65460a7a338979a9a08a3d6b4420f",
+    "ragged3d": "2159de7382848e4a2685f5b23a3e1fa9b99a6f96cb0f51fcaadfcadf960a3166",
+    "ragged3d_abs": "dd7b9d9b5f48009da72d8f011b0ebaef26aab0534c5fc490398b667bbc87073f",
+    "regression": "fc263941cb4d07a28e83c587925e20a43392d1d11c1a47e3d233305c7e3e2b8f",
+    "container:exclude_covered": "dcce060c3453842b4f74569f0b4ce70c256d278cf5ecbbbdd49d785966c6efb5",
+    "container:field_bounds": "fee978abe8233e77b0f50e86e6b38906006807f1af5de5396a94c50c5a38e14b",
+    "container:plain": "0ca404469d3a4895778c7b21bf01b6ea3244b899ed57500a09e63a5ac989de00",
+    "series:plain": "24cca89eb221a0735f122cdcec9babe7d4498b538e964a43a5400f051c7d50ea",
+    "series:exclude_covered": "fc15eaa15e2b5393c7eb62bbc2ce73192c582fd7006ef83dbba22c38b244cf2a",
+    "sharded": "256bfd37e756f6b4a58e39714e4736b2a3807dcb05a6a71e0216c87b1a872c8a",
+}
+
+
+def _digest(blobs) -> str:
+    sha = hashlib.sha256()
+    for blob in blobs:
+        sha.update(len(blob).to_bytes(8, "little"))
+        sha.update(blob)
+    return sha.hexdigest()
+
+
+def _one_at_a_time(case: str) -> list[bytes]:
+    run, kwargs, eb, mode = CASES[case]
+    codec = SZLR(**kwargs)
+    return [codec.compress(a, eb, mode) for a in _run(run)]
+
+
+class TestStackedRunIdentity:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_run_equals_one_at_a_time_equals_parent(self, case):
+        run, kwargs, eb, mode = CASES[case]
+        members = _run(run)
+        stacked = SZLR(**kwargs).compress_batch(members, eb, mode, batch="patch")
+        assert stacked.codebook is None and stacked.payloads == []
+        assert stacked.streams == _one_at_a_time(case)
+        assert _digest(stacked.streams) == DIGESTS[case]
+
+    def test_per_member_bounds(self):
+        members = _run("ragged3d")
+        codec = SZLR(block_size="auto")
+        bounds = [codec.resolve_error_bound(a, 1e-3 * (1 + i % 3), "rel")
+                  for i, a in enumerate(members)]
+        stacked = codec.compress_batch(members, bounds, "abs", batch="patch").streams
+        assert stacked == [codec.compress(a, eb, "abs") for a, eb in zip(members, bounds)]
+
+    def test_auto_block_size_splits_the_run(self):
+        streams = SZLR(block_size="auto").compress_batch(
+            _run("ragged3d"), 1e-3, "rel", batch="patch").streams
+        sizes = {StreamReader(s).params["block_size"] for s in streams}
+        assert len(sizes) > 1, "members must resolve to different block sizes"
+
+    def test_deflate_fallback_stays_with_its_member(self):
+        streams = SZLR(block_size="auto").compress_batch(
+            _run("deflate_mid_run"), 1e-9, "rel", batch="patch").streams
+        stages = [StreamReader(s).params["entropy"] for s in streams]
+        assert stages == ["huffman", "deflate", "huffman"]
+
+    def test_one_symbol_alphabet(self):
+        codec = SZLR(block_size="auto", predictor="lorenzo")
+        streams = codec.compress_batch(_run("one_symbol"), 1.0, "abs", batch="patch").streams
+        for member, stream in zip(_run("one_symbol"), streams):
+            assert np.abs(codec.decompress(stream) - member).max() <= 1.0
+
+    def test_rejects_bad_member_before_encoding(self):
+        members = _run("ragged3d")
+        members[3] = members[3].copy()
+        members[3][0, 0, 0] = np.nan
+        with pytest.raises(CompressionError, match="NaN/Inf"):
+            SZLR().compress_batch(members, 1e-3, "rel", batch="patch")
+
+    @pytest.mark.parametrize("name", ["zfp-like", "sz-interp"])
+    def test_codecs_without_a_stacked_path_loop(self, name):
+        codec = make_codec(name)
+        members = _run("ragged3d")[:4]
+        result = codec.compress_batch(members, 1e-3, "rel", batch="patch")
+        assert result.streams == [codec.compress(a, 1e-3, "rel") for a in members]
+        bounds = [0.01, 0.02, 0.03, 0.04]
+        result = codec.compress_batch(members, bounds, "abs", batch="patch")
+        assert result.streams == [codec.compress(a, eb, "abs") for a, eb in zip(members, bounds)]
+
+
+# ----------------------------------------------------------------------
+# Files: every writer, every execution mode, the parent's bytes
+# ----------------------------------------------------------------------
+def many_patch_hierarchy(seed: int = 11) -> AMRHierarchy:
+    """16 coarse 8^3 patches; 60 fine patches (56 of 8^3, 4 of 8x8x16) over
+    half the domain — 32768 fine cells per field; the ``small_budget``
+    tests cut it into runs of 4096."""
+    rng = np.random.default_rng(seed)
+    dom = Box.from_shape((32, 16, 16))
+    coarse = [Box((i, j, k), (i + 7, j + 7, k + 7))
+              for i in range(0, 32, 8) for j in range(0, 16, 8) for k in range(0, 16, 8)]
+    fine = []
+    for i in range(0, 32, 8):
+        for j in range(0, 32, 8):
+            if i == 0 and j < 16:  # four double-length boxes
+                fine += [Box((i, j, k), (i + 7, j + 7, k + 15)) for k in (0, 16)]
+            else:
+                fine += [Box((i, j, k), (i + 7, j + 7, k + 7)) for k in range(0, 32, 8)]
+    levels = []
+    for idx, (boxes, dx) in enumerate(((coarse, 1.0), (fine, 0.5))):
+        level = AMRLevel(idx, BoxArray(boxes), (dx,) * 3)
+        for name, scale in (("a", 1.0), ("b", 40.0)):
+            level.add_field(name, [Patch(b, scale * _field(rng, b.shape)) for b in boxes])
+        levels.append(level)
+    assert len(fine) == 60
+    return AMRHierarchy(dom, levels, 2)
+
+
+FILE_CASES = {
+    "plain": {},
+    "field_bounds": {"field_bounds": {"b": 5e-4}},
+    "exclude_covered": {"exclude_covered": True},
+}
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    return many_patch_hierarchy()
+
+
+class TestFilesIdentical:
+    @pytest.mark.parametrize("case", sorted(FILE_CASES))
+    def test_compress_hierarchy_patch_mode(self, hierarchy, case):
+        blobs = {
+            mode: compress_hierarchy(hierarchy, "sz-lr", 1e-3, parallel=mode, workers=2,
+                                     **FILE_CASES[case]).tobytes()
+            for mode in ("serial", "thread", "process")
+        }
+        assert blobs["serial"] == blobs["thread"] == blobs["process"]
+        assert _digest([blobs["serial"]]) == DIGESTS[f"container:{case}"]
+
+    def test_container_streams_are_the_one_at_a_time_streams(self, hierarchy):
+        container = compress_hierarchy(hierarchy, "sz-lr", 1e-3)
+        codec = amr_codec.resolve_patch_codec("sz-lr")
+        for lev_idx, level in enumerate(hierarchy):
+            for name in ("a", "b"):
+                want = [codec.compress(p.data, 1e-3, "rel") for p in level.patches(name)]
+                assert container.streams[lev_idx][name] == want
+
+    @pytest.mark.parametrize("case", ["plain", "exclude_covered"])
+    def test_write_series(self, hierarchy, tmp_path, case):
+        raws = []
+        for mode in ("serial", "thread", "process"):
+            path = write_series(tmp_path / f"{mode}.rph2s", [hierarchy, hierarchy],
+                                error_bound=1e-3, parallel=mode, **FILE_CASES[case])
+            raws.append(path.read_bytes())
+        assert raws[0] == raws[1] == raws[2]
+        assert _digest([raws[0]]) == DIGESTS[f"series:{case}"]
+
+    def test_series_segment_is_the_batch_container(self, hierarchy, tmp_path):
+        path = write_series(tmp_path / "s.rph2s", [hierarchy], error_bound=1e-3,
+                            parallel="thread")
+        container = compress_hierarchy(hierarchy, "sz-lr", 1e-3).tobytes()
+        assert container in path.read_bytes()
+
+    @pytest.mark.parametrize("parallel", ["serial", "thread"])
+    def test_write_sharded_series(self, hierarchy, tmp_path, parallel):
+        manifest = write_sharded_series(
+            tmp_path / "camp.rphm", [hierarchy] * 3, error_bound=1e-3, n_shards=2,
+            parity=1, parallel=parallel)
+        files = sorted(p for p in manifest.parent.iterdir())
+        assert _digest([p.read_bytes() for p in files]) == DIGESTS["sharded"]
+
+
+    @pytest.mark.parametrize("budget", [1, 4096, 5000])
+    def test_any_cut_writes_the_same_bytes(self, hierarchy, tmp_path, monkeypatch, budget):
+        """Runs cut by the cell budget — down to one patch per run."""
+        monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", budget)
+        blob = compress_hierarchy(hierarchy, "sz-lr", 1e-3, exclude_covered=True).tobytes()
+        assert _digest([blob]) == DIGESTS["container:exclude_covered"]
+        for mode in ("serial", "thread"):
+            path = write_series(tmp_path / f"{mode}.rph2s", [hierarchy, hierarchy],
+                                error_bound=1e-3, parallel=mode)
+            assert _digest([path.read_bytes()]) == DIGESTS["series:plain"]
+
+
+# ----------------------------------------------------------------------
+# Count guard: a level is a handful of kernel passes, not one per patch
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("budget", [None, 4096])
+@pytest.mark.parametrize("pooled", [False, True])
+def test_kernel_passes_per_field_are_bounded_by_the_cell_budget(
+        hierarchy, tmp_path, monkeypatch, pooled, budget):
+    if budget:
+        monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", budget)
+    calls = []
+    real = sz_lr.lorenzo_forward
+    monkeypatch.setattr(sz_lr, "lorenzo_forward",
+                        lambda q, **kw: calls.append(q.shape[0]) or real(q, **kw))
+    fine = hierarchy[1]
+    cells = sum(p.data.size for p in fine.patches("a"))
+    with WorkerPool("thread", workers=2) as pool:
+        with StreamingWriter.create(tmp_path / "s.rph2s", "sz-lr", 1e-3,
+                                    pool=pool if pooled else None) as writer:
+            writer.begin_step()
+            for name in ("a", "b"):
+                for patch in fine.patches(name):
+                    writer.add_patch(1, name, patch.data)
+            writer.end_step()
+    assert len(fine.patches("a")) == 60
+    per_field = math.ceil(cells / amr_codec.RUN_CELL_BUDGET) + 1
+    assert len(calls) <= 2 * per_field
+    # every block of every patch still went through exactly once
+    assert sum(calls) == 2 * cells // 8 ** 3
