@@ -125,7 +125,7 @@ class TriangleMesh:
         """Total surface area."""
         if self.is_empty():
             return 0.0
-        return float(0.5 * np.linalg.norm(self.face_normals(normalize=False) * 2.0, axis=1).sum() / 2.0)
+        return float(0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1).sum())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) corner of the vertex bounding box."""

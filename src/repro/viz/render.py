@@ -6,8 +6,25 @@ grayscale images deterministically:
 
 * orthographic projection along a chosen axis,
 * flat Lambert shading (two-sided) with a fixed light direction,
-* z-buffer resolution via a single vectorized lexsort over all candidate
-  (pixel, triangle) pairs — no per-triangle Python loop.
+* a z-buffer over the pixel centres each face covers — no per-triangle
+  Python loop.
+
+What decides a pixel is contract (``tests/viz/test_render.py`` keeps the
+one-candidate-at-a-time algorithm as the oracle and compares bytes):
+
+* **Candidates.** Pixel centres are the integers. A face's candidates are
+  the integers of ``[ceil(min - pad), floor(max + pad)]`` per image axis,
+  cut to the window; ``pad = 1e-6 * (1 + E)`` pixels, ``E`` the longer side
+  of the face's bounding box, is far more than the inside tolerance can
+  reach. A face whose weights cannot be trusted that far — near-degenerate,
+  ``|det| < 1e-6 * E * (1 + E)`` with ``det`` twice its signed pixel area,
+  or longer than 1e5 pixels — takes every integer of
+  ``[floor(min), ceil(max)]``, each end clamped into the window.
+* **Inside.** A candidate belongs to a face when its three barycentric
+  weights are all ``>= -1e-9``; faces with ``det == 0`` own no pixel.
+* **Ties.** The largest depth wins a pixel (the camera looks down the
+  view axis from above); among equal depths the lowest face index wins,
+  so a pixel centre on a shared edge or vertex is painted once.
 
 Determinism matters: Table 2 / Figures 9-13 compare images of original vs
 decompressed data, so any renderer bias cancels out as long as the mapping
@@ -22,6 +39,29 @@ from repro.errors import VisualizationError
 from repro.viz.mesh import TriangleMesh
 
 __all__ = ["render_mesh"]
+
+#: Barycentric weights down to this count as inside.
+_INSIDE = -1e-9
+#: Pixels added around a face's bounding box, per (1 + E) of its size.
+_PAD = 1e-6
+#: ``|det|`` below this times ``E * (1 + E)`` marks a near-degenerate face.
+_SLIVER = 1e-6
+#: Faces longer than this many pixels keep the floor..ceil candidates.
+_LONG = 1e5
+
+
+def _window(bounds, mesh: TriangleMesh) -> np.ndarray:
+    """The physical window as rows ``lo, hi``, checked when the caller gave it."""
+    if bounds is None:
+        return np.array(mesh.bounds())
+    try:
+        window = np.array(bounds, dtype=np.float64)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        window = np.empty(0)
+    if window.shape != (2, 3) or not np.isfinite(window).all() or (window[1] < window[0]).any():
+        raise VisualizationError(
+            f"bounds must be two finite length-3 vectors (lo, hi) with hi >= lo, got {bounds!r}")
+    return window
 
 
 def render_mesh(
@@ -58,6 +98,13 @@ def render_mesh(
     -------
     numpy.ndarray
         ``size`` float64 image in [0, 1].
+
+    Raises
+    ------
+    VisualizationError
+        For a bad ``axis`` or ``size``, a vertex that is not finite, or
+        ``bounds`` that are not two finite length-3 vectors with
+        ``hi >= lo``.
     """
     if axis not in (0, 1, 2):
         raise VisualizationError(f"axis must be 0, 1 or 2, got {axis}")
@@ -67,82 +114,78 @@ def render_mesh(
     img = np.full((h, w), float(background))
     if mesh.is_empty():
         return img
-    uv_axes = [a for a in range(3) if a != axis]
-    if bounds is None:
-        lo, hi = mesh.bounds()
-    else:
-        lo = np.asarray(bounds[0], dtype=np.float64)
-        hi = np.asarray(bounds[1], dtype=np.float64)
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-
     verts = mesh.vertices
-    # Pixel coordinates: v (rows) from uv_axes[0], u (cols) from uv_axes[1].
-    py = (verts[:, uv_axes[0]] - lo[uv_axes[0]]) / span[uv_axes[0]] * (h - 1)
-    px = (verts[:, uv_axes[1]] - lo[uv_axes[1]]) / span[uv_axes[1]] * (w - 1)
-    depth = verts[:, axis]
+    if not np.isfinite(verts).all():
+        raise VisualizationError("mesh has non-finite vertices")
+    lo, hi = _window(bounds, mesh)
+    uv_axes = [a for a in range(3) if a != axis]
+    span = np.where(hi - lo > 0, hi - lo, 1.0)
+    last_pixel = np.array([[h - 1], [w - 1]])
 
-    tri_py = py[mesh.faces]
-    tri_px = px[mesh.faces]
-    tri_z = depth[mesh.faces]
+    # Pixel coordinates, rows first: v from uv_axes[0], u from uv_axes[1].
+    # ``tri`` is (image axis, corner, face).
+    pix = (verts[:, uv_axes] - lo[uv_axes]) / span[uv_axes] * last_pixel[:, 0]
+    corners = mesh.faces.T
+    tri = pix.T[:, corners]
+    a = tri[:, 0]
+    (aby, abx), (acy, acx) = tri[:, 1] - a, tri[:, 2] - a
+    det = aby * acx - abx * acy
 
     # Flat two-sided Lambert shade per face.
     lvec = np.asarray(light, dtype=np.float64)
     lvec = lvec / np.linalg.norm(lvec)
     shade = ambient + (1.0 - ambient) * np.abs(mesh.face_normals() @ lvec)
 
-    # Candidate pixel ranges per triangle.
-    y0 = np.clip(np.floor(tri_py.min(axis=1)).astype(np.int64), 0, h - 1)
-    y1 = np.clip(np.ceil(tri_py.max(axis=1)).astype(np.int64), 0, h - 1)
-    x0 = np.clip(np.floor(tri_px.min(axis=1)).astype(np.int64), 0, w - 1)
-    x1 = np.clip(np.ceil(tri_px.max(axis=1)).astype(np.int64), 0, w - 1)
-    ny = y1 - y0 + 1
-    nx = x1 - x0 + 1
-    counts = ny * nx
-    keep = counts > 0
-    if not keep.any():
+    # Candidate pixel ranges per face (module docstring).
+    box_lo, box_hi = tri.min(axis=1), tri.max(axis=1)
+    extent = (box_hi - box_lo).max(axis=0)
+    pad = _PAD * (1.0 + extent)
+    first, last = np.ceil(box_lo - pad), np.floor(box_hi + pad)
+    visible = (det != 0.0) & (
+        (first <= last) & (last >= 0) & (first <= last_pixel)).all(axis=0)
+    wide = np.flatnonzero(
+        (np.abs(det) < _SLIVER * extent * (1.0 + extent)) | (extent > _LONG))
+    first[:, wide], last[:, wide] = np.floor(box_lo[:, wide]), np.ceil(box_hi[:, wide])
+    visible[wide] = det[wide] != 0.0
+    live = np.flatnonzero(visible)
+    if live.size == 0:
         return img
-    idx = np.nonzero(keep)[0]
-    counts = counts[idx]
-    total = int(counts.sum())
-    tri_of = np.repeat(idx, counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    rank = np.arange(total) - np.repeat(offsets, counts)
-    local_x = rank % np.repeat(nx[idx], counts)
-    local_y = rank // np.repeat(nx[idx], counts)
-    cand_y = np.repeat(y0[idx], counts) + local_y
-    cand_x = np.repeat(x0[idx], counts) + local_x
+    first = np.clip(first[:, live], 0, last_pixel).astype(np.int64)
+    last = np.clip(last[:, live], 0, last_pixel).astype(np.int64)
+    ny, nx = last - first + 1
 
-    # Barycentric test at pixel centers.
-    ay, ax = tri_py[tri_of, 0], tri_px[tri_of, 0]
-    by, bx = tri_py[tri_of, 1], tri_px[tri_of, 1]
-    cy, cx = tri_py[tri_of, 2], tri_px[tri_of, 2]
-    pyc = cand_y.astype(np.float64)
-    pxc = cand_x.astype(np.float64)
-    det = (by - ay) * (cx - ax) - (bx - ax) * (cy - ay)
-    safe_det = np.where(det == 0.0, 1.0, det)
-    w1 = ((pyc - ay) * (cx - ax) - (pxc - ax) * (cy - ay)) / safe_det
-    w2 = ((by - ay) * (pxc - ax) - (bx - ax) * (pyc - ay)) / safe_det
-    w0 = 1.0 - w1 - w2
-    eps = -1e-9
-    inside = (det != 0.0) & (w0 >= eps) & (w1 >= eps) & (w2 >= eps)
-    if not inside.any():
-        return img
-    tri_of = tri_of[inside]
-    cand_y = cand_y[inside]
-    cand_x = cand_x[inside]
-    z = (
-        w0[inside] * tri_z[tri_of, 0]
-        + w1[inside] * tri_z[tri_of, 1]
-        + w2[inside] * tri_z[tri_of, 2]
-    )
+    # Faces with one box shape are one broadcast of their per-face terms
+    # over that shape's pixel grid.
+    shape_key = ny * (w + 1) + nx
+    by_shape = np.argsort(shape_key, kind="stable")
+    cuts = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
+    face = live[by_shape]
+    terms = np.stack([*a, aby, abx, acy, acx, det, *verts[:, axis][corners]])[:, face]
+    first = first[:, by_shape]
+    pixel_ids, depths, faces = [], [], []
+    for start, stop in zip(np.r_[0, cuts], np.r_[cuts, len(face)]):
+        ay, ax, g_aby, g_abx, g_acy, g_acx, g_det, za, zb, zc = terms[:, start:stop, None, None]
+        rows = first[0, start:stop, None, None] + np.arange(ny[by_shape[start]])[:, None]
+        cols = first[1, start:stop, None, None] + np.arange(nx[by_shape[start]])
+        # Barycentric test at pixel centers.
+        dy = rows - ay
+        dx = cols - ax
+        w1 = (dy * g_acx - dx * g_acy) / g_det
+        w2 = (g_aby * dx - g_abx * dy) / g_det
+        w0 = 1.0 - w1 - w2
+        inside = np.minimum(np.minimum(w0, w1), w2) >= _INSIDE
+        pixel_ids.append((rows * w + cols)[inside])
+        depths.append((w0 * za + w1 * zb + w2 * zc)[inside])
+        faces.append(np.broadcast_to(face[start:stop, None, None], inside.shape)[inside])
+    pixel_id, z, face = map(np.concatenate, (pixel_ids, depths, faces))
 
     # Z-buffer: camera at +axis looking down, so the *largest* coordinate
-    # wins; lexsort by (pixel, -z) and keep the first entry per pixel.
-    pixel_id = cand_y * w + cand_x
-    order = np.lexsort((-z, pixel_id))
-    pid_sorted = pixel_id[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = pid_sorted[1:] != pid_sorted[:-1]
-    win = order[first]
-    img.flat[pixel_id[win]] = shade[tri_of[win]]
+    # wins a pixel, and among the samples that equal it the lowest face.
+    nearest = np.full(h * w, -np.inf)
+    np.maximum.at(nearest, pixel_id, z)
+    top = z == nearest[pixel_id]
+    winner = np.full(h * w, mesh.n_faces)
+    np.minimum.at(winner, pixel_id[top], face[top])
+    painted = winner < mesh.n_faces
+    img.reshape(-1)[painted] = shade[winner[painted]]
     return img

@@ -64,6 +64,14 @@ class TestGeometry:
     def test_quad_area(self):
         assert unit_quad().area() == pytest.approx(1.0)
 
+    def test_area_is_half_the_cross_product_norms_to_the_bit(self):
+        # area() used to double the normals and halve the sum again;
+        # power-of-two scalings are exact, so dropping them changed no bit.
+        rng = np.random.default_rng(14)
+        mesh = TriangleMesh(rng.normal(size=(200, 3)) * 37.0, rng.integers(0, 200, (500, 3)))
+        doubled = np.linalg.norm(mesh.face_normals(normalize=False) * 2.0, axis=1)
+        assert mesh.area() == float(0.5 * doubled.sum() / 2.0)
+
     def test_normals_unit_length(self):
         n = tetrahedron().face_normals()
         assert np.allclose(np.linalg.norm(n, axis=1), 1.0)
