@@ -80,7 +80,9 @@ def record(
         Direction of goodness — throughput/speedup up, RSS/latency down.
     tolerance:
         Optional per-metric regression tolerance overriding
-        ``bench_compare``'s default (fraction, e.g. ``0.2`` = 20%).
+        ``bench_compare``'s default (fraction, e.g. ``0.2`` = 20%); checked
+        here (:func:`_check_tolerance`), so a bad value fails at the line
+        that wrote it.
     """
     entry: dict[str, Any] = {
         "value": float(value),
@@ -88,8 +90,26 @@ def record(
         "higher_is_better": bool(higher_is_better),
     }
     if tolerance is not None:
+        _check_tolerance(metric, tolerance, entry["higher_is_better"])
         entry["tolerance"] = float(tolerance)
     _METRICS.setdefault(bench, {})[metric] = entry
+
+
+def _check_tolerance(metric: str, tolerance: Any, higher_is_better: bool) -> None:
+    """Raise ``ValueError`` unless ``tolerance`` is a usable regression
+    allowance: a finite fraction > 0, and <= 1 when higher is better — a
+    throughput cannot fall by more than all of itself, while a latency can
+    regress to several times its baseline."""
+    limit = 1.0 if higher_is_better else sys.float_info.max
+    if (
+        not isinstance(tolerance, (int, float))
+        or isinstance(tolerance, bool)
+        or not 0 < tolerance <= limit  # false for NaN
+    ):
+        raise ValueError(
+            f"metric {metric!r} 'tolerance' must be in (0, 1] when higher is "
+            f"better, positive and finite otherwise; got {tolerance!r}"
+        )
 
 
 def metric_count(bench: str | None = None) -> int:
@@ -156,8 +176,9 @@ def validate_artifact(doc: Mapping[str, Any]) -> None:
 
     Schema: ``bench`` (str), ``scale`` (number), ``metrics`` (mapping of
     metric name -> record with numeric ``value``, str ``unit``, bool
-    ``higher_is_better``, and optional ``tolerance`` in (0, 1]);
-    ``peak_rss_mb`` is optional and may be null.
+    ``higher_is_better``, and optional ``tolerance`` > 0, at most 1 when
+    higher is better — :func:`_check_tolerance`); ``peak_rss_mb`` is
+    optional and may be null.
     """
     if not isinstance(doc.get("bench"), str) or not doc["bench"]:
         raise ValueError("artifact 'bench' must be a non-empty string")
@@ -179,9 +200,7 @@ def validate_artifact(doc: Mapping[str, Any]) -> None:
         if not isinstance(entry.get("higher_is_better"), bool):
             raise ValueError(f"metric {name!r} 'higher_is_better' must be a bool")
         if "tolerance" in entry:
-            tol = entry["tolerance"]
-            if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol <= 1:
-                raise ValueError(f"metric {name!r} 'tolerance' must be in (0, 1]")
+            _check_tolerance(name, entry["tolerance"], entry["higher_is_better"])
         unknown = set(entry) - {"value", "unit", "higher_is_better", "tolerance"}
         if unknown:
             raise ValueError(f"metric {name!r} has unknown keys {sorted(unknown)}")

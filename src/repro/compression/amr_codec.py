@@ -27,6 +27,7 @@ raises a clear "unsupported legacy magic" error instead.
 
 from __future__ import annotations
 
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -59,9 +60,6 @@ __all__ = [
     "validate_field_bounds",
     "average_down",
 ]
-
-#: Magic of the RPH2S time-series container (see :mod:`repro.insitu.series`).
-_SERIES_MAGIC = b"RPH2S"
 
 
 def _fill_covered(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -631,21 +629,48 @@ def decompress_hierarchy(
     return out
 
 
-def _sniff_magic(fileobj) -> bytes:
-    """Read the first 5 bytes of a seekable file and restore its position."""
-    pos = fileobj.tell()
-    fileobj.seek(0)
-    magic = fileobj.read(len(_SERIES_MAGIC))
-    fileobj.seek(pos)
-    return magic
+@contextmanager
+def _selection_reader(source):
+    """The reader that serves a :func:`decompress_selection` ``source`` —
+    the source itself when it already is one. What is opened here (a
+    path's file, a manifest's shard handles) is closed on exit."""
+    # The series readers live in repro.insitu, which imports this module —
+    # resolve them lazily to keep the import graph acyclic.
+    from repro.insitu.series import SERIES_MAGIC, SeriesReader
+    from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
 
-
-def _reject_steps_on_snapshot(steps) -> None:
-    if steps is not None:
-        raise CompressionError(
-            "steps= selector given but the source is a single-snapshot "
-            "container; only RPH2S time-series sources carry timesteps"
-        )
+    readers = (ContainerReader, CompressedHierarchy, SeriesReader, ShardedSeriesReader)
+    if isinstance(source, readers):
+        yield source
+        return
+    with ExitStack() as opened:
+        kind, stream = "a file object", source
+        if isinstance(source, (str, Path)):
+            kind, stream = "path", opened.enter_context(Path(source).open("rb"))
+        if isinstance(source, (bytes, bytearray, memoryview)):
+            # Buffer (zero-copy) mode: the readers slice memoryviews straight
+            # off the caller's buffer — no BytesIO staging copy, no per-stream
+            # bytes copy (select() still copies once for process-mode pickling).
+            kind, magic = "bytes", bytes(source[: len(SERIES_MAGIC)])
+        elif hasattr(stream, "seek") and hasattr(stream, "read"):
+            stream.seek(0)
+            magic = stream.read(len(SERIES_MAGIC))
+        else:
+            raise CompressionError(
+                f"cannot read a container from {type(source).__name__}; pass bytes, "
+                "a path, a seekable file, a ContainerReader, a SeriesReader, or a "
+                "CompressedHierarchy"
+            )
+        if magic[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
+            yield SeriesReader(stream) if magic == SERIES_MAGIC else ContainerReader(stream)
+        elif kind == "path":
+            # A sharded campaign: sibling shard files resolve from the manifest's path.
+            yield opened.enter_context(SeriesReader.open(source))
+        else:
+            raise CompressionError(
+                "RPHM manifests reference sibling shard files; pass the "
+                f"manifest path (or an open ShardedSeriesReader), not {kind}"
+            )
 
 
 def decompress_selection(
@@ -688,89 +713,18 @@ def decompress_selection(
         ``(level, field, patch) -> np.ndarray`` for snapshot sources, or
         ``(step, level, field, patch) -> np.ndarray`` for series sources.
     """
-    # The series readers live in repro.insitu, which imports this module —
-    # resolve them lazily to keep the import graph acyclic.
-    from repro.insitu.series import SERIES_MAGIC, SeriesReader
-    from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
-
-    if isinstance(source, (SeriesReader, ShardedSeriesReader)):
-        return source.select(
-            steps=steps, levels=levels, fields=fields, patches=patches,
-            verify=verify, parallel=parallel, workers=workers, pool=pool,
-        )
-    if isinstance(source, ContainerReader):
-        _reject_steps_on_snapshot(steps)
-        return source.select(
-            levels=levels, fields=fields, patches=patches, verify=verify,
-            parallel=parallel, workers=workers, pool=pool,
-        )
-    if isinstance(source, CompressedHierarchy):
-        _reject_steps_on_snapshot(steps)
-        return source.select(
+    with _selection_reader(source) as reader:
+        options = dict(
             levels=levels, fields=fields, patches=patches,
             parallel=parallel, workers=workers, pool=pool,
         )
-    if isinstance(source, (bytes, bytearray, memoryview)):
-        # Buffer (zero-copy) mode: the readers slice memoryviews straight
-        # off the caller's buffer — no BytesIO staging copy, no per-stream
-        # bytes copy (select() still copies once for process-mode pickling).
-        if bytes(source[: len(MANIFEST_MAGIC)]) == MANIFEST_MAGIC:
+        if not isinstance(reader, CompressedHierarchy):  # in memory: no index crcs
+            options["verify"] = verify
+        if not isinstance(reader, (ContainerReader, CompressedHierarchy)):
+            options["steps"] = steps
+        elif steps is not None:
             raise CompressionError(
-                "RPHM manifests reference sibling shard files; pass the "
-                "manifest path (or an open ShardedSeriesReader), not bytes"
+                "steps= selector given but the source is a single-snapshot "
+                "container; only RPH2S time-series sources carry timesteps"
             )
-        if bytes(source[: len(SERIES_MAGIC)]) == SERIES_MAGIC:
-            return SeriesReader(source).select(
-                steps=steps, levels=levels, fields=fields, patches=patches,
-                verify=verify, parallel=parallel, workers=workers, pool=pool,
-            )
-        _reject_steps_on_snapshot(steps)
-        return ContainerReader(source).select(
-            levels=levels, fields=fields, patches=patches, verify=verify,
-            parallel=parallel, workers=workers, pool=pool,
-        )
-    if isinstance(source, (str, Path)):
-        with Path(source).open("rb") as fileobj:
-            magic = _sniff_magic(fileobj)
-            if magic[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC:
-                # Sharded campaign: the manifest's sibling shard files are
-                # resolved from the path, each step read from its shard.
-                with SeriesReader.open(source) as reader:
-                    return reader.select(
-                        steps=steps, levels=levels, fields=fields,
-                        patches=patches, verify=verify, parallel=parallel,
-                        workers=workers, pool=pool,
-                    )
-            if magic == SERIES_MAGIC:
-                return SeriesReader(fileobj).select(
-                    steps=steps, levels=levels, fields=fields, patches=patches,
-                    verify=verify, parallel=parallel, workers=workers,
-                )
-            _reject_steps_on_snapshot(steps)
-            return ContainerReader(fileobj).select(
-                levels=levels, fields=fields, patches=patches, verify=verify,
-                parallel=parallel, workers=workers, pool=pool,
-            )
-    if hasattr(source, "seek") and hasattr(source, "read"):
-        magic = _sniff_magic(source)
-        if magic[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC:
-            raise CompressionError(
-                "RPHM manifests reference sibling shard files; pass the "
-                "manifest path (or an open ShardedSeriesReader), not a "
-                "file object"
-            )
-        if magic == SERIES_MAGIC:
-            return SeriesReader(source).select(
-                steps=steps, levels=levels, fields=fields, patches=patches,
-                verify=verify, parallel=parallel, workers=workers, pool=pool,
-            )
-        _reject_steps_on_snapshot(steps)
-        return ContainerReader(source).select(
-            levels=levels, fields=fields, patches=patches, verify=verify,
-            parallel=parallel, workers=workers, pool=pool,
-        )
-    raise CompressionError(
-        f"cannot read a container from {type(source).__name__}; pass bytes, a "
-        "path, a seekable file, a ContainerReader, a SeriesReader, or a "
-        "CompressedHierarchy"
-    )
+        return reader.select(**options)

@@ -14,17 +14,17 @@ implements that stage:
   codebook, so the decoder can run all K in lockstep — each vectorized
   round gathers K windows against the flat table and emits K symbols,
   replacing the per-symbol Python loop,
-* vectorized bit packing on encode (a scatter per bit position, or byte
-  accumulation on large inputs): one pass for all K streams and, through
-  :func:`encode_many`, for a whole run of ragged members, each keeping its
-  own codebook, K and byte-aligned streams (:func:`encode`: one member),
+* vectorized bit packing on encode (byte accumulation, one histogram):
+  one pass for all K streams and, through :func:`encode_many`, for a
+  whole run of ragged members, each keeping its own codebook, K and
+  byte-aligned streams (:func:`encode`: one member),
 * **shared codebooks** (``HUFB`` + ``HUFS`` layouts): many small symbol
   arrays — the per-patch quantization codes of one AMR level — can be
   coded against one :class:`SharedCodebook` built from their pooled
   frequencies. The codebook (alphabet + lengths) is serialized once per
   group; each member's payload carries only its bitstreams, and
   :func:`encode_batch` packs every member of a group in a single
-  vectorized scatter pass. This is what makes level-batched compression
+  vectorized pass. This is what makes level-batched compression
   cheap: the pure-Python tree build and the codebook bytes are paid per
   *group*, not per patch.
 
@@ -285,20 +285,6 @@ def _flat_tables(
     return table_sym, table_len, max_len
 
 
-def _fused_table(
-    alphabet: np.ndarray, table_sym: np.ndarray, table_len: np.ndarray
-) -> np.ndarray | None:
-    """Fuse (symbol, length) into one gather table when symbols fit 58
-    bits (quantization codes always do; arbitrary alphabets decode with
-    two gathers instead). Compare min/max directly: ``np.abs(INT64_MIN)``
-    overflows negative, so an abs()-based guard would wrongly fuse and
-    corrupt extreme alphabets. (min/max, not alphabet[0]/[-1]: a doctored
-    blob may be unsorted.)"""
-    if alphabet.min() > -(1 << 57) and alphabet.max() < (1 << 57):
-        return (table_sym << 5) | table_len
-    return None
-
-
 # ----------------------------------------------------------------------
 # Shared codebooks
 # ----------------------------------------------------------------------
@@ -333,7 +319,7 @@ class SharedCodebook:
             raise HuffmanAlphabetError(
                 f"alphabet of {alphabet.size} symbols exceeds {1 << MAX_CODE_LENGTH}"
             )
-        if alphabet.size > 1 and not (np.diff(alphabet) > 0).all():
+        if not (alphabet[1:] > alphabet[:-1]).all():  # not diff(): INT64 extremes wrap
             raise CompressionError("codebook alphabet must be strictly increasing")
         self.alphabet = alphabet
         self.lengths = lengths
@@ -414,23 +400,29 @@ class SharedCodebook:
         return self._tables
 
     def fused(self) -> np.ndarray | None:
-        """Fused (symbol<<5 | length) gather table, or ``None`` when the
-        alphabet does not fit 58 bits; cached."""
-        if self._fused is None:
+        """One (symbol<<5 | length) gather table when symbols fit 58 bits
+        (quantization codes always do; arbitrary alphabets decode with two
+        gathers instead), else ``None``; cached. The guard compares the
+        ends directly: ``np.abs(INT64_MIN)`` overflows negative, so an
+        abs()-based one would wrongly fuse and corrupt extreme alphabets."""
+        if self._fused is None and (
+            self.alphabet[0] > -(1 << 57) and self.alphabet[-1] < (1 << 57)
+        ):
             table_sym, table_len, _ = self.tables()
-            self._fused = _fused_table(self.alphabet, table_sym, table_len)
+            self._fused = (table_sym << 5) | table_len
         return self._fused
 
     def scalar_tables(self, n_symbols: int) -> tuple:
-        """List-or-ndarray tables for the scalar loop (see
-        :func:`_scalar_tables`); the ``tolist`` conversion is cached so a
-        group of many small patches pays it once."""
-        table_sym, table_len, _ = self.tables()
-        if n_symbols * 8 >= table_sym.size:
-            if self._lists is None:
-                self._lists = (table_sym.tolist(), table_len.tolist())
-            return self._lists
-        return table_sym, table_len
+        """Tables for the scalar loop, as :func:`_scalar_tables` picks
+        them; the ``tolist`` conversion is cached so a group of many small
+        patches pays it once."""
+        if self._lists is None:
+            table_sym, table_len, _ = self.tables()
+            picked = _scalar_tables(table_sym, table_len, n_symbols)
+            if picked[0] is table_sym:
+                return picked
+            self._lists = picked
+        return self._lists
 
     # -- serialization -------------------------------------------------
     def tobytes(self) -> bytes:
@@ -448,56 +440,38 @@ class SharedCodebook:
         :class:`~repro.errors.DecompressionError`)."""
         if len(blob) < _HUFB_HEAD.size or bytes(blob[:4]) != HUFB_MAGIC:
             raise DecompressionError("not a shared Huffman codebook (bad magic)")
-        _, alpha_size = _HUFB_HEAD.unpack_from(blob, 0)
+        return cls._read(blob, _HUFB_HEAD.size, _HUFB_HEAD.unpack_from(blob, 0)[1])
+
+    @classmethod
+    def _read(cls, blob, pos: int, alpha_size: int) -> "SharedCodebook":
+        """The ``alphabet (i64[]) | lengths (u8[])`` section a ``HUFB`` or
+        ``HUF2`` header announced at ``blob[pos:]``."""
         if not 1 <= alpha_size <= (1 << MAX_CODE_LENGTH):
             raise DecompressionError(f"codebook alphabet size {alpha_size} invalid")
-        need = _HUFB_HEAD.size + 9 * alpha_size
-        if len(blob) < need:
-            raise DecompressionError("truncated shared Huffman codebook")
-        alphabet = np.frombuffer(blob, dtype=np.int64, count=alpha_size, offset=_HUFB_HEAD.size)
-        lengths = np.frombuffer(
-            blob, dtype=np.uint8, count=alpha_size, offset=_HUFB_HEAD.size + 8 * alpha_size
-        )
+        if len(blob) < pos + 9 * alpha_size:
+            raise DecompressionError("truncated Huffman codebook")
+        alphabet = np.frombuffer(blob, dtype=np.int64, count=alpha_size, offset=pos)
+        lengths = np.frombuffer(blob, dtype=np.uint8, count=alpha_size, offset=pos + 8 * alpha_size)
         try:
             return cls(alphabet, lengths)
         except CompressionError as exc:
-            raise DecompressionError(f"corrupt shared Huffman codebook: {exc}") from exc
+            raise DecompressionError(f"corrupt Huffman codebook: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
 # Encode
 # ----------------------------------------------------------------------
-#: Below this symbol count :func:`_scatter_pack` scatters per bit position.
-#: Byte accumulation measures 5-20x faster from 512 symbols up; dropping
-#: the scatter moves ``bench_batched``'s gated ratio, so it is its own
-#: change (ROADMAP open items).
-_PACK_BINCOUNT_CUTOFF = 1 << 16
-
-
 def _scatter_pack(
     sym_codes: np.ndarray,
     sym_lens: np.ndarray,
     offsets: np.ndarray,
     total_bytes: int,
 ) -> np.ndarray:
-    """Pack symbols into a byte array, vectorized (no per-symbol loop).
-
-    Two equivalent strategies, picked by input size: a **bit-position
-    scatter** (one boolean-masked scatter per bit position, at most
-    :data:`MAX_CODE_LENGTH` passes) below :data:`_PACK_BINCOUNT_CUTOFF`
-    symbols, **byte accumulation** (below) from there up. Shared by the
-    HUF2 encoder and the grouped batch encoder.
-    """
+    """Pack symbols into a byte array by **byte accumulation**, vectorized
+    (no per-symbol loop, no per-bit pass). Shared by the HUF2 encoder and
+    the grouped batch encoder."""
     if sym_codes.size == 0 or total_bytes == 0:
         return np.zeros(total_bytes, dtype=np.uint8)
-    if sym_codes.size < _PACK_BINCOUNT_CUTOFF:
-        codes = sym_codes.astype(np.uint32, copy=False)
-        bits = np.zeros(8 * total_bytes, dtype=np.uint8)
-        for b in range(int(sym_lens.max())):
-            active = sym_lens > b
-            shift = (sym_lens[active] - 1 - b).astype(np.uint32)
-            bits[offsets[active] + b] = (codes[active] >> shift) & 1
-        return np.packbits(bits)
     # Every symbol's code occupies a disjoint bit range and spans at most
     # 7 + MAX_CODE_LENGTH = 23 < 24 bits from the start of its byte.
     # Left-align each code inside the 24-bit window that starts at its
@@ -675,8 +649,7 @@ def encode_batch(
         k_streams (u32) | stream_bits (u64[K]) | packed bits``. Each
         payload is exactly what :func:`encode_with_codebook` would produce
         for that row alone — but the whole group is packed in a *single*
-        scatter pass, which is where the fused batch throughput comes
-        from.
+        pass, which is where the fused batch throughput comes from.
     """
     mat = np.ascontiguousarray(codes, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[1] == 0:
@@ -695,21 +668,13 @@ def encode_batch(
             f"precomputed inverse shape {inverse.shape} does not match "
             f"codes shape {mat.shape}"
         )
-    # Offsets fit int32 whenever the whole group's bit span does — always
-    # true for patch-sized groups — which halves the memory traffic of the
-    # cumsum/offset pipeline; huge groups fall back to int64.
-    off_dtype = (
-        np.int32
-        if (P * n * MAX_CODE_LENGTH + 8 * P * K) < (1 << 31)
-        else np.int64
-    )
-    sym_lens = codebook.lengths64[inverse].astype(off_dtype, copy=False)
+    sym_lens = codebook.lengths64[inverse]
     sym_codes = codebook.codes_f[inverse]  # float64: what the packer's bincount weighs
     # Byte layout: member-major, stream-minor — member p's payload is the
     # contiguous run of its K streams, so per-member slicing is free.
     stream_bits, offsets, member_bytes = _stream_layout(sym_lens, K)
-    starts = np.concatenate(([0], np.cumsum(member_bytes, dtype=np.int64)))
-    offsets = offsets + (8 * starts[:-1]).astype(off_dtype)[:, None]
+    starts = np.concatenate(([0], np.cumsum(member_bytes)))
+    offsets = offsets + 8 * starts[:-1, None]
     packed = _scatter_pack(
         sym_codes.ravel(),
         sym_lens.ravel(),
@@ -757,56 +722,38 @@ def decode(blob) -> np.ndarray:
             f"not a HUF2 Huffman blob (magic {magic!r}); the headerless "
             "pre-HUF2 layout is no longer readable"
         )
-    return _decode_huf2(blob)
-
-
-def _parse_huf2(blob):
-    """Split a ``HUF2`` blob into (n, K, alphabet, lengths, stream_bits,
-    payload bytes-like), validating sizes before any large allocation."""
     if len(blob) < _HUF2_HEAD.size:
         raise DecompressionError("truncated Huffman blob")
     _, n_symbols, K, alpha_size = _HUF2_HEAD.unpack_from(blob, 0)
     if n_symbols == 0:
-        return 0, 0, None, None, None, b""
-    if not 1 <= K <= MAX_STREAMS:
-        raise DecompressionError(f"HUF2 stream count {K} outside [1, {MAX_STREAMS}]")
-    if not 1 <= alpha_size <= (1 << MAX_CODE_LENGTH):
-        raise DecompressionError(f"HUF2 alphabet size {alpha_size} invalid")
-    pos = _HUF2_HEAD.size
-    need = 9 * alpha_size + 8 * K
-    if len(blob) < pos + need:
-        raise DecompressionError("truncated Huffman blob header")
-    alphabet = np.frombuffer(blob, dtype=np.int64, count=alpha_size, offset=pos)
-    pos += 8 * alpha_size
-    lengths = np.frombuffer(blob, dtype=np.uint8, count=alpha_size, offset=pos)
-    pos += alpha_size
-    stream_bits = np.frombuffer(blob, dtype=np.uint64, count=K, offset=pos).astype(
-        np.int64
-    )
-    pos += 8 * K
-    if (stream_bits < 0).any():
-        raise DecompressionError("HUF2 per-stream bit length overflow")
-    payload_len = len(blob) - pos
-    if int(((stream_bits + 7) // 8).sum()) > payload_len:
-        raise DecompressionError("Huffman bitstream truncated")
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=pos)
-    return int(n_symbols), int(K), alphabet, lengths, stream_bits, payload
-
-
-def _decode_huf2(blob) -> np.ndarray:
-    n, K, alphabet, lengths, stream_bits, payload = _parse_huf2(blob)
-    if n == 0:
         return np.empty(0, dtype=np.int64)
-    if alphabet.size == 1:
-        return np.full(n, alphabet[0], dtype=np.int64)
-    table_sym, table_len, max_len = _flat_tables(alphabet, lengths)
-    if K >= _VECTOR_MIN_STREAMS and n >= _SCALAR_CUTOFF:
-        fused = _fused_table(alphabet, table_sym, table_len)
-        return _decode_streams_vector(
-            n, K, stream_bits, payload, table_sym, table_len, max_len, fused
-        )
-    tsym, tlen = _scalar_tables(table_sym, table_len, n)
-    return _decode_streams_scalar(n, K, stream_bits, payload, tsym, tlen, max_len)
+    pos = _HUF2_HEAD.size
+    codebook = SharedCodebook._read(blob, pos, alpha_size)
+    stream_bits, payload = _parse_streams(blob, pos + 9 * alpha_size, n_symbols, K, "HUF2")
+    return _decode_streams(n_symbols, K, stream_bits, payload, codebook)
+
+
+def _parse_streams(blob, pos: int, n_symbols: int, K: int, layout: str):
+    """The stream table both layouts end with — ``stream_bits (u64[K]) |
+    per-stream packed bits`` from ``blob[pos:]`` — as ``(stream_bits,
+    payload)``, every header count checked against the bytes actually
+    present before anything is sized by it."""
+    if not 1 <= K <= MAX_STREAMS:
+        raise DecompressionError(f"{layout} stream count {K} outside [1, {MAX_STREAMS}]")
+    room = len(blob) - pos - 8 * K
+    if room < 0:
+        raise DecompressionError(f"truncated {layout} stream table")
+    stream_bits = np.frombuffer(blob, dtype=np.uint64, count=K, offset=pos).astype(np.int64)
+    if (stream_bits < 0).any():
+        raise DecompressionError(f"{layout} per-stream bit length overflow")
+    # No stream outruns the payload, so neither sum below can wrap.
+    if int(stream_bits.max()) > 8 * room or int(((stream_bits + 7) // 8).sum()) > room:
+        raise DecompressionError(f"{layout} bitstream truncated")
+    # Every symbol costs at least one bit (a one-symbol alphabet is written
+    # with length 1), so a count the streams cannot hold is forged.
+    if n_symbols > int(stream_bits.sum()):
+        raise DecompressionError(f"{layout} symbol count {n_symbols} exceeds its streams' bits")
+    return stream_bits, np.frombuffer(blob, dtype=np.uint8, offset=pos + 8 * K)
 
 
 def decode_with_codebook(blob, codebook: SharedCodebook) -> np.ndarray:
@@ -822,32 +769,23 @@ def decode_with_codebook(blob, codebook: SharedCodebook) -> np.ndarray:
     _, n_symbols, K = _HUFS_HEAD.unpack_from(blob, 0)
     if n_symbols == 0:
         return np.empty(0, dtype=np.int64)
-    if not 1 <= K <= MAX_STREAMS:
-        raise DecompressionError(f"HUFS stream count {K} outside [1, {MAX_STREAMS}]")
-    pos = _HUFS_HEAD.size
-    if len(blob) < pos + 8 * K:
-        raise DecompressionError("truncated shared-codebook payload header")
-    stream_bits = np.frombuffer(blob, dtype=np.uint64, count=K, offset=pos).astype(
-        np.int64
-    )
-    pos += 8 * K
-    if (stream_bits < 0).any():
-        raise DecompressionError("HUFS per-stream bit length overflow")
-    payload_len = len(blob) - pos
-    if int(((stream_bits + 7) // 8).sum()) > payload_len:
-        raise DecompressionError("shared-codebook bitstream truncated")
-    payload = np.frombuffer(blob, dtype=np.uint8, offset=pos)
-    n = int(n_symbols)
+    stream_bits, payload = _parse_streams(blob, _HUFS_HEAD.size, n_symbols, K, "HUFS")
+    return _decode_streams(n_symbols, K, stream_bits, payload, codebook)
+
+
+def _decode_streams(n, K, stream_bits, payload, codebook: SharedCodebook) -> np.ndarray:
+    """Decode parsed streams against their codebook: the lockstep gather
+    rounds when the interleave is wide and long enough to amortize them,
+    else the scalar loop (see the module notes)."""
     if codebook.alphabet.size == 1:
         return np.full(n, codebook.alphabet[0], dtype=np.int64)
     table_sym, table_len, max_len = codebook.tables()
     if K >= _VECTOR_MIN_STREAMS and n >= _SCALAR_CUTOFF:
         return _decode_streams_vector(
-            n, int(K), stream_bits, payload, table_sym, table_len, max_len,
-            codebook.fused(),
+            n, K, stream_bits, payload, table_sym, table_len, max_len, codebook.fused()
         )
     tsym, tlen = codebook.scalar_tables(n)
-    return _decode_streams_scalar(n, int(K), stream_bits, payload, tsym, tlen, max_len)
+    return _decode_streams_scalar(n, K, stream_bits, payload, tsym, tlen, max_len)
 
 
 def _decode_streams_scalar(

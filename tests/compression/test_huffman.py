@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compression import huffman
+from repro.compression import base, huffman
+from repro.compression.lossless import compress_bytes
 from repro.errors import CompressionError, DecompressionError
 
 
@@ -154,13 +156,15 @@ class TestHUF2Layout:
         semantics: decode the same blob through both, symbol-for-symbol."""
         syms = rng.integers(-100, 100, size=20_000).astype(np.int64)
         blob = huffman.encode(syms, k_streams=64)
-        n, K, alphabet, lengths, stream_bits, payload = huffman._parse_huf2(blob)
-        table_sym, table_len, max_len = huffman._flat_tables(alphabet, lengths)
-        fused = huffman._fused_table(alphabet, table_sym, table_len)
+        head = huffman._HUF2_HEAD
+        _, n, K, alpha = head.unpack_from(blob, 0)
+        book = huffman.SharedCodebook._read(blob, head.size, alpha)
+        stream_bits, payload = huffman._parse_streams(blob, head.size + 9 * alpha, n, K, "HUF2")
+        table_sym, table_len, max_len = book.tables()
         vec = huffman._decode_streams_vector(
-            n, K, stream_bits, payload, table_sym, table_len, max_len, fused
+            n, K, stream_bits, payload, table_sym, table_len, max_len, book.fused()
         )
-        tsym, tlen = huffman._scalar_tables(table_sym, table_len, n)
+        tsym, tlen = book.scalar_tables(n)
         scl = huffman._decode_streams_scalar(
             n, K, stream_bits, payload, tsym, tlen, max_len
         )
@@ -193,23 +197,37 @@ class TestHUF2Layout:
 
 
 # ----------------------------------------------------------------------
-# HUF2: adversarial blobs
+# HUF2 and HUFS: adversarial blobs
 # ----------------------------------------------------------------------
-class TestHUF2Adversarial:
-    """Corrupt K-way blobs must raise DecompressionError, never return
-    garbage or read out of bounds."""
+class _Layout:
+    """One stream layout under attack: how to encode and decode it, and
+    where its sections sit (both keep ``n_symbols`` at byte 4 and
+    ``k_streams`` at byte 12)."""
 
-    @staticmethod
-    def _blob(n=9000, k=64, lo=-50, hi=50, seed=0):
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+    def blob(self, n=9000, k=64, lo=-50, hi=50, seed=0):
+        """``(blob, symbols, decode)`` of a fresh seeded symbol array."""
         rng = np.random.default_rng(seed)
         syms = rng.integers(lo, hi, size=n).astype(np.int64)
-        return huffman.encode(syms, k_streams=k), syms
+        if self.name == "HUF2":
+            return huffman.encode(syms, k_streams=k), syms, huffman.decode
+        book = huffman.SharedCodebook.from_symbols(syms)
+        blob = huffman.encode_with_codebook(syms, book, k_streams=k)
+        return blob, syms, lambda b: huffman.decode_with_codebook(b, book)
 
-    @staticmethod
-    def _sections(blob):
+    def sections(self, blob):
         """Byte offsets of (alphabet, lengths, stream_bits, payload)."""
-        _, n, k, alpha = huffman._HUF2_HEAD.unpack_from(blob, 0)
-        head = huffman._HUF2_HEAD.size
+        if self.name == "HUF2":
+            _, n, k, alpha = huffman._HUF2_HEAD.unpack_from(blob, 0)
+            head = huffman._HUF2_HEAD.size
+        else:
+            _, n, k = huffman._HUFS_HEAD.unpack_from(blob, 0)
+            head, alpha = huffman._HUFS_HEAD.size, 0
         return {
             "alphabet": (head, head + 8 * alpha),
             "lengths": (head + 8 * alpha, head + 9 * alpha),
@@ -220,24 +238,111 @@ class TestHUF2Adversarial:
             "alpha": alpha,
         }
 
-    def test_truncated_header(self):
-        blob, _ = self._blob()
-        with pytest.raises(DecompressionError):
-            huffman.decode(blob[:10])
-        with pytest.raises(DecompressionError):
-            huffman.decode(blob[: self._sections(blob)["lengths"][1] - 1])
+    def decode_section(self, blob, book_syms):
+        """Decode ``blob`` the way a codec stream does: wrapped by the
+        lossless backend, through :func:`base.decode_codes`."""
+        wrapped = compress_bytes(blob, "deflate", 1)
+        if self.name == "HUF2":
+            return base.decode_codes(wrapped, "huffman")
+        book = huffman.SharedCodebook.from_symbols(book_syms)
+        shared = base.SharedEntropy(book.tobytes(), wrapped)
+        return base.decode_codes(b"", base.GROUPED_STAGE, shared)
 
-    def test_truncated_stream(self):
+
+_HUF2 = _Layout("HUF2")
+_LAYOUTS = [_HUF2, _Layout("HUFS")]
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=repr)
+class TestAdversarialStreams:
+    """Corrupt K-way blobs of either layout must raise DecompressionError,
+    never return garbage, read out of bounds or size an allocation by a
+    header field."""
+
+    def test_truncated_header(self, layout):
+        blob, _, decode = layout.blob()
+        lo, hi = layout.sections(blob)["stream_bits"]
+        for cut in (10, lo - 1, hi - 1):
+            with pytest.raises(DecompressionError):
+                decode(blob[:cut])
+
+    def test_truncated_stream(self, layout):
         """Payload shorter than the recorded per-stream bit lengths."""
-        blob, _ = self._blob()
+        blob, _, decode = layout.blob()
         with pytest.raises(DecompressionError):
-            huffman.decode(blob[:-17])
+            decode(blob[:-17])
+
+    @pytest.mark.parametrize("k", [4, 64])
+    def test_bad_per_stream_bit_length(self, layout, k):
+        """Tampered stream_bits must fail on both decode paths (k=4 routes
+        to the scalar path, k=64 to the vectorized lockstep path) — up to
+        values whose byte count wraps int64."""
+        blob, _, decode = layout.blob(k=k)
+        lo, _ = layout.sections(blob)["stream_bits"]
+        (bits,) = struct.unpack_from("<Q", blob, lo)
+        for forged in (bits - 8, bits + 8, 2**62, 2**63 - 7, 2**63 - 1, 2**63, 2**64 - 1):
+            doctored = bytearray(blob)
+            struct.pack_into("<Q", doctored, lo, forged)
+            with pytest.raises(DecompressionError):
+                decode(bytes(doctored))
+
+    def test_bad_stream_count(self, layout):
+        blob, _, decode = layout.blob()
+        doctored = bytearray(blob)
+        for k in (0, huffman.MAX_STREAMS + 1):
+            struct.pack_into("<I", doctored, 12, k)
+            with pytest.raises(DecompressionError):
+                decode(bytes(doctored))
+
+    def test_truncation_sweep_never_returns_garbage(self, layout):
+        """Any prefix of a valid blob either raises or (never) round-trips."""
+        blob, syms, decode = layout.blob(n=500, k=8)
+        for cut in range(0, len(blob) - 1, 37):
+            try:
+                out = decode(blob[:cut])
+            except Exception:
+                continue
+            assert not np.array_equal(out, syms) or cut >= len(blob)
+
+    @pytest.mark.parametrize("one_symbol", [False, True], ids=["multi", "one-symbol"])
+    @pytest.mark.parametrize("k", [4, 64])
+    def test_forged_symbol_count(self, layout, k, one_symbol):
+        """A doctored ``n_symbols`` is a typed error from the decoder and
+        from the codec-stream entry above it, and allocates nothing sized
+        by the forged count: every symbol costs >= 1 bit, so a count above
+        the streams' total bits is refused by the parser outright."""
+        blob, syms, decode = layout.blob(k=k, hi=-49 if one_symbol else 50)
+        sec = layout.sections(blob)
+        lo, hi = sec["stream_bits"]
+        total_bits = sum(struct.unpack_from(f"<{sec['k']}Q", blob, lo))
+        assert np.array_equal(decode(blob), syms)
+        for forged in (sec["n"] + 1, 10 * sec["n"], 2**40, 2**64 - 1):
+            doctored = bytearray(blob)
+            struct.pack_into("<Q", doctored, 4, forged)
+            doctored = bytes(doctored)
+            tracemalloc.start()
+            try:
+                with pytest.raises(DecompressionError):
+                    decode(doctored)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # Refused by the parser: the K-entry table and the error only.
+            # Otherwise a real decode of n + 1 symbols ran and failed.
+            limit = 1 << 14 if forged > total_bits else 64 * len(blob) + (1 << 21)
+            assert peak < limit, (forged, peak)
+            with pytest.raises(DecompressionError):
+                layout.decode_section(doctored, syms)
+
+
+class TestHUF2Adversarial:
+    """Corruption of the sections only the self-contained layout has."""
 
     def test_non_full_code_table(self):
         """A lengths section whose canonical codes do not tile the window
         space exactly is rejected before any symbol is emitted."""
-        blob, _ = self._blob()
-        sec = self._sections(blob)
+        blob = _HUF2.blob()[0]
+        sec = _HUF2.sections(blob)
         doctored = bytearray(blob)
         lo, hi = sec["lengths"]
         doctored[lo:hi] = bytes([huffman.MAX_CODE_LENGTH]) * (hi - lo)
@@ -245,53 +350,29 @@ class TestHUF2Adversarial:
             huffman.decode(bytes(doctored))
 
     def test_zero_code_length_rejected(self):
-        blob, _ = self._blob()
-        lo, _ = self._sections(blob)["lengths"]
+        blob = _HUF2.blob()[0]
+        lo, _ = _HUF2.sections(blob)["lengths"]
         doctored = bytearray(blob)
         doctored[lo] = 0
         with pytest.raises(DecompressionError):
             huffman.decode(bytes(doctored))
 
-    @pytest.mark.parametrize("k", [4, 64])
-    def test_bad_per_stream_bit_length(self, k):
-        """Tampered stream_bits must fail on both decode paths (k=4 routes
-        to the scalar path, k=64 to the vectorized lockstep path)."""
-        blob, _ = self._blob(k=k)
-        sec = self._sections(blob)
-        lo, _ = sec["stream_bits"]
-        for delta in (-8, 8):
-            doctored = bytearray(blob)
-            (bits,) = struct.unpack_from("<Q", doctored, lo)
-            struct.pack_into("<Q", doctored, lo, bits + delta)
-            with pytest.raises(DecompressionError):
-                huffman.decode(bytes(doctored))
-
-    def test_bad_stream_count(self):
-        blob, _ = self._blob()
-        doctored = bytearray(blob)
-        struct.pack_into("<I", doctored, 12, 0)
-        with pytest.raises(DecompressionError):
-            huffman.decode(bytes(doctored))
-        struct.pack_into("<I", doctored, 12, huffman.MAX_STREAMS + 1)
-        with pytest.raises(DecompressionError):
-            huffman.decode(bytes(doctored))
-
     def test_bad_alphabet_size(self):
-        blob, _ = self._blob()
+        blob = _HUF2.blob()[0]
         doctored = bytearray(blob)
         struct.pack_into("<I", doctored, 16, (1 << huffman.MAX_CODE_LENGTH) + 1)
         with pytest.raises(DecompressionError):
             huffman.decode(bytes(doctored))
 
-    def test_truncation_sweep_never_returns_garbage(self):
-        """Any prefix of a valid blob either raises or (never) round-trips."""
-        blob, syms = self._blob(n=500, k=8)
-        for cut in range(0, len(blob) - 1, 37):
-            try:
-                out = huffman.decode(blob[:cut])
-            except Exception:
-                continue
-            assert not np.array_equal(out, syms) or cut >= len(blob)
+    def test_unsorted_alphabet_rejected(self):
+        """The encoder writes alphabets sorted; a swapped pair would decode
+        to other symbols without any stream-length mismatch."""
+        blob = _HUF2.blob()[0]
+        lo, _ = _HUF2.sections(blob)["alphabet"]
+        doctored = bytearray(blob)
+        doctored[lo : lo + 16] = blob[lo + 8 : lo + 16] + blob[lo : lo + 8]
+        with pytest.raises(DecompressionError, match="strictly increasing"):
+            huffman.decode(bytes(doctored))
 
 
 class TestExtremeAlphabets:
@@ -351,8 +432,8 @@ def _reference_canonical_codes(lengths: np.ndarray) -> np.ndarray:
 
 
 def _reference_bit_scatter(sym_codes, sym_lens, offsets, total_bytes) -> np.ndarray:
-    """The small-input packer, spelled out: one boolean-masked scatter per
-    bit position."""
+    """The packer ``_scatter_pack`` once ran below 65 536 symbols, spelled
+    out: one boolean-masked scatter per bit position."""
     bits = np.zeros(8 * total_bytes, dtype=np.uint8)
     for b in range(int(sym_lens.max())):
         active = sym_lens > b
@@ -408,10 +489,8 @@ class TestAgainstReferences:
         assert huffman._canonical_codes(lengths).tolist() == [
             0, 126, 127, 62, 26, 27, 12, 4, 5, 1, 28, 29, 30]
 
-    @pytest.mark.parametrize("cutoff", [0, 1 << 30], ids=["accumulate", "scatter"])
-    @pytest.mark.parametrize("n", [1, 7, 512, 5000])
-    def test_both_packers_match_the_bit_scatter(self, n, cutoff, monkeypatch):
-        monkeypatch.setattr(huffman, "_PACK_BINCOUNT_CUTOFF", cutoff)
+    @pytest.mark.parametrize("n", [1, 7, 8, 511, 512, 4096, 65_535, 65_536, 70_000])
+    def test_packer_matches_the_bit_scatter(self, n):
         rng = np.random.default_rng(n)
         lens = rng.integers(1, huffman.MAX_CODE_LENGTH + 1, n).astype(np.int64)
         codes = (rng.integers(0, 1 << 16, n) & ((1 << lens) - 1)).astype(np.uint32)
@@ -420,6 +499,28 @@ class TestAgainstReferences:
         packed = huffman._scatter_pack(codes, lens, offsets, total)
         assert packed.dtype == np.uint8
         assert np.array_equal(packed, _reference_bit_scatter(codes, lens, offsets, total))
+
+    def test_packer_at_the_edges_of_its_24_bit_window(self):
+        """The two extremes the byte-accumulation argument rests on: the
+        widest reach from a byte's start (a 16-bit code at bit 7 ends at
+        bit 23), and the most windows summed into one byte (eight 1-bit
+        codes), over enough bytes that a float32 sum would drift."""
+        n = 5000
+        lens = np.full(n, 16, dtype=np.int64)
+        codes = np.random.default_rng(1).integers(0, 1 << 16, n).astype(np.uint32)
+        codes[:3] = 0xFFFF, 0, 0x8001
+        offsets = 7 + 24 * np.arange(n)
+        packed = huffman._scatter_pack(codes, lens, offsets, 3 * n)
+        assert np.array_equal(packed, _reference_bit_scatter(codes, lens, offsets, 3 * n))
+
+        n_bytes = (1 << 16) + 3
+        lens = np.ones(8 * n_bytes, dtype=np.int64)
+        codes = np.ones(8 * n_bytes, dtype=np.uint32)
+        codes[8 * 1000 : 8 * 1001] = 1, 0, 1, 1, 0, 0, 1, 0
+        offsets = np.arange(8 * n_bytes)
+        packed = huffman._scatter_pack(codes, lens, offsets, n_bytes)
+        assert np.array_equal(packed, _reference_bit_scatter(codes, lens, offsets, n_bytes))
+        assert packed[1000] == 0b10110010 and (np.delete(packed, 1000) == 0xFF).all()
 
 
 class TestEncodeMany:

@@ -17,10 +17,18 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.amr.io import append_step, open_series, write_series
+from repro.amr.io import (
+    append_step,
+    open_series,
+    write_container,
+    write_series,
+    write_sharded_series,
+)
 from repro.compression.amr_codec import compress_hierarchy, decompress_selection
+from repro.compression.container import ContainerReader
 from repro.errors import CompressionError, FormatError
 from repro.insitu import SeriesReader, StreamingWriter
+from repro.parallel import WorkerPool
 from tests.conftest import make_sphere_hierarchy
 
 _FOOTER = struct.Struct("<QQI8s")
@@ -232,6 +240,56 @@ class TestSelection:
             by_reader = decompress_selection(reader, steps=[0, 2], patches=0, levels=0)
         for key in by_bytes:
             assert np.array_equal(by_bytes[key], by_reader[key])
+
+    @pytest.mark.parametrize("kind", ["snapshot", "series", "manifest"])
+    def test_every_source_form_decodes_on_the_callers_pool(self, kind, series_path, tmp_path):
+        """``pool=`` reaches the decode map whatever form the source takes
+        (a series given by path used to drop it), and every form returns
+        the same arrays; a manifest given without its path is rejected."""
+
+        class CountingPool(WorkerPool):
+            maps = 0
+
+            def map(self, fn, items):
+                self.maps += 1
+                return super().map(fn, items)
+
+        steps = make_steps(3)
+        if kind == "snapshot":
+            snapshot = compress_hierarchy(steps[0], "sz-lr", 1e-3)
+            path = write_container(tmp_path / "snap.rprh", snapshot)
+            open_reader, n_maps = ContainerReader.open, 1
+        elif kind == "series":
+            path, open_reader, n_maps = series_path, SeriesReader.open, len(steps)
+        else:
+            path = write_sharded_series(
+                tmp_path / "camp.rphm", steps, n_shards=2, parallel="serial"
+            )
+            open_reader, n_maps = SeriesReader.open, len(steps)
+        want = decompress_selection(path)
+        assert len(want) == 2 * n_maps
+        forms = {
+            "path": lambda: path,
+            "str": lambda: str(path),
+            "bytes": lambda: path.read_bytes(),
+            "file": lambda: path.open("rb"),
+            "reader": lambda: open_reader(path),
+        }
+        for form, make in forms.items():
+            source = make()
+            try:
+                with CountingPool("serial") as pool:
+                    if kind == "manifest" and form in ("bytes", "file"):
+                        with pytest.raises(CompressionError, match="manifest path"):
+                            decompress_selection(source, pool=pool)
+                        continue
+                    got = decompress_selection(source, pool=pool)
+                assert pool.maps == n_maps, (kind, form)
+                assert got.keys() == want.keys()
+                assert all(np.array_equal(got[k], want[k]) for k in want)
+            finally:
+                if hasattr(source, "close"):
+                    source.close()
 
     def test_missing_step_named(self, series_path):
         with open_series(series_path) as reader:

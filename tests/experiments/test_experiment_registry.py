@@ -51,6 +51,34 @@ def test_entry_runs_quick_and_emits_schema_valid_artifact(name, tmp_path):
     assert "peak_rss_mb" not in doc
 
 
+def test_tolerance_schema_follows_the_metric_direction():
+    """A lower-is-better metric can regress by more than 100 %, a
+    higher-is-better one cannot; ``record`` applies the artifact's own
+    check, so a bad value fails where it is written."""
+    from repro.experiments.registry import _perf_harness
+
+    harness = _perf_harness()
+
+    def doc(tolerance, higher_is_better):
+        entry = {"value": 1.0, "unit": "ms", "higher_is_better": higher_is_better,
+                 "tolerance": tolerance}
+        return {"bench": "b", "scale": 0.25, "metrics": {"m": entry}}
+
+    for tolerance, higher in [(3.0, False), (0.25, False), (1.0, True), (0.9, True)]:
+        harness.validate_artifact(doc(tolerance, higher))
+        harness.record("tolerance_schema_probe", "m", 1.0, "ms", higher, tolerance)
+    bad = [(3.0, True), (0.0, False), (-1.0, False), (float("inf"), False),
+           (float("nan"), False), (True, False), ("0.5", True)]
+    try:
+        for tolerance, higher in bad:
+            with pytest.raises(ValueError, match="tolerance"):
+                harness.validate_artifact(doc(tolerance, higher))
+            with pytest.raises(ValueError, match="tolerance"):
+                harness.record("tolerance_schema_probe", "m", 1.0, "ms", higher, tolerance)
+    finally:
+        harness._METRICS.pop("tolerance_schema_probe", None)
+
+
 def test_every_entry_declares_gate_directions():
     for name, spec in EXPERIMENTS.items():
         assert spec.group in GROUP_NAMES

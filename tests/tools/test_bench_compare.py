@@ -87,6 +87,17 @@ class TestGate:
         _write(current, "x", _artifact("x", speedup=7.0))  # 30% < 50% tol
         assert _run(current, baseline) == 0
 
+    def test_lower_is_better_tolerance_above_one_gates(self, dirs):
+        """A latency may regress by more than 100 %: ``bench_serve`` tracks
+        its latencies at tolerance 3.0 — up to 4x the baseline passes."""
+        current, baseline = dirs
+        spec = {"value": 10.0, "higher_is_better": False, "tolerance": 3.0}
+        _write(baseline, "x", _artifact("x", latency_ms=spec))
+        _write(current, "x", _artifact("x", latency_ms=39.0))  # 290% worse
+        assert _run(current, baseline) == 0
+        _write(current, "x", _artifact("x", latency_ms=41.0))  # 310% worse
+        assert _run(current, baseline) == 1
+
     def test_tighter_threshold_flag(self, dirs):
         current, baseline = dirs
         _write(baseline, "x", _artifact("x", speedup=10.0))
