@@ -43,13 +43,13 @@ from repro.compression.container import (
     ContainerReader,
     GroupHandle,
     _normalize_selector,
-    group_handle_from_bytes,
     pack_container,
     pack_group,
 )
 from repro.compression.registry import codec_accepts, make_codec
 from repro.errors import CompressionError, FormatError
 from repro.parallel.pool import parallel_map
+from repro.storage import ByteSource
 
 __all__ = [
     "CompressedHierarchy",
@@ -161,7 +161,7 @@ class CompressedHierarchy:
         if gid not in cache:
             if not 0 <= gid < len(self.groups):
                 raise FormatError(f"hierarchy has no group {gid}")
-            cache[gid] = group_handle_from_bytes(gid, self.groups[gid])
+            cache[gid] = GroupHandle(gid, self.groups[gid])
         return cache[gid]
 
     def _shared_for(self, key: tuple[int, str, int], copy: bool = False) -> SharedEntropy | None:
@@ -644,25 +644,19 @@ def _selection_reader(source):
         yield source
         return
     with ExitStack() as opened:
-        kind, stream = "a file object", source
+        # One source serves the magic sniff and the reader built on it. A
+        # buffer is read in zero-copy mode: the readers slice memoryviews
+        # straight off the caller's bytes (select() still copies once for
+        # process-mode pickling).
         if isinstance(source, (str, Path)):
-            kind, stream = "path", opened.enter_context(Path(source).open("rb"))
-        if isinstance(source, (bytes, bytearray, memoryview)):
-            # Buffer (zero-copy) mode: the readers slice memoryviews straight
-            # off the caller's buffer — no BytesIO staging copy, no per-stream
-            # bytes copy (select() still copies once for process-mode pickling).
-            kind, magic = "bytes", bytes(source[: len(SERIES_MAGIC)])
-        elif hasattr(stream, "seek") and hasattr(stream, "read"):
-            stream.seek(0)
-            magic = stream.read(len(SERIES_MAGIC))
+            kind, src = "path", ByteSource.open(source)
         else:
-            raise CompressionError(
-                f"cannot read a container from {type(source).__name__}; pass bytes, "
-                "a path, a seekable file, a ContainerReader, a SeriesReader, or a "
-                "CompressedHierarchy"
-            )
+            src = ByteSource(source)
+            kind = "bytes" if src.mapped else "a file object"
+        opened.callback(src.close)
+        magic = src.read(0, len(SERIES_MAGIC))
         if magic[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
-            yield SeriesReader(stream) if magic == SERIES_MAGIC else ContainerReader(stream)
+            yield SeriesReader(src) if magic == SERIES_MAGIC else ContainerReader(src)
         elif kind == "path":
             # A sharded campaign: sibling shard files resolve from the manifest's path.
             yield opened.enter_context(SeriesReader.open(source))

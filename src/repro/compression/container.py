@@ -21,6 +21,9 @@ container (magic ``RPH2``):
 The index is *footer-located*: a reader seeks to the last 28 bytes, checks
 the footer magic, then reads exactly the index — so random access to one
 patch costs O(footer + index + that patch's stream) bytes, never O(file).
+The RPH2S series and RPXP parity formats end in the same 28-byte trailer
+under their own footer magics; :func:`pack_footer` writes and
+:func:`read_index` parses it for all three.
 
 Index schema (JSON)::
 
@@ -72,14 +75,12 @@ than the grouped layout cannot open grouped containers.
 
 from __future__ import annotations
 
-import io
 import json
-import mmap as _mmap
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,6 +90,7 @@ from repro.compression.lossless import compress_bytes, decompress_bytes
 from repro.compression.registry import available_codecs, make_codec
 from repro.errors import CompressionError, DecompressionError, FormatError
 from repro.parallel.pool import parallel_map
+from repro.storage import ByteSource
 
 __all__ = [
     "CONTAINER_MAGIC",
@@ -98,7 +100,6 @@ __all__ = [
     "PatchIndexEntry",
     "GroupIndexEntry",
     "GroupHandle",
-    "group_handle_from_bytes",
     "ContainerReader",
     "HEADER_SIZE",
     "FOOTER_SIZE",
@@ -107,6 +108,7 @@ __all__ = [
     "pack_header",
     "pack_footer",
     "unpack_footer",
+    "read_index",
     "build_index_bytes",
 ]
 
@@ -217,40 +219,37 @@ def _group_header_len(n_patches: int, codebook_len: int) -> int:
     return _GROUP_HEAD.size + codebook_len + n_patches * _GROUP_EXTENT.size
 
 
-def group_handle_from_bytes(gid: int, blob) -> "GroupHandle":
-    """Open a :class:`GroupHandle` over one in-memory group section (the
-    in-memory :class:`~repro.compression.amr_codec.CompressedHierarchy`
-    path; container files go through :meth:`ContainerReader.group`)."""
-    if len(blob) < _GROUP_HEAD.size or bytes(blob[:4]) != GROUP_MAGIC:
-        raise FormatError(f"group {gid}: not a group section (bad magic)")
-    _, n_patches, codebook_len, _ = _GROUP_HEAD.unpack_from(blob, 0)
-    header_len = min(_group_header_len(n_patches, codebook_len), len(blob))
-    return GroupHandle(
-        gid, blob[:header_len], len(blob),
-        lambda rel, length: blob[rel : rel + length],
-    )
-
-
 class GroupHandle:
     """Parsed header of one group section plus lazy member-payload access.
 
-    Owned by a :class:`ContainerReader` (or an in-memory
-    :class:`~repro.compression.amr_codec.CompressedHierarchy`): the header
-    — shared codebook bytes and extent table — is read once; payloads are
-    fetched per member through ``read_at`` so a selection touches only its
+    ``section`` is the group section's bytes: a
+    :class:`~repro.storage.ByteSource` window of a container
+    (:meth:`ContainerReader.group`) or an in-memory blob
+    (:class:`~repro.compression.amr_codec.CompressedHierarchy`). The header
+    — shared codebook bytes and extent table — is read once, and checked
+    against ``header_crc32`` before it is parsed when one is given;
+    payloads are fetched per member, so a selection touches only its
     members' extents. The decoded
     :class:`~repro.compression.huffman.SharedCodebook` (and with it the
     flat decode tables) is cached, which is what amortizes table
     construction across all members of the group.
     """
 
-    def __init__(self, gid: int, header: bytes, total_length: int, read_at):
-        # ``read_at(rel_offset, length)`` must return payload-region bytes
-        # relative to the group section start.
-        if len(header) < _GROUP_HEAD.size or bytes(header[:4]) != GROUP_MAGIC:
+    def __init__(self, gid: int, section, header_crc32: int | None = None):
+        src = section if isinstance(section, ByteSource) else ByteSource(section)
+        prefix = src.read(0, _GROUP_HEAD.size)
+        if len(prefix) < _GROUP_HEAD.size or prefix[:4] != GROUP_MAGIC:
             raise FormatError(f"group {gid}: not a group section (bad magic)")
-        magic, n_patches, codebook_len, payload_len = _GROUP_HEAD.unpack_from(header, 0)
+        magic, n_patches, codebook_len, payload_len = _GROUP_HEAD.unpack(prefix)
         header_len = _group_header_len(n_patches, codebook_len)
+        header = src.read(0, header_len)
+        #: crc32 of the header region as read (the group table records it).
+        self.header_crc32 = zlib.crc32(header)
+        if header_crc32 is not None and self.header_crc32 != header_crc32:
+            raise FormatError(
+                f"group {gid}: header checksum mismatch (corrupt shared "
+                "codebook or extent table)"
+            )
         if n_patches < 1:
             raise FormatError(f"group {gid}: empty group section")
         if len(header) < header_len:
@@ -258,7 +257,7 @@ class GroupHandle:
                 f"group {gid}: truncated shared codebook or extent table "
                 f"(header needs {header_len} bytes, section gave {len(header)})"
             )
-        if header_len + payload_len > total_length:
+        if header_len + payload_len > src.size:
             raise FormatError(
                 f"group {gid}: recorded payload region ({payload_len} bytes) "
                 "extends past the group section end"
@@ -287,7 +286,7 @@ class GroupHandle:
                     f"[{rel}, {rel + ln}) past the group payload end "
                     f"({self.payload_len} bytes)"
                 )
-        self._read_at = read_at
+        self._section = src
         self._codebook: huffman.SharedCodebook | None = None
 
     @property
@@ -326,7 +325,7 @@ class GroupHandle:
                 f"group {self.gid} has {self.n_patches} members, not member {member}"
             )
         rel, length, crc = self._extents[member]
-        blob = self._read_at(self.header_len + rel, length)
+        blob = self._section.view(self.header_len + rel, length)
         if len(blob) != length:
             raise FormatError(
                 f"group {self.gid}: member {member} payload truncated "
@@ -364,25 +363,57 @@ def pack_header() -> bytes:
     return _HEADER.pack(CONTAINER_MAGIC, _VERSION)
 
 
-def pack_footer(index_offset: int, index_length: int, index_crc32: int) -> bytes:
-    """The 28-byte container footer locating (and checksumming) the index."""
-    return _FOOTER.pack(index_offset, index_length, index_crc32, FOOTER_MAGIC)
+def pack_footer(
+    index_offset: int, index_length: int, index_crc32: int,
+    magic: bytes = FOOTER_MAGIC,
+) -> bytes:
+    """The 28-byte trailer locating (and checksumming) an index — the RPH2
+    container's by default; the RPH2S series and RPXP parity formats pass
+    their own footer ``magic``."""
+    return _FOOTER.pack(index_offset, index_length, index_crc32, magic)
 
 
-def unpack_footer(blob: bytes) -> tuple[int, int, int]:
-    """Parse a 28-byte container footer into ``(index_offset, index_length,
+def unpack_footer(blob: bytes, magic: bytes = FOOTER_MAGIC) -> tuple[int, int, int]:
+    """Parse a 28-byte trailer into ``(index_offset, index_length,
     index_crc32)``. Raises :class:`FormatError` on a short read or bad
-    footer magic — the two signatures of a truncated container."""
+    footer magic — the two signatures of a truncated file."""
     if len(blob) != FOOTER_SIZE:
-        raise FormatError(
-            f"container footer truncated ({len(blob)} of {FOOTER_SIZE} bytes)"
-        )
+        raise FormatError(f"footer truncated ({len(blob)} of {FOOTER_SIZE} bytes)")
     index_offset, index_length, index_crc, footer_magic = _FOOTER.unpack(blob)
-    if footer_magic != FOOTER_MAGIC:
+    if footer_magic != magic:
         raise FormatError(
-            f"bad container footer magic {footer_magic!r} (truncated file?)"
+            f"bad footer magic {footer_magic!r}, expected {magic!r} "
+            "(truncated mid-write or never finalized?)"
         )
     return index_offset, index_length, index_crc
+
+
+def read_index(
+    src: ByteSource, footer_magic: bytes, what: str, error=FormatError, hint: str = ""
+) -> tuple[dict, int]:
+    """Locate, bound, checksum and JSON-decode the index behind the
+    trailer of ``src``; returns ``(index, index_offset)``.
+
+    The one trailer parser of RPH2, RPH2S and RPXP: each passes its footer
+    magic, ``what`` it is called in messages, and the ``error`` class (plus
+    a ``hint`` appended to the message) its damage is reported as.
+    """
+    end = src.size - FOOTER_SIZE
+    try:
+        index_offset, index_length, index_crc = unpack_footer(
+            src.read(end, FOOTER_SIZE), footer_magic
+        )
+        if index_offset + index_length > end:
+            raise FormatError("index extends past end of file (truncated?)")
+        index_bytes = src.read(index_offset, index_length)
+        if len(index_bytes) != index_length or zlib.crc32(index_bytes) != index_crc:
+            raise FormatError("index checksum mismatch (corrupt index)")
+        try:
+            return json.loads(index_bytes.decode()), index_offset
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"corrupt index: {exc}") from exc
+    except FormatError as exc:
+        raise error(f"{what}: {exc}{hint}") from exc
 
 
 def build_index_bytes(
@@ -539,43 +570,21 @@ class ContainerReader:
     """
 
     def __init__(self, source):
-        self._owns = False
-        self._mmap: _mmap.mmap | None = None
-        # mmap objects are file-likes too (they grow seek/read), so the
-        # buffer check must come first or zero-copy mode silently degrades
-        # to the copying file path.
-        if not isinstance(source, _mmap.mmap) and (
-            hasattr(source, "seek") and hasattr(source, "read")
-        ):
-            self._file: BinaryIO | None = source
-            self._view: memoryview | None = None
-            source.seek(0, io.SEEK_END)
-            total = source.tell()
-        else:
-            self._file = None
-            try:
-                self._view = memoryview(source).cast("B")
-            except TypeError:
-                raise CompressionError(
-                    f"cannot read a container from {type(source).__name__}; "
-                    "pass a seekable file or a byte buffer"
-                ) from None
-            total = self._view.nbytes
-        self._total = total
-        # Release the view if parsing fails: a failing constructor must not
-        # leave an exported buffer alive, or ``open(mmap=True)``'s cleanup
-        # ``mapping.close()`` raises BufferError and masks the real error
-        # (the in-flight traceback pins this frame's ``self``).
+        adopted = isinstance(source, ByteSource)
+        self._src = source if adopted else ByteSource(source)
+        # A failing constructor must not leave its own buffer view alive:
+        # the in-flight traceback pins this frame's ``self``, and a caller
+        # closing the buffer it passed would get BufferError, not this error.
         try:
-            self._parse_index(total)
+            self._parse_index()
         except BaseException:
-            if self._view is not None:
-                self._view.release()
-                self._view = None
+            if not adopted:
+                self._src.close()
             raise
 
-    def _parse_index(self, total: int) -> None:
-        head = self._read_at(0, _HEADER.size)
+    def _parse_index(self) -> None:
+        total = self._src.size
+        head = self._src.read(0, _HEADER.size)
         # The one rejection of the pre-index monolithic format, ahead of
         # the size check: a legacy blob of any length is named as such.
         if head[:4] == b"RPRH":
@@ -598,18 +607,7 @@ class ContainerReader:
             )
         if version != _VERSION:
             raise FormatError(f"unsupported container version {version}")
-        index_offset, index_length, index_crc = unpack_footer(
-            self._read_at(total - _FOOTER.size, _FOOTER.size)
-        )
-        if index_offset + index_length > total - _FOOTER.size:
-            raise FormatError("container index extends past end of file (truncated?)")
-        index_bytes = self._read_at(index_offset, index_length)
-        if len(index_bytes) != index_length or zlib.crc32(index_bytes) != index_crc:
-            raise FormatError("container index checksum mismatch (corrupt index)")
-        try:
-            index = json.loads(index_bytes.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"corrupt container index: {exc}") from exc
+        index, index_offset = read_index(self._src, FOOTER_MAGIC, "container")
         try:
             self._meta = {k: index[k] for k in _META_KEYS}
             if "field_bounds" in index:
@@ -675,22 +673,14 @@ class ContainerReader:
                 self._group_members[e.group] = self._group_members.get(e.group, 0) + 1
         self._by_key = {e.key: e for e in self.entries}
         self._group_cache: dict[int, GroupHandle] = {}
-        self._groups_verified: set[int] = set()
 
     # ------------------------------------------------------------------
     # Construction / lifecycle
     # ------------------------------------------------------------------
-    def _read_at(self, offset: int, length: int) -> bytes:
-        """Read exactly one span (used for header/footer/index parsing)."""
-        if self._view is not None:
-            return bytes(self._view[offset : offset + length])
-        self._file.seek(offset)
-        return self._file.read(length)
-
     @property
     def mapped(self) -> bool:
         """True when the reader serves zero-copy views of a byte buffer."""
-        return self._view is not None
+        return self._src.mapped
 
     @classmethod
     def open(
@@ -709,38 +699,12 @@ class ContainerReader:
         ranged GETs — instead of the local filesystem; mutually exclusive
         with ``mmap``.
         """
-        if backend is not None:
-            if mmap:
-                raise FormatError("backend= and mmap=True are mutually exclusive")
-            fileobj = backend.open_read(str(path))
-            try:
-                reader = cls(fileobj)
-            except Exception:
-                fileobj.close()
-                raise
-            reader._owns = True
-            return reader
-        fileobj = Path(path).open("rb")
+        src = ByteSource.open(path, mmap=mmap, backend=backend)
         try:
-            if mmap:
-                try:
-                    mapping = _mmap.mmap(fileobj.fileno(), 0, access=_mmap.ACCESS_READ)
-                except (ValueError, OSError) as exc:
-                    raise FormatError(f"cannot memory-map {path}: {exc}") from exc
-                try:
-                    reader = cls(mapping)
-                except Exception:
-                    mapping.close()
-                    raise
-                reader._mmap = mapping
-                reader._file = fileobj
-            else:
-                reader = cls(fileobj)
-        except Exception:
-            fileobj.close()
+            return cls(src)
+        except BaseException:
+            src.close()
             raise
-        reader._owns = True
-        return reader
 
     def close(self) -> None:
         """Close the underlying file/mapping if this reader opened it.
@@ -750,14 +714,7 @@ class ContainerReader:
         pins the mapping and makes this raise ``BufferError``. Decoded
         arrays are fresh allocations and never pin it.
         """
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._owns and self._file is not None:
-            self._file.close()
+        self._src.close()
 
     def __enter__(self) -> "ContainerReader":
         return self
@@ -839,11 +796,7 @@ class ContainerReader:
         is computed against the view — no intermediate copy is made, and
         the codecs decode the view directly).
         """
-        if self._view is not None:
-            blob = self._view[entry.offset : entry.offset + entry.length]
-        else:
-            self._file.seek(entry.offset)
-            blob = self._file.read(entry.length)
+        blob = self._src.view(entry.offset, entry.length)
         if len(blob) != entry.length:
             raise FormatError(
                 f"container truncated in patch stream {entry.describe()}: "
@@ -875,65 +828,33 @@ class ContainerReader:
         match the index's references to it (a "group/index patch-count
         mismatch" is corruption).
         """
+        g = self.group_entry(gid)
         handle = self._group_cache.get(gid)
-        if handle is not None:
-            if verify and gid not in self._groups_verified:
-                g = self._by_gid[gid]
-                header = self._read_at(g.offset, handle.header_len)
-                if zlib.crc32(header) != g.header_crc32:
-                    raise FormatError(
-                        f"group {gid}: header checksum mismatch (corrupt "
-                        "shared codebook or extent table)"
-                    )
-                self._groups_verified.add(gid)
-            return handle
-        try:
-            g = self._by_gid[gid]
-        except KeyError:
-            raise FormatError(f"container has no group {gid}") from None
-        prefix = self._read_at(g.offset, _GROUP_HEAD.size)
-        if len(prefix) < _GROUP_HEAD.size or bytes(prefix[:4]) != GROUP_MAGIC:
-            raise FormatError(f"group {gid}: not a group section (bad magic)")
-        _, n_patches, codebook_len, _ = _GROUP_HEAD.unpack_from(prefix, 0)
-        header_len = min(_group_header_len(n_patches, codebook_len), g.length)
-        header = self._read_at(g.offset, header_len)
-        if verify:
-            if zlib.crc32(header) != g.header_crc32:
-                raise FormatError(
-                    f"group {gid}: header checksum mismatch (corrupt shared "
-                    "codebook or extent table)"
-                )
-            self._groups_verified.add(gid)
-
-        def read_at(rel: int, length: int):
-            if rel + length > g.length:
-                raise FormatError(
-                    f"group {gid}: read past the group section end"
-                )
-            if self._view is not None:
-                return self._view[g.offset + rel : g.offset + rel + length]
-            self._file.seek(g.offset + rel)
-            return self._file.read(length)
-
-        handle = GroupHandle(gid, header, g.length, read_at)
-        refs = self._group_members.get(gid, 0)
-        if refs != handle.n_patches:
-            raise FormatError(
-                f"group {gid} records {handle.n_patches} members but the "
-                f"index references it from {refs} entries "
-                "(group/index patch-count mismatch)"
+        if handle is None:
+            handle = GroupHandle(
+                gid, self._src.window(g.offset, g.length),
+                g.header_crc32 if verify else None,
             )
-        self._group_cache[gid] = handle
+            refs = self._group_members.get(gid, 0)
+            if refs != handle.n_patches:
+                raise FormatError(
+                    f"group {gid} records {handle.n_patches} members but the "
+                    f"index references it from {refs} entries "
+                    "(group/index patch-count mismatch)"
+                )
+            self._group_cache[gid] = handle
+        elif verify and handle.header_crc32 != g.header_crc32:
+            raise FormatError(
+                f"group {gid}: header checksum mismatch (corrupt shared "
+                "codebook or extent table)"
+            )
         return handle
 
     def read_group_blob(self, gid: int):
         """One group section's full bytes (header + payloads) — used to
         materialize an in-memory :class:`CompressedHierarchy`."""
-        try:
-            g = self._by_gid[gid]
-        except KeyError:
-            raise FormatError(f"container has no group {gid}") from None
-        blob = self._read_at(g.offset, g.length)
+        g = self.group_entry(gid)
+        blob = self._src.read(g.offset, g.length)
         if len(blob) != g.length:
             raise FormatError(f"group {gid}: section truncated")
         return blob

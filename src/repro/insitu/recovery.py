@@ -30,12 +30,11 @@ the file, independent of the number of steps — never O(steps x file).
 
 from __future__ import annotations
 
-import io
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 from repro.compression.container import (
     CONTAINER_MAGIC,
@@ -44,6 +43,7 @@ from repro.compression.container import (
     FOOTER_SIZE,
     HEADER_SIZE,
     ContainerReader,
+    pack_footer,
     unpack_footer,
 )
 from repro.errors import FormatError, TruncatedSeriesError
@@ -53,7 +53,6 @@ from repro.insitu.series import (
     SERIES_FOOTER_MAGIC,
     SERIES_MAGIC,
     SERIES_VERSION,
-    _SERIES_FOOTER,
     _SERIES_HEADER,
     SeriesReader,
     extract_series_meta,
@@ -61,6 +60,7 @@ from repro.insitu.series import (
     build_series_index_bytes,
     unpack_seal,
 )
+from repro.storage import ByteSource, LocalFileBackend, StorageBackend
 
 __all__ = [
     "RecoveredStep",
@@ -152,39 +152,8 @@ class RecoveryReport:
         return "\n".join(lines)
 
 
-class _Source:
-    """Uniform ``read_at`` access over a path, file-like, or byte buffer."""
-
-    def __init__(self, source):
-        self._owned: BinaryIO | None = None
-        if isinstance(source, (str, Path)):
-            self._owned = Path(source).open("rb")
-            source = self._owned
-        if hasattr(source, "seek") and hasattr(source, "read"):
-            source.seek(0, io.SEEK_END)
-            self.total = source.tell()
-            self._file = source
-            self._buf = None
-        else:
-            self._buf = memoryview(source).cast("B")
-            self._file = None
-            self.total = self._buf.nbytes
-
-    def read_at(self, offset: int, length: int) -> bytes:
-        if self._buf is not None:
-            return bytes(self._buf[offset : offset + length])
-        self._file.seek(offset)
-        return self._file.read(length)
-
-    def close(self) -> None:
-        if self._buf is not None:
-            self._buf.release()
-        if self._owned is not None:
-            self._owned.close()
-
-
 def _find_magic(
-    src: _Source, start: int, end: int, magic: bytes
+    src: ByteSource, start: int, end: int, magic: bytes
 ) -> Iterator[int]:
     """Yield absolute offsets of ``magic`` in ``[start, end)``, forward
     order, reading in bounded chunks with overlap."""
@@ -192,7 +161,7 @@ def _find_magic(
     pos = start
     while pos < end:
         chunk_end = min(pos + _SCAN_CHUNK, end)
-        blob = src.read_at(pos, chunk_end - pos + overlap)
+        blob = src.read(pos, chunk_end - pos + overlap)
         blob = blob[: chunk_end - pos + overlap]
         at = blob.find(magic)
         while at != -1:
@@ -203,12 +172,12 @@ def _find_magic(
         pos = chunk_end
 
 
-def _entry_from_seal(src: _Source, pos: int) -> SeriesStepEntry | None:
-    return unpack_seal(src.read_at(pos, SEAL_SIZE))
+def _entry_from_seal(src: ByteSource, pos: int) -> SeriesStepEntry | None:
+    return unpack_seal(src.read(pos, SEAL_SIZE))
 
 
-def _segment_magic_at(src: _Source, pos: int) -> bool:
-    head = src.read_at(pos, HEADER_SIZE)
+def _segment_magic_at(src: ByteSource, pos: int) -> bool:
+    head = src.read(pos, HEADER_SIZE)
     return (
         len(head) == HEADER_SIZE
         and head[:4] == CONTAINER_MAGIC
@@ -217,7 +186,7 @@ def _segment_magic_at(src: _Source, pos: int) -> bool:
 
 
 def _recover_in_gap(
-    src: _Source, start: int, end: int, next_step: int, max_candidates: int = 32
+    src: ByteSource, start: int, end: int, next_step: int, max_candidates: int = 32
 ) -> tuple[int, SeriesStepEntry, int] | None:
     """Probe a damaged byte range for an intact, footer-recoverable segment.
 
@@ -238,7 +207,7 @@ def _recover_in_gap(
 
 
 def _recover_by_inner_footer(
-    src: _Source, pos: int, limit: int, next_step: int
+    src: ByteSource, pos: int, limit: int, next_step: int
 ) -> tuple[SeriesStepEntry, int] | None:
     """Reconstruct the segment starting at ``pos`` from its own RPH2 footer
     (the seal-destroyed fallback). Validates the segment index crc and every
@@ -249,7 +218,7 @@ def _recover_by_inner_footer(
         if f_start < pos + HEADER_SIZE:
             continue
         try:
-            idx_off, idx_len, idx_crc = unpack_footer(src.read_at(f_start, FOOTER_SIZE))
+            idx_off, idx_len, idx_crc = unpack_footer(src.read(f_start, FOOTER_SIZE))
         except FormatError:
             continue
         # The footer sits directly after the index it locates; offsets are
@@ -257,11 +226,11 @@ def _recover_by_inner_footer(
         # coincidence.
         if idx_off + idx_len != f_start - pos:
             continue
-        idx_bytes = src.read_at(pos + idx_off, idx_len)
+        idx_bytes = src.read(pos + idx_off, idx_len)
         if len(idx_bytes) != idx_len or zlib.crc32(idx_bytes) != idx_crc:
             continue
         length = f_start + FOOTER_SIZE - pos
-        seg = src.read_at(pos, length)
+        seg = src.read(pos, length)
         try:
             reader = ContainerReader(seg)
             for e in reader.entries:
@@ -288,7 +257,7 @@ def _recover_by_inner_footer(
 
 
 def _next_step(
-    src: _Source, pos: int, next_step: int, damaged: list[DamagedExtent]
+    src: ByteSource, pos: int, next_step: int, damaged: list[DamagedExtent]
 ) -> tuple[RecoveredStep | None, int] | None:
     """Recover the next step at-or-after ``pos``.
 
@@ -296,7 +265,7 @@ def _next_step(
     extent had to be dropped but the scan can continue at ``end`` — or
     ``None`` when nothing recoverable remains (trailing garbage).
     """
-    total = src.total
+    total = src.size
     if pos + HEADER_SIZE > total:
         return None
     if _segment_magic_at(src, pos):
@@ -309,7 +278,7 @@ def _next_step(
             if seal is None:
                 continue
             if seal.offset == pos and seal.length == s - pos:
-                seg = src.read_at(pos, seal.length)
+                seg = src.read(pos, seal.length)
                 if len(seg) == seal.length and zlib.crc32(seg) == seal.crc32:
                     return RecoveredStep(seal, sealed=True), s + SEAL_SIZE
                 damaged.append(
@@ -348,7 +317,7 @@ def _next_step(
             continue
         if not _segment_magic_at(src, seal.offset):
             continue
-        seg = src.read_at(seal.offset, seal.length)
+        seg = src.read(seal.offset, seal.length)
         if len(seg) != seal.length or zlib.crc32(seg) != seal.crc32:
             continue
         got = _recover_in_gap(src, pos, seal.offset, next_step)
@@ -379,22 +348,28 @@ def _next_step(
 def scan_segments(source) -> RecoveryReport:
     """Walk a series file from offset 0 and rebuild its timestep index.
 
-    ``source`` is a path, a seekable binary file, or a byte buffer. The
-    scan never modifies the file; it returns a :class:`RecoveryReport`
-    whose ``entries`` hold every fully-sealed (or footer-validated) step in
+    ``source`` is a path, a seekable binary file, a byte buffer, or an
+    open :class:`~repro.storage.ByteSource` (left open). The scan never
+    modifies the file; it returns a :class:`RecoveryReport` whose
+    ``entries`` hold every fully-sealed (or footer-validated) step in
     ascending order. Raises :class:`FormatError` when the file is not an
     RPH2S series at all (recovery cannot conjure a format).
     """
-    src = _Source(source)
+    if isinstance(source, ByteSource):
+        return _scan(source)
+    src = (
+        ByteSource.open(source) if isinstance(source, (str, Path))
+        else ByteSource(source)
+    )
     try:
         return _scan(src)
     finally:
         src.close()
 
 
-def _scan(src: _Source) -> RecoveryReport:
-    total = src.total
-    head = src.read_at(0, _SERIES_HEADER.size)
+def _scan(src: ByteSource) -> RecoveryReport:
+    total = src.size
+    head = src.read(0, _SERIES_HEADER.size)
     if len(head) < _SERIES_HEADER.size or head[:5] != SERIES_MAGIC:
         raise FormatError(
             f"not an RPH2S series (magic {head[:5]!r}); nothing to recover"
@@ -429,7 +404,7 @@ def _scan(src: _Source) -> RecoveryReport:
     meta = None
     if steps:
         last = steps[-1].entry
-        seg_meta = ContainerReader(src.read_at(last.offset, last.length)).meta()
+        seg_meta = ContainerReader(src.window(last.offset, last.length)).meta()
         meta = extract_series_meta(seg_meta)
     return RecoveryReport(
         total_bytes=total,
@@ -443,23 +418,19 @@ def _scan(src: _Source) -> RecoveryReport:
     )
 
 
-def _copy_prefix(src: Path, dst: Path, end: int) -> None:
+def _copy_prefix(src: ByteSource, dst: Path, end: int) -> None:
     """Copy ``src[:end]`` to ``dst`` in bounded chunks (campaign files can
     be tens of GB; recovery must not slurp them into memory)."""
-    with src.open("rb") as fin, dst.open("wb") as fout:
-        remaining = end
-        while remaining > 0:
-            chunk = fin.read(min(_SCAN_CHUNK, remaining))
-            if not chunk:
-                break
-            fout.write(chunk)
-            remaining -= len(chunk)
+    with dst.open("wb") as fout:
+        for pos in range(0, min(end, src.size), _SCAN_CHUNK):
+            fout.write(src.read(pos, min(_SCAN_CHUNK, end - pos)))
 
 
 def recover_series(
     path: str | Path,
     commit: bool = False,
     output: str | Path | None = None,
+    backend: StorageBackend | None = None,
 ) -> RecoveryReport:
     """Diagnose (and optionally repair) an interrupted series write.
 
@@ -471,15 +442,20 @@ def recover_series(
     With ``commit=True`` a damaged series is rewritten: trailing
     unrecoverable bytes are truncated and a fresh timestep index + footer
     are appended (fsynced, index before footer), after which the file opens
-    normally. ``output`` redirects the rewrite to a new file, leaving the
-    damaged original untouched; an intact series is never rewritten in
+    normally. ``output`` redirects the rewrite to a new local file, leaving
+    the damaged original untouched; an intact series is never rewritten in
     place (with ``output`` it is simply copied).
+
+    ``backend`` (a :class:`repro.storage.StorageBackend`) resolves ``path``
+    for the scan and for an in-place commit alike; the default is the
+    local filesystem.
     """
-    path = Path(path)
+    src = ByteSource.open(path, backend=backend)
     try:
-        with SeriesReader.open(path) as reader:
+        try:
+            reader = SeriesReader(src)
             report = RecoveryReport(
-                total_bytes=path.stat().st_size,
+                total_bytes=src.size,
                 intact=True,
                 reason=None,
                 meta=reader.meta(),
@@ -487,23 +463,27 @@ def recover_series(
                 data_end=reader._index_offset,
                 tail_bytes=0,
             )
+        except TruncatedSeriesError as exc:
+            report = scan_segments(src)
+            report.reason = str(exc)
         if commit and output is not None:
-            _copy_prefix(path, Path(output), report.total_bytes)
-        return report
-    except TruncatedSeriesError as exc:
-        reason = str(exc)
-    report = scan_segments(path)
-    report.reason = reason
-    if commit:
-        target = path
-        if output is not None:
-            target = Path(output)
-            _copy_prefix(path, target, report.data_end)
-        commit_recovery(target, report)
+            _copy_prefix(
+                src, Path(output),
+                report.total_bytes if report.intact else report.data_end,
+            )
+    finally:
+        src.close()
+    if commit and not report.intact:
+        if output is None:
+            commit_recovery(path, report, backend=backend)
+        else:
+            commit_recovery(output, report)
     return report
 
 
-def commit_recovery(path: str | Path, report: RecoveryReport) -> None:
+def commit_recovery(
+    path: str | Path, report: RecoveryReport, backend: StorageBackend | None = None
+) -> None:
     """Apply a :class:`RecoveryReport` to ``path``: truncate after the last
     recovered step and append a fresh timestep index + footer.
 
@@ -519,25 +499,20 @@ def commit_recovery(path: str | Path, report: RecoveryReport) -> None:
             "an empty series"
         )
     index_bytes = build_series_index_bytes(report.meta, report.entries)
-    with Path(path).open("r+b") as f:
+    footer = pack_footer(
+        report.data_end, len(index_bytes), zlib.crc32(index_bytes),
+        SERIES_FOOTER_MAGIC,
+    )
+    f = (backend or LocalFileBackend()).open_append(str(path))
+    try:
         f.truncate(report.data_end)
         f.seek(report.data_end)
-        f.write(index_bytes)
-        f.flush()
-        try:
-            os.fsync(f.fileno())
-        except OSError:
-            pass
-        f.write(
-            _SERIES_FOOTER.pack(
-                report.data_end,
-                len(index_bytes),
-                zlib.crc32(index_bytes),
-                SERIES_FOOTER_MAGIC,
-            )
-        )
-        f.flush()
-        try:
-            os.fsync(f.fileno())
-        except OSError:
-            pass
+        for blob in (index_bytes, footer):
+            f.write(blob)
+            f.flush()
+            try:
+                os.fsync(f.fileno())
+            except OSError:
+                pass
+    finally:
+        f.close()

@@ -52,23 +52,24 @@ lives in ``docs/container_format.md``.
 
 from __future__ import annotations
 
-import io
 import json
-import mmap as _mmap
 import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import Any
 
 import numpy as np
 
 from repro.compression.container import (
     CONTAINER_VERSION,
+    FOOTER_SIZE,
     ContainerReader,
     _normalize_selector,
+    read_index,
 )
-from repro.errors import CompressionError, FormatError, TruncatedSeriesError
+from repro.errors import FormatError, TruncatedSeriesError
+from repro.storage import ByteSource
 
 __all__ = [
     "SERIES_MAGIC",
@@ -87,7 +88,6 @@ SERIES_MAGIC = b"RPH2S"
 SERIES_FOOTER_MAGIC = b"RPH2SIDX"
 SERIES_VERSION = 1
 _SERIES_HEADER = struct.Struct("<5sB")
-_SERIES_FOOTER = struct.Struct("<QQI8s")
 
 #: Magic prefix of a step seal record (written right after each segment).
 SEAL_MAGIC = b"RPH2SEAL"
@@ -223,52 +223,6 @@ def build_series_index_bytes(
     return json.dumps(index, separators=(",", ":")).encode()
 
 
-class _SegmentWindow:
-    """Seekable read-only view of ``[start, start + length)`` of a base file.
-
-    Lets :class:`~repro.compression.container.ContainerReader` operate on an
-    embedded segment unchanged: the segment's internal offsets are relative
-    to the segment start, and this window translates them to absolute seeks
-    on the shared handle.
-    """
-
-    def __init__(self, base: BinaryIO, start: int, length: int):
-        self._base = base
-        self._start = start
-        self._length = length
-        self._pos = 0
-
-    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
-        if whence == io.SEEK_SET:
-            pos = offset
-        elif whence == io.SEEK_CUR:
-            pos = self._pos + offset
-        elif whence == io.SEEK_END:
-            pos = self._length + offset
-        else:  # pragma: no cover - mirrors io semantics
-            raise ValueError(f"invalid whence {whence}")
-        if pos < 0:
-            raise ValueError("negative seek position")
-        self._pos = pos
-        return pos
-
-    def tell(self) -> int:
-        return self._pos
-
-    def read(self, size: int = -1) -> bytes:
-        if self._pos >= self._length:
-            return b""
-        budget = self._length - self._pos
-        n = budget if size is None or size < 0 else min(size, budget)
-        self._base.seek(self._start + self._pos)
-        out = self._base.read(n)
-        self._pos += len(out)
-        return out
-
-    def close(self) -> None:
-        """A window borrows its base; whoever opened that closes it."""
-
-
 class _SeriesView:
     """The series-level metadata view both readers serve —
     :class:`SeriesReader` over one file's timestep index,
@@ -371,93 +325,49 @@ class SeriesReader(_SeriesView):
     """
 
     def __init__(self, source, _recovery=None):
-        self._owns = False
-        self._mmap: _mmap.mmap | None = None
         #: True when this reader was built from a recovery scan instead of
         #: the series footer (``None``-footer salvage path).
         self.recovered = _recovery is not None
         #: The :class:`~repro.insitu.recovery.RecoveryReport` this reader
         #: was built from, or ``None`` for a normal footer-indexed open.
         self.recovery = _recovery
-        # mmap objects are file-likes too (they grow seek/read), so the
-        # buffer check must come first or zero-copy mode silently degrades
-        # to the copying file path.
-        if not isinstance(source, _mmap.mmap) and (
-            hasattr(source, "seek") and hasattr(source, "read")
-        ):
-            self._file: BinaryIO | None = source
-            self._view: memoryview | None = None
-            source.seek(0, io.SEEK_END)
-            total = source.tell()
-        else:
-            self._file = None
-            try:
-                self._view = memoryview(source).cast("B")
-            except TypeError:
-                raise CompressionError(
-                    f"cannot read a series from {type(source).__name__}; "
-                    "pass a seekable file or a byte buffer"
-                ) from None
-            total = self._view.nbytes
-        # Release the view if parsing fails: a failing constructor must not
-        # leave an exported buffer alive, or ``open(mmap=True)``'s cleanup
-        # ``mapping.close()`` raises BufferError and masks the real error
-        # (the in-flight traceback pins this frame's ``self``).
+        adopted = isinstance(source, ByteSource)
+        self._src = source if adopted else ByteSource(source)
+        # A failing constructor must not leave its own buffer view alive
+        # (see :class:`~repro.compression.container.ContainerReader`).
         try:
             if _recovery is not None:
                 self._install_recovery(_recovery)
             else:
-                self._parse_index(total)
+                self._parse_index()
         except BaseException:
-            if self._view is not None:
-                self._view.release()
-                self._view = None
+            if not adopted:
+                self._src.close()
             raise
 
-    def _parse_index(self, total: int) -> None:
-        if total < _SERIES_HEADER.size + _SERIES_FOOTER.size:
+    def _parse_index(self) -> None:
+        total = self._src.size
+        head = self._src.read(0, _SERIES_HEADER.size)
+        if total < _SERIES_HEADER.size + FOOTER_SIZE:
             # A valid magic on a too-short file is an interrupted write,
             # not an alien format — keep the two failure classes distinct.
-            if total >= len(SERIES_MAGIC) and (
-                self._read_at(0, len(SERIES_MAGIC)) == SERIES_MAGIC
-            ):
+            if head[: len(SERIES_MAGIC)] == SERIES_MAGIC:
                 raise TruncatedSeriesError(
                     f"series truncated to {total} bytes, shorter than the "
                     f"RPH2S framing{_RECOVERY_HINT}"
                 )
             raise FormatError(f"series too short ({total} bytes) for RPH2S framing")
-        magic, version = _SERIES_HEADER.unpack(self._read_at(0, _SERIES_HEADER.size))
+        magic, version = _SERIES_HEADER.unpack(head)
         if magic != SERIES_MAGIC:
             raise FormatError(
                 f"not an RPH2S series (magic {magic!r}, expected {SERIES_MAGIC!r})"
             )
         if version != SERIES_VERSION:
             raise FormatError(f"unsupported series version {version}")
-        footer_blob = self._read_at(total - _SERIES_FOOTER.size, _SERIES_FOOTER.size)
-        index_offset, index_length, index_crc, footer_magic = _SERIES_FOOTER.unpack(
-            footer_blob
+        index, index_offset = read_index(
+            self._src, SERIES_FOOTER_MAGIC, "series",
+            error=TruncatedSeriesError, hint=_RECOVERY_HINT,
         )
-        if footer_magic != SERIES_FOOTER_MAGIC:
-            raise TruncatedSeriesError(
-                f"bad series footer magic {footer_magic!r}: the file was "
-                f"truncated mid-write or never finalized{_RECOVERY_HINT}"
-            )
-        if index_offset + index_length > total - _SERIES_FOOTER.size:
-            raise TruncatedSeriesError(
-                f"series index extends past end of file (truncated?){_RECOVERY_HINT}"
-            )
-        index_bytes = self._read_at(index_offset, index_length)
-        if len(index_bytes) != index_length or zlib.crc32(index_bytes) != index_crc:
-            raise TruncatedSeriesError(
-                "series index checksum mismatch (corrupt timestep index)"
-                f"{_RECOVERY_HINT}"
-            )
-        try:
-            index = json.loads(index_bytes.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise TruncatedSeriesError(
-                f"corrupt series index: {exc}{_RECOVERY_HINT}"
-            ) from exc
         try:
             if index["format"] != "rph2s":
                 raise FormatError(f"unexpected index format {index['format']!r}")
@@ -518,17 +428,10 @@ class SeriesReader(_SeriesView):
     # ------------------------------------------------------------------
     # Construction / lifecycle
     # ------------------------------------------------------------------
-    def _read_at(self, offset: int, length: int) -> bytes:
-        """Read exactly one span (used for header/footer/index parsing)."""
-        if self._view is not None:
-            return bytes(self._view[offset : offset + length])
-        self._file.seek(offset)
-        return self._file.read(length)
-
     @property
     def mapped(self) -> bool:
         """True when the reader serves zero-copy views of a byte buffer."""
-        return self._view is not None
+        return self._src.mapped
 
     #: Overridden by :class:`repro.insitu.sharded.ShardedSeriesReader`;
     #: lets callers (and the append path) tell a federated manifest reader
@@ -568,92 +471,50 @@ class SeriesReader(_SeriesView):
         reader federates every shard's timestep index and serves the union
         through this same API (its :attr:`is_sharded` is True).
         """
-        if backend is not None and mmap:
-            raise CompressionError("backend= and mmap=True are mutually exclusive")
-        # Sharded-manifest dispatch: sniff the magic before committing to
-        # the single-file parse. Lazy import — sharded imports this module.
-        from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
-
-        if backend is not None:
-            probe = backend.open_read(str(path))
-            try:
-                head = probe.read(len(MANIFEST_MAGIC))
-            finally:
-                probe.close()
-        else:
-            with Path(path).open("rb") as probe:
-                head = probe.read(len(MANIFEST_MAGIC))
-        if head == MANIFEST_MAGIC:
-            return ShardedSeriesReader.open(
-                path, mmap=mmap, recover=recover, backend=backend
-            )
-        try:
-            return cls._open(path, mmap=mmap, backend=backend)
-        except TruncatedSeriesError:
-            if not recover:
-                raise
-        from repro.insitu.recovery import scan_segments
-
-        if backend is not None:
-            handle = backend.open_read(str(path))
-            try:
-                report = scan_segments(handle)
-            finally:
-                handle.close()
-        else:
-            report = scan_segments(path)
-        if not report.entries:
-            raise TruncatedSeriesError(
-                f"{path}: damaged series holds no fully-sealed steps; "
-                "nothing to recover"
-            )
-        return cls._open(path, mmap=mmap, _recovery=report, backend=backend)
+        src = ByteSource.open(path, mmap=mmap, backend=backend)
+        return cls._from_source(
+            src, path, mmap=mmap, recover=recover, backend=backend
+        )
 
     @classmethod
-    def _open(
-        cls, path: str | Path, *, mmap: bool = False, _recovery=None, backend=None
+    def _from_source(
+        cls, src: ByteSource, path, *, mmap=False, recover=False, backend=None
     ) -> "SeriesReader":
-        if backend is not None:
-            fileobj = backend.open_read(str(path))
-            try:
-                reader = cls(fileobj, _recovery=_recovery)
-            except Exception:
-                fileobj.close()
-                raise
-            reader._owns = True
-            return reader
-        fileobj = Path(path).open("rb")
+        """:meth:`open`, over the source a caller already opened for
+        ``path``: one handle serves the magic sniff, the parse and the
+        salvage scan. The reader adopts ``src``; a failure closes it."""
+        # Lazy imports — both modules import this one.
+        from repro.insitu.recovery import scan_segments
+        from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
+
         try:
-            if mmap:
-                try:
-                    mapping = _mmap.mmap(fileobj.fileno(), 0, access=_mmap.ACCESS_READ)
-                except (ValueError, OSError) as exc:
-                    raise FormatError(f"cannot memory-map {path}: {exc}") from exc
-                try:
-                    reader = cls(mapping, _recovery=_recovery)
-                except Exception:
-                    mapping.close()
-                    raise
-                reader._mmap = mapping
-                reader._file = fileobj
+            manifest = None
+            if src.read(0, len(MANIFEST_MAGIC)) == MANIFEST_MAGIC:
+                manifest = src.read(0, src.size)
             else:
-                reader = cls(fileobj, _recovery=_recovery)
-        except Exception:
-            fileobj.close()
+                try:
+                    return cls(src)
+                except TruncatedSeriesError:
+                    if not recover:
+                        raise
+                report = scan_segments(src)
+                if not report.entries:
+                    raise TruncatedSeriesError(
+                        f"{path}: damaged series holds no fully-sealed steps; "
+                        "nothing to recover"
+                    )
+                return cls(src, _recovery=report)
+        except BaseException:
+            src.close()
             raise
-        reader._owns = True
-        return reader
+        src.close()
+        return ShardedSeriesReader._federate(
+            path, manifest, mmap=mmap, recover=recover, backend=backend
+        )
 
     def close(self) -> None:
         """Close the underlying file/mapping if this reader opened it."""
-        if self._view is not None:
-            self._view.release()
-            self._view = None
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        if self._owns and self._file is not None:
-            self._file.close()
+        self._src.close()
 
     # ------------------------------------------------------------------
     # Random access
@@ -679,9 +540,7 @@ class SeriesReader(_SeriesView):
         """
         e = self.entry(step)
         try:
-            if self._view is not None:
-                return ContainerReader(self._view[e.offset : e.offset + e.length])
-            return ContainerReader(_SegmentWindow(self._file, e.offset, e.length))
+            return ContainerReader(self._src.window(e.offset, e.length))
         except FormatError as exc:
             raise FormatError(f"series step {e.describe()}: {exc}") from exc
 
@@ -694,11 +553,7 @@ class SeriesReader(_SeriesView):
         runs over the segment's ``memoryview`` without a copy.
         """
         e = self.entry(step)
-        if self._view is not None:
-            blob = self._view[e.offset : e.offset + e.length]
-        else:
-            self._file.seek(e.offset)
-            blob = self._file.read(e.length)
+        blob = self._src.view(e.offset, e.length)
         if len(blob) != e.length or zlib.crc32(blob) != e.crc32:
             raise FormatError(f"segment checksum mismatch at step {e.describe()}")
 

@@ -222,6 +222,47 @@ def _shard_path(manifest: str | Path, basename: str) -> str:
     return os.path.join(base_dir, basename) if base_dir else basename
 
 
+def _discover(backend: StorageBackend, manifest_name: str) -> tuple[list[str], list[str]]:
+    """A campaign's ``(shard names, parity names)`` as the naming
+    convention finds them next to the manifest, each sorted."""
+    root, _ = os.path.splitext(manifest_name)
+    return (
+        [n for n in backend.list(f"{root}.shard") if n.endswith(".rph2s")],
+        [n for n in backend.list(f"{root}.parity") if n.endswith(".rpxp")],
+    )
+
+
+def _load_campaign(
+    backend: StorageBackend, manifest_name: str, blob: bytes | None = None
+) -> tuple[dict | None, list[str], list[str], Exception | None]:
+    """Load the manifest, or discover the siblings.
+
+    Returns ``(manifest, shard names, parity names, error)``. A manifest
+    that reads and parses (from ``blob`` when the caller already holds its
+    bytes) names its own files. One that does not comes back as ``None``
+    with the :class:`~repro.errors.FormatError` or
+    :class:`~repro.errors.StorageError` that said so, and the names are
+    whatever :func:`_discover` finds. What a missing or non-final manifest
+    means is the caller's policy.
+    """
+    try:
+        if blob is None:
+            handle = backend.open_read(manifest_name)
+            try:
+                blob = handle.read()
+            finally:
+                handle.close()
+        man = parse_manifest(blob)
+    except (FormatError, StorageError) as exc:
+        return (None, *_discover(backend, manifest_name), exc)
+    return (
+        man,
+        [_shard_path(manifest_name, row["name"]) for row in man["shards"]],
+        [_shard_path(manifest_name, row["name"]) for row in man.get("parity") or []],
+        None,
+    )
+
+
 class ShardedSeriesWriter:
     """Fan an in-situ campaign out across N shard files.
 
@@ -753,39 +794,31 @@ class ShardedSeriesReader(_SeriesView):
         """
         if backend is not None and mmap:
             raise CompressionError("backend= and mmap=True are mutually exclusive")
+        return cls._federate(path, None, mmap=mmap, recover=recover, backend=backend)
+
+    @classmethod
+    def _federate(
+        cls, path: str | Path, blob: bytes | None, *, mmap, recover, backend
+    ) -> "ShardedSeriesReader":
+        """:meth:`open`, over manifest bytes the caller already read
+        (:meth:`SeriesReader.open` sniffed them) or ``None`` to read them."""
         backend_ = backend or LocalFileBackend()
         manifest_name = str(path)
-        man: dict | None = None
-        try:
-            handle = backend_.open_read(manifest_name)
-            try:
-                man = parse_manifest(handle.read())
-            finally:
-                handle.close()
-        except (TruncatedSeriesError, StorageError):
-            if not recover:
-                raise
+        man, full_names, _, error = _load_campaign(backend_, manifest_name, blob)
+        if error is not None and not (
+            recover and isinstance(error, (TruncatedSeriesError, StorageError))
+        ):
+            raise error
         if man is not None and not man["final"] and not recover:
             raise TruncatedSeriesError(
                 f"{manifest_name}: campaign manifest is not final — the "
                 f"writer was killed before close(){_RECOVERY_HINT}"
             )
-        if man is not None:
-            full_names = [
-                _shard_path(manifest_name, row["name"]) for row in man["shards"]
-            ]
-        else:
-            # Manifest unreadable: discover shards by naming convention.
-            root, _ = os.path.splitext(manifest_name)
-            full_names = [
-                n for n in backend_.list(f"{root}.shard")
-                if n.endswith(".rph2s")
-            ]
-            if not full_names:
-                raise TruncatedSeriesError(
-                    f"{manifest_name}: manifest unreadable and no shard "
-                    "files found; nothing to recover"
-                )
+        if man is None and not full_names:
+            raise TruncatedSeriesError(
+                f"{manifest_name}: manifest unreadable and no shard "
+                "files found; nothing to recover"
+            )
         readers: dict[str, SeriesReader] = {}
         salvage: dict[str, Any] = {}
         dropped: list[tuple[str, str]] = []
@@ -997,41 +1030,25 @@ def recover_sharded(
         )
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
-    man: dict | None = None
-    manifest_final = False
-    try:
-        handle = backend_.open_read(manifest_name)
-        try:
-            man = parse_manifest(handle.read())
-        finally:
-            handle.close()
-        manifest_final = bool(man["final"])
-    except (TruncatedSeriesError, StorageError):
-        man = None
-    if man is not None:
-        full_names = [
-            _shard_path(manifest_name, row["name"]) for row in man["shards"]
-        ]
-        durabilities = {
-            _shard_path(manifest_name, row["name"]): row["durability"]
-            for row in man["shards"]
-        }
-    else:
-        root, _ = os.path.splitext(manifest_name)
-        full_names = [
-            n for n in backend_.list(f"{root}.shard") if n.endswith(".rph2s")
-        ]
-        durabilities = {}
-        if not full_names:
-            raise TruncatedSeriesError(
-                f"{manifest_name}: manifest unreadable and no shard files "
-                "found; nothing to recover"
-            )
+    man, full_names, _, error = _load_campaign(backend_, manifest_name)
+    if error is not None and not isinstance(
+        error, (TruncatedSeriesError, StorageError)
+    ):
+        raise error
+    manifest_final = man is not None and bool(man["final"])
+    durabilities = {
+        name: row["durability"] for name, row in zip(full_names, man["shards"])
+    } if man is not None else {}
+    if man is None and not full_names:
+        raise TruncatedSeriesError(
+            f"{manifest_name}: manifest unreadable and no shard files "
+            "found; nothing to recover"
+        )
     reports: dict[str, Any] = {}
     dropped: list[tuple[str, str]] = []
     for name in full_names:
         try:
-            reports[name] = recover_series(name, commit=commit)
+            reports[name] = recover_series(name, commit=commit, backend=backend)
         except (FormatError, OSError, StorageError) as exc:
             dropped.append((name, str(exc)))
     if not reports:

@@ -61,7 +61,6 @@ from repro.insitu.series import (
     SERIES_FOOTER_MAGIC,
     SERIES_MAGIC,
     SERIES_VERSION,
-    _SERIES_FOOTER,
     _SERIES_HEADER,
     SeriesReader,
     SeriesStepEntry,
@@ -704,7 +703,7 @@ class StreamingWriter:
         if self._durability != "none":
             self._sync()
         self._write(
-            _SERIES_FOOTER.pack(
+            pack_footer(
                 index_offset, len(index_bytes), zlib.crc32(index_bytes), SERIES_FOOTER_MAGIC
             )
         )

@@ -34,8 +34,9 @@ Parity file layout:
     offset 4   u8       parity version (currently 1)
     offset 5   stripe parity blocks, back to back (raw XOR bytes)
     ...        parity index: JSON document (see below)
-    EOF-28     footer: u64 index_offset, u64 index_length,
-               u32 crc32(index bytes), footer magic b"RPXP-IDX"
+    EOF-28     footer: the 28-byte trailer RPH2 and RPH2S end in
+               (:func:`~repro.compression.container.pack_footer`) under
+               the footer magic b"RPXP-IDX"
 
 Parity index schema (JSON)::
 
@@ -62,12 +63,13 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.compression.container import FOOTER_SIZE, pack_footer, read_index
 from repro.errors import FormatError, IntegrityError, StorageError
-from repro.storage import LocalFileBackend, StorageBackend
+from repro.storage import ByteSource, StorageBackend
 
 __all__ = [
     "PARITY_MAGIC",
@@ -90,7 +92,6 @@ PARITY_VERSION = 1
 #: The one scheme this version writes and reads.
 PARITY_SCHEME = "xor-stripe-v1"
 _PARITY_HEADER = struct.Struct("<4sB")
-_PARITY_FOOTER = struct.Struct("<QQI8s")
 
 
 def parity_names(manifest: str | Path, parity: int) -> list[str]:
@@ -177,46 +178,52 @@ def pack_parity_index(
     return json.dumps(index, separators=(",", ":")).encode()
 
 
-def _read_exact(handle: BinaryIO, offset: int, length: int, what: str) -> bytes:
-    handle.seek(offset)
-    blob = handle.read(length)
-    if len(blob) != length:
-        raise FormatError(
-            f"{what}: read {len(blob)} of {length} bytes (truncated?)"
-        )
-    return blob
-
-
 class ParityReader:
-    """Random access over one RPXP parity shard file.
+    """Random access over one RPXP parity shard.
 
-    Opens the footer and index eagerly (a few hundred bytes); stripe
-    parity blocks are fetched on demand. :meth:`reconstruct` is the
+    ``source`` is a seekable file or byte buffer (or an open
+    :class:`~repro.storage.ByteSource`, which the reader adopts), ``name``
+    what messages call it; :meth:`open` opens a named object and owns the
+    handle. The footer and index are read eagerly (a few hundred bytes);
+    stripe parity blocks are fetched on demand. :meth:`reconstruct` is the
     repair primitive: given a ``read`` callable over the member shards,
     it rebuilds one lost member's segment+seal bytes bit-exactly (crc
     proven) or raises :class:`~repro.errors.IntegrityError`.
     """
 
-    def __init__(self, name: str, backend: StorageBackend | None = None):
+    def __init__(self, source, name: str | Path):
         self._name = str(name)
-        self._backend = backend or LocalFileBackend()
-        self._handle = self._backend.open_read(self._name)
+        adopted = isinstance(source, ByteSource)
+        self._src = source if adopted else ByteSource(source)
         try:
             self._parse()
         except BaseException:
-            self._handle.close()
+            if not adopted:
+                self._src.close()
+            raise
+
+    @classmethod
+    def open(
+        cls, name: str | Path, *, mmap: bool = False,
+        backend: StorageBackend | None = None,
+    ) -> "ParityReader":
+        """Open a parity shard by name (the reader owns the handle), from
+        the local filesystem or through ``backend``."""
+        src = ByteSource.open(name, mmap=mmap, backend=backend)
+        try:
+            return cls(src, name)
+        except BaseException:
+            src.close()
             raise
 
     def _parse(self) -> None:
-        h = self._handle
-        h.seek(0, 2)
-        total = h.tell()
-        if total < _PARITY_HEADER.size + _PARITY_FOOTER.size:
+        total = self._src.size
+        if total < _PARITY_HEADER.size + FOOTER_SIZE:
             raise FormatError(
                 f"{self._name}: too short ({total} bytes) for RPXP framing"
             )
         magic, version = _PARITY_HEADER.unpack(
-            _read_exact(h, 0, _PARITY_HEADER.size, "parity header")
+            self._src.read(0, _PARITY_HEADER.size)
         )
         if magic != PARITY_MAGIC:
             raise FormatError(
@@ -224,22 +231,8 @@ class ParityReader:
             )
         if version != PARITY_VERSION:
             raise FormatError(f"unsupported parity version {version}")
-        footer = _read_exact(
-            h, total - _PARITY_FOOTER.size, _PARITY_FOOTER.size, "parity footer"
-        )
-        idx_off, idx_len, idx_crc, fmagic = _PARITY_FOOTER.unpack(footer)
-        if fmagic != PARITY_FOOTER_MAGIC:
-            raise FormatError(
-                f"{self._name}: bad parity footer magic {fmagic!r} "
-                "(truncated or torn write)"
-            )
-        if idx_off + idx_len > total - _PARITY_FOOTER.size:
-            raise FormatError(f"{self._name}: parity index extends past EOF")
-        idx_bytes = _read_exact(h, idx_off, idx_len, "parity index")
-        if zlib.crc32(idx_bytes) != idx_crc:
-            raise FormatError(f"{self._name}: parity index checksum mismatch")
+        index, _ = read_index(self._src, PARITY_FOOTER_MAGIC, self._name)
         try:
-            index = json.loads(idx_bytes.decode())
             if index["format"] != "rpxp":
                 raise FormatError(
                     f"unexpected parity index format {index['format']!r}"
@@ -265,8 +258,7 @@ class ParityReader:
                         ),
                     )
                 )
-        except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                IndexError, ValueError, TypeError) as exc:
+        except (KeyError, IndexError, ValueError, TypeError) as exc:
             raise FormatError(
                 f"{self._name}: corrupt parity index: {exc!r}"
             ) from exc
@@ -281,7 +273,7 @@ class ParityReader:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        self._handle.close()
+        self._src.close()
 
     def __enter__(self) -> "ParityReader":
         return self
@@ -303,10 +295,12 @@ class ParityReader:
 
     def parity_bytes(self, stripe: ParityStripe, verify: bool = True) -> bytes:
         """One stripe's raw XOR block (crc-checked unless ``verify=False``)."""
-        blob = _read_exact(
-            self._handle, stripe.offset, stripe.length,
-            f"parity stripe {stripe.index}",
-        )
+        blob = self._src.read(stripe.offset, stripe.length)
+        if len(blob) != stripe.length:
+            raise FormatError(
+                f"{self._name}: parity stripe {stripe.index}: read "
+                f"{len(blob)} of {stripe.length} bytes (truncated?)"
+            )
         if verify and zlib.crc32(blob) != stripe.crc32:
             raise FormatError(
                 f"{self._name}: parity stripe {stripe.index} checksum mismatch"
@@ -383,12 +377,12 @@ def build_parity(
     def full(name: str) -> str:
         return os.path.join(base_dir, name) if base_dir else name
 
-    handles = {}
+    sources: dict[str, ByteSource] = {}
     stripes: list[ParityStripe] = []
     out = backend.open_write(str(parity_name))
     try:
         for name in member_names:
-            handles[os.path.basename(name)] = backend.open_read(str(name))
+            sources[os.path.basename(name)] = ByteSource.open(name, backend=backend)
         pos = 0
 
         def emit(blob: bytes) -> None:
@@ -405,10 +399,12 @@ def build_parity(
                 if i >= len(rows):
                     continue
                 step, offset, length = rows[i]
-                blob = _read_exact(
-                    handles[shard], offset, length,
-                    f"{shard} step {step} segment",
-                )
+                blob = sources[shard].read(offset, length)
+                if len(blob) != length:
+                    raise FormatError(
+                        f"{shard} step {step} segment: read {len(blob)} of "
+                        f"{length} bytes (truncated?)"
+                    )
                 members.append(
                     StripeMember(
                         shard=shard, step=int(step), offset=int(offset),
@@ -428,15 +424,15 @@ def build_parity(
         index_offset = pos
         emit(index_bytes)
         emit(
-            _PARITY_FOOTER.pack(
+            pack_footer(
                 index_offset, len(index_bytes), zlib.crc32(index_bytes),
                 PARITY_FOOTER_MAGIC,
             )
         )
         out.flush()
     finally:
-        for h in handles.values():
-            h.close()
+        for src in sources.values():
+            src.close()
         out.close()
     return {
         "name": os.path.basename(str(parity_name)),

@@ -34,26 +34,20 @@ committing anything.
 
 from __future__ import annotations
 
-import io
 import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from threading import Lock
 
-from repro.errors import (
-    FormatError,
-    IntegrityError,
-    StorageError,
-    TruncatedSeriesError,
-)
+from repro.errors import FormatError, IntegrityError, StorageError
 from repro.insitu.series import (
     _SERIES_HEADER,
     SEAL_SIZE,
     SERIES_MAGIC,
     SERIES_VERSION,
 )
-from repro.insitu.sharded import _shard_path, parse_manifest
+from repro.insitu.sharded import _discover, _load_campaign, _shard_path
 from repro.integrity.parity import (
     ParityReader,
     ParityStripe,
@@ -61,7 +55,7 @@ from repro.integrity.parity import (
     build_parity,
     xor_blocks,
 )
-from repro.storage import LocalFileBackend, StorageBackend
+from repro.storage import ByteSource, LocalFileBackend, StorageBackend
 
 __all__ = ["MemberDamage", "RepairReport", "repair_sharded", "SegmentHealer"]
 
@@ -133,31 +127,21 @@ def _read_member(
 ) -> tuple[bytes | None, str | None]:
     """Fetch one member's segment+seal bytes; ``(None, reason)`` on damage."""
     try:
-        handle = backend.open_read(full_name)
+        src = ByteSource.open(full_name, backend=backend)
     except StorageError as exc:
         return None, f"shard unreadable ({exc})" if backend.exists(full_name) \
             else "shard file missing"
     try:
-        handle.seek(m.offset)
-        blob = handle.read(m.length)
+        blob = src.read(m.offset, m.length)
     except (OSError, StorageError) as exc:
         return None, f"read failed ({exc})"
     finally:
-        handle.close()
+        src.close()
     if len(blob) != m.length:
         return None, f"segment truncated ({len(blob)} of {m.length} bytes)"
     if zlib.crc32(blob) != m.crc32:
         return None, "segment fails its recorded crc"
     return blob, None
-
-
-def _discover_parity(
-    backend: StorageBackend, manifest_name: str
-) -> list[str]:
-    root, _ = os.path.splitext(manifest_name)
-    return sorted(
-        n for n in backend.list(f"{root}.parity") if n.endswith(".rpxp")
-    )
 
 
 def repair_sharded(
@@ -189,24 +173,12 @@ def repair_sharded(
         )
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
-    man: dict | None = None
-    try:
-        handle = backend_.open_read(manifest_name)
-        try:
-            man = parse_manifest(handle.read())
-        finally:
-            handle.close()
-    except (TruncatedSeriesError, FormatError, StorageError):
-        man = None
-    if man is not None and man.get("parity"):
-        parity_files = [
-            _shard_path(manifest_name, row["name"]) for row in man["parity"]
-        ]
-    else:
-        # Manifest gone/damaged/parity-free on paper: the parity files
-        # themselves are discoverable by naming convention and carry full
-        # membership in their indexes.
-        parity_files = _discover_parity(backend_, manifest_name)
+    # Manifest gone or damaged (the loader discovers the siblings) or
+    # parity-free on paper: the parity files themselves are found by
+    # naming convention and carry full membership in their indexes.
+    man, _, parity_files, _ = _load_campaign(backend_, manifest_name)
+    if man is not None and not parity_files:
+        parity_files = _discover(backend_, manifest_name)[1]
     if not parity_files:
         raise IntegrityError(
             f"{manifest_name}: campaign has no parity shards — nothing to "
@@ -224,7 +196,7 @@ def repair_sharded(
 
     for pfile in parity_files:
         try:
-            reader = ParityReader(pfile, backend=backend_)
+            reader = ParityReader.open(pfile, backend=backend_)
         except (FormatError, StorageError) as exc:
             # The parity file itself is damaged. Its stripes cannot help
             # anyone; it can only be rebuilt if *every* member is healthy,
@@ -354,7 +326,7 @@ def _commit_repair(
     extents: dict[str, list[StripeMember]] = {}
     for pfile, _, _ in parity_specs:
         try:
-            r = ParityReader(pfile, backend=backend)
+            r = ParityReader.open(pfile, backend=backend)
         except (FormatError, StorageError):
             continue
         try:
@@ -488,7 +460,7 @@ class SegmentHealer:
                 # transient storage fault.
                 if pfile not in self._readers:
                     try:
-                        self._readers[pfile] = ParityReader(
+                        self._readers[pfile] = ParityReader.open(
                             pfile, backend=self._backend
                         )
                     except (FormatError, StorageError):
@@ -540,14 +512,13 @@ class SegmentHealer:
         stripe, member = found
 
         def read(shard: str, offset: int, length: int) -> bytes:
-            handle = self._backend.open_read(
-                _shard_path(self._manifest, shard)
+            src = ByteSource.open(
+                _shard_path(self._manifest, shard), backend=self._backend
             )
             try:
-                handle.seek(offset)
-                return handle.read(length)
+                return src.read(offset, length)
             finally:
-                handle.close()
+                src.close()
 
         return member, reader.reconstruct(stripe, member, read)
 

@@ -33,7 +33,6 @@ campaigns scrub the same way local ones do. Surfaced on the CLI as
 
 from __future__ import annotations
 
-import io
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -47,7 +46,7 @@ from repro.insitu.series import (
     SeriesReader,
     unpack_seal,
 )
-from repro.insitu.sharded import MANIFEST_MAGIC, _shard_path, parse_manifest
+from repro.insitu.sharded import MANIFEST_MAGIC, _load_campaign
 from repro.integrity.parity import PARITY_MAGIC, ParityReader, xor_blocks
 from repro.storage import LocalFileBackend, StorageBackend
 
@@ -220,7 +219,7 @@ class _Scrubber:
         container walk inside every segment."""
         entries = None
         try:
-            with SeriesReader(io.BytesIO(blob)) as reader:
+            with SeriesReader(blob) as reader:
                 entries = list(reader.step_entries)
         except TruncatedSeriesError as exc:
             self.add(name, "footer", str(exc))
@@ -282,7 +281,7 @@ class _Scrubber:
         Returns the parsed reader (over in-memory bytes) for the caller's
         cross-file XOR check, or ``None`` when unparseable."""
         try:
-            reader = _BytesParityReader(name, blob)
+            reader = ParityReader(blob, name)
         except FormatError as exc:
             self.add(name, "index", str(exc))
             return None
@@ -298,31 +297,23 @@ class _Scrubber:
     # RPHM sharded manifest (the campaign walk)
     # ------------------------------------------------------------------
     def scrub_manifest(self, name: str, blob: bytes) -> None:
-        try:
-            man = parse_manifest(blob)
-            self.report.bytes_verified += len(blob)
-        except (TruncatedSeriesError, FormatError) as exc:
-            self.add(name, "manifest", str(exc))
+        man, shards, parity, error = _load_campaign(self.backend, name, blob)
+        if error is not None:
+            self.add(name, "manifest", str(error))
             # Still scrub whatever shards can be discovered by convention.
-            root, _ = os.path.splitext(name)
-            for shard in sorted(self.backend.list(f"{root}.shard")):
-                if shard.endswith(".rph2s"):
-                    self.scrub_object(shard)
-            for pfile in sorted(self.backend.list(f"{root}.parity")):
-                if pfile.endswith(".rpxp"):
-                    self.scrub_object(pfile)
+            for sibling in shards + parity:
+                self.scrub_object(sibling)
             return
+        self.report.bytes_verified += len(blob)
         shard_blobs: dict[str, bytes | None] = {}
-        for row in man["shards"]:
-            full = _shard_path(name, row["name"])
+        for full in shards:
             shard_blob = self._read_all(full)
-            shard_blobs[row["name"]] = shard_blob
+            shard_blobs[os.path.basename(full)] = shard_blob
             if shard_blob is None:
                 continue
             self.report.objects += 1
             self.scrub_series(full, shard_blob)
-        for prow in man.get("parity") or []:
-            full = _shard_path(name, prow["name"])
+        for full in parity:
             pblob = self._read_all(full)
             if pblob is None:
                 continue
@@ -372,16 +363,6 @@ class _Scrubber:
                     "members does not equal the stored parity block — the "
                     "parity is stale or bit-rotted",
                 )
-
-
-class _BytesParityReader(ParityReader):
-    """ParityReader over already-fetched bytes (one read, no reopen)."""
-
-    def __init__(self, name: str, blob: bytes):
-        self._name = str(name)
-        self._backend = None
-        self._handle = io.BytesIO(blob)
-        self._parse()
 
 
 def scrub(

@@ -39,12 +39,12 @@ from typing import Callable, Sequence
 
 from repro.compression.container import CONTAINER_MAGIC, ContainerReader
 from repro.errors import FormatError, IntegrityError, ReproError, StorageError
-from repro.insitu.series import SERIES_MAGIC, SeriesReader, _SegmentWindow
+from repro.insitu.series import SERIES_MAGIC, SeriesReader
 from repro.insitu.sharded import MANIFEST_MAGIC
 from repro.integrity import SegmentHealer
 from repro.serve.cache import ServeCache
 from repro.serve.resilience import CircuitBreaker
-from repro.storage import StorageBackend
+from repro.storage import ByteSource, StorageBackend
 
 __all__ = ["StepSource"]
 
@@ -57,20 +57,28 @@ class _ThreadBytes(threading.local):
 
 
 class _CountedFile:
-    """The ``seek``/``read`` base under a
-    :class:`~repro.insitu.series._SegmentWindow`: each read is one
-    :meth:`StepSource.read`."""
+    """The file-like a :class:`~repro.storage.ByteSource` sits on so that
+    each of its reads is one :meth:`StepSource.read`. ``size`` is where the
+    file is taken to end."""
 
-    def __init__(self, source: "StepSource", file: str):
+    def __init__(self, source: "StepSource", file: str, size: int):
         self._source = source
         self._file = file
+        self._size = size
         self._pos = 0
 
-    def seek(self, pos: int) -> None:
-        self._pos = pos
+    def seek(self, pos: int, whence: int = 0) -> int:
+        self._pos = pos + (self._size if whence == 2 else 0)
+        return self._pos
+
+    def tell(self) -> int:
+        return self._pos
 
     def read(self, size: int) -> bytes:
         return self._source.read(self._file, self._pos, size)
+
+    def close(self) -> None:
+        """The handle underneath is the source's, shared and kept."""
 
 
 class _CountedBackend:
@@ -81,8 +89,8 @@ class _CountedBackend:
     def __init__(self, source: "StepSource"):
         self._source = source
 
-    def open_read(self, name: str) -> _SegmentWindow:
-        return _SegmentWindow(_CountedFile(self._source, name), 0, self.size(name))
+    def open_read(self, name: str) -> _CountedFile:
+        return _CountedFile(self._source, name, self.size(name))
 
     def __getattr__(self, name: str):
         return getattr(self._source.backend, name)
@@ -163,56 +171,56 @@ class StepSource:
     def _harvest(self, recover: bool) -> None:
         """Read the source's step table and metadata once, then let go of
         the reader — every later byte is a planned, counted read."""
-        probe = self.backend.open_read(self.path)
+        # One handle serves the magic sniff and whichever parse follows it.
+        src = ByteSource.open(self.path, backend=self.backend)
         try:
-            head = probe.read(len(SERIES_MAGIC))
+            head = src.read(0, len(SERIES_MAGIC))
+            sharded = head[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC
+            if head != SERIES_MAGIC and not sharded:
+                if head[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
+                    raise FormatError(
+                        f"{self.path}: not an RPH2 container, RPH2S series, or "
+                        f"RPHM manifest (magic {head!r})"
+                    )
+                self.meta = ContainerReader(src).meta()
+                self.segments[0] = (self.path, 0, src.size)
+                return
+            # The open failure a parity-carrying campaign is served around.
+            degraded: Exception | None = None
+            try:
+                reader = SeriesReader._from_source(
+                    src, self.path, recover=recover, backend=self.backend
+                )
+            except (StorageError, FormatError, OSError) as exc:
+                # A campaign with a damaged shard cannot federate the normal
+                # way — but if it carries parity, the salvage open serves what
+                # is readable, the steps it lost are recorded in the parity
+                # stripe indexes, and their bytes heal on first touch.
+                if not (self._heal and sharded):
+                    raise
+                degraded = exc
+                reader = SeriesReader.open(
+                    self.path, recover=True, backend=self.backend
+                )
+                if not reader.parity:
+                    reader.close()
+                    raise
+            with reader:
+                salvage = reader.recovery if degraded is not None else None
+                self.is_sharded = bool(reader.is_sharded)
+                self.recovered = recover and bool(
+                    salvage.shards if salvage else reader.recovered
+                )
+                if getattr(reader, "parity", ()):
+                    self._healer = SegmentHealer(
+                        self.path, reader.parity, _CountedBackend(self)
+                    )
+                self.meta = reader.meta()
+                for e in reader.step_entries:
+                    file = reader.shard_of(e.step) if self.is_sharded else self.path
+                    self.segments[e.step] = (file, e.offset, e.length)
         finally:
-            probe.close()
-        sharded = head[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC
-        if head != SERIES_MAGIC and not sharded:
-            if head[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
-                raise FormatError(
-                    f"{self.path}: not an RPH2 container, RPH2S series, or "
-                    f"RPHM manifest (magic {head!r})"
-                )
-            with ContainerReader.open(self.path, backend=self.backend) as snap:
-                self.meta = snap.meta()
-            self.segments[0] = (self.path, 0, self.backend.size(self.path))
-            return
-        # The open failure a parity-carrying campaign is served around.
-        degraded: Exception | None = None
-        try:
-            reader = SeriesReader.open(
-                self.path, recover=recover, backend=self.backend
-            )
-        except (StorageError, FormatError, OSError) as exc:
-            # A campaign with a damaged shard cannot federate the normal way
-            # — but if it carries parity, the salvage open serves what is
-            # readable, the steps it lost are recorded in the parity stripe
-            # indexes, and their bytes heal on first touch.
-            if not (self._heal and sharded):
-                raise
-            degraded = exc
-            reader = SeriesReader.open(
-                self.path, recover=True, backend=self.backend
-            )
-            if not reader.parity:
-                reader.close()
-                raise
-        with reader:
-            salvage = reader.recovery if degraded is not None else None
-            self.is_sharded = bool(reader.is_sharded)
-            self.recovered = recover and bool(
-                salvage.shards if salvage else reader.recovered
-            )
-            if getattr(reader, "parity", ()):
-                self._healer = SegmentHealer(
-                    self.path, reader.parity, _CountedBackend(self)
-                )
-            self.meta = reader.meta()
-            for e in reader.step_entries:
-                file = reader.shard_of(e.step) if self.is_sharded else self.path
-                self.segments[e.step] = (file, e.offset, e.length)
+            src.close()
         if salvage:
             # Every shard the salvage open cut short or dropped outright.
             damaged = [*salvage.shards, *(name for name, _ in salvage.dropped)]
@@ -340,7 +348,7 @@ class StepSource:
             cat = self.cached(step)
             if cat is not None:
                 return cat
-            window = _SegmentWindow(_CountedFile(self, file), base, length)
+            window = ByteSource(_CountedFile(self, file, base + length)).window(base, length)
             try:
                 reader, nbytes = await self._run(
                     info, ContainerReader, window,

@@ -20,6 +20,12 @@ than the local filesystem without the formats knowing:
   :class:`~repro.errors.TransientStorageError`. Write/append/metadata
   calls pass straight through.
 
+Underneath every reader sits one :class:`ByteSource`: the single place that
+decides whether bytes come from a seekable handle (a local file, a backend's
+``open_read`` handle) or from a byte buffer (``bytes``, a memory map — the
+zero-copy mode), that owns what ``open`` opened, and that clamps every read
+to the bytes the source holds.
+
 Readers and writers take ``backend=`` at their ``open``/``create`` entry
 points (:meth:`ContainerReader.open`, :meth:`SeriesReader.open`,
 :meth:`StreamingWriter.create` / :meth:`append_to`, and the sharded
@@ -31,15 +37,22 @@ root, and backends are free to treat them as flat keys.
 from __future__ import annotations
 
 import io
+import mmap as _mmap
 import os
 import random
 import time
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
 
-from repro.errors import StorageError, TransientStorageError
+from repro.errors import (
+    CompressionError,
+    FormatError,
+    StorageError,
+    TransientStorageError,
+)
 
 __all__ = [
+    "ByteSource",
     "StorageBackend",
     "LocalFileBackend",
     "MemoryBackend",
@@ -408,3 +421,113 @@ class RangedBackend(StorageBackend):
 
     def list(self, prefix: str = "") -> list[str]:
         return self._inner.list(prefix)
+
+
+class ByteSource:
+    """Where a reader's bytes come from, decided once.
+
+    ``source`` is a seekable binary file-like — only ``seek`` / ``tell`` /
+    ``read`` / ``close`` are asked of it, which is all a
+    :meth:`StorageBackend.open_read` handle promises — or any byte buffer
+    (``bytes``, ``bytearray``, ``memoryview``, ``mmap``): the **zero-copy
+    mode** (:attr:`mapped`), where :meth:`view` hands out ``memoryview``
+    slices instead of copies. A source built here borrows what it was
+    given; :meth:`open` builds one that owns its handle (and mapping).
+
+    Both reads clamp ``length`` to the bytes the source holds and come back
+    short at the end exactly as a file read does, so no length taken from
+    disk can size an allocation and every caller keeps its own "truncated"
+    check and message.
+    """
+
+    def __init__(self, source):
+        self._start = 0
+        # An mmap has seek/read too: it must take the buffer branch, or
+        # zero-copy mode silently degrades to the copying file path.
+        if not isinstance(source, _mmap.mmap) and (
+            hasattr(source, "seek") and hasattr(source, "read")
+        ):
+            self._file, self._buf = source, None
+            source.seek(0, io.SEEK_END)
+            #: Bytes this source (or window) holds.
+            self.size: int = source.tell()
+            self._release: tuple = ()
+        else:
+            try:
+                self._buf = memoryview(source).cast("B")
+            except TypeError:
+                raise CompressionError(
+                    f"cannot read bytes from {type(source).__name__}; pass a "
+                    "seekable binary file or a byte buffer"
+                ) from None
+            self._file, self.size = None, self._buf.nbytes
+            #: What :meth:`close` calls, in order.
+            self._release = (self._buf.release,)
+
+    @classmethod
+    def open(cls, path: str | Path, *, mmap: bool = False, backend=None) -> "ByteSource":
+        """Open a named object; the source owns (and closes) the handle.
+
+        ``backend`` (a :class:`StorageBackend`) serves the handle instead
+        of the local filesystem; ``mmap=True`` memory-maps a local file
+        into the zero-copy mode. The two are mutually exclusive.
+        """
+        if backend is not None and mmap:
+            raise CompressionError("backend= and mmap=True are mutually exclusive")
+        handle = backend.open_read(str(path)) if backend is not None else Path(path).open("rb")
+        try:
+            if not mmap:
+                src = cls(handle)
+            else:
+                try:
+                    mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
+                except (ValueError, OSError) as exc:
+                    raise FormatError(f"cannot memory-map {path}: {exc}") from exc
+                src = cls(mapping)
+                src._release += (mapping.close,)
+        except BaseException:
+            handle.close()
+            raise
+        src._release += (handle.close,)
+        return src
+
+    @property
+    def mapped(self) -> bool:
+        """True while the source serves zero-copy views of a byte buffer."""
+        return self._buf is not None
+
+    def view(self, offset: int, length: int):
+        """Up to ``length`` bytes at ``offset``: a ``memoryview`` slice in
+        zero-copy mode, ``bytes`` from seek + read otherwise."""
+        length = min(length, self.size - offset)
+        if offset < 0 or length <= 0:
+            return b"" if self._buf is None else self._buf[:0]
+        at = self._start + offset
+        if self._buf is not None:
+            return self._buf[at : at + length]
+        self._file.seek(at)
+        return self._file.read(length)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """Up to ``length`` bytes at ``offset`` as owned ``bytes`` (what a
+        parser keeps)."""
+        return bytes(self.view(offset, length))
+
+    def window(self, offset: int, length: int) -> "ByteSource":
+        """A source over ``[offset, offset + length)`` of this one, cut to
+        what it holds. It shares the handle (or buffer) and owns nothing."""
+        win = object.__new__(ByteSource)
+        win._file, win._buf, win._release = self._file, self._buf, ()
+        win._start = self._start + offset
+        win.size = max(0, min(length, self.size - offset)) if offset >= 0 else 0
+        return win
+
+    def close(self) -> None:
+        """Release the buffer view and close what :meth:`open` opened; a
+        borrowed file stays open, and a window closes nothing. Closing a
+        mapping that a live :meth:`view` slice still pins raises
+        ``BufferError``: release the slice and close again."""
+        self._buf = None
+        for release in self._release:
+            release()
+        self._release = ()

@@ -49,6 +49,16 @@ def series_path(tmp_path_factory):
     return path
 
 
+def _assert_unpinned(path):
+    """No mapping of a closed reader holds ``path``: it maps writable and
+    can be unlinked (a platform that locks mapped files refuses both)."""
+    with path.open("r+b") as f:
+        mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_WRITE).close()
+    raw = path.read_bytes()
+    path.unlink()
+    path.write_bytes(raw)  # the fixture is shared by the module
+
+
 class TestContainerMmap:
     def test_mapped_flag(self, container_path):
         with ContainerReader.open(container_path) as r:
@@ -153,7 +163,8 @@ class TestContainerMmap:
         r = ContainerReader.open(container_path, mmap=True)
         r.read_patch(*r.entries[0].key)
         r.close()
-        assert r._mmap is None and r._view is None
+        assert not r.mapped
+        _assert_unpinned(container_path)
 
     def test_invalid_source_rejected(self):
         with pytest.raises(CompressionError):
@@ -195,7 +206,8 @@ class TestSeriesMmap:
         r = SeriesReader.open(series_path, mmap=True)
         r.verify_step(r.steps[0])
         r.close()
-        assert r._mmap is None and r._view is None
+        assert not r.mapped
+        _assert_unpinned(series_path)
 
     def test_invalid_source_rejected(self):
         with pytest.raises(CompressionError):
@@ -218,6 +230,17 @@ class TestConstructorErrorTaxonomy:
             with pytest.raises(CompressionError) as exc:
                 codec_cls(k_streams=bad)
             assert not isinstance(exc.value, DecompressionError)
+
+    def test_backend_with_mmap_on_every_reader_open(self):
+        """One mistake, one error type: each reader's ``open`` hands the
+        arguments to the one ``ByteSource.open``."""
+        from repro.integrity import ParityReader
+        from repro.storage import MemoryBackend
+
+        for reader_cls in (ContainerReader, SeriesReader, ParityReader):
+            with pytest.raises(CompressionError, match="mutually exclusive") as exc:
+                reader_cls.open("x", backend=MemoryBackend(), mmap=True)
+            assert type(exc.value) is CompressionError
 
     def test_k_streams_recorded_in_stream_params(self):
         from repro.compression.base import StreamReader

@@ -272,6 +272,69 @@ class TestKilledWriter:
         assert "intact" in report.describe()
 
 
+class TestRecoverThroughBackend:
+    """``recover_sharded(path, backend=...)`` reads the manifest *and* the
+    shards through the backend: an in-memory store, or a local root the
+    working directory is not."""
+
+    @pytest.fixture(params=["healthy", "killed"])
+    def case(self, request, campaign, tmp_path):
+        """(directory holding ``camp.rphm`` + shards, steps that survive)."""
+        manifest, _, _ = campaign
+        if request.param == "healthy":
+            return manifest.parent, tuple(range(N_STEPS))
+        pt = next(
+            pt for pt in crashsim.sharded_injection_points(manifest)
+            if pt.victim and pt.expect_steps != tuple(range(N_STEPS))
+        )
+        vman = crashsim.apply_sharded(manifest, pt, tmp_path / "killed")
+        return vman.parent, pt.expect_steps
+
+    @staticmethod
+    def _campaign_files(directory):
+        return [p for p in directory.iterdir() if p.name.startswith("camp.")]
+
+    def test_dry_run_through_memory_backend(self, case):
+        from repro.errors import StorageError
+        from repro.storage import MemoryBackend
+
+        directory, expect = case
+        be = MemoryBackend()
+        for p in self._campaign_files(directory):
+            with be.open_write(p.name) as handle:
+                handle.write(p.read_bytes())
+        report = recover_sharded("camp.rphm", backend=be)
+        assert report.steps == expect and not report.dropped
+        assert report.intact == (expect == tuple(range(N_STEPS)))
+        with SeriesReader.open("camp.rphm", backend=be, recover=True) as reader:
+            assert reader.steps == expect
+        # Committing stays a local-filesystem operation, as documented.
+        with pytest.raises(StorageError, match="local backend"):
+            recover_sharded("camp.rphm", commit=True, backend=be)
+
+    def test_rooted_local_backend_dry_then_committed(self, case, tmp_path, monkeypatch):
+        import shutil
+
+        from repro.storage import LocalFileBackend
+
+        directory, expect = case
+        root = tmp_path / "rooted"
+        root.mkdir()
+        for p in self._campaign_files(directory):
+            shutil.copy(p, root / p.name)
+        monkeypatch.chdir(tmp_path)  # relative names must resolve via the root
+        be = LocalFileBackend(root=root)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        dry = recover_sharded("camp.rphm", backend=be)
+        assert dry.steps == expect and not dry.dropped
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        done = recover_sharded("camp.rphm", commit=True, backend=be)
+        assert done.steps == expect
+        with SeriesReader.open("camp.rphm", backend=be) as reader:  # normal open
+            assert not reader.recovered and reader.steps == expect
+        assert parse_manifest((root / "camp.rphm").read_bytes())["final"] is True
+
+
 class TestShardedReaderApi:
     def test_meta_and_stats_aggregate(self, campaign):
         manifest, single, _ = campaign

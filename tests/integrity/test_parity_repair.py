@@ -5,14 +5,17 @@ survival through campaign recovery."""
 
 from __future__ import annotations
 
+import json
 import os
 import random
+import struct
+import tracemalloc
 import zlib
 
 import pytest
 
 from repro.amr.io import recover_series
-from repro.errors import IntegrityError
+from repro.errors import FormatError, IntegrityError, ReproError
 from repro.insitu.sharded import ShardedSeriesReader, recover_sharded
 from repro.integrity import (
     ParityReader,
@@ -23,6 +26,9 @@ from repro.integrity import (
     scrub,
     xor_blocks,
 )
+
+from repro.insitu.sharded import parse_manifest
+from repro.storage import LocalFileBackend, MemoryBackend
 
 from tests.integrity.conftest import flip_byte
 
@@ -70,7 +76,7 @@ def test_manifest_records_parity_accounting(campaign):
 
 def test_parity_reader_stripe_crcs_match_shards(campaign):
     for name in campaign["parity"]:
-        reader = ParityReader(str(campaign["root"] / name))
+        reader = ParityReader.open(str(campaign["root"] / name))
         try:
             assert reader.stripes, "parity file carries no stripes"
             for stripe in reader.stripes:
@@ -200,3 +206,88 @@ def test_segment_healer_refuses_double_loss(campaign):
             healer.heal(shard0, step)
     finally:
         healer.close()
+
+
+# ---------------------------------------------------------------------------
+# Hostile lengths in a parity index size no read.
+# ---------------------------------------------------------------------------
+_TRAILER = struct.Struct("<QQI8s")
+FORGED = 1 << 40
+
+
+def _forge_parity_index(path, mutate) -> None:
+    """Rewrite an RPXP file's index through ``mutate(index)``, under a
+    recomputed trailer crc — damage no checksum of the file catches."""
+    raw = path.read_bytes()
+    offset, length, _, magic = _TRAILER.unpack(raw[-_TRAILER.size :])
+    index = json.loads(raw[offset : offset + length])
+    mutate(index)
+    body = json.dumps(index, separators=(",", ":")).encode()
+    path.write_bytes(
+        raw[:offset] + body
+        + _TRAILER.pack(offset, len(body), zlib.crc32(body), magic)
+    )
+
+
+@pytest.mark.parametrize("where", ["local", "memory"])
+@pytest.mark.parametrize("forged", ["stripe", "member"])
+def test_forged_parity_lengths_size_no_read(campaign, forged, where):
+    """A stripe length (or a member-row length) of 2**40 in a parity index
+    whose crc was recomputed: repair, the healer, scrub and the stripe
+    read answer with a typed error or a report row, and allocate nothing
+    proportional to the forged value (a bare ``MemoryError`` before)."""
+    root = campaign["root"]
+    pname = campaign["parity"][0]
+
+    def mutate(index):
+        row = index["stripes"][0]
+        if forged == "stripe":
+            row[2] = FORGED
+        else:
+            row[4][0][3] = FORGED
+
+    _forge_parity_index(root / pname, mutate)
+    # Damage the first member of that stripe so the stripe is needed.
+    shard = campaign["shards"][0]
+    step, offset, length = campaign["extents"][shard][0]
+    flip_byte(root / shard, offset + length // 3)
+    campaign_bytes = sum(p.stat().st_size for p in root.iterdir())
+    if where == "local":
+        backend, prefix = LocalFileBackend(), f"{root}{os.sep}"
+    else:
+        backend, prefix = MemoryBackend(), ""
+        for p in root.iterdir():
+            with backend.open_write(p.name) as handle:
+                handle.write(p.read_bytes())
+    manifest = prefix + campaign["manifest"]
+    rows = parse_manifest((root / campaign["manifest"]).read_bytes())["parity"]
+
+    tracemalloc.start()
+    try:
+        if forged == "stripe":
+            with pytest.raises(
+                FormatError, match=rf"stripe 0: read \d+ of {FORGED} bytes"
+            ):
+                repair_sharded(manifest, backend=backend)
+        else:
+            report = repair_sharded(manifest, backend=backend)
+            assert [(d.shard, d.step) for d in report.unrecoverable] == [(shard, step)]
+            assert not report.reconstructed
+        healer = SegmentHealer(manifest, rows, backend)
+        try:
+            with pytest.raises(ReproError):
+                healer.heal(shard, step)
+        finally:
+            healer.close()
+        kinds = {f.kind for f in scrub(manifest, backend).findings}
+        assert ("parity-stripe" if forged == "stripe" else "parity-member") in kinds
+        with ParityReader.open(prefix + pname, backend=backend) as reader:
+            if forged == "stripe":
+                with pytest.raises(FormatError, match="stripe 0"):
+                    reader.parity_bytes(reader.stripes[0])
+            else:
+                assert reader.stripes[0].members[0].length == FORGED
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * campaign_bytes, (peak, campaign_bytes)

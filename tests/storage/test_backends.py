@@ -123,7 +123,7 @@ class TestMemoryBackend:
         be = MemoryBackend()
         with pytest.raises(CompressionError, match="mmap"):
             SeriesReader.open("x.rph2s", backend=be, mmap=True)
-        with pytest.raises(FormatError, match="mmap"):
+        with pytest.raises(CompressionError, match="mmap"):
             ContainerReader.open("x.rprh", backend=be, mmap=True)
 
 

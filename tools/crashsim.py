@@ -66,7 +66,8 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.insitu.series import SEAL_SIZE, SeriesReader, _SERIES_FOOTER  # noqa: E402
+from repro.compression.container import FOOTER_SIZE  # noqa: E402
+from repro.insitu.series import SEAL_SIZE, SeriesReader  # noqa: E402
 
 #: Seed for the (deterministic) choice of bitflip offsets within a region.
 DEFAULT_SEED = 20260729
@@ -127,7 +128,7 @@ def injection_points(
         entries = list(reader.step_entries)
         index_offset = reader._index_offset
     total = len(raw)
-    index_length = total - _SERIES_FOOTER.size - index_offset
+    index_length = total - FOOTER_SIZE - index_offset
 
     def expected(cut=None, broken_seals=(), dropped=()) -> tuple[int, ...]:
         """Model the scanner: a step whose segment survives is recovered;
