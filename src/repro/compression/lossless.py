@@ -81,10 +81,17 @@ def pack_ints(values: np.ndarray, backend: str = "deflate", level: int = 6) -> b
 
 
 def unpack_ints(blob: bytes) -> np.ndarray:
-    """Inverse of :func:`pack_ints` (always returns int64)."""
+    """Inverse of :func:`pack_ints` (always returns int64). The header is
+    not believed: only an integer dtype code, and exactly the recorded count."""
     if len(blob) < 10:
         raise DecompressionError("truncated integer blob")
     code, size = struct.unpack_from("<2sQ", blob, 0)
+    if code[:1] not in b"iu" or code[1:] not in b"1248":
+        raise DecompressionError(f"integer blob has non-integer dtype code {code!r}")
+    dtype = np.dtype(code.decode())
     raw = decompress_bytes(blob[10:])
-    arr = np.frombuffer(raw, dtype=np.dtype(code.decode()), count=size)
-    return arr.astype(np.int64)
+    if len(raw) != size * dtype.itemsize:
+        raise DecompressionError(
+            f"integer blob records {size} {dtype} element(s) but holds {len(raw)} bytes"
+        )
+    return np.frombuffer(raw, dtype=dtype).astype(np.int64)

@@ -99,56 +99,71 @@ class SZInterp(Compressor):
             return recon[(slice(None),) + np.ix_(*grids)]
         return recon[np.ix_(*grids)]
 
+    def _interp_pass(self, stack: np.ndarray, eb, times: StageTimes):
+        """The stride x axis interpolation loop over a ``(n, *shape)`` stack
+        (``eb`` a scalar or one bound per member, broadcastable): every step
+        is element-wise, so a member's codes do not depend on its
+        neighbours. Returns ``(plan, anchors, codes)``, codes ``(n, total)``.
+        """
+        n, shape = stack.shape[0], stack.shape[1:]
+        plan = InterpPlan(shape)
+        lead = (slice(None),)
+        recon = np.zeros(stack.shape, dtype=np.float64)
+        anchors = stack[lead + plan.anchor_slices()]
+        recon[lead + plan.anchor_slices()] = anchors
+        chunks: list[np.ndarray] = []
+        with times.measure("interp"):
+            for stride, half in plan.levels():
+                for axis in range(len(shape)):
+                    grid = plan.target_grid(stride, axis)
+                    targets = np.arange(half, shape[axis], stride)
+                    if targets.size == 0:
+                        continue
+                    knots = self._sub_lattice(recon, plan, stride, axis, batched=True)
+                    pred = predict_axis(knots, axis + 1, targets, half)
+                    codes = quantize_residuals(stack[lead + grid], pred, eb)
+                    recon[lead + grid] = reconstruct_from_codes(pred, codes, eb)
+                    chunks.append(codes.reshape(n, -1))
+        codes = (
+            np.concatenate(chunks, axis=1) if chunks else np.empty((n, 0), dtype=np.int64)
+        )
+        return plan, anchors, codes
+
+    def _pack_member(self, shape, dtype, eb, stride, entropy_used, anchors, code_blob,
+                     member: int = 0) -> bytes:
+        """One member's stream: params, anchors section and — unless the
+        codes live in a group's shared payload — its codes section."""
+        params = {"eb": eb, "stride": stride, "entropy": entropy_used,
+                  "k_streams": self.k_streams}
+        if entropy_used == GROUPED_STAGE:
+            params["group_member"] = member
+        writer = StreamWriter(self.name, shape, dtype, params)
+        writer.add_section(
+            "anchors",
+            compress_bytes(
+                np.ascontiguousarray(anchors).tobytes(), self.backend, self._raw_level()
+            ),
+        )
+        if entropy_used != GROUPED_STAGE:
+            writer.add_section("codes", code_blob)
+        return writer.tobytes()
+
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
+        """The one-member case of :meth:`compress_batch`'s level pass."""
         orig_dtype = np.asarray(data).dtype
         arr = self._validate_input(data)
         eb = self.resolve_error_bound(arr, error_bound, mode)
         times = StageTimes()
-        plan = InterpPlan(arr.shape)
-        recon = np.zeros(arr.shape, dtype=np.float64)
-        anchors = arr[plan.anchor_slices()]
-        recon[plan.anchor_slices()] = anchors
-        code_chunks: list[np.ndarray] = []
-        with times.measure("interp"):
-            for stride, half in plan.levels():
-                for axis in range(arr.ndim):
-                    grid = plan.target_grid(stride, axis)
-                    targets = np.arange(half, arr.shape[axis], stride)
-                    if targets.size == 0:
-                        continue
-                    knots = self._sub_lattice(recon, plan, stride, axis)
-                    pred = predict_axis(knots, axis, targets, half)
-                    codes = quantize_residuals(arr[grid], pred, eb)
-                    recon[grid] = reconstruct_from_codes(pred, codes, eb)
-                    code_chunks.append(codes.ravel())
-        all_codes = (
-            np.concatenate(code_chunks) if code_chunks else np.empty(0, dtype=np.int64)
-        )
+        plan, anchors, codes = self._interp_pass(arr[None], eb, times)
         with times.measure("entropy"):
             code_blob, entropy_used = encode_codes(
-                all_codes, self.entropy, self.backend, self.k_streams,
+                codes[0], self.entropy, self.backend, self.k_streams,
                 level=self.backend_level,
             )
         with times.measure("pack"):
-            writer = StreamWriter(
-                self.name,
-                arr.shape,
-                orig_dtype,
-                {
-                    "eb": eb,
-                    "stride": plan.stride,
-                    "entropy": entropy_used,
-                    "k_streams": self.k_streams,
-                },
+            blob = self._pack_member(
+                arr.shape, orig_dtype, eb, plan.stride, entropy_used, anchors[0], code_blob
             )
-            writer.add_section(
-                "anchors",
-                compress_bytes(
-                    np.ascontiguousarray(anchors).tobytes(), self.backend, self._raw_level()
-                ),
-            )
-            writer.add_section("codes", code_blob)
-            blob = writer.tobytes()
         self.last_stage_times = times
         return blob
 
@@ -167,33 +182,11 @@ class SZInterp(Compressor):
             return super().compress_batch(data, error_bound, mode, batch)
         orig_dtype = np.asarray(data).dtype
         arr = self._validate_input(data, batch=True)
-        n_patches = arr.shape[0]
-        shape = arr.shape[1:]
+        n_patches, shape = arr.shape[0], arr.shape[1:]
         ebs = self.resolve_error_bounds(arr, error_bound, mode)
-        eb_bc = ebs.reshape((n_patches,) + (1,) * len(shape))
         times = StageTimes()
-        plan = InterpPlan(shape)
-        recon = np.zeros(arr.shape, dtype=np.float64)
-        batch = (slice(None),)
-        anchors = arr[batch + plan.anchor_slices()]
-        recon[batch + plan.anchor_slices()] = anchors
-        code_chunks: list[np.ndarray] = []
-        with times.measure("interp"):
-            for stride, half in plan.levels():
-                for axis in range(len(shape)):
-                    grid = plan.target_grid(stride, axis)
-                    targets = np.arange(half, shape[axis], stride)
-                    if targets.size == 0:
-                        continue
-                    knots = self._sub_lattice(recon, plan, stride, axis, batched=True)
-                    pred = predict_axis(knots, axis + 1, targets, half)
-                    codes = quantize_residuals(arr[batch + grid], pred, eb_bc)
-                    recon[batch + grid] = reconstruct_from_codes(pred, codes, eb_bc)
-                    code_chunks.append(codes.reshape(n_patches, -1))
-        all_codes = (
-            np.concatenate(code_chunks, axis=1)
-            if code_chunks
-            else np.empty((n_patches, 0), dtype=np.int64)
+        plan, anchors, all_codes = self._interp_pass(
+            arr, ebs.reshape((n_patches,) + (1,) * len(shape)), times
         )
         with times.measure("entropy"):
             codebook, payloads, (entropy_used, *_) = encode_codes_batch(
@@ -201,28 +194,13 @@ class SZInterp(Compressor):
                 level=self.backend_level,
             )
         with times.measure("pack"):
-            streams: list[bytes] = []
-            for i in range(n_patches):
-                params = {
-                    "eb": float(ebs[i]),
-                    "stride": plan.stride,
-                    "entropy": entropy_used,
-                    "k_streams": self.k_streams,
-                }
-                if entropy_used == GROUPED_STAGE:
-                    params["group_member"] = i
-                writer = StreamWriter(self.name, shape, orig_dtype, params)
-                writer.add_section(
-                    "anchors",
-                    compress_bytes(
-                        np.ascontiguousarray(anchors[i]).tobytes(),
-                        self.backend,
-                        self._raw_level(),
-                    ),
+            streams = [
+                self._pack_member(
+                    shape, orig_dtype, float(ebs[i]), plan.stride, entropy_used,
+                    anchors[i], payloads[i], member=i,
                 )
-                if entropy_used != GROUPED_STAGE:
-                    writer.add_section("codes", payloads[i])
-                streams.append(writer.tobytes())
+                for i in range(n_patches)
+            ]
         self.last_stage_times = times
         return BatchResult(codebook, payloads if codebook is not None else [], streams)
 

@@ -30,7 +30,6 @@ the file, independent of the number of steps — never O(steps x file).
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +59,7 @@ from repro.insitu.series import (
     build_series_index_bytes,
     unpack_seal,
 )
-from repro.storage import ByteSource, LocalFileBackend, StorageBackend
+from repro.storage import ByteSink, ByteSource, StorageBackend
 
 __all__ = [
     "RecoveredStep",
@@ -418,12 +417,13 @@ def _scan(src: ByteSource) -> RecoveryReport:
     )
 
 
-def _copy_prefix(src: ByteSource, dst: Path, end: int) -> None:
+def _copy_prefix(src: ByteSource, dst: str | Path, end: int, backend) -> None:
     """Copy ``src[:end]`` to ``dst`` in bounded chunks (campaign files can
     be tens of GB; recovery must not slurp them into memory)."""
-    with dst.open("wb") as fout:
+    with ByteSink.create(dst, backend=backend) as sink:
         for pos in range(0, min(end, src.size), _SCAN_CHUNK):
-            fout.write(src.read(pos, min(_SCAN_CHUNK, end - pos)))
+            sink.write(src.read(pos, min(_SCAN_CHUNK, end - pos)))
+        sink.sync()
 
 
 def recover_series(
@@ -442,12 +442,12 @@ def recover_series(
     With ``commit=True`` a damaged series is rewritten: trailing
     unrecoverable bytes are truncated and a fresh timestep index + footer
     are appended (fsynced, index before footer), after which the file opens
-    normally. ``output`` redirects the rewrite to a new local file, leaving
+    normally. ``output`` redirects the rewrite to a new object, leaving
     the damaged original untouched; an intact series is never rewritten in
     place (with ``output`` it is simply copied).
 
     ``backend`` (a :class:`repro.storage.StorageBackend`) resolves ``path``
-    for the scan and for an in-place commit alike; the default is the
+    and ``output`` for the scan and the commit alike; the default is the
     local filesystem.
     """
     src = ByteSource.open(path, backend=backend)
@@ -468,16 +468,14 @@ def recover_series(
             report.reason = str(exc)
         if commit and output is not None:
             _copy_prefix(
-                src, Path(output),
+                src, output,
                 report.total_bytes if report.intact else report.data_end,
+                backend,
             )
     finally:
         src.close()
     if commit and not report.intact:
-        if output is None:
-            commit_recovery(path, report, backend=backend)
-        else:
-            commit_recovery(output, report)
+        commit_recovery(path if output is None else output, report, backend=backend)
     return report
 
 
@@ -490,8 +488,10 @@ def commit_recovery(
     The index bytes come from
     :func:`~repro.insitu.series.build_series_index_bytes`, so the committed
     file is byte-identical to what an uninterrupted writer would have
-    produced for the surviving steps. The index is fsynced before the
-    footer that points at it (the same two-phase commit the writer uses).
+    produced for the surviving steps. The index is synced before the
+    footer that points at it (the same two-phase commit the writer uses);
+    a failing fsync warns (:meth:`repro.storage.ByteSink.sync`) and the
+    commit still completes.
     """
     if report.meta is None or not report.steps:
         raise TruncatedSeriesError(
@@ -503,16 +503,8 @@ def commit_recovery(
         report.data_end, len(index_bytes), zlib.crc32(index_bytes),
         SERIES_FOOTER_MAGIC,
     )
-    f = (backend or LocalFileBackend()).open_append(str(path))
-    try:
-        f.truncate(report.data_end)
-        f.seek(report.data_end)
+    with ByteSink.append(path, backend=backend) as sink:
+        sink.truncate(report.data_end)
         for blob in (index_bytes, footer):
-            f.write(blob)
-            f.flush()
-            try:
-                os.fsync(f.fileno())
-            except OSError:
-                pass
-    finally:
-        f.close()
+            sink.write(blob)
+            sink.sync()

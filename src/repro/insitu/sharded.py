@@ -57,7 +57,6 @@ killing one shard's writer mid-step cannot touch the other shards' steps.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
@@ -70,6 +69,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.compression.amr_codec import resolve_patch_codec
 from repro.compression.container import ContainerReader, _normalize_selector
 from repro.errors import (
     CompressionError,
@@ -92,7 +92,7 @@ from repro.insitu.writer import (
     _validate_field_bounds,
 )
 from repro.parallel.pool import WorkerPool
-from repro.storage import LocalFileBackend, StorageBackend
+from repro.storage import ByteSink, LocalFileBackend, StorageBackend
 
 __all__ = [
     "MANIFEST_MAGIC",
@@ -408,13 +408,13 @@ class ShardedSeriesWriter:
             raise CompressionError(
                 f"max_pending_steps must be >= 1, got {max_pending_steps}"
             )
+        # A codec or mode no shard writer would accept must not leave a
+        # manifest (and the shards before the refusal) behind.
+        if mode not in ("abs", "rel"):
+            raise CompressionError(f"unknown error-bound mode {mode!r}")
+        resolve_patch_codec(codec)
         backend = backend or LocalFileBackend()
         manifest_name = str(path)
-        if backend.exists(manifest_name) and not overwrite:
-            raise FormatError(
-                f"campaign manifest {manifest_name!r} already exists "
-                "(pass overwrite=True)"
-            )
         names = shard_names(manifest_name, n_shards)
         meta = {
             "codec": str(codec),
@@ -432,7 +432,9 @@ class ShardedSeriesWriter:
             {"name": os.path.basename(n), "durability": d, "steps": []}
             for n, d in zip(names, durabilities)
         ]
-        _write_manifest(backend, manifest_name, meta, rows, final=False)
+        _write_manifest(
+            backend, manifest_name, meta, rows, final=False, overwrite=overwrite
+        )
         writers: list[StreamingWriter] = []
         lanes: list[WorkerPool] | None = (
             [] if parallel == "thread" else None
@@ -654,17 +656,13 @@ def _write_manifest(
     rows: list[dict],
     final: bool,
     parity: list[dict] | None = None,
+    overwrite: bool = True,
 ) -> None:
-    handle = backend.open_write(name)
-    try:
-        handle.write(pack_manifest(meta, rows, final=final, parity=parity))
-        handle.flush()
-        try:
-            os.fsync(handle.fileno())
-        except (AttributeError, OSError, io.UnsupportedOperation):
-            pass  # manifest is rebuildable from the shards; best effort
-    finally:
-        handle.close()
+    with ByteSink.create(
+        name, backend=backend, overwrite=overwrite, what="campaign manifest"
+    ) as sink:
+        sink.write(pack_manifest(meta, rows, final=final, parity=parity))
+        sink.sync()
 
 
 @dataclass
@@ -1016,18 +1014,12 @@ def recover_sharded(
     rebuilt index and rewrites the manifest as ``final`` from the
     surviving shard indexes. Shards with nothing salvageable are dropped
     from the rewritten manifest (and listed on the report). Dry-run by
-    default: nothing is modified.
-
-    Only the local filesystem backend supports ``commit`` (remote commits
-    would need an atomic swap protocol the model backends don't promise).
+    default: nothing is modified. ``backend`` serves the scan and the
+    commit alike: every write is an in-place truncate + append on a shard
+    or a whole-object rewrite of the manifest, never a rename.
     """
     from repro.insitu.recovery import recover_series
 
-    if backend is not None and commit and not isinstance(backend, LocalFileBackend):
-        raise StorageError(
-            "recover_sharded(commit=True) requires a local backend; "
-            "open with recover=True for read-only salvage instead"
-        )
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
     man, full_names, _, error = _load_campaign(backend_, manifest_name)

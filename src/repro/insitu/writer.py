@@ -29,14 +29,10 @@ output for the same data.
 
 from __future__ import annotations
 
-import io
-import os
-import warnings
 import zlib
 from collections import deque
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -56,7 +52,7 @@ from repro.compression.container import (
     pack_footer,
     pack_header,
 )
-from repro.errors import CompressionError, FormatError
+from repro.errors import CompressionError, StorageError
 from repro.insitu.series import (
     SERIES_FOOTER_MAGIC,
     SERIES_MAGIC,
@@ -67,7 +63,8 @@ from repro.insitu.series import (
     build_series_index_bytes,
     pack_seal,
 )
-from repro.parallel.pool import EXECUTION_MODES, WorkerPool, resolve_workers
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool
+from repro.storage import ByteSink
 
 __all__ = ["StreamingWriter", "DURABILITY_MODES"]
 
@@ -84,10 +81,9 @@ class StreamingWriter:
     Parameters
     ----------
     fileobj:
-        Writable binary file positioned at the start of a fresh file (or at
-        the resume point when reopened through :meth:`append_to`). Prefer
-        the :meth:`create` / :meth:`append_to` constructors, which own the
-        handle.
+        Writable binary file positioned at the start of a fresh file; the
+        writer borrows it and never closes it. Prefer the :meth:`create` /
+        :meth:`append_to` constructors, which open (and own) the target.
     codec:
         Registry name or codec instance; resolved through
         :func:`repro.compression.amr_codec.resolve_patch_codec` so streams
@@ -118,7 +114,7 @@ class StreamingWriter:
         ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`. The writer
-        then pipelines through the pool's executor — which survives across
+        then pipelines through that pool — which survives across
         timesteps *and across writers* — instead of building its own, and
         leaves it running at :meth:`close` (the caller's ``with`` block
         owns it). Overrides ``parallel``/``workers``.
@@ -146,7 +142,10 @@ class StreamingWriter:
         durability: str = "close",
         field_bounds=None,
         _resume: tuple[int, list[SeriesStepEntry]] | None = None,
+        _open: Callable[[], ByteSink] | None = None,
     ):
+        # Everything the arguments can get wrong is rejected before anything
+        # is acquired: a refused create/append_to must not touch the target.
         if mode not in ("abs", "rel"):
             raise CompressionError(f"unknown error-bound mode {mode!r}")
         self._field_bounds = _validate_field_bounds(
@@ -166,39 +165,34 @@ class StreamingWriter:
         self._mode = mode
         self._fields: tuple[str, ...] | None = tuple(fields) if fields is not None else None
         self._exclude_covered = bool(exclude_covered)
-        self._file = fileobj
-        self._owns = False
+        if pool is not None and pool.closed:
+            raise CompressionError("worker pool is closed")
+        if max_pending and int(max_pending) < 1:
+            raise CompressionError(f"max_pending must be >= 1, got {max_pending}")
         self._closed = False
-        self._degraded = False
         self._in_step = False
-        self._owns_pool = False
-        self._pool: Executor | WorkerPool | None = None
-        if pool is not None:
-            if pool.closed:
-                raise CompressionError("worker pool is closed")
-            # A serial pool runs inline — same as no pool at all.
-            self._pool = pool if pool.mode != "serial" else None
-            n = pool.workers
-        elif parallel != "serial":
-            n = resolve_workers(workers)
-            pool_cls = ThreadPoolExecutor if parallel == "thread" else ProcessPoolExecutor
-            self._pool = pool_cls(max_workers=n)
-            self._owns_pool = True
-        if self._pool is not None:
-            self._max_pending = int(max_pending) if max_pending else 2 * n
-            if self._max_pending < 1:
-                raise CompressionError(f"max_pending must be >= 1, got {max_pending}")
-        else:
-            self._max_pending = 1
-        if _resume is None:
-            self._steps: list[SeriesStepEntry] = []
-            self._pos = 0
-            self._write(_SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION))
-        else:
-            self._pos, self._steps = _resume
+        self._sink: ByteSink | None = None
+        self._owns_pool = pool is None and parallel != "serial"
+        if self._owns_pool:
+            pool = WorkerPool(parallel, workers)
+        # A serial pool runs inline — same as no pool at all.
+        self._pool = pool if pool is not None and pool.mode != "serial" else None
+        self._max_pending = int(max_pending or 2 * pool.workers) if self._pool else 1
+        try:
+            self._sink = _open() if _open is not None else ByteSink(fileobj)
+            if _resume is None:
+                self._steps: list[SeriesStepEntry] = []
+                self._write(_SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION))
+            else:
+                # Cut the old index/footer only now, every argument accepted.
+                resume_pos, self._steps = _resume
+                self._sink.truncate(resume_pos)
+        except BaseException:
+            self.abort()  # releases an owned pool, not just the handle
+            raise
         # End of the last durable prefix (header or last sealed step):
         # rollback_step() may truncate back to here, never past it.
-        self._data_end = self._pos
+        self._data_end = self._sink.pos
 
     # ------------------------------------------------------------------
     # Construction / lifecycle
@@ -227,34 +221,19 @@ class StreamingWriter:
         byte sink: the series is written through ``backend.open_write``
         instead of the local filesystem. Backends without a file
         descriptor (e.g. :class:`repro.storage.MemoryBackend`) cannot
-        fsync; the writer then reports :attr:`degraded`.
+        fsync; the writer then reports :attr:`degraded`. A rejected
+        argument touches nothing: the target is opened (and an existing
+        one truncated) only after every argument was accepted.
         """
-        if backend is not None:
-            name = str(path)
-            if backend.exists(name) and not overwrite:
-                raise FormatError(
-                    f"series object {name!r} already exists (pass overwrite=True)"
-                )
-            fileobj = backend.open_write(name)
-        else:
-            target = Path(path)
-            if target.exists() and not overwrite:
-                raise FormatError(
-                    f"series path {target} already exists (pass overwrite=True)"
-                )
-            fileobj = target.open("wb")
-        try:
-            writer = cls(
-                fileobj, codec, error_bound, mode=mode, fields=fields,
-                exclude_covered=exclude_covered, parallel=parallel,
-                workers=workers, max_pending=max_pending, pool=pool,
-                durability=durability, field_bounds=field_bounds,
-            )
-        except Exception:
-            fileobj.close()
-            raise
-        writer._owns = True
-        return writer
+        return cls(
+            None, codec, error_bound, mode=mode, fields=fields,
+            exclude_covered=exclude_covered, parallel=parallel,
+            workers=workers, max_pending=max_pending, pool=pool,
+            durability=durability, field_bounds=field_bounds,
+            _open=lambda: ByteSink.create(
+                path, backend=backend, overwrite=overwrite, what="series object"
+            ),
+        )
 
     @classmethod
     def append_to(
@@ -291,38 +270,22 @@ class StreamingWriter:
             meta = reader.meta()
             rows = list(reader.step_entries)
             resume_pos = reader._index_offset
-        if backend is not None:
-            fileobj = backend.open_append(str(path))
-        else:
-            fileobj = Path(path).open("r+b")
-        writer = None
-        try:
-            # Construct (and validate every argument) BEFORE truncating: a
-            # bad parallel/workers value must not destroy a valid series.
-            writer = cls(
-                fileobj,
-                str(meta["codec"]),
-                float(meta["error_bound"]),
-                mode=str(meta["mode"]),
-                fields=tuple(meta["fields"]) or None,
-                exclude_covered=bool(meta["exclude_covered"]),
-                parallel=parallel,
-                workers=workers,
-                max_pending=max_pending,
-                pool=pool,
-                durability=durability,
-                field_bounds=meta.get("field_bounds"),
-                _resume=(resume_pos, rows),
-            )
-            fileobj.seek(resume_pos)
-            fileobj.truncate()
-        except Exception:
-            if writer is not None:
-                writer.abort()  # releases an owned executor, not just the fd
-            fileobj.close()
-            raise
-        writer._owns = True
-        return writer
+        return cls(
+            None,
+            str(meta["codec"]),
+            float(meta["error_bound"]),
+            mode=str(meta["mode"]),
+            fields=tuple(meta["fields"]) or None,
+            exclude_covered=bool(meta["exclude_covered"]),
+            parallel=parallel,
+            workers=workers,
+            max_pending=max_pending,
+            pool=pool,
+            durability=durability,
+            field_bounds=meta.get("field_bounds"),
+            _resume=(resume_pos, rows),
+            _open=lambda: ByteSink.append(path, backend=backend),
+        )
 
     def __enter__(self) -> "StreamingWriter":
         return self
@@ -341,55 +304,33 @@ class StreamingWriter:
     # Low-level byte accounting
     # ------------------------------------------------------------------
     def _write(self, blob: bytes) -> None:
-        self._file.write(blob)
-        self._pos += len(blob)
+        self._sink.write(blob)
         if self._in_step:
             self._seg_crc = zlib.crc32(blob, self._seg_crc)
 
     def _write_streams(self, level: int, field: str, p_idx: int, blobs: list) -> None:
         """Append a run's streams: patches ``p_idx``, ``p_idx + 1``, ..."""
         for p_idx, blob in enumerate(blobs, p_idx):
-            rel = self._pos - self._seg_start
+            rel = self._sink.pos - self._seg_start
             self._entries.append(
                 [level, field, p_idx, rel, len(blob), self._comp.name, zlib.crc32(blob)]
             )
             self._write(blob)
 
     def _sync(self) -> None:
-        """Flush and fsync the underlying file.
-
-        Non-file sinks (BytesIO, memory backends, pipes) have no fd to
-        sync; those mark the writer :attr:`degraded` — the durability
-        contract is only as strong as the sink allows. A *failing* fsync
-        on a real fd is different: the kernel refused to make sealed bytes
-        stable, so under ``durability="step"`` swallowing it would silently
-        void the per-step crash guarantee. That raises
-        :class:`~repro.errors.CompressionError`; other modes degrade with
-        a warning instead.
-        """
-        self._file.flush()
+        """Make the bytes written so far stable (:meth:`ByteSink.sync`): a
+        sink without a descriptor marks the writer :attr:`degraded`, a
+        *failing* fsync degrades it with a warning — except under
+        ``durability="step"``, where swallowing it would silently void the
+        per-step crash guarantee, so it raises."""
         try:
-            # io.UnsupportedOperation subclasses OSError, so the no-fd
-            # cases must be separated out BEFORE fsync-failure handling.
-            fd = self._file.fileno()
-        except (AttributeError, io.UnsupportedOperation):
-            self._degraded = True
-            return
-        try:
-            os.fsync(fd)
-        except OSError as exc:
-            self._degraded = True
-            if self._durability == "step":
-                raise CompressionError(
-                    f"fsync failed under durability='step': {exc}; sealed "
-                    "bytes may not be stable — the per-step crash guarantee "
-                    "does not hold for this writer"
-                ) from exc
-            warnings.warn(
-                f"fsync failed; writer durability degraded: {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            self._sink.sync(strict=self._durability == "step")
+        except StorageError as exc:
+            raise CompressionError(
+                f"fsync failed under durability='step': {exc.__cause__}; sealed "
+                "bytes may not be stable — the per-step crash guarantee "
+                "does not hold for this writer"
+            ) from exc
 
     def _drain(self, down_to: int) -> None:
         """Retire finished compression futures (FIFO keeps disk order
@@ -418,7 +359,7 @@ class StreamingWriter:
         file descriptor, or fsync failed under a non-``"step"`` mode): the
         bytes written are intact, but the crash-durability contract no
         longer holds for this writer."""
-        return self._degraded
+        return self._sink.degraded
 
     @property
     def field_bounds(self) -> dict[str, float]:
@@ -468,7 +409,7 @@ class StreamingWriter:
         self._in_step = True
         self._cur_step = n
         self._step_time = float(n) if time is None else float(time)
-        self._seg_start = self._pos
+        self._seg_start = self._sink.pos
         self._seg_crc = 0
         self._entries: list[list] = []
         self._counts: dict[tuple[int, str], int] = {}
@@ -558,13 +499,13 @@ class StreamingWriter:
             "field_bounds": self._field_bounds,
         }
         index_bytes = build_index_bytes(meta, n_levels, self._entries)
-        rel_index_offset = self._pos - self._seg_start
+        rel_index_offset = self._sink.pos - self._seg_start
         self._write(index_bytes)
         self._write(pack_footer(rel_index_offset, len(index_bytes), zlib.crc32(index_bytes)))
         entry = SeriesStepEntry(
             step=self._cur_step,
             offset=self._seg_start,
-            length=self._pos - self._seg_start,
+            length=self._sink.pos - self._seg_start,
             crc32=self._seg_crc,
             container_version=CONTAINER_VERSION,
             time=self._step_time,
@@ -579,7 +520,7 @@ class StreamingWriter:
         # keeps segments byte-identical to batch compress_hierarchy output.
         self._in_step = False
         self._write(pack_seal(entry))
-        self._data_end = self._pos
+        self._data_end = self._sink.pos
         if self._durability == "step":
             self._sync()
         self._steps.append(entry)
@@ -607,10 +548,7 @@ class StreamingWriter:
                 fut.result()  # retire, discard (and swallow its failure)
             except Exception:
                 pass
-        if self._pos > self._data_end:
-            self._file.seek(self._data_end)
-            self._file.truncate()
-            self._pos = self._data_end
+        self._sink.truncate(self._data_end)
 
     def append_step(
         self,
@@ -693,7 +631,7 @@ class StreamingWriter:
             "field_bounds": self._field_bounds,
         }
         index_bytes = build_series_index_bytes(meta, self._steps)
-        index_offset = self._pos
+        index_offset = self._sink.pos
         self._write(index_bytes)
         # Two-phase commit: make the index (and every sealed segment before
         # it) durable *before* the footer that points at it goes out. A
@@ -710,17 +648,17 @@ class StreamingWriter:
         if self._durability != "none":
             self._sync()
         else:
-            self._file.flush()
+            self._sink.flush()
         self.abort()
 
     def abort(self) -> None:
-        """Release the executor and file handle without finalizing the
-        index. A shared :class:`~repro.parallel.WorkerPool` is left
-        running — its owning ``with`` block decides its lifetime."""
+        """Release the pool and the sink without finalizing the index. A
+        shared :class:`~repro.parallel.WorkerPool` and a borrowed file are
+        left running and open — their owners decide their lifetime."""
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None and self._owns_pool:
-            self._pool.shutdown(wait=True)
-        if self._owns:
-            self._file.close()
+        if self._owns_pool:
+            self._pool.close()
+        if self._sink is not None:
+            self._sink.close()

@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.compression.container import FOOTER_SIZE, pack_footer, read_index
 from repro.errors import FormatError, IntegrityError, StorageError
-from repro.storage import ByteSource, StorageBackend
+from repro.storage import ByteSink, ByteSource, StorageBackend
 
 __all__ = [
     "PARITY_MAGIC",
@@ -372,72 +372,59 @@ def build_parity(
          "stripes": n, "bytes": parity_file_size}
     """
     basenames = [os.path.basename(n) for n in member_names]
-    base_dir = os.path.dirname(str(parity_name))
-
-    def full(name: str) -> str:
-        return os.path.join(base_dir, name) if base_dir else name
-
     sources: dict[str, ByteSource] = {}
     stripes: list[ParityStripe] = []
-    out = backend.open_write(str(parity_name))
     try:
+        # Members first: a missing one must not truncate an existing file.
         for name in member_names:
             sources[os.path.basename(name)] = ByteSource.open(name, backend=backend)
-        pos = 0
-
-        def emit(blob: bytes) -> None:
-            nonlocal pos
-            out.write(blob)
-            pos += len(blob)
-
-        emit(_PARITY_HEADER.pack(PARITY_MAGIC, PARITY_VERSION))
-        depth = max((len(rows) for rows in member_segments), default=0)
-        for i in range(depth):
-            members: list[StripeMember] = []
-            blocks: list[bytes] = []
-            for shard, rows in zip(basenames, member_segments):
-                if i >= len(rows):
-                    continue
-                step, offset, length = rows[i]
-                blob = sources[shard].read(offset, length)
-                if len(blob) != length:
-                    raise FormatError(
-                        f"{shard} step {step} segment: read {len(blob)} of "
-                        f"{length} bytes (truncated?)"
+        with ByteSink.create(parity_name, backend=backend) as sink:
+            sink.write(_PARITY_HEADER.pack(PARITY_MAGIC, PARITY_VERSION))
+            depth = max((len(rows) for rows in member_segments), default=0)
+            for i in range(depth):
+                members: list[StripeMember] = []
+                blocks: list[bytes] = []
+                for shard, rows in zip(basenames, member_segments):
+                    if i >= len(rows):
+                        continue
+                    step, offset, length = rows[i]
+                    blob = sources[shard].read(offset, length)
+                    if len(blob) != length:
+                        raise FormatError(
+                            f"{shard} step {step} segment: read {len(blob)} of "
+                            f"{length} bytes (truncated?)"
+                        )
+                    members.append(
+                        StripeMember(
+                            shard=shard, step=int(step), offset=int(offset),
+                            length=int(length), crc32=zlib.crc32(blob),
+                        )
                     )
-                members.append(
-                    StripeMember(
-                        shard=shard, step=int(step), offset=int(offset),
-                        length=int(length), crc32=zlib.crc32(blob),
+                    blocks.append(blob)
+                parity = xor_blocks(blocks)
+                stripes.append(
+                    ParityStripe(
+                        index=i, offset=sink.pos, length=len(parity),
+                        crc32=zlib.crc32(parity), members=tuple(members),
                     )
                 )
-                blocks.append(blob)
-            parity = xor_blocks(blocks)
-            stripes.append(
-                ParityStripe(
-                    index=i, offset=pos, length=len(parity),
-                    crc32=zlib.crc32(parity), members=tuple(members),
-                )
-            )
-            emit(parity)
-        index_bytes = pack_parity_index(group, basenames, stripes)
-        index_offset = pos
-        emit(index_bytes)
-        emit(
-            pack_footer(
-                index_offset, len(index_bytes), zlib.crc32(index_bytes),
+                sink.write(parity)
+            index_bytes = pack_parity_index(group, basenames, stripes)
+            footer = pack_footer(
+                sink.pos, len(index_bytes), zlib.crc32(index_bytes),
                 PARITY_FOOTER_MAGIC,
             )
-        )
-        out.flush()
+            sink.write(index_bytes)
+            sink.write(footer)
+            # Stable before any manifest that names this file is written.
+            sink.sync()
     finally:
         for src in sources.values():
             src.close()
-        out.close()
     return {
         "name": os.path.basename(str(parity_name)),
         "group": int(group),
         "members": basenames,
         "stripes": len(stripes),
-        "bytes": pos,
+        "bytes": sink.pos,
     }

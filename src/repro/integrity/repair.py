@@ -14,16 +14,17 @@ recorded crc32:
 * two or more members lost in one stripe — beyond what XOR parity can
   undo; recorded as unrecoverable.
 
-Dry-run by default. With ``commit=True`` (local filesystem only) the
-damaged shard files are rewritten — series header plus every segment at
-its recorded offset, healthy bytes copied, lost ones reconstructed — and
-then handed to the existing crash-recovery machinery:
-:func:`repro.insitu.recovery.recover_series` re-derives each rewritten
-shard's timestep index from its seals and
+Dry-run by default. With ``commit=True`` the reconstructions are patched
+into the damaged shard files **in place**, through whatever backend was
+given (:func:`_patch_shard`; a shard that is gone is created), and the
+shards are then handed to the existing crash-recovery machinery:
+:func:`repro.insitu.recovery.recover_series` re-derives a patched shard's
+timestep index from its seals where the index did not survive and
 :func:`repro.insitu.sharded.recover_sharded` rewrites the final manifest
 from the surviving shard indexes. Repair composes with recovery rather
 than duplicating it: parity restores *segment bytes*; recovery rebuilds
-*indexes* from those bytes.
+*indexes* from those bytes. A commit killed at any point is finished by
+running it again.
 
 Surfaced on the CLI as ``python -m repro.compression repair``.
 
@@ -46,6 +47,7 @@ from repro.insitu.series import (
     SEAL_SIZE,
     SERIES_MAGIC,
     SERIES_VERSION,
+    SeriesReader,
 )
 from repro.insitu.sharded import _discover, _load_campaign, _shard_path
 from repro.integrity.parity import (
@@ -55,7 +57,7 @@ from repro.integrity.parity import (
     build_parity,
     xor_blocks,
 )
-from repro.storage import ByteSource, LocalFileBackend, StorageBackend
+from repro.storage import ByteSink, ByteSource, LocalFileBackend, StorageBackend
 
 __all__ = ["MemberDamage", "RepairReport", "repair_sharded", "SegmentHealer"]
 
@@ -87,6 +89,10 @@ class RepairReport:
     #: Parity files that were themselves damaged or stale and rebuilt
     #: (or rebuildable) from healthy members.
     parity_rebuilt: list[str] = field(default_factory=list)
+    #: Member shards whose segments all verify but which do not open (index
+    #: or footer lost — bit-rot, or a commit killed before its re-index):
+    #: ``commit=True`` rebuilds their index from the seals.
+    reindexed: list[str] = field(default_factory=list)
     #: True when ``commit=True`` actually rewrote files.
     committed: bool = False
 
@@ -100,8 +106,9 @@ class RepairReport:
 
     @property
     def clean(self) -> bool:
-        """True when every stripe verified and no parity needed rebuilding."""
-        return not self.damaged and not self.parity_rebuilt
+        """True when every stripe verified, every shard opens and no parity
+        needed rebuilding."""
+        return not (self.damaged or self.parity_rebuilt or self.reindexed)
 
     def describe(self) -> str:
         lines = [
@@ -119,6 +126,11 @@ class RepairReport:
             lines.append(line)
         for name in self.parity_rebuilt:
             lines.append(f"  {os.path.basename(name)}: parity out of date")
+        for name in self.reindexed:
+            lines.append(
+                f"  {name}: segments verify but the shard does not open -> "
+                + ("re-indexed" if self.committed else "needs re-index")
+            )
         return "\n".join(lines)
 
 
@@ -155,22 +167,17 @@ def repair_sharded(
     Dry-run by default: every stripe is classified and every single-loss
     reconstruction is *performed and crc-proven in memory*, but nothing is
     written — the report says exactly what ``commit=True`` would do. With
-    ``commit=True`` (local filesystem backend only, same restriction as
-    :func:`~repro.insitu.sharded.recover_sharded`) the damaged shard files
-    are rewritten from healthy bytes + reconstructions, stale parity files
-    are rebuilt, and the recovery machinery re-derives shard indexes and
-    the final manifest.
+    ``commit=True`` the reconstructions are patched into the shard files in
+    place (through ``backend``, any backend), stale parity files are
+    rebuilt, and the recovery machinery re-derives shard indexes and the
+    final manifest. A segment parity cannot rebuild stays where it is,
+    listed and flagged by scrub.
 
     Raises :class:`~repro.errors.IntegrityError` when the campaign has no
     parity at all (nothing to repair *from*); multi-loss stripes do not
     raise — they are reported as unrecoverable so the single-loss stripes
     still heal.
     """
-    if backend is not None and commit and not isinstance(backend, LocalFileBackend):
-        raise StorageError(
-            "repair_sharded(commit=True) requires a local backend; "
-            "run dry (commit=False) for classification only"
-        )
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
     # Manifest gone or damaged (the loader discovers the siblings) or
@@ -188,50 +195,49 @@ def repair_sharded(
     report = RepairReport(manifest=manifest_name)
     # shard basename -> {offset: reconstructed segment+seal bytes}
     rebuilt: dict[str, dict[int, bytes]] = {}
-    # shard basenames whose files need rewriting at commit
-    shards_to_rewrite: set[str] = set()
-    # full membership across every parity group (for manifest completion)
-    all_members: list[str] = []
-    parity_specs: list[tuple[str, int, list[str]]] = []
+    # parity file -> (group, member shard basenames)
+    parity_specs: dict[str, tuple[int, list[str]]] = {}
 
     for pfile in parity_files:
         try:
             reader = ParityReader.open(pfile, backend=backend_)
-        except (FormatError, StorageError) as exc:
+        except (FormatError, StorageError):
             # The parity file itself is damaged. Its stripes cannot help
             # anyone; it can only be rebuilt if *every* member is healthy,
             # which build_parity verifies implicitly at commit. Without a
             # parseable index we cannot even know the membership from this
-            # file — skip it (the manifest row, if any, still names it).
+            # file — only its manifest row, if any, still names it.
             report.parity_rebuilt.append(pfile)
-            if man is not None and man.get("parity"):
-                for row in man["parity"]:
-                    if _shard_path(manifest_name, row["name"]) == pfile:
-                        parity_specs.append(
-                            (pfile, int(row["group"]), list(row["members"]))
-                        )
-                        for m in row["members"]:
-                            if m not in all_members:
-                                all_members.append(m)
+            for row in (man or {}).get("parity") or []:
+                if _shard_path(manifest_name, row["name"]) == pfile:
+                    parity_specs[pfile] = (int(row["group"]), list(row["members"]))
             continue
-        try:
-            parity_specs.append((pfile, reader.group, list(reader.members)))
-            for m in reader.members:
-                if m not in all_members:
-                    all_members.append(m)
+        with reader:
+            parity_specs[pfile] = (reader.group, list(reader.members))
             for stripe in reader.stripes:
                 report.scanned += 1
                 _repair_stripe(
-                    backend_, manifest_name, pfile, reader, stripe,
-                    report, rebuilt, shards_to_rewrite,
+                    backend_, manifest_name, pfile, reader, stripe, report, rebuilt
                 )
-        finally:
-            reader.close()
+    # full membership across every parity group (for manifest completion)
+    all_members = list(
+        dict.fromkeys(m for _, members in parity_specs.values() for m in members)
+    )
+    # A shard with nothing to reconstruct can still be unopenable. (One
+    # that is gone with nothing to rebuild it from stays gone, and named.)
+    hurt = {d.shard for d in report.damaged}
+    for shard in all_members:
+        full = _shard_path(manifest_name, shard)
+        if shard in hurt or not backend_.exists(full):
+            continue
+        try:
+            SeriesReader.open(full, backend=backend_).close()
+        except (FormatError, StorageError):
+            report.reindexed.append(shard)
 
-    if commit and (shards_to_rewrite or report.parity_rebuilt):
+    if commit and (rebuilt or report.parity_rebuilt or report.reindexed):
         _commit_repair(
-            backend_, manifest_name, man, rebuilt, shards_to_rewrite,
-            all_members, parity_specs, report,
+            backend_, manifest_name, man, rebuilt, all_members, parity_specs, report
         )
         report.committed = True
     return report
@@ -245,7 +251,6 @@ def _repair_stripe(
     stripe: ParityStripe,
     report: RepairReport,
     rebuilt: dict[str, dict[int, bytes]],
-    shards_to_rewrite: set[str],
 ) -> None:
     healthy: dict[str, bytes] = {}
     lost: list[tuple[StripeMember, str]] = []
@@ -292,7 +297,6 @@ def _repair_stripe(
         )
         return
     rebuilt.setdefault(m.shard, {})[m.offset] = blob
-    shards_to_rewrite.add(m.shard)
     report.damaged.append(
         MemberDamage(
             shard=m.shard, step=m.step, reason=reason,
@@ -301,72 +305,48 @@ def _repair_stripe(
     )
 
 
+def _patch_shard(
+    backend: StorageBackend, full_name: str, patches: dict[int, bytes]
+) -> None:
+    """Write ``{offset: bytes}`` into a shard in place and make it stable —
+    the one way reconstructed bytes reach storage. No rename is needed:
+    every byte overwritten already fails its recorded crc (or is the
+    constant series header) and parity is not touched, so a write killed
+    half-way loses nothing a second run cannot rebuild. A shard that is
+    gone is created (a gap a seek leaves past the end reads as zeros)."""
+    opener = ByteSink.append if backend.exists(full_name) else ByteSink.create
+    with opener(full_name, backend=backend) as sink:
+        for offset, blob in sorted(patches.items()):
+            sink.seek(offset)
+            sink.write(blob)
+        sink.sync()
+
+
 def _commit_repair(
     backend: StorageBackend,
     manifest_name: str,
     man: dict | None,
     rebuilt: dict[str, dict[int, bytes]],
-    shards_to_rewrite: set[str],
     all_members: list[str],
-    parity_specs: list[tuple[str, int, list[str]]],
+    parity_specs: dict[str, tuple[int, list[str]]],
     report: RepairReport,
 ) -> None:
-    """Write the repair: rewrite damaged shards (header + every segment at
-    its recorded offset), rebuild stale parity, then hand index + manifest
-    reconstruction to the recovery machinery."""
+    """Write the repair: patch the reconstructions into their shards,
+    re-index what no longer opens, rebuild stale parity, then hand the
+    manifest to the recovery machinery."""
     from repro.insitu.recovery import recover_series
     from repro.insitu.sharded import _write_manifest, recover_sharded
-    from repro.insitu.series import SeriesReader
 
-    # 1. Rewrite each damaged shard: surviving segment bytes come from the
-    # old file (crc-proven against the parity index), lost ones from the
-    # reconstructions. Segments land at their recorded offsets; the result
-    # is a footerless-but-fully-sealed series — exactly the shape
-    # recover_series commits.
-    extents: dict[str, list[StripeMember]] = {}
-    for pfile, _, _ in parity_specs:
-        try:
-            r = ParityReader.open(pfile, backend=backend)
-        except (FormatError, StorageError):
-            continue
-        try:
-            for s in r.stripes:
-                for m in s.members:
-                    extents.setdefault(m.shard, []).append(m)
-        finally:
-            r.close()
-    for shard in sorted(shards_to_rewrite):
+    # 1. Patch each damaged shard in place, under a fresh series header (a
+    # resurrected shard has none; anywhere else the bytes are the same).
+    # Where the shard's own index survived the file is whole again; where
+    # it did not (torn, deleted, or only the index was lost) what is left
+    # is the footerless-but-sealed shape recover_series commits.
+    header = {0: _SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION)}
+    for shard in sorted({*rebuilt, *report.reindexed}):
         full = _shard_path(manifest_name, shard)
-        members = sorted(extents.get(shard, []), key=lambda m: m.offset)
-        segments: list[tuple[int, bytes]] = []
-        for m in members:
-            got = rebuilt.get(shard, {}).get(m.offset)
-            if got is None:
-                got, why = _read_member(backend, full, m)
-                if got is None:
-                    # This member was healthy during classification but is
-                    # not retrievable now (or belongs to a multi-loss
-                    # stripe): leave it out; recovery will simply not see
-                    # a seal for it.
-                    continue
-            segments.append((m.offset, got))
-        out = backend.open_write(full + ".repair")
-        try:
-            out.write(_SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION))
-            pos = _SERIES_HEADER.size
-            for offset, blob in segments:
-                if offset > pos:
-                    out.write(b"\x00" * (offset - pos))
-                    pos = offset
-                out.seek(offset)
-                out.write(blob)
-                pos = offset + len(blob)
-            out.flush()
-        finally:
-            out.close()
-        os.replace(full + ".repair", full)
-        # Rebuild the rewritten shard's timestep index from its seals.
-        recover_series(full, commit=True)
+        _patch_shard(backend, full, {**header, **rebuilt.get(shard, {})})
+        recover_series(full, commit=True, backend=backend)
     # 2. Make sure the manifest names every member shard (a shard dropped
     # by an earlier recover run must reappear now that its file is back),
     # then let recover_sharded rebuild routing + final manifest from the
@@ -388,31 +368,24 @@ def _commit_repair(
                 backend, manifest_name, meta, rows, final=False,
                 parity=man.get("parity"),
             )
-    recover_sharded(manifest_name, commit=True, backend=None)
+    recover_sharded(manifest_name, commit=True, backend=backend)
     # 3. Rebuild any parity file that was damaged or went stale. Member
     # extents are re-read from the (now healthy) shard indexes.
     for pfile in report.parity_rebuilt:
-        spec = next((s for s in parity_specs if s[0] == pfile), None)
-        if spec is None:
+        if pfile not in parity_specs:
             continue
-        _, group, members = spec
-        member_segments = []
+        group, members = parity_specs[pfile]
         member_names = [_shard_path(manifest_name, m) for m in members]
-        ok = True
-        for full in member_names:
-            try:
-                with SeriesReader.open(full) as sr:
+        member_segments = []
+        try:
+            for full in member_names:
+                with SeriesReader.open(full, backend=backend) as sr:
                     member_segments.append(
-                        [
-                            (e.step, e.offset, e.length + SEAL_SIZE)
-                            for e in sr.step_entries
-                        ]
+                        [(e.step, e.offset, e.length + SEAL_SIZE) for e in sr.step_entries]
                     )
-            except (FormatError, StorageError, OSError):
-                ok = False
-                break
-        if ok:
-            build_parity(backend, pfile, group, member_names, member_segments)
+        except (FormatError, StorageError, OSError):
+            continue
+        build_parity(backend, pfile, group, member_names, member_segments)
 
 
 class SegmentHealer:
@@ -423,8 +396,8 @@ class SegmentHealer:
     :meth:`heal` reconstructs one step's segment+seal bytes from the
     surviving shards without writing anything;
     :meth:`write_back` optionally patches the reconstruction into the
-    damaged shard file in place (best-effort — storage that cannot seek
-    past EOF, e.g. a deleted shard, is left to :func:`repair_sharded`).
+    damaged shard file in place (best-effort — a deleted or torn shard
+    also needs its index rebuilt and is left to :func:`repair_sharded`).
     """
 
     def __init__(
@@ -533,13 +506,7 @@ class SegmentHealer:
                 return False
             if self._backend.size(full) < member.offset + member.length:
                 return False
-            handle = self._backend.open_append(full)
-            try:
-                handle.seek(member.offset)
-                handle.write(blob)
-                handle.flush()
-            finally:
-                handle.close()
+            _patch_shard(self._backend, full, {member.offset: blob})
             return True
         except (OSError, StorageError):
             return False

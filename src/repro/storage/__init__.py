@@ -26,6 +26,11 @@ decides whether bytes come from a seekable handle (a local file, a backend's
 zero-copy mode), that owns what ``open`` opened, and that clamps every read
 to the bytes the source holds.
 
+Underneath every writer sits one :class:`ByteSink`: the single place that
+resolves path-vs-backend, checks existence, opens, counts the byte position
+and decides what "stable" means (flush + fsync, ``degraded`` where the
+handle has no descriptor, a failing fsync never swallowed).
+
 Readers and writers take ``backend=`` at their ``open``/``create`` entry
 points (:meth:`ContainerReader.open`, :meth:`SeriesReader.open`,
 :meth:`StreamingWriter.create` / :meth:`append_to`, and the sharded
@@ -41,6 +46,7 @@ import mmap as _mmap
 import os
 import random
 import time
+import warnings
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
 
@@ -52,6 +58,7 @@ from repro.errors import (
 )
 
 __all__ = [
+    "ByteSink",
     "ByteSource",
     "StorageBackend",
     "LocalFileBackend",
@@ -106,8 +113,8 @@ class LocalFileBackend(StorageBackend):
     """Plain local files; relative names resolve against ``root``.
 
     This is the default backend everywhere a ``backend=`` parameter is
-    accepted — passing ``LocalFileBackend()`` explicitly is byte-identical
-    to passing nothing. Absolute names bypass the root.
+    accepted — passing ``LocalFileBackend()`` explicitly is identical to
+    passing nothing, in bytes and in errors. Absolute names bypass the root.
     """
 
     def __init__(self, root: str | Path = "."):
@@ -531,3 +538,90 @@ class ByteSource:
         for release in self._release:
             release()
         self._release = ()
+
+
+class ByteSink:
+    """Where a writer's bytes go and when they are stable, decided once.
+
+    ``handle`` is a writable binary handle — only ``write`` / ``seek`` /
+    ``truncate`` / ``flush`` / ``close``, and ``fileno`` when it has one,
+    are asked of it, which is all a :meth:`StorageBackend.open_write` /
+    ``open_append`` handle promises. A sink built here borrows the handle
+    (:meth:`close` leaves it open); :meth:`create` and :meth:`append` build
+    one that owns it. Usable as a context manager.
+    """
+
+    def __init__(self, handle, name: str = "<handle>", owned: bool = False):
+        self._handle, self._owned, self.name = handle, owned, str(name)
+        #: Where the next byte lands (counted here; the handle is not asked).
+        self.pos = 0
+        #: True once a :meth:`sync` could not make the bytes stable.
+        self.degraded = False
+        self.closed = False
+
+    @classmethod
+    def create(cls, name, *, backend=None, overwrite: bool = True,
+               what: str = "object") -> "ByteSink":
+        """Create (or truncate) a named object; the sink owns the handle.
+        ``backend`` defaults to :class:`LocalFileBackend`, so passing none
+        and passing the local one cannot differ. With ``overwrite=False``
+        an existing object raises before anything is opened."""
+        backend, name = backend or LocalFileBackend(), str(name)
+        if not overwrite and backend.exists(name):
+            raise FormatError(f"{what} {name!r} already exists (pass overwrite=True)")
+        return cls(backend.open_write(name), name, owned=True)
+
+    @classmethod
+    def append(cls, name, *, backend=None) -> "ByteSink":
+        """Open an existing object for in-place writes, positioned at 0."""
+        handle = (backend or LocalFileBackend()).open_append(str(name))
+        return cls(handle, name, owned=True)
+
+    def write(self, blob) -> None:
+        self._handle.write(blob)
+        self.pos += len(blob)
+
+    def seek(self, pos: int) -> None:
+        """Land the next byte at ``pos`` (a gap past the end reads as zeros)."""
+        self._handle.seek(pos)
+        self.pos = pos
+
+    def truncate(self, pos: int) -> None:
+        """Cut the object to ``pos`` bytes; the next byte lands there."""
+        self._handle.truncate(pos)
+        self.seek(pos)
+
+    def flush(self) -> None:
+        self._handle.flush()
+
+    def sync(self, strict: bool = False) -> None:
+        """Flush and fsync. A handle without a descriptor sets
+        :attr:`degraded`; a *failing* fsync sets it too and is never
+        swallowed: :class:`StorageError` under ``strict``, a
+        ``RuntimeWarning`` otherwise."""
+        self.flush()
+        try:
+            fd = self._handle.fileno()
+        except (AttributeError, io.UnsupportedOperation):  # before OSError, its base
+            self.degraded = True
+            return
+        try:
+            os.fsync(fd)
+        except OSError as exc:
+            self.degraded = True
+            if strict:
+                raise StorageError(f"fsync of {self.name} failed: {exc}") from exc
+            warnings.warn(f"fsync of {self.name} failed; durability degraded: {exc}",
+                          RuntimeWarning, stacklevel=3)
+
+    def close(self) -> None:
+        """Close an owned handle, leave a borrowed one open; idempotent."""
+        if self._owned and not self.closed:
+            self._handle.close()
+        self.closed = True
+
+    def __enter__(self) -> "ByteSink":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

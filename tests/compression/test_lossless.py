@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,34 @@ class TestPackInts:
         assert np.array_equal(unpack_ints(fast), arr)
         assert np.array_equal(unpack_ints(slow), arr)
         assert len(slow) <= len(fast)
+
+
+class TestUnpackIntsBelievesNoHeader:
+    """A forged ``<2sQ`` header (dtype code, element count) over a valid
+    payload: every case is a typed refusal — a count smaller than the
+    payload used to come back as a silently truncated array, the others
+    as bare ``ValueError`` / ``TypeError`` / ``UnicodeDecodeError``."""
+
+    PAYLOAD = compress_bytes(np.arange(100, dtype=np.int64).tobytes())
+
+    @staticmethod
+    def _forge(code: bytes, count: int) -> bytes:
+        return struct.pack("<2sQ", code, count) + TestUnpackIntsBelievesNoHeader.PAYLOAD
+
+    def test_honest_header_roundtrips(self):
+        out = unpack_ints(self._forge(b"i8", 100))
+        assert np.array_equal(out, np.arange(100))
+
+    @pytest.mark.parametrize("code,count", [
+        (b"i8", 1 << 40),  # sized no allocation
+        (b"f8", 100),  # a float dtype code
+        (b"zz", 100),  # no dtype at all
+        (b"i3", 100),  # no such width
+        (b"\xff\xfe", 100),  # not even ASCII
+        (b"i8", 3),  # fewer than the payload holds: was a truncated array
+        (b"i4", 100),  # a width the payload does not divide into
+    ], ids=["huge-count", "float", "garbage", "bad-width", "non-ascii",
+            "short-count", "wrong-width"])
+    def test_forged_header_is_a_typed_refusal(self, code, count):
+        with pytest.raises(DecompressionError, match="integer blob"):
+            unpack_ints(self._forge(code, count))

@@ -211,7 +211,7 @@ class TestStepProtocol:
                 w.add_patch(0, "f", np.ones((8, 8, 8)))
                 # end_step forgotten: close() raises, __exit__ must still
                 # release the pool and file handle.
-        assert w._closed and w._file.closed
+        assert w._closed and w._sink.closed
 
     def test_append_to_extends_series(self, series_path):
         h = make_steps(1)[0]

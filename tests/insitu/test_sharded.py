@@ -295,7 +295,6 @@ class TestRecoverThroughBackend:
         return [p for p in directory.iterdir() if p.name.startswith("camp.")]
 
     def test_dry_run_through_memory_backend(self, case):
-        from repro.errors import StorageError
         from repro.storage import MemoryBackend
 
         directory, expect = case
@@ -308,9 +307,10 @@ class TestRecoverThroughBackend:
         assert report.intact == (expect == tuple(range(N_STEPS)))
         with SeriesReader.open("camp.rphm", backend=be, recover=True) as reader:
             assert reader.steps == expect
-        # Committing stays a local-filesystem operation, as documented.
-        with pytest.raises(StorageError, match="local backend"):
-            recover_sharded("camp.rphm", commit=True, backend=be)
+        # Committing works through any backend: a clean strict re-open.
+        recover_sharded("camp.rphm", commit=True, backend=be)
+        with SeriesReader.open("camp.rphm", backend=be) as reader:
+            assert reader.steps == expect
 
     def test_rooted_local_backend_dry_then_committed(self, case, tmp_path, monkeypatch):
         import shutil
