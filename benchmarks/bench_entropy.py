@@ -25,6 +25,16 @@ to the scalar per-stream path; ``k_streams="auto"`` therefore widens K
 with the input (1024 lanes at 64³). The K sweep below makes that curve
 visible rather than hiding the regime where vectorization loses.
 
+Many small members
+------------------
+The paper's data are many small patches, and a small patch's blob is too
+short and too narrow to vectorize on its own: decoded one blob at a time,
+the ~63 level-1 patch streams of one Nyx field all take the scalar loop.
+``huffman.decode_many`` advances the streams of all of them in one
+lockstep instead; ``test_decode_speedup_many_small`` records the ratio
+(``decode_speedup_many_small``, gated in ``perf-smoke`` beside the 64³
+single-blob one) and asserts the two paths agree symbol for symbol.
+
 Scalar-table representation note (``huffman._scalar_tables``)
 -------------------------------------------------------------
 The scalar loop can index its flat decode tables as Python lists or as
@@ -49,12 +59,19 @@ from conftest import emit
 
 import perf_harness
 from repro.compression import huffman
+from repro.compression.amr_codec import resolve_patch_codec
+from repro.compression.base import StreamReader
+from repro.compression.lossless import decompress_bytes
+from repro.sims.nyx import NyxConfig, nyx_hierarchy
 
 #: Interleave widths swept by the throughput table.
 K_SWEEP = (1, 4, 8, 16, "auto")
 
 #: The acceptance criterion: lockstep decode vs the scalar loop on 64^3.
 MIN_DECODE_SPEEDUP = 10.0
+
+#: Batched lockstep vs the per-blob loop over one field's small patches.
+MIN_MANY_SMALL_SPEEDUP = 2.0
 
 _N = 64**3
 
@@ -156,6 +173,47 @@ def test_decode_speedup_64cubed(benchmark, dataset):
     )
 
 
+def _many_small_blobs() -> list[bytes]:
+    """The ``HUF2`` code sections of the level-1 patches of one Nyx field
+    (64^3 fine level in ~63 patches of 8^3 to 16^3 cells), as the
+    campaign writer stores them."""
+    codec = resolve_patch_codec("sz-lr")
+    blobs = []
+    for patch in nyx_hierarchy(NyxConfig(coarse_n=32))[1].patches("baryon_density"):
+        section = StreamReader(codec.compress(patch.data, 1e-3, "rel")).section("codes")
+        blobs.append(decompress_bytes(section, huffman.blob_bound(patch.data.size)))
+    return blobs
+
+
+def test_decode_speedup_many_small(benchmark):
+    """One lockstep over a field's patch streams vs one decode per blob."""
+    blobs = _many_small_blobs()
+    one_by_one = [huffman.decode(blob) for blob in blobs]
+    batched = huffman.decode_many(blobs)
+    assert len(batched) == len(blobs) > 32
+    assert all(np.array_equal(a, b) for a, b in zip(batched, one_by_one))
+
+    t_loop = _best(lambda: [huffman.decode(blob) for blob in blobs], repeats=5)
+    benchmark(lambda: huffman.decode_many(blobs))
+    t_batched = _best(lambda: huffman.decode_many(blobs), repeats=5)
+    speedup = t_loop / t_batched
+    perf_harness.record(
+        "bench_entropy", "decode_speedup_many_small", speedup, "x", higher_is_better=True
+    )
+    n_symbols = sum(a.size for a in batched)
+    emit(
+        f"per-blob loop vs one lockstep ({len(blobs)} level-1 Nyx patch streams)",
+        [
+            Row("HUF2", "per blob", float("nan"), _mb_s(n_symbols, t_loop), 1.0),
+            Row("HUF2", "one run", float("nan"), _mb_s(n_symbols, t_batched), speedup),
+        ],
+    )
+    assert speedup >= MIN_MANY_SMALL_SPEEDUP, (
+        f"batched decode only {speedup:.1f}x faster than the per-blob loop "
+        f"(criterion: >= {MIN_MANY_SMALL_SPEEDUP:.0f}x)"
+    )
+
+
 def test_kway_throughput_sweep(dataset):
     """Encode/decode MB/s across K ∈ {1, 4, 8, 16, auto}.
 
@@ -215,7 +273,7 @@ def test_scalar_table_tradeoff():
     n_symbols = 512
     alphabet = np.unique(syms)
     lengths = huffman.code_lengths(np.bincount(np.unique(syms, return_inverse=True)[1]))
-    table_sym, table_len, max_len = huffman._flat_tables(alphabet, lengths)
+    max_len, table_sym, table_len = huffman._flat_tables(lengths, alphabet, lengths.astype(np.int64))
     t_list = _best(lambda: (table_sym.tolist(), table_len.tolist()), repeats=5)
     t_nd = _best(lambda: huffman.decode(blob), repeats=5)
     emit(

@@ -11,10 +11,9 @@ result into a seekable, patch-indexed container (see
   the filled values (``restore="fill"``) or rebuilt by conservatively
   averaging the decompressed fine data down (``restore="average_down"``),
   which keeps the hierarchy self-consistent for dual-cell visualization.
-* **Per-patch independence**: every patch is a separate stream, so patches
-  are (de)compressed through :func:`repro.parallel.pool.parallel_map` in
-  serial, thread, or process mode — with byte-identical output across
-  modes.
+* **Per-patch independence**: every patch is a separate stream, so runs of
+  patches are (de)compressed through :func:`repro.parallel.pool.parallel_map`
+  in serial, thread, or process mode — with identical output across modes.
 * **Selective decompression**: the container's footer-located index lets
   :func:`decompress_selection` pull one patch, one level, or one field
   while reading O(selection) payload bytes — and, for ``RPH2S`` time-series
@@ -38,11 +37,13 @@ from repro.amr.coverage import level_covered_masks
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
-from repro.compression.base import BatchResult, Compressor, SharedEntropy
+from repro.compression.base import BatchResult, Compressor
 from repro.compression.container import (
     ContainerReader,
     GroupHandle,
-    _normalize_selector,
+    _decode_selection,
+    _iter_streams,
+    _key_filter,
     pack_container,
     pack_group,
 )
@@ -164,13 +165,6 @@ class CompressedHierarchy:
             cache[gid] = GroupHandle(gid, self.groups[gid])
         return cache[gid]
 
-    def _shared_for(self, key: tuple[int, str, int], copy: bool = False) -> SharedEntropy | None:
-        membership = self.stream_groups.get(key)
-        if membership is None:
-            return None
-        gid, member = membership
-        return self._group_handle(gid).shared(member, copy=copy)
-
     def select(
         self,
         levels=None,
@@ -184,34 +178,19 @@ class CompressedHierarchy:
         :func:`decompress_selection` for the selector semantics).
 
         Streams are already in memory, so this filters and decodes them
-        directly — no serialization round-trip.
+        directly — no serialization round-trip — in the runs every reader
+        decodes in (:func:`repro.compression.container._decode_selection`).
         """
-        want_levels = _normalize_selector(levels, "level")
-        want_fields = _normalize_selector(fields, "field")
-        want_patches = _normalize_selector(patches, "patch")
-        chosen: list[tuple[tuple[int, str, int], bytes]] = []
-        for lev_idx, level in enumerate(self.streams):
-            if want_levels is not None and lev_idx not in want_levels:
-                continue
-            for field in sorted(level):
-                if want_fields is not None and field not in want_fields:
-                    continue
-                for p_idx, blob in enumerate(level[field]):
-                    if want_patches is not None and p_idx not in want_patches:
-                        continue
-                    chosen.append(((lev_idx, field, p_idx), blob))
+        wanted = _key_filter(levels, fields, patches)
         copy = parallel == "process" or (pool is not None and pool.mode == "process")
-        arrays = parallel_map(
-            _decompress_task,
-            [
-                (self.codec, blob, self._shared_for(key, copy=copy))
-                for key, blob in chosen
-            ],
-            mode=parallel,
-            workers=workers,
-            pool=pool,
-        )
-        return {key: arr for (key, _), arr in zip(chosen, arrays)}
+        members = []
+        for lev_idx, field, p_idx, blob in _iter_streams(self.streams):
+            if wanted(key := (lev_idx, field, p_idx)):
+                gid, member = self.stream_groups.get(key, (None, None))
+                shared = None if gid is None else self._group_handle(gid).shared(member, copy=copy)
+                members.append((key, self.codec, blob, shared))
+        arrays = _decode_selection(members, parallel, workers, pool)
+        return {member[0]: arr for member, arr in zip(members, arrays)}
 
     @classmethod
     def frombytes(cls, raw: bytes) -> "CompressedHierarchy":
@@ -303,15 +282,6 @@ def _compress_task(task: tuple[Compressor, object, object, str]) -> BatchResult:
     of patches under resolved absolute bounds, in layout ``batch``."""
     comp, members, bounds, batch = task
     return comp.compress_batch(members, bounds, "abs", batch=batch)
-
-
-def _decompress_task(task: tuple[str, bytes, SharedEntropy | None]) -> np.ndarray:
-    """Module-level decompress task (picklable for process mode)."""
-    codec_name, blob, shared = task
-    codec = make_codec(codec_name)
-    if shared is not None:
-        return codec.decompress(blob, shared=shared)
-    return codec.decompress(blob)
 
 
 def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") -> Compressor:
@@ -589,35 +559,28 @@ def decompress_hierarchy(
         ``"average_down"`` — rebuild covered coarse cells from fine data
         (recommended with ``exclude_covered=True``).
     parallel, workers:
-        Execution mode for the per-patch decode map; the rebuilt hierarchy
-        is identical across modes.
+        Execution mode for the decode (one run of patches per worker); the
+        rebuilt hierarchy is identical across modes.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool` to run the
-        decode map on (overrides ``parallel``/``workers``).
+        decode on (overrides ``parallel``/``workers``).
     """
     if restore not in ("none", "average_down"):
         raise CompressionError(f"unknown restore mode {restore!r}")
-    copy = parallel == "process" or (pool is not None and pool.mode == "process")
-    tasks: list[tuple[str, bytes, SharedEntropy | None]] = []
-    for lev_idx, lev in enumerate(template):
-        for name in template.field_names:
-            if name in container.fields:
-                for p_idx, blob in enumerate(container.streams[lev_idx][name]):
-                    shared = container._shared_for((lev_idx, name, p_idx), copy=copy)
-                    tasks.append((container.codec, blob, shared))
-    arrays = parallel_map(_decompress_task, tasks, mode=parallel, workers=workers, pool=pool)
-    cursor = 0
+    decoded = container.select(
+        levels=range(template.n_levels),
+        fields=[name for name in template.field_names if name in container.fields],
+        parallel=parallel, workers=workers, pool=pool,
+    )
     new_levels = []
     for lev_idx, lev in enumerate(template):
         new = AMRLevel(lev.index, lev.boxes, lev.dx)
         for name in template.field_names:
             if name in container.fields:
-                n = len(container.streams[lev_idx][name])
                 patches = [
-                    Patch(box, arr.reshape(box.shape))
-                    for box, arr in zip(lev.boxes, arrays[cursor : cursor + n])
+                    Patch(box, decoded[(lev_idx, name, p_idx)].reshape(box.shape))
+                    for p_idx, box in enumerate(lev.boxes)
                 ]
-                cursor += n
             else:
                 patches = [p.copy() for p in lev.patches(name)]
             new.add_field(name, patches)

@@ -101,37 +101,18 @@ class BatchResult(NamedTuple):
     streams: list
 
 
-#: Worker-side memo of parsed codebooks, keyed by their HUFB bytes: a
-#: process-mode decode map ships raw bytes per member task, and without
-#: this every member of a group would rebuild the flat decode tables the
-#: shared codebook exists to amortize. Tiny bound — tasks arrive grouped.
-_CODEBOOK_MEMO: dict[bytes, Any] = {}
-_CODEBOOK_MEMO_MAX = 8
-
-
 class SharedEntropy(NamedTuple):
     """What a grouped stream needs besides its own bytes to decode.
 
     ``codebook`` is the group's :class:`repro.compression.huffman.
     SharedCodebook` (cached decode tables amortize across members) or the
-    raw ``HUFB`` bytes (picklable for process-mode workers); ``payload``
-    is this member's backend-compressed ``HUFS`` blob.
+    raw ``HUFB`` bytes (picklable for process-mode workers; parsed once per
+    decode call); ``payload`` is this member's backend-compressed ``HUFS``
+    blob.
     """
 
     codebook: Any
     payload: Any
-
-    def resolve_codebook(self) -> "huffman.SharedCodebook":
-        if isinstance(self.codebook, huffman.SharedCodebook):
-            return self.codebook
-        key = bytes(self.codebook)
-        cached = _CODEBOOK_MEMO.get(key)
-        if cached is None:
-            cached = huffman.SharedCodebook.frombytes(key)
-            if len(_CODEBOOK_MEMO) >= _CODEBOOK_MEMO_MAX:
-                _CODEBOOK_MEMO.pop(next(iter(_CODEBOOK_MEMO)))
-            _CODEBOOK_MEMO[key] = cached
-        return cached
 
 
 def check_entropy_params(entropy: str, k_streams: int | str = "auto") -> None:
@@ -152,7 +133,7 @@ def check_entropy_params(entropy: str, k_streams: int | str = "auto") -> None:
 
 def check_backend_level(backend_level: int | None) -> None:
     """Validate a codec's ``backend_level`` constructor parameter
-    (``None`` = per-section defaults, else a zlib/lzma level 0-9)."""
+    (``None`` = per-section defaults, else a zlib level 0-9)."""
     if backend_level is None:
         return
     if isinstance(backend_level, bool) or not isinstance(backend_level, int) \
@@ -255,30 +236,46 @@ def encode_codes_batch(
     return None, [pack_ints(row, backend, lvl) for row in mat], ["deflate"] * len(mat)
 
 
-def decode_codes(section, entropy: str, shared: SharedEntropy | None = None) -> np.ndarray:
-    """Invert :func:`encode_codes` / :func:`encode_codes_batch` given the
-    recorded stage name.
-
-    Grouped streams (:data:`GROUPED_STAGE`) carry no codes section of
-    their own; their symbols live in ``shared.payload`` and decode against
-    ``shared.codebook`` (see the grouped-stream layout in
-    ``docs/container_format.md``).
+def decode_codes(sections, stages, shareds, counts) -> list:
+    """Invert :func:`encode_codes` / :func:`encode_codes_batch` for a run of
+    members in one pass: ``sections[i]`` decodes by its recorded stage name
+    ``stages[i]``, every Huffman-coded member — self-contained or grouped —
+    in one lockstep (:func:`huffman.decode_many`). A grouped stream
+    (:data:`GROUPED_STAGE`) has no codes section (``sections[i]`` is
+    ``None``): its symbols are ``shareds[i].payload``, decoded against
+    ``shareds[i].codebook`` (``docs/container_format.md``). ``counts[i]``,
+    the most codes member ``i``'s header allows, bounds its inflate.
     """
-    if entropy == "huffman":
-        return huffman.decode(decompress_bytes(section))
-    if entropy == GROUPED_STAGE:
-        if shared is None:
-            raise DecompressionError(
-                "stream was grouped under a shared Huffman codebook; decode "
-                "it through its container (which supplies the group section) "
-                "— the stream alone carries no entropy payload"
-            )
-        return huffman.decode_with_codebook(
-            decompress_bytes(shared.payload), shared.resolve_codebook()
-        )
-    if entropy == "deflate":
-        return unpack_ints(section)
-    raise DecompressionError(f"stream records unknown entropy stage {entropy!r}")
+    out: list = [None] * len(sections)
+    slots, blobs, books = [], [], []
+    parsed: dict[bytes, huffman.SharedCodebook] = {}  # raw HUFB bytes, once per call
+    for i, (section, stage, shared, count) in enumerate(zip(sections, stages, shareds, counts)):
+        book = None
+        if stage == "deflate":
+            out[i] = unpack_ints(section, count)
+            continue
+        if stage == GROUPED_STAGE:
+            if shared is None:
+                raise DecompressionError(
+                    "stream was grouped under a shared Huffman codebook; decode "
+                    "it through its container (which supplies the group section) "
+                    "— the stream alone carries no entropy payload"
+                )
+            section, book = shared.payload, shared.codebook
+            if not isinstance(book, huffman.SharedCodebook):
+                key = bytes(book)
+                if key not in parsed:
+                    parsed[key] = huffman.SharedCodebook.frombytes(key)
+                book = parsed[key]
+        elif stage != "huffman":
+            raise DecompressionError(f"stream records unknown entropy stage {stage!r}")
+        slots.append(i)
+        blobs.append(decompress_bytes(section, huffman.blob_bound(count)))
+        books.append(book)
+    for i, codes in zip(slots, huffman.decode_many(blobs, books)):
+        out[i] = codes
+    return out
+
 
 NONFINITE_INPUT = "input contains NaN/Inf; mask before compressing"
 
@@ -431,9 +428,61 @@ class Compressor(ABC):
             throughout the paper's evaluation.
         """
 
+    #: Block edge a codec pads to when its streams do not record one (``None``: no padding).
+    _block_edge: int | None = None
+
+    def decompress(self, blob: bytes, shared: SharedEntropy | None = None) -> np.ndarray:
+        """Reconstruct one stream — :meth:`decompress_batch` of one member (a
+        grouped one needs its :class:`SharedEntropy`, from its container)."""
+        return self.decompress_batch([blob], [shared])[0]
+
+    def decompress_batch(self, blobs, shareds=None) -> list:
+        """Reconstruct a run of this codec's streams — ``out[i]`` is bit for
+        bit ``decompress(blobs[i])``: parse every header, decode all
+        members' codes in **one** entropy pass (:func:`decode_codes`), then
+        rebuild each array. ``shareds[i]`` is member ``i``'s
+        :class:`SharedEntropy` when its stream is grouped, else ``None``."""
+        readers = [StreamReader(blob) for blob in blobs]
+        codes = self._decode_codes(readers, shareds or [None] * len(readers))
+        return [self._reconstruct(reader, c) for reader, c in zip(readers, codes)]
+
+    def _decode_codes(self, readers: list, shareds: list) -> list:
+        """The quantization codes of parsed streams of this codec."""
+        for reader, shared in zip(readers, shareds):
+            if reader.codec != self.name:
+                raise DecompressionError(
+                    f"stream was produced by codec {reader.codec!r}, not {self.name!r}"
+                )
+            if shared is not None and not self.supports_batch:
+                raise CompressionError(
+                    f"stream is grouped but codec {self.name!r} does not accept shared entropy"
+                )
+        stages = [reader.params["entropy"] for reader in readers]
+        sections = [
+            None if stage == GROUPED_STAGE else reader.section("codes")
+            for reader, stage in zip(readers, stages)
+        ]
+        return decode_codes(sections, stages, shareds, [self._cells(r) for r in readers])
+
+    def _cells(self, reader: "StreamReader") -> int:
+        """The cell count of a parsed stream after edge padding: no section
+        holds more, which bounds every inflate. Derived from the header's
+        shape and block edge; a ``padded_shape`` that disagrees is refused."""
+        params = reader.params
+        bs = params.get("block_size", self._block_edge)
+        edge = 1 if bs is None else bs
+        try:
+            padded = [s + (-s) % edge for s in reader.shape]
+        except (TypeError, ZeroDivisionError):  # a field that is not a number, or not a list
+            padded = []
+        ints = all(type(v) is int and v > 0 for v in (*padded, edge))
+        if padded and ints and (bs is None or (bs >= 2 and params.get("padded_shape") == padded)):
+            return math.prod(padded)
+        raise DecompressionError("stream header records an inconsistent shape, block size or padding")
+
     @abstractmethod
-    def decompress(self, blob: bytes) -> np.ndarray:
-        """Reconstruct the array from a stream produced by this codec."""
+    def _reconstruct(self, reader: "StreamReader", codes: np.ndarray) -> np.ndarray:
+        """Rebuild the array of one parsed stream from its decoded codes."""
 
     def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
         """Compress a group of patches in one call.
@@ -548,10 +597,3 @@ class Compressor(ABC):
         if np.any(eb <= 0):
             raise CompressionError("every per-patch bound must be > 0")
         return np.ascontiguousarray(eb)
-
-    @classmethod
-    def _check_stream(cls, reader: StreamReader) -> None:
-        if reader.codec != cls.name:
-            raise DecompressionError(
-                f"stream was produced by codec {reader.codec!r}, not {cls.name!r}"
-            )

@@ -87,8 +87,8 @@ import numpy as np
 from repro.compression import huffman
 from repro.compression.base import SharedEntropy
 from repro.compression.lossless import compress_bytes, decompress_bytes
-from repro.compression.registry import available_codecs, make_codec
-from repro.errors import CompressionError, DecompressionError, FormatError
+from repro.compression.registry import make_codec
+from repro.errors import CompressionError, DecompressionError, FormatError, ReproError
 from repro.parallel.pool import parallel_map
 from repro.storage import ByteSource
 
@@ -148,6 +148,10 @@ _META_KEYS = (
 )
 
 
+#: How error messages name the patch ``(level, field, patch)``.
+_describe = "(level={}, field={!r}, patch={})".format
+
+
 @dataclass(frozen=True)
 class PatchIndexEntry:
     """One row of the patch index: where a stream lives and how to check it.
@@ -174,7 +178,7 @@ class PatchIndexEntry:
 
     def describe(self) -> str:
         """Human-readable patch identifier for error messages."""
-        return f"(level={self.level}, field={self.field!r}, patch={self.patch})"
+        return _describe(*self.key)
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,8 @@ class GroupHandle:
         self.payload_len = int(payload_len)
         try:
             self.codebook_bytes = decompress_bytes(
-                header[_GROUP_HEAD.size : _GROUP_HEAD.size + codebook_len]
+                header[_GROUP_HEAD.size : _GROUP_HEAD.size + codebook_len],
+                huffman.blob_bound(1 << huffman.MAX_CODE_LENGTH),
             )
         except DecompressionError as exc:
             raise FormatError(
@@ -546,6 +551,14 @@ def _normalize_selector(value, kind: str) -> set | None:
             f"invalid {kind} selector {value!r}: pass an int, an iterable of "
             "ints, or None"
         ) from None
+
+
+def _key_filter(levels, fields, patches):
+    """The three patch selectors (validated here) as one predicate over
+    ``(level, field, patch)`` keys."""
+    wants = [_normalize_selector(s, kind)
+             for s, kind in ((levels, "level"), (fields, "field"), (patches, "patch"))]
+    return lambda key: all(want is None or k in want for want, k in zip(wants, key))
 
 
 class ContainerReader:
@@ -880,7 +893,8 @@ class ContainerReader:
         """Decompress a single patch identified by ``(level, field, patch)``."""
         entry = self.entry(level, field, patch)
         blob = self.read_stream(entry, verify=verify)
-        return _decode_entry_stream(entry, blob, self._entry_shared(entry, verify=verify))
+        shared = self._entry_shared(entry, verify=verify)
+        return _decode_entry_stream(entry.key, entry.codec, blob, shared)
 
     def select(
         self,
@@ -897,63 +911,83 @@ class ContainerReader:
         ``levels`` / ``fields`` / ``patches`` accept a scalar, an iterable,
         or ``None`` (no restriction); results are keyed by the entry's
         ``(level, field, patch)`` triple. Stream reads are serial (one
-        seekable handle); decompression fans out through ``parallel_map``
-        (or a caller-supplied persistent ``pool``). In zero-copy
-        (mmap/buffer) mode the streams reach the codecs as ``memoryview``
-        slices — except under ``parallel="process"``, where they are
-        copied to ``bytes`` once for pickling. Grouped entries additionally
-        carry their member payload and group codebook; only the selected
-        members' extents are read, so the byte cost stays O(selection).
+        seekable handle); the selection then decodes as one run, or one run
+        per worker (of ``parallel`` / ``workers`` or a persistent ``pool``).
+        In zero-copy (mmap/buffer) mode the streams reach the codecs as
+        ``memoryview`` slices — except in process mode, where they are
+        copied to ``bytes`` once for pickling. Only the selected members'
+        extents of a group are read, so the byte cost stays O(selection).
         """
-        want_levels = _normalize_selector(levels, "level")
-        want_fields = _normalize_selector(fields, "field")
-        want_patches = _normalize_selector(patches, "patch")
-        chosen = [
-            e
-            for e in self.entries
-            if (want_levels is None or e.level in want_levels)
-            and (want_fields is None or e.field in want_fields)
-            and (want_patches is None or e.patch in want_patches)
-        ]
+        wanted = _key_filter(levels, fields, patches)
+        chosen = [e for e in self.entries if wanted(e.key)]
         copy = parallel == "process" or (pool is not None and pool.mode == "process")
         blobs = [self.read_stream(e, verify=verify) for e in chosen]
-        if copy:
-            blobs = [bytes(b) for b in blobs]
-        shareds = [self._entry_shared(e, verify=verify, copy=copy) for e in chosen]
-        arrays = parallel_map(
-            _decode_task,
-            [(e, blob, sh) for e, blob, sh in zip(chosen, blobs, shareds)],
-            mode=parallel,
-            workers=workers,
-            pool=pool,
-        )
+        members = [
+            (e.key, e.codec, bytes(blob) if copy else blob,
+             self._entry_shared(e, verify=verify, copy=copy))
+            for e, blob in zip(chosen, blobs)
+        ]
+        arrays = _decode_selection(members, parallel, workers, pool)
         return {e.key: arr for e, arr in zip(chosen, arrays)}
 
 
-def _decode_entry_stream(
-    entry: PatchIndexEntry, blob: bytes, shared: SharedEntropy | None = None
-) -> np.ndarray:
+def _decode_entry_stream(key, codec: str, blob, shared: SharedEntropy | None = None) -> np.ndarray:
     """Decode one stream, attributing any codec failure to its patch."""
-    if entry.codec not in available_codecs():
-        raise CompressionError(
-            f"patch stream {entry.describe()} uses unknown codec {entry.codec!r}; "
-            f"available: {available_codecs()}"
-        )
-    codec = make_codec(entry.codec)
-    if shared is not None and not getattr(codec, "supports_batch", False):
-        raise CompressionError(
-            f"patch stream {entry.describe()} is grouped but codec "
-            f"{entry.codec!r} does not accept shared entropy"
-        )
     try:
-        if shared is not None:
-            return codec.decompress(blob, shared=shared)
-        return codec.decompress(blob)
-    except FormatError as exc:
-        raise FormatError(f"patch stream {entry.describe()}: {exc}") from exc
+        return make_codec(codec).decompress_batch([blob], [shared])[0]
+    except (FormatError, CompressionError) as exc:
+        raise type(exc)(f"patch stream {_describe(*key)}: {exc}") from exc
 
 
-def _decode_task(task) -> np.ndarray:
-    """Module-level decode task (picklable for process-mode parallel_map)."""
-    entry, blob, shared = task
-    return _decode_entry_stream(entry, blob, shared)
+def _decode_run(task) -> list[np.ndarray]:
+    """Decode a run of patch streams as one batch — the one decode task of
+    every reader (module-level: picklable for process pools).
+
+    ``task`` is ``(members, extents)``. A member is ``(key, codec, blob,
+    shared)``: the ``(level, field, patch)`` an error names it by, its
+    codec, its stream and its :class:`SharedEntropy` or ``None``.
+    ``extents`` is ``None`` for streams already checked (or in memory, with
+    no index to check against), else every member's ``(length, crc32,
+    payload_crc32)`` as recorded — a crc32 ``None`` when not verifying, or
+    not grouped — checked first. Then each codec's members decode through
+    one :meth:`Compressor.decompress_batch`; a failing batch is decoded
+    again one member at a time, so the corrupt member raises the named
+    error a lone ``read_patch`` raises.
+    """
+    members, extents = task
+    for (key, _, blob, shared), (length, crc, payload_crc) in zip(members, extents or ()):
+        what = f"patch stream {_describe(*key)}"
+        if len(blob) != length:
+            raise FormatError(f"{what}: fetched {len(blob)} of {length} extent bytes")
+        if crc is not None and zlib.crc32(blob) != crc:
+            raise FormatError(f"checksum mismatch in {what}")
+        if payload_crc is not None and zlib.crc32(shared.payload) != payload_crc:
+            raise FormatError(f"checksum mismatch in group payload of {_describe(*key)}")
+    by_codec: dict[str, list[int]] = {}
+    for i, member in enumerate(members):
+        by_codec.setdefault(member[1], []).append(i)
+    out: list = [None] * len(members)
+    for codec, run in by_codec.items():
+        try:
+            _, _, blobs, shareds = zip(*(members[i] for i in run))
+            arrays = make_codec(codec).decompress_batch(blobs, shareds)
+        except ReproError:
+            for i in run:
+                _decode_entry_stream(*members[i])
+            raise
+        for i, arr in zip(run, arrays):
+            out[i] = arr
+    return out
+
+
+def _decode_selection(members, parallel, workers, pool) -> list[np.ndarray]:
+    """Decode a selection (:func:`_decode_run` members, already checked) as
+    contiguous runs: one under ``serial``, else one per worker — a lockstep
+    round costs the same however many members ride it, so a run is as wide
+    as it can be."""
+    n_runs = pool.workers if pool is not None else 1 if parallel == "serial" else workers
+    n_runs = max(1, min(n_runs, len(members)))
+    cuts = [len(members) * r // n_runs for r in range(n_runs + 1)]
+    tasks = [(members[a:b], None) for a, b in zip(cuts, cuts[1:])]
+    runs = parallel_map(_decode_run, tasks, mode=parallel, workers=workers, pool=pool)
+    return [arr for run in runs for arr in run]

@@ -43,8 +43,14 @@ is >=10x faster than the scalar loop at K≈512 but *slower* than it at
 K=8 (measured in ``benchmarks/bench_entropy.py``). ``k_streams="auto"``
 therefore scales K with the input so each lockstep round stays wide
 (~:data:`_AUTO_TARGET_ROUNDS` rounds total), clamped to
-[:data:`_AUTO_MIN_STREAMS`, :data:`_AUTO_MAX_STREAMS`]; tiny inputs and
-narrow interleaves fall back to the scalar loop, which wins there.
+[:data:`_AUTO_MIN_STREAMS`, :data:`_AUTO_MAX_STREAMS`].
+
+The same arithmetic is why a *run* of blobs decodes in one lockstep
+(:func:`decode_many`): the paper's data are many small patches (8^3-32^3)
+whose blobs are each too small and too narrow to vectorize, but the
+streams of all the blobs a reader decodes together are lanes of one wide
+round. Only small or narrow *calls* (a lone small patch) fall back to the
+scalar loop, which wins there.
 
 Blob layouts
 ------------
@@ -75,6 +81,8 @@ __all__ = [
     "encode",
     "encode_many",
     "decode",
+    "decode_many",
+    "blob_bound",
     "encode_batch",
     "encode_with_codebook",
     "decode_with_codebook",
@@ -114,9 +122,9 @@ _AUTO_TARGET_ROUNDS = 256
 _AUTO_MIN_STREAMS = 8
 _AUTO_MAX_STREAMS = 1024
 
-#: Below this symbol count the scalar loop beats the vectorized decoder's
-#: setup cost; narrower interleaves than ``_VECTOR_MIN_STREAMS`` make the
-#: lockstep rounds too thin to amortize NumPy dispatch (see module notes).
+#: Below this symbol count in a decode *call* the scalar loop beats the
+#: vectorized decoder's setup cost; fewer streams than ``_VECTOR_MIN_STREAMS``
+#: make the lockstep rounds too thin to amortize NumPy dispatch (module notes).
 _SCALAR_CUTOFF = 4096
 _VECTOR_MIN_STREAMS = 32
 
@@ -261,28 +269,25 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _flat_tables(
-    alphabet: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Flat decode tables: every ``max_len``-bit window starting with a
-    code maps to (symbol value, code length).
+def _flat_tables(lengths: np.ndarray, *columns: np.ndarray) -> tuple:
+    """Flat decode tables ``(max_len, *tables)``: every ``max_len``-bit
+    window starting with a code maps to that code's row of each of
+    ``columns`` (the symbol values, the code lengths, ...).
 
     Built without a per-entry Python loop: canonical codes sorted by
     (length, symbol) have strictly increasing, space-tiling prefixes, so
-    the table is one :func:`numpy.repeat` per array. A corrupt lengths
-    section that does not tile the window space exactly is rejected here.
+    a table is one :func:`numpy.repeat`. A corrupt lengths section that
+    does not tile the window space exactly is rejected here.
     """
     lens = np.asarray(lengths, dtype=np.int64)
     if lens.size == 0 or (lens <= 0).any() or lens.max() > MAX_CODE_LENGTH:
         raise DecompressionError("invalid Huffman code lengths")
     max_len = int(lens.max())
-    order = np.lexsort((np.arange(lens.size), lens))
+    order = np.argsort(lens, kind="stable")
     spans = np.int64(1) << (max_len - lens[order])
     if int(spans.sum()) != (1 << max_len):
         raise DecompressionError("invalid Huffman code table (not full)")
-    table_sym = np.repeat(alphabet[order], spans)
-    table_len = np.repeat(lens[order], spans)
-    return table_sym, table_len, max_len
+    return (max_len, *(np.repeat(column[order], spans) for column in columns))
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +297,7 @@ class SharedCodebook:
     """One canonical Huffman codebook shared by a whole group of streams.
 
     Holds the (sorted, distinct) int64 alphabet and the per-symbol code
-    lengths; canonical code values and the flat/fused decode tables are
+    lengths; canonical code values and the scalar loop's flat tables are
     derived lazily and cached, so a group of N patches pays the table
     construction once instead of N times. Build one with
     :meth:`from_symbols` (pooled frequencies), serialize it with
@@ -301,8 +306,7 @@ class SharedCodebook:
     """
 
     __slots__ = (
-        "alphabet", "lengths", "_codes_f", "_lengths64", "_tables",
-        "_fused", "_lists",
+        "alphabet", "lengths", "_codes_f", "_lengths64", "_tables", "_lists",
     )
 
     def __init__(self, alphabet: np.ndarray, lengths: np.ndarray):
@@ -326,7 +330,6 @@ class SharedCodebook:
         self._codes_f: np.ndarray | None = None
         self._lengths64: np.ndarray | None = None
         self._tables: tuple[np.ndarray, np.ndarray, int] | None = None
-        self._fused: np.ndarray | None = None
         self._lists: tuple[list, list] | None = None
 
     @classmethod
@@ -396,33 +399,27 @@ class SharedCodebook:
     def tables(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Flat decode tables ``(table_sym, table_len, max_len)``, cached."""
         if self._tables is None:
-            self._tables = _flat_tables(self.alphabet, self.lengths)
+            max_len, *tables = _flat_tables(self.lengths, self.alphabet, self.lengths64)
+            self._tables = (*tables, max_len)
         return self._tables
 
-    def fused(self) -> np.ndarray | None:
-        """One (symbol<<5 | length) gather table when symbols fit 58 bits
-        (quantization codes always do; arbitrary alphabets decode with two
-        gathers instead), else ``None``; cached. The guard compares the
-        ends directly: ``np.abs(INT64_MIN)`` overflows negative, so an
-        abs()-based one would wrongly fuse and corrupt extreme alphabets."""
-        if self._fused is None and (
-            self.alphabet[0] > -(1 << 57) and self.alphabet[-1] < (1 << 57)
-        ):
-            table_sym, table_len, _ = self.tables()
-            self._fused = (table_sym << 5) | table_len
-        return self._fused
+    def fused(self) -> np.ndarray:
+        """The lockstep decoder's gather table: every ``max_len``-bit window
+        maps to ``alphabet row << 5 | code length`` — rows, not symbols, so
+        any int64 alphabet fits (the decoder maps rows back once, at the
+        end). Not cached: a decode call stacks its tables and drops them."""
+        rows = np.arange(self.alphabet.size) << 5
+        return _flat_tables(self.lengths, rows | self.lengths64)[1]
 
     def scalar_tables(self, n_symbols: int) -> tuple:
-        """Tables for the scalar loop, as :func:`_scalar_tables` picks
-        them; the ``tolist`` conversion is cached so a group of many small
-        patches pays it once."""
-        if self._lists is None:
-            table_sym, table_len, _ = self.tables()
-            picked = _scalar_tables(table_sym, table_len, n_symbols)
-            if picked[0] is table_sym:
-                return picked
+        """The scalar loop's tables as :func:`_scalar_tables` picks them, the
+        ``tolist`` cached: lone reads of a group's patches pay it once."""
+        if self._lists is not None:
+            return self._lists
+        picked = _scalar_tables(*self.tables()[:2], n_symbols)
+        if isinstance(picked[0], list):
             self._lists = picked
-        return self._lists
+        return picked
 
     # -- serialization -------------------------------------------------
     def tobytes(self) -> bytes:
@@ -702,42 +699,67 @@ def encode_with_codebook(
 # ----------------------------------------------------------------------
 # Decode
 # ----------------------------------------------------------------------
+def blob_bound(n_symbols: int) -> int:
+    """The most bytes a ``HUF2`` / ``HUFS`` blob of ``n_symbols`` symbols
+    occupies (what its lossless wrapper may inflate to): header, 9 bytes per
+    alphabet symbol, 9 per stream, :data:`MAX_CODE_LENGTH` bits per symbol."""
+    rows = min(n_symbols, 1 << MAX_CODE_LENGTH) + min(n_symbols, MAX_STREAMS)
+    return _HUF2_HEAD.size + 9 * rows + MAX_CODE_LENGTH // 8 * n_symbols
+
+
+def decode_many(blobs, codebooks=None) -> list:
+    """Decode a run of blobs (any buffers) into their int64 symbol arrays,
+    the streams of **all** of them advancing in one lockstep. ``blobs[i]``
+    is a ``HUF2`` blob where ``codebooks[i]`` is ``None``, otherwise the
+    ``HUFS`` payload of that :class:`SharedCodebook`'s group (members of a
+    group pass the same object and share one decode table)."""
+    books = codebooks or [None] * len(blobs)
+    return _decode_streams([_parse(blob, book) for blob, book in zip(blobs, books)])
+
+
 def decode(blob) -> np.ndarray:
-    """Inverse of :func:`encode`; returns the int64 symbol array.
+    """Inverse of :func:`encode`: :func:`decode_many` of one ``HUF2`` blob
+    (``HUFS`` payloads and any other magic are a typed error)."""
+    return decode_many([blob])[0]
 
-    Accepts any buffer (``bytes`` or a zero-copy ``memoryview`` from the
-    mmap container path). ``HUFS`` shared-codebook payloads are rejected
-    with a pointer to :func:`decode_with_codebook` — they are not
-    self-contained — and any magic other than ``HUF2`` (the headerless
-    pre-``HUF2`` layout included) is a typed error.
-    """
-    magic = bytes(blob[:4])
-    if magic == HUFS_MAGIC:
-        raise DecompressionError(
-            "HUFS shared-codebook payloads carry no alphabet; decode them "
-            "with decode_with_codebook and their group's HUFB codebook"
-        )
-    if magic != HUF2_MAGIC:
-        raise DecompressionError(
-            f"not a HUF2 Huffman blob (magic {magic!r}); the headerless "
-            "pre-HUF2 layout is no longer readable"
-        )
-    if len(blob) < _HUF2_HEAD.size:
-        raise DecompressionError("truncated Huffman blob")
-    _, n_symbols, K, alpha_size = _HUF2_HEAD.unpack_from(blob, 0)
+
+def decode_with_codebook(blob, codebook: SharedCodebook) -> np.ndarray:
+    """:func:`decode_many` of one ``HUFS`` payload of :func:`encode_batch` /
+    :func:`encode_with_codebook`, against its group's codebook."""
+    return decode_many([blob], [codebook])[0]
+
+
+def _parse(blob, codebook: SharedCodebook | None) -> tuple:
+    """One blob as a member ``(n_symbols, K, stream_bits, payload,
+    codebook)`` of a decode call: a ``HUF2`` blob brings its own codebook,
+    a ``HUFS`` payload decodes against the one given. Every header count
+    is checked against the bytes present before anything is sized by it."""
+    if codebook is None:
+        magic = bytes(blob[:4])
+        if magic == HUFS_MAGIC:
+            raise DecompressionError(
+                "HUFS shared-codebook payloads carry no alphabet; decode them "
+                "with decode_with_codebook and their group's HUFB codebook"
+            )
+        if magic != HUF2_MAGIC:
+            raise DecompressionError(
+                f"not a HUF2 Huffman blob (magic {magic!r}); the headerless "
+                "pre-HUF2 layout is no longer readable"
+            )
+        if len(blob) < _HUF2_HEAD.size:
+            raise DecompressionError("truncated Huffman blob")
+        _, n_symbols, K, alpha_size = _HUF2_HEAD.unpack_from(blob, 0)
+        layout, pos = "HUF2", _HUF2_HEAD.size + 9 * alpha_size
+        if n_symbols:
+            codebook = SharedCodebook._read(blob, _HUF2_HEAD.size, alpha_size)
+    else:
+        if len(blob) < _HUFS_HEAD.size or bytes(blob[:4]) != HUFS_MAGIC:
+            raise DecompressionError("not a shared-codebook Huffman payload (bad magic)")
+        _, n_symbols, K = _HUFS_HEAD.unpack_from(blob, 0)
+        layout, pos = "HUFS", _HUFS_HEAD.size
     if n_symbols == 0:
-        return np.empty(0, dtype=np.int64)
-    pos = _HUF2_HEAD.size
-    codebook = SharedCodebook._read(blob, pos, alpha_size)
-    stream_bits, payload = _parse_streams(blob, pos + 9 * alpha_size, n_symbols, K, "HUF2")
-    return _decode_streams(n_symbols, K, stream_bits, payload, codebook)
-
-
-def _parse_streams(blob, pos: int, n_symbols: int, K: int, layout: str):
-    """The stream table both layouts end with — ``stream_bits (u64[K]) |
-    per-stream packed bits`` from ``blob[pos:]`` — as ``(stream_bits,
-    payload)``, every header count checked against the bytes actually
-    present before anything is sized by it."""
+        return 0, 0, None, None, None
+    # Both layouts end with ``stream_bits (u64[K]) | per-stream packed bits``.
     if not 1 <= K <= MAX_STREAMS:
         raise DecompressionError(f"{layout} stream count {K} outside [1, {MAX_STREAMS}]")
     room = len(blob) - pos - 8 * K
@@ -753,51 +775,65 @@ def _parse_streams(blob, pos: int, n_symbols: int, K: int, layout: str):
     # with length 1), so a count the streams cannot hold is forged.
     if n_symbols > int(stream_bits.sum()):
         raise DecompressionError(f"{layout} symbol count {n_symbols} exceeds its streams' bits")
-    return stream_bits, np.frombuffer(blob, dtype=np.uint8, offset=pos + 8 * K)
+    payload = np.frombuffer(blob, dtype=np.uint8, offset=pos + 8 * K)
+    return n_symbols, K, stream_bits, payload, codebook
 
 
-def decode_with_codebook(blob, codebook: SharedCodebook) -> np.ndarray:
-    """Decode a ``HUFS`` shared-codebook payload produced by
-    :func:`encode_batch` / :func:`encode_with_codebook`.
-
-    The codebook's flat decode tables are built lazily and cached on the
-    codebook, so decoding N members of a group costs one table build —
-    the decode-side mirror of the shared tree build on encode.
-    """
-    if len(blob) < _HUFS_HEAD.size or bytes(blob[:4]) != HUFS_MAGIC:
-        raise DecompressionError("not a shared-codebook Huffman payload (bad magic)")
-    _, n_symbols, K = _HUFS_HEAD.unpack_from(blob, 0)
-    if n_symbols == 0:
-        return np.empty(0, dtype=np.int64)
-    stream_bits, payload = _parse_streams(blob, _HUFS_HEAD.size, n_symbols, K, "HUFS")
-    return _decode_streams(n_symbols, K, stream_bits, payload, codebook)
+def _lane_counts(n: int, K: int) -> np.ndarray:
+    """Symbols per stream: symbol ``i`` rides stream ``i % K``, so the
+    first ``n % K`` streams carry one more."""
+    counts = np.full(K, n // K, dtype=np.int64)
+    counts[: n % K] += 1
+    return counts
 
 
-def _decode_streams(n, K, stream_bits, payload, codebook: SharedCodebook) -> np.ndarray:
-    """Decode parsed streams against their codebook: the lockstep gather
-    rounds when the interleave is wide and long enough to amortize them,
-    else the scalar loop (see the module notes)."""
-    if codebook.alphabet.size == 1:
-        return np.full(n, codebook.alphabet[0], dtype=np.int64)
-    table_sym, table_len, max_len = codebook.tables()
-    if K >= _VECTOR_MIN_STREAMS and n >= _SCALAR_CUTOFF:
-        return _decode_streams_vector(
-            n, K, stream_bits, payload, table_sym, table_len, max_len, codebook.fused()
-        )
+def _decode_streams(members: list) -> list:
+    """Decode the parsed members of one call (see the module notes): the
+    lockstep rounds when the call's streams are together wide and long
+    enough to amortize them, else the scalar loop. A member whose own
+    round count would thin the rounds below :data:`_VECTOR_MIN_STREAMS`
+    lanes on average (``k_streams=1`` over 100 k symbols among small
+    patches) is decoded as a call of its own."""
+    out: list = [None] * len(members)
+    run, symbols = [], 0  # the members that walk a decode table
+    for i, (n, K, stream_bits, _, codebook) in enumerate(members):
+        if n == 0:
+            out[i] = np.empty(0, dtype=np.int64)
+        elif codebook.alphabet.size == 1:
+            # One symbol, written as a 1-bit code: no table to walk, but
+            # each stream is still exactly as long as its symbols.
+            if not np.array_equal(stream_bits, _lane_counts(n, K)):
+                raise DecompressionError(
+                    "interleaved stream lengths inconsistent with a "
+                    "one-symbol alphabet (corrupt per-stream bit lengths)"
+                )
+            out[i] = np.full(n, codebook.alphabet[0], dtype=np.int64)
+        else:
+            run.append(i)
+            symbols += n
+    rounds = {i: -(-members[i][0] // members[i][1]) for i in run}
+    run.sort(key=rounds.get)
+    while len(run) > 1 and symbols < _VECTOR_MIN_STREAMS * rounds[run[-1]]:
+        i = run.pop()
+        symbols -= members[i][0]
+        out[i] = _decode_streams([members[i]])[0]
+    if symbols >= _SCALAR_CUTOFF and sum(members[i][1] for i in run) >= _VECTOR_MIN_STREAMS:
+        decoded = _decode_streams_vector([members[i] for i in run])
+    else:
+        decoded = [_decode_streams_scalar(*members[i]) for i in run]
+    for i, syms in zip(run, decoded):
+        out[i] = syms
+    return out
+
+
+def _decode_streams_scalar(n, K, stream_bits, payload, codebook: SharedCodebook) -> np.ndarray:
+    """Per-stream scalar decode + interleave (small calls, narrow K)."""
     tsym, tlen = codebook.scalar_tables(n)
-    return _decode_streams_scalar(n, K, stream_bits, payload, tsym, tlen, max_len)
-
-
-def _decode_streams_scalar(
-    n, K, stream_bits, payload, tsym, tlen, max_len
-) -> np.ndarray:
-    """Per-stream scalar decode + interleave (tiny inputs, narrow K)."""
+    max_len = codebook.tables()[2]
     stream_bytes = (stream_bits + 7) // 8
     starts = np.concatenate(([0], np.cumsum(stream_bytes)[:-1]))
     out = np.empty(n, dtype=np.int64)
-    q, rmod = divmod(n, K)
-    for k in range(K):
-        count = q + (1 if k < rmod else 0)
+    for k, count in enumerate(_lane_counts(n, K).tolist()):
         data = payload[int(starts[k]) : int(starts[k] + stream_bytes[k])].tobytes()
         out[k::K], consumed = _decode_stream(data, count, tsym, tlen, max_len)
         if consumed != int(stream_bits[k]):
@@ -809,66 +845,81 @@ def _decode_streams_scalar(
     return out
 
 
-def _decode_streams_vector(
-    n, K, stream_bits, payload, table_sym, table_len, max_len, fused_table
-) -> np.ndarray:
-    """Lockstep vectorized decode: one NumPy gather round per symbol rank.
+def _decode_streams_vector(members: list) -> list:
+    """Lockstep vectorized decode: one NumPy gather round per symbol rank,
+    over the streams of all members at once.
 
-    Each of the K interleaved streams keeps a bit cursor into the shared
-    payload; a round gathers a 32-bit big-endian window per lane, looks
-    all K windows up in the flat table at once, emits K symbols, and
-    advances the cursors by the decoded code lengths. A window only *uses*
-    its top ``7 + max_len <= 23`` bits, so reading a few bytes past a
-    stream's end (into the next stream, or the zero tail padding) never
-    corrupts a symbol whose code bits lie inside the stream. The output
-    lands in a ``(rounds, K)`` matrix whose row-major ravel *is* the
-    round-robin interleave order.
+    Every interleaved stream of every member is a *lane* with a bit cursor
+    into one stacked payload; a round gathers a 32-bit big-endian window
+    per lane, looks all windows up in one stacked table (each distinct
+    codebook's :meth:`SharedCodebook.fused` once, through a per-lane
+    offset, shift and mask), emits one symbol per lane and advances the
+    cursors by the code lengths. Lanes are ordered by symbol count, so the
+    active lanes of a round are a shrinking prefix; rounds fill one flat
+    buffer, from which each member's interleave is gathered at the end.
 
-    Corrupt input cannot escape: gathers are clamped to the padded payload
-    (an overrunning lane reads zeros), and after the final round every
-    lane's cursor must sit exactly at its recorded stream_bits.
+    A window only *uses* its top ``7 + max_len <= 23`` bits, so reading
+    past a stream's end (the next stream or member, the zero tail) never
+    corrupts a symbol whose bits lie inside the stream. Corrupt input
+    cannot escape: a cursor moves at most :data:`MAX_CODE_LENGTH` bits a
+    round, the tail is padded for that, and after the final round every
+    lane's cursor must sit exactly at its recorded ``stream_bits``.
     """
-    stream_bytes = (stream_bits + 7) // 8
-    starts = np.concatenate(([0], np.cumsum(stream_bytes)[:-1]))
-    # 32-bit big-endian window at every byte offset (zero tail so the last
-    # stream's final windows — and corrupt-input overruns — stay in range).
-    needed = int(stream_bytes.sum())
-    b = np.empty(needed + 8, dtype=np.uint32)
-    b[:needed] = payload[:needed]
-    b[needed:] = 0
+    Ks = [m[1] for m in members]
+    bits = np.concatenate([m[2] for m in members])
+    counts = np.concatenate([_lane_counts(m[0], m[1]) for m in members])
+    # Stable, so one member's lanes keep their order (the longer ones lead).
+    order = np.argsort(-counts, kind="stable")
+
+    books = list({id(m[4]): m[4] for m in members}.values())
+    max_lens = np.array([int(book.lengths.max()) for book in books])
+    sizes = 1 << max_lens  # entries of each codebook's table
+    rows = np.cumsum([0] + [book.alphabet.size for book in books[:-1]])
+    table = np.concatenate([book.fused() for book in books])
+    table += np.repeat(rows << 5, sizes)
+    alphabet = np.concatenate([book.alphabet for book in books])
+    slot = {id(book): i for i, book in enumerate(books)}
+    book_of = np.repeat([slot[id(m[4])] for m in members], Ks)[order]
+    offsets = (np.cumsum(sizes) - sizes)[book_of]
+    mask, shift = sizes[book_of] - 1, 32 - max_lens[book_of]
+
+    # 32-bit big-endian window at every byte offset of the members' streams
+    # laid end to end, then zeros for the last windows and for overruns.
+    lane_bytes = (bits + 7) // 8
+    lane_ends = np.cumsum(Ks)
+    member_bytes = np.add.reduceat(lane_bytes, lane_ends - Ks).tolist()
+    tail = np.zeros(MAX_CODE_LENGTH // 8 * int(counts.max()) + 8, dtype=np.uint8)
+    b = np.concatenate([m[3][:size] for m, size in zip(members, member_bytes)] + [tail])
+    b = b.astype(np.uint32)
     windows = (b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]
-    cap = np.int64(windows.size - 1)
-    lane_base = 8 * starts
-    cursor = lane_base.copy()
-    q, rmod = divmod(n, K)
-    n_rounds = q + (1 if rmod else 0)
-    out = np.empty((n_rounds, K), dtype=np.int64)
-    shift_base = np.int64(32 - max_len)
-    mask = np.int64((1 << max_len) - 1)
-    cursor_q = cursor
-    for r in range(n_rounds):
-        if r == q:
-            cursor_q = cursor.copy()
-        word = windows.take(np.minimum(cursor >> 3, cap))
-        win = (word >> (shift_base - (cursor & 7))) & mask
-        if fused_table is not None:
-            entry = fused_table.take(win)
-            out[r] = entry >> 5
-            cursor = cursor + (entry & 31)
-        else:
-            out[r] = table_sym.take(win)
-            cursor = cursor + table_len.take(win)
-    # Lanes k < rmod decode n_rounds symbols, the rest stop one earlier.
-    if rmod:
-        final = np.where(np.arange(K) < rmod, cursor, cursor_q)
-    else:
-        final = cursor
-    if not np.array_equal(final - lane_base, stream_bits):
+    base = (8 * (np.cumsum(lane_bytes) - lane_bytes))[order]
+    cursor = base.copy()
+
+    active = (counts.size - np.cumsum(np.bincount(counts))[:-1]).tolist()
+    starts = np.concatenate(([0], np.cumsum(active)))
+    flat = np.empty(starts[-1], dtype=np.int64)
+    width = None
+    for lo, a in zip(starts.tolist(), active):
+        if a != width:
+            width = a
+            c, at, sh, mk = cursor[:a], offsets[:a], shift[:a], mask[:a]
+        entry = table.take(((windows.take(c >> 3) >> (sh - (c & 7))) & mk) + at)
+        flat[lo : lo + a] = entry
+        c += entry & 31
+    if not np.array_equal(cursor - base, bits[order]):
         raise DecompressionError(
             "interleaved stream lengths inconsistent with decoded symbols "
             "(corrupt bitstream or per-stream bit lengths)"
         )
-    return out.ravel()[:n]
+    symbols = alphabet.take(np.right_shift(flat, 5, out=flat))
+    del table, flat  # a run's tables and rounds are as large as its output
+    if len(members) == 1:
+        return [symbols]  # its lanes kept their order: the rounds are the interleave
+    seat = np.argsort(order)  # where each lane sits in a round
+    return [
+        symbols.take((starts[: -(-n // K), None] + seat[end - K : end]).ravel()[:n])
+        for (n, K, *_), end in zip(members, lane_ends.tolist())
+    ]
 
 
 def _scalar_tables(table_sym: np.ndarray, table_len: np.ndarray, n_symbols: int):
@@ -892,8 +943,8 @@ def _decode_stream(
     """Tight scalar decode loop: one table lookup per symbol.
 
     Plain-Python loop on purpose: per-symbol dependencies make a single
-    stream inherently sequential. It remains the fast path for tiny
-    inputs, where the vectorized decoder's setup cost dominates; the
+    stream inherently sequential. It remains the fast path for small
+    calls, where the vectorized decoder's setup cost dominates; the
     tables are lists or ndarrays per :func:`_scalar_tables`. Returns the
     symbols and the exact number of bits consumed (for per-stream
     validation in the HUF2 layout).

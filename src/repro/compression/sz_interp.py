@@ -17,12 +17,10 @@ from repro.compression.base import (
     RAW_SECTION_LEVEL,
     BatchResult,
     Compressor,
-    SharedEntropy,
     StreamReader,
     StreamWriter,
     check_backend_level,
     check_entropy_params,
-    decode_codes,
     encode_codes,
     encode_codes_batch,
 )
@@ -204,20 +202,15 @@ class SZInterp(Compressor):
         self.last_stage_times = times
         return BatchResult(codebook, payloads if codebook is not None else [], streams)
 
-    def decompress(self, blob: bytes, shared: SharedEntropy | None = None) -> np.ndarray:
-        reader = StreamReader(blob)
-        self._check_stream(reader)
+    def _reconstruct(self, reader: StreamReader, all_codes: np.ndarray) -> np.ndarray:
         eb = float(reader.params["eb"])
         shape = reader.shape
         plan = InterpPlan(shape)
         recon = np.zeros(shape, dtype=np.float64)
-        anchor_raw = decompress_bytes(reader.section("anchors"))
+        anchor_raw = decompress_bytes(reader.section("anchors"), 8 * self._cells(reader))
         anchor_view = recon[plan.anchor_slices()]
         anchors = np.frombuffer(anchor_raw, dtype=np.float64).reshape(anchor_view.shape)
         recon[plan.anchor_slices()] = anchors
-        entropy = reader.params["entropy"]
-        section = None if entropy == GROUPED_STAGE else reader.section("codes")
-        all_codes = decode_codes(section, entropy, shared)
         pos = 0
         for stride, half in plan.levels():
             for axis in range(len(shape)):

@@ -37,7 +37,6 @@ from repro.compression.base import (
     StreamWriter,
     check_backend_level,
     check_entropy_params,
-    decode_codes,
     encode_codes_batch,
 )
 from repro.compression.lorenzo import lorenzo_forward, lorenzo_inverse
@@ -321,12 +320,10 @@ class SZLR(Compressor):
     # ------------------------------------------------------------------
     # Decompression
     # ------------------------------------------------------------------
-    def decompress(self, blob: bytes, shared: SharedEntropy | None = None) -> np.ndarray:
-        """Reconstruct the array; grouped streams additionally need their
-        group's :class:`~repro.compression.base.SharedEntropy` (the
-        container reader supplies it)."""
-        reader = StreamReader(blob)
-        self._check_stream(reader)
+    #: In this class's namespace too, where tools that rebind entry points look.
+    decompress = Compressor.decompress
+
+    def _reconstruct(self, reader: StreamReader, codes: np.ndarray) -> np.ndarray:
         params = reader.params
         eb = float(params["eb"])
         bs = int(params["block_size"])
@@ -334,12 +331,12 @@ class SZLR(Compressor):
         padded_shape = tuple(params["padded_shape"])
         ndim = len(shape)
         block_cells = bs**ndim
+        cells = self._cells(reader)
 
-        modes = np.frombuffer(decompress_bytes(reader.section("modes")), dtype=np.uint8)
+        modes = np.frombuffer(decompress_bytes(reader.section("modes"), cells), dtype=np.uint8)
         n_blocks = modes.size
-        dc = unpack_ints(reader.section("dc"))
-        qcoefs = unpack_ints(reader.section("coefs")).reshape(-1, 1 + ndim)
-        codes = self._decode_code_section(reader, params, shared)
+        dc = unpack_ints(reader.section("dc"), cells)
+        qcoefs = unpack_ints(reader.section("coefs"), cells).reshape(-1, 1 + ndim)
         if codes.size != n_blocks * block_cells:
             raise DecompressionError(
                 f"code stream has {codes.size} entries, expected {n_blocks * block_cells}"
@@ -360,16 +357,6 @@ class SZLR(Compressor):
         arr = reg.unblockify(out_blocks, bs, padded_shape, shape)
         return arr.astype(reader.dtype, copy=False)
 
-    @staticmethod
-    def _decode_code_section(
-        reader: StreamReader, params: dict, shared: SharedEntropy | None
-    ) -> np.ndarray:
-        """Decode the quantization codes, from the stream's own codes
-        section or — for grouped streams — from the shared group payload."""
-        entropy = params["entropy"]
-        section = None if entropy == GROUPED_STAGE else reader.section("codes")
-        return decode_codes(section, entropy, shared)
-
     # ------------------------------------------------------------------
     # Random access (paper §3.3: no dependency between blocks)
     # ------------------------------------------------------------------
@@ -388,24 +375,24 @@ class SZLR(Compressor):
         in the group section are what keep block random access O(patch).
         """
         reader = StreamReader(blob)
-        self._check_stream(reader)
+        (codes,) = self._decode_codes([reader], [shared])
         params = reader.params
         eb = float(params["eb"])
         bs = int(params["block_size"])
         ndim = len(reader.shape)
         block_cells = bs**ndim
-        modes = np.frombuffer(decompress_bytes(reader.section("modes")), dtype=np.uint8)
+        cells = self._cells(reader)
+        modes = np.frombuffer(decompress_bytes(reader.section("modes"), cells), dtype=np.uint8)
         if not 0 <= block_index < modes.size:
             raise DecompressionError(f"block index {block_index} out of range [0, {modes.size})")
-        codes = self._decode_code_section(reader, params, shared)
         block_codes = codes[block_index * block_cells : (block_index + 1) * block_cells].copy()
         if modes[block_index] == MODE_LORENZO:
-            dc = unpack_ints(reader.section("dc"))
+            dc = unpack_ints(reader.section("dc"), cells)
             rank = int(np.count_nonzero(modes[:block_index] == MODE_LORENZO))
             block_codes[0] = dc[rank]
             q = lorenzo_inverse(block_codes.reshape((bs,) * ndim))
             return q.astype(np.float64) * (2.0 * eb)
-        qcoefs = unpack_ints(reader.section("coefs")).reshape(-1, 1 + ndim)
+        qcoefs = unpack_ints(reader.section("coefs"), cells).reshape(-1, 1 + ndim)
         rank = int(np.count_nonzero(modes[:block_index] == MODE_REGRESSION))
         dq = reg.dequantize_coefficients(qcoefs[rank : rank + 1], eb, bs, ndim)
         pred = reg.predict_blocks(dq, bs, ndim)[0]

@@ -26,7 +26,6 @@ from repro.compression.base import (
     StreamReader,
     StreamWriter,
     check_entropy_params,
-    decode_codes,
     encode_codes,
 )
 from repro.compression.lossless import pack_ints, unpack_ints
@@ -91,6 +90,7 @@ class ZFPLike(Compressor):
     """
 
     name = "zfp-like"
+    _block_edge = 4
 
     def __init__(
         self,
@@ -134,15 +134,12 @@ class ZFPLike(Compressor):
         writer.add_section("codes", code_blob)
         return writer.tobytes()
 
-    def decompress(self, blob: bytes) -> np.ndarray:
-        reader = StreamReader(blob)
-        self._check_stream(reader)
+    def _reconstruct(self, reader: StreamReader, codes: np.ndarray) -> np.ndarray:
         eb = float(reader.params["eb"])
         shape = reader.shape
         padded_shape = tuple(reader.params["padded_shape"])
         ndim = len(shape)
-        dc = unpack_ints(reader.section("dc"))
-        codes = decode_codes(reader.section("codes"), reader.params["entropy"])
+        dc = unpack_ints(reader.section("dc"), self._cells(reader))
         flat = codes.reshape(dc.size, 4**ndim).copy()
         flat[:, 0] = dc
         cube = flat.reshape((-1,) + (4,) * ndim)

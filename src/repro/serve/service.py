@@ -19,8 +19,8 @@ end to end:
   :class:`~repro.parallel.WorkerPool` (``asyncio`` futures wrap the pool's
   ``concurrent.futures`` ones), and byte fetches run on the loop's default
   executor behind a per-file lock; the loop only plans, slices, and
-  assembles. Grouped (RPGB) members requested together decode as **one
-  shared-codebook batch** per group.
+  assembles. The missed patches of a step decode as **one task** — one
+  lockstep entropy pass over all of them, grouped (RPGB) or not.
 * **Warm queries touch zero payload bytes.** Decoded patches, parsed
   segment catalogs, and group headers/codebooks live in one byte-budgeted
   :class:`~repro.serve.cache.ServeCache`; a repeat query is served
@@ -45,7 +45,6 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -55,7 +54,7 @@ import numpy as np
 from repro.compression.base import SharedEntropy
 from repro.compression.container import (
     PatchIndexEntry,
-    _decode_entry_stream,
+    _decode_run,
     _normalize_selector,
 )
 from repro.errors import (
@@ -114,47 +113,6 @@ class QueryInfo:
     #: Degraded-mode report: one ``{"step", "file", "error", "detail"}``
     #: dict per selected step whose shard/segment could not be served.
     missing: list = field(default_factory=list)
-
-
-def _check_extent(blob, length: int, crc: int, what: str, verify: bool):
-    if len(blob) != length:
-        raise FormatError(
-            f"{what}: fetched {len(blob)} of {length} extent bytes (truncated?)"
-        )
-    if verify and zlib.crc32(blob) != crc:
-        raise FormatError(f"checksum mismatch in {what}")
-
-
-def _decode_single_task(task) -> list[np.ndarray]:
-    """Decode one self-contained stream (runs on the worker pool)."""
-    entry, blob, verify = task
-    _check_extent(blob, entry.length, entry.crc32,
-                  f"patch stream {entry.describe()}", verify)
-    return [_decode_entry_stream(entry, blob)]
-
-def _decode_group_task(task) -> list[np.ndarray]:
-    """Decode all requested members of one RPGB group against its shared
-    codebook in a single worker task — the codebook's decode tables are
-    built once for the whole batch (``SharedEntropy`` resolves raw
-    codebook bytes through a memo for process-mode workers)."""
-    codebook, items, verify = task
-    out = []
-    for entry, blob, payload, payload_crc in items:
-        _check_extent(blob, entry.length, entry.crc32,
-                      f"patch stream {entry.describe()}", verify)
-        _check_extent(payload, len(payload), payload_crc,
-                      f"group payload of {entry.describe()}", verify)
-        out.append(
-            _decode_entry_stream(entry, blob, SharedEntropy(codebook, payload))
-        )
-    return out
-
-
-def _reap_future(fut: asyncio.Future) -> None:
-    """Mark a doomed decode future's exception retrieved (or swallow its
-    cancellation) so abandoning it is warning-free."""
-    if not fut.cancelled():
-        fut.exception()
 
 
 def _apply_region(arr: np.ndarray, region, key) -> np.ndarray:
@@ -591,64 +549,30 @@ class QueryService:
             for ext in r.extents:
                 lo = ext.offset - r.offset
                 data[(ext.key, ext.kind)] = view[lo : lo + ext.length]
-        futures = []
-        key_lists: list[list[tuple]] = []
+        # One decode task per step plan: every missed patch of the step,
+        # grouped or not, rides the same lockstep entropy pass.
+        keys, members, extents = [], [], []
+        for batch in plan.batches:
+            handle = codebook = None
+            if batch.group is not None:
+                handle = cat.reader.group(batch.group, verify=False)
+                codebook = handle.codebook_bytes if copy else handle.codebook
+            for e in batch.entries:
+                key = (plan.step, e.level, e.field, e.patch)
+                keys.append(key)
+                shared = payload_crc = None
+                if handle is not None:
+                    shared = SharedEntropy(codebook, data[(key, "group_payload")])
+                    payload_crc = handle.member_extent(e.member)[2] if verify else None
+                members.append((e.key, e.codec, data[(key, "stream")], shared))
+                extents.append((e.length, e.crc32 if verify else None, payload_crc))
         try:
-            for batch in plan.batches:
-                if batch.group is None:
-                    e = batch.entries[0]
-                    key = (plan.step, e.level, e.field, e.patch)
-                    task = (e, data[(key, "stream")], verify)
-                    futures.append(
-                        asyncio.wrap_future(
-                            self._pool.submit(_decode_single_task, task)
-                        )
-                    )
-                    key_lists.append([key])
-                else:
-                    handle = cat.reader.group(batch.group, verify=False)
-                    codebook = handle.codebook_bytes if copy else handle.codebook
-                    items, keys = [], []
-                    for e in batch.entries:
-                        key = (plan.step, e.level, e.field, e.patch)
-                        _, _, payload_crc = handle.member_extent(e.member)
-                        items.append(
-                            (e, data[(key, "stream")],
-                             data[(key, "group_payload")], payload_crc)
-                        )
-                        keys.append(key)
-                    futures.append(
-                        asyncio.wrap_future(
-                            self._pool.submit(
-                                _decode_group_task, (codebook, items, verify)
-                            )
-                        )
-                    )
-                    key_lists.append(keys)
+            arrays = await asyncio.wrap_future(self._pool.submit(_decode_run, (members, extents)))
         except ReproError:
             raise
-        except Exception as exc:
-            # A broken pool fails synchronously at submit time; siblings
-            # already submitted are doomed too — consume their errors so
-            # nothing surfaces as an unretrieved-exception warning.
-            for fut in futures:
-                fut.add_done_callback(_reap_future)
+        except Exception as exc:  # a broken pool: at submit time, or in the worker
             raise self._pool_failure_error(exc) from exc
-        # return_exceptions so every worker future is retrieved even when
-        # one fails (a broken process pool fails them all at once).
-        decoded = await asyncio.gather(*futures, return_exceptions=True)
-        first = next(
-            (r for r in decoded if isinstance(r, BaseException)), None
-        )
-        if first is not None:
-            if isinstance(first, (ReproError, asyncio.CancelledError)):
-                raise first
-            raise self._pool_failure_error(first) from first
-        out: dict[tuple, np.ndarray] = {}
-        for keys, arrays in zip(key_lists, decoded):
-            for key, arr in zip(keys, arrays):
-                out[key] = arr
-        return out
+        return dict(zip(keys, arrays))
 
     def _check_open(self) -> None:
         if self._closed:

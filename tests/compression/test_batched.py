@@ -397,14 +397,14 @@ class TestGroupedBlockDecode:
         shared = reader._entry_shared(entry)
 
         decoded_counts: list[int] = []
-        orig = huffman.decode_with_codebook
+        orig = huffman.decode_many
 
-        def counting(payload, codebook):
-            out = orig(payload, codebook)
-            decoded_counts.append(out.size)
+        def counting(payloads, codebooks=None):
+            out = orig(payloads, codebooks)
+            decoded_counts.extend(codes.size for codes in out)
             return out
 
-        monkeypatch.setattr(huffman, "decode_with_codebook", counting)
+        monkeypatch.setattr(huffman, "decode_many", counting)
         codec = SZLR(block_size="auto")
         block = codec.decompress_block(blob, 1, shared=shared)
         assert block.ndim == 3
@@ -538,7 +538,16 @@ class TestSharedCodebookUnit:
             )
 
     def test_shared_entropy_resolves_raw_bytes(self):
-        cb = huffman.SharedCodebook.from_symbols(np.arange(8))
-        shared = SharedEntropy(cb.tobytes(), b"")
-        resolved = shared.resolve_codebook()
-        assert np.array_equal(resolved.alphabet, cb.alphabet)
+        """Raw ``HUFB`` bytes (what a process-mode worker is sent) decode
+        like the parsed codebook, parsed once for the members of a call."""
+        from repro.compression.base import GROUPED_STAGE, decode_codes
+        from repro.compression.lossless import compress_bytes
+
+        codes = np.arange(16).reshape(2, 8) % 8
+        cb = huffman.SharedCodebook.from_symbols(codes)
+        shareds = [
+            SharedEntropy(cb.tobytes(), compress_bytes(payload, "none"))
+            for payload in huffman.encode_batch(codes, cb)
+        ]
+        out = decode_codes([None, None], [GROUPED_STAGE] * 2, shareds, [8, 8])
+        assert np.array_equal(out, codes)

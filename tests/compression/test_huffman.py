@@ -156,20 +156,21 @@ class TestHUF2Layout:
         semantics: decode the same blob through both, symbol-for-symbol."""
         syms = rng.integers(-100, 100, size=20_000).astype(np.int64)
         blob = huffman.encode(syms, k_streams=64)
-        head = huffman._HUF2_HEAD
-        _, n, K, alpha = head.unpack_from(blob, 0)
-        book = huffman.SharedCodebook._read(blob, head.size, alpha)
-        stream_bits, payload = huffman._parse_streams(blob, head.size + 9 * alpha, n, K, "HUF2")
-        table_sym, table_len, max_len = book.tables()
-        vec = huffman._decode_streams_vector(
-            n, K, stream_bits, payload, table_sym, table_len, max_len, book.fused()
-        )
-        tsym, tlen = book.scalar_tables(n)
-        scl = huffman._decode_streams_scalar(
-            n, K, stream_bits, payload, tsym, tlen, max_len
-        )
+        member = huffman._parse(blob, None)
+        (vec,) = huffman._decode_streams_vector([member])
+        scl = huffman._decode_streams_scalar(*member)
         assert np.array_equal(vec, syms)
         assert np.array_equal(scl, syms)
+
+    def test_lone_reads_of_a_group_convert_its_tables_once(self):
+        """The scalar loop indexes lists; a shared codebook keeps them, so
+        repeated one-patch reads of a group do not each pay the ``tolist``.
+        (A call too small for lists to pay indexes the arrays, uncached.)"""
+        book = huffman.SharedCodebook.from_symbols(np.arange(64).repeat(np.arange(1, 65)))
+        assert isinstance(book.scalar_tables(1)[0], np.ndarray)
+        tsym, tlen = book.scalar_tables(4096)
+        assert isinstance(tsym, list) and isinstance(tlen, list)
+        assert book.scalar_tables(4096)[0] is tsym
 
     def test_auto_widens_with_input(self):
         # Below the 8-stream floor, K clamps to the symbol count.
@@ -243,10 +244,10 @@ class _Layout:
         lossless backend, through :func:`base.decode_codes`."""
         wrapped = compress_bytes(blob, "deflate", 1)
         if self.name == "HUF2":
-            return base.decode_codes(wrapped, "huffman")
+            return base.decode_codes([wrapped], ["huffman"], [None], [book_syms.size])[0]
         book = huffman.SharedCodebook.from_symbols(book_syms)
         shared = base.SharedEntropy(book.tobytes(), wrapped)
-        return base.decode_codes(b"", base.GROUPED_STAGE, shared)
+        return base.decode_codes([None], [base.GROUPED_STAGE], [shared], [book_syms.size])[0]
 
 
 _HUF2 = _Layout("HUF2")
@@ -333,6 +334,27 @@ class TestAdversarialStreams:
             assert peak < limit, (forged, peak)
             with pytest.raises(DecompressionError):
                 layout.decode_section(doctored, syms)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS, ids=repr)
+def test_one_symbol_alphabet_still_validates_its_streams(layout):
+    """A one-symbol alphabet walks no table, but its streams are written
+    with a 1-bit code: ``stream_bits`` forged 10 -> 16 (one pad byte
+    appended so the bytes are all there) used to decode silently."""
+    blob, syms, decode = layout.blob(n=10, k=1, lo=7, hi=8)
+    lo, hi = layout.sections(blob)["stream_bits"]
+    assert struct.unpack_from("<Q", blob, lo) == (10,)
+    assert np.array_equal(decode(blob), syms)
+    doctored = bytearray(blob) + b"\x00"
+    struct.pack_into("<Q", doctored, lo, 16)
+    with pytest.raises(DecompressionError, match="one-symbol"):
+        decode(bytes(doctored))
+    k4, _, decode4 = layout.blob(n=10, k=4, lo=7, hi=8)  # lanes of 3, 3, 2, 2 symbols
+    lo, _ = layout.sections(k4)["stream_bits"]
+    assert struct.unpack_from("<4Q", k4, lo) == (3, 3, 2, 2)
+    struct.pack_into("<Q", doctored := bytearray(k4), lo + 16, 3)
+    with pytest.raises(DecompressionError, match="one-symbol"):
+        decode4(bytes(doctored))
 
 
 class TestHUF2Adversarial:

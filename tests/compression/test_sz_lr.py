@@ -61,7 +61,7 @@ class TestBehaviour:
             reader = StreamReader(blob)
             from repro.compression.lossless import decompress_bytes
 
-            modes = np.frombuffer(decompress_bytes(reader.section("modes")), dtype=np.uint8)
+            modes = np.frombuffer(decompress_bytes(reader.section("modes"), smooth_field.size), dtype=np.uint8)
             assert (modes == expect).all()
 
     def test_deflate_entropy_variant(self, smooth_field):

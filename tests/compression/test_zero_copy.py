@@ -98,16 +98,16 @@ class TestContainerMmap:
         """The acceptance check: no intermediate ``bytes`` copy of any
         patch stream between the mapping and the codec."""
         seen: list[tuple[type, bool]] = []
-        real_task = container_mod._decode_task
+        real_task = container_mod._decode_run
 
         def spying_task(task):
-            blob = task[1]
-            seen.append(
-                (type(blob), isinstance(blob, memoryview) and isinstance(blob.obj, mmap.mmap))
-            )
+            for _, _, blob, _ in task[0]:
+                seen.append(
+                    (type(blob), isinstance(blob, memoryview) and isinstance(blob.obj, mmap.mmap))
+                )
             return real_task(task)
 
-        monkeypatch.setattr(container_mod, "_decode_task", spying_task)
+        monkeypatch.setattr(container_mod, "_decode_run", spying_task)
         with ContainerReader.open(container_path, mmap=True) as r:
             out = r.select()
         assert len(seen) == len(out) > 0
@@ -119,13 +119,13 @@ class TestContainerMmap:
 
     def test_file_mode_still_passes_bytes(self, container_path, monkeypatch):
         seen: list[object] = []
-        real_task = container_mod._decode_task
+        real_task = container_mod._decode_run
 
         def spying_task(task):
-            seen.append(task[1])
+            seen.extend(member[2] for member in task[0])
             return real_task(task)
 
-        monkeypatch.setattr(container_mod, "_decode_task", spying_task)
+        monkeypatch.setattr(container_mod, "_decode_run", spying_task)
         with ContainerReader.open(container_path) as r:
             r.select()
         assert seen and all(isinstance(b, bytes) for b in seen)
@@ -295,13 +295,13 @@ class TestBytesSourceZeroCopy:
 
         raw = container_path.read_bytes()
         seen: list[type] = []
-        real_task = container_mod._decode_task
+        real_task = container_mod._decode_run
 
         def spying_task(task):
-            seen.append(type(task[1]))
+            seen.extend(type(member[2]) for member in task[0])
             return real_task(task)
 
-        monkeypatch.setattr(container_mod, "_decode_task", spying_task)
+        monkeypatch.setattr(container_mod, "_decode_run", spying_task)
         out = decompress_selection(raw)
         assert seen == [memoryview] * len(out)
 
