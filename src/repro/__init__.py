@@ -9,6 +9,10 @@ The package provides, from scratch:
 * AMR iso-surface visualization pipelines (:mod:`repro.viz`),
 * quality metrics incl. SSIM / R-SSIM (:mod:`repro.metrics`),
 * the paper's experiment harness (:mod:`repro.experiments`).
+
+``repro.open(path_or_bytes_or_file)`` opens whatever the writers produced
+for selective decompression (:mod:`repro.door`, resolved on first use so
+that ``import repro`` stays as light as its error classes).
 """
 
 __version__ = "1.0.0"
@@ -37,3 +41,11 @@ __all__ = [
     "MetricError",
     "ExperimentError",
 ]
+
+
+def __getattr__(name: str):
+    if name == "open":
+        from repro.door import open
+
+        return open
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

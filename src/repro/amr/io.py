@@ -156,26 +156,42 @@ def read_container(path: str | Path):
     from an ``RPH2`` container at ``path``."""
     from repro.compression.amr_codec import CompressedHierarchy
 
-    return CompressedHierarchy.frombytes(Path(path).read_bytes())
+    with open_container(path) as reader:
+        return CompressedHierarchy.fromreader(reader)
 
 
-def open_container(path: str | Path):
+def open_container(path: str | Path, backend=None):
     """Open ``path`` for random access and return a
-    :class:`~repro.compression.container.ContainerReader`.
+    :class:`~repro.compression.container.ContainerReader` — ``repro.open``
+    held to the snapshot parser, which refuses anything else by its magic.
 
     Only the footer and index are read eagerly; use the reader's
     :meth:`~repro.compression.container.ContainerReader.select` /
     :meth:`~repro.compression.container.ContainerReader.read_patch` for
-    O(patch)-byte selective decompression.
+    O(patch)-byte selective decompression. ``backend`` redirects reads
+    through a :class:`repro.storage.StorageBackend`.
     """
     from repro.compression.container import ContainerReader
 
-    return ContainerReader.open(path)
+    return ContainerReader.open(path, backend=backend)
 
 
 # ----------------------------------------------------------------------
 # Time-series containers (.rph2s): streaming in-situ campaigns.
 # ----------------------------------------------------------------------
+def _append_steps(writer, steps) -> None:
+    """Feed :func:`write_series`'s ``steps`` contract to a series writer."""
+    for item in steps:
+        if hasattr(item, "hierarchy"):
+            writer.append_step(
+                item.hierarchy,
+                time=getattr(item, "time", None),
+                step=getattr(item, "index", None),
+            )
+        else:
+            writer.append_step(item)
+
+
 def write_series(
     path: str | Path,
     steps,
@@ -205,15 +221,7 @@ def write_series(
         exclude_covered=exclude_covered, parallel=parallel, workers=workers,
         overwrite=overwrite, durability=durability,
     ) as writer:
-        for item in steps:
-            if hasattr(item, "hierarchy"):
-                writer.append_step(
-                    item.hierarchy,
-                    time=getattr(item, "time", None),
-                    step=getattr(item, "index", None),
-                )
-            else:
-                writer.append_step(item)
+        _append_steps(writer, steps)
     return Path(path)
 
 
@@ -253,15 +261,7 @@ def write_sharded_series(
         durability=durability, overwrite=overwrite, backend=backend,
         parity=parity,
     ) as writer:
-        for item in steps:
-            if hasattr(item, "hierarchy"):
-                writer.append_step(
-                    item.hierarchy,
-                    time=getattr(item, "time", None),
-                    step=getattr(item, "index", None),
-                )
-            else:
-                writer.append_step(item)
+        _append_steps(writer, steps)
     return Path(path)
 
 
@@ -283,7 +283,8 @@ def append_step(path: str | Path, hierarchy, time: float | None = None,
 
 def open_series(path: str | Path, backend=None):
     """Open an ``RPH2S`` series for random access and return a
-    :class:`~repro.insitu.series.SeriesReader`.
+    :class:`~repro.insitu.series.SeriesReader` — ``repro.open`` held to
+    the series parser, which refuses a snapshot by its magic.
 
     Only the series footer and timestep index are read eagerly; use the
     reader's :meth:`~repro.insitu.series.SeriesReader.select` /
@@ -301,7 +302,7 @@ def open_series(path: str | Path, backend=None):
 
 
 def recover_series(path: str | Path, commit: bool = False,
-                   output: str | Path | None = None):
+                   output: str | Path | None = None, backend=None):
     """Diagnose (and optionally repair) an interrupted ``RPH2S`` write.
 
     Dry run by default: returns a
@@ -310,26 +311,31 @@ def recover_series(path: str | Path, commit: bool = False,
     file. With ``commit=True`` trailing garbage is truncated and a fresh
     timestep index + footer appended, after which the series opens
     normally; ``output`` redirects the rewrite to a new file. See
-    :mod:`repro.insitu.recovery` for the scan semantics.
+    :mod:`repro.insitu.recovery` for the scan semantics. ``backend``
+    resolves ``path`` and ``output`` (default: the local filesystem).
 
     A sharded campaign's ``RPHM`` manifest routes to
     :func:`repro.insitu.sharded.recover_sharded`: every shard is salvaged
     independently and the manifest rebuilt from the surviving indexes
     (``output`` is not supported there — recovery is per shard, in place).
+    A snapshot container is written in one piece and has nothing to
+    recover: it is refused by name.
     """
+    from repro.door import kind_of
     from repro.insitu.recovery import recover_series as _recover
-    from repro.insitu.sharded import MANIFEST_MAGIC, recover_sharded
+    from repro.insitu.sharded import recover_sharded
 
-    try:
-        with Path(path).open("rb") as probe:
-            head = probe.read(len(MANIFEST_MAGIC))
-    except OSError:
-        head = b""
-    if head == MANIFEST_MAGIC:
+    kind = kind_of(path, backend=backend)
+    if kind == "snapshot":
+        raise FormatError(
+            f"{path} is an RPH2 snapshot container, written in one piece; only "
+            "an RPH2S series or an RPHM campaign can be recovered"
+        )
+    if kind == "campaign":
         if output is not None:
             raise FormatError(
                 "recover_series(output=...) is not supported for sharded "
                 "manifests; shards are recovered in place"
             )
-        return recover_sharded(path, commit=commit)
-    return _recover(path, commit=commit, output=output)
+        return recover_sharded(path, commit=commit, backend=backend)
+    return _recover(path, commit=commit, output=output, backend=backend)

@@ -40,14 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.amr.io import open_container, read_plotfile
-from repro.compression.amr_codec import (
-    CompressedHierarchy,
-    compress_hierarchy,
-    decompress_selection,
-)
+from repro.amr.io import read_container, read_plotfile
+from repro.compression.amr_codec import compress_hierarchy, decompress_selection
 from repro.compression.base import StreamReader
 from repro.compression.registry import available_codecs, decompress_any, make_codec
+from repro.errors import CompressionError, FormatError, ReproError
 from repro.insitu.writer import DURABILITY_MODES
 from repro.parallel.pool import EXECUTION_MODES, resolve_workers
 
@@ -55,7 +52,10 @@ __all__ = ["main"]
 
 
 def _cmd_compress(args) -> int:
-    data = np.load(args.input, allow_pickle=False)
+    try:
+        data = np.load(args.input, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"{args.input} is not a .npy array: {exc}") from exc
     codec = make_codec(args.codec)
     blob = codec.compress(data, args.eb, mode=args.mode)
     out = args.output if args.output else args.input.with_suffix(".rprc")
@@ -111,7 +111,7 @@ def _cmd_compress_plotfile(args) -> int:
 
 
 def _cmd_info_plotfile(args) -> int:
-    container = CompressedHierarchy.frombytes(Path(args.input).read_bytes())
+    container = read_container(args.input)
     print(f"codec:   {container.codec}")
     print(f"eb:      {container.error_bound:g} ({container.mode})")
     print(f"fields:  {list(container.fields)}")
@@ -125,54 +125,43 @@ def _cmd_info_plotfile(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
-    with Path(args.input).open("rb") as probe:
-        magic = probe.read(5)
-    if magic == b"RPH2S" or magic[:4] == b"RPHM":
-        return _inspect_series(args.input)
-    with open_container(args.input) as reader:
-        print(f"codec:    {reader.codec}")
-        print(f"eb:       {reader.error_bound:g} ({reader.mode})")
-        print(f"fields:   {list(reader.fields)}")
-        print(f"levels:   {reader.n_levels}")
-        print(f"patches:  {len(reader.entries)}")
-        print(f"payload:  {reader.compressed_bytes} bytes "
-              f"(ratio {reader.original_bytes / reader.compressed_bytes:.2f}x)")
-        print(f"{'level':>5} {'field':>12} {'patch':>5} {'offset':>10} "
-              f"{'length':>10} {'codec':>10} {'crc32':>10}")
-        for e in reader.entries:
-            print(f"{e.level:>5} {e.field:>12} {e.patch:>5} {e.offset:>10} "
-                  f"{e.length:>10} {e.codec:>10} {e.crc32:>10x}")
-    return 0
+    from repro.door import open as open_any
 
-
-def _inspect_series(path: Path) -> int:
-    from repro.amr.io import open_series
-
-    with open_series(path) as reader:
-        if getattr(reader, "is_sharded", False):
+    with open_any(args.input) as reader:
+        if reader.kind == "campaign":
             print(f"RPHM sharded campaign ({reader.n_shards} shards)")
             for name in reader.shards:
                 owned = [e.step for e in reader.step_entries
                          if reader.shard_of(e.step) == name]
                 print(f"  {Path(name).name}: steps {owned}")
-        else:
+        elif reader.kind == "series":
             print("RPH2S time series")
-        print(f"codec:    {reader.codec}")
-        print(f"eb:       {reader.error_bound:g} ({reader.mode})")
-        print(f"fields:   {list(reader.fields)}")
-        print(f"steps:    {reader.n_steps}")
-        total_ratio = (
+        ratio = (
             reader.original_bytes / reader.compressed_bytes
             if reader.compressed_bytes
             else float("nan")
         )
-        print(f"payload:  {reader.compressed_bytes} bytes (ratio {total_ratio:.2f}x)")
-        print(f"{'step':>5} {'time':>10} {'levels':>6} {'patches':>7} "
-              f"{'offset':>10} {'length':>10} {'ratio':>7}")
-        for e in reader.step_entries:
-            ratio = e.original_bytes / e.length if e.length else float("nan")
-            print(f"{e.step:>5} {e.time:>10.4g} {e.n_levels:>6} {e.n_patches:>7} "
-                  f"{e.offset:>10} {e.length:>10} {ratio:>6.2f}x")
+        print(f"codec:    {reader.codec}")
+        print(f"eb:       {reader.error_bound:g} ({reader.mode})")
+        print(f"fields:   {list(reader.fields)}")
+        if reader.kind == "snapshot":
+            print(f"levels:   {reader.n_levels}")
+            print(f"patches:  {len(reader.entries)}")
+            print(f"payload:  {reader.compressed_bytes} bytes (ratio {ratio:.2f}x)")
+            print(f"{'level':>5} {'field':>12} {'patch':>5} {'offset':>10} "
+                  f"{'length':>10} {'codec':>10} {'crc32':>10}")
+            for e in reader.entries:
+                print(f"{e.level:>5} {e.field:>12} {e.patch:>5} {e.offset:>10} "
+                      f"{e.length:>10} {e.codec:>10} {e.crc32:>10x}")
+        else:
+            print(f"steps:    {reader.n_steps}")
+            print(f"payload:  {reader.compressed_bytes} bytes (ratio {ratio:.2f}x)")
+            print(f"{'step':>5} {'time':>10} {'levels':>6} {'patches':>7} "
+                  f"{'offset':>10} {'length':>10} {'ratio':>7}")
+            for e in reader.step_entries:
+                step_ratio = e.original_bytes / e.length if e.length else float("nan")
+                print(f"{e.step:>5} {e.time:>10.4g} {e.n_levels:>6} {e.n_patches:>7} "
+                      f"{e.offset:>10} {e.length:>10} {step_ratio:>6.2f}x")
     return 0
 
 
@@ -181,7 +170,7 @@ def _parse_int_list(spec: str | None) -> list[int] | None:
 
 
 def _cmd_extract(args) -> int:
-    # decompress_selection routes on magic: RPH2 snapshots and RPH2S series.
+    # decompress_selection is repro.open + select: snapshot, series or campaign.
     selected = decompress_selection(
         args.input,
         levels=_parse_int_list(args.level),
@@ -196,11 +185,8 @@ def _cmd_extract(args) -> int:
         return 1
 
     def tag(key) -> str:
-        if len(key) == 4:  # series: (step, level, field, patch)
-            s, l, field, p = key
-            return f"step{s:05d}_level{l}_{field}_patch{p:05d}"
-        l, field, p = key
-        return f"level{l}_{field}_patch{p:05d}"
+        *step, l, field, p = key  # a series key leads with its step
+        return "".join(f"step{s:05d}_" for s in step) + f"level{l}_{field}_patch{p:05d}"
 
     if len(selected) == 1 and not args.npz:
         ((key, data),) = selected.items()
@@ -217,21 +203,12 @@ def _cmd_extract(args) -> int:
 
 def _cmd_recover(args) -> int:
     from repro.amr.io import recover_series
-    from repro.errors import TruncatedSeriesError
 
     if args.output is not None and not args.commit:
         print("recover: -o/--output has no effect without --commit",
               file=sys.stderr)
-    try:
-        report = recover_series(args.input)  # dry run: never modifies the file
-    except TruncatedSeriesError as exc:
-        # A sharded campaign where no shard holds a sealed step.
-        print(f"recover: {exc}", file=sys.stderr)
-        return 1
-    if getattr(report, "shard_reports", None) is not None and args.output:
-        print("recover: -o/--output is not supported for sharded manifests "
-              "(shards are recovered in place)", file=sys.stderr)
-        return 2
+    # dry run: never modifies the file (-o on a sharded manifest is refused here)
+    report = recover_series(args.input, output=args.output)
     print(report.describe())
     if report.intact:
         if args.commit and args.output is not None:
@@ -256,27 +233,17 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_scrub(args) -> int:
-    from repro.errors import FormatError, StorageError
     from repro.integrity import scrub
 
-    try:
-        report = scrub(args.input)  # read-only: never modifies the file
-    except (FormatError, StorageError) as exc:
-        print(f"scrub: {exc}", file=sys.stderr)
-        return 2
+    report = scrub(args.input)  # read-only: never modifies the file
     print(report.describe())
     return 0 if report.clean else 1
 
 
 def _cmd_repair(args) -> int:
-    from repro.errors import FormatError, IntegrityError, StorageError
     from repro.integrity import repair_sharded
 
-    try:
-        report = repair_sharded(args.input, commit=args.commit)
-    except (IntegrityError, FormatError, StorageError) as exc:
-        print(f"repair: {exc}", file=sys.stderr)
-        return 2
+    report = repair_sharded(args.input, commit=args.commit)
     print(report.describe())
     if report.unrecoverable:
         return 1
@@ -312,10 +279,7 @@ def _cmd_serve(args) -> int:
             )
             await server.start()
             host, port = server.address
-            kind = "sharded campaign" if service.is_sharded else (
-                "series" if len(service.steps) > 1 or args.input.suffix
-                == ".rph2s" else "snapshot"
-            )
+            kind = "sharded campaign" if service.is_sharded else service.kind
             # Parsed by tests and tools to learn the bound port: keep the
             # "serving ... on host:port" shape stable.
             print(
@@ -341,12 +305,9 @@ def _cmd_stream(args) -> int:
     from repro.insitu.writer import StreamingWriter
 
     if bool(args.inputs) == bool(args.sim):
-        print("stream: pass plotfile directories OR --sim, not both/neither",
-              file=sys.stderr)
-        return 2
+        raise CompressionError("pass plotfile directories OR --sim, not both/neither")
     if args.shards < 1:
-        print("stream: --shards must be >= 1", file=sys.stderr)
-        return 2
+        raise CompressionError("--shards must be >= 1")
     fields = args.fields.split(",") if args.fields else None
     out = Path(args.output)
 
@@ -553,7 +514,13 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_repair)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ReproError, OSError) as exc:
+        # The one error path: a junk, empty, missing or wrong-kind file is one
+        # line and exit 2, never a traceback (OSError: the array commands' I/O).
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -26,9 +26,7 @@ raises a clear "unsupported legacy magic" error instead.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -44,13 +42,13 @@ from repro.compression.container import (
     _decode_selection,
     _iter_streams,
     _key_filter,
+    _reject_steps,
     pack_container,
     pack_group,
 )
 from repro.compression.registry import codec_accepts, make_codec
 from repro.errors import CompressionError, FormatError
 from repro.parallel.pool import parallel_map
-from repro.storage import ByteSource
 
 __all__ = [
     "CompressedHierarchy",
@@ -170,9 +168,12 @@ class CompressedHierarchy:
         levels=None,
         fields=None,
         patches=None,
+        verify: bool = True,
         parallel: str = "serial",
         workers: int = 2,
         pool=None,
+        *,
+        steps=None,
     ) -> dict[tuple[int, str, int], np.ndarray]:
         """Decompress a subset of in-memory streams (see
         :func:`decompress_selection` for the selector semantics).
@@ -180,7 +181,10 @@ class CompressedHierarchy:
         Streams are already in memory, so this filters and decodes them
         directly — no serialization round-trip — in the runs every reader
         decodes in (:func:`repro.compression.container._decode_selection`).
+        The keywords are every reader's: ``verify`` is ignored (there is no
+        index to check crcs against) and ``steps`` must be ``None``.
         """
+        _reject_steps(steps)
         wanted = _key_filter(levels, fields, patches)
         copy = parallel == "process" or (pool is not None and pool.mode == "process")
         members = []
@@ -592,44 +596,6 @@ def decompress_hierarchy(
     return out
 
 
-@contextmanager
-def _selection_reader(source):
-    """The reader that serves a :func:`decompress_selection` ``source`` —
-    the source itself when it already is one. What is opened here (a
-    path's file, a manifest's shard handles) is closed on exit."""
-    # The series readers live in repro.insitu, which imports this module —
-    # resolve them lazily to keep the import graph acyclic.
-    from repro.insitu.series import SERIES_MAGIC, SeriesReader
-    from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
-
-    readers = (ContainerReader, CompressedHierarchy, SeriesReader, ShardedSeriesReader)
-    if isinstance(source, readers):
-        yield source
-        return
-    with ExitStack() as opened:
-        # One source serves the magic sniff and the reader built on it. A
-        # buffer is read in zero-copy mode: the readers slice memoryviews
-        # straight off the caller's bytes (select() still copies once for
-        # process-mode pickling).
-        if isinstance(source, (str, Path)):
-            kind, src = "path", ByteSource.open(source)
-        else:
-            src = ByteSource(source)
-            kind = "bytes" if src.mapped else "a file object"
-        opened.callback(src.close)
-        magic = src.read(0, len(SERIES_MAGIC))
-        if magic[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
-            yield SeriesReader(src) if magic == SERIES_MAGIC else ContainerReader(src)
-        elif kind == "path":
-            # A sharded campaign: sibling shard files resolve from the manifest's path.
-            yield opened.enter_context(SeriesReader.open(source))
-        else:
-            raise CompressionError(
-                "RPHM manifests reference sibling shard files; pass the "
-                f"manifest path (or an open ShardedSeriesReader), not {kind}"
-            )
-
-
 def decompress_selection(
     source,
     levels=None,
@@ -641,18 +607,22 @@ def decompress_selection(
     *,
     steps=None,
     pool=None,
+    backend=None,
 ):
-    """Random-access decompression of a subset of patches.
+    """Random-access decompression of a subset of patches: ``repro.open``
+    the source, ``select`` from it.
 
     Parameters
     ----------
     source:
-        Where to read from: a :class:`ContainerReader`, an open seekable
-        binary file, a path, raw container ``bytes``, an in-memory
-        :class:`CompressedHierarchy`, or an ``RPH2S`` time-series source
-        (a :class:`repro.insitu.SeriesReader`, series bytes, or a series
-        path). For indexed sources only the footer(s), the index(es), and
-        the selected streams are read — O(selection) bytes.
+        Anything ``repro.open`` takes: a path, raw ``bytes``, an open
+        seekable binary file — of an ``RPH2`` snapshot, an ``RPH2S`` series
+        or (path only) an ``RPHM`` campaign — or an open reader
+        (:class:`ContainerReader`, :class:`repro.insitu.SeriesReader`, a
+        sharded reader, an in-memory :class:`CompressedHierarchy`), which is
+        used as it is and left open. For indexed sources only the
+        footer(s), the index(es), and the selected streams are read —
+        O(selection) bytes.
     levels, fields, patches:
         Scalar, iterable, or ``None`` (= all) selectors; a patch is decoded
         when it matches all three.
@@ -663,6 +633,9 @@ def decompress_selection(
     steps:
         Timestep selector (scalar, iterable, or ``None`` = all). Only valid
         for time-series sources; a snapshot source rejects it.
+    backend:
+        The :class:`repro.storage.StorageBackend` a path is read through
+        (default: the local filesystem).
 
     Returns
     -------
@@ -670,18 +643,15 @@ def decompress_selection(
         ``(level, field, patch) -> np.ndarray`` for snapshot sources, or
         ``(step, level, field, patch) -> np.ndarray`` for series sources.
     """
-    with _selection_reader(source) as reader:
-        options = dict(
-            levels=levels, fields=fields, patches=patches,
-            parallel=parallel, workers=workers, pool=pool,
+    # The door imports repro.insitu, which imports this module: resolve it lazily.
+    from repro.door import open as open_any
+
+    reader = open_any(source, backend=backend)
+    try:
+        return reader.select(
+            levels=levels, fields=fields, patches=patches, verify=verify,
+            parallel=parallel, workers=workers, pool=pool, steps=steps,
         )
-        if not isinstance(reader, CompressedHierarchy):  # in memory: no index crcs
-            options["verify"] = verify
-        if not isinstance(reader, (ContainerReader, CompressedHierarchy)):
-            options["steps"] = steps
-        elif steps is not None:
-            raise CompressionError(
-                "steps= selector given but the source is a single-snapshot "
-                "container; only RPH2S time-series sources carry timesteps"
-            )
-        return reader.select(**options)
+    finally:
+        if reader is not source:
+            reader.close()

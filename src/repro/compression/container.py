@@ -90,7 +90,7 @@ from repro.compression.lossless import compress_bytes, decompress_bytes
 from repro.compression.registry import make_codec
 from repro.errors import CompressionError, DecompressionError, FormatError, ReproError
 from repro.parallel.pool import parallel_map
-from repro.storage import ByteSource
+from repro.storage import ByteSource, Closing
 
 __all__ = [
     "CONTAINER_MAGIC",
@@ -100,6 +100,7 @@ __all__ = [
     "PatchIndexEntry",
     "GroupIndexEntry",
     "GroupHandle",
+    "ReaderView",
     "ContainerReader",
     "HEADER_SIZE",
     "FOOTER_SIZE",
@@ -561,7 +562,62 @@ def _key_filter(levels, fields, patches):
     return lambda key: all(want is None or k in want for want, k in zip(wants, key))
 
 
-class ContainerReader:
+def _reject_steps(steps) -> None:
+    """A snapshot's answer to the ``steps=`` keyword every ``select`` takes."""
+    if steps is not None:
+        raise CompressionError(
+            "steps= selector given but the source is a single-snapshot "
+            "container; only RPH2S time-series sources carry timesteps"
+        )
+
+
+class ReaderView(Closing):
+    """What every reader serves from its parsed ``self._meta`` — the
+    compression settings recorded at write time — and the ``with`` block.
+    :class:`ContainerReader`, both series readers (``repro.insitu``) and the
+    read service (:class:`repro.serve.QueryService`) extend it; each names
+    what it reads in :attr:`kind`."""
+
+    _meta: dict
+    #: ``"snapshot"``, ``"series"`` or ``"campaign"`` (``repro.open``'s sniff).
+    kind: str
+
+    @property
+    def codec(self) -> str:
+        """Default codec name recorded at compression time."""
+        return str(self._meta["codec"])
+
+    @property
+    def error_bound(self) -> float:
+        """Error bound the data was compressed under."""
+        return float(self._meta["error_bound"])
+
+    @property
+    def mode(self) -> str:
+        """Error-bound mode (``"abs"`` or ``"rel"``)."""
+        return str(self._meta["mode"])
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Compressed field names (identical across a series' steps)."""
+        return tuple(self._meta["fields"])
+
+    @property
+    def exclude_covered(self) -> bool:
+        """Whether the §2.2 covered-cell optimization was applied."""
+        return bool(self._meta["exclude_covered"])
+
+    @property
+    def field_bounds(self) -> dict[str, float]:
+        """Per-field error-bound overrides (empty when single-bound)."""
+        return dict(self._meta.get("field_bounds", {}))
+
+    def meta(self) -> dict[str, Any]:
+        """Copy of the container- or series-level metadata."""
+        return dict(self._meta)
+
+
+class ContainerReader(ReaderView):
     """Random access over a seekable ``RPH2`` container.
 
     Reads the footer and index eagerly (a few hundred bytes for typical
@@ -582,18 +638,11 @@ class ContainerReader:
         source unless constructed through :meth:`open`.
     """
 
+    kind = "snapshot"
+
     def __init__(self, source):
-        adopted = isinstance(source, ByteSource)
-        self._src = source if adopted else ByteSource(source)
-        # A failing constructor must not leave its own buffer view alive:
-        # the in-flight traceback pins this frame's ``self``, and a caller
-        # closing the buffer it passed would get BufferError, not this error.
-        try:
+        with ByteSource.under(source) as self._src:
             self._parse_index()
-        except BaseException:
-            if not adopted:
-                self._src.close()
-            raise
 
     def _parse_index(self) -> None:
         total = self._src.size
@@ -729,45 +778,9 @@ class ContainerReader:
         """
         self._src.close()
 
-    def __enter__(self) -> "ContainerReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------
-    # Metadata
+    # Metadata (the rest is :class:`ReaderView`)
     # ------------------------------------------------------------------
-    @property
-    def codec(self) -> str:
-        """Default codec name recorded at compression time."""
-        return str(self._meta["codec"])
-
-    @property
-    def error_bound(self) -> float:
-        """Error bound the container was compressed under."""
-        return float(self._meta["error_bound"])
-
-    @property
-    def mode(self) -> str:
-        """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._meta["mode"])
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Compressed field names."""
-        return tuple(self._meta["fields"])
-
-    @property
-    def exclude_covered(self) -> bool:
-        """Whether the §2.2 covered-cell optimization was applied."""
-        return bool(self._meta["exclude_covered"])
-
-    @property
-    def field_bounds(self) -> dict[str, float]:
-        """Per-field error-bound overrides (empty when single-bound)."""
-        return dict(self._meta.get("field_bounds", {}))
-
     @property
     def original_bytes(self) -> int:
         """Uncompressed size of the stored fields."""
@@ -784,10 +797,6 @@ class ContainerReader:
         return sum(e.length for e in self.entries) + sum(
             g.length for g in self.group_entries
         )
-
-    def meta(self) -> dict[str, Any]:
-        """Copy of the container-level metadata."""
-        return dict(self._meta)
 
     # ------------------------------------------------------------------
     # Random access
@@ -905,12 +914,16 @@ class ContainerReader:
         parallel: str = "serial",
         workers: int = 2,
         pool=None,
+        *,
+        steps=None,
     ) -> dict[tuple[int, str, int], np.ndarray]:
         """Decompress the subset of patches matching the selectors.
 
         ``levels`` / ``fields`` / ``patches`` accept a scalar, an iterable,
         or ``None`` (no restriction); results are keyed by the entry's
-        ``(level, field, patch)`` triple. Stream reads are serial (one
+        ``(level, field, patch)`` triple. ``steps`` is the keyword every
+        reader's ``select`` takes; a snapshot has no timesteps and rejects
+        anything but ``None``. Stream reads are serial (one
         seekable handle); the selection then decodes as one run, or one run
         per worker (of ``parallel`` / ``workers`` or a persistent ``pool``).
         In zero-copy (mmap/buffer) mode the streams reach the codecs as
@@ -918,6 +931,7 @@ class ContainerReader:
         copied to ``bytes`` once for pickling. Only the selected members'
         extents of a group are read, so the byte cost stays O(selection).
         """
+        _reject_steps(steps)
         wanted = _key_filter(levels, fields, patches)
         chosen = [e for e in self.entries if wanted(e.key)]
         copy = parallel == "process" or (pool is not None and pool.mode == "process")

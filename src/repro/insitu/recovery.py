@@ -356,14 +356,9 @@ def scan_segments(source) -> RecoveryReport:
     """
     if isinstance(source, ByteSource):
         return _scan(source)
-    src = (
-        ByteSource.open(source) if isinstance(source, (str, Path))
-        else ByteSource(source)
-    )
-    try:
+    opened = isinstance(source, (str, Path))
+    with ByteSource.open(source) if opened else ByteSource(source) as src:
         return _scan(src)
-    finally:
-        src.close()
 
 
 def _scan(src: ByteSource) -> RecoveryReport:
@@ -450,8 +445,7 @@ def recover_series(
     and ``output`` for the scan and the commit alike; the default is the
     local filesystem.
     """
-    src = ByteSource.open(path, backend=backend)
-    try:
+    with ByteSource.open(path, backend=backend) as src:
         try:
             reader = SeriesReader(src)
             report = RecoveryReport(
@@ -472,8 +466,6 @@ def recover_series(
                 report.total_bytes if report.intact else report.data_end,
                 backend,
             )
-    finally:
-        src.close()
     if commit and not report.intact:
         commit_recovery(path if output is None else output, report, backend=backend)
     return report

@@ -57,7 +57,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -65,6 +64,7 @@ from repro.compression.container import (
     CONTAINER_VERSION,
     FOOTER_SIZE,
     ContainerReader,
+    ReaderView,
     _normalize_selector,
     read_index,
 )
@@ -223,50 +223,14 @@ def build_series_index_bytes(
     return json.dumps(index, separators=(",", ":")).encode()
 
 
-class _SeriesView:
-    """The series-level metadata view both readers serve —
+class _SeriesView(ReaderView):
+    """The series-level view both readers serve on top of
+    :class:`~repro.compression.container.ReaderView` —
     :class:`SeriesReader` over one file's timestep index,
     :class:`repro.insitu.sharded.ShardedSeriesReader` over the union of its
-    shards' — computed from ``self._meta`` and ``self.step_entries``."""
+    shards' — computed from ``self.step_entries``."""
 
-    _meta: dict
     step_entries: "list[SeriesStepEntry]"
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    @property
-    def codec(self) -> str:
-        """Default codec name recorded at write time."""
-        return str(self._meta["codec"])
-
-    @property
-    def error_bound(self) -> float:
-        """Error bound the series was compressed under."""
-        return float(self._meta["error_bound"])
-
-    @property
-    def mode(self) -> str:
-        """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._meta["mode"])
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Compressed field names (identical across steps)."""
-        return tuple(self._meta["fields"])
-
-    @property
-    def exclude_covered(self) -> bool:
-        """Whether the §2.2 covered-cell optimization was applied."""
-        return bool(self._meta["exclude_covered"])
-
-    @property
-    def field_bounds(self) -> dict[str, float]:
-        """Per-field error-bound overrides (empty when single-bound)."""
-        return dict(self._meta.get("field_bounds", {}))
 
     @property
     def n_steps(self) -> int:
@@ -293,9 +257,49 @@ class _SeriesView:
         """Total segment size across all steps (payload + per-step indexes)."""
         return sum(e.length for e in self.step_entries)
 
-    def meta(self) -> dict[str, Any]:
-        """Copy of the series-level metadata."""
-        return dict(self._meta)
+    # ------------------------------------------------------------------
+    # Random access: everything decodes through ``self.open_step``
+    # ------------------------------------------------------------------
+    def read_patch(
+        self, step: int, level: int, field: str, patch: int, verify: bool = True
+    ) -> np.ndarray:
+        """Decompress a single patch identified by ``(step, level, field,
+        patch)`` — the series-extended random-access primitive."""
+        return self.open_step(step).read_patch(level, field, patch, verify=verify)
+
+    def select(
+        self,
+        steps=None,
+        levels=None,
+        fields=None,
+        patches=None,
+        verify: bool = True,
+        parallel: str = "serial",
+        workers: int = 2,
+        pool=None,
+    ) -> dict[tuple[int, int, str, int], np.ndarray]:
+        """Decompress the subset of patches matching the selectors.
+
+        ``steps`` / ``levels`` / ``fields`` / ``patches`` accept a scalar,
+        an iterable, or ``None`` (no restriction); results are keyed by
+        ``(step, level, field, patch)``, in step order. Only the selected
+        steps' segment indexes are ever read — unselected segments (and, in
+        a campaign, unselected shards) cost zero payload bytes. ``pool`` (a
+        persistent :class:`repro.parallel.WorkerPool`) is reused across
+        every selected segment's decode map.
+        """
+        want_steps = _normalize_selector(steps, "step")
+        out: dict[tuple[int, int, str, int], np.ndarray] = {}
+        for e in self.step_entries:
+            if want_steps is not None and e.step not in want_steps:
+                continue
+            sub = self.open_step(e.step).select(
+                levels=levels, fields=fields, patches=patches, verify=verify,
+                parallel=parallel, workers=workers, pool=pool,
+            )
+            for (lev, field, p_idx), arr in sub.items():
+                out[(e.step, lev, field, p_idx)] = arr
+        return out
 
 
 class SeriesReader(_SeriesView):
@@ -331,19 +335,12 @@ class SeriesReader(_SeriesView):
         #: The :class:`~repro.insitu.recovery.RecoveryReport` this reader
         #: was built from, or ``None`` for a normal footer-indexed open.
         self.recovery = _recovery
-        adopted = isinstance(source, ByteSource)
-        self._src = source if adopted else ByteSource(source)
-        # A failing constructor must not leave its own buffer view alive
-        # (see :class:`~repro.compression.container.ContainerReader`).
-        try:
-            if _recovery is not None:
-                self._install_recovery(_recovery)
-            else:
+        with ByteSource.under(source) as self._src:
+            if _recovery is None:
                 self._parse_index()
-        except BaseException:
-            if not adopted:
-                self._src.close()
-            raise
+            else:  # repro.open found sealed steps: its scan is the index
+                meta = extract_series_meta(_recovery.meta)
+                self._install(meta, _recovery.data_end, _recovery.entries)
 
     def _parse_index(self) -> None:
         total = self._src.size
@@ -415,16 +412,6 @@ class SeriesReader(_SeriesView):
                 )
         self._by_step = {e.step: e for e in self.step_entries}
 
-    def _install_recovery(self, report) -> None:
-        """Adopt a :class:`~repro.insitu.recovery.RecoveryReport` as this
-        reader's timestep index (the ``recover=True`` salvage path)."""
-        if report.meta is None or not report.entries:
-            raise TruncatedSeriesError(
-                "recovery scan found no fully-sealed steps; nothing to serve"
-            )
-        meta = extract_series_meta(report.meta)
-        self._install(meta, report.data_end, report.entries)
-
     # ------------------------------------------------------------------
     # Construction / lifecycle
     # ------------------------------------------------------------------
@@ -433,9 +420,10 @@ class SeriesReader(_SeriesView):
         """True when the reader serves zero-copy views of a byte buffer."""
         return self._src.mapped
 
-    #: Overridden by :class:`repro.insitu.sharded.ShardedSeriesReader`;
-    #: lets callers (and the append path) tell a federated manifest reader
-    #: from a single-file series without importing the sharded module.
+    #: Both overridden by :class:`repro.insitu.sharded.ShardedSeriesReader`;
+    #: they let callers (and the append path) tell a federated manifest
+    #: reader from a single-file series without importing the sharded module.
+    kind = "series"
     is_sharded = False
 
     @classmethod
@@ -471,46 +459,10 @@ class SeriesReader(_SeriesView):
         reader federates every shard's timestep index and serves the union
         through this same API (its :attr:`is_sharded` is True).
         """
-        src = ByteSource.open(path, mmap=mmap, backend=backend)
-        return cls._from_source(
-            src, path, mmap=mmap, recover=recover, backend=backend
-        )
+        # The door imports this module: resolve it lazily.
+        from repro.door import _open
 
-    @classmethod
-    def _from_source(
-        cls, src: ByteSource, path, *, mmap=False, recover=False, backend=None
-    ) -> "SeriesReader":
-        """:meth:`open`, over the source a caller already opened for
-        ``path``: one handle serves the magic sniff, the parse and the
-        salvage scan. The reader adopts ``src``; a failure closes it."""
-        # Lazy imports — both modules import this one.
-        from repro.insitu.recovery import scan_segments
-        from repro.insitu.sharded import MANIFEST_MAGIC, ShardedSeriesReader
-
-        try:
-            manifest = None
-            if src.read(0, len(MANIFEST_MAGIC)) == MANIFEST_MAGIC:
-                manifest = src.read(0, src.size)
-            else:
-                try:
-                    return cls(src)
-                except TruncatedSeriesError:
-                    if not recover:
-                        raise
-                report = scan_segments(src)
-                if not report.entries:
-                    raise TruncatedSeriesError(
-                        f"{path}: damaged series holds no fully-sealed steps; "
-                        "nothing to recover"
-                    )
-                return cls(src, _recovery=report)
-        except BaseException:
-            src.close()
-            raise
-        src.close()
-        return ShardedSeriesReader._federate(
-            path, manifest, mmap=mmap, recover=recover, backend=backend
-        )
+        return _open(path, cls, backend=backend, mmap=mmap, recover=recover)
 
     def close(self) -> None:
         """Close the underlying file/mapping if this reader opened it."""
@@ -556,43 +508,3 @@ class SeriesReader(_SeriesView):
         blob = self._src.view(e.offset, e.length)
         if len(blob) != e.length or zlib.crc32(blob) != e.crc32:
             raise FormatError(f"segment checksum mismatch at step {e.describe()}")
-
-    def read_patch(
-        self, step: int, level: int, field: str, patch: int, verify: bool = True
-    ) -> np.ndarray:
-        """Decompress a single patch identified by ``(step, level, field,
-        patch)`` — the series-extended random-access primitive."""
-        return self.open_step(step).read_patch(level, field, patch, verify=verify)
-
-    def select(
-        self,
-        steps=None,
-        levels=None,
-        fields=None,
-        patches=None,
-        verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
-    ) -> dict[tuple[int, int, str, int], np.ndarray]:
-        """Decompress the subset of patches matching the selectors.
-
-        ``steps`` / ``levels`` / ``fields`` / ``patches`` accept a scalar,
-        an iterable, or ``None`` (no restriction); results are keyed by
-        ``(step, level, field, patch)``. Only the selected steps' segment
-        indexes are ever read — unselected segments cost zero payload
-        bytes. ``pool`` (a persistent :class:`repro.parallel.WorkerPool`)
-        is reused across every selected segment's decode map.
-        """
-        want_steps = _normalize_selector(steps, "step")
-        out: dict[tuple[int, int, str, int], np.ndarray] = {}
-        for e in self.step_entries:
-            if want_steps is not None and e.step not in want_steps:
-                continue
-            sub = self.open_step(e.step).select(
-                levels=levels, fields=fields, patches=patches, verify=verify,
-                parallel=parallel, workers=workers, pool=pool,
-            )
-            for (lev, field, p_idx), arr in sub.items():
-                out[(e.step, lev, field, p_idx)] = arr
-        return out

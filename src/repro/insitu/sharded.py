@@ -45,8 +45,9 @@ routing. Each shard is an ordinary, self-contained RPH2S series — every
 durability/seal/recovery property of the single-writer format holds
 per shard.
 
-Reading is transparent: :meth:`SeriesReader.open` sniffs the RPHM magic
-and returns a :class:`ShardedSeriesReader`, which exposes the
+Reading is transparent: ``repro.open`` (and :meth:`SeriesReader.open`, its
+typed special case) sniffs the RPHM magic and returns a
+:class:`ShardedSeriesReader`, which exposes the
 single-series API over the union of the per-shard timestep indexes and
 routes each step to its owning shard — ``decompress_selection(steps=...)``
 still reads O(selection) bytes. Crash recovery runs *per shard*
@@ -92,7 +93,7 @@ from repro.insitu.writer import (
     _validate_field_bounds,
 )
 from repro.parallel.pool import WorkerPool
-from repro.storage import ByteSink, LocalFileBackend, StorageBackend
+from repro.storage import ByteSink, ByteSource, LocalFileBackend, StorageBackend
 
 __all__ = [
     "MANIFEST_MAGIC",
@@ -247,11 +248,8 @@ def _load_campaign(
     """
     try:
         if blob is None:
-            handle = backend.open_read(manifest_name)
-            try:
-                blob = handle.read()
-            finally:
-                handle.close()
+            with ByteSource.open(manifest_name, backend=backend) as src:
+                blob = src.read(0, src.size)
         man = parse_manifest(blob)
     except (FormatError, StorageError) as exc:
         return (None, *_discover(backend, manifest_name), exc)
@@ -733,6 +731,7 @@ class ShardedSeriesReader(_SeriesView):
     :attr:`recovery`).
     """
 
+    kind = "campaign"
     is_sharded = True
 
     def __init__(
@@ -799,7 +798,7 @@ class ShardedSeriesReader(_SeriesView):
         cls, path: str | Path, blob: bytes | None, *, mmap, recover, backend
     ) -> "ShardedSeriesReader":
         """:meth:`open`, over manifest bytes the caller already read
-        (:meth:`SeriesReader.open` sniffed them) or ``None`` to read them."""
+        (``repro.open`` sniffed them) or ``None`` to read them."""
         backend_ = backend or LocalFileBackend()
         manifest_name = str(path)
         man, full_names, _, error = _load_campaign(backend_, manifest_name, blob)
@@ -826,17 +825,14 @@ class ShardedSeriesReader(_SeriesView):
                     reader = SeriesReader.open(
                         name, mmap=mmap, recover=recover, backend=backend
                     )
-                except TruncatedSeriesError as exc:
+                except (FormatError, StorageError) as exc:
                     if recover:
                         dropped.append((name, str(exc)))
                         continue
-                    raise TruncatedSeriesError(
-                        f"shard {os.path.basename(name)}: {exc}"
-                    ) from exc
-                except (FormatError, StorageError, OSError) as exc:
-                    if recover:
-                        dropped.append((name, str(exc)))
-                        continue
+                    if isinstance(exc, TruncatedSeriesError):
+                        raise TruncatedSeriesError(
+                            f"shard {os.path.basename(name)}: {exc}"
+                        ) from exc
                     raise
                 readers[name] = reader
                 if reader.recovered:
@@ -912,92 +908,33 @@ class ShardedSeriesReader(_SeriesView):
         """Check a whole segment's crc32 against its shard's index."""
         self._reader_for(step).verify_step(step)
 
-    def read_patch(
-        self, step: int, level: int, field: str, patch: int, verify: bool = True
-    ) -> np.ndarray:
-        """Decompress one ``(step, level, field, patch)`` from its shard."""
-        return self._reader_for(step).read_patch(
-            step, level, field, patch, verify=verify
-        )
-
-    def _select(self, steps, missing: list | None, **options) -> dict:
-        """The routing loop under :meth:`select` and :meth:`select_partial`:
-        each owning shard serves its share of the selected steps. With a
-        ``missing`` list, a shard that fails is reported there, one record
-        per step it owned, instead of failing the selection."""
-        want_steps = _normalize_selector(steps, "step")
-        per_shard: dict[str, list[int]] = {}
-        for e in self.step_entries:
-            if want_steps is not None and e.step not in want_steps:
-                continue
-            per_shard.setdefault(self._owner[e.step], []).append(e.step)
-        out: dict[tuple[int, int, str, int], np.ndarray] = {}
-        for name, shard_steps in per_shard.items():
-            try:
-                out.update(self._readers[name].select(steps=shard_steps, **options))
-            except (StorageError, FormatError) as exc:
-                if missing is None:
-                    raise
-                missing.extend(
-                    {
-                        "step": s,
-                        "file": name,
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    }
-                    for s in shard_steps
-                )
-        return dict(sorted(out.items()))
-
-    def select(
-        self,
-        steps=None,
-        levels=None,
-        fields=None,
-        patches=None,
-        verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
-    ) -> dict[tuple[int, int, str, int], np.ndarray]:
-        """Decompress the subset of patches matching the selectors.
-
-        Same contract as :meth:`SeriesReader.select`: results are keyed
-        ``(step, level, field, patch)``. Each selected step is served by
-        its owning shard; unselected shards cost zero bytes.
-        """
-        return self._select(
-            steps, None, levels=levels, fields=fields, patches=patches,
-            verify=verify, parallel=parallel, workers=workers, pool=pool,
-        )
-
     def select_partial(
-        self,
-        steps=None,
-        levels=None,
-        fields=None,
-        patches=None,
-        verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
+        self, steps=None, **options
     ) -> tuple[dict[tuple[int, int, str, int], np.ndarray], list[dict]]:
-        """Degraded :meth:`select`: serve what the surviving shards can.
+        """Degraded :meth:`select` (``options`` are its other keywords):
+        serve what the surviving shards can.
 
         Instead of failing the whole selection when one shard is dead or
-        corrupt, each shard's read is attempted independently; the result
-        is ``(results, missing)`` where ``results`` holds every patch the
-        healthy shards produced (same keys/bytes as :meth:`select`) and
+        corrupt, each selected step is read from its shard independently;
+        the result is ``(results, missing)`` where ``results`` holds every
+        patch that could be read (same keys/bytes as :meth:`select`) and
         ``missing`` holds one ``{"step", "file", "error", "detail"}``
-        record per selected step an unservable shard owned. An empty
+        record, in step order, per selected step that could not. An empty
         ``missing`` list means the result is complete.
         """
+        want_steps = _normalize_selector(steps, "step")
+        out: dict[tuple[int, int, str, int], np.ndarray] = {}
         missing: list[dict] = []
-        out = self._select(
-            steps, missing, levels=levels, fields=fields, patches=patches,
-            verify=verify, parallel=parallel, workers=workers, pool=pool,
-        )
-        missing.sort(key=lambda m: m["step"])
+        for step in self.steps:
+            if want_steps is None or step in want_steps:
+                try:
+                    sub = self.open_step(step).select(**options)
+                    out.update({(step, *key): arr for key, arr in sub.items()})
+                except (StorageError, FormatError) as exc:
+                    missing.append({
+                        "step": step, "file": self.shard_of(step),
+                        "error": type(exc).__name__, "detail": str(exc),
+                    })
         return out, missing
 
 

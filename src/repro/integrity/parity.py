@@ -69,7 +69,7 @@ import numpy as np
 
 from repro.compression.container import FOOTER_SIZE, pack_footer, read_index
 from repro.errors import FormatError, IntegrityError, StorageError
-from repro.storage import ByteSink, ByteSource, StorageBackend
+from repro.storage import ByteSink, ByteSource, Closing, StorageBackend
 
 __all__ = [
     "PARITY_MAGIC",
@@ -178,7 +178,7 @@ def pack_parity_index(
     return json.dumps(index, separators=(",", ":")).encode()
 
 
-class ParityReader:
+class ParityReader(Closing):
     """Random access over one RPXP parity shard.
 
     ``source`` is a seekable file or byte buffer (or an open
@@ -193,14 +193,8 @@ class ParityReader:
 
     def __init__(self, source, name: str | Path):
         self._name = str(name)
-        adopted = isinstance(source, ByteSource)
-        self._src = source if adopted else ByteSource(source)
-        try:
+        with ByteSource.under(source) as self._src:
             self._parse()
-        except BaseException:
-            if not adopted:
-                self._src.close()
-            raise
 
     @classmethod
     def open(
@@ -274,12 +268,6 @@ class ParityReader:
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._src.close()
-
-    def __enter__(self) -> "ParityReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     @property
     def name(self) -> str:

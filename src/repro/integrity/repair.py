@@ -176,16 +176,19 @@ def repair_sharded(
     Raises :class:`~repro.errors.IntegrityError` when the campaign has no
     parity at all (nothing to repair *from*); multi-loss stripes do not
     raise — they are reported as unrecoverable so the single-loss stripes
-    still heal.
+    still heal. A target that is no campaign — no manifest that loads, no
+    shard or parity file beside it — raises the manifest's own error.
     """
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
     # Manifest gone or damaged (the loader discovers the siblings) or
     # parity-free on paper: the parity files themselves are found by
     # naming convention and carry full membership in their indexes.
-    man, _, parity_files, _ = _load_campaign(backend_, manifest_name)
+    man, shards, parity_files, error = _load_campaign(backend_, manifest_name)
     if man is not None and not parity_files:
         parity_files = _discover(backend_, manifest_name)[1]
+    if error is not None and not shards and not parity_files:
+        raise error  # not a campaign at all: missing, or not an RPHM manifest
     if not parity_files:
         raise IntegrityError(
             f"{manifest_name}: campaign has no parity shards — nothing to "
@@ -383,7 +386,7 @@ def _commit_repair(
                     member_segments.append(
                         [(e.step, e.offset, e.length + SEAL_SIZE) for e in sr.step_entries]
                     )
-        except (FormatError, StorageError, OSError):
+        except (FormatError, StorageError):
             continue
         build_parity(backend, pfile, group, member_names, member_segments)
 
@@ -485,13 +488,9 @@ class SegmentHealer:
         stripe, member = found
 
         def read(shard: str, offset: int, length: int) -> bytes:
-            src = ByteSource.open(
-                _shard_path(self._manifest, shard), backend=self._backend
-            )
-            try:
+            name = _shard_path(self._manifest, shard)
+            with ByteSource.open(name, backend=self._backend) as src:
                 return src.read(offset, length)
-            finally:
-                src.close()
 
         return member, reader.reconstruct(stripe, member, read)
 

@@ -39,16 +39,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.compression.container import ContainerReader
+from repro.door import sniff
 from repro.errors import FormatError, StorageError, TruncatedSeriesError
-from repro.insitu.series import (
-    SEAL_SIZE,
-    SERIES_MAGIC,
-    SeriesReader,
-    unpack_seal,
-)
-from repro.insitu.sharded import MANIFEST_MAGIC, _load_campaign
+from repro.insitu.series import SEAL_SIZE, SeriesReader, unpack_seal
+from repro.insitu.sharded import _load_campaign
 from repro.integrity.parity import PARITY_MAGIC, ParityReader, xor_blocks
-from repro.storage import LocalFileBackend, StorageBackend
+from repro.storage import ByteSource, LocalFileBackend, StorageBackend
 
 __all__ = ["Finding", "ScrubReport", "scrub"]
 
@@ -130,18 +126,12 @@ class _Scrubber:
     def _read_all(self, name: str) -> bytes | None:
         """Whole-object read; a missing/unreadable object is a finding."""
         try:
-            handle = self.backend.open_read(name)
-        except StorageError as exc:
-            kind = "missing" if not self.backend.exists(name) else "unreadable"
+            with ByteSource.open(name, backend=self.backend) as src:
+                return src.read(0, src.size)
+        except (OSError, StorageError) as exc:
+            kind = "unreadable" if self.backend.exists(name) else "missing"
             self.add(name, kind, str(exc))
             return None
-        try:
-            return handle.read()
-        except (OSError, StorageError) as exc:
-            self.add(name, "unreadable", str(exc))
-            return None
-        finally:
-            handle.close()
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -151,16 +141,15 @@ class _Scrubber:
         if blob is None:
             return
         self.report.objects += 1
-        # RPH2S shares the RPH2 prefix by design — sniff the longer magic
-        # first.
-        if blob.startswith(SERIES_MAGIC):
-            self.scrub_series(name, blob)
-        elif blob.startswith(MANIFEST_MAGIC):
-            self.scrub_manifest(name, blob)
+        walk = {
+            "snapshot": self.scrub_container,
+            "series": self.scrub_series,
+            "campaign": self.scrub_manifest,
+        }.get(sniff(blob))
+        if walk is not None:
+            walk(name, blob)
         elif blob.startswith(PARITY_MAGIC):
             self.scrub_parity(name, blob)
-        elif blob.startswith(b"RPH2"):
-            self.scrub_container(name, blob)
         else:
             self.add(
                 name, "framing",

@@ -54,6 +54,7 @@ import numpy as np
 from repro.compression.base import SharedEntropy
 from repro.compression.container import (
     PatchIndexEntry,
+    ReaderView,
     _decode_run,
     _normalize_selector,
 )
@@ -139,7 +140,7 @@ def _apply_region(arr: np.ndarray, region, key) -> np.ndarray:
     return arr[tuple(slices)]
 
 
-class QueryService:
+class QueryService(ReaderView):
     """Concurrent selective-read service over one series/snapshot source.
 
     Parameters
@@ -263,7 +264,10 @@ class QueryService:
         #: step -> (file, segment offset, segment length)
         self._segments = self._source.segments
         self._step_order = sorted(self._segments)
-        self.is_sharded = self._source.is_sharded
+        #: ``"snapshot"``, ``"series"`` or ``"campaign"``, as ``repro.open`` sniffed it.
+        self.kind = self._source.kind
+        self._meta = self._source.meta  # what ReaderView serves fields / codec / ... from
+        self.is_sharded = self.kind == "campaign"
         self.recovered = self._source.recovered
         # The pool comes last: nothing above leaves anything to release.
         self._owns_pool = pool is None
@@ -301,26 +305,6 @@ class QueryService:
     def steps(self) -> tuple[int, ...]:
         """Served timestep numbers, ascending (``(0,)`` for a snapshot)."""
         return tuple(self._step_order)
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Field names recorded at write time."""
-        return tuple(self._source.meta["fields"])
-
-    @property
-    def codec(self) -> str:
-        """Default codec name recorded at write time."""
-        return str(self._source.meta["codec"])
-
-    @property
-    def error_bound(self) -> float:
-        """Error bound the source was compressed under."""
-        return float(self._source.meta["error_bound"])
-
-    @property
-    def mode(self) -> str:
-        """Error-bound mode (``"abs"`` or ``"rel"``)."""
-        return str(self._source.meta["mode"])
 
     @property
     def stats(self) -> dict:

@@ -37,10 +37,9 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.compression.container import CONTAINER_MAGIC, ContainerReader
+from repro.compression.container import ContainerReader
+from repro.door import kind_of, open as open_any
 from repro.errors import FormatError, IntegrityError, ReproError, StorageError
-from repro.insitu.series import SERIES_MAGIC, SeriesReader
-from repro.insitu.sharded import MANIFEST_MAGIC
 from repro.integrity import SegmentHealer
 from repro.serve.cache import ServeCache
 from repro.serve.resilience import CircuitBreaker
@@ -156,7 +155,6 @@ class StepSource:
         #: step -> (file, segment offset, segment length)
         self.segments: dict[int, tuple[str, int, int]] = {}
         self.meta: dict = {}
-        self.is_sharded = False
         self.recovered = False
         #: The one healer of a parity-carrying campaign (parity indexes
         #: parsed once), reading through :meth:`read`; reconstructions take
@@ -171,56 +169,40 @@ class StepSource:
     def _harvest(self, recover: bool) -> None:
         """Read the source's step table and metadata once, then let go of
         the reader — every later byte is a planned, counted read."""
-        # One handle serves the magic sniff and whichever parse follows it.
-        src = ByteSource.open(self.path, backend=self.backend)
+        # The open failure a parity-carrying campaign is served around.
+        degraded: Exception | None = None
         try:
-            head = src.read(0, len(SERIES_MAGIC))
-            sharded = head[: len(MANIFEST_MAGIC)] == MANIFEST_MAGIC
-            if head != SERIES_MAGIC and not sharded:
-                if head[: len(CONTAINER_MAGIC)] != CONTAINER_MAGIC:
-                    raise FormatError(
-                        f"{self.path}: not an RPH2 container, RPH2S series, or "
-                        f"RPHM manifest (magic {head!r})"
-                    )
-                self.meta = ContainerReader(src).meta()
-                self.segments[0] = (self.path, 0, src.size)
+            reader = open_any(self.path, backend=self.backend, recover=recover)
+        except (StorageError, FormatError) as exc:
+            # A campaign with a damaged shard cannot federate the normal
+            # way — but if it carries parity, the salvage open serves what
+            # is readable, the steps it lost are recorded in the parity
+            # stripe indexes, and their bytes heal on first touch.
+            if not self._heal or kind_of(self.path, backend=self.backend) != "campaign":
+                raise
+            degraded = exc
+            reader = open_any(self.path, backend=self.backend, recover=True)
+            if not reader.parity:
+                reader.close()
+                raise
+        with reader:
+            #: What was opened: ``"snapshot"``, ``"series"`` or ``"campaign"``.
+            self.kind = reader.kind
+            self.meta = reader.meta()
+            if self.kind == "snapshot":
+                self.segments[0] = (self.path, 0, self.backend.size(self.path))
                 return
-            # The open failure a parity-carrying campaign is served around.
-            degraded: Exception | None = None
-            try:
-                reader = SeriesReader._from_source(
-                    src, self.path, recover=recover, backend=self.backend
+            salvage = reader.recovery if degraded is not None else None
+            self.recovered = recover and bool(
+                salvage.shards if salvage else reader.recovered
+            )
+            if self.kind == "campaign" and reader.parity:
+                self._healer = SegmentHealer(
+                    self.path, reader.parity, _CountedBackend(self)
                 )
-            except (StorageError, FormatError, OSError) as exc:
-                # A campaign with a damaged shard cannot federate the normal
-                # way — but if it carries parity, the salvage open serves what
-                # is readable, the steps it lost are recorded in the parity
-                # stripe indexes, and their bytes heal on first touch.
-                if not (self._heal and sharded):
-                    raise
-                degraded = exc
-                reader = SeriesReader.open(
-                    self.path, recover=True, backend=self.backend
-                )
-                if not reader.parity:
-                    reader.close()
-                    raise
-            with reader:
-                salvage = reader.recovery if degraded is not None else None
-                self.is_sharded = bool(reader.is_sharded)
-                self.recovered = recover and bool(
-                    salvage.shards if salvage else reader.recovered
-                )
-                if getattr(reader, "parity", ()):
-                    self._healer = SegmentHealer(
-                        self.path, reader.parity, _CountedBackend(self)
-                    )
-                self.meta = reader.meta()
-                for e in reader.step_entries:
-                    file = reader.shard_of(e.step) if self.is_sharded else self.path
-                    self.segments[e.step] = (file, e.offset, e.length)
-        finally:
-            src.close()
+            for e in reader.step_entries:
+                file = reader.shard_of(e.step) if self.kind == "campaign" else self.path
+                self.segments[e.step] = (file, e.offset, e.length)
         if salvage:
             # Every shard the salvage open cut short or dropped outright.
             damaged = [*salvage.shards, *(name for name, _ in salvage.dropped)]

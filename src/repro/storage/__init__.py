@@ -47,6 +47,7 @@ import os
 import random
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable
 
@@ -60,6 +61,7 @@ from repro.errors import (
 __all__ = [
     "ByteSink",
     "ByteSource",
+    "Closing",
     "StorageBackend",
     "LocalFileBackend",
     "MemoryBackend",
@@ -430,7 +432,17 @@ class RangedBackend(StorageBackend):
         return self._inner.list(prefix)
 
 
-class ByteSource:
+class Closing:
+    """``with`` support for what stands on storage: leaving the block closes."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ByteSource(Closing):
     """Where a reader's bytes come from, decided once.
 
     ``source`` is a seekable binary file-like — only ``seek`` / ``tell`` /
@@ -475,13 +487,16 @@ class ByteSource:
     def open(cls, path: str | Path, *, mmap: bool = False, backend=None) -> "ByteSource":
         """Open a named object; the source owns (and closes) the handle.
 
-        ``backend`` (a :class:`StorageBackend`) serves the handle instead
-        of the local filesystem; ``mmap=True`` memory-maps a local file
-        into the zero-copy mode. The two are mutually exclusive.
+        ``backend`` (a :class:`StorageBackend`) serves the handle; it
+        defaults to :class:`LocalFileBackend`, so passing none and passing
+        the local one cannot differ — a missing path is a
+        :class:`~repro.errors.StorageError` either way. ``mmap=True``
+        memory-maps the default backend's file handle into the zero-copy
+        mode; it cannot be combined with a ``backend``.
         """
         if backend is not None and mmap:
             raise CompressionError("backend= and mmap=True are mutually exclusive")
-        handle = backend.open_read(str(path)) if backend is not None else Path(path).open("rb")
+        handle = (backend or LocalFileBackend()).open_read(str(path))
         try:
             if not mmap:
                 src = cls(handle)
@@ -497,6 +512,22 @@ class ByteSource:
             raise
         src._release += (handle.close,)
         return src
+
+    @classmethod
+    @contextmanager
+    def under(cls, source):
+        """The source a parser's constructor stands on while it parses:
+        ``source`` itself when it already is one (adopted — its opener closes
+        it), else one built here, which a failing parse must not leave alive
+        (the traceback pins the parser, and a caller closing the buffer it
+        passed would get ``BufferError``, not the parse error)."""
+        src = source if isinstance(source, cls) else cls(source)
+        try:
+            yield src
+        except BaseException:
+            if src is not source:
+                src.close()
+            raise
 
     @property
     def mapped(self) -> bool:
@@ -540,7 +571,7 @@ class ByteSource:
         self._release = ()
 
 
-class ByteSink:
+class ByteSink(Closing):
     """Where a writer's bytes go and when they are stable, decided once.
 
     ``handle`` is a writable binary handle — only ``write`` / ``seek`` /
@@ -619,9 +650,3 @@ class ByteSink:
         if self._owned and not self.closed:
             self._handle.close()
         self.closed = True
-
-    def __enter__(self) -> "ByteSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -183,3 +183,73 @@ class TestSeriesCommands:
         assert main(["inspect", str(out)]) == 0
         text = capsys.readouterr().out
         assert "steps:    0" in text and "nan" in text
+
+
+class TestOneErrorPath:
+    """Every subcommand x {junk, empty, missing, wrong kind}: one stderr
+    line, exit 2, never a traceback. ``scrub`` reports such a target as a
+    finding (exit 1), as it always has."""
+
+    COMMANDS = (
+        "compress", "decompress", "info", "compress-plotfile", "info-plotfile",
+        "inspect", "extract", "stream", "serve", "recover", "scrub", "repair",
+    )
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        from repro.amr.io import write_container, write_series
+        from repro.compression import SZLR
+        from repro.compression.amr_codec import compress_hierarchy
+        from tests.conftest import make_sphere_hierarchy
+
+        root = tmp_path_factory.mktemp("cli-errors")
+        h = make_sphere_hierarchy(8)
+        write_container(root / "snap.rprh", compress_hierarchy(h, "sz-lr", 1e-3))
+        write_series(root / "run.rph2s", [h, h])
+        (root / "array.rprc").write_bytes(SZLR().compress(np.zeros((8, 8, 8)), 1e-3))
+        (root / "junk.bin").write_bytes(b"junk")
+        (root / "empty.bin").write_bytes(b"")
+        return root
+
+    @staticmethod
+    def wrong_kind(command: str) -> str:
+        """A healthy file of a kind the subcommand does not take."""
+        if command in ("inspect", "extract", "serve", "scrub"):
+            return "array.rprc"  # they take all three containers
+        return {"info-plotfile": "run.rph2s", "repair": "run.rph2s"}.get(command, "snap.rprh")
+
+    @pytest.mark.parametrize("case", ["junk", "empty", "missing", "wrong-kind"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_line_and_exit_2(self, inputs, tmp_path, capsys, command, case):
+        name = self.wrong_kind(command) if case == "wrong-kind" else f"{case}.bin"
+        argv = [command, str(inputs / name)]
+        if command == "stream":
+            argv += ["-o", str(tmp_path / "out.rph2s")]
+        capsys.readouterr()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err + out
+        if command == "scrub":
+            assert code == 1 and err == "" and "1 finding(s)" in out
+            return
+        assert code == 2, (argv, err)
+        assert err.startswith(f"{command}: ") and err.count("\n") == 1, err
+
+    def test_recover_names_the_snapshot_it_was_given(self, inputs, capsys):
+        assert main(["recover", str(inputs / "snap.rprh")]) == 2
+        assert "snap.rprh is an RPH2 snapshot container" in capsys.readouterr().err
+
+    def test_repair_does_not_blame_parity_for_a_non_campaign(self, inputs, tmp_path, capsys):
+        from repro.amr.io import write_sharded_series
+        from tests.conftest import make_sphere_hierarchy
+
+        assert main(["repair", str(inputs / "missing.bin")]) == 2
+        assert "cannot open" in capsys.readouterr().err
+        assert main(["repair", str(inputs / "junk.bin")]) == 2
+        assert "not an RPHM manifest" in capsys.readouterr().err
+        camp = write_sharded_series(
+            tmp_path / "camp.rphm", [make_sphere_hierarchy(8)] * 2, n_shards=2,
+            parallel="serial",
+        )
+        assert main(["repair", str(camp)]) == 2  # a real campaign without parity
+        assert "no parity shards" in capsys.readouterr().err

@@ -269,11 +269,14 @@ def _spawn_serve(*args):
     )
 
 
-def _bound_address(proc) -> tuple[str, int]:
-    line = proc.stdout.readline()
+def _bound_address_of(line: str) -> tuple[str, int]:
     m = re.search(r"on ([\d.]+):(\d+)\s*$", line)
     assert m, f"cannot parse serve banner: {line!r}"
     return m.group(1), int(m.group(2))
+
+
+def _bound_address(proc) -> tuple[str, int]:
+    return _bound_address_of(proc.stdout.readline())
 
 
 def test_cli_serve_roundtrip_and_shutdown(series_path):
@@ -311,6 +314,35 @@ def test_cli_serve_recovered_series(series_path, tmp_path):
             assert_byte_identical(
                 served, direct_truth(series_path, steps=1, levels=0)
             )
+            client.shutdown()
+        assert proc.wait(timeout=15) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def test_cli_serve_banner_reports_the_sniffed_kind(series_path, sharded_path, snapshot_path, tmp_path):
+    """A one-step series under an alien suffix is a series (the parent's
+    banner guessed "snapshot" from the step count and the file name)."""
+    from repro.amr.io import write_series
+    from tests.serve.conftest import step_hierarchy
+
+    one = tmp_path / "one.dat"
+    write_series(one, [step_hierarchy(0)], "sz-lr", 1e-3)
+    kinds = {one: "series", series_path: "series", sharded_path: "campaign",
+             snapshot_path: "snapshot"}
+    for path, kind in kinds.items():
+        service = QueryService(path)
+        try:
+            assert service.kind == kind and service.is_sharded == (kind == "campaign")
+        finally:
+            service.close()
+    proc = _spawn_serve(one, "--port", "0")
+    try:
+        line = proc.stdout.readline()
+        assert re.search(r"^serving \S+ \(series, 1 step\(s\), .* on [\d.]+:\d+\s*$", line), line
+        with TCPClient(*_bound_address_of(line)) as client:
             client.shutdown()
         assert proc.wait(timeout=15) == 0
     finally:
