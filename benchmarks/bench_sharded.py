@@ -1,15 +1,16 @@
-"""Sharded multi-writer campaigns: write throughput and value identity.
+"""Sharded campaigns: what fanning out costs, and value identity.
 
-Acceptance gates for the sharded RPHM path (ISSUE 6):
+Acceptance gates for the sharded RPHM path (ISSUE 6, re-based by ISSUE 23):
 
-* a 4-shard campaign (one writer lane per shard) must reach **>= 2x** the
-  single-writer write throughput on a host with a core per lane — the
-  lanes overlap compression (NumPy/zlib release the GIL) and I/O across
-  shards. With fewer cores than lanes the ratio (and ``nproc``) is
-  recorded but the floor is not asserted: four lanes on two cores cannot
-  double one writer, whatever the code does (measured on two cores:
-  0.56-0.89x alone, 0.33-0.46x after the other system benches; below
-  ``N_SHARDS`` cores the committed baseline is informational);
+* a 4-shard ``parallel="thread"`` campaign must write at **>= MIN_SPEEDUP**
+  of the single-writer throughput. The campaign's one background lane
+  encodes one step at a time, exactly as the single writer does, so the
+  ratio is what four files, four footers, a manifest and a thread
+  wake-up per step cost — a little under 1 — whatever the core count,
+  and the floor is asserted on every box. It is not a speedup and is not
+  meant to be: threads cannot overlap this encode (thousands of
+  sub-millisecond NumPy/zlib calls, each releasing the interpreter lock
+  into a hand-off; ``docs/performance.md``, PR 23);
 * the union read of the sharded campaign must be value-identical to the
   single-writer series — sharding changes placement, never bytes' worth
   of data;
@@ -18,12 +19,11 @@ Acceptance gates for the sharded RPHM path (ISSUE 6):
 
 Metrics land in ``BENCH_bench_sharded.json`` via :mod:`perf_harness`, and
 ``tools/bench_compare.py`` gates regressions against the committed
-baseline.
+baseline (whose comment records how floor and baseline were derived).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +38,7 @@ from repro.sims import NyxConfig, nyx_step_stream
 STEPS = 8
 N_SHARDS = 4
 FIELD = "baryon_density"
-MIN_SPEEDUP = 2.0
+MIN_SPEEDUP = 0.5  # 0.8 x the lowest of twenty runs (0.63); see the baseline's comment
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,16 @@ def _steps(cfg):
     return [s for s in nyx_step_stream(STEPS, cfg)]
 
 
-def _best_of(fn, n=3) -> float:
-    best = float("inf")
+def _best_of(*fns, n=5) -> list[float]:
+    """Best wall time of each ``fn`` over ``n`` rounds, the rounds
+    interleaved: a slow second on a shared box lands on both sides of the
+    ratio instead of on whichever half it happened to cover."""
+    best = [float("inf")] * len(fns)
     for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -84,9 +88,8 @@ def test_sharded_write_throughput_and_identity(benchmark, tmp_path):
                              codec="sz-lr", error_bound=1e-3, fields=[FIELD],
                              parallel="thread", overwrite=True)
 
-    single_s = _best_of(write_single)
     once(benchmark, write_sharded)
-    sharded_s = _best_of(write_sharded)
+    single_s, sharded_s = _best_of(write_single, write_sharded)
     speedup = single_s / sharded_s
 
     # Sharding must never change data: the union read equals the
@@ -112,7 +115,7 @@ def test_sharded_write_throughput_and_identity(benchmark, tmp_path):
 
     perf_harness.record(
         "bench_sharded", "sharded_write_speedup_4shard", speedup, "x",
-        higher_is_better=True, tolerance=0.5,
+        higher_is_better=True, tolerance=0.25,
     )
     perf_harness.record(
         "bench_sharded", "sharded_write_throughput", mb / sharded_s, "MB/s",
@@ -126,10 +129,7 @@ def test_sharded_write_throughput_and_identity(benchmark, tmp_path):
             Row("sharded", N_SHARDS, sharded_s, mb / sharded_s, speedup),
         ],
     )
-    cores = os.cpu_count() or 1
-    perf_harness.record("bench_sharded", "nproc", cores, "cores")
-    if cores >= N_SHARDS:
-        assert speedup >= MIN_SPEEDUP, (
-            f"4-shard write only {speedup:.2f}x the single writer on "
-            f"{cores} cores (need >= {MIN_SPEEDUP}x)"
-        )
+    assert speedup >= MIN_SPEEDUP, (
+        f"4-shard write only {speedup:.2f}x the single writer "
+        f"(need >= {MIN_SPEEDUP}x)"
+    )

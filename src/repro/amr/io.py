@@ -243,8 +243,9 @@ def write_sharded_series(
     """Stream timesteps into an N-shard campaign behind an RPHM manifest.
 
     Same ``steps`` contract as :func:`write_series`, but the campaign fans
-    out across ``n_shards`` shard files written concurrently (one writer
-    lane per shard); ``path`` is the manifest, and :func:`open_series` on
+    out across ``n_shards`` shard files (``parallel="thread"``: appended in
+    arrival order on one background lane — asynchrony, not multi-core
+    encode); ``path`` is the manifest, and :func:`open_series` on
     it reads the union transparently. ``durability`` may be one mode or a
     per-shard sequence; ``backend`` redirects all bytes through a
     :class:`repro.storage.StorageBackend`. ``parity=p`` additionally

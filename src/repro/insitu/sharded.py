@@ -1,13 +1,15 @@
 """Sharded multi-writer campaigns: N shard files + one RPHM manifest.
 
-The paper's in-situ setting is many ranks compressing and writing
-*concurrently*. A single :class:`~repro.insitu.writer.StreamingWriter`
-serializes every segment through one file handle; this module fans a
-campaign out across ``N`` shard files — one serial ``StreamingWriter`` and
-one single-worker :class:`~repro.parallel.WorkerPool` lane per shard, so
-steps on different shards compress and hit storage concurrently while each
-shard stays strictly append-ordered — and federates them behind a small
-crc-protected **RPHM manifest**:
+The paper's in-situ setting is many ranks each writing their own file.
+This module fans a campaign out across ``N`` shard files — one serial
+:class:`~repro.insitu.writer.StreamingWriter` per shard, each strictly
+append-ordered. With ``parallel="thread"`` the whole campaign shares
+**one** single-worker :class:`~repro.parallel.WorkerPool` lane: the caller
+gets its thread back while steps encode in arrival order behind it. That
+buys asynchrony, not multi-core encode — two encoding threads trade the
+interpreter lock between sub-millisecond NumPy/zlib calls for longer than
+they overlap (``docs/performance.md``, PR 23). The shards are federated
+behind a small crc-protected **RPHM manifest**:
 
 .. code-block:: text
 
@@ -264,17 +266,18 @@ def _load_campaign(
 class ShardedSeriesWriter:
     """Fan an in-situ campaign out across N shard files.
 
-    Each shard gets a serial :class:`~repro.insitu.writer.StreamingWriter`
-    plus (in ``parallel="thread"`` mode) a dedicated single-worker
-    :class:`~repro.parallel.WorkerPool` lane, so appends on different
-    shards overlap — compression and storage writes run concurrently
-    across shards — while each shard file stays strictly append-ordered.
+    Each shard gets a serial :class:`~repro.insitu.writer.StreamingWriter`;
+    in ``parallel="thread"`` mode one single-worker
+    :class:`~repro.parallel.WorkerPool` lane runs every shard's appends, one
+    at a time in arrival order, so the caller is not blocked by an encode
+    and each shard file stays strictly append-ordered (one thread, not one
+    per shard: no multi-core encode).
     Step numbers are globally strictly increasing; arrival order assigns
     shards round-robin unless the caller pins a shard (``shard=rank``),
     the MPI-style placement.
 
     Use :meth:`create`; the campaign is finalized by :meth:`close`, which
-    drains every lane, closes every shard (writing its index/footer), and
+    drains the lane, closes every shard (writing its index/footer), and
     rewrites the RPHM manifest with ``final=true``.
 
     .. code-block:: python
@@ -291,7 +294,7 @@ class ShardedSeriesWriter:
         self,
         path: str | Path,
         writers: list[StreamingWriter],
-        lanes: list[WorkerPool] | None,
+        lane: WorkerPool | None,
         durabilities: list[str],
         meta: dict,
         backend: StorageBackend,
@@ -303,7 +306,7 @@ class ShardedSeriesWriter:
     ):
         self._path = str(path)
         self._writers = writers
-        self._lanes = lanes
+        self._lane = lane
         self._durabilities = durabilities
         self._meta = meta
         self._backend = backend
@@ -313,9 +316,9 @@ class ShardedSeriesWriter:
         self._retry_delay = float(retry_delay)
         self._sleep = sleep if sleep is not None else _time.sleep
         self._inflight: deque = deque()
-        self._route: dict[int, int] = {}
         self._rr = 0
         self._next = 0
+        self._n_steps = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -351,10 +354,13 @@ class ShardedSeriesWriter:
 
         ``durability`` is one mode for every shard, or a per-shard
         sequence (rank 0 can run ``"step"`` while bulk ranks run
-        ``"none"``). ``parallel`` is ``"thread"`` (one lane per shard,
-        concurrent appends) or ``"serial"`` (inline appends, deterministic
-        — what the value-identity tests use). ``max_pending_steps`` bounds
-        in-flight appends across all lanes (default ``2 * n_shards``).
+        ``"none"``). ``parallel`` is ``"thread"`` (appends run in arrival
+        order on one background lane) or ``"serial"`` (inline appends);
+        both write the same bytes. With one lane a shard's writes no
+        longer overlap another shard's encode, so on a ``backend`` with
+        millisecond writes thread mode costs about what serial does
+        (table in ``docs/performance.md``, PR 23). ``max_pending_steps``
+        bounds the appends queued on the lane (default ``2 * n_shards``).
 
         ``parity=p`` (0 ≤ p ≤ n_shards) writes ``p`` XOR parity shards at
         :meth:`close` (:mod:`repro.integrity.parity`): data shard ``k``
@@ -366,11 +372,11 @@ class ShardedSeriesWriter:
         to plain crash recovery.
 
         A :class:`~repro.errors.TransientStorageError` raised while
-        appending a step is retried on that shard's lane — partial
-        segment bytes are rolled back and the append re-runs, up to
-        ``retries`` extra attempts with exponential backoff starting at
-        ``retry_delay`` seconds (``sleep`` is injectable for tests) —
-        instead of failing the whole campaign.
+        appending a step is retried in place — partial segment bytes
+        are rolled back and the append re-runs, up to ``retries`` extra
+        attempts with exponential backoff starting at ``retry_delay``
+        seconds (``sleep`` is injectable for tests), which also delays
+        the steps queued behind it — instead of failing the campaign.
         """
         n_shards = int(n_shards)
         if n_shards < 1:
@@ -434,9 +440,6 @@ class ShardedSeriesWriter:
             backend, manifest_name, meta, rows, final=False, overwrite=overwrite
         )
         writers: list[StreamingWriter] = []
-        lanes: list[WorkerPool] | None = (
-            [] if parallel == "thread" else None
-        )
         try:
             for name, dur in zip(names, durabilities):
                 writers.append(
@@ -447,16 +450,13 @@ class ShardedSeriesWriter:
                         field_bounds=field_bounds,
                     )
                 )
-                if lanes is not None:
-                    lanes.append(WorkerPool("thread", workers=1))
         except Exception:
             for w in writers:
                 w.abort()
-            for lane in lanes or []:
-                lane.close()
             raise
+        lane = WorkerPool("thread", workers=1) if parallel == "thread" else None
         return cls(
-            manifest_name, writers, lanes, durabilities, meta, backend,
+            manifest_name, writers, lane, durabilities, meta, backend,
             pending, parity=parity, retries=retries, retry_delay=retry_delay,
             sleep=sleep,
         )
@@ -484,8 +484,8 @@ class ShardedSeriesWriter:
 
     @property
     def n_steps(self) -> int:
-        """Steps appended so far (including any still in flight)."""
-        return len(self._route)
+        """Steps submitted so far: in flight, sealed or failed, either mode."""
+        return self._n_steps
 
     @property
     def shards(self) -> tuple[str, ...]:
@@ -503,12 +503,14 @@ class ShardedSeriesWriter:
 
         ``shard`` pins the step to a shard (a rank id); otherwise arrival
         order assigns shards round-robin. In ``"thread"`` mode the append
-        runs on the shard's lane and this returns as soon as the in-flight
-        window has room — a failed append surfaces on the next
+        queues on the campaign's lane and this returns as soon as the
+        in-flight window has room — a failed append surfaces on the next
         ``append_step`` / :meth:`flush` / :meth:`close`.
         """
         if self._closed:
             raise CompressionError("sharded writer is closed")
+        if self._lane is not None:  # a lane failure burns no number or slot
+            self._drain(self._max_pending - 1)
         n = self._next if step is None else int(step)
         if n < self._next:
             raise CompressionError(
@@ -525,14 +527,13 @@ class ShardedSeriesWriter:
                 raise CompressionError(
                     f"shard {k} out of range (campaign has {self.n_shards})"
                 )
-        self._route[n] = k
         t = float(n) if time is None else float(time)
-        if self._lanes is None:
+        self._n_steps += 1
+        if self._lane is None:
             self._append_with_retry(k, hierarchy, t, n)
         else:
-            self._drain(self._max_pending - 1)
             self._inflight.append(
-                self._lanes[k].submit(self._append_with_retry, k, hierarchy, t, n)
+                self._lane.submit(self._append_with_retry, k, hierarchy, t, n)
             )
         return n
 
@@ -540,9 +541,8 @@ class ShardedSeriesWriter:
         """Append step ``n`` on shard ``k``, retrying transient storage
         faults with bounded exponential backoff. Each failed attempt's
         partial segment bytes are rolled back first, so the shard file
-        never accumulates garbage between attempts. Runs on the shard's
-        lane thread (or inline in serial mode) — each writer is only ever
-        touched by its own lane."""
+        never accumulates garbage between attempts. Runs on the lane
+        thread (or inline in serial mode), one step at a time."""
         writer = self._writers[k]
         attempt = 0
         while True:
@@ -568,7 +568,7 @@ class ShardedSeriesWriter:
     # Finalization
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Drain the lanes, close every shard (index + footer), and write
+        """Drain the lane, close every shard (index + footer), and write
         the final manifest. The campaign is not readable until this runs
         (except through recovery)."""
         if self._closed:
@@ -586,19 +586,19 @@ class ShardedSeriesWriter:
                 w.abort()  # idempotent; releases the not-yet-closed shards
             raise
         finally:
-            if self._lanes is not None:
-                for lane in self._lanes:
-                    lane.close()
+            if self._lane is not None:
+                self._lane.close()
         meta = dict(self._meta, fields=fields)
-        rows = []
-        for k, (name, dur) in enumerate(
-            zip(self.shards, self._durabilities)
-        ):
-            rows.append({
+        # A row lists what its shard sealed, not what was routed to it: a
+        # step whose append failed is in no shard and must be in no row.
+        rows = [
+            {
                 "name": os.path.basename(name),
                 "durability": dur,
-                "steps": sorted(n for n, kk in self._route.items() if kk == k),
-            })
+                "steps": [e.step for e in w._steps],
+            }
+            for name, dur, w in zip(self.shards, self._durabilities, self._writers)
+        ]
         parity_rows = self._build_parity() if self._parity else None
         _write_manifest(
             self._backend, self._path, meta, rows, final=True,
@@ -634,15 +634,14 @@ class ShardedSeriesWriter:
         return rows
 
     def abort(self) -> None:
-        """Release every lane and shard writer without finalizing. The
+        """Release the lane and every shard writer without finalizing. The
         manifest stays non-final — exactly the on-disk state of a killed
         campaign, which :func:`recover_sharded` repairs."""
         if self._closed:
             return
         self._closed = True
-        if self._lanes is not None:
-            for lane in self._lanes:
-                lane.close()
+        if self._lane is not None:
+            self._lane.close()
         for w in self._writers:
             w.abort()
 

@@ -458,8 +458,8 @@ class StreamingWriter:
             self._mode if mode is None else mode,
         )
         # Own the values. tobytes() is a memcpy under the GIL; an ndarray
-        # copy of > 500 cells releases it, and on a writer lane every
-        # release is a hand-off to the other lane (~25 us per patch).
+        # copy of > 500 cells releases it, and every release is a chance to
+        # hand the lock to the caller's thread or a pool= worker (~25 us).
         arr = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
         self._orig_bytes += arr.nbytes
         self._counts[level, field] = self._counts.get((level, field), 0) + 1

@@ -23,7 +23,12 @@ from repro.amr.io import (
     write_sharded_series,
 )
 from repro.compression.amr_codec import decompress_selection
-from repro.errors import CompressionError, FormatError, TruncatedSeriesError
+from repro.errors import (
+    CompressionError,
+    FormatError,
+    StorageError,
+    TruncatedSeriesError,
+)
 from repro.insitu import (
     MANIFEST_MAGIC,
     SeriesReader,
@@ -126,16 +131,20 @@ class TestShardedWrite:
             writer.append_step(make_sphere_hierarchy(8), step=7)
 
     def test_threaded_lanes_match_serial(self, tmp_path):
+        """File identity, not just value identity: the background lane
+        writes every byte — shards, parity, manifest — that inline
+        appends write."""
         steps = _steps(4)
-        a = tmp_path / "threaded.rphm"
-        b = tmp_path / "serial.rphm"
-        write_sharded_series(a, steps, n_shards=2, parallel="thread")
-        write_sharded_series(b, steps, n_shards=2, parallel="serial")
-        with open_series(a) as ra, open_series(b) as rb:
-            ga, gb = ra.select(), rb.select()
-        assert set(ga) == set(gb)
-        for key in ga:
-            assert np.array_equal(ga[key], gb[key])
+        for mode in ("thread", "serial"):
+            (tmp_path / mode).mkdir()
+            write_sharded_series(tmp_path / mode / "camp.rphm", steps,
+                                 n_shards=2, parallel=mode, parity=1)
+        names = sorted(p.name for p in (tmp_path / "serial").iterdir())
+        assert len(names) == 4  # manifest + 2 shards + 1 parity
+        assert sorted(p.name for p in (tmp_path / "thread").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "thread" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
 
     def test_append_to_refuses_manifests(self, campaign):
         manifest, _, _ = campaign
@@ -158,6 +167,44 @@ class TestManifest:
         assert man["final"] is True
         assert [r["durability"] for r in man["shards"]] == ["step", "none"]
         assert [r["steps"] for r in man["shards"]] == [[0, 2], [1, 3]]
+
+    @pytest.mark.parametrize("parallel", ["serial", "thread"])
+    def test_final_manifest_lists_only_sealed_steps(
+        self, tmp_path, monkeypatch, parallel
+    ):
+        """A step whose append failed is in no shard, so the final
+        manifest must not route it (it used to list shard 1 as [1, 3]
+        while the shard index held [3], and scrub called that clean)."""
+        real = StreamingWriter.append_step
+
+        def failing(self, hierarchy, time=None, step=None, fields=None):
+            if step == 1:
+                raise StorageError("injected: step 1 never reaches its shard")
+            return real(self, hierarchy, time=time, step=step, fields=fields)
+
+        monkeypatch.setattr(StreamingWriter, "append_step", failing)
+        manifest = tmp_path / "camp.rphm"
+        writer = ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3,
+                                            n_shards=2, parallel=parallel)
+        try:
+            for i, h in enumerate(_steps(4)):
+                if (parallel, i) == ("serial", 1):
+                    with pytest.raises(StorageError, match="injected"):
+                        writer.append_step(h, step=i)
+                else:
+                    writer.append_step(h, step=i)
+            if parallel == "thread":  # the lane's failure surfaces once
+                with pytest.raises(StorageError, match="injected"):
+                    writer.close()
+            writer.close()
+        finally:
+            writer.abort()
+        assert writer.n_steps == 4  # submitted, in either mode; sealed: 3
+        man = parse_manifest(manifest.read_bytes())
+        assert man["final"]
+        assert [row["steps"] for row in man["shards"]] == [[0, 2], [3]]
+        with open_series(manifest) as reader:
+            assert reader.steps == (0, 2, 3)
 
     def test_crc_catches_manifest_bit_rot(self, campaign, tmp_path):
         manifest, _, _ = campaign
