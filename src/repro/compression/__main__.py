@@ -465,7 +465,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="LRU budget for decoded patches + catalogs "
                         "(default 64 MiB; 0 disables caching)")
     p.add_argument("--workers", type=int, default=2,
-                   help="decode worker threads (0 = one per CPU core)")
+                   help="accepted; sizes nothing: decode is ONE thread beside the loop")
     p.add_argument("--recover", action="store_true",
                    help="serve the fully-sealed steps of a crash-"
                         "interrupted series (read-only recovery scan)")

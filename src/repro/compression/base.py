@@ -278,6 +278,9 @@ def decode_codes(sections, stages, shareds, counts) -> list:
 
 
 NONFINITE_INPUT = "input contains NaN/Inf; mask before compressing"
+#: Refused, not floored: a floor would grant a looser bound than was asked for.
+REL_UNDERFLOW = ("relative error bound {} of the data's value range {} underflows to 0; "
+                 "increase the error bound or pass an absolute one")
 
 #: Magic prefix of every framed codec stream.
 STREAM_MAGIC = b"RPRC"
@@ -558,6 +561,8 @@ class Compressor(ABC):
             if value_range == 0.0:
                 # Constant field: any positive bound works; pick the value.
                 return float(error_bound)
+            if float(error_bound) * value_range == 0.0:
+                raise CompressionError(REL_UNDERFLOW.format(error_bound, value_range))
             return float(error_bound) * value_range
         raise CompressionError(f"unknown error-bound mode {mode!r} (use 'abs' or 'rel')")
 
@@ -582,6 +587,8 @@ class Compressor(ABC):
             if mode == "rel":
                 ranges = batch.max(axis=spatial) - batch.min(axis=spatial)
                 out = np.where(ranges == 0.0, float(eb), float(eb) * ranges)
+                if not out.all():
+                    raise CompressionError(REL_UNDERFLOW.format(error_bound, ranges[out == 0.0][0]))
                 return np.ascontiguousarray(out)
             raise CompressionError(
                 f"unknown error-bound mode {mode!r} (use 'abs' or 'rel')"

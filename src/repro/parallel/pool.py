@@ -16,9 +16,12 @@ parallel paths need:
   ``decompress_hierarchy`` / ``decompress_selection`` and the in-situ
   :class:`~repro.insitu.writer.StreamingWriter` all accept one.
 
-Thread mode is effective here despite the GIL because the heavy kernels
-(NumPy ufuncs, zlib) release it; process mode trades startup cost for true
-parallelism on multi-core hosts.
+Thread mode frees the calling thread (a solver, an event loop); it is parallel
+only while single kernel calls are long. On the paper's 8^3-32^3 patches a task
+is thousands of sub-millisecond NumPy / zlib calls, and two such threads trade
+the GIL on each and both finish later (``docs/performance.md`` § PR 23, § PR 24):
+the sharded writer and the read service each own ONE worker thread. Process mode
+trades startup and pickling cost for true parallelism on multi-core hosts.
 """
 
 from __future__ import annotations

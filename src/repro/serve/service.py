@@ -16,9 +16,9 @@ end to end:
   step (its file, or a parity reconstruction of it) is decided by the
   :class:`~repro.serve.source.StepSource` underneath.
 * **The event loop never blocks on decode.** Entropy decode runs on a
-  :class:`~repro.parallel.WorkerPool` (``asyncio`` futures wrap the pool's
-  ``concurrent.futures`` ones), and byte fetches run on the loop's default
-  executor behind a per-file lock; the loop only plans, slices, and
+  :class:`~repro.parallel.WorkerPool` (by default ONE worker thread) and
+  byte fetches on the loop's default executor behind a per-file lock,
+  overlapping other queries' decodes; the loop only plans, slices, and
   assembles. The missed patches of a step decode as **one task** — one
   lockstep entropy pass over all of them, grouped (RPGB) or not.
 * **Warm queries touch zero payload bytes.** Decoded patches, parsed
@@ -162,17 +162,20 @@ class QueryService(ReaderView):
         re-parsing, but every payload byte is re-fetched and re-decoded).
     pool:
         A persistent :class:`~repro.parallel.WorkerPool` for entropy
-        decode. Without one the service creates (and owns) a pool of
-        ``decode_mode`` workers. A ``"serial"`` pool decodes inline on
+        decode, run as given. Without one the service creates (and owns)
+        a ``decode_mode`` pool. A ``"serial"`` pool decodes inline on
         the event loop — the deterministic test mode. If an *owned*
         process pool breaks (a worker died), the service converts the
         failure to a typed :class:`~repro.errors.ServeError` and
         rebuilds the pool, so the query after the failure succeeds.
     workers:
-        Size of the owned pool (``None``/0 = one per core).
+        Size of an owned ``"process"`` pool (``None``/0 = one per core).
     decode_mode:
         Mode of the owned pool (``"serial"``/``"thread"``/``"process"``);
-        ignored when ``pool`` is given.
+        ignored when ``pool`` is given. ``"thread"`` is ONE decode thread
+        whatever ``workers`` says: it keeps the loop free (hits, deadlines,
+        reads overlap the decode); a second only trades the GIL with it,
+        ~1 000 times a query (``docs/performance.md`` § PR 24).
     gap_cap, slack:
         Planner coalescing knobs (see
         :func:`repro.serve.planner.coalesce_extents`).
@@ -273,10 +276,7 @@ class QueryService(ReaderView):
         self._owns_pool = pool is None
         self._decode_mode = decode_mode if pool is None else pool.mode
         self._workers_arg = workers
-        self._pool = (
-            pool if pool is not None
-            else WorkerPool(decode_mode, workers=workers)
-        )
+        self._pool = pool if pool is not None else self._owned_pool()
 
     # ------------------------------------------------------------------
     # Lifecycle / metadata
@@ -284,7 +284,8 @@ class QueryService(ReaderView):
     def close(self) -> None:
         """Release file handles and the owned worker pool (idempotent).
         Call from the loop the service ran on, after in-flight queries
-        drain — :class:`InProcessClient` does this for you."""
+        drain — :class:`InProcessClient` does this for you; one still in
+        flight ends in its result or ``ServeError("query service is closed")``."""
         if self._closed:
             return
         self._closed = True
@@ -324,6 +325,11 @@ class QueryService(ReaderView):
     # ------------------------------------------------------------------
     # Failure isolation
     # ------------------------------------------------------------------
+    def _owned_pool(self) -> WorkerPool:
+        """The pool the service builds for itself, new or after a broken one."""
+        lanes = self._workers_arg if self._decode_mode == "process" else 1
+        return WorkerPool(self._decode_mode, workers=lanes)
+
     def _note_pool_failure(self) -> bool:
         """Rebuild the owned decode pool after a worker death poisoned it
         (``BrokenProcessPool`` fails every future on a broken pool until
@@ -334,7 +340,7 @@ class QueryService(ReaderView):
             self._pool.close()
         except Exception:
             pass
-        self._pool = WorkerPool(self._decode_mode, workers=self._workers_arg)
+        self._pool = self._owned_pool()
         self._stats["pool_rebuilds"] += 1
         return True
 
@@ -662,7 +668,9 @@ class QueryService(ReaderView):
                     raise res
         except BaseException as exc:
             fail = exc
-            if (
+            if self._closed:  # close() cancelled our queued decode; the caller did not
+                fail = ServeError("query service is closed")
+            elif (
                 isinstance(exc, asyncio.CancelledError)
                 and dl is not None
                 and dl.expired()
@@ -674,6 +682,8 @@ class QueryService(ReaderView):
                     "decode finished; retry to restart it"
                 )
             self._fail_owned(owned, fail)
+            if self._closed:
+                raise fail from None
             raise
         results = dict(hits)
         for sub in executed:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
@@ -19,7 +19,7 @@ from repro.compression.amr_codec import (
     compress_hierarchy,
     decompress_hierarchy,
 )
-from repro.compression.registry import available_codecs, make_codec
+from repro.compression.registry import available_codecs, codec_supports_batch, make_codec
 from repro.errors import CompressionError
 
 CODICS = sorted(available_codecs())
@@ -74,6 +74,11 @@ def _hierarchy_from(arrays: dict[str, np.ndarray]) -> AMRHierarchy:
     for name, data in arrays.items():
         level.add_field(name, [Patch(dom, data)])
     return AMRHierarchy(dom, [level], 2)
+
+
+#: The patch hypothesis met during PR 23: its range, 3.5e-323, times a
+#: relative bound of 1e-4 is 0.0.
+DENORMAL_PATCH = 5e-324 * np.arange(8.0).reshape(2, 2, 2)
 
 
 def _try_compress(h, codec, eb, mode):
@@ -133,6 +138,7 @@ class TestContainerBoundProperty:
 
     @settings(max_examples=10, deadline=None)
     @given(fields=_container_fields(), eb=st.sampled_from([1e-4, 1e-3, 1e-2]))
+    @example(fields={"f0": DENORMAL_PATCH}, eb=1e-4)  # refused: see the test below
     def test_metadata_exact_roundtrip(self, codec, fields, eb):
         h = _hierarchy_from(fields)
         container = _try_compress(h, codec, eb, "rel")
@@ -146,3 +152,23 @@ class TestContainerBoundProperty:
         assert parsed.streams == container.streams
         # Serialization is a pure function of the parsed state.
         assert parsed.tobytes() == container.tobytes()
+
+
+@pytest.mark.parametrize("codec, batch", [
+    (codec, batch) for codec in CODICS for batch in ("patch", "level")
+    if batch == "patch" or codec_supports_batch(codec)])
+def test_relative_bound_that_underflows_is_refused_by_name(codec, batch):
+    """A relative bound the data's range rounds to 0.0 is refused naming the
+    bound that was given, the range and the way out — not as "error bound
+    must be > 0, got 0.0", and not floored (a floor at the smallest
+    subnormal would grant a looser bound than was asked for)."""
+    h = _hierarchy_from({"f0": DENORMAL_PATCH})
+    with pytest.raises(CompressionError) as refusal:
+        compress_hierarchy(h, codec, 1e-4, mode="rel", batch=batch)
+    message = str(refusal.value)
+    assert "relative error bound 0.0001" in message and "3.5e-323" in message
+    assert message.endswith("underflows to 0; increase the error bound or pass an absolute one")
+    # the same data under an absolute bound, or a constant patch, still compresses
+    compress_hierarchy(h, codec, 1e-4, mode="abs", batch=batch)
+    compress_hierarchy(_hierarchy_from({"f0": np.zeros((2, 2, 2))}), codec, 1e-4,
+                       mode="rel", batch=batch)
