@@ -1,4 +1,4 @@
-"""Level-batched fused compression must beat a one-at-a-time loop >= 1.3x.
+"""Level-batched fused compression must beat a one-at-a-time loop >= 1.4x.
 
 The paper's workload shape is many small patches (8^3-32^3 at blocking
 factors 4/8), where per-stream fixed costs — the pure-Python Huffman tree
@@ -12,20 +12,22 @@ This benchmark builds the mandated many-small-patch hierarchy (256
 patches of 16^3), measures the per-patch path — an explicit one-at-a-time
 ``SZLR.compress`` loop, what ``compress_hierarchy(batch="patch")`` was
 before it stacked runs of patches — against ``batch="level"``, and
-**asserts the fused path is >= 1.3x faster**, gated in CI against the
+**asserts the fused path is >= 1.4x faster**, gated in CI against the
 committed baseline in ``benchmarks/baselines/BENCH_bench_batched.json``.
 ``stacked_speedup`` is the same loop over ``batch="patch"``: the same
-bytes, written by one kernel pass and one bit-pack per run of patches.
+bytes, written by one kernel pass and one bit-pack per run of patches
+(sixteen 16^3 patches at 64 k cells a run).
 
 What the ratio divides by matters more than what it measures: nothing in
 the system runs the one-at-a-time loop any more, and every improvement to
 the per-stream code it exercises (the int-keyed tree build, the one
-byte-accumulation bit-packer) *lowers* the ratio on an unchanged level
-path — it was >= 3x while each patch still paid a 16-pass bit scatter.
-The floor is re-derived whenever that happens (ISSUE 15: 0.8 x the lowest
-of ten runs on the 2-core box, rounded down to one decimal; the runs are
-listed in the baseline's comment). ``batched_throughput`` is the level
-path's own MB/s.
+byte-accumulation bit-packer, the two-queue tree build) *lowers* the
+ratio on an unchanged level path — it was >= 3x while each patch still
+paid a 16-pass bit scatter. The floor is re-derived whenever that happens:
+0.8 x the lowest of ten runs alone and ten in the ``perf-smoke`` session
+order on the 2-core box, rounded down to one decimal; the runs are listed
+in the baseline's comment. ``batched_throughput`` is the level path's own
+MB/s.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from repro.amr.patch import Patch
 from repro.compression.amr_codec import compress_hierarchy, resolve_patch_codec
 
 #: The acceptance floor: fused level batching vs the one-at-a-time loop.
-MIN_SPEEDUP = 1.3
+MIN_SPEEDUP = 1.4
 
 #: Mandated workload shape: >= 256 patches of 16^3.
 PATCH_EDGE = 16

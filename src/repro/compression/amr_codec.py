@@ -247,13 +247,15 @@ class CompressedHierarchy:
             field_bounds=reader.field_bounds,
         )
 
-#: Cells a run of patches may hold before it is encoded. ``benchmarks/e2e``
-#: ``campaign_write`` (62 fine patches per field, median 8^3; parent 1170 ms/op,
-#: 162.5 MB): 8 k cells 544 ms, RSS +0.3 %; 16 k 425 ms; 64 k 331 ms, +6.5 %
-#: (int64 temporaries never go back to the OS). Runs spread by 5-10 % at every
-#: size and the benchmark resolves ``ops_per_s`` only under 0.22 /s of spread:
-#: 8 k is the largest size safely inside that (``docs/performance.md``).
-RUN_CELL_BUDGET = 1 << 13
+#: Cells a run of patches may hold before it is encoded; where a run is cut
+#: never changes a byte. ``benchmarks/e2e`` ``campaign_write`` (62 fine patches
+#: per field, median 8^3), medians of ten pairs: 8 k cells and the heap tree
+#: build 240 ms/op, 160.7 MB peak RSS; 64 k and the two-queue build 181 ms,
+#: 164.9 MB (+2.6 %: a run's int64 temporaries); the budget alone is -10 %.
+#: 8 k was once kept because ``ops_per_s`` resolved only 0.22 /s of spread; its
+#: bound is now 25 % of ~4.2 /s, ~1.06 /s, and runs spread by 0.17-0.27 /s
+#: between quartiles (``docs/performance.md``).
+RUN_CELL_BUDGET = 1 << 16
 
 
 class PatchRuns:

@@ -4,11 +4,12 @@ SZ's entropy stage is a "customized Huffman coding" over the quantization
 codes followed by a general lossless pass (paper §2.1). This module
 implements that stage:
 
-* code lengths from a binary heap (classic Huffman),
+* code lengths from the two-queue Huffman build (leaves sorted once,
+  merges queued in creation order — no heap),
 * length limiting to :data:`MAX_CODE_LENGTH` bits (frequency-halving
   heuristic) so decoding can use a single flat lookup table,
-* canonical code assignment (sorted by length, then symbol) so only the
-  lengths need to be stored,
+* canonical code assignment (sorted by length, then symbol; one pass for
+  every codebook of a run) so only the lengths need to be stored,
 * **K-way interleaved streams** (``HUF2`` layout): the symbol array is
   split round-robin into K independent bitstreams sharing one canonical
   codebook, so the decoder can run all K in lockstep — each vectorized
@@ -63,7 +64,6 @@ the grouped-stream layout in ``docs/container_format.md``).
 
 from __future__ import annotations
 
-import heapq
 import struct
 
 import numpy as np
@@ -208,7 +208,7 @@ def code_lengths(freqs: np.ndarray) -> np.ndarray:
         return np.array([1], dtype=np.uint8)
     work = f.copy()
     while True:
-        lengths = _heap_lengths(work)
+        lengths = _tree_lengths(work)
         if lengths.max() <= MAX_CODE_LENGTH:
             return lengths
         # Flatten the distribution; guaranteed to terminate because equal
@@ -216,40 +216,43 @@ def code_lengths(freqs: np.ndarray) -> np.ndarray:
         work = (work + 1) // 2
 
 
-#: Heap keys are ``freq << 20 | node_id``: the largest tree (2**16 leaves)
-#: has 2**17 - 1 nodes, so ids fit with room to spare.
-_ID_MASK = (1 << 20) - 1
-
-
-def _heap_lengths(freqs: np.ndarray) -> np.ndarray:
-    """Unrestricted Huffman code lengths via pairwise merging.
-
-    One int per heap item, not a ``(freq, tiebreak, node_id)`` tuple:
-    leaves are 0..n-1 and merges take n, n+1, ... in creation order, so
-    the tiebreak always *was* the node id. Plain lists, not ndarrays:
-    per-element ndarray indexing costs more than the merge itself.
+def _tree_lengths(freqs: np.ndarray) -> np.ndarray:
+    """Unrestricted Huffman code lengths of ``n >= 2`` symbols, by the
+    two-queue build: leaves wait in stable ``(freq, id)`` order and merges
+    join a second queue in creation order, which their sums never leave.
+    Taking the smaller head, ties to the leaf, is exactly the pop order of
+    a ``(freq, id)`` heap where merges take ids ``n, n + 1, ...``. Plain
+    lists and both pops written out: a call or an ndarray index per pop
+    costs more than the pop.
     """
     n = freqs.size
-    heap = [(f << 20) | i for i, f in enumerate(freqs.tolist())]
-    heapq.heapify(heap)
-    pop, push = heapq.heappop, heapq.heappush
-    parent = [0] * (2 * n - 1)
-    for next_id in range(n, 2 * n - 1):
-        a = pop(heap)
-        b = pop(heap)
-        ia = a & _ID_MASK
-        ib = b & _ID_MASK
-        parent[ia] = parent[ib] = next_id
-        push(heap, a - ia + b - ib + next_id)
-    depths = [0] * (2 * n - 1)
-    # Nodes were created bottom-up, so iterate top-down for depths.
-    for node in range(2 * n - 3, -1, -1):
-        depths[node] = depths[parent[node]] + 1
-    return np.array(depths[:n], dtype=np.uint8)
+    order = np.argsort(freqs, kind="stable")
+    leaf_f = freqs[order].tolist() + [float("inf")]
+    leaves = order.tolist()
+    merged = [float("inf")] * n  # merge m's sum; its id is n + m
+    up = [0] * (2 * n - 1)  # by id: the merge a node went into
+    i = j = 0
+    for m in range(n - 1):
+        if leaf_f[i] <= merged[j]:
+            a, fa, i = leaves[i], leaf_f[i], i + 1
+        else:
+            a, fa, j = n + j, merged[j], j + 1
+        if leaf_f[i] <= merged[j]:
+            b, fb, i = leaves[i], leaf_f[i], i + 1
+        else:
+            b, fb, j = n + j, merged[j], j + 1
+        up[a] = up[b] = m
+        merged[m] = fa + fb
+    depth = [0] * (n - 1)  # of the merges; the last one is the root
+    for m in range(n - 3, -1, -1):
+        depth[m] = depth[up[n + m]] + 1
+    return (np.array(depth)[up[:n]] + 1).astype(np.uint8)
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Canonical code values (uint32) for given lengths.
+def _canonical_codes(lengths: np.ndarray, sizes=None) -> np.ndarray:
+    """Canonical code values (uint32) of one codebook's lengths or, with
+    ``sizes``, of a run's codebooks laid end to end (``sizes[i]`` symbols
+    each) in one pass.
 
     Codes are assigned in (length, symbol-index) order, the standard
     canonical construction, so lengths alone reproduce the codebook: a
@@ -257,15 +260,19 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     symbols of that length.
     """
     lens = lengths.astype(np.int64)
-    first = start = 0
-    base = []  # per length: its first code minus the sorted position of its first symbol
-    for count in np.bincount(lens).tolist():
-        base.append(first - start)
-        first = (first + count) << 1
-        start += count
-    order = np.argsort(lens, kind="stable")
+    sizes = [lens.size] if sizes is None else sizes
+    width = int(lens.max()) + 1
+    key = lens + width * np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(key, minlength=width * len(sizes))
+    per_length = counts.reshape(-1, width)
+    first = np.zeros_like(per_length)  # per (member, length): its first code
+    for length in range(1, width):
+        first[:, length] = (first[:, length - 1] + per_length[:, length - 1]) << 1
+    # Minus the sorted position of the key's first symbol: add a rank.
+    base = first.ravel() - (np.cumsum(counts) - counts)
+    order = np.argsort(key, kind="stable")
     codes = np.empty(lens.size, dtype=np.uint32)
-    codes[order] = np.array(base)[lens[order]] + np.arange(lens.size)
+    codes[order] = base[key[order]] + np.arange(lens.size)
     return codes
 
 
@@ -577,7 +584,7 @@ def encode_many(members, k_streams: int | str = "auto") -> list:
     if not coded:
         return out
     all_lens = np.concatenate([c[2] for c in coded]).astype(np.int64)
-    all_codes = np.concatenate([_canonical_codes(c[2]) for c in coded])
+    all_codes = _canonical_codes(all_lens, [c[2].size for c in coded])
     # Members of one size share K, so their layout is one batched cumsum;
     # payloads are laid out group by group in one byte space.
     row_parts, offset_parts, layout, cursor = [], [], {}, 0

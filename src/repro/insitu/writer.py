@@ -111,7 +111,9 @@ class StreamingWriter:
     max_pending:
         In-flight *run* limit for the parallel modes (default
         ``2 * workers``): with the run being filled, at most
-        ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells.
+        ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells:
+        (4 + 1) * (65 536 + 512) * 8 B ~ 2.6 MB of float64 at the defaults
+        with 8^3 patches.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`. The writer
         then pipelines through that pool — which survives across

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import asdict
 from typing import Any
 
@@ -347,6 +348,24 @@ class QueryServer:
             pass  # client went away mid-reply; nothing to salvage
 
 
+def _patch_spec(spec) -> tuple:
+    """``(key, dtype, shape, nbytes)`` of one patch of a query reply, checked
+    before anything is sized by it: a dtype NumPy fills from bytes, a shape
+    of non-negative ints, ``nbytes`` exactly what they hold."""
+    try:
+        step, level, field, patch = spec["key"]
+        key = (int(step), int(level), str(field), int(patch))
+        dtype, shape, nbytes = np.dtype(spec["dtype"]), list(spec["shape"]), spec["nbytes"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ServeError(f"malformed patch in the reply header: {exc!r}") from None
+    if (dtype.hasobject or not dtype.itemsize
+            or not all(type(n) is int and n >= 0 for n in [nbytes, *shape])
+            or nbytes != math.prod(shape) * dtype.itemsize):
+        raise ServeError(f"reply header patch {key}: nbytes {nbytes!r} is not "
+                         f"shape {shape!r} of {dtype.str}")
+    return key, dtype, shape, nbytes
+
+
 class TCPClient:
     """Blocking client for :class:`QueryServer` (tests/scripts/tools).
 
@@ -367,7 +386,12 @@ class TCPClient:
         line = self._rfile.readline()
         if not line:
             raise ServeError("server closed the connection")
-        header = json.loads(line)
+        try:
+            header = json.loads(line)
+        except ValueError as exc:  # JSONDecodeError, bad UTF-8
+            raise ServeError(f"reply header is not JSON: {exc}") from None
+        if not isinstance(header, dict):
+            raise ServeError("reply header is not a JSON object")
         if not header.get("ok"):
             etype = header.get("type", "unknown")
             msg = header.get("error", "?")
@@ -391,8 +415,8 @@ class TCPClient:
 
     def _read_exact(self, n: int) -> bytes:
         out = bytearray()
-        while len(out) < n:
-            chunk = self._rfile.read(n - len(out))
+        while len(out) < n:  # 1 MiB reads at most: a lie costs only what arrives
+            chunk = self._rfile.read(min(n - len(out), 1 << 20))
             if not chunk:
                 raise ServeError(
                     f"server closed mid-payload ({len(out)} of {n} bytes)"
@@ -405,16 +429,16 @@ class TCPClient:
         ``(step, level, field, patch)``, read-only, byte-identical to the
         server's."""
         header = self._request({"op": "query", **selectors})
+        patches, info = header.get("patches"), header.get("info")
+        if not isinstance(patches, list) or not isinstance(info, dict):
+            raise ServeError("query reply header lacks its patch list or info")
         out: dict[tuple, np.ndarray] = {}
-        for spec in header["patches"]:
-            blob = self._read_exact(int(spec["nbytes"]))
-            arr = np.frombuffer(blob, dtype=np.dtype(spec["dtype"])).reshape(
-                spec["shape"]
-            )
+        for spec in patches:
+            key, dtype, shape, nbytes = _patch_spec(spec)
+            arr = np.frombuffer(self._read_exact(nbytes), dtype=dtype).reshape(shape)
             arr.setflags(write=False)
-            step, level, field, patch = spec["key"]
-            out[(int(step), int(level), str(field), int(patch))] = arr
-        return out, header["info"]
+            out[key] = arr
+        return out, info
 
     def query(self, **selectors) -> dict:
         """Synchronous selective read over the socket."""

@@ -609,7 +609,14 @@ class ByteSink(Closing):
         return cls(handle, name, owned=True)
 
     def write(self, blob) -> None:
-        self._handle.write(blob)
+        """Write ``blob`` at :attr:`pos`. An ``OSError`` (a full disk) is a
+        :class:`StorageError` — permanent: nothing retries it — and ``pos`` stays."""
+        try:
+            self._handle.write(blob)
+        except OSError as exc:
+            raise StorageError(
+                f"write of {len(blob)} bytes to {self.name} at offset {self.pos} failed: {exc}"
+            ) from exc
         self.pos += len(blob)
 
     def seek(self, pos: int) -> None:

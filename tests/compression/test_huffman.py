@@ -488,7 +488,7 @@ class TestAgainstReferences:
     def test_tree_build_and_canonical_codes_match_the_historical_ones(self):
         for freqs in _frequency_cases():
             freqs = np.asarray(freqs, dtype=np.int64)
-            lengths = huffman._heap_lengths(freqs)
+            lengths = huffman._tree_lengths(freqs)
             assert lengths.dtype == np.uint8
             assert np.array_equal(lengths, _reference_heap_lengths(freqs))
             capped = huffman.code_lengths(freqs)
@@ -501,7 +501,7 @@ class TestAgainstReferences:
     @given(st.lists(st.integers(1, 10**9), min_size=2, max_size=300))
     def test_tree_build_property(self, freqs):
         f = np.asarray(freqs, dtype=np.int64)
-        assert np.array_equal(huffman._heap_lengths(f), _reference_heap_lengths(f))
+        assert np.array_equal(huffman._tree_lengths(f), _reference_heap_lengths(f))
 
     def test_pinned_lengths_and_codes(self):
         """The parent commit's output for one fixed alphabet, literally."""

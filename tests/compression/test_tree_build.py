@@ -1,0 +1,141 @@
+"""The write side's entropy stage costs one pass per run, byte for byte.
+
+Three things changed under ``huffman.encode_many`` and none may move a
+byte: the code lengths come from the two-queue Huffman build instead of a
+binary heap, the canonical codes of every member of a run come from one
+pass, and a run holds up to 64 k cells instead of 8 k. ``_oracle_lengths``
+is the heap build the two-queue one replaced, kept here as the oracle.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import heapq
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.amr.io import write_sharded_series
+from repro.compression import amr_codec, huffman
+from repro.sims import NyxConfig, nyx_step_stream
+
+#: Heap keys were ``freq << 20 | node_id``: 2**16 leaves make 2**17 - 1 nodes.
+_ID_MASK = (1 << 20) - 1
+
+
+def _oracle_lengths(freqs: np.ndarray) -> np.ndarray:
+    """The heap tree build the two-queue ``huffman._tree_lengths`` replaced,
+    verbatim (it was ``huffman._heap_lengths``)."""
+    n = freqs.size
+    heap = [(f << 20) | i for i, f in enumerate(freqs.tolist())]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    parent = [0] * (2 * n - 1)
+    for next_id in range(n, 2 * n - 1):
+        a = pop(heap)
+        b = pop(heap)
+        ia = a & _ID_MASK
+        ib = b & _ID_MASK
+        parent[ia] = parent[ib] = next_id
+        push(heap, a - ia + b - ib + next_id)
+    depths = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depths[node] = depths[parent[node]] + 1
+    return np.array(depths[:n], dtype=np.uint8)
+
+
+def _oracle_code_lengths(freqs: np.ndarray) -> np.ndarray:
+    """``huffman.code_lengths``'s length-limiting loop over the oracle."""
+    if freqs.size == 1:
+        return np.array([1], dtype=np.uint8)
+    work = freqs.copy()
+    while True:
+        lengths = _oracle_lengths(work)
+        if lengths.max() <= huffman.MAX_CODE_LENGTH:
+            return lengths
+        work = (work + 1) // 2
+
+
+def _fibonacci(n: int) -> list[int]:
+    fib = [1, 1]
+    while len(fib) < n:
+        fib.append(fib[-1] + fib[-2])
+    return fib[:n]
+
+
+@st.composite
+def frequency_vectors(draw, widest: bool = True) -> np.ndarray:
+    """Frequency vectors from the corners a tree build can get wrong
+    (``widest``: including alphabets of 2**16 symbols)."""
+    kinds = ["equal", "ties", "one", "two", "near-2**40", "fibonacci", "any"]
+    kind = draw(st.sampled_from(kinds + ["alphabet-2**16"] * widest))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "equal":
+        freqs = np.full(draw(st.integers(2, 3000)), draw(st.integers(1, 1 << 40)))
+    elif kind == "ties":
+        freqs = rng.integers(1, draw(st.integers(2, 5)), draw(st.integers(2, 600)))
+    elif kind == "one":
+        freqs = np.array([draw(st.integers(1, 1 << 40))])
+    elif kind == "two":
+        freqs = np.array(draw(st.lists(st.integers(1, 1 << 40), min_size=2, max_size=2)))
+    elif kind == "alphabet-2**16":
+        freqs = rng.integers(1, draw(st.sampled_from([2, 4])), 1 << 16)  # depth 16-17
+    elif kind == "near-2**40":
+        freqs = (1 << 40) - rng.integers(0, 8, draw(st.integers(2, 400)))
+    elif kind == "fibonacci":  # deeper than MAX_CODE_LENGTH: forces the limiting loop
+        fib = np.array(_fibonacci(draw(st.integers(18, 88))))
+        freqs = rng.permutation(fib * draw(st.integers(1, 3)))
+    else:
+        freqs = np.array(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=300)))
+    return freqs.astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frequency_vectors())
+def test_lengths_are_the_heap_builds(freqs):
+    capped = huffman.code_lengths(freqs)
+    assert capped.dtype == np.uint8
+    assert np.array_equal(capped, _oracle_code_lengths(freqs))
+    if freqs.size >= 2:
+        assert np.array_equal(huffman._tree_lengths(freqs), _oracle_lengths(freqs))
+
+
+def test_fibonacci_counts_go_through_the_limiting_loop():
+    freqs = np.array(_fibonacci(60), dtype=np.int64)
+    assert huffman._tree_lengths(freqs).max() > huffman.MAX_CODE_LENGTH
+    capped = huffman.code_lengths(freqs)
+    assert capped.max() == huffman.MAX_CODE_LENGTH
+    assert np.array_equal(capped, _oracle_code_lengths(freqs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(frequency_vectors(widest=False), min_size=1, max_size=24))
+def test_one_canonical_pass_is_the_per_member_codes(members):
+    lengths = [huffman.code_lengths(f) for f in members]
+    run = huffman._canonical_codes(
+        np.concatenate(lengths).astype(np.int64), [x.size for x in lengths])
+    assert run.dtype == np.uint32
+    assert np.array_equal(run, np.concatenate([huffman._canonical_codes(x) for x in lengths]))
+
+
+def test_a_campaign_is_the_same_bytes_at_8k_and_64k_cell_runs(tmp_path, monkeypatch):
+    """The benchmark's campaign: two Nyx steps of six fields (64^3 fine
+    level), two shards and a parity shard, written on one thread lane."""
+    steps = list(nyx_step_stream(2, NyxConfig(coarse_n=32), growth_range=(0.93, 0.97)))
+    real, runs = huffman.encode_many, []
+    monkeypatch.setattr(huffman, "encode_many",
+                        lambda members, **kw: runs.append(len(members)) or real(members, **kw))
+    digests = {}
+    for budget in (1 << 13, 1 << 16):
+        monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", budget)
+        runs.clear()
+        out = tmp_path / str(budget)
+        out.mkdir()
+        write_sharded_series(out / "campaign.rphm", steps, "sz-lr", 1e-3, mode="rel",
+                             n_shards=2, parity=1, durability="step", parallel="thread")
+        digests[budget] = (len(runs), {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()})
+    (runs_8k, files_8k), (runs_64k, files_64k) = digests.values()
+    assert runs_64k < runs_8k  # the budgets did cut different runs
+    assert len(files_8k) == 4 and files_64k == files_8k
