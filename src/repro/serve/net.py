@@ -47,11 +47,14 @@ from repro.errors import (
 )
 from repro.serve.service import QueryService
 
-__all__ = ["QueryServer", "TCPClient", "MAX_REQUEST_BYTES"]
+__all__ = ["QueryServer", "TCPClient", "MAX_REQUEST_BYTES", "MAX_REPLY_HEADER_BYTES"]
 
 #: Requests are single JSON lines; anything longer than this is refused
 #: (a malformed or hostile client, not a real selection).
 MAX_REQUEST_BYTES = 1 << 20
+#: A reply's JSON header line longer than this is refused by the client
+#: (~120 bytes per patch: 130 k patches in one query).
+MAX_REPLY_HEADER_BYTES = 1 << 24
 
 _SELECTOR_KEYS = ("steps", "levels", "fields", "patches")
 
@@ -132,8 +135,10 @@ class QueryServer:
     async def start(self) -> "QueryServer":
         if self._server is not None:
             raise ServeError("server is already started")
+        # A line's newline may sit at index ``limit``: lines of up to
+        # MAX_REQUEST_BYTES are read whole, longer ones overrun.
         self._server = await asyncio.start_server(
-            self._handle, self._host, self._port
+            self._handle, self._host, self._port, limit=MAX_REQUEST_BYTES - 1
         )
         return self
 
@@ -180,27 +185,24 @@ class QueryServer:
         try:
             while not self._shutdown.is_set():
                 try:
-                    if self._idle_timeout is None:
-                        line = await reader.readline()
-                    else:
-                        line = await asyncio.wait_for(
-                            reader.readline(), self._idle_timeout
-                        )
+                    line = await asyncio.wait_for(
+                        self._read_request(reader), self._idle_timeout
+                    )
                 except asyncio.TimeoutError:
                     # Idle past the per-connection read timeout: reclaim
                     # the slot (the client can reconnect).
                     self._idle_drops += 1
                     break
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ConnectionError:
                     break
-                if not line:
-                    break
-                if len(line) > MAX_REQUEST_BYTES:
+                if line is None:
                     await self._reply(
                         writer,
                         {"ok": False, "type": "ServeError",
                          "error": f"request exceeds {MAX_REQUEST_BYTES} bytes"},
                     )
+                    continue
+                if not line:
                     break
                 stop = await self._dispatch(writer, line)
                 if stop:
@@ -212,6 +214,26 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # client already gone
                 pass
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> bytes | None:
+        """The next request line (``b""`` at end of stream), or ``None`` for a
+        line over :data:`MAX_REQUEST_BYTES` — read through its newline and
+        dropped, so the next request starts clean."""
+        try:
+            return await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return exc.partial
+        except asyncio.LimitOverrunError:
+            pass
+        while True:
+            try:
+                await reader.readuntil(b"\n")
+                return None
+            except asyncio.LimitOverrunError as exc:
+                await reader.readexactly(exc.consumed)
+            except asyncio.IncompleteReadError:
+                return None
 
     async def _dispatch(self, writer: asyncio.StreamWriter, line: bytes) -> bool:
         """Run one request; returns True when the connection should end."""
@@ -383,9 +405,11 @@ class TCPClient:
 
     def _request(self, obj: dict) -> dict:
         self._sock.sendall(json.dumps(obj).encode() + b"\n")
-        line = self._rfile.readline()
+        line = self._rfile.readline(MAX_REPLY_HEADER_BYTES + 1)
         if not line:
             raise ServeError("server closed the connection")
+        if len(line) > MAX_REPLY_HEADER_BYTES:
+            raise ServeError(f"reply header exceeds {MAX_REPLY_HEADER_BYTES} bytes")
         try:
             header = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, bad UTF-8

@@ -630,12 +630,18 @@ class ByteSink(Closing):
         self.seek(pos)
 
     def flush(self) -> None:
-        self._handle.flush()
+        """Hand buffered bytes to the object. An ``OSError`` — a full disk
+        that the buffered :meth:`write` never saw — is a :class:`StorageError`."""
+        try:
+            self._handle.flush()
+        except OSError as exc:
+            raise StorageError(f"flush of {self.name} failed: {exc}") from exc
 
     def sync(self, strict: bool = False) -> None:
-        """Flush and fsync. A handle without a descriptor sets
-        :attr:`degraded`; a *failing* fsync sets it too and is never
-        swallowed: :class:`StorageError` under ``strict``, a
+        """Flush and fsync. A failing flush is :meth:`flush`'s
+        :class:`StorageError`, under any ``strict``. A handle without a
+        descriptor sets :attr:`degraded`; a *failing* fsync sets it too and
+        is never swallowed: :class:`StorageError` under ``strict``, a
         ``RuntimeWarning`` otherwise."""
         self.flush()
         try:
@@ -653,7 +659,13 @@ class ByteSink(Closing):
                           RuntimeWarning, stacklevel=3)
 
     def close(self) -> None:
-        """Close an owned handle, leave a borrowed one open; idempotent."""
-        if self._owned and not self.closed:
-            self._handle.close()
-        self.closed = True
+        """Close an owned handle, leave a borrowed one open; idempotent. A
+        close whose final flush fails raises :class:`StorageError` and still
+        marks the sink closed (a file handle is released either way), so a
+        second ``close`` does nothing."""
+        release, self.closed = self._owned and not self.closed, True
+        if release:
+            try:
+                self._handle.close()
+            except OSError as exc:
+                raise StorageError(f"close of {self.name} failed: {exc}") from exc

@@ -5,9 +5,13 @@ include NaN are skipped — this is how per-level AMR extraction restricts
 the surface to a level's valid region (and precisely how the dangling-node
 cracks of Figure 5/6 arise at level interfaces).
 
-Vertices are deduplicated via global edge indexing (one vertex per
+Triangles come out of one gather from a padded ``(256, MAX_TRIS, 3)``
+table, in a fixed order: configurations ascending, cells row-major within
+each. Vertices are deduplicated via global edge indexing (one vertex per
 intersected grid edge), so the mesh is watertight wherever the data is:
-closed iso-surfaces come out with zero boundary edges.
+closed iso-surfaces come out with zero boundary edges. A dense map over
+every edge slot of the grid numbers the used edges in ascending id, so no
+sort is needed.
 """
 
 from __future__ import annotations
@@ -19,6 +23,11 @@ from repro.viz import mc_tables as tables
 from repro.viz.mesh import TriangleMesh
 
 __all__ = ["marching_cubes"]
+
+#: Triangles per configuration, and their local edges padded to the longest.
+_N_TRIS = np.array([len(tris) for tris in tables.TRI_TABLE])
+_TRIS = np.array([tris + [(0, 0, 0)] * (tables.MAX_TRIS_PER_CELL - len(tris))
+                  for tris in tables.TRI_TABLE], dtype=np.int64)
 
 
 def _interp_t(v0: np.ndarray, v1: np.ndarray, iso: float) -> np.ndarray:
@@ -97,41 +106,23 @@ def marching_cubes(
     if not active.any():
         return TriangleMesh.empty()
 
-    cells = np.nonzero(active)
-    cell_cfg = config[cells]
-    ci, cj, ck = (c.astype(np.int64) for c in cells)
+    # Edge (axis a) from grid vertex (i, j, k) has the global id
+    # ((i * ny + j) * nz + k) * 3 + a: its cell's base plus a local offset.
+    di, dj, dk, edge_axis = tables.EDGE_ORIGIN_AXIS.T
+    tri_offsets = (((di * ny + dj) * nz + dk) * 3 + edge_axis)[_TRIS]
+    (ci, cj, ck), cell_cfg = np.nonzero(active), config[active]
+    order = np.argsort(cell_cfg, kind="stable")  # configurations ascending
+    cfg = cell_cfg[order]
+    cell_base = ((ci[order] * ny + cj[order]) * nz + ck[order]) * 3
+    emitted = np.arange(tables.MAX_TRIS_PER_CELL) < _N_TRIS[cfg, None]
+    all_tris = (cell_base[:, None, None] + tri_offsets[cfg])[emitted]
 
-    # ------------------------------------------------------------------
-    # Global edge ids: edge (axis a) from grid vertex (i, j, k).
-    # ------------------------------------------------------------------
-    def global_edge(i: np.ndarray, j: np.ndarray, k: np.ndarray, axis: np.ndarray) -> np.ndarray:
-        return ((i * ny + j) * nz + k) * 3 + axis
-
-    # Per active cell, global ids of its 12 local edges.
-    eoa = tables.EDGE_ORIGIN_AXIS
-    cell_edges = np.empty((ci.size, 12), dtype=np.int64)
-    for e in range(12):
-        di, dj, dk, axis = eoa[e]
-        cell_edges[:, e] = global_edge(ci + di, cj + dj, ck + dk, np.int64(axis))
-
-    # ------------------------------------------------------------------
-    # Emit triangles per configuration group.
-    # ------------------------------------------------------------------
-    tri_chunks: list[np.ndarray] = []
-    for cfg in np.unique(cell_cfg):
-        tris = tables.TRI_TABLE[cfg]
-        if not tris:
-            continue
-        rows = np.nonzero(cell_cfg == cfg)[0]
-        local = np.asarray(tris, dtype=np.int64)  # (t, 3) edge ids
-        # (n_cells_in_group, t, 3) global edge ids.
-        tri_chunks.append(cell_edges[rows][:, local].reshape(-1, 3))
-    all_tris = np.concatenate(tri_chunks)
-
-    # ------------------------------------------------------------------
-    # One vertex per referenced global edge.
-    # ------------------------------------------------------------------
-    used_edges, face_idx = np.unique(all_tris, return_inverse=True)
+    # One vertex per referenced global edge, numbered in ascending id.
+    used = np.zeros(arr.size * 3, dtype=bool)
+    used[all_tris] = True
+    used_edges = np.flatnonzero(used)
+    vertex_of = np.empty(used.size, dtype=np.int64)
+    vertex_of[used_edges] = np.arange(used_edges.size)
     axis = used_edges % 3
     rest = used_edges // 3
     k0 = rest % nz
@@ -148,5 +139,4 @@ def marching_cubes(
     step = np.zeros((used_edges.size, 3))
     step[np.arange(used_edges.size), axis] = t
     verts = org + (base + step) * dx
-    faces = face_idx.reshape(-1, 3)
-    return TriangleMesh(verts, faces).dropped_degenerate()
+    return TriangleMesh(verts, vertex_of[all_tris]).dropped_degenerate()

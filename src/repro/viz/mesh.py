@@ -110,11 +110,14 @@ class TriangleMesh:
     # Geometry
     # ------------------------------------------------------------------
     def face_normals(self, normalize: bool = True) -> np.ndarray:
-        """Per-face normals (right-hand rule)."""
-        a = self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 1]]
-        c = self.vertices[self.faces[:, 2]]
-        n = np.cross(b - a, c - a)
+        """Per-face normals (right-hand rule): ``(b - a) x (c - a)`` over the
+        corners, one coordinate column at a time."""
+        x, y, z = np.ascontiguousarray(self.vertices.T)
+        a, b, c = np.ascontiguousarray(self.faces.T)
+        ax, ay, az = x[a], y[a], z[a]
+        ux, uy, uz = x[b] - ax, y[b] - ay, z[b] - az
+        vx, vy, vz = x[c] - ax, y[c] - ay, z[c] - az
+        n = np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx], axis=1)
         if normalize:
             norm = np.linalg.norm(n, axis=1, keepdims=True)
             norm[norm == 0.0] = 1.0

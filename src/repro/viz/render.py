@@ -7,7 +7,8 @@ grayscale images deterministically:
 * orthographic projection along a chosen axis,
 * flat Lambert shading (two-sided) with a fixed light direction,
 * a z-buffer over the pixel centres each face covers — no per-triangle
-  Python loop.
+  Python loop. Every candidate gets the inside test; only the samples
+  inside get a pixel id, a depth and a face index.
 
 What decides a pixel is contract (``tests/viz/test_render.py`` keeps the
 one-candidate-at-a-time algorithm as the oracle and compares bytes):
@@ -155,7 +156,7 @@ def render_mesh(
     ny, nx = last - first + 1
 
     # Faces with one box shape are one broadcast of their per-face terms
-    # over that shape's pixel grid.
+    # over that shape's pixel grid; only its inside samples get a depth.
     shape_key = ny * (w + 1) + nx
     by_shape = np.argsort(shape_key, kind="stable")
     cuts = np.flatnonzero(np.diff(shape_key[by_shape])) + 1
@@ -164,19 +165,24 @@ def render_mesh(
     first = first[:, by_shape]
     pixel_ids, depths, faces = [], [], []
     for start, stop in zip(np.r_[0, cuts], np.r_[cuts, len(face)]):
-        ay, ax, g_aby, g_abx, g_acy, g_acx, g_det, za, zb, zc = terms[:, start:stop, None, None]
-        rows = first[0, start:stop, None, None] + np.arange(ny[by_shape[start]])[:, None]
-        cols = first[1, start:stop, None, None] + np.arange(nx[by_shape[start]])
+        gy, gx = ny[by_shape[start]], nx[by_shape[start]]
+        ay, ax, g_aby, g_abx, g_acy, g_acx, g_det = terms[:7, start:stop, None, None]
+        rows = first[0, start:stop, None, None] + np.arange(gy)[:, None]
+        cols = first[1, start:stop, None, None] + np.arange(gx)
         # Barycentric test at pixel centers.
         dy = rows - ay
         dx = cols - ax
         w1 = (dy * g_acx - dx * g_acy) / g_det
         w2 = (g_aby * dx - g_abx * dy) / g_det
         w0 = 1.0 - w1 - w2
-        inside = np.minimum(np.minimum(w0, w1), w2) >= _INSIDE
-        pixel_ids.append((rows * w + cols)[inside])
-        depths.append((w0 * za + w1 * zb + w2 * zc)[inside])
-        faces.append(np.broadcast_to(face[start:stop, None, None], inside.shape)[inside])
+        hit = np.flatnonzero(np.minimum(np.minimum(w0, w1), w2) >= _INSIDE)
+        member, cell = divmod(hit, gy * gx)
+        row, col = divmod(cell, gx)
+        g = start + member
+        pixel_ids.append((first[0, g] + row) * w + first[1, g] + col)
+        w0, w1, w2 = w0.ravel()[hit], w1.ravel()[hit], w2.ravel()[hit]
+        depths.append(w0 * terms[7, g] + w1 * terms[8, g] + w2 * terms[9, g])
+        faces.append(face[g])
     pixel_id, z, face = map(np.concatenate, (pixel_ids, depths, faces))
 
     # Z-buffer: camera at +axis looking down, so the *largest* coordinate

@@ -6,11 +6,19 @@ series writer, the sharded writer, parity and a repair commit — now answers
 it with a :class:`~repro.errors.StorageError` naming the object and the byte
 offset, leaves its position where it was, and nothing retries it: only a
 :class:`~repro.errors.TransientStorageError` is worth a second attempt.
+
+A buffered local write that fails only when flushed — ``/dev/full`` takes
+every ``write`` and refuses the flush — escaped ``ByteSink.flush``,
+``sync`` and ``close`` as that bare ``OSError``; each is a
+``StorageError`` naming the object now, and a failed ``close`` leaves the
+sink closed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import os
 
 import pytest
@@ -124,3 +132,50 @@ def test_repair_commit(tmp_path):
     assert repair_sharded("camp.rphm", commit=True, backend=disk).committed
     assert scrub(tmp_path / "camp.rphm").clean
     assert shard.read_bytes() == pristine
+
+
+class _FullOnFlush(io.BytesIO):
+    """Takes every write into its buffer; the flush that would land them,
+    and so the close, finds the disk full (what a buffered file does)."""
+
+    def flush(self):
+        if not self.closed:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        if not self.closed:
+            super().close()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture(params=["fake", "dev-full"])
+def full_sink(request):
+    if request.param == "fake":
+        sink = ByteSink(_FullOnFlush(), "obj", owned=True)
+    elif os.path.exists("/dev/full"):
+        sink = ByteSink.create("/dev/full")
+    else:
+        pytest.skip("no /dev/full on this system")
+    sink.write(b"x" * 100)  # buffered: it succeeds
+    yield sink
+    with contextlib.suppress(OSError, StorageError):
+        sink.close()
+
+
+@pytest.mark.parametrize("call", ["flush", "sync", "sync-strict"])
+def test_a_failing_flush_is_a_storage_error(full_sink, call):
+    with pytest.raises(StorageError, match=rf"flush of {full_sink.name} failed") as info:
+        if call == "flush":
+            full_sink.flush()
+        else:
+            full_sink.sync(strict=call == "sync-strict")
+    assert _is_full_disk(info.value)
+    assert full_sink.pos == 100
+
+
+def test_a_failing_close_is_a_storage_error_once(full_sink):
+    with pytest.raises(StorageError, match=rf"close of {full_sink.name} failed") as info:
+        full_sink.close()
+    assert _is_full_disk(info.value)
+    assert full_sink.closed
+    full_sink.close()  # already closed: nothing left to fail

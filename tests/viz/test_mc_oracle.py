@@ -1,0 +1,226 @@
+"""Marching cubes and face normals against the algorithms they replaced.
+
+``marching_cubes`` emits every triangle in one gather from a padded table
+and numbers vertices through a dense edge map; ``TriangleMesh.face_normals``
+works on coordinate columns. The replaced versions — a Python loop over the
+configurations present, an ``np.unique`` over every triangle corner, and
+``np.cross`` over gathered corner rows — live on here as byte oracles: the
+vertices, the faces, their order and every normal must come out with the
+same bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.viz import TriangleMesh, marching_cubes, render_mesh
+from repro.viz import dual_cell, mc_tables as tables, pipelines
+from repro.viz.marching_cubes import _interp_t
+
+from tests.conftest import make_sphere_hierarchy
+from tests.viz.test_render import _reference_render
+
+
+# ----------------------------------------------------------------------
+# The oracles
+# ----------------------------------------------------------------------
+def _reference_face_normals(mesh: TriangleMesh, normalize: bool = True) -> np.ndarray:
+    """Per-face normals as ``np.cross`` of gathered corner rows."""
+    a = mesh.vertices[mesh.faces[:, 0]]
+    b = mesh.vertices[mesh.faces[:, 1]]
+    c = mesh.vertices[mesh.faces[:, 2]]
+    n = np.cross(b - a, c - a)
+    if normalize:
+        norm = np.linalg.norm(n, axis=1, keepdims=True)
+        norm[norm == 0.0] = 1.0
+        n = n / norm
+    return n
+
+
+def _reference_marching_cubes(field, iso, spacing=1.0, origin=(0.0, 0.0, 0.0), cell_mask=None):
+    """Marching cubes emitting one configuration group at a time, numbering
+    vertices with ``np.unique`` and dropping degenerate faces by the
+    ``np.cross`` normals."""
+    arr = np.asarray(field, dtype=np.float64)
+    dx = np.array([float(spacing)] * 3) if np.isscalar(spacing) else np.asarray(spacing, float)
+    org = np.asarray(origin, dtype=np.float64)
+    nx, ny, nz = arr.shape
+    cx, cy, cz = nx - 1, ny - 1, nz - 1
+
+    valid_vert = np.isfinite(arr)
+    inside = np.where(valid_vert, arr > iso, False)
+    config = np.zeros((cx, cy, cz), dtype=np.uint16)
+    cell_valid = np.ones((cx, cy, cz), dtype=bool)
+    for c, (di, dj, dk) in enumerate(tables.CORNER_OFFSETS):
+        sl = (slice(di, cx + di), slice(dj, cy + dj), slice(dk, cz + dk))
+        config |= inside[sl].astype(np.uint16) << c
+        cell_valid &= valid_vert[sl]
+    if cell_mask is not None:
+        cell_valid &= np.asarray(cell_mask, dtype=bool)
+    active = cell_valid & (config != 0) & (config != 255)
+    if not active.any():
+        return TriangleMesh.empty()
+
+    cells = np.nonzero(active)
+    cell_cfg = config[cells]
+    ci, cj, ck = (c.astype(np.int64) for c in cells)
+    cell_edges = np.empty((ci.size, 12), dtype=np.int64)
+    for e, (di, dj, dk, axis) in enumerate(tables.EDGE_ORIGIN_AXIS):
+        cell_edges[:, e] = (((ci + di) * ny + (cj + dj)) * nz + (ck + dk)) * 3 + axis
+    tri_chunks = []
+    for cfg in np.unique(cell_cfg):
+        tris = tables.TRI_TABLE[cfg]
+        if not tris:
+            continue
+        rows = np.nonzero(cell_cfg == cfg)[0]
+        tri_chunks.append(cell_edges[rows][:, np.asarray(tris, dtype=np.int64)].reshape(-1, 3))
+    all_tris = np.concatenate(tri_chunks)
+
+    used_edges, face_idx = np.unique(all_tris, return_inverse=True)
+    axis = used_edges % 3
+    rest = used_edges // 3
+    k0 = rest % nz
+    rest //= nz
+    j0 = rest % ny
+    i0 = rest // ny
+    v0 = arr[i0, j0, k0]
+    v1 = arr[i0 + (axis == 0), j0 + (axis == 1), k0 + (axis == 2)]
+    t = _interp_t(v0, v1, iso)
+    base = np.stack([i0, j0, k0], axis=1).astype(np.float64)
+    step = np.zeros((used_edges.size, 3))
+    step[np.arange(used_edges.size), axis] = t
+    mesh = TriangleMesh(org + (base + step) * dx, face_idx.reshape(-1, 3))
+
+    f = mesh.faces
+    distinct = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
+    areas = 0.5 * np.linalg.norm(_reference_face_normals(mesh, normalize=False), axis=1)
+    return TriangleMesh(mesh.vertices, f[distinct & (areas > 0.0)])
+
+
+def assert_same_mesh(got: TriangleMesh, expected: TriangleMesh) -> None:
+    assert got.vertices.tobytes() == expected.vertices.tobytes()
+    assert got.faces.tobytes() == expected.faces.tobytes()
+    assert got.faces.shape == expected.faces.shape
+
+
+def assert_same_normals(mesh: TriangleMesh) -> None:
+    for normalize in (False, True):
+        got = mesh.face_normals(normalize=normalize)
+        expected = _reference_face_normals(mesh, normalize=normalize)
+        assert got.shape == expected.shape and got.flags.c_contiguous
+        assert got.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Fields
+# ----------------------------------------------------------------------
+@st.composite
+def mc_cases(draw):
+    """A vertex field, 2..14 per axis (not cubic), with NaN holes, an
+    optional cell mask, values rounded so that some hit ``iso`` exactly
+    (which makes degenerate faces), and arbitrary spacing and origin."""
+    shape = tuple(draw(st.lists(st.integers(2, 14), min_size=3, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    field = rng.normal(size=shape)
+    if draw(st.booleans()):  # smooth: a surface with large connected sheets
+        grids = np.meshgrid(*(np.linspace(-1, 1, n) for n in shape), indexing="ij")
+        field = sum(g * g for g in grids) + 0.1 * field
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        field = np.round(field, decimals)
+    field[rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = np.nan
+    iso = draw(st.sampled_from([0.0, 0.5, 1.0, float(rng.normal())]))
+    cells = tuple(n - 1 for n in shape)
+    mask = rng.random(cells) < 0.8 if draw(st.booleans()) else None
+    spacing = draw(st.one_of(
+        st.floats(1e-3, 1e3),
+        st.tuples(*[st.floats(1e-3, 1e3)] * 3)))
+    origin = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    return field, iso, dict(spacing=spacing, origin=origin, cell_mask=mask)
+
+
+class TestMarchingCubesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(mc_cases())
+    def test_meshes_and_normals_are_byte_identical(self, case):
+        field, iso, kwargs = case
+        mesh = marching_cubes(field, iso, **kwargs)
+        assert_same_mesh(mesh, _reference_marching_cubes(field, iso, **kwargs))
+        assert_same_normals(mesh)
+
+    def test_degenerate_faces_are_dropped_alike(self):
+        # Integer values with iso 0: every vertex at 0 sits exactly on the
+        # surface, so whole fans of faces collapse onto grid vertices.
+        rng = np.random.default_rng(7)
+        field = rng.integers(-1, 2, (11, 9, 13)).astype(float)
+        mesh = marching_cubes(field, 0.0)
+        expected = _reference_marching_cubes(field, 0.0)
+        assert_same_mesh(mesh, expected)
+        tris = mesh.vertices[mesh.faces]
+        assert mesh.n_faces and (np.linalg.norm(np.cross(
+            tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]), axis=1) > 0).all()
+
+    def test_triangle_order_within_a_large_configuration_group(self):
+        # Up to 230 cells share one configuration: the order they come out
+        # in is the row-major order of the cells, as the loop had it.
+        n = 40
+        ax = np.linspace(-1, 1, n)
+        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+        field = np.sin(6 * x) + np.sin(5 * y) + np.sin(4 * z)
+        field[:, :, 30:] = np.nan
+        mesh = marching_cubes(field, 0.25, spacing=2 / (n - 1), origin=(-1, -1, -1))
+        assert mesh.n_faces > 10_000
+        assert_same_mesh(mesh, _reference_marching_cubes(
+            field, 0.25, spacing=2 / (n - 1), origin=(-1, -1, -1)))
+        assert_same_normals(mesh)
+
+
+class TestFaceNormalsOracle:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_meshes(self, seed):
+        # Repeated indices and coincident vertices make zero normals.
+        rng = np.random.default_rng(seed)
+        verts = rng.normal(size=(30, 3)) * 10.0 ** rng.integers(-8, 8)
+        verts[::5] = verts[1::5]
+        assert_same_normals(TriangleMesh(verts, rng.integers(0, 30, (200, 3))))
+
+    def test_empty_mesh(self):
+        assert TriangleMesh.empty().face_normals().shape == (0, 3)
+
+
+# ----------------------------------------------------------------------
+# Through the pipelines and the renderer
+# ----------------------------------------------------------------------
+@pytest.fixture
+def oracle_checked(monkeypatch):
+    """Every ``marching_cubes`` the pipelines call is checked against the
+    oracle on the way; the fixture is the list of meshes compared."""
+    seen = []
+
+    def checked(field, iso, **kwargs):
+        mesh = marching_cubes(field, iso, **kwargs)
+        assert_same_mesh(mesh, _reference_marching_cubes(field, iso, **kwargs))
+        seen.append(mesh)
+        return mesh
+
+    monkeypatch.setattr(pipelines, "marching_cubes", checked)
+    monkeypatch.setattr(dual_cell, "marching_cubes", checked)
+    return seen
+
+
+@pytest.mark.parametrize("method", ["resampling", "dual+redundant"])
+def test_two_level_render_is_byte_identical(oracle_checked, method):
+    hierarchy = make_sphere_hierarchy()
+    if method == "resampling":
+        result = pipelines.resampling_isosurface(hierarchy, "f", 0.55)
+    else:
+        result = pipelines.dual_cell_isosurface(hierarchy, "f", 0.55, gap_fix="redundant")
+    assert len(oracle_checked) == 2 and all(m.n_faces for m in oracle_checked)
+    merged = TriangleMesh.merge(result.level_meshes)
+    assert_same_normals(merged)
+    window = (np.zeros(3), np.full(3, 2.0))
+    for axis in (0, 1, 2):
+        kwargs = dict(axis=axis, size=(72, 64), bounds=window)
+        assert render_mesh(merged, **kwargs).tobytes() == _reference_render(merged, **kwargs).tobytes()
