@@ -1,29 +1,28 @@
 #!/usr/bin/env python
-"""In-situ-style parallel compression of AMR data.
+"""Parallel compression of an AMR hierarchy, and random access into a stream.
 
-Demonstrates the two parallel patterns the block-independent design
-enables (paper §3.3):
+AMR patches are independent (paper §3.3), so a hierarchy compresses as a
+pure map over runs of patches. This example shows:
 
-* chunked compression of a uniform field (each "rank" compresses a
-  block-aligned slab; reassembly is exact within the error bound),
-* per-patch compression of a whole hierarchy through a thread pool,
+* ``compress_hierarchy(..., parallel="process", workers=N)`` — N worker
+  processes, writing the same container bytes as the serial run (a
+  ``"thread"`` pool is one background lane: it frees the caller, it adds
+  no core);
 * random access: decode one 6^3 block out of a compressed stream.
 
 Usage::
 
-    python examples/parallel_insitu.py [--workers 4]
+    python examples/parallel_insitu.py [--workers 4] [--scale 0.5]
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 
 import numpy as np
 
-from repro.compression import SZLR, decompress_any
+from repro.compression import SZLR, compress_hierarchy, decompress_selection
 from repro.experiments.datasets import load_app
-from repro.parallel import compress_chunks, compress_patches, decompress_chunks
 
 
 def main() -> int:
@@ -34,41 +33,23 @@ def main() -> int:
 
     ds = load_app("warpx", args.scale)
     data = ds.uniform_field()
-    print(f"field: WarpX Ez, {data.shape}, {data.nbytes / 1e6:.1f} MB")
+    eb = 1e-3 * float(data.max() - data.min())
 
-    # ------------------------------------------------------------------
-    # 1. Chunked compression (block-aligned slabs).
-    # ------------------------------------------------------------------
-    for n_chunks in (1, 4):
-        t0 = time.perf_counter()
-        stream = compress_chunks(
-            data, "sz-lr", 1e-3, mode="rel", n_chunks=n_chunks,
-            parallel="thread", workers=args.workers,
-        )
-        dt = time.perf_counter() - t0
-        out = decompress_chunks(stream, parallel="thread", workers=args.workers)
-        eb_abs = 1e-3 * (data.max() - data.min())
-        ok = np.abs(out - data).max() <= eb_abs * (1 + 1e-12)
-        print(f"  chunks={n_chunks}: CR={data.nbytes / stream.compressed_bytes:5.1f} "
-              f"compress {dt * 1e3:6.1f} ms  bound holds: {ok}")
+    # 1. Per-patch hierarchy compression: serial vs N processes.
+    spec = dict(codec="sz-lr", error_bound=eb, mode="abs", fields=[ds.field])
+    raw = compress_hierarchy(ds.hierarchy, **spec, parallel="process", workers=args.workers)
+    same = raw.tobytes() == compress_hierarchy(ds.hierarchy, **spec).tobytes()
+    print(f"WarpX {ds.field}: CR={raw.ratio:.1f} on {args.workers} processes, "
+          f"same container bytes as serial: {same}")
+    decoded = decompress_selection(raw.tobytes(), parallel="process", workers=args.workers)
+    worst = max(
+        float(np.abs(decoded[(lev_idx, ds.field, p_idx)] - patch.data).max())
+        for lev_idx, level in enumerate(ds.hierarchy)
+        for p_idx, patch in enumerate(level.patches(ds.field))
+    )
+    print(f"  {len(decoded)} patches decoded, bound holds: {worst <= eb * (1 + 1e-12)}")
 
-    # ------------------------------------------------------------------
-    # 2. Per-patch hierarchy compression through the pool.
-    # ------------------------------------------------------------------
-    patches = [p.data for lev in ds.hierarchy for p in lev.patches(ds.field)]
-    t0 = time.perf_counter()
-    blobs = compress_patches(patches, "sz-lr", 1e-3, parallel="thread", workers=args.workers)
-    dt = time.perf_counter() - t0
-    total = sum(len(b) for b in blobs)
-    raw = sum(p.nbytes for p in patches)
-    print(f"  {len(patches)} patches: CR={raw / total:5.1f} in {dt * 1e3:.1f} ms")
-    # Every stream is self-describing; spot-check one.
-    sample = decompress_any(blobs[0])
-    print(f"  spot-check patch 0: shape {sample.shape} decoded OK")
-
-    # ------------------------------------------------------------------
-    # 3. Random access into a block-based stream.
-    # ------------------------------------------------------------------
+    # 2. Random access into a block-based stream.
     codec = SZLR()
     blob = codec.compress(data, 1e-3, mode="rel")
     block = codec.decompress_block(blob, 0)

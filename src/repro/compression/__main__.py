@@ -7,12 +7,12 @@ Usage::
     python -m repro.compression decompress field.rprc -o restored.npy
     python -m repro.compression info field.rprc
     python -m repro.compression compress-plotfile myplt/ -o myplt.rprh \\
-        --codec sz-lr --eb 1e-3 --parallel thread --workers 0
+        --codec sz-lr --eb 1e-3 --parallel process --workers 0
     python -m repro.compression inspect myplt.rprh
     python -m repro.compression extract myplt.rprh -o patch.npy \\
         --level 1 --field density --patch 0
     python -m repro.compression stream plt_0000/ plt_0001/ -o run.rph2s \\
-        --codec sz-lr --eb 1e-3 --parallel thread --workers 0
+        --codec sz-lr --eb 1e-3 --parallel thread
     python -m repro.compression stream --sim nyx --steps 16 -o run.rph2s
     python -m repro.compression inspect run.rph2s
     python -m repro.compression extract run.rph2s --step 7 --level 1 \\
@@ -27,9 +27,11 @@ the payload; ``extract`` decodes a selection of patches via random access
 (O(selection) bytes read). ``stream`` compresses timesteps *as they are
 produced* (plotfile directories read one at a time, or a built-in synthetic
 campaign) into an appendable RPH2S series; ``--durability step`` fsyncs
-every sealed step. ``recover`` salvages a series whose footer was lost to
-a killed writer: dry run reports every fully-sealed step, ``--commit``
-truncates trailing garbage and appends a fresh timestep index + footer.
+every sealed step. ``--parallel thread`` runs the codec on one background
+lane, ``--parallel process --workers N`` on N processes (0 = one per core).
+``recover`` salvages a series whose footer was lost to a killed writer: dry
+run reports every fully-sealed step, ``--commit`` truncates trailing
+garbage and appends a fresh timestep index + footer.
 """
 
 from __future__ import annotations
@@ -46,9 +48,11 @@ from repro.compression.base import StreamReader
 from repro.compression.registry import available_codecs, decompress_any, make_codec
 from repro.errors import CompressionError, FormatError, ReproError
 from repro.insitu.writer import DURABILITY_MODES
-from repro.parallel.pool import EXECUTION_MODES, resolve_workers
+from repro.parallel.pool import EXECUTION_MODES
 
 __all__ = ["main"]
+
+_WORKERS_HELP = "process count under --parallel process (0 = one per CPU core); thread is one lane"
 
 
 def _cmd_compress(args) -> int:
@@ -98,7 +102,7 @@ def _cmd_compress_plotfile(args) -> int:
     container = compress_hierarchy(
         hierarchy, args.codec, args.eb, mode=args.mode, fields=fields,
         exclude_covered=args.exclude_covered, batch=args.batch,
-        parallel=args.parallel, workers=resolve_workers(args.workers),
+        parallel=args.parallel, workers=args.workers,
     )
     out = args.output if args.output else Path(args.input).with_suffix(".rprh")
     Path(out).write_bytes(container.tobytes())
@@ -177,7 +181,7 @@ def _cmd_extract(args) -> int:
         fields=args.field.split(",") if args.field else None,
         patches=_parse_int_list(args.patch),
         parallel=args.parallel,
-        workers=resolve_workers(args.workers),
+        workers=args.workers,
         steps=_parse_int_list(args.step),
     )
     if not selected:
@@ -263,7 +267,7 @@ def _cmd_serve(args) -> int:
             args.input,
             recover=args.recover,
             cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
-            workers=resolve_workers(args.workers),
+            workers=args.workers,
         )
         try:
             server = QueryServer(
@@ -341,7 +345,7 @@ def _cmd_stream(args) -> int:
     with StreamingWriter.create(
         out, args.codec, args.eb, mode=args.mode, fields=fields,
         exclude_covered=args.exclude_covered, parallel=args.parallel,
-        workers=resolve_workers(args.workers), overwrite=args.overwrite,
+        workers=args.workers, overwrite=args.overwrite,
         durability=args.durability,
     ) as writer:
         for hierarchy, time, step in step_source():
@@ -393,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
              "many-small-patch hierarchies)",
     )
     p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help="0 = one per CPU core")
+    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_compress_plotfile)
 
     p = sub.add_parser("info-plotfile", help="inspect a .rprh container")
@@ -417,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--patch", default=None, help="comma-separated patch indices")
     p.add_argument("--npz", action="store_true", help="force .npz even for one patch")
     p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help="0 = one per CPU core")
+    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser(
@@ -437,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--exclude-covered", action="store_true")
     p.add_argument("--overwrite", action="store_true")
     p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help="0 = one per CPU core")
+    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.add_argument(
         "--durability", choices=DURABILITY_MODES, default="close",
         help="fsync placement: 'step' makes every sealed step crash-durable, "

@@ -13,7 +13,7 @@ result into a seekable, patch-indexed container (see
   which keeps the hierarchy self-consistent for dual-cell visualization.
 * **Per-patch independence**: every patch is a separate stream, so runs of
   patches are (de)compressed through :func:`repro.parallel.pool.parallel_map`
-  in serial, thread, or process mode — with identical output across modes.
+  serially, on one background thread or in processes — with identical output.
 * **Selective decompression**: the container's footer-located index lets
   :func:`decompress_selection` pull one patch, one level, or one field
   while reading O(selection) payload bytes — and, for ``RPH2S`` time-series
@@ -374,8 +374,9 @@ def compress_hierarchy(
     exclude_covered:
         Apply the §2.2 redundant-data optimization on coarse levels.
     parallel, workers:
-        Execution mode for the per-patch map (``"serial"``, ``"thread"``,
-        or ``"process"``); the container bytes are identical across modes.
+        Execution mode for the per-patch map (``"serial"``, ``"thread"`` —
+        one background lane — or ``"process"``, ``workers`` processes); the
+        container bytes are identical across modes.
     k_streams:
         Huffman interleave width forwarded to named codecs (``"auto"``
         scales with each patch for the vectorized decode); ignored when
@@ -565,8 +566,9 @@ def decompress_hierarchy(
         ``"average_down"`` — rebuild covered coarse cells from fine data
         (recommended with ``exclude_covered=True``).
     parallel, workers:
-        Execution mode for the decode (one run of patches per worker); the
-        rebuilt hierarchy is identical across modes.
+        Execution mode for the decode (one run of patches per lane:
+        ``workers`` under ``"process"``, else one); the rebuilt hierarchy
+        is identical across modes.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool` to run the
         decode on (overrides ``parallel``/``workers``).
@@ -631,7 +633,8 @@ def decompress_selection(
     verify:
         Check each stream's crc32 against the index before decoding.
     parallel, workers:
-        Execution mode for the decode map.
+        Execution mode for the decode map (``workers`` sizes ``"process"``;
+        ``"thread"`` is one background lane).
     steps:
         Timestep selector (scalar, iterable, or ``None`` = all). Only valid
         for time-series sources; a snapshot source rejects it.

@@ -78,6 +78,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -89,7 +90,7 @@ from repro.compression.base import SharedEntropy
 from repro.compression.lossless import compress_bytes, decompress_bytes
 from repro.compression.registry import make_codec
 from repro.errors import CompressionError, DecompressionError, FormatError, ReproError
-from repro.parallel.pool import parallel_map
+from repro.parallel.pool import WorkerPool
 from repro.storage import ByteSource, Closing
 
 __all__ = [
@@ -925,7 +926,8 @@ class ContainerReader(ReaderView):
         reader's ``select`` takes; a snapshot has no timesteps and rejects
         anything but ``None``. Stream reads are serial (one
         seekable handle); the selection then decodes as one run, or one run
-        per worker (of ``parallel`` / ``workers`` or a persistent ``pool``).
+        per process of a process pool (``parallel`` / ``workers`` or a
+        persistent ``pool``).
         In zero-copy (mmap/buffer) mode the streams reach the codecs as
         ``memoryview`` slices — except in process mode, where they are
         copied to ``bytes`` once for pickling. Only the selected members'
@@ -996,12 +998,13 @@ def _decode_run(task) -> list[np.ndarray]:
 
 def _decode_selection(members, parallel, workers, pool) -> list[np.ndarray]:
     """Decode a selection (:func:`_decode_run` members, already checked) as
-    contiguous runs: one under ``serial``, else one per worker — a lockstep
-    round costs the same however many members ride it, so a run is as wide
-    as it can be."""
-    n_runs = pool.workers if pool is not None else 1 if parallel == "serial" else workers
-    n_runs = max(1, min(n_runs, len(members)))
-    cuts = [len(members) * r // n_runs for r in range(n_runs + 1)]
-    tasks = [(members[a:b], None) for a, b in zip(cuts, cuts[1:])]
-    runs = parallel_map(_decode_run, tasks, mode=parallel, workers=workers, pool=pool)
+    contiguous runs, one per lane of ``pool`` (or of the pool ``parallel`` /
+    ``workers`` build for the call): one run unless it is a process pool —
+    a lockstep round costs the same however many members ride it, so a run
+    is as wide as it can be."""
+    with nullcontext(pool) if pool is not None else WorkerPool(parallel, workers) as lanes:
+        n_runs = max(1, min(lanes.workers, len(members)))
+        cuts = [len(members) * r // n_runs for r in range(n_runs + 1)]
+        tasks = [(members[a:b], None) for a, b in zip(cuts, cuts[1:])]
+        runs = lanes.map(_decode_run, tasks)
     return [arr for run in runs for arr in run]

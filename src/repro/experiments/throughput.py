@@ -3,9 +3,9 @@
 The paper argues (§3.3) that per-patch independence turns AMR compression
 into an embarrassingly parallel map. This experiment measures that claim
 end to end on the synthetic app datasets: wall-clock compress/decompress
-time and MB/s for the serial, thread, and process executors, plus the
-speedup over serial, and the cost of a *selective* single-patch decode —
-the access pattern the indexed container exists for.
+time and MB/s for the serial, thread (one background lane) and process
+executors, plus the speedup over serial, and the cost of a *selective*
+single-patch decode — the access pattern the indexed container exists for.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.compression.amr_codec import (
     decompress_selection,
 )
 from repro.experiments.datasets import load_app
-from repro.parallel.pool import EXECUTION_MODES, resolve_workers
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool
 
 __all__ = ["ThroughputRow", "run_throughput"]
 
@@ -31,6 +31,7 @@ class ThroughputRow:
 
     app: str
     mode: str
+    #: tasks the mode's pool could run at once (1 for serial and thread).
     workers: int
     compress_s: float
     decompress_s: float
@@ -58,22 +59,19 @@ def run_throughput(
     workers: int | None = None,
 ) -> list[ThroughputRow]:
     """Measure container (de)compression throughput per execution mode."""
-    n_workers = resolve_workers(workers)
     rows: list[ThroughputRow] = []
     for app in apps:
         ds = load_app(app, scale)
         mb = ds.hierarchy.nbytes(ds.field) / 1e6
         serial_s: float | None = None
         for mode in modes:
-            container, comp_s = _timed(
-                compress_hierarchy,
-                ds.hierarchy, codec, error_bound, mode="rel", fields=[ds.field],
-                parallel=mode, workers=n_workers,
-            )
-            _, dec_s = _timed(
-                decompress_hierarchy,
-                container, ds.hierarchy, parallel=mode, workers=n_workers,
-            )
+            with WorkerPool(mode, workers) as pool:
+                container, comp_s = _timed(
+                    compress_hierarchy,
+                    ds.hierarchy, codec, error_bound, mode="rel", fields=[ds.field],
+                    pool=pool,
+                )
+                _, dec_s = _timed(decompress_hierarchy, container, ds.hierarchy, pool=pool)
             raw = container.tobytes()
             _, sel_s = _timed(
                 decompress_selection,
@@ -88,7 +86,7 @@ def run_throughput(
                 ThroughputRow(
                     app=app,
                     mode=mode,
-                    workers=1 if mode == "serial" else n_workers,
+                    workers=pool.workers,
                     compress_s=comp_s,
                     decompress_s=dec_s,
                     compress_mb_s=mb / comp_s,

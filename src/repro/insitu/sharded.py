@@ -4,7 +4,7 @@ The paper's in-situ setting is many ranks each writing their own file.
 This module fans a campaign out across ``N`` shard files — one serial
 :class:`~repro.insitu.writer.StreamingWriter` per shard, each strictly
 append-ordered. With ``parallel="thread"`` the whole campaign shares
-**one** single-worker :class:`~repro.parallel.WorkerPool` lane: the caller
+**one** thread-mode :class:`~repro.parallel.WorkerPool` (one lane): the caller
 gets its thread back while steps encode in arrival order behind it. That
 buys asynchrony, not multi-core encode — two encoding threads trade the
 interpreter lock between sub-millisecond NumPy/zlib calls for longer than
@@ -407,7 +407,7 @@ class ShardedSeriesWriter:
                 raise CompressionError(
                     f"unknown durability mode {d!r} (have {DURABILITY_MODES})"
                 )
-        pending = int(max_pending_steps) if max_pending_steps else 2 * n_shards
+        pending = 2 * n_shards if max_pending_steps is None else int(max_pending_steps)
         if pending < 1:
             raise CompressionError(
                 f"max_pending_steps must be >= 1, got {max_pending_steps}"
@@ -454,7 +454,7 @@ class ShardedSeriesWriter:
             for w in writers:
                 w.abort()
             raise
-        lane = WorkerPool("thread", workers=1) if parallel == "thread" else None
+        lane = WorkerPool("thread") if parallel == "thread" else None
         return cls(
             manifest_name, writers, lane, durabilities, meta, backend,
             pending, parity=parity, retries=retries, retry_delay=retry_delay,

@@ -107,13 +107,15 @@ class StreamingWriter:
         covered-cell fill when set.
     parallel, workers:
         Execution mode for the per-patch compression pipeline
-        (``"serial"``, ``"thread"``, or ``"process"``).
+        (``"serial"``, ``"thread"`` — one background lane — or
+        ``"process"``, ``workers`` processes).
     max_pending:
-        In-flight *run* limit for the parallel modes (default
-        ``2 * workers``): with the run being filled, at most
+        In-flight *run* limit for the parallel modes, at least 1 (default
+        two per lane: 2 for a thread pool, ``2 * workers`` for a process
+        pool): with the run being filled, at most
         ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells:
-        (4 + 1) * (65 536 + 512) * 8 B ~ 2.6 MB of float64 at the defaults
-        with 8^3 patches.
+        (2 + 1) * (65 536 + 512) * 8 B ~ 1.6 MB of float64 at the one-lane
+        default with 8^3 patches.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`. The writer
         then pipelines through that pool — which survives across
@@ -169,7 +171,7 @@ class StreamingWriter:
         self._exclude_covered = bool(exclude_covered)
         if pool is not None and pool.closed:
             raise CompressionError("worker pool is closed")
-        if max_pending and int(max_pending) < 1:
+        if max_pending is not None and int(max_pending) < 1:
             raise CompressionError(f"max_pending must be >= 1, got {max_pending}")
         self._closed = False
         self._in_step = False

@@ -1,23 +1,5 @@
-"""Parallel execution: ordered pools, chunking, blockwise compression."""
+"""Parallel execution: an ordered map and a persistent worker pool."""
 
-from repro.parallel.pool import WorkerPool, parallel_map, resolve_workers, EXECUTION_MODES
-from repro.parallel.chunking import chunk_boxes, aligned_chunk_boxes
-from repro.parallel.blockwise import (
-    ChunkedStream,
-    compress_chunks,
-    decompress_chunks,
-    compress_patches,
-)
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool, parallel_map
 
-__all__ = [
-    "WorkerPool",
-    "parallel_map",
-    "resolve_workers",
-    "EXECUTION_MODES",
-    "chunk_boxes",
-    "aligned_chunk_boxes",
-    "ChunkedStream",
-    "compress_chunks",
-    "decompress_chunks",
-    "compress_patches",
-]
+__all__ = ["WorkerPool", "parallel_map", "EXECUTION_MODES"]

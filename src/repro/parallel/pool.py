@@ -1,54 +1,34 @@
-"""Ordered parallel map over threads or processes, plus a persistent pool.
+"""A persistent worker pool and an ordered parallel map over it.
 
-SZ-L/R blocks and AMR patches are independent (paper §3.3), so their
-compression is a pure map. This module provides the two primitives the
-parallel paths need:
+AMR patches are independent (paper §3.3), so their compression is a pure
+map. :class:`WorkerPool` survives across maps and timesteps (every parallel
+entry point takes ``pool=``); :func:`parallel_map` maps on one, propagating
+worker exceptions.
 
-* :func:`parallel_map` — ordered map with a selectable executor and
-  propagated worker exceptions. Historically it constructed (and tore
-  down) an executor *per call*, which is pure overhead on workloads that
-  map many times — an in-situ campaign calls it once per timestep. Pass a
-  persistent :class:`WorkerPool` via ``pool=`` to amortize that cost;
-  without one the per-call executor fallback keeps existing callers
-  working unchanged.
-* :class:`WorkerPool` — a context-managed executor that survives across
-  ``parallel_map`` calls and timesteps. ``compress_hierarchy`` /
-  ``decompress_hierarchy`` / ``decompress_selection`` and the in-situ
-  :class:`~repro.insitu.writer.StreamingWriter` all accept one.
-
-Thread mode frees the calling thread (a solver, an event loop); it is parallel
-only while single kernel calls are long. On the paper's 8^3-32^3 patches a task
-is thousands of sub-millisecond NumPy / zlib calls, and two such threads trade
-the GIL on each and both finish later (``docs/performance.md`` § PR 23, § PR 24):
-the sharded writer and the read service each own ONE worker thread. Process mode
-trades startup and pickling cost for true parallelism on multi-core hosts.
+``"thread"`` is ONE background lane whatever ``workers`` says: it frees the
+calling thread (a solver, an event loop), and that is all it can do. On the
+paper's 8^3-32^3 patches a task is thousands of sub-millisecond NumPy / zlib
+calls, and a second GIL-bound thread only trades the interpreter lock with
+the first, so both finish later (``docs/performance.md``, the writer-lane
+and decode-lane sections). ``workers`` sizes ``"process"`` pools, the one
+multi-core mode.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ReproError
 
-__all__ = ["parallel_map", "resolve_workers", "WorkerPool", "EXECUTION_MODES"]
+__all__ = ["parallel_map", "WorkerPool", "EXECUTION_MODES"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Supported execution modes.
 EXECUTION_MODES = ("serial", "thread", "process")
-
-
-def resolve_workers(workers: int | None) -> int:
-    """Resolve a worker count: ``None`` or ``0`` means one per CPU core."""
-    if workers is None or workers == 0:
-        return max(1, os.cpu_count() or 1)
-    if workers < 0:
-        raise ReproError(f"workers must be >= 0 or None, got {workers}")
-    return workers
 
 
 class WorkerPool:
@@ -58,22 +38,25 @@ class WorkerPool:
     ----------
     mode:
         ``"serial"`` (inline execution — a no-op pool, so call sites can
-        take a pool unconditionally), ``"thread"``, or ``"process"``.
+        take a pool unconditionally), ``"thread"`` (one background lane:
+        no two tasks ever run at once), or ``"process"``.
     workers:
-        Executor size; ``None``/``0`` means one per CPU core.
+        Process count of a ``"process"`` pool; ``None``/``0`` means one per
+        CPU core. Validated in every mode (a negative count is refused),
+        and sizes nothing else: :attr:`workers` is 1 for serial and thread
+        pools.
     chunksize:
         Batch size for process-mode maps (amortizes IPC overhead).
 
     The pool is reusable across any number of :meth:`map` / :meth:`submit`
-    calls until :meth:`close` (or the ``with`` block) releases it — unlike
-    the per-call executors :func:`parallel_map` builds without one, the
+    calls until :meth:`close` (or the ``with`` block) releases it — the
     workers survive across calls and across timesteps:
 
     .. code-block:: python
 
         from repro.parallel import WorkerPool
 
-        with WorkerPool("thread", workers=8) as pool:
+        with WorkerPool("process", workers=8) as pool:
             for step in stream:                      # one pool, N steps
                 compress_hierarchy(step, "sz-lr", 1e-3, pool=pool)
     """
@@ -83,14 +66,16 @@ class WorkerPool:
             raise ReproError(f"unknown execution mode {mode!r} (have {EXECUTION_MODES})")
         if chunksize < 1:
             raise ReproError(f"chunksize must be >= 1, got {chunksize}")
+        if workers is not None and workers < 0:
+            raise ReproError(f"workers must be >= 0 or None, got {workers}")
         self._mode = mode
-        self._workers = resolve_workers(workers)
+        self._workers = (workers or os.cpu_count() or 1) if mode == "process" else 1
         self._chunksize = int(chunksize)
         self._closed = False
         self._pid = os.getpid()
         self._executor: Executor | None = None
         if mode == "thread":
-            self._executor = ThreadPoolExecutor(max_workers=self._workers)
+            self._executor = ThreadPoolExecutor(max_workers=1)
         elif mode == "process":
             self._executor = ProcessPoolExecutor(max_workers=self._workers)
 
@@ -101,8 +86,9 @@ class WorkerPool:
 
     @property
     def workers(self) -> int:
-        """Resolved executor size (1 for serial pools)."""
-        return self._workers if self._mode != "serial" else 1
+        """Tasks that can run at once: the process count of a process pool,
+        else 1."""
+        return self._workers
 
     @property
     def closed(self) -> bool:
@@ -133,14 +119,14 @@ class WorkerPool:
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         """Apply ``fn`` to every item, preserving order (see
-        :func:`parallel_map` for the contract)."""
+        :func:`parallel_map` for the contract). A thread pool runs every
+        item on its lane, so a map never overlaps another caller's task; a
+        process pool runs a lone item inline rather than pickle it."""
         self._check_open()
         seq: Sequence[T] = list(items)
-        if self._executor is None or len(seq) <= 1:
+        if self._executor is None or (self._mode == "process" and len(seq) <= 1):
             return [fn(item) for item in seq]
-        if self._mode == "process":
-            return list(self._executor.map(fn, seq, chunksize=self._chunksize))
-        return list(self._executor.map(fn, seq))
+        return list(self._executor.map(fn, seq, chunksize=self._chunksize))
 
     def submit(self, fn: Callable[..., R], *args) -> Future:
         """Schedule one call; serial pools run it inline and return an
@@ -163,17 +149,13 @@ class WorkerPool:
         (their futures raise ``CancelledError``): once :attr:`closed`
         reports True, no task can still start. Without ``cancel_futures``
         a task submitted from another thread just before close would run
-        *after* the pool reported closed. On Python < 3.9 (no
-        ``cancel_futures``) the legacy drain-the-queue behavior applies.
+        *after* the pool reported closed.
         """
         if self._closed:
             return
         self._closed = True
         if self._executor is not None:
-            if sys.version_info >= (3, 9):
-                self._executor.shutdown(wait=True, cancel_futures=True)
-            else:  # pragma: no cover - the repo's floor is 3.10
-                self._executor.shutdown(wait=True)
+            self._executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -186,7 +168,7 @@ def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     mode: str = "serial",
-    workers: int = 2,
+    workers: int | None = 2,
     chunksize: int = 1,
     pool: WorkerPool | None = None,
 ) -> list[R]:
@@ -198,30 +180,16 @@ def parallel_map(
         Callable applied per item; must be picklable for ``"process"``.
     items:
         Work items.
-    mode:
-        ``"serial"``, ``"thread"``, or ``"process"``.
-    workers:
-        Executor size for the parallel modes.
-    chunksize:
-        Batch size for process mode (amortizes IPC overhead).
+    mode, workers, chunksize:
+        The :class:`WorkerPool` built for this call when no ``pool`` is
+        given (``workers`` sizes process mode only; ``0`` = one per core).
     pool:
         Optional persistent :class:`WorkerPool`. When given, the map runs
-        on the pool's executor (its mode/size/chunksize govern;
-        ``mode``/``workers``/``chunksize`` here are ignored) and nothing
-        is constructed or torn down per call. Without one, behavior is
-        the historical per-call executor.
+        on it (its mode/size/chunksize govern; ``mode``/``workers``/
+        ``chunksize`` here are ignored) and nothing is constructed or torn
+        down per call.
     """
     if pool is not None:
         return pool.map(fn, items)
-    if mode not in EXECUTION_MODES:
-        raise ReproError(f"unknown execution mode {mode!r} (have {EXECUTION_MODES})")
-    seq: Sequence[T] = list(items)
-    if mode == "serial" or len(seq) <= 1:
-        return [fn(item) for item in seq]
-    if workers < 1:
-        raise ReproError(f"workers must be >= 1, got {workers}")
-    if mode == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return list(executor.map(fn, seq))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, seq, chunksize=max(1, chunksize)))
+    with WorkerPool(mode, workers, chunksize) as own:
+        return own.map(fn, items)

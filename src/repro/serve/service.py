@@ -173,9 +173,10 @@ class QueryService(ReaderView):
     decode_mode:
         Mode of the owned pool (``"serial"``/``"thread"``/``"process"``);
         ignored when ``pool`` is given. ``"thread"`` is ONE decode thread
-        whatever ``workers`` says: it keeps the loop free (hits, deadlines,
-        reads overlap the decode); a second only trades the GIL with it,
-        ~1 000 times a query (``docs/performance.md`` § PR 24).
+        whatever ``workers`` says, as every thread-mode
+        :class:`~repro.parallel.WorkerPool` is: it keeps the loop free (hits,
+        deadlines, reads overlap the decode); a second only trades the GIL
+        with it, ~1 000 times a query (``docs/performance.md``, decode lane).
     gap_cap, slack:
         Planner coalescing knobs (see
         :func:`repro.serve.planner.coalesce_extents`).
@@ -327,8 +328,7 @@ class QueryService(ReaderView):
     # ------------------------------------------------------------------
     def _owned_pool(self) -> WorkerPool:
         """The pool the service builds for itself, new or after a broken one."""
-        lanes = self._workers_arg if self._decode_mode == "process" else 1
-        return WorkerPool(self._decode_mode, workers=lanes)
+        return WorkerPool(self._decode_mode, workers=self._workers_arg)
 
     def _note_pool_failure(self) -> bool:
         """Rebuild the owned decode pool after a worker death poisoned it

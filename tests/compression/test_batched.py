@@ -435,13 +435,14 @@ class TestGroupedBlockDecode:
 
 
 class TestPoolIntegration:
-    def test_compress_hierarchy_with_pool(self, hierarchy):
+    @pytest.mark.parametrize("workers", [3, 8])
+    def test_compress_hierarchy_with_pool(self, hierarchy, workers):
         from repro.parallel import WorkerPool
 
         serial = compress_hierarchy(
             hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
         ).tobytes()
-        with WorkerPool("thread", workers=3) as pool:
+        with WorkerPool("thread", workers=workers) as pool:
             for _ in range(2):  # reused across calls
                 out = compress_hierarchy(
                     hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level",

@@ -334,11 +334,12 @@ class TestDecompressBatchAgainstTheScalarLoop:
         with pytest.raises(CompressionError, match=r"patch=1\).*does not accept shared entropy"):
             _decode_run((members, None))
 
+    @pytest.mark.parametrize("pool_workers", [2, 4])
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     @pytest.mark.parametrize("batch", ["patch", "level"])
-    def test_every_pool_kind(self, hierarchy, mode, batch):
-        """A selection decodes as one run under serial and as one run per
-        worker otherwise; the arrays do not depend on where the cuts fall."""
+    def test_every_pool_kind(self, hierarchy, mode, batch, pool_workers):
+        """A selection decodes as one run, or as one run per process of a
+        process pool; the arrays do not depend on where the cuts fall."""
         container = compress_hierarchy(hierarchy, "sz-lr", 1e-3, batch=batch)
         raw = container.tobytes()
         reference = decompress_selection(raw)
@@ -346,7 +347,7 @@ class TestDecompressBatchAgainstTheScalarLoop:
         for workers in (2, 3):
             got = decompress_selection(raw, parallel=mode, workers=workers)
             assert_same([got[k] for k in reference], list(reference.values()))
-        with WorkerPool(mode, workers=2) as pool:
+        with WorkerPool(mode, workers=pool_workers) as pool:
             got = container.select(pool=pool)
             assert_same([got[k] for k in reference], list(reference.values()))
             rebuilt = decompress_hierarchy(container, hierarchy, pool=pool)

@@ -81,6 +81,14 @@ class TestStreamingWriter:
             _create("fresh.rph2s", backend, **kwargs)
         assert not look.exists("fresh.rph2s")
 
+    @pytest.mark.parametrize("parallel", ["serial", "thread"])
+    def test_a_zero_window_is_refused_before_the_open(self, store, parallel):
+        """``max_pending=0`` is refused like ``-1``, not run as the default."""
+        backend, look = store
+        with pytest.raises(CompressionError, match="max_pending must be >= 1, got 0"):
+            _create("fresh.rph2s", backend, max_pending=0, parallel=parallel)
+        assert not look.exists("fresh.rph2s")
+
     def test_closed_pool_is_refused_before_the_open(self, store):
         backend, look = store
         pool = WorkerPool("thread", workers=1)
@@ -166,6 +174,13 @@ class TestShardedWriter:
         with pytest.raises(ReproError):
             self._create(backend, **BAD[bad])
         assert {name: _read(look, name) for name in look.list("camp.")} == before
+
+    def test_a_zero_window_leaves_no_manifest_and_no_shard(self, store):
+        """``max_pending_steps=0`` is refused like ``-1``, not run as the default."""
+        backend, look = store
+        with pytest.raises(CompressionError, match="max_pending_steps must be >= 1, got 0"):
+            self._create(backend, max_pending_steps=0)
+        assert look.list("camp.") == []
 
     def test_overwrite_false_on_an_existing_manifest(self, store):
         backend, look = store

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -35,8 +38,12 @@ class TestModes:
             parallel_map(square, [1], mode="gpu")
 
     def test_bad_workers_rejected(self):
-        with pytest.raises(ReproError):
-            parallel_map(square, [1, 2], mode="thread", workers=0)
+        """A negative count is refused in every mode, even where ``workers``
+        sizes nothing; ``0`` means one per core, as in :class:`WorkerPool`."""
+        for mode in EXECUTION_MODES:
+            with pytest.raises(ReproError, match="workers must be"):
+                parallel_map(square, [1, 2], mode=mode, workers=-1)
+        assert parallel_map(square, [1, 2], mode="thread", workers=0) == [1, 4]
 
     def test_exception_propagates(self):
         def boom(x):
@@ -105,10 +112,15 @@ class TestWorkerPool:
             WorkerPool("thread", chunksize=0)
 
     def test_workers_resolution(self):
+        """``workers`` sizes process pools only: a thread pool is one lane."""
         with WorkerPool("thread", workers=None) as pool:
-            assert pool.workers == max(1, os.cpu_count() or 1)
+            assert pool.workers == 1
         with WorkerPool("serial", workers=7) as pool:
             assert pool.workers == 1
+        with WorkerPool("process", workers=None) as pool:
+            assert pool.workers == max(1, os.cpu_count() or 1)
+        with WorkerPool("process", workers=2) as pool:
+            assert pool.workers == 2
 
     def test_exception_propagates_from_map(self):
         with WorkerPool("thread", workers=2) as pool:
@@ -116,6 +128,48 @@ class TestWorkerPool:
                 pool.map(boom, [1, 2])
             # the pool survives a failed map
             assert pool.map(square, [3]) == [9]
+
+
+class OverlapSpy:
+    """A task that records the most calls that ever ran at once."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.running = self.peak = 0
+
+    def __call__(self, x: int) -> int:
+        with self._lock:
+            self.running += 1
+            self.peak = max(self.peak, self.running)
+        time.sleep(0.002)  # releases the GIL: a second thread would get in
+        with self._lock:
+            self.running -= 1
+        return x * x
+
+
+class TestOneLane:
+    """``"thread"`` is one background lane whatever ``workers`` says: three
+    callers handing one pool eight tasks each never see two run at once."""
+
+    @pytest.mark.parametrize("workers", [2, 4, None])
+    @pytest.mark.parametrize("entry", ["submit", "map", "map-one"])
+    def test_a_thread_pool_never_runs_two_tasks_at_once(self, workers, entry):
+        spy = OverlapSpy()
+        with WorkerPool("thread", workers=workers) as pool:
+            assert pool.workers == 1
+
+            def caller(base: int) -> list[int]:
+                items = range(base, base + 8)
+                if entry == "map":
+                    return pool.map(spy, items)
+                if entry == "map-one":  # a lone item runs on the lane too
+                    return [y for i in items for y in pool.map(spy, [i])]
+                return [f.result() for f in [pool.submit(spy, i) for i in items]]
+
+            with ThreadPoolExecutor(max_workers=3) as callers:
+                results = list(callers.map(caller, (0, 8, 16)))
+        assert results == [[i * i for i in range(b, b + 8)] for b in (0, 8, 16)]
+        assert spy.peak == 1
 
 
 class TestShutdownSemantics:

@@ -4,9 +4,10 @@ run at once (a second GIL-bound decode thread only trades the interpreter
 lock with the first), while everything that is *not* a decode keeps
 overlapping it — storage reads run on the event loop's own executor, and
 the loop stays free to serve hits and fire deadlines. ``workers`` sizes an
-owned process pool; a handed-in pool runs as given. And a service closed
-with decodes queued on that lane answers every query still in flight with
-its result or with ``ServeError("query service is closed")``."""
+owned process pool; a handed-in pool is used as given, and a thread pool is
+one lane whoever built it. And a service closed with decodes queued on that
+lane answers every query still in flight with its result or with
+``ServeError("query service is closed")``."""
 
 from __future__ import annotations
 
@@ -119,22 +120,28 @@ def test_no_two_decodes_of_one_service_overlap(campaign, spy, workers):
 
 
 def test_a_handed_in_pool_runs_as_given(campaign, spy):
-    manifest, _ = campaign
+    """The service decodes on the pool it is handed, not one of its own —
+    and a handed-in thread pool is one lane, whatever its ``workers``."""
+    manifest, full = campaign
 
     async def scenario():
-        with WorkerPool("thread", workers=2) as pool:
+        with WorkerPool("thread", workers=4) as pool:
             svc = QueryService(manifest, pool=pool, workers=1)
             try:
-                assert svc._pool is pool and pool.workers == 2
+                assert svc._pool is pool and pool.workers == 1
                 spy.hold()
                 both = [asyncio.ensure_future(svc.query(**sel)) for sel in COLD[:2]]
-                while spy.calls < 2:  # both decodes inside the pool at once
-                    await asyncio.sleep(0.001)
-                assert spy.peak == 2
+                assert await _seen(spy.entered)
+                await asyncio.sleep(0.05)  # the second decode is queued, not running
+                assert spy.calls == 1
                 spy.release.set()
-                await asyncio.gather(*both)
+                served = await asyncio.gather(*both)
+                assert spy.calls == 2 and spy.peak == 1
             finally:
                 svc.close()
+            assert not pool.closed  # the caller's pool outlives the service
+        for sel, got in zip(COLD, served):
+            assert_byte_identical(got, _truth(full, **sel))
 
     _run(scenario())
 

@@ -216,7 +216,7 @@ async def scenario_clean(oracle: Oracle, corpus: dict, seed: int) -> str:
     hits = 0
     for label, n in (("series", SERIES_STEPS), ("sharded", SHARD_STEPS)):
         path = corpus[label]
-        svc = QueryService(path, workers=2)
+        svc = QueryService(path)
         try:
             for sel in _selection_mix(n):
                 tag, got = await guarded(f"clean/{label}", svc.query(**sel))
@@ -234,7 +234,7 @@ async def scenario_flake(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["series"]
     plan = FaultPlan(seed=seed)
     plan.flake()  # every GET's first attempt fails; one retry heals
-    svc = QueryService(path, backend=_backend(plan), workers=2)
+    svc = QueryService(path, backend=_backend(plan))
     try:
         for sel in _selection_mix(SERIES_STEPS):
             tag, got = await guarded("flake", svc.query(**sel))
@@ -253,7 +253,7 @@ async def scenario_flake(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_outage_window(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["series"]
     plan = FaultPlan(seed=seed)
-    svc = QueryService(path, backend=_backend(plan, max_retries=0), workers=2,
+    svc = QueryService(path, backend=_backend(plan, max_retries=0),
                        breaker_threshold=None)  # the breaker gets its own arm
     failed = exact = 0
     try:
@@ -280,8 +280,7 @@ async def scenario_probability(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["sharded"]
     plan = FaultPlan(seed=seed)
     plan.probability(0.2)
-    svc = QueryService(path, backend=_backend(plan), workers=2,
-                       breaker_threshold=None)
+    svc = QueryService(path, backend=_backend(plan), breaker_threshold=None)
     exact = failed = 0
     try:
         for sel in _selection_mix(SHARD_STEPS) * 2:
@@ -305,8 +304,7 @@ async def scenario_probability(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_shard_outage(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["sharded"]
     plan = FaultPlan(seed=seed)
-    svc = QueryService(path, backend=_backend(plan, max_retries=0), workers=2,
-                       breaker_threshold=None)
+    svc = QueryService(path, backend=_backend(plan, max_retries=0), breaker_threshold=None)
     try:
         victim = svc._segments[0][0]  # shard file owning step 0
         victim_steps = sorted(
@@ -341,7 +339,7 @@ async def scenario_shard_outage(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_deadline(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["series"]
     plan = FaultPlan(seed=seed)
-    svc = QueryService(path, backend=_backend(plan), workers=2)
+    svc = QueryService(path, backend=_backend(plan))
     try:
         await svc.plan(steps=0)  # catalogs in; payload still cold
         plan.latency(0.5)
@@ -358,7 +356,7 @@ async def scenario_deadline(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_decode_crash(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["series"]
     plan = FaultPlan(seed=seed)
-    pool = FaultyPool(WorkerPool("thread", workers=2), plan)
+    pool = FaultyPool(WorkerPool("thread"), plan)
     svc = QueryService(path, pool=pool, cache_bytes=None)
     try:
         plan.nth(0, match="pool:*", kind="crash")
@@ -380,7 +378,7 @@ async def scenario_decode_crash(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_overload(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["series"]
     plan = FaultPlan(seed=seed)
-    svc = QueryService(path, backend=_backend(plan), workers=2,
+    svc = QueryService(path, backend=_backend(plan),
                        cache_bytes=None, max_inflight=1, max_queue=0)
     try:
         await svc.plan(steps=0)
@@ -414,7 +412,7 @@ async def scenario_overload(oracle: Oracle, corpus: dict, seed: int) -> str:
 async def scenario_breaker(oracle: Oracle, corpus: dict, seed: int) -> str:
     path = corpus["sharded"]
     plan = FaultPlan(seed=seed)
-    svc = QueryService(path, backend=_backend(plan, max_retries=0), workers=2,
+    svc = QueryService(path, backend=_backend(plan, max_retries=0),
                        breaker_threshold=2, breaker_cooldown=0.2)
     try:
         victim = svc._segments[0][0]
