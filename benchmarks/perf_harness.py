@@ -231,9 +231,9 @@ def flush() -> list[Path]:
 def session_flush() -> None:
     """The whole ``pytest_sessionfinish`` body: flush and report paths.
 
-    Lives here (not in ``benchmarks/conftest.py``) so the legacy pytest
-    benches and the registry runner share one artifact writer and one
-    report format.
+    Lives here (not in ``benchmarks/conftest.py``) so the system benches
+    and the registry runner share one artifact writer and one report
+    format.
     """
     for path in flush():
         print(f"\nwrote {path}")

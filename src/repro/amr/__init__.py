@@ -19,7 +19,6 @@ from repro.amr.io import (
     append_step,
     open_series,
 )
-from repro.amr.ghost import fill_ghosts
 from repro.amr.iostats import CampaignCost, snapshot_bytes, campaign_cost
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "write_series",
     "append_step",
     "open_series",
-    "fill_ghosts",
     "CampaignCost",
     "snapshot_bytes",
     "campaign_cost",

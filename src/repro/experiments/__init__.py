@@ -19,9 +19,7 @@ from repro.experiments.figures import (
     run_visual_compare,
     METHODS,
 )
-from repro.experiments.throughput import ThroughputRow, run_throughput
-from repro.experiments.insitu import InsituRow, run_insitu
-from repro.experiments.report import format_table, rows_to_csv, ascii_plot
+from repro.experiments.report import format_table, ascii_plot
 
 __all__ = [
     "AppDataset",
@@ -49,11 +47,6 @@ __all__ = [
     "run_rd",
     "run_visual_compare",
     "METHODS",
-    "ThroughputRow",
-    "run_throughput",
-    "InsituRow",
-    "run_insitu",
     "format_table",
-    "rows_to_csv",
     "ascii_plot",
 ]

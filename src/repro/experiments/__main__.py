@@ -1,161 +1,11 @@
-"""Experiment CLI: regenerate every table and figure of the paper.
+"""``python -m repro.experiments run|list ...``: the experiment registry CLI.
 
-Usage::
-
-    python -m repro.experiments all --scale 1.0 --out results/
-    python -m repro.experiments table2
-    python -m repro.experiments fig9 --out results/
-
-Each experiment prints a paper-layout text table (and ASCII RD plots) and,
-with ``--out``, writes CSV rows plus PGM renders of the iso-surfaces.
-
-The **registry** mode runs the CI-gated benchmark fleet instead
-(:mod:`repro.experiments.registry` — checks + ``BENCH_<name>.json``
-artifacts)::
-
-    python -m repro.experiments run all --quick --out bench-out
-    python -m repro.experiments run figures fig09 --scale 0.5
-    python -m repro.experiments list
+See :mod:`repro.experiments.registry` for the commands.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
-from pathlib import Path
 
-from repro.experiments import figures as figs
-from repro.experiments.report import ascii_plot, format_table, rows_to_csv
-from repro.experiments.table1 import run_table1
-from repro.experiments.table2 import run_table2
-from repro.experiments.insitu import run_insitu
-from repro.experiments.throughput import run_throughput
-from repro.viz.image_io import write_pgm
-
-__all__ = ["main"]
-
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "fig1",
-    "fig2",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "throughput",
-    "insitu",
-)
-
-
-def _emit(name: str, rows, out: Path | None, columns=None, title: str = "") -> None:
-    print(format_table(rows, columns=columns, title=title or name))
-    if out is not None and rows:
-        rows_to_csv(rows, out / f"{name}.csv")
-
-
-def _save_images(images: dict, out: Path | None) -> None:
-    if out is None:
-        return
-    from repro.viz.colormap import write_ppm
-
-    for name, img in images.items():
-        if img.ndim == 3:  # colormapped RGB panel
-            write_ppm(out / "images" / f"{name}.ppm", img)
-        else:
-            write_pgm(out / "images" / f"{name}.pgm", img)
-
-
-def _rd_plots(rows, app: str) -> None:
-    by_codec_psnr = {}
-    by_codec_rssim = {}
-    for r in rows:
-        by_codec_psnr.setdefault(r.codec, []).append((r.cr, r.psnr))
-        by_codec_rssim.setdefault(r.codec, []).append((r.cr, max(r.r_ssim, 1e-12)))
-    print(ascii_plot(by_codec_psnr, title=f"{app}: PSNR vs CR", xlabel="CR", ylabel="PSNR"))
-    print(
-        ascii_plot(
-            by_codec_rssim,
-            logy=True,
-            title=f"{app}: R-SSIM vs CR (log)",
-            xlabel="CR",
-            ylabel="R-SSIM",
-        )
-    )
-
-
-def run_one(name: str, scale: float, out: Path | None) -> None:
-    """Run one named experiment and emit its outputs."""
-    images: dict = {}
-    if name == "table1":
-        _emit(name, run_table1(scale), out, title="Table 1: dataset geometry and densities")
-    elif name == "table2":
-        _emit(name, run_table2(scale), out, title="Table 2: CR / PSNR / SSIM / R-SSIM")
-    elif name == "fig1":
-        _emit(name, figs.run_fig1(scale, image_store=images), out,
-              title="Figure 1: original-data pipelines (cracks / gaps / fixed)")
-    elif name == "fig2":
-        _emit(name, figs.run_fig2(scale, image_store=images), out,
-              title="Figure 2: refinement vs timestep")
-    elif name == "fig9":
-        _emit(name, figs.run_fig9(scale, image_store=images), out,
-              title="Figure 9: WarpX + SZ-L/R, methods x error bounds")
-    elif name == "fig10":
-        _emit(name, figs.run_fig10(scale, image_store=images), out,
-              title="Figure 10: WarpX + SZ-Interp")
-    elif name == "fig11":
-        _emit(name, figs.run_fig11(scale, image_store=images), out,
-              title="Figure 11: Nyx, original + SZ-L/R + SZ-Interp")
-    elif name == "fig12":
-        rows = figs.run_fig12(scale)
-        _emit(name, rows, out, title="Figure 12: RD on WarpX Ez")
-        _rd_plots(rows, "warpx")
-    elif name == "fig13":
-        rows = figs.run_fig13(scale)
-        _emit(name, rows, out, title="Figure 13: RD on Nyx density")
-        _rd_plots(rows, "nyx")
-    elif name == "throughput":
-        _emit(name, run_throughput(scale), out,
-              title="Container (de)compression throughput by execution mode")
-    elif name == "insitu":
-        _emit(name, run_insitu(scale), out,
-              title="In-situ streaming campaign: throughput and peak memory vs batch")
-    elif name == "fig14":
-        demo = figs.run_fig14()
-        print("Figure 14: 1-D interpolation-smoothing demo")
-        print("  original:     ", demo.original.tolist())
-        print("  decompressed: ", demo.decompressed.tolist())
-        print("  re-sampled:   ", demo.resampled.tolist())
-        print(f"  dual-cell RMSE={demo.dual_cell_rmse:.4f}  re-sampled RMSE={demo.resampled_rmse:.4f}")
-    else:
-        raise SystemExit(f"unknown experiment {name!r}; have {EXPERIMENTS + ('all',)}")
-    _save_images(images, out)
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point (legacy tables/figures mode + registry mode)."""
-    args_in = sys.argv[1:] if argv is None else argv
-    if args_in and args_in[0] in ("run", "list"):
-        from repro.experiments.registry import main as registry_main
-
-        return registry_main(args_in)
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument("experiment", choices=EXPERIMENTS + ("all",), help="which experiment")
-    parser.add_argument("--scale", type=float, default=1.0, help="grid-size multiplier (default 1.0)")
-    parser.add_argument("--out", type=Path, default=None, help="output directory for CSV/PGM artifacts")
-    args = parser.parse_args(argv)
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-    targets = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
-    for name in targets:
-        run_one(name, args.scale, args.out)
-    return 0
-
+from repro.experiments.registry import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,8 +1,8 @@
 """Figure experiments: crack/gap audits, visual comparisons, RD curves.
 
 Each ``run_fig*`` function regenerates the data behind one paper figure and
-returns structured rows; the CLI (:mod:`repro.experiments.__main__`) turns
-them into text tables, CSV files and PGM images. Rendered-image R-SSIM is
+returns structured rows; the registry entries (:mod:`repro.experiments.fleet`)
+check the paper's claims on them and gate their metrics. Rendered-image R-SSIM is
 the quantitative stand-in for the paper's side-by-side screenshots: for a
 given method, we render the iso-surface of the original data and of the
 decompressed data with identical framing and compare.
@@ -93,7 +93,7 @@ class PipelineRow:
     data_psnr: float | None
 
 
-def run_fig1(scale: float = 1.0, app: str = "warpx", image_store: dict | None = None) -> list[PipelineRow]:
+def run_fig1(scale: float = 1.0, app: str = "warpx") -> list[PipelineRow]:
     """Figure 1: iso-surface of *original* AMR data with re-sampling,
     dual-cell, and dual-cell + switching (redundant coarse) cells."""
     ds = load_app(app, scale)
@@ -101,8 +101,6 @@ def run_fig1(scale: float = 1.0, app: str = "warpx", image_store: dict | None = 
     for method in METHODS:
         result = _extract(method, ds.hierarchy, ds.field, ds.iso)
         report = crack_report(result, ds.hierarchy)
-        if image_store is not None:
-            image_store[f"fig1_{method}"] = _render(ds, result)
         rows.append(
             PipelineRow(
                 app=app,
@@ -125,28 +123,28 @@ def run_fig1(scale: float = 1.0, app: str = "warpx", image_store: dict | None = 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TimestepRow:
-    """Refinement statistics of one Nyx timestep."""
+    """Refinement statistics and compressibility of one Nyx timestep."""
 
     growth: float
     n_fine_boxes: int
     fine_fraction: float
     max_density: float
+    #: SZ-L/R ratio of the density at one absolute bound for the whole run
+    #: (1e-3 of the first timestep's range).
+    cr: float
 
 
-def run_fig2(scale: float = 1.0, image_store: dict | None = None) -> list[TimestepRow]:
-    """Figure 2: the refined region follows collapsing structure.
-
-    With ``image_store`` given, also produces a colormapped log-density
-    mid-plane slice per timestep (the paper's Figure 2 panels) with the
-    refined region's coarse boxes visible as brightness steps.
-    """
+def run_fig2(scale: float = 1.0) -> list[TimestepRow]:
+    """Figure 2: the refined region follows collapsing structure, and the
+    sharper structure is harder to compress."""
     from repro.amr.uniform import flatten_to_uniform
-    from repro.viz.colormap import apply_colormap
-    from repro.viz.volume import normalize_field, slice_image
 
     cfg = NyxConfig(coarse_n=max(16, int(round(64 * scale))))
+    steps = nyx_timesteps(config=cfg)
+    first = flatten_to_uniform(steps[0], "baryon_density")
+    eb_abs = 1e-3 * float(first.max() - first.min())
     rows = []
-    for h, growth in zip(nyx_timesteps(config=cfg), (0.35, 0.65, 1.0)):
+    for h, growth in zip(steps, (0.35, 0.65, 1.0)):
         density = h[1].patches("baryon_density")
         rows.append(
             TimestepRow(
@@ -154,14 +152,11 @@ def run_fig2(scale: float = 1.0, image_store: dict | None = None) -> list[Timest
                 n_fine_boxes=len(h[1].boxes),
                 fine_fraction=h.densities()[1],
                 max_density=float(max(p.data.max() for p in density)),
+                cr=compress_hierarchy(
+                    h, "sz-lr", eb_abs, mode="abs", fields=["baryon_density"]
+                ).ratio,
             )
         )
-        if image_store is not None:
-            uniform = flatten_to_uniform(h, "baryon_density")
-            panel = np.log10(slice_image(uniform, axis=2) + 1e-3)
-            image_store[f"fig2_growth{growth:g}"] = apply_colormap(
-                normalize_field(panel)
-            )
     return rows
 
 
@@ -237,24 +232,20 @@ def run_visual_compare(
     return rows
 
 
-def run_fig9(scale: float = 1.0, image_store: dict | None = None) -> list[PipelineRow]:
+def run_fig9(scale: float = 1.0) -> list[PipelineRow]:
     """Figure 9: WarpX + SZ-L/R at eb 1e-4/1e-3/1e-2, both methods."""
-    return run_visual_compare(
-        "warpx", "sz-lr", (1e-4, 1e-3, 1e-2), scale, image_store=image_store
-    )
+    return run_visual_compare("warpx", "sz-lr", (1e-4, 1e-3, 1e-2), scale)
 
 
-def run_fig10(scale: float = 1.0, image_store: dict | None = None) -> list[PipelineRow]:
+def run_fig10(scale: float = 1.0) -> list[PipelineRow]:
     """Figure 10: WarpX + SZ-Interp at eb 1e-3, both methods."""
-    return run_visual_compare("warpx", "sz-interp", (1e-3,), scale, image_store=image_store)
+    return run_visual_compare("warpx", "sz-interp", (1e-3,), scale)
 
 
-def run_fig11(scale: float = 1.0, image_store: dict | None = None) -> list[PipelineRow]:
+def run_fig11(scale: float = 1.0) -> list[PipelineRow]:
     """Figure 11: Nyx, original + SZ-L/R + SZ-Interp at eb 1e-2, both methods."""
-    rows = run_visual_compare(
-        "nyx", "sz-lr", (1e-2,), scale, include_original=True, image_store=image_store
-    )
-    rows += run_visual_compare("nyx", "sz-interp", (1e-2,), scale, image_store=image_store)
+    rows = run_visual_compare("nyx", "sz-lr", (1e-2,), scale, include_original=True)
+    rows += run_visual_compare("nyx", "sz-interp", (1e-2,), scale)
     return rows
 
 

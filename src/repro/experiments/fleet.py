@@ -1,12 +1,11 @@
 """The registry fleet: every paper figure/table/ablation as an entry.
 
-Each function here absorbs one legacy ``benchmarks/bench_*.py`` driver:
-the computation delegates to the existing ``run_*`` experiment functions,
-the driver's paper-shape asserts become :func:`~.registry.check` calls
-(so they run under pytest *and* under the CLI/nightly), and the scalar
+Each function here absorbs the legacy ``benchmarks/bench_*.py`` drivers of
+its figure: the computation delegates to the existing ``run_*`` experiment
+functions, the drivers' paper-shape asserts become :func:`~.registry.check`
+calls (so they run in tier-1, in CI and nightly alike), and the scalar
 measurements worth tracking become declared metrics (see
-:class:`~.registry.MetricSpec` for gate semantics). Under pytest the
-entries run through ``benchmarks/bench_registry.py`` (``-k <name>`` for one).
+:class:`~.registry.MetricSpec` for gate semantics).
 
 Metric-design convention: prefer *ratios that encode a paper claim*
 (artifact amplification, codec advantage, exclusion gain) — they travel
@@ -44,12 +43,37 @@ def _geomean(values) -> float:
     },
 )
 def fig01(scale: float) -> dict[str, float]:
+    from repro.compression.amr_codec import compress_hierarchy, decompress_hierarchy
     from repro.experiments.figures import run_fig1
+    from repro.sims import NyxConfig
+    from repro.sims.nyx import nyx_multilevel_hierarchy
+    from repro.viz import crack_report, dual_cell_isosurface, resampling_isosurface
 
     resample, dual, fixed = run_fig1(scale)
     check(resample.open_edge_count > 0, "re-sampling shows cracks (Fig 1a)")
     check(dual.mean_gap > resample.mean_gap, "dual-cell gaps exceed cracks (Fig 1b)")
     check(fixed.mean_gap < dual.mean_gap, "switching cells close the gap (Fig 1c)")
+    # The orderings survive a third level ("finer and finest", Fig 2) on
+    # decompressed data.
+    deep = nyx_multilevel_hierarchy(NyxConfig(coarse_n=max(16, round(32 * scale))), levels=3)
+    deep = decompress_hierarchy(
+        compress_hierarchy(deep, "sz-lr", 1e-3, fields=["baryon_density"]), deep
+    )
+    surfaces = {
+        "resampling": resampling_isosurface(deep, "baryon_density", 2.0),
+        "dual": dual_cell_isosurface(deep, "baryon_density", 2.0, "none"),
+        "dual+redundant": dual_cell_isosurface(deep, "baryon_density", 2.0, "redundant"),
+    }
+    check(
+        all(s.n_faces > 0 for s in surfaces.values()),
+        "three levels: every method extracts a surface",
+    )
+    audit = {method: crack_report(s, deep) for method, s in surfaces.items()}
+    check(audit["resampling"].open_edge_count > 0, "three levels: re-sampling still cracks")
+    check(
+        audit["dual"].mean_gap > audit["dual+redundant"].mean_gap,
+        "three levels: switching cells still close the gap",
+    )
     return {
         "resampling_open_edges": float(resample.open_edge_count),
         "dual_mean_gap": dual.mean_gap,
@@ -73,6 +97,9 @@ def fig02(scale: float) -> dict[str, float]:
     maxima = [r.max_density for r in rows]
     check(maxima == sorted(maxima), "structure sharpens as the universe evolves")
     check(all(r.n_fine_boxes > 0 for r in rows), "every timestep refines somewhere")
+    check(rows[0].cr > rows[-1].cr, "collapsed structure is harder to compress")
+    # A ratio above 1 is what makes each step's campaign projection shrink.
+    check(all(r.cr > 1 for r in rows), "every timestep compresses")
     final = rows[-1]
     return {
         "max_density_final": final.max_density,
@@ -145,7 +172,13 @@ def fig10(scale: float) -> dict[str, float]:
     },
 )
 def fig11(scale: float) -> dict[str, float]:
+    from repro.amr import flatten_to_uniform
+    from repro.compression.amr_codec import compress_hierarchy, decompress_hierarchy
     from repro.experiments.figures import run_fig11
+    from repro.metrics import r_ssim
+    from repro.viz import (
+        marching_cubes, normalize_field, render_mesh, slice_image, volume_render,
+    )
 
     rows = run_fig11(scale)
     check(
@@ -161,6 +194,29 @@ def fig11(scale: float) -> dict[str, float]:
             f"{codec}: dual-cell must degrade visual quality (paper §4.2)",
         )
         out[key] = dual.render_r_ssim / res.render_r_ssim
+    # Paper §3.1: of three views of the same SZ-L/R data, each with
+    # identical framing and a linear transfer function, the iso-surface
+    # moves most. A point error of eb is a ~1 % perturbation of the linear
+    # scale; the surface shifts wherever the field crosses the iso value.
+    ds = load_app("nyx", scale)
+    container = compress_hierarchy(ds.hierarchy, "sz-lr", 1e-2, mode="rel", fields=[ds.field])
+    original = ds.uniform_field()
+    restored = flatten_to_uniform(decompress_hierarchy(container, ds.hierarchy), ds.field)
+    lo, hi = float(original.min()), float(original.max())
+    bounds = (np.zeros(3), np.asarray(original.shape, dtype=float))
+    views = {
+        "isosurface": lambda a: render_mesh(
+            marching_cubes(a, ds.iso), size=(160, 160), bounds=bounds
+        ),
+        "volume render": lambda a: volume_render(normalize_field(a, lo, hi)),
+        "slice": lambda a: normalize_field(slice_image(a), lo, hi),
+    }
+    shift = {v: r_ssim(f(original), f(restored), data_range=1.0) for v, f in views.items()}
+    for view in ("volume render", "slice"):
+        check(
+            shift["isosurface"] > shift[view],
+            f"the iso-surface is more compression-sensitive than the {view} (paper §3.1)",
+        )
     return out
 
 
@@ -203,7 +259,9 @@ def fig12(scale: float) -> dict[str, float]:
     },
 )
 def fig13(scale: float) -> dict[str, float]:
+    from repro.compression.registry import make_codec
     from repro.experiments.figures import run_fig13
+    from repro.metrics import power_spectrum, spectrum_distortion
 
     rows = run_fig13(scale)
     largest = max(r.error_bound for r in rows)
@@ -213,6 +271,27 @@ def fig13(scale: float) -> dict[str, float]:
     # holds from scale 0.5 up (the legacy driver gated it identically).
     if scale >= 0.5:
         check(lr.r_ssim < it.r_ssim, "SZ-L/R captures Nyx's local patterns better")
+    # P(k), the Nyx community's own fidelity measure: |P'/P - 1| in the
+    # largest-scale bin and the smallest-scale bin.
+    data = load_app("nyx", scale).uniform_field()
+    spectra = {}
+    for name in ("sz-lr", "sz-interp"):
+        codec = make_codec(name)
+        spectra[name] = dist = [
+            spectrum_distortion(
+                data, codec.decompress(codec.compress(data, eb, mode="rel")), n_bins=8
+            )[1]
+            for eb in (1e-4, 1e-3, 1e-2)
+        ]
+        check(dist[0][0] < 0.02, f"{name}: large scales barely move at eb 1e-4")
+        totals = [d[0] + d[-1] for d in dist]
+        check(totals == sorted(totals), f"{name}: spectral damage grows with eb")
+    # At eb 1e-2 the heavy-tailed density's low-amplitude web is flattened
+    # wholesale, so large-scale power takes the bigger hit: the spectral
+    # face of Fig 11's structural distortion.
+    check(spectra["sz-lr"][-1][0] > 0.05, "SZ-L/R at eb 1e-2 moves large-scale power")
+    _, power = power_spectrum(data, n_bins=8)
+    check(power[0] > power[-1], "the Nyx density spectrum is red (power falls with k)")
     return {
         "szlr_cr_at_max_eb": lr.cr,
         "rssim_ratio_at_max_eb": it.r_ssim / max(lr.r_ssim, 1e-12),

@@ -5,8 +5,10 @@ its group (``figures`` / ``tables`` / ``ablations`` / ``scenarios``), the
 function that computes it, the scales it runs at, and the metrics it emits
 (each with a unit, a gate direction, and an optional regression
 tolerance). The registry replaces one ad-hoc ``bench_*`` driver per figure
-with declarative entries; ``benchmarks/bench_registry.py`` runs them under
-pytest-benchmark (``-k <name>`` for a single figure).
+with declarative entries, and it is the one way an experiment runs: the
+CLI below, tier-1 (``tests/experiments/test_experiment_registry.py`` runs
+every entry at quick scale), PR CI and nightly all call
+:func:`run_experiment`.
 
 Running an entry does three things:
 
@@ -26,7 +28,7 @@ annotations — so a fresh ``--quick`` run is byte-identical to the
 committed baselines (the ``bench-registry-consistency`` CI job asserts
 exactly that via ``bench_compare --check-consistency``).
 
-CLI (also reachable as ``python -m repro.experiments run ...``)::
+CLI (``python -m repro.experiments`` is this ``main``)::
 
     python -m repro.experiments run all --quick --out bench-out
     python -m repro.experiments run figures --quick
@@ -241,6 +243,14 @@ def _perf_harness():
     return module
 
 
+def _checked_scale(scale: float) -> float:
+    """``scale`` as a float, refused unless finite and > 0."""
+    value = float(scale)
+    if not (math.isfinite(value) and value > 0):
+        raise ExperimentError(f"scale must be finite and > 0, got {scale!r}")
+    return value
+
+
 def run_experiment(
     name: str,
     quick: bool = False,
@@ -249,10 +259,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run one registry entry: compute, check, and (optionally) emit.
 
-    ``scale`` overrides the spec's quick/full scales when given. With
-    ``out_dir``, writes ``BENCH_<name>.json`` there through
-    ``perf_harness.write_artifact`` (schema-validated, deterministic — no
-    RSS annotation).
+    ``scale`` overrides the spec's quick/full scales when given; it must be
+    finite and > 0. With ``out_dir``, writes ``BENCH_<name>.json`` there
+    through ``perf_harness.write_artifact`` (schema-validated,
+    deterministic — no RSS annotation).
     """
     load_all()
     spec = EXPERIMENTS.get(name)
@@ -260,7 +270,7 @@ def run_experiment(
         raise ExperimentError(
             f"unknown experiment {name!r}; have {list(EXPERIMENTS)}"
         )
-    run_scale = float(
+    run_scale = _checked_scale(
         scale if scale is not None
         else (spec.quick_scale if quick else spec.full_scale)
     )
@@ -308,7 +318,7 @@ def _format_result(result: ExperimentResult) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Registry CLI: ``run <name|group|all>... [--quick] [--out DIR]``."""
     parser = argparse.ArgumentParser(
-        prog="repro-experiments-registry",
+        prog="python -m repro.experiments",
         description="Run registry experiments and emit BENCH_<name>.json artifacts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -343,6 +353,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         names = resolve(args.selectors)
+        if args.scale is not None:
+            _checked_scale(args.scale)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

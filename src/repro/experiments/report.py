@@ -1,21 +1,19 @@
-"""Report formatting: text tables, CSV files, ASCII rate-distortion plots.
+"""Report formatting: text tables and ASCII rate-distortion plots.
 
 The offline environment has no plotting stack, so figures are emitted as
-(a) structured CSV for downstream tooling and (b) ASCII scatter plots that
-make the win/loss ordering visible directly in a terminal.
+ASCII scatter plots that make the win/loss ordering visible directly in a
+terminal.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, is_dataclass
-from pathlib import Path
 from typing import Any, Sequence
 
 from repro.errors import ExperimentError
 
-__all__ = ["format_table", "rows_to_csv", "ascii_plot"]
+__all__ = ["format_table", "ascii_plot"]
 
 
 def _cell(value: Any) -> str:
@@ -55,21 +53,6 @@ def format_table(rows: Sequence[Any], columns: Sequence[str] | None = None, titl
     for row in body:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
-
-
-def rows_to_csv(rows: Sequence[Any], path: str | Path) -> Path:
-    """Write dataclass/dict rows to CSV."""
-    if not rows:
-        raise ExperimentError("no rows to write")
-    dicts = [asdict(r) if is_dataclass(r) else dict(r) for r in rows]
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(dicts[0]))
-        writer.writeheader()
-        for d in dicts:
-            writer.writerow(d)
-    return out
 
 
 def ascii_plot(

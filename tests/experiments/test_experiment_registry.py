@@ -8,8 +8,13 @@ directions, artifact schema, CLI) is pinned alongside.
 
 from __future__ import annotations
 
+import importlib
 import json
+import runpy
+from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
@@ -101,6 +106,65 @@ def test_fleet_covers_every_paper_driver():
         "warpx_mixed_bounds",
     }
     assert expected <= have
+
+
+def _zero_open_edges(real):
+    return lambda surface, h: replace(real(surface, h), open_edge_count=0)
+
+
+def _equal_gaps(real):
+    return lambda surface, h: replace(real(surface, h), mean_gap=1.0)
+
+
+def _with_ratios(*crs):
+    return lambda real: lambda scale: [replace(r, cr=c) for r, c in zip(real(scale), crs)]
+
+
+def _unmoved_views(real):
+    return lambda a, b, data_range: 0.0
+
+
+def _no_spectral_damage(real):
+    return lambda a, b, n_bins: (np.arange(n_bins), np.zeros(n_bins))
+
+
+def _blue_spectrum(real):
+    def power_spectrum(field, n_bins):
+        k, power = real(field, n_bins)
+        return k, power[::-1]
+
+    return power_spectrum
+
+
+# Each paper claim a retired bench used to assert lives on as a check in
+# the entry of the figure it extends; breaking the claim's input must fail
+# that entry (and so tier-1 above, CI and nightly).
+@pytest.mark.parametrize(
+    "name, target, fake, message",
+    [
+        ("fig01", "repro.viz.crack_report", _zero_open_edges,
+         "three levels: re-sampling still cracks"),
+        ("fig01", "repro.viz.crack_report", _equal_gaps,
+         "three levels: switching cells still close the gap"),
+        ("fig02", "repro.experiments.figures.run_fig2", _with_ratios(4.0, 5.0, 6.0),
+         "collapsed structure is harder to compress"),
+        ("fig02", "repro.experiments.figures.run_fig2", _with_ratios(3.0, 2.0, 0.9),
+         "every timestep compresses"),
+        ("fig11", "repro.metrics.r_ssim", _unmoved_views,
+         "iso-surface is more compression-sensitive than the volume render"),
+        ("fig13", "repro.metrics.spectrum_distortion", _no_spectral_damage,
+         "SZ-L/R at eb 1e-2 moves large-scale power"),
+        ("fig13", "repro.metrics.power_spectrum", _blue_spectrum,
+         "spectrum is red"),
+    ],
+    ids=["fig01-cracks", "fig01-gaps", "fig02-cr-order", "fig02-cr-above-1",
+         "fig11-iso-most-sensitive", "fig13-large-scale-power", "fig13-red-spectrum"],
+)
+def test_moved_paper_check_gates_its_entry(name, target, fake, message):
+    module, attr = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), attr)
+    with mock.patch(target, fake(real)), pytest.raises(ExperimentError, match=message):
+        run_experiment(name, quick=True)
 
 
 # ----------------------------------------------------------------------
@@ -207,8 +271,33 @@ def test_cli_failing_check_reports_and_fails(capsys):
         del EXPERIMENTS["_failing"]
 
 
-def test_module_cli_dispatches_run_subcommand(capsys):
-    from repro.experiments.__main__ import main as top_main
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["list"], 0, "figures:"),
+        (["run", "fig14", "--quick"], 0, "1 experiment(s) passed"),
+        # The pre-registry spelling is an unknown command, not a run.
+        (["table2"], 2, "invalid choice: 'table2'"),
+        ([], 2, "required: command"),
+    ],
+    ids=["list", "run", "legacy-table2", "no-command"],
+)
+def test_module_cli_dispatches_run_subcommand(argv, code, expected, capsys):
+    # ``python -m repro.experiments`` is the registry CLI and nothing else.
+    with mock.patch("sys.argv", ["repro.experiments", *argv]), pytest.raises(SystemExit) as exc:
+        runpy.run_module("repro.experiments", run_name="__main__")
+    out, err = capsys.readouterr()
+    assert exc.value.code == code and expected in out + err
 
-    assert top_main(["list"]) == 0
-    assert "figures:" in capsys.readouterr().out
+
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_scale_must_be_finite_and_positive(scale, tmp_path, capsys):
+    with pytest.raises(ExperimentError, match="scale must be finite and > 0"):
+        run_experiment("fig14", scale=float(scale))
+    # The CLI refuses once, before running any entry: one line, exit 2.
+    assert main(["run", "fig14", "table1", "--scale", scale, "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: scale must be finite and > 0")
+    assert captured.err.count("\n") == 1
+    assert not any(tmp_path.iterdir())

@@ -1,15 +1,17 @@
-"""Tests for report formatting and the experiments CLI."""
+"""Tests for report formatting (text tables and ASCII plots).
+
+The experiments CLI is the registry's; its tests are in
+``test_experiment_registry.py``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
-from repro.experiments.report import ascii_plot, format_table, rows_to_csv
-from repro.experiments.__main__ import main
+from repro.experiments.report import ascii_plot, format_table
 
 
 @dataclass
@@ -40,18 +42,6 @@ class TestFormatTable:
         assert "empty" in format_table([])
 
 
-class TestCsv:
-    def test_write_and_content(self, tmp_path):
-        path = rows_to_csv(ROWS, tmp_path / "out.csv")
-        text = path.read_text()
-        assert text.splitlines()[0] == "name,value,count"
-        assert "alpha" in text
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(ExperimentError):
-            rows_to_csv([], tmp_path / "x.csv")
-
-
 class TestAsciiPlot:
     def test_markers_and_legend(self):
         out = ascii_plot({"a": [(1, 1), (2, 2)], "b": [(1, 2)]}, width=20, height=5)
@@ -68,24 +58,3 @@ class TestAsciiPlot:
 
     def test_empty(self):
         assert "no data" in ascii_plot({})
-
-
-class TestCli:
-    def test_fig14(self, capsys):
-        assert main(["fig14"]) == 0
-        out = capsys.readouterr().out
-        assert "re-sampled" in out
-
-    def test_table1_with_out(self, tmp_path, capsys):
-        assert main(["table1", "--scale", "0.25", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "table1.csv").is_file()
-        assert "warpx" in capsys.readouterr().out
-
-    def test_fig1_writes_images(self, tmp_path):
-        assert main(["fig1", "--scale", "0.25", "--out", str(tmp_path)]) == 0
-        images = list((tmp_path / "images").glob("*.pgm"))
-        assert len(images) == 3
-
-    def test_unknown_experiment(self):
-        with pytest.raises(SystemExit):
-            main(["fig99"])
