@@ -68,18 +68,29 @@ def marching_cubes(
     TriangleMesh
         Triangles with consistent orientation (normals toward decreasing
         field values... increasing outside).
+
+    Raises
+    ------
+    VisualizationError
+        For a field that is not 3-D with at least 2 vertices per axis, an
+        ``iso`` that is not finite, a ``spacing`` that is not finite and
+        > 0 on every axis, or a ``cell_mask`` of the wrong shape.
     """
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim != 3:
         raise VisualizationError(f"field must be 3-D, got {arr.ndim}-D")
     if any(s < 2 for s in arr.shape):
         raise VisualizationError(f"field shape {arr.shape} too small for marching cubes")
+    if not np.isfinite(iso):
+        raise VisualizationError(f"iso must be finite, got {iso!r}")
     if np.isscalar(spacing):
         dx = np.array([float(spacing)] * 3)
     else:
         dx = np.asarray(spacing, dtype=np.float64)
         if dx.shape != (3,):
             raise VisualizationError("spacing must be scalar or length 3")
+    if not (np.isfinite(dx) & (dx > 0.0)).all():
+        raise VisualizationError(f"spacing must be finite and > 0, got {spacing!r}")
     org = np.asarray(origin, dtype=np.float64)
     nx, ny, nz = arr.shape
     cx, cy, cz = nx - 1, ny - 1, nz - 1

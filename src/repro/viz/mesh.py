@@ -18,6 +18,28 @@ from repro.errors import VisualizationError
 __all__ = ["TriangleMesh"]
 
 
+def _length(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Euclidean length of vectors given as three columns. The squares are
+    summed left to right, the order ``np.linalg.norm(axis=1)`` adds a row's
+    squares in, so the result has its bytes."""
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def _indices(faces) -> np.ndarray:
+    """``faces`` as int64; a value that is not an integer is refused, not
+    truncated."""
+    f = np.asarray(faces)
+    if f.dtype.kind in "biu":
+        return f.astype(np.int64, copy=False)
+    try:
+        values = f.astype(np.float64)
+    except (TypeError, ValueError):
+        values = np.array([np.nan])
+    if not (np.isfinite(values) & (np.trunc(values) == values)).all():
+        raise VisualizationError("face indices must be integers")
+    return values.astype(np.int64)
+
+
 @dataclass
 class TriangleMesh:
     """Indexed triangle mesh.
@@ -35,7 +57,7 @@ class TriangleMesh:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.vertices, dtype=np.float64)
-        f = np.asarray(self.faces, dtype=np.int64)
+        f = _indices(self.faces)
         if v.ndim != 2 or v.shape[1] != 3:
             raise VisualizationError(f"vertices must be (n, 3), got {v.shape}")
         if f.ndim != 2 or f.shape[1] != 3:
@@ -109,26 +131,32 @@ class TriangleMesh:
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    def face_normals(self, normalize: bool = True) -> np.ndarray:
-        """Per-face normals (right-hand rule): ``(b - a) x (c - a)`` over the
-        corners, one coordinate column at a time."""
+    def _normal_columns(self, corners: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(b - a) x (c - a)`` over the ``(3, m)`` corner rows, one
+        coordinate column at a time."""
         x, y, z = np.ascontiguousarray(self.vertices.T)
-        a, b, c = np.ascontiguousarray(self.faces.T)
+        a, b, c = corners
         ax, ay, az = x[a], y[a], z[a]
         ux, uy, uz = x[b] - ax, y[b] - ay, z[b] - az
         vx, vy, vz = x[c] - ax, y[c] - ay, z[c] - az
-        n = np.stack([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx], axis=1)
+        return uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+
+    def face_normals(self, normalize: bool = True) -> np.ndarray:
+        """Per-face normals (right-hand rule): ``(b - a) x (c - a)`` over the
+        corners, one coordinate column at a time."""
+        n = self._normal_columns(np.ascontiguousarray(self.faces.T))
         if normalize:
-            norm = np.linalg.norm(n, axis=1, keepdims=True)
+            norm = _length(*n)
             norm[norm == 0.0] = 1.0
-            n = n / norm
-        return n
+            n = [c / norm for c in n]
+        return np.stack(n, axis=1)
 
     def area(self) -> float:
         """Total surface area."""
         if self.is_empty():
             return 0.0
-        return float(0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1).sum())
+        lengths = _length(*self._normal_columns(np.ascontiguousarray(self.faces.T)))
+        return float(0.5 * lengths.sum())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """(min, max) corner of the vertex bounding box."""
@@ -151,11 +179,12 @@ class TriangleMesh:
         """Remove zero/near-zero-area triangles and repeated indices."""
         if self.is_empty():
             return self
-        f = self.faces
-        distinct = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
-        areas = 0.5 * np.linalg.norm(self.face_normals(normalize=False), axis=1)
+        corners = np.ascontiguousarray(self.faces.T)
+        a, b, c = corners
+        distinct = (a != b) & (b != c) & (a != c)
+        areas = 0.5 * _length(*self._normal_columns(corners))
         keep = distinct & (areas > min_area)
-        return TriangleMesh(self.vertices, f[keep])
+        return TriangleMesh(self.vertices, self.faces[keep])
 
     def welded(self, decimals: int = 9) -> "TriangleMesh":
         """Merge vertices that coincide after rounding to ``decimals``."""

@@ -117,6 +117,21 @@ class TestValidation:
         with pytest.raises(VisualizationError):
             marching_cubes(np.zeros((4, 4, 4)), 0.0, spacing=(1.0, 2.0))
 
+    @pytest.mark.parametrize("spacing", [
+        0.0, -1.0, np.nan, np.inf, (1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (1.0, np.nan, 1.0),
+    ])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        # 0.0 and NaN collapsed a sphere to an empty mesh, silently.
+        field, _ = sphere_field(12)
+        assert marching_cubes(field, 0.6).n_faces > 0
+        with pytest.raises(VisualizationError, match="spacing"):
+            marching_cubes(field, 0.6, spacing=spacing)
+
+    @pytest.mark.parametrize("iso", [np.nan, np.inf, -np.inf])
+    def test_iso_must_be_finite(self, iso):
+        with pytest.raises(VisualizationError, match="iso"):
+            marching_cubes(sphere_field(12)[0], iso)
+
 
 class TestWatertightProperty:
     @settings(max_examples=20, deadline=None)

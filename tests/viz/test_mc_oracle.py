@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.viz import TriangleMesh, marching_cubes, render_mesh
 from repro.viz import dual_cell, mc_tables as tables, pipelines
 from repro.viz.marching_cubes import _interp_t
+from repro.viz.mesh import _length
 
 from tests.conftest import make_sphere_hierarchy
 from tests.viz.test_render import _reference_render
@@ -188,6 +189,32 @@ class TestFaceNormalsOracle:
 
     def test_empty_mesh(self):
         assert TriangleMesh.empty().face_normals().shape == (0, 3)
+
+    @pytest.mark.parametrize("exponent", [-170, -160, -155, -150, -30, 0, 30, 150, 154, 160])
+    def test_column_length_is_the_row_norm(self, exponent):
+        # Squares of 1e±155 and beyond under- and overflow: the column
+        # sum must round, flush and saturate exactly as the row norm does.
+        rng = np.random.default_rng(exponent + 1000)
+        rows = rng.normal(size=(20_000, 3)) * 10.0 ** rng.uniform(
+            exponent - 4, exponent + 4, (20_000, 3))
+        rows[::7, rng.integers(3)] = 0.0
+        with np.errstate(over="ignore"):
+            got = _length(*np.ascontiguousarray(rows.T))
+            assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-82, 1e-78, 1e-76, 1.0, 1e76, 1e78, 1e82])
+    def test_normals_area_and_cleanup_near_under_and_overflow(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 100)
+        mesh = TriangleMesh(rng.normal(size=(60, 3)) * scale, rng.integers(0, 60, (300, 3)))
+        f = mesh.faces
+        distinct = (f[:, 0] != f[:, 1]) & (f[:, 1] != f[:, 2]) & (f[:, 0] != f[:, 2])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_normals(mesh)
+            areas = 0.5 * np.linalg.norm(_reference_face_normals(mesh, normalize=False), axis=1)
+            assert mesh.area() == float(areas.sum())
+            for min_area in (0.0, 1e-3 * scale * scale, scale * scale):
+                expected = f[distinct & (areas > min_area)]
+                assert mesh.dropped_degenerate(min_area).faces.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

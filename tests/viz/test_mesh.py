@@ -33,6 +33,21 @@ class TestConstruction:
         with pytest.raises(VisualizationError):
             TriangleMesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
 
+    @pytest.mark.parametrize("faces", [
+        [[0, 1, 1.7]], [[0.5, 1, 2]], [[0, 1, np.nan]], [[0, 1, np.inf]], [["a", "b", "c"]],
+    ])
+    def test_non_integral_faces_are_refused(self, faces):
+        # 1.7 was truncated to 1 without a word.
+        with pytest.raises(VisualizationError, match="integer"):
+            TriangleMesh(np.zeros((3, 3)), np.array(faces))
+
+    @pytest.mark.parametrize("faces", [
+        np.array([[0.0, 1.0, 2.0]]), np.array([[0, 1, 2]], dtype=np.uint8), [[0, 1, 2]],
+    ])
+    def test_integral_faces_of_any_dtype_are_kept(self, faces):
+        mesh = TriangleMesh(np.zeros((3, 3)), faces)
+        assert mesh.faces.dtype == np.int64 and mesh.faces.tolist() == [[0, 1, 2]]
+
     def test_empty(self):
         m = TriangleMesh.empty()
         assert m.is_empty()

@@ -93,6 +93,43 @@ class TestValidation:
         with pytest.raises(VisualizationError):
             render_mesh(big_quad(1.0), size=(1, 10))
 
+    @pytest.mark.parametrize("axis", [True, 1.0, "0", None])
+    def test_axis_must_be_an_integer(self, axis):
+        # True equals 1, so it passed the membership test and ended in a
+        # bare ValueError; 1.0 in an IndexError.
+        with pytest.raises(VisualizationError, match="axis"):
+            render_mesh(big_quad(1.0), axis=axis, size=(16, 16))
+
+    @pytest.mark.parametrize("size", ["ab", (4, 4, 4), (16,), 16, (16.0, 16), ("16", "16")])
+    def test_size_must_be_two_integers(self, size):
+        # "ab" was a bare ValueError; (4, 4, 4) rendered a 4x4 image.
+        with pytest.raises(VisualizationError, match="size"):
+            render_mesh(big_quad(1.0), size=size)
+
+    @pytest.mark.parametrize("light", [
+        (0, 0, 0), (np.nan, 0.6, 0.62), (np.inf, 0.0, 0.0), (1e-200, 0.0, 0.0),
+        (1.0, 1.0), (1.0, 1.0, 1.0, 1.0), "abc", None,
+    ])
+    def test_light_must_have_a_finite_nonzero_length(self, light):
+        # (0, 0, 0) painted every pixel of a face NaN.
+        with pytest.raises(VisualizationError, match="light"):
+            render_mesh(big_quad(1.0), size=(16, 16), light=light)
+
+    @pytest.mark.parametrize("ambient", [-0.1, 1.5, np.nan, "0.5", None])
+    def test_ambient_must_be_in_unit_interval(self, ambient):
+        # 1.5 made every pixel of the quad 1.5, outside the promised [0, 1].
+        with pytest.raises(VisualizationError, match="ambient"):
+            render_mesh(big_quad(1.0), size=(16, 16), ambient=ambient)
+
+    @pytest.mark.parametrize("ambient", [0, 0.0, 1, 1.0, np.float32(0.5)])
+    def test_ambient_at_the_ends_stays_in_range(self, ambient):
+        img = render_mesh(big_quad(1.0), size=(16, 16), ambient=ambient)
+        assert 0.0 <= img.min() and img.max() <= 1.0
+
+    def test_arguments_are_checked_for_an_empty_mesh_too(self):
+        with pytest.raises(VisualizationError, match="light"):
+            render_mesh(TriangleMesh.empty(), size=(16, 16), light=(0, 0, 0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bounds", [None, (np.zeros(3), np.full(3, 10.0))])
     def test_non_finite_vertex(self, bad, bounds):
