@@ -273,7 +273,7 @@ def test_scalar_table_tradeoff():
     n_symbols = 512
     alphabet = np.unique(syms)
     lengths = huffman.code_lengths(np.bincount(np.unique(syms, return_inverse=True)[1]))
-    max_len, table_sym, table_len = huffman._flat_tables(lengths, alphabet, lengths.astype(np.int64))
+    table_sym, table_len, max_len = huffman.SharedCodebook(alphabet, lengths).tables()
     t_list = _best(lambda: (table_sym.tolist(), table_len.tolist()), repeats=5)
     t_nd = _best(lambda: huffman.decode(blob), repeats=5)
     emit(

@@ -443,14 +443,16 @@ class Compressor(ABC):
         """Reconstruct a run of this codec's streams — ``out[i]`` is bit for
         bit ``decompress(blobs[i])``: parse every header, decode all
         members' codes in **one** entropy pass (:func:`decode_codes`), then
-        rebuild each array. ``shareds[i]`` is member ``i``'s
-        :class:`SharedEntropy` when its stream is grouped, else ``None``."""
+        rebuild the arrays (:meth:`_reconstruct_batch`). ``shareds[i]`` is
+        member ``i``'s :class:`SharedEntropy` when its stream is grouped,
+        else ``None``."""
         readers = [StreamReader(blob) for blob in blobs]
-        codes = self._decode_codes(readers, shareds or [None] * len(readers))
-        return [self._reconstruct(reader, c) for reader, c in zip(readers, codes)]
+        codes, cells = self._decode_codes(readers, shareds or [None] * len(readers))
+        return self._reconstruct_batch(readers, codes, cells)
 
-    def _decode_codes(self, readers: list, shareds: list) -> list:
-        """The quantization codes of parsed streams of this codec."""
+    def _decode_codes(self, readers: list, shareds: list) -> tuple[list, list]:
+        """``(codes, cells)`` of parsed streams of this codec: each member's
+        quantization codes and its :meth:`_cells`."""
         for reader, shared in zip(readers, shareds):
             if reader.codec != self.name:
                 raise DecompressionError(
@@ -465,7 +467,8 @@ class Compressor(ABC):
             None if stage == GROUPED_STAGE else reader.section("codes")
             for reader, stage in zip(readers, stages)
         ]
-        return decode_codes(sections, stages, shareds, [self._cells(r) for r in readers])
+        cells = [self._cells(r) for r in readers]
+        return decode_codes(sections, stages, shareds, cells), cells
 
     def _cells(self, reader: "StreamReader") -> int:
         """The cell count of a parsed stream after edge padding: no section
@@ -483,9 +486,17 @@ class Compressor(ABC):
             return math.prod(padded)
         raise DecompressionError("stream header records an inconsistent shape, block size or padding")
 
-    @abstractmethod
+    def _reconstruct_batch(self, readers: list, codes: list, cells: list) -> list:
+        """Rebuild the arrays of a run of parsed streams from their decoded
+        codes and :meth:`_cells`. This default is one :meth:`_reconstruct`
+        per member; :class:`~repro.compression.sz_lr.SZLR` runs the run's
+        blocks as one matrix instead."""
+        return [self._reconstruct(reader, c) for reader, c in zip(readers, codes)]
+
     def _reconstruct(self, reader: "StreamReader", codes: np.ndarray) -> np.ndarray:
-        """Rebuild the array of one parsed stream from its decoded codes."""
+        """Rebuild the array of one parsed stream from its decoded codes
+        (what the default :meth:`_reconstruct_batch` calls)."""
+        raise NotImplementedError
 
     def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
         """Compress a group of patches in one call.

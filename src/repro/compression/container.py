@@ -951,7 +951,7 @@ def _decode_entry_stream(key, codec: str, blob, shared: SharedEntropy | None = N
     """Decode one stream, attributing any codec failure to its patch."""
     try:
         return make_codec(codec).decompress_batch([blob], [shared])[0]
-    except (FormatError, CompressionError) as exc:
+    except (FormatError, CompressionError, DecompressionError) as exc:
         raise type(exc)(f"patch stream {_describe(*key)}: {exc}") from exc
 
 

@@ -53,6 +53,14 @@ streams of all the blobs a reader decodes together are lanes of one wide
 round. Only small or narrow *calls* (a lone small patch) fall back to the
 scalar loop, which wins there.
 
+A run also builds **one decode table** (:func:`_decode_table`): every
+distinct codebook of the call gets its ``2**max_len`` entries in one
+stacked array, built by one stable argsort over ``(book, length)`` and one
+:func:`numpy.repeat` — not a sort and a repeat per codebook, which on a
+run of ~60 small self-contained patches cost more than the table's lookups.
+The scalar loop's tables (:meth:`SharedCodebook.tables`) are its one-book
+case.
+
 Blob layouts
 ------------
 :func:`encode` emits, and :func:`decode` reads, the ``HUF2`` layout; any
@@ -276,25 +284,34 @@ def _canonical_codes(lengths: np.ndarray, sizes=None) -> np.ndarray:
     return codes
 
 
-def _flat_tables(lengths: np.ndarray, *columns: np.ndarray) -> tuple:
-    """Flat decode tables ``(max_len, *tables)``: every ``max_len``-bit
-    window starting with a code maps to that code's row of each of
-    ``columns`` (the symbol values, the code lengths, ...).
+def _decode_table(books: list) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked decode table of a run's codebooks, ``(table,
+    max_lens)``: book ``b`` owns ``1 << max_lens[b]`` consecutive entries,
+    and each of its ``max_len``-bit windows maps to ``row << 5 | length``
+    of the code it starts with — ``row`` indexing the books' alphabets
+    laid end to end, so any int64 alphabet fits (the decoder maps rows
+    back once, at the end). One builder for every table: the scalar loop's
+    :meth:`SharedCodebook.tables` is its one-book case.
 
-    Built without a per-entry Python loop: canonical codes sorted by
-    (length, symbol) have strictly increasing, space-tiling prefixes, so
-    a table is one :func:`numpy.repeat`. A corrupt lengths section that
-    does not tile the window space exactly is rejected here.
+    Built in one pass without a per-entry or per-book Python loop:
+    canonical codes sorted by (book, length, symbol) have strictly
+    increasing, space-tiling prefixes within each book, so the table is
+    one :func:`numpy.repeat`. A corrupt lengths section that does not tile
+    its book's window space exactly is rejected here.
     """
-    lens = np.asarray(lengths, dtype=np.int64)
-    if lens.size == 0 or (lens <= 0).any() or lens.max() > MAX_CODE_LENGTH:
+    sizes = [book.alphabet.size for book in books]
+    lens = np.concatenate([book.lengths64 for book in books])
+    if (lens <= 0).any() or lens.max() > MAX_CODE_LENGTH:
         raise DecompressionError("invalid Huffman code lengths")
-    max_len = int(lens.max())
-    order = np.argsort(lens, kind="stable")
-    spans = np.int64(1) << (max_len - lens[order])
-    if int(spans.sum()) != (1 << max_len):
+    heads = np.cumsum([0] + sizes[:-1])
+    max_lens = np.maximum.reduceat(lens, heads)
+    book = np.repeat(np.arange(len(books)), sizes)
+    spans = np.int64(1) << (max_lens[book] - lens)
+    if not np.array_equal(np.add.reduceat(spans, heads), np.int64(1) << max_lens):
         raise DecompressionError("invalid Huffman code table (not full)")
-    return (max_len, *(np.repeat(column[order], spans) for column in columns))
+    order = np.argsort(book * 32 + lens, kind="stable")
+    entries = (np.arange(lens.size) << 5) | lens
+    return np.repeat(entries[order], spans[order]), max_lens
 
 
 # ----------------------------------------------------------------------
@@ -404,19 +421,12 @@ class SharedCodebook:
 
     # -- decode side ---------------------------------------------------
     def tables(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """Flat decode tables ``(table_sym, table_len, max_len)``, cached."""
+        """The scalar loop's flat decode tables ``(table_sym, table_len,
+        max_len)`` — :func:`_decode_table` of this book alone — cached."""
         if self._tables is None:
-            max_len, *tables = _flat_tables(self.lengths, self.alphabet, self.lengths64)
-            self._tables = (*tables, max_len)
+            table, max_lens = _decode_table([self])
+            self._tables = (self.alphabet[table >> 5], table & 31, int(max_lens[0]))
         return self._tables
-
-    def fused(self) -> np.ndarray:
-        """The lockstep decoder's gather table: every ``max_len``-bit window
-        maps to ``alphabet row << 5 | code length`` — rows, not symbols, so
-        any int64 alphabet fits (the decoder maps rows back once, at the
-        end). Not cached: a decode call stacks its tables and drops them."""
-        rows = np.arange(self.alphabet.size) << 5
-        return _flat_tables(self.lengths, rows | self.lengths64)[1]
 
     def scalar_tables(self, n_symbols: int) -> tuple:
         """The scalar loop's tables as :func:`_scalar_tables` picks them, the
@@ -858,12 +868,13 @@ def _decode_streams_vector(members: list) -> list:
 
     Every interleaved stream of every member is a *lane* with a bit cursor
     into one stacked payload; a round gathers a 32-bit big-endian window
-    per lane, looks all windows up in one stacked table (each distinct
-    codebook's :meth:`SharedCodebook.fused` once, through a per-lane
-    offset, shift and mask), emits one symbol per lane and advances the
-    cursors by the code lengths. Lanes are ordered by symbol count, so the
-    active lanes of a round are a shrinking prefix; rounds fill one flat
-    buffer, from which each member's interleave is gathered at the end.
+    per lane, looks all windows up in one stacked table (every distinct
+    codebook of the run, built by one :func:`_decode_table` call, reached
+    through a per-lane offset, shift and mask), emits one symbol per lane
+    and advances the cursors by the code lengths. Lanes are ordered by
+    symbol count, so the active lanes of a round are a shrinking prefix;
+    rounds fill one flat buffer, from which each member's interleave is
+    gathered at the end.
 
     A window only *uses* its top ``7 + max_len <= 23`` bits, so reading
     past a stream's end (the next stream or member, the zero tail) never
@@ -879,11 +890,8 @@ def _decode_streams_vector(members: list) -> list:
     order = np.argsort(-counts, kind="stable")
 
     books = list({id(m[4]): m[4] for m in members}.values())
-    max_lens = np.array([int(book.lengths.max()) for book in books])
-    sizes = 1 << max_lens  # entries of each codebook's table
-    rows = np.cumsum([0] + [book.alphabet.size for book in books[:-1]])
-    table = np.concatenate([book.fused() for book in books])
-    table += np.repeat(rows << 5, sizes)
+    table, max_lens = _decode_table(books)
+    sizes = np.int64(1) << max_lens  # entries of each codebook's table
     alphabet = np.concatenate([book.alphabet for book in books])
     slot = {id(book): i for i, book in enumerate(books)}
     book_of = np.repeat([slot[id(m[4])] for m in members], Ks)[order]

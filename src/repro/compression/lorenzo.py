@@ -57,13 +57,28 @@ def lorenzo_forward(
     return out
 
 
-def lorenzo_inverse(d: np.ndarray, axes: tuple[int, ...] | None = None) -> np.ndarray:
-    """Invert :func:`lorenzo_forward` (cumulative sum per axis)."""
+def lorenzo_inverse(
+    d: np.ndarray, axes: tuple[int, ...] | None = None, overwrite: bool = False
+) -> np.ndarray:
+    """Invert :func:`lorenzo_forward` (cumulative sum per axis; ``axes``
+    and ``overwrite`` as there).
+
+    Along an axis short against the rest of the array — a block edge in a
+    stack of blocks — the sum runs as ``n - 1`` slice adds across the whole
+    stack, not as :func:`numpy.cumsum`, whose inner loop would be that
+    short axis. Integer sums are exact, so both give the same array.
+    """
     arr = np.asarray(d)
     if arr.dtype.kind not in "iu":
         raise CompressionError(f"Lorenzo inverse expects integers, got {arr.dtype}")
-    out = arr.astype(np.int64, copy=True)
+    out = arr if overwrite and arr.dtype == np.int64 else arr.astype(np.int64, copy=True)
     axis_list = list(axes) if axes is not None else list(range(out.ndim))
     for axis in reversed(axis_list):
-        np.cumsum(out, axis=axis, out=out)
+        n = out.shape[axis]
+        if n**3 < out.size:
+            view = np.moveaxis(out, axis, 0)
+            for i in range(1, n):
+                view[i] += view[i - 1]
+        else:
+            np.cumsum(out, axis=axis, out=out)
     return out

@@ -21,6 +21,11 @@ streams (``compress_batch(batch="patch")`` — byte for byte what
 bit-pack per run), and the **level-batched fused path**
 (``batch="level"``), which additionally pools a group's codes under one
 shared canonical Huffman codebook (see ``docs/architecture.md``).
+
+The decode side mirrors it: ``decompress_batch`` entropy-decodes a run of
+streams in one lockstep, then :meth:`SZLR._reconstruct_batch` stacks the
+members' blocks into one matrix per ``(block_size, ndim)`` and runs the
+inverse chain over it once; ``decompress`` is the one-member case.
 """
 
 from __future__ import annotations
@@ -323,39 +328,88 @@ class SZLR(Compressor):
     #: In this class's namespace too, where tools that rebind entry points look.
     decompress = Compressor.decompress
 
-    def _reconstruct(self, reader: StreamReader, codes: np.ndarray) -> np.ndarray:
+    def _reconstruct_batch(self, readers: list, codes: list, cells: list) -> list:
+        """The inverse kernel chain over a run's block matrix — the decode
+        side's :meth:`_kernel`. Each member's header and sections are read
+        and checked once (:meth:`_sections`); members agreeing on ``(bs,
+        ndim)`` then run one inverse Lorenzo, one scale, one coefficient
+        dequantization and one residual add over their stacked blocks, and
+        only the regression prediction (``fits``: BLAS rounds by row count)
+        and the unblockify run per member."""
+        parsed = [self._sections(*member) for member in zip(readers, codes, cells)]
+        classes: dict[tuple[int, int], list[int]] = {}
+        for i, (_, bs, ndim, *_) in enumerate(parsed):
+            classes.setdefault((bs, ndim), []).append(i)
+        out: list = [None] * len(readers)
+        for (bs, ndim), members in classes.items():
+            ebs, _, _, modes, dcs, qcoefs = zip(*(parsed[i] for i in members))
+            block_cells = bs**ndim
+            ends = np.cumsum([m.size for m in modes]).tolist()
+            eb_blocks = np.repeat(ebs, np.diff([0] + ends))
+            blocks = np.concatenate([codes[i] for i in members]).reshape(-1, block_cells)
+            lor_sel = np.concatenate(modes) == MODE_LORENZO
+            n_lor = int(np.count_nonzero(lor_sel))
+            # Each predictor's rows (a copy, unless it has them all) are
+            # rebuilt in place, float64 values over their own int64 codes,
+            # and land in the matrix's memory: a run allocates its code
+            # matrix and, when both predictors occur, one copy of it.
+            mixed = 0 < n_lor < lor_sel.size
+            lor = blocks[lor_sel] if mixed else blocks
+            res = blocks[~lor_sel] if mixed else blocks
+            if n_lor:
+                lor[:, 0] = np.concatenate(dcs)
+                stack = lor.reshape((-1,) + (bs,) * ndim)  # a view: summed in place
+                lorenzo_inverse(stack, axes=tuple(range(1, ndim + 1)), overwrite=True)
+                lor = np.multiply(lor, 2.0 * eb_blocks[lor_sel, None], out=lor.view(np.float64))
+            if n_lor < lor_sel.size:
+                res = np.multiply(res, 2.0 * eb_blocks[~lor_sel, None], out=res.view(np.float64))
+                dqcoefs = reg.dequantize_coefficients(np.concatenate(qcoefs), eb_blocks[~lor_sel], bs, ndim)
+                cuts = np.cumsum([c.shape[0] for c in qcoefs]).tolist()
+                for a, b in zip([0] + cuts, cuts):
+                    if b > a:
+                        res[a:b] += reg.predict_blocks(dqcoefs[a:b], bs, ndim)
+            out_blocks = blocks.view(np.float64)
+            if mixed:
+                out_blocks[lor_sel] = lor
+                out_blocks[~lor_sel] = res
+            for i, a, b in zip(members, [0] + ends, ends):
+                reader = readers[i]
+                arr = reg.unblockify(out_blocks[a:b], bs, tuple(reader.params["padded_shape"]), reader.shape)
+                out[i] = arr.astype(reader.dtype, copy=False)
+        return out
+
+    def _sections(self, reader: StreamReader, codes: np.ndarray, cells: int) -> tuple:
+        """One member's ``(eb, bs, ndim, modes, dc, qcoefs)``, every count
+        checked against its header and against each other: a mode per
+        block, each 0 or 1; a DC per Lorenzo block; ``1 + ndim``
+        coefficients per regression block; a code per padded cell; and a
+        finite, positive bound. Disagreeing sections are a
+        :class:`~repro.errors.DecompressionError`, never a wrong array."""
         params = reader.params
-        eb = float(params["eb"])
-        bs = int(params["block_size"])
-        shape = reader.shape
-        padded_shape = tuple(params["padded_shape"])
-        ndim = len(shape)
-        block_cells = bs**ndim
-        cells = self._cells(reader)
-
+        eb = params.get("eb")
+        if type(eb) is not float or not 0.0 < eb < np.inf:
+            raise DecompressionError(f"stream header records an invalid error bound {eb!r}")
+        bs = params["block_size"]
+        ndim = len(reader.shape)
+        n_blocks = cells // bs**ndim
         modes = np.frombuffer(decompress_bytes(reader.section("modes"), cells), dtype=np.uint8)
-        n_blocks = modes.size
+        if modes.size != n_blocks:
+            raise DecompressionError(f"modes section has {modes.size} entries, expected {n_blocks}")
+        if modes.max() > MODE_REGRESSION:
+            raise DecompressionError(f"modes section holds mode {int(modes.max())}, not 0 or 1")
+        n_lor = int(np.count_nonzero(modes == MODE_LORENZO))
         dc = unpack_ints(reader.section("dc"), cells)
-        qcoefs = unpack_ints(reader.section("coefs"), cells).reshape(-1, 1 + ndim)
-        if codes.size != n_blocks * block_cells:
+        if dc.size != n_lor:
+            raise DecompressionError(f"dc section has {dc.size} entries for {n_lor} Lorenzo block(s)")
+        qcoefs = unpack_ints(reader.section("coefs"), cells)
+        if qcoefs.size != (n_blocks - n_lor) * (1 + ndim):
             raise DecompressionError(
-                f"code stream has {codes.size} entries, expected {n_blocks * block_cells}"
+                f"coefs section has {qcoefs.size} entries for {n_blocks - n_lor} "
+                f"regression block(s) of {1 + ndim}"
             )
-        codes = codes.reshape(n_blocks, block_cells)
-
-        out_blocks = np.empty((n_blocks, block_cells), dtype=np.float64)
-        lor_sel = modes == MODE_LORENZO
-        if lor_sel.any():
-            lor_codes = codes[lor_sel].copy()
-            lor_codes[:, 0] = dc
-            q = lorenzo_inverse(lor_codes.reshape((-1,) + (bs,) * ndim), axes=tuple(range(1, ndim + 1)))
-            out_blocks[lor_sel] = q.reshape(-1, block_cells).astype(np.float64) * (2.0 * eb)
-        if (~lor_sel).any():
-            dqcoefs = reg.dequantize_coefficients(qcoefs, eb, bs, ndim)
-            preds = reg.predict_blocks(dqcoefs, bs, ndim)
-            out_blocks[~lor_sel] = preds + (2.0 * eb) * codes[~lor_sel]
-        arr = reg.unblockify(out_blocks, bs, padded_shape, shape)
-        return arr.astype(reader.dtype, copy=False)
+        if codes.size != cells:
+            raise DecompressionError(f"code stream has {codes.size} entries, expected {cells}")
+        return eb, bs, ndim, modes, dc, qcoefs.reshape(-1, 1 + ndim)
 
     # ------------------------------------------------------------------
     # Random access (paper §3.3: no dependency between blocks)
@@ -375,25 +429,17 @@ class SZLR(Compressor):
         in the group section are what keep block random access O(patch).
         """
         reader = StreamReader(blob)
-        (codes,) = self._decode_codes([reader], [shared])
-        params = reader.params
-        eb = float(params["eb"])
-        bs = int(params["block_size"])
-        ndim = len(reader.shape)
-        block_cells = bs**ndim
-        cells = self._cells(reader)
-        modes = np.frombuffer(decompress_bytes(reader.section("modes"), cells), dtype=np.uint8)
+        (codes,), (cells,) = self._decode_codes([reader], [shared])
+        eb, bs, ndim, modes, dc, qcoefs = self._sections(reader, codes, cells)
         if not 0 <= block_index < modes.size:
             raise DecompressionError(f"block index {block_index} out of range [0, {modes.size})")
+        block_cells = bs**ndim
         block_codes = codes[block_index * block_cells : (block_index + 1) * block_cells].copy()
+        rank = int(np.count_nonzero(modes[:block_index] == modes[block_index]))
         if modes[block_index] == MODE_LORENZO:
-            dc = unpack_ints(reader.section("dc"), cells)
-            rank = int(np.count_nonzero(modes[:block_index] == MODE_LORENZO))
             block_codes[0] = dc[rank]
             q = lorenzo_inverse(block_codes.reshape((bs,) * ndim))
             return q.astype(np.float64) * (2.0 * eb)
-        qcoefs = unpack_ints(reader.section("coefs"), cells).reshape(-1, 1 + ndim)
-        rank = int(np.count_nonzero(modes[:block_index] == MODE_REGRESSION))
         dq = reg.dequantize_coefficients(qcoefs[rank : rank + 1], eb, bs, ndim)
         pred = reg.predict_blocks(dq, bs, ndim)[0]
         return (pred + (2.0 * eb) * block_codes).reshape((bs,) * ndim)

@@ -190,15 +190,21 @@ class TestLockstepAgainstTheReference:
         assert widths == [45]
 
     def test_group_members_share_one_table(self, rng, monkeypatch):
+        """One table build per decode call: a group's members pass one
+        codebook once, and a run of many codebooks is still one build."""
         codes = rng.integers(-25, 25, size=(40, 512))
         book = huffman.SharedCodebook.from_symbols(codes)
         built = []
-        real = huffman._flat_tables
-        monkeypatch.setattr(huffman, "_flat_tables",
-                            lambda *a: built.append(1) or real(*a))
+        real = huffman._decode_table
+        monkeypatch.setattr(huffman, "_decode_table",
+                            lambda books: built.append(len(books)) or real(books))
         out = huffman.decode_many(huffman.encode_batch(codes, book), [book] * 40)
         assert np.array_equal(out, codes)
-        assert len(built) == 1
+        assert built == [1]
+        own = huffman.encode_many(list(codes[:20]))
+        out = huffman.decode_many(own + huffman.encode_batch(codes[20:], book), [None] * 20 + [book] * 20)
+        assert np.array_equal(out, codes)
+        assert built == [1, 21]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ import pytest
 from repro.amr.io import write_sharded_series
 from repro.compression.amr_codec import decompress_selection
 from repro.compression.container import _decode_run
-from repro.errors import FormatError
+from repro.compression.base import StreamReader
+from repro.errors import DecompressionError, FormatError
 from repro.insitu.series import SeriesReader
 from repro.parallel import WorkerPool
 from repro.serve import QueryService
@@ -45,16 +46,25 @@ def campaign(template, tmp_path):
     return tmp_path / "work" / "camp.rphm", truth
 
 
-def _flip_first_payload_bit(manifest: Path, step: int, key: tuple) -> None:
-    """Flip one bit of the first byte of one patch stream of ``step``."""
+def _flip_first_payload_bit(manifest: Path, step: int, key: tuple, at=lambda stream: 0) -> None:
+    """Flip one bit of one patch stream of ``step``: of its first byte, or
+    of the byte ``at(stream)`` names."""
     with SeriesReader.open(manifest) as campaign:
         shard = Path(campaign.shard_of(step))
     with SeriesReader.open(shard) as series:
         segment = next(e for e in series.step_entries if e.step == step)
-        entry = series.open_step(step).entry(*key)
+        step_reader = series.open_step(step)
+        entry = step_reader.entry(*key)
+        stream = bytes(step_reader.read_stream(entry))
     blob = bytearray(shard.read_bytes())
-    blob[segment.offset + entry.offset] ^= 0x01
+    blob[segment.offset + entry.offset + at(stream)] ^= 0x01
     shard.write_bytes(bytes(blob))
+
+
+def _dc_count_byte(stream: bytes) -> int:
+    """Offset of the low byte of the ``dc`` section's recorded entry count."""
+    reader = StreamReader(stream)
+    return stream.index(bytes(reader.section("dc"))) + 2
 
 
 class SpyPool:
@@ -113,6 +123,26 @@ def test_corrupt_member_of_a_run_is_named_and_no_neighbour(campaign):
             assert not svc._inflight
             # the other step is untouched and served whole
             assert len(await svc.query(steps=1, fields=FIELD, levels=LEVEL, verify=False)) == 60
+        finally:
+            svc.close()
+
+    asyncio.run(scenario())
+
+
+def test_member_whose_sections_disagree_is_named_too(campaign):
+    """Without ``verify`` a stream whose ``dc`` count disagrees with its
+    bytes reaches the codec, and its typed refusal names the member."""
+    manifest, _ = campaign
+    _flip_first_payload_bit(manifest, 0, (LEVEL, FIELD, VICTIM), at=_dc_count_byte)
+
+    async def scenario():
+        svc = QueryService(manifest, heal=False)
+        try:
+            with pytest.raises(DecompressionError) as failure:
+                await svc.query(steps=0, fields=FIELD, levels=LEVEL, verify=False)
+            message = str(failure.value)
+            assert message.startswith(f"patch stream (level={LEVEL}, field={FIELD!r}, patch={VICTIM}): ")
+            assert "integer blob of" in message
         finally:
             svc.close()
 
