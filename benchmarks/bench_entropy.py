@@ -134,16 +134,16 @@ def test_decode_speedup_64cubed(benchmark, dataset):
     symbol-for-symbol.
     """
     name, syms = dataset
-    blob_scalar = huffman.encode(syms, k_streams=1)
-    blob_kway = huffman.encode(syms, k_streams="auto")
+    blob_scalar = huffman.encode_many([syms], k_streams=1)[0]
+    blob_kway = huffman.encode_many([syms], k_streams="auto")[0]
 
-    decoded = huffman.decode(blob_kway)
+    decoded = huffman.decode_many([blob_kway])[0]
     assert np.array_equal(decoded, syms), "K-way reconstruction differs"
-    assert np.array_equal(huffman.decode(blob_scalar), syms)
+    assert np.array_equal(huffman.decode_many([blob_scalar])[0], syms)
 
-    t_scalar = _best(lambda: huffman.decode(blob_scalar))
-    benchmark(lambda: huffman.decode(blob_kway))
-    t_kway = _best(lambda: huffman.decode(blob_kway))
+    t_scalar = _best(lambda: huffman.decode_many([blob_scalar])[0])
+    benchmark(lambda: huffman.decode_many([blob_kway])[0])
+    t_kway = _best(lambda: huffman.decode_many([blob_kway])[0])
     speedup = t_scalar / t_kway
 
     perf_harness.record(
@@ -188,12 +188,12 @@ def _many_small_blobs() -> list[bytes]:
 def test_decode_speedup_many_small(benchmark):
     """One lockstep over a field's patch streams vs one decode per blob."""
     blobs = _many_small_blobs()
-    one_by_one = [huffman.decode(blob) for blob in blobs]
+    one_by_one = [huffman.decode_many([blob])[0] for blob in blobs]
     batched = huffman.decode_many(blobs)
     assert len(batched) == len(blobs) > 32
     assert all(np.array_equal(a, b) for a, b in zip(batched, one_by_one))
 
-    t_loop = _best(lambda: [huffman.decode(blob) for blob in blobs], repeats=5)
+    t_loop = _best(lambda: [huffman.decode_many([blob])[0] for blob in blobs], repeats=5)
     benchmark(lambda: huffman.decode_many(blobs))
     t_batched = _best(lambda: huffman.decode_many(blobs), repeats=5)
     speedup = t_loop / t_batched
@@ -223,14 +223,14 @@ def test_kway_throughput_sweep(dataset):
     """
     name, syms = dataset
     t_scalar = _best(
-        lambda: huffman.decode(huffman.encode(syms, k_streams=1)), repeats=1
+        lambda: huffman.decode_many([huffman.encode_many([syms], k_streams=1)[0]])[0], repeats=1
     )
     rows = []
     for k in K_SWEEP:
-        t_enc = _best(lambda: huffman.encode(syms, k_streams=k), repeats=2)
-        blob = huffman.encode(syms, k_streams=k)
-        assert np.array_equal(huffman.decode(blob), syms), f"K={k} round-trip"
-        t_dec = _best(lambda: huffman.decode(blob))
+        t_enc = _best(lambda: huffman.encode_many([syms], k_streams=k)[0], repeats=2)
+        blob = huffman.encode_many([syms], k_streams=k)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms), f"K={k} round-trip"
+        t_dec = _best(lambda: huffman.decode_many([blob])[0])
         rows.append(
             Row(
                 "HUF2",
@@ -251,10 +251,8 @@ def test_kway_throughput_sweep(dataset):
 def test_encode_decode_deterministic(dataset):
     """Same input + same K -> byte-identical blobs (container determinism)."""
     _, syms = dataset
-    assert huffman.encode(syms, k_streams=8) == huffman.encode(syms, k_streams=8)
-    assert huffman.encode(syms, k_streams="auto") == huffman.encode(
-        syms, k_streams="auto"
-    )
+    for k in (8, "auto"):
+        assert huffman.encode_many([syms], k)[0] == huffman.encode_many([syms], k)[0]
 
 
 def test_scalar_table_tradeoff():
@@ -267,15 +265,15 @@ def test_scalar_table_tradeoff():
     """
     rng = np.random.default_rng(3)
     syms = rng.integers(-2000, 2000, size=512).astype(np.int64)
-    blob = huffman.encode(syms, k_streams=1)
-    assert np.array_equal(huffman.decode(blob), syms)
+    blob = huffman.encode_many([syms], k_streams=1)[0]
+    assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
     n_symbols = 512
     alphabet = np.unique(syms)
     lengths = huffman.code_lengths(np.bincount(np.unique(syms, return_inverse=True)[1]))
     table_sym, table_len, max_len = huffman.SharedCodebook(alphabet, lengths).tables()
     t_list = _best(lambda: (table_sym.tolist(), table_len.tolist()), repeats=5)
-    t_nd = _best(lambda: huffman.decode(blob), repeats=5)
+    t_nd = _best(lambda: huffman.decode_many([blob])[0], repeats=5)
     emit(
         f"scalar-table representation (512 symbols, table 2^{max_len})",
         [

@@ -5,7 +5,6 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.patch import Patch
 from repro.amr.level import AMRLevel
 from repro.amr.hierarchy import AMRHierarchy
-from repro.amr.tagging import tag_gradient, tag_threshold, tag_fraction, dilate_tags
 from repro.amr.regrid import cluster_tags, boxes_from_mask
 from repro.amr.coverage import patch_covered_mask, level_covered_masks, exposed_fraction
 from repro.amr.uniform import flatten_to_uniform, upsample_nearest, upsample_linear
@@ -27,10 +26,6 @@ __all__ = [
     "Patch",
     "AMRLevel",
     "AMRHierarchy",
-    "tag_gradient",
-    "tag_threshold",
-    "tag_fraction",
-    "dilate_tags",
     "cluster_tags",
     "boxes_from_mask",
     "patch_covered_mask",

@@ -93,6 +93,7 @@ class Box:
             out *= s
         return out
 
+    # kept: AMReX box calculus: whether an index lies in a box
     def contains_point(self, point: Sequence[int]) -> bool:
         """Whether an index tuple lies inside this box."""
         if len(point) != self.ndim:
@@ -104,6 +105,7 @@ class Box:
         self._check_dim(other)
         return all(sl <= ol and oh <= sh for sl, ol, oh, sh in zip(self.lo, other.lo, other.hi, self.hi))
 
+    # kept: the pairwise oracle tests/amr/test_disjoint_oracle.py checks is_disjoint against
     def intersects(self, other: "Box") -> bool:
         """Whether the two boxes share at least one cell."""
         self._check_dim(other)
@@ -157,6 +159,7 @@ class Box:
             tuple(h + o for h, o in zip(self.hi, off)),
         )
 
+    # kept: AMReX box calculus: ghost-cell and buffer growth of a box
     def grow(self, n: int | Sequence[int]) -> "Box":
         """Grow (or shrink for negative ``n``) by ``n`` cells on every face."""
         g = as_tuple(n, self.ndim, "n")
@@ -165,10 +168,6 @@ class Box:
         if any(b < a for a, b in zip(lo, hi)):
             raise BoxError(f"grow({g}) empties box {self}")
         return Box(lo, hi)
-
-    def clamp(self, domain: "Box") -> "Box | None":
-        """Intersection with ``domain`` (alias with intent-revealing name)."""
-        return self.intersection(domain)
 
     # ------------------------------------------------------------------
     # Indexing helpers
@@ -199,6 +198,7 @@ class Box:
         lo2[axis] = index + 1
         return Box(self.lo, tuple(hi1)), Box(tuple(lo2), self.hi)
 
+    # kept: AMReX box calculus: tile a box into grids of at most a max size
     def chunk(self, max_shape: int | Sequence[int]) -> Iterator["Box"]:
         """Yield sub-boxes tiling this box with at most ``max_shape`` cells
         per dimension. Tiles on the high edge may be smaller."""
@@ -216,5 +216,6 @@ class Box:
         if other.ndim != self.ndim:
             raise BoxError(f"box dim mismatch: {self.ndim} vs {other.ndim}")
 
+    # kept: operator need: a readable box in tracebacks and the REPL
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Box(lo={self.lo}, hi={self.hi})"

@@ -38,14 +38,17 @@ class BoxArray:
     def __iter__(self) -> Iterator[Box]:
         return iter(self._boxes)
 
+    # kept: the sequence protocol: a box list indexes like the list it wraps
     def __getitem__(self, i: int) -> Box:
         return self._boxes[i]
 
+    # kept: the sequence protocol: two box lists compare by their boxes
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoxArray):
             return NotImplemented
         return self._boxes == other._boxes
 
+    # kept: operator need: a readable box list in tracebacks and the REPL
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BoxArray({len(self._boxes)} boxes, {self.cell_count()} cells)"
 
@@ -96,6 +99,7 @@ class BoxArray:
                 return False
         return True
 
+    # kept: AMReX box calculus: whether a box list covers an index
     def contains_point(self, point: Sequence[int]) -> bool:
         """Whether the union covers an index point."""
         return any(b.contains_point(point) for b in self._boxes)
@@ -113,6 +117,7 @@ class BoxArray:
                 out[ov.slices(window.lo)] = True
         return out
 
+    # kept: AMReX box calculus: the boxes of a list that meet a target box
     def intersecting(self, target: Box) -> "BoxArray":
         """Sub-array of boxes that intersect ``target``."""
         return BoxArray(b for b in self._boxes if b.intersects(target))
@@ -128,6 +133,7 @@ class BoxArray:
         """Coarsen every box (map to coarser index space)."""
         return BoxArray(b.coarsen(ratio) for b in self._boxes)
 
+    # kept: AMReX box calculus: grow every box of a list
     def grow(self, n: int | Sequence[int]) -> "BoxArray":
         """Grow every box by ``n`` cells per face."""
         return BoxArray(b.grow(n) for b in self._boxes)

@@ -46,6 +46,7 @@ def level_covered_masks(hierarchy: AMRHierarchy, level: int) -> list[np.ndarray]
     return [patch_covered_mask(b, fine_boxes, ratio) for b in lev.boxes]
 
 
+# kept: operator need: the share of a level that exclude_covered still stores
 def exposed_fraction(hierarchy: AMRHierarchy, level: int) -> float:
     """Fraction of ``level``'s stored cells *not* shadowed by finer data."""
     masks = level_covered_masks(hierarchy, level)

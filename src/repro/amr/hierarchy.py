@@ -177,6 +177,7 @@ class AMRHierarchy:
     # ------------------------------------------------------------------
     # Derived hierarchies
     # ------------------------------------------------------------------
+    # kept: the one non-aliasing way to derive a hierarchy's fields (ZMeshLike's decode, multi-step test campaigns)
     def map_fields(self, fn, fields: Sequence[str] | None = None) -> "AMRHierarchy":
         """New hierarchy with ``fn(level_index, field, data) -> data`` applied
         to every patch of the selected fields (all by default)."""

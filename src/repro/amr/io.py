@@ -266,6 +266,7 @@ def write_sharded_series(
     return Path(path)
 
 
+# kept: operator need: append to a series again after `recover --commit`
 def append_step(path: str | Path, hierarchy, time: float | None = None,
                 step: int | None = None, parallel: str = "serial",
                 workers: int | None = 2, durability: str = "close"):
@@ -282,6 +283,7 @@ def append_step(path: str | Path, hierarchy, time: float | None = None,
         return writer.append_step(hierarchy, time=time, step=step)
 
 
+# kept: the series door of docs/api.md, held to the series parser
 def open_series(path: str | Path, backend=None):
     """Open an ``RPH2S`` series for random access and return a
     :class:`~repro.insitu.series.SeriesReader` — ``repro.open`` held to

@@ -55,11 +55,6 @@ class CampaignCost:
         in-situ codecs overlap compute, the AMRIC argument)."""
         return self.total_compressed_bytes / (self.bandwidth_gbps * 1e9)
 
-    @property
-    def saved_bytes(self) -> float:
-        """Bytes avoided by compressing."""
-        return self.total_raw_bytes - self.total_compressed_bytes
-
 
 def campaign_cost(
     hierarchy: AMRHierarchy,

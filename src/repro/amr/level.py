@@ -88,6 +88,7 @@ class AMRLevel:
                 f"level {self.index} has no field {field!r} (have {self.field_names})"
             ) from None
 
+    # kept: derives a field (a log or a magnitude) from one a level stores
     def map_field(self, field: str, fn, name: str | None = None) -> None:
         """Store ``fn(data)`` of every patch of ``field`` as field ``name``.
 
@@ -117,11 +118,13 @@ class AMRLevel:
         """Cells stored on this level (union of boxes)."""
         return self.boxes.cell_count()
 
+    # kept: the ndim every object of the data model answers (Box, BoxArray, AMRHierarchy)
     @property
     def ndim(self) -> int:
         """Spatial dimensionality."""
         return self.boxes.ndim
 
+    # kept: operator need: a readable level in tracebacks and the REPL
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AMRLevel(index={self.index}, boxes={len(self.boxes)}, "

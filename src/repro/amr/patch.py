@@ -42,11 +42,13 @@ class Patch:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
+    # kept: builds the constant patches docs and tests assemble levels from
     @classmethod
     def full(cls, box: Box, fill: float = 0.0, dtype: np.dtype | type = np.float64) -> "Patch":
         """Patch filled with a constant."""
         return cls(box, np.full(box.shape, fill, dtype=dtype))
 
+    # kept: samples an analytic field at cell centres, for synthetic inputs
     @classmethod
     def from_function(cls, box: Box, fn, dx: Sequence[float] | float = 1.0) -> "Patch":
         """Sample ``fn(x, y, ...)`` at cell centers.
@@ -89,5 +91,6 @@ class Patch:
         """Raw payload size in bytes."""
         return int(self.data.nbytes)
 
+    # kept: operator need: a readable patch in tracebacks and the REPL
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Patch(box={self.box}, dtype={self.data.dtype})"

@@ -217,6 +217,7 @@ def _greedy_boxes(mask: np.ndarray) -> list[Box]:
     return out
 
 
+# kept: the exact decomposition of a mask, the lossless end of cluster_tags' efficiency knob
 def boxes_from_mask(mask: np.ndarray) -> BoxArray:
     """Exact disjoint box decomposition of a boolean mask (greedy runs)."""
     return BoxArray(_greedy_boxes(np.asarray(mask, dtype=bool)))

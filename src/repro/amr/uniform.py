@@ -32,6 +32,7 @@ def upsample_nearest(arr: np.ndarray, ratio: tuple[int, ...]) -> np.ndarray:
     return out
 
 
+# kept: flatten_to_uniform(method="linear") reaches it: the paper's re-sampling alternative
 def upsample_linear(arr: np.ndarray, ratio: tuple[int, ...]) -> np.ndarray:
     """Cell-centered multilinear up-sampling by integer ``ratio``.
 

@@ -73,6 +73,7 @@ def _fill_covered(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
+# kept: decompress_hierarchy(restore="average_down") reaches it: AMReX's covered-cell rule
 def average_down(hierarchy: AMRHierarchy, field: str) -> None:
     """Overwrite covered coarse cells with the conservative average of the
     overlying fine cells (AMReX ``average_down``), in place."""
@@ -153,6 +154,7 @@ class CompressedHierarchy:
             stream_groups=self.stream_groups or None,
         )
 
+    # kept: decodes an in-memory hierarchy's grouped streams (what CompressedHierarchy.frombytes returns)
     def _group_handle(self, gid: int) -> GroupHandle:
         """Parsed handle over one in-memory group section, cached (the
         shared codebook's decode tables amortize across members)."""
@@ -196,6 +198,7 @@ class CompressedHierarchy:
         arrays = _decode_selection(members, parallel, workers, pool)
         return {member[0]: arr for member, arr in zip(members, arrays)}
 
+    # kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
     @classmethod
     def frombytes(cls, raw: bytes) -> "CompressedHierarchy":
         """Parse a container produced by :meth:`tobytes`.

@@ -298,18 +298,13 @@ class CompressionStats:
     error_bound: float
     stage_seconds: Mapping[str, float]
 
+    # kept: operator need: the compression ratio of one stream (paper Table 1)
     @property
     def ratio(self) -> float:
         """Compression ratio (original / compressed)."""
         if self.compressed_bytes == 0:
             raise CompressionError("compressed size is zero")
         return self.original_bytes / self.compressed_bytes
-
-    @property
-    def bitrate(self) -> float:
-        """Bits per value, assuming float64 input."""
-        n_values = self.original_bytes / 8
-        return 8.0 * self.compressed_bytes / n_values
 
 
 class StreamWriter:
@@ -415,6 +410,7 @@ class Compressor(ABC):
     #: fused path with shared Huffman codebooks).
     supports_batch: bool = False
 
+    # kept: the abstract codec contract; every codec overrides it
     @abstractmethod
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
         """Compress ``data`` under an error bound.
@@ -493,6 +489,7 @@ class Compressor(ABC):
         blocks as one matrix instead."""
         return [self._reconstruct(reader, c) for reader, c in zip(readers, codes)]
 
+    # kept: the per-member rebuild SZInterp and ZFPLike implement
     def _reconstruct(self, reader: "StreamReader", codes: np.ndarray) -> np.ndarray:
         """Rebuild the array of one parsed stream from its decoded codes
         (what the default :meth:`_reconstruct_batch` calls)."""

@@ -308,12 +308,14 @@ class GroupHandle:
                 ) from exc
         return self._codebook
 
+    # kept: the member extent table a selection planner reads
     @property
     def extents(self) -> tuple[tuple[int, int, int], ...]:
         """The member extent table: ``(rel_offset, length, crc32)`` per
         member, offsets relative to the payload region start."""
         return tuple(self._extents)
 
+    # kept: the ranged-read planner and the service's crc check read members by extent
     def member_extent(self, member: int) -> tuple[int, int, int]:
         """One member's ``(rel_offset, length, crc32)`` extent-table row —
         what a selection planner needs to target the payload bytes without
@@ -740,6 +742,7 @@ class ContainerReader(ReaderView):
     # ------------------------------------------------------------------
     # Construction / lifecycle
     # ------------------------------------------------------------------
+    # kept: repro.open reports whether a reader serves zero-copy views
     @property
     def mapped(self) -> bool:
         """True when the reader serves zero-copy views of a byte buffer."""
@@ -802,6 +805,7 @@ class ContainerReader(ReaderView):
     # ------------------------------------------------------------------
     # Random access
     # ------------------------------------------------------------------
+    # kept: operator need: look one patch up by (level, field, patch)
     def entry(self, level: int, field: str, patch: int) -> PatchIndexEntry:
         """Look up the index entry for one patch."""
         try:
@@ -873,6 +877,7 @@ class ContainerReader(ReaderView):
             )
         return handle
 
+    # kept: materializes an in-memory CompressedHierarchy from a container
     def read_group_blob(self, gid: int):
         """One group section's full bytes (header + payloads) — used to
         materialize an in-memory :class:`CompressedHierarchy`."""
@@ -899,6 +904,7 @@ class ContainerReader(ReaderView):
         except FormatError as exc:
             raise FormatError(f"patch stream {entry.describe()}: {exc}") from exc
 
+    # kept: operator need: decode one patch by (level, field, patch)
     def read_patch(self, level: int, field: str, patch: int, verify: bool = True) -> np.ndarray:
         """Decompress a single patch identified by ``(level, field, patch)``."""
         entry = self.entry(level, field, patch)
@@ -947,6 +953,7 @@ class ContainerReader(ReaderView):
         return {e.key: arr for e, arr in zip(chosen, arrays)}
 
 
+# kept: names the patch whose stream is corrupt (input from outside the program)
 def _decode_entry_stream(key, codec: str, blob, shared: SharedEntropy | None = None) -> np.ndarray:
     """Decode one stream, attributing any codec failure to its patch."""
     try:

@@ -18,7 +18,7 @@ implements that stage:
 * vectorized bit packing on encode (byte accumulation, one histogram):
   one pass for all K streams and, through :func:`encode_many`, for a
   whole run of ragged members, each keeping its own codebook, K and
-  byte-aligned streams (:func:`encode`: one member),
+  byte-aligned streams,
 * **shared codebooks** (``HUFB`` + ``HUFS`` layouts): many small symbol
   arrays — the per-patch quantization codes of one AMR level — can be
   coded against one :class:`SharedCodebook` built from their pooled
@@ -63,10 +63,10 @@ case.
 
 Blob layouts
 ------------
-:func:`encode` emits, and :func:`decode` reads, the ``HUF2`` layout; any
-other magic is rejected with a typed error. ``HUFS`` payloads are *not*
-self-contained on purpose — they decode only through
-:func:`decode_with_codebook` with their group's ``HUFB`` codebook (see
+:func:`encode_many` emits, and :func:`decode_many` reads, the ``HUF2``
+layout; any other magic is rejected with a typed error. ``HUFS`` payloads
+are *not* self-contained on purpose — :func:`decode_many` decodes them
+only against their group's ``HUFB`` codebook (see
 the grouped-stream layout in ``docs/container_format.md``).
 """
 
@@ -86,14 +86,10 @@ __all__ = [
     "HUFS_MAGIC",
     "HuffmanAlphabetError",
     "SharedCodebook",
-    "encode",
     "encode_many",
-    "decode",
     "decode_many",
     "blob_bound",
     "encode_batch",
-    "encode_with_codebook",
-    "decode_with_codebook",
     "code_lengths",
     "resolve_k_streams",
 ]
@@ -111,7 +107,7 @@ HUF2_MAGIC = b"HUF2"
 HUFB_MAGIC = b"HUFB"
 
 #: Magic prefix of a shared-codebook payload (bitstreams only; decodes
-#: exclusively through :func:`decode_with_codebook`).
+#: only against its group's codebook).
 HUFS_MAGIC = b"HUFS"
 
 #: ``HUF2`` fixed header: magic, n_symbols (u64), k_streams (u32),
@@ -326,7 +322,7 @@ class SharedCodebook:
     construction once instead of N times. Build one with
     :meth:`from_symbols` (pooled frequencies), serialize it with
     :meth:`tobytes` (``HUFB`` layout), and pair it with
-    :func:`encode_batch` / :func:`decode_with_codebook`.
+    :func:`encode_batch` / :func:`decode_many`.
     """
 
     __slots__ = (
@@ -356,6 +352,7 @@ class SharedCodebook:
         self._tables: tuple[np.ndarray, np.ndarray, int] | None = None
         self._lists: tuple[list, list] | None = None
 
+    # kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
     @classmethod
     def from_symbols(cls, symbols: np.ndarray) -> "SharedCodebook":
         """Build a codebook from the pooled frequencies of ``symbols``
@@ -403,6 +400,7 @@ class SharedCodebook:
             self._lengths64 = self.lengths.astype(np.int64)
         return self._lengths64
 
+    # kept: refuses symbols outside the codebook when encode_batch gets no precomputed inverse
     def lookup(self, symbols: np.ndarray) -> np.ndarray:
         """Alphabet indices of ``symbols`` (any shape).
 
@@ -568,7 +566,7 @@ def encode_many(members, k_streams: int | str = "auto") -> list:
     """Huffman-encode several symbol arrays, each into its own
     self-contained ``HUF2`` blob, in one bit-packing pass.
 
-    Blob ``i`` is exactly what :func:`encode` returns for ``members[i]``
+    Blob ``i`` is exactly what a one-member call returns for ``members[i]``
     alone — own alphabet, canonical codebook, interleave width K and
     byte-aligned streams — but the code/length gathers run once over the
     run's concatenated codebooks, same-size members share one
@@ -621,17 +619,6 @@ def encode_many(members, k_streams: int | str = "auto") -> list:
     return out
 
 
-def encode(symbols: np.ndarray, k_streams: int | str = "auto") -> bytes:
-    """Huffman-encode an int64 symbol array into a self-contained ``HUF2``
-    blob — the one-member case of :func:`encode_many`. Symbol ``i`` goes
-    to stream ``i % K``: ``k_streams`` independent bitstreams sharing one
-    canonical codebook, enabling the lockstep vectorized decode."""
-    blob = encode_many([symbols], k_streams)[0]
-    if blob is None:
-        raise HuffmanAlphabetError(f"alphabet exceeds {1 << MAX_CODE_LENGTH} symbols")
-    return blob
-
-
 def encode_batch(
     codes: np.ndarray,
     codebook: SharedCodebook,
@@ -661,9 +648,9 @@ def encode_batch(
     list[bytes]
         One ``HUFS`` payload per row: ``magic b"HUFS" | n_symbols (u64) |
         k_streams (u32) | stream_bits (u64[K]) | packed bits``. Each
-        payload is exactly what :func:`encode_with_codebook` would produce
-        for that row alone — but the whole group is packed in a *single*
-        pass, which is where the fused batch throughput comes from.
+        payload is exactly what a one-row call produces for that row
+        alone — but the whole group is packed in a *single* pass, which is
+        where the fused batch throughput comes from.
     """
     mat = np.ascontiguousarray(codes, dtype=np.int64)
     if mat.ndim != 2 or mat.shape[1] == 0:
@@ -703,16 +690,6 @@ def encode_batch(
     ]
 
 
-def encode_with_codebook(
-    symbols: np.ndarray, codebook: SharedCodebook, k_streams: int | str = "auto"
-) -> bytes:
-    """Encode one symbol array against a shared codebook (``HUFS``)."""
-    syms = np.ascontiguousarray(symbols, dtype=np.int64).ravel()
-    if syms.size == 0:
-        raise CompressionError("cannot shared-codebook-encode zero symbols")
-    return encode_batch(syms[None, :], codebook, k_streams=k_streams)[0]
-
-
 # ----------------------------------------------------------------------
 # Decode
 # ----------------------------------------------------------------------
@@ -734,18 +711,6 @@ def decode_many(blobs, codebooks=None) -> list:
     return _decode_streams([_parse(blob, book) for blob, book in zip(blobs, books)])
 
 
-def decode(blob) -> np.ndarray:
-    """Inverse of :func:`encode`: :func:`decode_many` of one ``HUF2`` blob
-    (``HUFS`` payloads and any other magic are a typed error)."""
-    return decode_many([blob])[0]
-
-
-def decode_with_codebook(blob, codebook: SharedCodebook) -> np.ndarray:
-    """:func:`decode_many` of one ``HUFS`` payload of :func:`encode_batch` /
-    :func:`encode_with_codebook`, against its group's codebook."""
-    return decode_many([blob], [codebook])[0]
-
-
 def _parse(blob, codebook: SharedCodebook | None) -> tuple:
     """One blob as a member ``(n_symbols, K, stream_bits, payload,
     codebook)`` of a decode call: a ``HUF2`` blob brings its own codebook,
@@ -756,7 +721,7 @@ def _parse(blob, codebook: SharedCodebook | None) -> tuple:
         if magic == HUFS_MAGIC:
             raise DecompressionError(
                 "HUFS shared-codebook payloads carry no alphabet; decode them "
-                "with decode_with_codebook and their group's HUFB codebook"
+                "with decode_many and their group's HUFB codebook"
             )
         if magic != HUF2_MAGIC:
             raise DecompressionError(

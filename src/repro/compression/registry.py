@@ -34,6 +34,7 @@ def available_codecs() -> tuple[str, ...]:
     return tuple(sorted(_FACTORIES))
 
 
+# kept: operator need: plug a custom codec into every writer and reader by name
 def register_codec(name: str, factory: Callable[..., Compressor]) -> None:
     """Register a custom codec factory under ``name``."""
     if name in _FACTORIES:
@@ -66,6 +67,7 @@ def codec_accepts(name: str, param: str) -> bool:
     )
 
 
+# kept: operator need: whether a codec takes batch="level" without building one
 def codec_supports_batch(name: str) -> bool:
     """Whether codec ``name`` implements the level-batched fused path
     (``compress_batch`` + shared-codebook decode).

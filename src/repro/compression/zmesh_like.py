@@ -91,6 +91,7 @@ class ZMeshLike:
         eb_abs = Compressor.resolve_error_bound(flat, error_bound, mode)
         return self._backend.compress(flat, eb_abs, mode="abs")
 
+    # kept: the inverse that makes ablation_zmesh's reordering a codec, not a one-way transform
     def decompress_hierarchy(
         self, blob: bytes, template: AMRHierarchy, field: str
     ) -> AMRHierarchy:

@@ -102,6 +102,7 @@ class Overloaded(ServeError):
     wait queue are both full. ``retry_after`` (seconds, or ``None``) is
     the server's estimate of when capacity frees up."""
 
+    # kept: carries retry_after to a shed client (admission control under overload)
     def __init__(self, message: str, retry_after: float | None = None):
         super().__init__(message)
         self.retry_after = retry_after

@@ -184,6 +184,7 @@ def load_all() -> dict[str, ExperimentSpec]:
     return EXPERIMENTS
 
 
+# kept: `run <group>` and `list` resolve group names through it
 def groups() -> dict[str, tuple[str, ...]]:
     """Group name -> member experiment names (registration order)."""
     out: dict[str, tuple[str, ...]] = {}

@@ -42,15 +42,11 @@ class Table2Row:
     paper_psnr: float | None = None
     paper_ssim: float | None = None
 
+    # kept: paper Eq. 1: Table 2 reports reverse SSIM
     @property
     def r_ssim(self) -> float:
         """Reverse SSIM (paper Eq. 1)."""
         return 1.0 - self.ssim
-
-    @property
-    def paper_r_ssim(self) -> float | None:
-        """Paper's reverse SSIM for this cell, when available."""
-        return None if self.paper_ssim is None else 1.0 - self.paper_ssim
 
 
 def run_table2(

@@ -198,6 +198,7 @@ class FaultPlan:
             FaultRule(_compile_match(match), kind, nth=int(n), label=label)
         )
 
+    # kept: tools/chaossim.py's full matrix: an outage window
     def first(self, k: int, match="*", kind: str = "transient", label: str = "") -> FaultRule:
         """Fail-then-recover: the first ``k`` matching calls fail (every
         attempt — an outage window), later calls succeed."""
@@ -205,6 +206,7 @@ class FaultPlan:
             FaultRule(_compile_match(match), kind, first=int(k), label=label)
         )
 
+    # kept: tools/chaossim.py's full matrix and benchmarks/bench_serve.py: seeded random faults
     def probability(
         self, p: float, match="*", kind: str = "transient", label: str = ""
     ) -> FaultRule:
@@ -235,11 +237,13 @@ class FaultPlan:
         with self._lock:
             self._rules.clear()
 
+    # kept: operator need: list a plan's rules after a chaos run
     @property
     def rules(self) -> tuple[FaultRule, ...]:
         with self._lock:
             return tuple(self._rules)
 
+    # kept: operator need: count the faults a chaos run fired
     @property
     def fired(self) -> int:
         """Total faults fired across all rules (latency rules included)."""
@@ -253,6 +257,7 @@ class FaultPlan:
         with self._lock:
             return sum(r.fired for r in self._rules if r.latency is None)
 
+    # kept: operator need: per-rule counters of a chaos run, JSON-safe
     def stats(self) -> list[dict]:
         """Per-rule counters, JSON-safe."""
         with self._lock:
@@ -289,6 +294,7 @@ class FaultPlan:
             raise error
 
 
+# kept: every method: the read-handle protocol, so a faulty backend stands under any reader
 class _FaultyReader:
     """Read handle that consults a plan on every ``read``."""
 
@@ -315,6 +321,7 @@ class _FaultyReader:
         self._inner.close()
 
 
+# kept: every method: the write-handle protocol, so a faulty backend stands under any writer
 class _FaultyWriter:
     """Write handle that consults a plan on every ``write``.
 
@@ -357,6 +364,7 @@ class _FaultyWriter:
         self._inner.close()
 
 
+# kept: every method: the StorageBackend protocol, for the fault tests and ROADMAP item 7
 class FaultyBackend(StorageBackend):
     """Inject a :class:`FaultPlan` into any backend's read *and write* paths.
 
@@ -400,6 +408,7 @@ def _raise_task(exc: BaseException):
     raise exc
 
 
+# kept: every method: the WorkerPool protocol, for tools/chaossim.py's poisoned pools
 class FaultyPool:
     """Inject decode-task faults into a :class:`~repro.parallel.WorkerPool`.
 

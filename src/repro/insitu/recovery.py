@@ -205,6 +205,7 @@ def _recover_in_gap(
     return None
 
 
+# kept: salvages a series a killed writer left behind (input from outside the program)
 def _recover_by_inner_footer(
     src: ByteSource, pos: int, limit: int, next_step: int
 ) -> tuple[SeriesStepEntry, int] | None:
@@ -412,6 +413,7 @@ def _scan(src: ByteSource) -> RecoveryReport:
     )
 
 
+# kept: salvages a series a killed writer left behind (input from outside the program)
 def _copy_prefix(src: ByteSource, dst: str | Path, end: int, backend) -> None:
     """Copy ``src[:end]`` to ``dst`` in bounded chunks (campaign files can
     be tens of GB; recovery must not slurp them into memory)."""

@@ -143,6 +143,7 @@ class SeriesStepEntry:
     n_patches: int
     original_bytes: int
 
+    # kept: names a step in the messages of a damaged series' errors
     def describe(self) -> str:
         """Human-readable step identifier for error messages."""
         return f"(step={self.step}, time={self.time:g})"
@@ -232,6 +233,7 @@ class _SeriesView(ReaderView):
 
     step_entries: "list[SeriesStepEntry]"
 
+    # kept: operator need: a series' step count
     @property
     def n_steps(self) -> int:
         """Number of timesteps in the series."""
@@ -242,16 +244,19 @@ class _SeriesView(ReaderView):
         """Stored timestep numbers, ascending."""
         return tuple(e.step for e in self.step_entries)
 
+    # kept: operator need: a series' simulation times
     @property
     def times(self) -> tuple[float, ...]:
         """Simulation times, one per stored step."""
         return tuple(e.time for e in self.step_entries)
 
+    # kept: operator need: a series' raw size
     @property
     def original_bytes(self) -> int:
         """Uncompressed size of the stored fields across all steps."""
         return sum(e.original_bytes for e in self.step_entries)
 
+    # kept: operator need: a series' stored size
     @property
     def compressed_bytes(self) -> int:
         """Total segment size across all steps (payload + per-step indexes)."""
@@ -260,6 +265,7 @@ class _SeriesView(ReaderView):
     # ------------------------------------------------------------------
     # Random access: everything decodes through ``self.open_step``
     # ------------------------------------------------------------------
+    # kept: operator need: decode one patch of one step
     def read_patch(
         self, step: int, level: int, field: str, patch: int, verify: bool = True
     ) -> np.ndarray:
@@ -415,6 +421,7 @@ class SeriesReader(_SeriesView):
     # ------------------------------------------------------------------
     # Construction / lifecycle
     # ------------------------------------------------------------------
+    # kept: repro.open reports whether a reader serves zero-copy views
     @property
     def mapped(self) -> bool:
         """True when the reader serves zero-copy views of a byte buffer."""
@@ -496,6 +503,7 @@ class SeriesReader(_SeriesView):
         except FormatError as exc:
             raise FormatError(f"series step {e.describe()}: {exc}") from exc
 
+    # kept: operator need: check one step's CRCs without decoding it
     def verify_step(self, step: int) -> None:
         """Check a whole segment's crc32 against the timestep index.
 

@@ -225,6 +225,7 @@ def _shard_path(manifest: str | Path, basename: str) -> str:
     return os.path.join(base_dir, basename) if base_dir else basename
 
 
+# kept: finds a campaign's shards when its manifest is lost (recover_sharded)
 def _discover(backend: StorageBackend, manifest_name: str) -> tuple[list[str], list[str]]:
     """A campaign's ``(shard names, parity names)`` as the naming
     convention finds them next to the manifest, each sorted."""
@@ -482,6 +483,7 @@ class ShardedSeriesWriter:
         """Number of shard files this campaign fans out across."""
         return len(self._writers)
 
+    # kept: operator need: a campaign's step count
     @property
     def n_steps(self) -> int:
         """Steps submitted so far: in flight, sealed or failed, either mode."""
@@ -633,6 +635,7 @@ class ShardedSeriesWriter:
             )
         return rows
 
+    # kept: leaves a failed campaign in the killed-writer state recover_sharded repairs
     def abort(self) -> None:
         """Release the lane and every shard writer without finalizing. The
         manifest stays non-final — exactly the on-disk state of a killed
@@ -676,6 +679,7 @@ class ShardedRecoveryReport:
     #: Shards that could not be salvaged at all: ``(name, reason)``.
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
+    # kept: operator need: the steps a campaign holds
     @property
     def steps(self) -> tuple[int, ...]:
         """Union of salvageable step numbers across shards, ascending."""
@@ -684,6 +688,7 @@ class ShardedRecoveryReport:
             out.extend(e.step for e in report.entries)
         return tuple(sorted(out))
 
+    # kept: operator need: a per-shard summary of a campaign
     def describe(self) -> str:
         """Human-readable per-shard summary."""
         lines = [
@@ -869,6 +874,7 @@ class ShardedSeriesReader(_SeriesView):
     # ------------------------------------------------------------------
     # Metadata (the rest is :class:`~repro.insitu.series._SeriesView`)
     # ------------------------------------------------------------------
+    # kept: operator need: a campaign's shard count
     @property
     def n_shards(self) -> int:
         """Number of shard files serving this campaign."""
@@ -903,10 +909,12 @@ class ShardedSeriesReader(_SeriesView):
         """Open one timestep's embedded RPH2 segment (on its shard)."""
         return self._reader_for(step).open_step(step)
 
+    # kept: operator need: check one step's CRCs without decoding it
     def verify_step(self, step: int) -> None:
         """Check a whole segment's crc32 against its shard's index."""
         self._reader_for(step).verify_step(step)
 
+    # kept: a degraded read for library callers, who do not go through QueryService
     def select_partial(
         self, steps=None, **options
     ) -> tuple[dict[tuple[int, int, str, int], np.ndarray], list[dict]]:

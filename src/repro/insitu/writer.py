@@ -239,6 +239,7 @@ class StreamingWriter:
             ),
         )
 
+    # kept: operator need: resume a series after `recover --commit` (append_step)
     @classmethod
     def append_to(
         cls,
@@ -357,6 +358,7 @@ class StreamingWriter:
     # ------------------------------------------------------------------
     # Step protocol
     # ------------------------------------------------------------------
+    # kept: operator need: whether the writer's fsync contract still holds
     @property
     def degraded(self) -> bool:
         """True once a requested fsync could not be performed (sink has no
@@ -365,6 +367,7 @@ class StreamingWriter:
         longer holds for this writer."""
         return self._sink.degraded
 
+    # kept: operator need: the per-field bounds a writer applies
     @property
     def field_bounds(self) -> dict[str, float]:
         """Per-field error-bound overrides (empty when single-bound)."""
@@ -389,6 +392,7 @@ class StreamingWriter:
         """Timesteps recorded so far (including any resumed from disk)."""
         return len(self._steps)
 
+    # kept: operator need: the step number the next append gets
     @property
     def next_step(self) -> int:
         """Step number :meth:`begin_step` will assign by default."""
@@ -530,6 +534,7 @@ class StreamingWriter:
         self._steps.append(entry)
         return entry
 
+    # kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
     def rollback_step(self) -> None:
         """Abandon the step in flight and truncate its partial bytes.
 

@@ -146,12 +146,6 @@ class ParityStripe:
     crc32: int
     members: tuple[StripeMember, ...]
 
-    def member_for(self, shard: str, step: int) -> StripeMember | None:
-        for m in self.members:
-            if m.shard == shard and m.step == step:
-                return m
-        return None
-
 
 def pack_parity_index(
     group: int, members: Sequence[str], stripes: Sequence[ParityStripe]
@@ -269,6 +263,7 @@ class ParityReader(Closing):
     def close(self) -> None:
         self._src.close()
 
+    # kept: operator need: a parity file's name in scrub and repair reports
     @property
     def name(self) -> str:
         return self._name

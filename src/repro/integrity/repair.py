@@ -415,12 +415,14 @@ class SegmentHealer:
         self._readers: dict[str, ParityReader] = {}
         self._lock = Lock()
 
+    # kept: releases the shard readers a healer opened
     def close(self) -> None:
         with self._lock:
             for r in self._readers.values():
                 r.close()
             self._readers.clear()
 
+    # kept: operator need: whether a campaign recorded any parity
     @property
     def covers(self) -> bool:
         """True when the campaign recorded any parity at all."""
@@ -494,6 +496,7 @@ class SegmentHealer:
 
         return member, reader.reconstruct(stripe, member, read)
 
+    # kept: heals a damaged shard in place while serving (input from outside the program)
     def write_back(self, shard_name: str, member: StripeMember, blob: bytes) -> bool:
         """Best-effort in-place write of a reconstruction into the damaged
         shard file. Returns False (without raising) when the file is

@@ -69,6 +69,7 @@ class Finding:
     gid: int | None = None
     member: int | None = None
 
+    # kept: operator need: the report `scrub` prints
     def describe(self) -> str:
         where = [os.path.basename(self.file)]
         for label, v in (

@@ -1,24 +1,18 @@
-"""Quality metrics: point-wise error, PSNR, SSIM / R-SSIM, rate-distortion."""
+"""Quality metrics: point-wise error, PSNR, SSIM / R-SSIM, artifacts, spectra."""
 
-from repro.metrics.error import max_abs_error, mse, rmse, nrmse, psnr, verify_error_bound
+from repro.metrics.error import max_abs_error, mse, psnr, verify_error_bound
 from repro.metrics.ssim import ssim, ssim_map, r_ssim
-from repro.metrics.rd import RDPoint, RDCurve, rate_distortion_sweep
 from repro.metrics.artifacts import blockiness, hausdorff_distance
 from repro.metrics.spectrum import power_spectrum, spectrum_distortion
 
 __all__ = [
     "max_abs_error",
     "mse",
-    "rmse",
-    "nrmse",
     "psnr",
     "verify_error_bound",
     "ssim",
     "ssim_map",
     "r_ssim",
-    "RDPoint",
-    "RDCurve",
-    "rate_distortion_sweep",
     "blockiness",
     "hausdorff_distance",
     "power_spectrum",

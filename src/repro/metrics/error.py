@@ -12,7 +12,7 @@ import numpy as np
 from repro.errors import MetricError
 from repro.util.validation import check_array, check_same_shape
 
-__all__ = ["max_abs_error", "mse", "rmse", "nrmse", "psnr", "verify_error_bound"]
+__all__ = ["max_abs_error", "mse", "psnr", "verify_error_bound"]
 
 
 def _pair(original: np.ndarray, restored: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -33,20 +33,6 @@ def mse(original: np.ndarray, restored: np.ndarray) -> float:
     a, b = _pair(original, restored)
     diff = a - b
     return float(np.mean(diff * diff))
-
-
-def rmse(original: np.ndarray, restored: np.ndarray) -> float:
-    """Root mean squared error."""
-    return float(np.sqrt(mse(original, restored)))
-
-
-def nrmse(original: np.ndarray, restored: np.ndarray) -> float:
-    """RMSE normalized by the original value range."""
-    a, b = _pair(original, restored)
-    value_range = float(a.max() - a.min())
-    if value_range == 0.0:
-        raise MetricError("NRMSE undefined for constant original data")
-    return rmse(a, b) / value_range
 
 
 def psnr(original: np.ndarray, restored: np.ndarray) -> float:

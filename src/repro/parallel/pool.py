@@ -90,11 +90,13 @@ class WorkerPool:
         else 1."""
         return self._workers
 
+    # kept: operator need: whether a pool has been closed
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has released the executor."""
         return self._closed
 
+    # kept: QueryService rebuilds a process pool a dead worker poisoned
     @property
     def broken(self) -> bool:
         """Whether the executor can no longer run tasks (a process-pool

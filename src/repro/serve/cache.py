@@ -54,9 +54,11 @@ class ServeCache:
         self.puts = 0
         self.rejected = 0
 
+    # kept: operator need: the number of cached entries
     def __len__(self) -> int:
         return len(self._entries)
 
+    # kept: operator need: whether a key is cached
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
@@ -74,6 +76,7 @@ class ServeCache:
         self._entries.move_to_end(key)
         return entry[0]
 
+    # kept: reads an entry's charge without touching recency (cache accounting tests)
     def peek_charge(self, key: Hashable) -> int | None:
         """Charged size of an entry without touching recency (tests)."""
         entry = self._entries.get(key, _MISS)
@@ -96,6 +99,7 @@ class ServeCache:
         self._evict()
         return True
 
+    # kept: charges a catalog entry for the group header its loader parsed
     def inflate(self, key: Hashable, delta: int) -> None:
         """Grow an entry's charge in place (a catalog that just loaded a
         group header). Missing keys are a no-op — the entry may have been
@@ -107,6 +111,7 @@ class ServeCache:
         self.current_bytes += int(delta)
         self._evict()
 
+    # kept: drops an entry the service invalidated
     def pop(self, key: Hashable) -> None:
         """Drop one entry without counting an eviction (invalidation)."""
         entry = self._entries.pop(key, _MISS)

@@ -119,6 +119,7 @@ class QueryServer:
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
 
+    # kept: operator need: the server's open connections
     @property
     def connections(self) -> int:
         """Currently open client connections."""

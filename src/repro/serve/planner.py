@@ -90,6 +90,7 @@ class RangedRead:
     length: int
     extents: tuple[Extent, ...]
 
+    # kept: the end offset the coalescer merges extents by
     @property
     def end(self) -> int:
         return self.offset + self.length

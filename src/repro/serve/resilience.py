@@ -70,6 +70,7 @@ class Deadline:
     def expired(self) -> bool:
         return self._clock() >= self.at
 
+    # kept: the typed error a query past its deadline gets
     def exceeded(self, what: str = "query") -> DeadlineExceeded:
         return DeadlineExceeded(f"{what} deadline expired")
 
@@ -116,6 +117,7 @@ class AdmissionGate:
         self.peak_queued = 0
 
     # -- hints ----------------------------------------------------------
+    # kept: tells a shed client when to retry (admission control under overload)
     def retry_after(self) -> float:
         backlog = self.inflight + len(self._slot_queue) + 1
         return max(0.01, self.ewma_seconds * backlog) if self.ewma_seconds else 0.05
@@ -127,6 +129,7 @@ class AdmissionGate:
             else 0.8 * self.ewma_seconds + 0.2 * seconds
         )
 
+    # kept: queues a query while the service is at capacity
     async def _park(self, queue: deque, entry, deadline: Deadline | None) -> None:
         queue.append(entry)
         self.peak_queued = max(
@@ -152,6 +155,7 @@ class AdmissionGate:
                 raise deadline.exceeded("admission wait") from None
             raise
 
+    # kept: frees a queued query's slot when it is cancelled
     def _abandon(self, queue: deque, entry) -> None:
         """A granted waiter went away before using its grant: release."""
         if queue is self._slot_queue:
@@ -214,6 +218,7 @@ class AdmissionGate:
         await self._park(self._byte_queue, (fut, nbytes), deadline)
         return nbytes
 
+    # kept: admits an oversize query alone, so it cannot deadlock behind itself
     def _fits(self, nbytes: int) -> bool:
         if self.bytes_held + nbytes <= self.max_bytes:
             return True

@@ -294,6 +294,7 @@ class QueryService(ReaderView):
         if self._owns_pool:
             self._pool.close()
 
+    # kept: operator need: whether a service has been closed
     @property
     def closed(self) -> bool:
         return self._closed
@@ -704,6 +705,7 @@ class QueryService(ReaderView):
             )
         for step, pairs in waits.items():
 
+            # kept: waits on another query's decode without cancelling it (single flight)
             async def join(_, pairs=pairs):
                 # shield: our cancellation (deadline) must not cancel the
                 # owning query's decode out from under its other waiters.
@@ -806,6 +808,7 @@ class InProcessClient:
         self._thread.start()
         self._closed = False
 
+    # kept: the synchronous client's view of its service
     @property
     def service(self) -> QueryService:
         """The underlying service (read its ``steps``/``fields``/...)."""
@@ -816,6 +819,7 @@ class InProcessClient:
             raise ServeError("in-process client is closed")
         return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
 
+    # kept: the synchronous client's query
     def query(self, **selectors) -> dict[tuple, np.ndarray]:
         """Synchronous :meth:`QueryService.query`."""
         return self._run(self._service.query(**selectors))
@@ -824,6 +828,7 @@ class InProcessClient:
         """Synchronous :meth:`QueryService.query_info`."""
         return self._run(self._service.query_info(**selectors))
 
+    # kept: the synchronous client's plan
     def plan(self, **selectors) -> QueryPlan:
         """Synchronous :meth:`QueryService.plan`."""
         return self._run(self._service.plan(**selectors))

@@ -71,6 +71,7 @@ __all__ = [
 ]
 
 
+# kept: every method: the protocol each backend implements
 class StorageBackend:
     """Abstract byte backend: named objects with read/write/append access.
 
@@ -111,6 +112,7 @@ class StorageBackend:
         raise NotImplementedError
 
 
+# kept: every method: the StorageBackend protocol; delete and list serve recovery
 class LocalFileBackend(StorageBackend):
     """Plain local files; relative names resolve against ``root``.
 
@@ -179,6 +181,7 @@ class LocalFileBackend(StorageBackend):
         return sorted(out)
 
 
+# kept: every method: the write handle a MemoryBackend hands out
 class _MemoryFile(io.BytesIO):
     """A BytesIO whose contents publish back to the owning store.
 
@@ -206,6 +209,7 @@ class _MemoryFile(io.BytesIO):
         super().close()
 
 
+# kept: every method: the StorageBackend protocol (tests, staging, the repair CI step)
 class MemoryBackend(StorageBackend):
     """An in-process object store mapping names to immutable byte strings.
 
@@ -310,6 +314,7 @@ class _RangedReader:
         self._buf = b""
 
 
+# kept: every method: the StorageBackend protocol over a remote-like store
 class RangedBackend(StorageBackend):
     """Read-path decorator modeling an object store's ranged-GET protocol.
 

@@ -1,4 +1,4 @@
-"""Shared utilities: validation helpers, timers, deterministic RNG."""
+"""Shared utilities: validation helpers, stage timing, deterministic RNG."""
 
 from repro.util.validation import (
     check_dim,
@@ -7,7 +7,7 @@ from repro.util.validation import (
     check_same_shape,
     as_tuple,
 )
-from repro.util.timer import Timer, StageTimes
+from repro.util.timer import StageTimes
 from repro.util.rng import make_rng
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "check_array",
     "check_same_shape",
     "as_tuple",
-    "Timer",
     "StageTimes",
     "make_rng",
 ]

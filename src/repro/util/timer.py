@@ -10,30 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-__all__ = ["Timer", "StageTimes"]
-
-
-class Timer:
-    """Context-manager stopwatch.
-
-    Examples
-    --------
-    >>> with Timer() as t:
-    ...     _ = sum(range(1000))
-    >>> t.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._start = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed = time.perf_counter() - self._start
+__all__ = ["StageTimes"]
 
 
 @dataclass
@@ -49,15 +26,6 @@ class StageTimes:
     def measure(self, name: str) -> "_StageContext":
         """Return a context manager that times a block into stage ``name``."""
         return _StageContext(self, name)
-
-    @property
-    def total(self) -> float:
-        """Sum of all stage durations."""
-        return sum(self.stages.values())
-
-    def as_dict(self) -> dict[str, float]:
-        """Copy of the stage table."""
-        return dict(self.stages)
 
 
 class _StageContext:

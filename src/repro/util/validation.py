@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 
+# kept: refuses a dimensionality the data model does not support
 def check_dim(ndim: int, *, allowed: Sequence[int] = (1, 2, 3)) -> int:
     """Validate a spatial dimensionality.
 
@@ -41,6 +42,7 @@ def check_dim(ndim: int, *, allowed: Sequence[int] = (1, 2, 3)) -> int:
     return int(ndim)
 
 
+# kept: refuses a non-positive size, step or bound from a caller
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Validate that ``value`` is positive (or non-negative if not strict)."""
     if strict and not value > 0:

@@ -18,6 +18,7 @@ from repro.util.validation import check_array
 __all__ = ["apply_colormap", "write_ppm"]
 
 
+# kept: colour images of slices and volume renders (paper Figure 2 panels)
 def apply_colormap(image: np.ndarray) -> np.ndarray:
     """Map a [0, 1] grayscale image to RGB uint8 (viridis-like ramp).
 
@@ -33,6 +34,7 @@ def apply_colormap(image: np.ndarray) -> np.ndarray:
     return np.clip(np.rint(rgb * 255.0), 0, 255).astype(np.uint8)
 
 
+# kept: writes apply_colormap's RGB images (paper Figure 2 panels)
 def write_ppm(path: str | Path, rgb: np.ndarray) -> Path:
     """Write an ``(h, w, 3)`` uint8 array as binary PPM (P6)."""
     arr = np.asarray(rgb)

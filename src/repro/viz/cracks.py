@@ -89,6 +89,7 @@ class CrackReport:
     mean_gap: float
     max_gap: float
 
+    # kept: operator need: a pass/fail reading of a report under a gap tolerance
     def is_sealed(self, gap_tolerance: float) -> bool:
         """Whether level surfaces meet within ``gap_tolerance``."""
         return self.open_edge_count == 0 or self.max_gap <= gap_tolerance

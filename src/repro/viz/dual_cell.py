@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.viz.marching_cubes import marching_cubes
+from repro.viz.marching_cubes import lattice, marching_cubes
 from repro.viz.mesh import TriangleMesh
 
 __all__ = ["dual_isosurface"]
@@ -45,9 +45,6 @@ def dual_isosurface(
     lattice is shifted to the cell centers — dual-cell extraction *is*
     marching cubes on that lattice.
     """
-    if np.isscalar(spacing):
-        dx = np.array([float(spacing)] * 3)
-    else:
-        dx = np.asarray(spacing, dtype=np.float64)
-    org = np.asarray(origin, dtype=np.float64) + 0.5 * dx
+    dx, org = lattice(spacing, origin)
+    org = org + 0.5 * dx
     return marching_cubes(cells, iso, spacing=tuple(dx), origin=tuple(org))

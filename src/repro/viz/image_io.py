@@ -36,6 +36,7 @@ def write_pgm(path: str | Path, image: np.ndarray) -> Path:
     return out
 
 
+# kept: the round-trip oracle of write_pgm (tests/viz)
 def read_pgm(path: str | Path) -> np.ndarray:
     """Read a binary PGM written by :func:`write_pgm`; returns uint8."""
     raw = Path(path).read_bytes()

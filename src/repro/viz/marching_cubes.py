@@ -40,6 +40,23 @@ def _interp_t(v0: np.ndarray, v1: np.ndarray, iso: float) -> np.ndarray:
     return np.clip(t, 0.0, 1.0)
 
 
+def lattice(spacing, origin) -> tuple[np.ndarray, np.ndarray]:
+    """A grid's per-axis ``spacing`` (scalar or length 3, finite and > 0)
+    and ``origin`` (a finite length-3 vector) as float64 3-vectors."""
+    if np.isscalar(spacing):
+        dx = np.array([float(spacing)] * 3)
+    else:
+        dx = np.asarray(spacing, dtype=np.float64)
+        if dx.shape != (3,):
+            raise VisualizationError("spacing must be scalar or length 3")
+    if not (np.isfinite(dx) & (dx > 0.0)).all():
+        raise VisualizationError(f"spacing must be finite and > 0, got {spacing!r}")
+    org = np.asarray(origin, dtype=np.float64)
+    if org.shape != (3,) or not np.isfinite(org).all():
+        raise VisualizationError(f"origin must be a finite length-3 vector, got {origin!r}")
+    return dx, org
+
+
 def marching_cubes(
     field: np.ndarray,
     iso: float,
@@ -74,7 +91,8 @@ def marching_cubes(
     VisualizationError
         For a field that is not 3-D with at least 2 vertices per axis, an
         ``iso`` that is not finite, a ``spacing`` that is not finite and
-        > 0 on every axis, or a ``cell_mask`` of the wrong shape.
+        > 0 on every axis, an ``origin`` that is not a finite length-3
+        vector, or a ``cell_mask`` of the wrong shape.
     """
     arr = np.asarray(field, dtype=np.float64)
     if arr.ndim != 3:
@@ -83,15 +101,7 @@ def marching_cubes(
         raise VisualizationError(f"field shape {arr.shape} too small for marching cubes")
     if not np.isfinite(iso):
         raise VisualizationError(f"iso must be finite, got {iso!r}")
-    if np.isscalar(spacing):
-        dx = np.array([float(spacing)] * 3)
-    else:
-        dx = np.asarray(spacing, dtype=np.float64)
-        if dx.shape != (3,):
-            raise VisualizationError("spacing must be scalar or length 3")
-    if not (np.isfinite(dx) & (dx > 0.0)).all():
-        raise VisualizationError(f"spacing must be finite and > 0, got {spacing!r}")
-    org = np.asarray(origin, dtype=np.float64)
+    dx, org = lattice(spacing, origin)
     nx, ny, nz = arr.shape
     cx, cy, cz = nx - 1, ny - 1, nz - 1
 

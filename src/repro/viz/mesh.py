@@ -68,6 +68,7 @@ class TriangleMesh:
         self.faces = f
 
     # ------------------------------------------------------------------
+    # kept: the mesh of a level with no iso crossing
     @classmethod
     def empty(cls) -> "TriangleMesh":
         """Mesh with no geometry."""
@@ -108,11 +109,13 @@ class TriangleMesh:
         edges, counts = self._edge_counts()
         return edges[counts == 1]
 
+    # kept: the topology check tests/viz/test_marching_cubes.py pins marching_cubes with
     def is_closed(self) -> bool:
         """Whether every edge is shared by exactly two triangles."""
         edges, counts = self._edge_counts()
         return bool(edges.size) and bool((counts == 2).all())
 
+    # kept: the topology check tests/viz/test_marching_cubes.py pins marching_cubes with
     def euler_characteristic(self) -> int:
         """V - E + F (2 for a closed genus-0 surface)."""
         edges, _ = self._edge_counts()
@@ -151,6 +154,7 @@ class TriangleMesh:
             n = [c / norm for c in n]
         return np.stack(n, axis=1)
 
+    # kept: the surface-area check tests/viz pins marching_cubes and face normals with
     def area(self) -> float:
         """Total surface area."""
         if self.is_empty():
@@ -164,10 +168,12 @@ class TriangleMesh:
             raise VisualizationError("empty mesh has no bounds")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
+    # kept: operator need: move a mesh (multi-mesh scenes; test_render's occluder)
     def translated(self, offset: np.ndarray) -> "TriangleMesh":
         """Mesh shifted by ``offset``."""
         return TriangleMesh(self.vertices + np.asarray(offset, dtype=np.float64), self.faces.copy())
 
+    # kept: operator need: scale a mesh into another frame
     def scaled(self, factor: float | np.ndarray) -> "TriangleMesh":
         """Mesh scaled about the origin."""
         return TriangleMesh(self.vertices * np.asarray(factor, dtype=np.float64), self.faces.copy())
@@ -186,14 +192,6 @@ class TriangleMesh:
         keep = distinct & (areas > min_area)
         return TriangleMesh(self.vertices, self.faces[keep])
 
-    def welded(self, decimals: int = 9) -> "TriangleMesh":
-        """Merge vertices that coincide after rounding to ``decimals``."""
-        if self.n_vertices == 0:
-            return self
-        key = np.round(self.vertices, decimals)
-        uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-        return TriangleMesh(uniq, inverse[self.faces]).dropped_degenerate()
-
     @staticmethod
     def merge(meshes: list["TriangleMesh"]) -> "TriangleMesh":
         """Concatenate meshes (no welding across parts)."""
@@ -209,5 +207,6 @@ class TriangleMesh:
             offset += m.n_vertices
         return TriangleMesh(np.concatenate(verts), np.concatenate(faces))
 
+    # kept: operator need: a readable mesh in tracebacks and the REPL
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TriangleMesh({self.n_vertices} vertices, {self.n_faces} faces)"

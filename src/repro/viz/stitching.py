@@ -19,10 +19,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.amr.tagging import dilate_tags
 from repro.errors import VisualizationError
 
 __all__ = ["redundant_ring_mask", "stitch_contours_2d"]
+
+
+def dilate_tags(tags: np.ndarray, n: int = 1) -> np.ndarray:
+    """Grow a boolean mask by ``n`` cells per face (``n`` sweeps of
+    axis-aligned dilation; nothing wraps around an edge). ``n`` must be an
+    integer >= 0."""
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise VisualizationError(f"rings must be an integer >= 0, got {n!r}")
+    out = np.asarray(tags, dtype=bool).copy()
+    for _ in range(n):
+        grown = out.copy()
+        for axis in range(out.ndim):
+            lo = [slice(None)] * out.ndim
+            hi = [slice(None)] * out.ndim
+            lo[axis] = slice(1, None)
+            hi[axis] = slice(None, -1)
+            grown[tuple(hi)] |= out[tuple(lo)]
+            grown[tuple(lo)] |= out[tuple(hi)]
+        out = grown
+    return out
 
 
 def redundant_ring_mask(exposed: np.ndarray, covered: np.ndarray, rings: int = 1) -> np.ndarray:
@@ -36,8 +55,9 @@ def redundant_ring_mask(exposed: np.ndarray, covered: np.ndarray, rings: int = 1
         Boolean mask of coarse cells overlaid by fine data (the redundant
         region whose values patch-based AMR still stores).
     rings:
-        How many cells deep to extend into the covered region; one ring is
-        enough to overlap the fine dual grid for ratio-2 refinement.
+        How many cells deep to extend into the covered region (an integer
+        >= 0); one ring is enough to overlap the fine dual grid for ratio-2
+        refinement.
     """
     if exposed.shape != covered.shape:
         raise VisualizationError("exposed/covered mask shapes differ")

@@ -50,6 +50,7 @@ def slice_image(field: np.ndarray, axis: int = 0, index: int | None = None) -> n
     return np.take(arr, idx, axis=axis).astype(np.float64, copy=True)
 
 
+# kept: the brightest-sample projection, a third 2-D view beside slices and volume renders
 def max_intensity_projection(field: np.ndarray, axis: int = 0) -> np.ndarray:
     """Maximum-intensity projection along ``axis``."""
     arr = check_array("field", field, ndim=3)

@@ -38,7 +38,6 @@ class TestCampaignCost:
         plain = campaign_cost(h, compression_ratio=1.0)
         comp = campaign_cost(h, compression_ratio=40.0)
         assert comp.total_compressed_bytes == pytest.approx(plain.total_raw_bytes / 40.0)
-        assert comp.saved_bytes > 0.97 * plain.total_raw_bytes
 
     def test_write_time_scales_with_bandwidth(self):
         h = make_sphere_hierarchy(8)

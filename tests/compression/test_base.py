@@ -66,10 +66,9 @@ class TestResolveErrorBound:
 
 
 class TestStats:
-    def test_ratio_and_bitrate(self):
+    def test_ratio(self):
         s = CompressionStats("c", 8000, 1000, 1e-3, {})
         assert s.ratio == 8.0
-        assert s.bitrate == pytest.approx(8.0)
 
     def test_zero_compressed_rejected(self):
         with pytest.raises(CompressionError):

@@ -508,19 +508,19 @@ class TestSharedCodebookUnit:
         cb, inv = huffman.SharedCodebook.from_symbols_with_inverse(codes)
         batch = huffman.encode_batch(codes, cb, inverse=inv)
         for row, payload in zip(codes, batch):
-            assert huffman.encode_with_codebook(row, cb) == payload
-            assert np.array_equal(huffman.decode_with_codebook(payload, cb), row)
+            assert huffman.encode_batch(row[None, :], cb)[0] == payload
+            assert np.array_equal(huffman.decode_many([payload], [cb])[0], row)
 
     def test_symbols_outside_alphabet_rejected(self):
         cb = huffman.SharedCodebook.from_symbols(np.arange(16))
         with pytest.raises(CompressionError, match="outside the shared codebook"):
-            huffman.encode_with_codebook(np.array([999]), cb)
+            huffman.encode_batch(np.array([999])[None, :], cb)[0]
 
     def test_hufs_not_self_decodable(self):
         cb = huffman.SharedCodebook.from_symbols(np.arange(16))
-        payload = huffman.encode_with_codebook(np.arange(16), cb)
-        with pytest.raises(Exception, match="decode_with_codebook"):
-            huffman.decode(payload)
+        payload = huffman.encode_batch(np.arange(16)[None, :], cb)[0]
+        with pytest.raises(Exception, match="shared-codebook payloads carry no alphabet"):
+            huffman.decode_many([payload])[0]
 
     def test_corrupt_codebook_rejected(self):
         cb = huffman.SharedCodebook.from_symbols(np.arange(16))
@@ -535,7 +535,7 @@ class TestSharedCodebookUnit:
         cb = huffman.SharedCodebook.from_symbols(codes)
         for payload in huffman.encode_batch(codes, cb):
             assert np.array_equal(
-                huffman.decode_with_codebook(payload, cb), np.zeros(64, np.int64)
+                huffman.decode_many([payload], [cb])[0], np.zeros(64, np.int64)
             )
 
     def test_shared_entropy_resolves_raw_bytes(self):

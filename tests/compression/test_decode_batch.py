@@ -127,7 +127,7 @@ def ragged_runs(draw):
         if kind in books:
             book = books[kind]
             syms = rng.choice(book.alphabet, size=n)
-            blob = huffman.encode_with_codebook(syms, book, k_streams=k)
+            blob = huffman.encode_batch(syms[None, :], book, k_streams=k)[0]
         else:
             book = None
             if kind == "empty":
@@ -139,7 +139,7 @@ def ragged_runs(draw):
                 syms = rng.choice(pool, size=n)
             else:
                 syms = rng.integers(-40, 40, size=n)
-            blob = huffman.encode(syms, k_streams=k)
+            blob = huffman.encode_many([syms], k_streams=k)[0]
         blobs.append(blob)
         codebooks.append(book)
         symbols.append(np.asarray(syms, dtype=np.int64))
@@ -159,7 +159,7 @@ class TestLockstepAgainstTheReference:
         assert huffman.decode_many([]) == []
         for n, k in [(1, 1), (1, 64), (4096, 32), (4097, 32), (9000, 1024)]:
             syms = rng.integers(-7, 7, size=n)
-            (out,) = huffman.decode_many([huffman.encode(syms, k_streams=k)])
+            (out,) = huffman.decode_many([huffman.encode_many([syms], k_streams=k)[0]])
             assert np.array_equal(out, syms)
 
     def test_wide_run_really_takes_the_lockstep(self, rng, monkeypatch):
@@ -184,7 +184,7 @@ class TestLockstepAgainstTheReference:
                             lambda members: widths.append(len(members)) or real(members))
         small = [rng.integers(-30, 30, size=512) for _ in range(45)]
         long = rng.integers(-5, 5, size=100_000)
-        blobs = huffman.encode_many(small) + [huffman.encode(long, k_streams=1)]
+        blobs = huffman.encode_many(small) + [huffman.encode_many([long], k_streams=1)[0]]
         out = huffman.decode_many(blobs)
         assert_same(out, small + [long])
         assert widths == [45]
@@ -216,11 +216,11 @@ def _forgeries(layout: str):
     rng = np.random.default_rng(5)
     syms = rng.integers(-50, 50, size=9000)
     if layout == "HUF2":
-        book, blob, head = None, huffman.encode(syms, k_streams=64), 20
+        book, blob, head = None, huffman.encode_many([syms], k_streams=64)[0], 20
         (alpha,) = struct.unpack_from("<I", blob, 16)
     else:
         book = huffman.SharedCodebook.from_symbols(syms)
-        blob, head, alpha = huffman.encode_with_codebook(syms, book, k_streams=64), 16, 0
+        blob, head, alpha = huffman.encode_batch(syms[None, :], book, k_streams=64)[0], 16, 0
     table = head + 9 * alpha
 
     def patched(offset, fmt, value):
@@ -265,7 +265,7 @@ def test_forged_member_through_the_codec_stage():
     rng = np.random.default_rng(7)
     members = [rng.integers(-30, 30, size=512) for _ in range(10)]
     sections = [compress_bytes(b, "deflate", 1) for b in huffman.encode_many(members)]
-    doctored = bytearray(huffman.encode(members[3]))
+    doctored = bytearray(huffman.encode_many([members[3]])[0])
     struct.pack_into("<Q", doctored, 4, 2**40)
     sections[3] = compress_bytes(bytes(doctored), "deflate", 1)
     with pytest.raises(DecompressionError, match="symbol count"):

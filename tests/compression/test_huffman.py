@@ -52,44 +52,45 @@ class TestRoundtrip:
     def test_skewed_symbols(self, rng):
         syms = (rng.geometric(0.4, size=50_000) - 1).astype(np.int64)
         syms *= rng.choice([-1, 1], size=syms.size)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
     def test_empty(self):
-        out = huffman.decode(huffman.encode(np.empty(0, dtype=np.int64)))
+        out = huffman.decode_many([huffman.encode_many([np.empty(0, dtype=np.int64)])[0]])[0]
         assert out.size == 0
 
     def test_single_value_repeated(self):
         syms = np.full(1000, -7, dtype=np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
     def test_two_symbols(self):
         syms = np.array([0, 1, 0, 0, 1, 1, 0], dtype=np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
     def test_large_sparse_values(self):
         syms = np.array([2**40, -(2**41), 2**40, 0], dtype=np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
     def test_compresses_skewed_data(self, rng):
         syms = (rng.geometric(0.6, size=100_000) - 1).astype(np.int64)
-        blob = huffman.encode(syms)
+        blob = huffman.encode_many([syms])[0]
         assert len(blob) < syms.nbytes / 4
 
     def test_multidimensional_input_flattened(self, rng):
         syms = rng.integers(-5, 5, size=(10, 10)).astype(np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms.ravel())
+        blob = huffman.encode_many([syms])[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms.ravel())
 
 
 class TestErrors:
     def test_truncated_blob(self):
         with pytest.raises(Exception):
-            huffman.decode(b"\x01\x02")
+            huffman.decode_many([b"\x01\x02"])[0]
 
     def test_truncated_bitstream(self, rng):
         syms = rng.integers(0, 100, size=1000).astype(np.int64)
-        blob = huffman.encode(syms)
+        blob = huffman.encode_many([syms])[0]
         with pytest.raises(Exception):
-            huffman.decode(blob[: len(blob) // 2])
+            huffman.decode_many([blob[: len(blob) // 2]])[0]
 
 
 class TestProperties:
@@ -97,14 +98,14 @@ class TestProperties:
     @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=500))
     def test_roundtrip_random(self, values):
         syms = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 200), st.integers(1, 8))
     def test_roundtrip_small_alphabet(self, n, k):
         rng = np.random.default_rng(n * 31 + k)
         syms = rng.integers(0, k, size=n).astype(np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms)), syms)
+        assert np.array_equal(huffman.decode_many([huffman.encode_many([syms])[0]])[0], syms)
 
 
 # ----------------------------------------------------------------------
@@ -115,47 +116,47 @@ class TestHUF2Layout:
 
     def test_encode_emits_huf2_magic(self, rng):
         syms = rng.integers(-5, 5, size=100).astype(np.int64)
-        assert huffman.encode(syms)[:4] == huffman.HUF2_MAGIC
+        assert huffman.encode_many([syms])[0][:4] == huffman.HUF2_MAGIC
 
     def test_legacy_or_unknown_magic_is_rejected_typed(self, rng):
         """A blob without the ``HUF2`` magic — such as the headerless
         pre-HUF2 layout, which opened with a u64 symbol count — is a typed
         error naming the magic, never a guess at another layout."""
         syms = rng.integers(-5, 5, size=100).astype(np.int64)
-        blob = huffman.encode(syms, k_streams=8)
+        blob = huffman.encode_many([syms], k_streams=8)[0]
         for head in (struct.pack("<QI", 100, 10), b"HUF1", b"HUF3" + blob[4:8]):
             with pytest.raises(DecompressionError, match="magic"):
-                huffman.decode(head + blob[len(head):])
+                huffman.decode_many([head + blob[len(head):]])[0]
 
     def test_k_does_not_divide_n(self, rng):
         """Ragged final round: lanes k >= n % K decode one symbol fewer."""
         for n, k in [(7, 3), (100, 7), (4097, 64), (12345, 32)]:
             syms = rng.integers(-9, 9, size=n).astype(np.int64)
-            blob = huffman.encode(syms, k_streams=k)
-            assert np.array_equal(huffman.decode(blob), syms), (n, k)
+            blob = huffman.encode_many([syms], k_streams=k)[0]
+            assert np.array_equal(huffman.decode_many([blob])[0], syms), (n, k)
 
     def test_sparse_negative_alphabet_kway(self):
         syms = np.array(
             [2**40, -(2**41), 0, -1, 2**40, 2**40, -(2**41), 7] * 600,
             dtype=np.int64,
         )
-        blob = huffman.encode(syms, k_streams=64)
-        assert np.array_equal(huffman.decode(blob), syms)
+        blob = huffman.encode_many([syms], k_streams=64)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
     def test_single_symbol_degenerate_kway(self):
         syms = np.full(10_001, -3, dtype=np.int64)
-        blob = huffman.encode(syms, k_streams=16)
-        assert np.array_equal(huffman.decode(blob), syms)
+        blob = huffman.encode_many([syms], k_streams=16)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
     def test_empty_kway(self):
-        blob = huffman.encode(np.empty(0, dtype=np.int64), k_streams=8)
-        assert huffman.decode(blob).size == 0
+        blob = huffman.encode_many([np.empty(0, dtype=np.int64)], k_streams=8)[0]
+        assert huffman.decode_many([blob])[0].size == 0
 
     def test_vector_and_scalar_decoders_agree(self, rng):
         """The lockstep gather path and per-stream scalar path are one
         semantics: decode the same blob through both, symbol-for-symbol."""
         syms = rng.integers(-100, 100, size=20_000).astype(np.int64)
-        blob = huffman.encode(syms, k_streams=64)
+        blob = huffman.encode_many([syms], k_streams=64)[0]
         member = huffman._parse(blob, None)
         (vec,) = huffman._decode_streams_vector([member])
         scl = huffman._decode_streams_scalar(*member)
@@ -194,7 +195,8 @@ class TestHUF2Layout:
     )
     def test_roundtrip_any_alphabet_any_k(self, values, k):
         syms = np.asarray(values, dtype=np.int64)
-        assert np.array_equal(huffman.decode(huffman.encode(syms, k_streams=k)), syms)
+        blob = huffman.encode_many([syms], k_streams=k)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +218,11 @@ class _Layout:
         rng = np.random.default_rng(seed)
         syms = rng.integers(lo, hi, size=n).astype(np.int64)
         if self.name == "HUF2":
-            return huffman.encode(syms, k_streams=k), syms, huffman.decode
+            blob = huffman.encode_many([syms], k_streams=k)[0]
+            return blob, syms, lambda b: huffman.decode_many([b])[0]
         book = huffman.SharedCodebook.from_symbols(syms)
-        blob = huffman.encode_with_codebook(syms, book, k_streams=k)
-        return blob, syms, lambda b: huffman.decode_with_codebook(b, book)
+        blob = huffman.encode_batch(syms[None, :], book, k_streams=k)[0]
+        return blob, syms, lambda b: huffman.decode_many([b], [book])[0]
 
     def sections(self, blob):
         """Byte offsets of (alphabet, lengths, stream_bits, payload)."""
@@ -369,7 +372,7 @@ class TestHUF2Adversarial:
         lo, hi = sec["lengths"]
         doctored[lo:hi] = bytes([huffman.MAX_CODE_LENGTH]) * (hi - lo)
         with pytest.raises(DecompressionError):
-            huffman.decode(bytes(doctored))
+            huffman.decode_many([bytes(doctored)])[0]
 
     def test_zero_code_length_rejected(self):
         blob = _HUF2.blob()[0]
@@ -377,14 +380,14 @@ class TestHUF2Adversarial:
         doctored = bytearray(blob)
         doctored[lo] = 0
         with pytest.raises(DecompressionError):
-            huffman.decode(bytes(doctored))
+            huffman.decode_many([bytes(doctored)])[0]
 
     def test_bad_alphabet_size(self):
         blob = _HUF2.blob()[0]
         doctored = bytearray(blob)
         struct.pack_into("<I", doctored, 16, (1 << huffman.MAX_CODE_LENGTH) + 1)
         with pytest.raises(DecompressionError):
-            huffman.decode(bytes(doctored))
+            huffman.decode_many([bytes(doctored)])[0]
 
     def test_unsorted_alphabet_rejected(self):
         """The encoder writes alphabets sorted; a swapped pair would decode
@@ -394,7 +397,7 @@ class TestHUF2Adversarial:
         doctored = bytearray(blob)
         doctored[lo : lo + 16] = blob[lo + 8 : lo + 16] + blob[lo : lo + 8]
         with pytest.raises(DecompressionError, match="strictly increasing"):
-            huffman.decode(bytes(doctored))
+            huffman.decode_many([bytes(doctored)])[0]
 
 
 class TestExtremeAlphabets:
@@ -403,15 +406,15 @@ class TestExtremeAlphabets:
         must compare min/max directly or extreme symbols decode wrong."""
         lo = np.iinfo(np.int64).min
         syms = np.array([lo, 0, 1, 2] * 2000, dtype=np.int64)
-        blob = huffman.encode(syms, k_streams=64)
-        assert np.array_equal(huffman.decode(blob), syms)
+        blob = huffman.encode_many([syms], k_streams=64)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
     def test_int64_extremes_scalar_path(self):
         hi = np.iinfo(np.int64).max
         lo = np.iinfo(np.int64).min
         syms = np.array([lo, hi, 0, -1] * 50, dtype=np.int64)
-        blob = huffman.encode(syms, k_streams=4)
-        assert np.array_equal(huffman.decode(blob), syms)
+        blob = huffman.encode_many([syms], k_streams=4)[0]
+        assert np.array_equal(huffman.decode_many([blob])[0], syms)
 
 
 # ----------------------------------------------------------------------
@@ -554,15 +557,14 @@ class TestEncodeMany:
         ]
         for k in ("auto", 1, 5, 64):
             blobs = huffman.encode_many(members, k)
-            assert blobs == [huffman.encode(m, k) for m in members]
+            assert blobs == [huffman.encode_many([m], k)[0] for m in members]
             for blob, member in zip(blobs, members):
-                assert np.array_equal(huffman.decode(blob), member)
+                assert np.array_equal(huffman.decode_many([blob])[0], member)
 
     def test_oversized_alphabet_yields_none_for_that_member_only(self, rng):
         members = [rng.integers(-9, 9, 300), np.arange(70000), rng.integers(-9, 9, 300)]
         blobs = huffman.encode_many(members)
         assert blobs[1] is None
-        assert blobs[0] == huffman.encode(members[0])
-        assert blobs[2] == huffman.encode(members[2])
-        with pytest.raises(huffman.HuffmanAlphabetError):
-            huffman.encode(members[1])
+        assert blobs[0] == huffman.encode_many([members[0]])[0]
+        assert blobs[2] == huffman.encode_many([members[2]])[0]
+        assert huffman.encode_many([members[1]])[0] is None

@@ -77,7 +77,7 @@ class TestTable2:
 
     def test_paper_refs_attached(self, table2):
         assert all(r.paper_cr is not None for r in table2)
-        assert all(r.paper_r_ssim is not None for r in table2)
+        assert all(r.paper_ssim is not None for r in table2)
 
     def test_ssim_close_to_one_at_small_eb(self, table2):
         small = [r for r in table2 if r.error_bound == 1e-3]

@@ -34,6 +34,9 @@ class TestRepoDocsAreClean:
     def test_all_python_snippets_compile(self):
         assert checker.check_python_snippets(REPO_ROOT) == []
 
+    def test_every_api_index_name_is_bound_where_listed(self):
+        assert checker.check_api_names(REPO_ROOT) == []
+
     def test_main_exits_zero(self, capsys):
         assert checker.main([str(REPO_ROOT)]) == 0
         assert "0 problem(s)" in capsys.readouterr().out
@@ -78,3 +81,23 @@ class TestCheckerCatchesRot:
         (tmp_path / "doc.md").write_text("[x](gone.md)")
         assert checker.main([str(tmp_path)]) == 1
         assert "broken link" in capsys.readouterr().err
+
+    def test_stale_api_index_row_reported(self, tmp_path):
+        pkg = tmp_path / "src" / "repro" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(
+            "from repro.pkg.mod import kept\n__all__ = ['kept', 'listed']\n"
+            "def __getattr__(name):\n    if name == 'lazy':\n        return 1\n"
+        )
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "api.md").write_text(
+            "## `repro.pkg` — a package\n\n| Name | Summary |\n|---|---|\n"
+            "| `kept` / `listed` / `lazy` | bound |\n| `gone` | deleted |\n"
+            "| `Other.method` | a `gone2` in the summary is not a name |\n\n"
+            "## Prose\n\n| `free` | not under a module |\n"
+        )
+        errors = checker.check_api_names(tmp_path)
+        assert errors == [
+            "docs/api.md:6: `gone` is not bound in repro.pkg",
+            "docs/api.md:7: `Other` is not bound in repro.pkg",
+        ]

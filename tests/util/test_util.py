@@ -10,7 +10,6 @@ import pytest
 from repro.errors import ReproError
 from repro.util import (
     StageTimes,
-    Timer,
     as_tuple,
     check_array,
     check_dim,
@@ -61,19 +60,12 @@ class TestValidation:
 
 
 class TestTimers:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
     def test_stage_times_accumulate(self):
         st = StageTimes()
         st.add("a", 1.0)
         st.add("a", 0.5)
         st.add("b", 2.0)
         assert st.stages["a"] == pytest.approx(1.5)
-        assert st.total == pytest.approx(3.5)
-        assert st.as_dict() == st.stages
 
     def test_measure_context(self):
         st = StageTimes()

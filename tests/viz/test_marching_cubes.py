@@ -127,6 +127,15 @@ class TestValidation:
         with pytest.raises(VisualizationError, match="spacing"):
             marching_cubes(field, 0.6, spacing=spacing)
 
+    @pytest.mark.parametrize("origin", [
+        (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), 1.0, (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
+    ])
+    def test_origin_must_be_a_finite_3_vector(self, origin):
+        # (0, 0) was a bare NumPy broadcast error, NaN gave NaN vertices and
+        # a scalar was broadcast to all three axes, silently.
+        with pytest.raises(VisualizationError, match="origin"):
+            marching_cubes(sphere_field(5)[0], 0.6, origin=origin)
+
     @pytest.mark.parametrize("iso", [np.nan, np.inf, -np.inf])
     def test_iso_must_be_finite(self, iso):
         with pytest.raises(VisualizationError, match="iso"):

@@ -114,15 +114,6 @@ class TestCleanup:
         m = TriangleMesh(verts, faces).dropped_degenerate()
         assert m.n_faces == 1
 
-    def test_weld_merges_duplicates(self):
-        verts = np.array(
-            [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float
-        )
-        faces = np.array([[0, 1, 2], [3, 4, 5]])
-        m = TriangleMesh(verts, faces).welded()
-        assert m.n_vertices == 4
-        assert m.n_faces == 2
-
     def test_merge(self):
         a = unit_quad()
         b = unit_quad().translated([5, 0, 0])

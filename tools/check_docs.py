@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Documentation checker: intra-repo Markdown links and Python snippets.
+"""Documentation checker: intra-repo Markdown links, Python snippets and
+the names of the API index.
 
 Run from anywhere::
 
     python tools/check_docs.py [repo_root]
 
-Two checks, both zero-dependency:
+Three checks, all zero-dependency (nothing is imported or executed):
 
 1. **Link resolution** — every relative link/image target in every
    tracked ``*.md`` file must exist on disk (external ``http(s)``/
@@ -14,6 +15,11 @@ Two checks, both zero-dependency:
 2. **Python snippets** — every ```` ```python ```` fence in the Markdown
    files must at least *compile* (syntax check; nothing is executed), so
    README/docs examples cannot silently rot into syntax errors.
+3. **API index names** — in each ``## `repro.x` `` section of
+   ``docs/api.md``, every backticked name in the first column of a table
+   row must be bound at the top level of that module's source (an import,
+   ``def``, ``class``, assignment or ``__all__`` entry, or a name the
+   module's ``__getattr__`` answers), read with :mod:`ast`.
 
 Exit status 0 when clean; 1 with one line per problem otherwise. Wired
 into CI as the ``docs`` job and exercised by ``tests/test_docs.py``.
@@ -21,11 +27,14 @@ into CI as the ``docs`` job and exercised by ``tests/test_docs.py``.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
 
-__all__ = ["iter_markdown_files", "check_links", "check_python_snippets", "main"]
+__all__ = [
+    "iter_markdown_files", "check_links", "check_python_snippets", "check_api_names", "main",
+]
 
 #: Directories never scanned for Markdown.
 _SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", "node_modules", ".venv"}
@@ -90,12 +99,77 @@ def check_python_snippets(root: Path) -> list[str]:
     return errors
 
 
+#: A section of the API index that documents one module: ``## `repro.x` ...``.
+_SECTION_RE = re.compile(r"^## `(repro(?:\.\w+)*)`")
+
+#: The leading identifier of a backticked first-column entry.
+_NAME_RE = re.compile(r"`([A-Za-z_]\w*)")
+
+
+def _module_names(path: Path) -> set[str]:
+    """Names bound at the top level of a module's source, plus the string
+    constants its ``__getattr__`` compares against."""
+    names: set[str] = set()
+    body = list(ast.parse(path.read_text(encoding="utf-8")).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, (ast.If, ast.Try)):
+            body.extend(node.body + node.orelse + getattr(node, "finalbody", []))
+            body.extend(h for handler in getattr(node, "handlers", []) for h in handler.body)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            if node.name == "__getattr__":
+                names.update(c.value for c in ast.walk(node)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                names.update(c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return names
+
+
+def check_api_names(root: Path, doc: str = "docs/api.md") -> list[str]:
+    """Return one error string per name ``docs/api.md`` lists under a
+    module that the module's source does not bind."""
+    path = root / doc
+    if not path.is_file():
+        return []
+    errors, module, names = [], None, set()
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if line.startswith("## "):
+            match = _SECTION_RE.match(line)
+            module = match.group(1) if match else None
+            if module:
+                parts = module.split(".")
+                source = root / "src" / Path(*parts) / "__init__.py"
+                if not source.is_file():
+                    source = root / "src" / Path(*parts[:-1]) / f"{parts[-1]}.py"
+                if not source.is_file():
+                    errors.append(f"{doc}:{lineno}: no source for module {module}")
+                    module = None
+                else:
+                    names = _module_names(source)
+            continue
+        if module is None or not line.startswith("|"):
+            continue
+        first = line.split("|")[1]
+        for name in _NAME_RE.findall(first):
+            if name not in names:
+                errors.append(f"{doc}:{lineno}: `{name}` is not bound in {module}")
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: check the repo rooted at ``argv[0]`` (default: the
     parent of this script's directory)."""
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
-    problems = check_links(root) + check_python_snippets(root)
+    problems = check_links(root) + check_python_snippets(root) + check_api_names(root)
     for problem in problems:
         print(problem, file=sys.stderr)
     files = iter_markdown_files(root)
