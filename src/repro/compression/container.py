@@ -124,7 +124,7 @@ _VERSION = CONTAINER_VERSION
 _HEADER = struct.Struct("<4sB")
 _FOOTER = struct.Struct("<QQI8s")
 #: Fixed framing sizes, public for tools that walk raw container bytes
-#: (the series recovery scanner, crashsim).
+#: (the series recovery scanner, tools/faultsim.py).
 HEADER_SIZE = _HEADER.size
 FOOTER_SIZE = _FOOTER.size
 #: Fixed prefix of a group section: magic, n_patches (u32),

@@ -44,7 +44,7 @@ Injected errors default to :class:`~repro.errors.TransientStorageError`
 ``RuntimeError`` — the shape of a genuinely dead worker, which the
 serving layer must convert to a typed error rather than leak.
 
-``tools/chaossim.py`` sweeps plans built from these rules against an
+``tools/faultsim.py chaos`` sweeps plans built from these rules against an
 oracle over the whole serving stack; ``tests/serve/test_faults.py`` uses
 them for targeted scenarios.
 """
@@ -198,7 +198,7 @@ class FaultPlan:
             FaultRule(_compile_match(match), kind, nth=int(n), label=label)
         )
 
-    # kept: tools/chaossim.py's full matrix: an outage window
+    # kept: tools/faultsim.py's outage-window scenario: an outage window
     def first(self, k: int, match="*", kind: str = "transient", label: str = "") -> FaultRule:
         """Fail-then-recover: the first ``k`` matching calls fail (every
         attempt — an outage window), later calls succeed."""
@@ -206,7 +206,7 @@ class FaultPlan:
             FaultRule(_compile_match(match), kind, first=int(k), label=label)
         )
 
-    # kept: tools/chaossim.py's full matrix and benchmarks/bench_serve.py: seeded random faults
+    # kept: tools/faultsim.py's probability scenario and benchmarks/bench_serve.py: seeded random faults
     def probability(
         self, p: float, match="*", kind: str = "transient", label: str = ""
     ) -> FaultRule:
@@ -408,7 +408,7 @@ def _raise_task(exc: BaseException):
     raise exc
 
 
-# kept: every method: the WorkerPool protocol, for tools/chaossim.py's poisoned pools
+# kept: every method: the WorkerPool protocol, for tools/faultsim.py's poisoned pools
 class FaultyPool:
     """Inject decode-task faults into a :class:`~repro.parallel.WorkerPool`.
 

@@ -263,7 +263,7 @@ class StreamingWriter:
         between truncation and the next sealed step is exactly the
         footerless-but-fully-sealed shape crash recovery is built for, so
         a writer killed at any point during the append session loses at
-        most the step in flight (``tools/crashsim.py`` injects this as the
+        most the step in flight (``tools/faultsim.py`` injects this as the
         ``append-resume`` class).
         """
         with SeriesReader.open(path, backend=backend) as reader:

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
+
+
+def load_faultsim():
+    """``tools/faultsim.py`` as module ``faultsim``, executed once."""
+    if "faultsim" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "tools" / "faultsim.py"
+        spec = importlib.util.spec_from_file_location("faultsim", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["faultsim"] = module  # dataclasses resolves cls.__module__
+        spec.loader.exec_module(module)
+    return sys.modules["faultsim"]
 
 
 @pytest.fixture

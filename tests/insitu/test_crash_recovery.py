@@ -2,7 +2,7 @@
 
 The durability guarantee — a killed in-situ writer loses at most the step
 in flight — is proven here by damaging a finished series at every
-structurally interesting offset class (``tools/crashsim.py`` derives the
+structurally interesting offset class (``tools/faultsim.py`` derives the
 offsets from the file's real layout) and asserting, for each variant:
 
 * recovery salvages exactly the oracle's step set — every fully-sealed
@@ -21,11 +21,8 @@ Quick mode: ``REPRO_CRASH_SCALE`` < 1 (the CI crash-recovery job uses
 
 from __future__ import annotations
 
-import importlib.util
 import io
 import os
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,17 +32,13 @@ from repro.amr.io import append_step, open_series, recover_series, write_series
 from repro.compression.__main__ import main as cli_main
 from repro.errors import CompressionError, FormatError, TruncatedSeriesError
 from repro.insitu import SeriesReader, StreamingWriter, scan_segments
-from tests.conftest import make_sphere_hierarchy
+from tests.conftest import load_faultsim, make_sphere_hierarchy
 
-_TOOLS = Path(__file__).resolve().parents[2] / "tools"
-_spec = importlib.util.spec_from_file_location("crashsim", _TOOLS / "crashsim.py")
-crashsim = importlib.util.module_from_spec(_spec)
-sys.modules["crashsim"] = crashsim  # dataclasses resolves cls.__module__
-_spec.loader.exec_module(crashsim)
+faultsim = load_faultsim()
 
 SCALE = float(os.environ.get("REPRO_CRASH_SCALE", "1.0"))
-SEED = int(os.environ.get("REPRO_CRASH_SEED", str(crashsim.DEFAULT_SEED)))
-FRACS = crashsim.DEFAULT_FRACS if SCALE >= 1.0 else (0.5,)
+SEED = int(os.environ.get("REPRO_CRASH_SEED", str(faultsim.DEFAULT_SEED)))
+FRACS = faultsim.DEFAULT_FRACS if SCALE >= 1.0 else (0.5,)
 N_STEPS = 4 if SCALE >= 1.0 else 3
 
 #: Offset classes that leave the series footer intact, so a normal open
@@ -71,7 +64,7 @@ def campaign(tmp_path_factory):
 
 
 def _points(campaign):
-    return crashsim.injection_points(campaign.raw, payload_fracs=FRACS, seed=SEED)
+    return faultsim.injection_points(campaign.raw, payload_fracs=FRACS, seed=SEED)
 
 
 def _assert_bit_exact(campaign, reader, expect_steps, ctx):
@@ -102,7 +95,7 @@ class TestCrashMatrix:
         }
         for i, pt in enumerate(points):
             ctx = f"[point {i}: {pt.klass} — {pt.label}]"
-            variant = crashsim.apply(campaign.raw, pt)
+            variant = faultsim.apply(campaign.raw, pt)
 
             # The scan is the oracle check: exact survivor set, bit-exact
             # segment bytes at the original offsets.
@@ -150,7 +143,7 @@ class TestCrashMatrix:
         file byte-identical to the uninterrupted original — index builder
         and writer share one serialization."""
         last = campaign.entries[max(campaign.entries)]
-        cut = last.offset + last.length + crashsim.SEAL_SIZE
+        cut = last.offset + last.length + faultsim.SEAL_SIZE
         path = tmp_path / "boundary.rph2s"
         path.write_bytes(campaign.raw[:cut])
         assert cli_main(["recover", str(path), "--commit"]) == 0
@@ -309,7 +302,7 @@ class TestDurability:
             assert path.read_bytes() == campaign.raw[:resume_pos]
         finally:
             writer.abort()
-        # The aborted shape is exactly crashsim's append-resume class:
+        # The aborted shape is exactly faultsim's append-resume class:
         # every original step salvageable, bit-exactly.
         report = scan_segments(path)
         assert [e.step for e in report.entries] == sorted(campaign.entries)

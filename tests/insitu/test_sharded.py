@@ -9,8 +9,6 @@ in-flight step while every other shard stays bit-exact.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +42,9 @@ from repro.insitu.sharded import (
     parse_manifest,
     shard_names,
 )
-from tests.conftest import make_sphere_hierarchy
+from tests.conftest import load_faultsim, make_sphere_hierarchy
 
-_TOOLS = Path(__file__).resolve().parents[2] / "tools"
-_spec = importlib.util.spec_from_file_location("crashsim_sharded", _TOOLS / "crashsim.py")
-crashsim = importlib.util.module_from_spec(_spec)
-sys.modules["crashsim_sharded"] = crashsim
-_spec.loader.exec_module(crashsim)
+faultsim = load_faultsim()
 
 N_STEPS = 6
 N_SHARDS = 3
@@ -236,12 +230,12 @@ class TestKilledWriter:
         """Every deterministic kill: normal open refuses, recovery serves
         exactly the union oracle, survivors bit-exact, commit repairs."""
         manifest, _, ref = campaign
-        points = crashsim.sharded_injection_points(manifest)
-        assert len(points) == 2 + N_SHARDS * len(crashsim.DEFAULT_FRACS)
+        points = faultsim.sharded_injection_points(manifest)
+        assert len(points) == 2 + N_SHARDS * len(faultsim.DEFAULT_FRACS)
         assert {p.manifest for p in points} == {"nonfinal", "torn"}
         for i, pt in enumerate(points):
             ctx = f"[sharded point {i}: {pt.label}]"
-            vman = crashsim.apply_sharded(manifest, pt, tmp_path / f"v{i}")
+            vman = faultsim.apply_sharded(manifest, pt, tmp_path / f"v{i}")
             with pytest.raises(TruncatedSeriesError):
                 SeriesReader.open(vman)
             with SeriesReader.open(vman, recover=True) as reader:
@@ -267,11 +261,11 @@ class TestKilledWriter:
         write_sharded_series(manifest, _steps(6), n_shards=2, parallel="serial",
                              durability=("step", "none"))
         names = [Path(n).name for n in shard_names(str(manifest), 2)]
-        points = crashsim.sharded_injection_points(manifest)
+        points = faultsim.sharded_injection_points(manifest)
         victims = [p for p in points if p.victim == names[1]]
         assert victims, "no kill point for the durability='none' shard"
         pt = victims[0]
-        vman = crashsim.apply_sharded(manifest, pt, tmp_path / "killed")
+        vman = faultsim.apply_sharded(manifest, pt, tmp_path / "killed")
 
         report = recover_sharded(vman, commit=True)
         per_shard = {
@@ -288,9 +282,9 @@ class TestKilledWriter:
 
     def test_shard_lost_entirely_is_dropped_not_fatal(self, campaign, tmp_path):
         manifest, _, _ = campaign
-        pt = crashsim.sharded_injection_points(manifest)[0]
+        pt = faultsim.sharded_injection_points(manifest)[0]
         vdir = tmp_path / "gone"
-        vman = crashsim.apply_sharded(manifest, pt, vdir)
+        vman = faultsim.apply_sharded(manifest, pt, vdir)
         victim = shard_names(str(vman), N_SHARDS)[1]
         Path(victim).write_bytes(b"NOPE")  # shard overwritten by alien bytes
         with SeriesReader.open(vman, recover=True) as reader:
@@ -303,8 +297,8 @@ class TestKilledWriter:
 
     def test_recover_series_routes_manifests(self, campaign, tmp_path):
         manifest, _, _ = campaign
-        pt = crashsim.sharded_injection_points(manifest)[0]
-        vman = crashsim.apply_sharded(manifest, pt, tmp_path / "route")
+        pt = faultsim.sharded_injection_points(manifest)[0]
+        vman = faultsim.apply_sharded(manifest, pt, tmp_path / "route")
         report = recover_series(vman)  # dry run: nothing modified
         assert isinstance(report, ShardedRecoveryReport) and not report.intact
         with pytest.raises(TruncatedSeriesError):
@@ -331,10 +325,10 @@ class TestRecoverThroughBackend:
         if request.param == "healthy":
             return manifest.parent, tuple(range(N_STEPS))
         pt = next(
-            pt for pt in crashsim.sharded_injection_points(manifest)
+            pt for pt in faultsim.sharded_injection_points(manifest)
             if pt.victim and pt.expect_steps != tuple(range(N_STEPS))
         )
-        vman = crashsim.apply_sharded(manifest, pt, tmp_path / "killed")
+        vman = faultsim.apply_sharded(manifest, pt, tmp_path / "killed")
         return vman.parent, pt.expect_steps
 
     @staticmethod

@@ -4,8 +4,8 @@ and degraded (partial) sharded reads.
 Unit tests drive the :mod:`repro.serve.resilience` state machines with
 injected clocks; the integration tests put a real :class:`QueryService`
 under injected faults (:mod:`repro.faults`) and assert the typed-error
-and byte-identity contracts the chaos harness (``tools/chaossim.py``)
-sweeps at scale.
+and byte-identity contracts the fault simulator's chaos group
+(``tools/faultsim.py chaos``) sweeps at scale.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Every system benchmark runs in CI.
+"""Every system benchmark runs in CI, and every tool CI names exists.
 
 pytest does not collect ``bench_*.py`` in tier-1, so a bench that no CI
 job names runs nowhere and its asserts gate nothing. A paper-shape claim
@@ -26,3 +26,10 @@ def test_every_bench_named_in_ci_exists():
     named = set(re.findall(r"benchmarks/(bench_\w+\.py)", _CI.read_text()))
     assert named
     assert sorted(n for n in named if not (_ROOT / "benchmarks" / n).is_file()) == []
+
+
+def test_every_tool_named_in_ci_exists():
+    # A deleted or renamed tool must leave CI too, or the job that names it errors.
+    named = set(re.findall(r"tools/(\w+\.py)", _CI.read_text()))
+    assert named
+    assert sorted(n for n in named if not (_ROOT / "tools" / n).is_file()) == []
