@@ -151,6 +151,7 @@ class Box:
             tuple(fdiv(h, v) for h, v in zip(self.hi, r)),
         )
 
+    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/amr/test_regrid_oracle.py) shifts boxes
     def shift(self, offset: Sequence[int]) -> "Box":
         """Translate by an integer offset."""
         off = as_tuple(offset, self.ndim, "offset")
@@ -182,11 +183,12 @@ class Box:
         org = tuple(int(v) for v in origin) if origin is not None else (0,) * self.ndim
         return tuple(slice(l - o, h - o + 1) for l, o, h in zip(self.lo, org, self.hi))
 
+    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/amr/test_regrid_oracle.py) splits boxes
     def split(self, axis: int, index: int) -> tuple["Box", "Box"]:
         """Split into two boxes along ``axis`` at cell ``index``.
 
         The first box ends at ``index`` (inclusive); the second starts at
-        ``index + 1``. Used by the Berger–Rigoutsos clustering algorithm.
+        ``index + 1``.
         """
         if not (0 <= axis < self.ndim):
             raise BoxError(f"axis {axis} out of range for {self.ndim}-D box")

@@ -62,6 +62,12 @@ class BoxArray:
             raise BoxError("empty BoxArray has no dimensionality")
         return self._boxes[0].ndim
 
+    def _corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lo, hi)`` of every box as two ``(n, ndim)`` int64 arrays."""
+        lo = np.array([b.lo for b in self._boxes], dtype=np.int64)
+        hi = np.array([b.hi for b in self._boxes], dtype=np.int64)
+        return lo, hi
+
     def bounding_box(self) -> Box:
         """Smallest box containing every member box."""
         if not self._boxes:
@@ -92,8 +98,7 @@ class BoxArray:
         """
         if len(self._boxes) < 2:
             return True
-        lo = np.array([b.lo for b in self._boxes])
-        hi = np.array([b.hi for b in self._boxes])
+        lo, hi = self._corners()
         for i in range(len(lo) - 1):
             if ((lo[i + 1:] <= hi[i]) & (lo[i] <= hi[i + 1:])).all(axis=1).any():
                 return False
@@ -111,10 +116,16 @@ class BoxArray:
         that cell belongs to some box in the array.
         """
         out = np.zeros(window.shape, dtype=bool)
-        for b in self._boxes:
-            ov = b.intersection(window)
-            if ov is not None:
-                out[ov.slices(window.lo)] = True
+        if not self._boxes:
+            return out
+        # Every box's overlap with the window in one array pass, in window
+        # coordinates, half-open.
+        lo, hi = self._corners()
+        lo = np.maximum(lo, window.lo) - window.lo
+        hi = np.minimum(hi, window.hi) - window.lo + 1
+        keep = (lo < hi).all(axis=1)
+        for l, h in zip(lo[keep].tolist(), hi[keep].tolist()):
+            out[tuple(map(slice, l, h))] = True
         return out
 
     # kept: AMReX box calculus: the boxes of a list that meet a target box

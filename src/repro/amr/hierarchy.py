@@ -22,6 +22,35 @@ from repro.util.validation import as_tuple
 __all__ = ["AMRHierarchy"]
 
 
+#: Fine x coarse box pairs compared per array pass of the nesting check.
+_PAIRS_PER_PASS = 1 << 18
+
+
+def _first_unnested(fine: BoxArray, coarse: BoxArray, ratio: tuple[int, ...]) -> int | None:
+    """Index of the first fine box whose coarsened cells are not all covered
+    by ``coarse``, or None.
+
+    A level's boxes are disjoint, so a coarsened fine box is covered exactly
+    when its overlaps with the coarse boxes add up to its own cell count.
+    Fine boxes are taken in chunks so one pass holds a bounded number of
+    pairs.
+    """
+    f_lo, f_hi = fine._corners()
+    c_lo, c_hi = coarse._corners()
+    f_lo //= np.asarray(ratio)
+    f_hi //= np.asarray(ratio)
+    need = (f_hi - f_lo + 1).prod(axis=1)
+    step = max(1, _PAIRS_PER_PASS // len(c_lo))
+    for start in range(0, len(f_lo), step):
+        lo = np.maximum(f_lo[start:start + step, None], c_lo)
+        hi = np.minimum(f_hi[start:start + step, None], c_hi)
+        covered = np.clip(hi - lo + 1, 0, None).prod(axis=2).sum(axis=1)
+        short = np.flatnonzero(covered != need[start:start + step])
+        if short.size:
+            return start + int(short[0])
+    return None
+
+
 class AMRHierarchy:
     """A patch-based AMR dataset (AMReX-style).
 
@@ -62,6 +91,8 @@ class AMRHierarchy:
             if len(seq) != n_gaps:
                 raise HierarchyError(f"need {n_gaps} ref ratios, got {len(seq)}")
             ratios = [as_tuple(r, ndim, "ref_ratio") for r in seq]
+        if any(v < 1 for r in ratios for v in r):
+            raise HierarchyError(f"refinement ratios must be >= 1, got {ratios}")
         self.ref_ratios: tuple[tuple[int, ...], ...] = tuple(ratios)
         self._validate()
 
@@ -84,18 +115,17 @@ class AMRHierarchy:
         for lev_idx, (coarse, fine) in enumerate(zip(self.levels, self.levels[1:])):
             if fine.index != coarse.index + 1:
                 raise HierarchyError("level indices must be consecutive")
+            if fine.ndim != self.ndim:
+                raise HierarchyError(f"level {fine.index} is {fine.ndim}-D in a {self.ndim}-D hierarchy")
             if set(fine.field_names) != names:
                 raise HierarchyError(
                     f"level {fine.index} fields {fine.field_names} != level 0 fields {tuple(names)}"
                 )
-            ratio = self.ref_ratios[lev_idx]
-            for fbox in fine.boxes:
-                cbox = fbox.coarsen(ratio)
-                covered = coarse.boxes.mask(cbox)
-                if not covered.all():
-                    raise HierarchyError(
-                        f"fine box {fbox} (level {fine.index}) not nested in level {coarse.index}"
-                    )
+            bad = _first_unnested(fine.boxes, coarse.boxes, self.ref_ratios[lev_idx])
+            if bad is not None:
+                raise HierarchyError(
+                    f"fine box {fine.boxes[bad]} (level {fine.index}) not nested in level {coarse.index}"
+                )
 
     # ------------------------------------------------------------------
     # Basic queries

@@ -14,6 +14,7 @@ then this module:
 
 from __future__ import annotations
 
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
 from repro.amr.regrid import cluster_tags
 from repro.errors import ReproError
+from repro.util.validation import check_int
 
 __all__ = [
     "average_pool",
@@ -61,9 +63,13 @@ def calibrated_boxes(
     rectangular, tags are not), so the tagged fraction that produces the
     desired *covered* fraction is found iteratively — mirroring how one
     would tune an AMR refinement threshold to hit a storage budget.
+    ``tolerance`` is a number >= 0 and ``max_iter`` an integer >= 1.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ReproError(f"target_fraction must be in (0, 1), got {target_fraction}")
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not tolerance >= 0:
+        raise ReproError(f"tolerance must be a number >= 0, got {tolerance!r}")
+    max_iter = check_int("max_iter", max_iter, 1)
     domain = Box.from_shape(score.shape)
     lo_q, hi_q = 0.0, 1.0  # tagged-fraction bisection bracket
     best: BoxArray | None = None
@@ -77,10 +83,9 @@ def calibrated_boxes(
         if not tags.any():
             lo_q = frac
             continue
-        boxes = cluster_tags(
-            tags, efficiency=efficiency, blocking_factor=blocking_factor
-        ).clamped(domain)
-        covered = boxes.mask(domain).sum() / domain.size
+        # Clustered boxes are disjoint and inside the mask's domain.
+        boxes = cluster_tags(tags, efficiency=efficiency, blocking_factor=blocking_factor)
+        covered = sum(b.size for b in boxes) / domain.size
         err = abs(covered - target_fraction)
         if err < best_err:
             best, best_err = boxes, err
@@ -160,12 +165,14 @@ def nested_calibrated_boxes(
         tolerance=tolerance,
         blocking_factor=blocking_factor,
     )
-    pieces: list[Box] = []
-    for candidate in raw:
-        for ob in outer:
-            ov = candidate.intersection(ob)
-            if ov is not None:
-                pieces.append(ov)
+    # Every candidate x outer overlap in one array pass; ``np.nonzero`` keeps
+    # them candidate-major, the order the pieces are listed in.
+    r_lo = np.array([b.lo for b in raw])[:, None]
+    r_hi = np.array([b.hi for b in raw])[:, None]
+    lo = np.maximum(r_lo, np.array([b.lo for b in outer]))
+    hi = np.minimum(r_hi, np.array([b.hi for b in outer]))
+    hit = np.nonzero((lo <= hi).all(axis=2))
+    pieces = [Box(l, h) for l, h in zip(lo[hit].tolist(), hi[hit].tolist())]
     if not pieces:
         raise ReproError("nested calibration produced no boxes")
     return BoxArray(pieces)

@@ -3,6 +3,7 @@
 from repro.util.validation import (
     check_dim,
     check_positive,
+    check_int,
     check_array,
     check_same_shape,
     as_tuple,
@@ -13,6 +14,7 @@ from repro.util.rng import make_rng
 __all__ = [
     "check_dim",
     "check_positive",
+    "check_int",
     "check_array",
     "check_same_shape",
     "as_tuple",

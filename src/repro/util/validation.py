@@ -6,6 +6,7 @@ opaque broadcasting error deep inside a kernel.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Sequence
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.errors import ReproError
 __all__ = [
     "check_dim",
     "check_positive",
+    "check_int",
     "check_array",
     "check_same_shape",
     "as_tuple",
@@ -50,6 +52,15 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     if not strict and not value >= 0:
         raise ReproError(f"{name} must be >= 0, got {value!r}")
     return value
+
+
+def check_int(name: str, value: Any, minimum: int) -> int:
+    """Validate that ``value`` is an integer (not a bool) >= ``minimum``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise ReproError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ReproError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def check_array(

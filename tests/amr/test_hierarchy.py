@@ -57,6 +57,21 @@ class TestValidation:
         with pytest.raises(HierarchyError):
             AMRHierarchy(dom, [l0], [2])
 
+    @pytest.mark.parametrize("ratio", [0, -2, [(2, 0)]])
+    def test_ratio_below_one_rejected(self, ratio):
+        dom = Box.from_shape((4, 4))
+        l0 = _level(0, BoxArray([dom]), 1.0)
+        l1 = _level(1, BoxArray([Box((0, 0), (3, 3))]), 0.5)
+        with pytest.raises(HierarchyError, match="refinement ratios must be >= 1"):
+            AMRHierarchy(dom, [l0, l1], ratio)
+
+    def test_level_of_another_dimension_rejected(self):
+        dom = Box.from_shape((4, 4))
+        l0 = _level(0, BoxArray([dom]), 1.0)
+        l1 = _level(1, BoxArray([Box((0, 0, 0), (3, 3, 3))]), 0.5)
+        with pytest.raises(HierarchyError, match="level 1 is 3-D in a 2-D hierarchy"):
+            AMRHierarchy(dom, [l0, l1], 2)
+
     def test_empty_levels_rejected(self):
         with pytest.raises(HierarchyError):
             AMRHierarchy(Box.from_shape((4, 4)), [], 2)

@@ -114,3 +114,62 @@ class TestProperties:
         boxes = cluster_tags(tags3, blocking_factor=blocking)
         assert _covers(boxes, tags3)
         assert boxes.is_disjoint()
+
+
+class TestArgumentContract:
+    """Every argument is checked, by name, before any clustering is done."""
+
+    TAGS = np.eye(16, dtype=bool)
+
+    @pytest.mark.parametrize("value", [2.5, "4", True, 0, -4, None])
+    def test_blocking_factor(self, value):
+        with pytest.raises(ReproError, match="blocking_factor"):
+            cluster_tags(self.TAGS, blocking_factor=value)
+
+    @pytest.mark.parametrize("value", [None, 1.5, "2", False, -1])
+    def test_min_width(self, value):
+        with pytest.raises(ReproError, match="min_width"):
+            cluster_tags(self.TAGS, min_width=value)
+
+    @pytest.mark.parametrize("value", ["0.7", None, True, float("nan"), 1.5])
+    def test_efficiency(self, value):
+        with pytest.raises(ReproError, match="efficiency"):
+            cluster_tags(self.TAGS, efficiency=value)
+
+    @pytest.mark.parametrize("value", [1.5, 0, -1, True, "8"])
+    def test_max_boxes(self, value):
+        with pytest.raises(ReproError, match="max_boxes"):
+            cluster_tags(self.TAGS, max_boxes=value)
+
+    def test_numpy_integers_and_zero_min_width_accepted(self):
+        boxes = cluster_tags(self.TAGS, blocking_factor=np.int64(4), max_boxes=np.int32(8),
+                             min_width=0, efficiency=np.float32(0.5))
+        assert _covers(boxes, self.TAGS)
+        assert all(lo % 4 == 0 for b in boxes for lo in b.lo)
+
+
+class TestTagTypes:
+    def test_nan_is_not_a_tag(self):
+        with pytest.raises(ReproError, match="tags must be boolean or integer"):
+            cluster_tags(np.array([[0.0, 0.5], [2.0, np.nan]]))
+
+    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
+    @pytest.mark.parametrize("tags", [
+        np.zeros((4, 4)),
+        np.array([[True, None], [False, True]], dtype=object),
+        np.array(["a", ""]),
+    ])
+    def test_float_object_and_string_tags_rejected(self, fn, tags):
+        with pytest.raises(ReproError, match="tags must be boolean or integer"):
+            fn(tags)
+
+    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
+    def test_zero_d_tags_rejected(self, fn):
+        with pytest.raises(ReproError, match="at least one dimension"):
+            fn(np.array(True))
+
+    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
+    def test_integer_tags_are_nonzero_cells(self, fn):
+        tags = np.zeros((6, 6), dtype=np.int16)
+        tags[2:4, 1:5] = 7
+        assert list(fn(tags)) == [Box((2, 1), (3, 4))]

@@ -50,6 +50,22 @@ class TestCalibratedBoxes:
         with pytest.raises(ReproError):
             calibrated_boxes(np.zeros((8, 8)), 1.0)
 
+    @pytest.mark.parametrize("tolerance", [-0.01, float("nan"), "0.02", None, True])
+    def test_tolerance_is_a_number_at_least_zero(self, tolerance):
+        score = np.arange(512.0).reshape(8, 8, 8)
+        with pytest.raises(ReproError, match="tolerance"):
+            calibrated_boxes(score, 0.25, tolerance=tolerance)
+
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.0, True])
+    def test_max_iter_is_a_positive_integer(self, max_iter):
+        score = np.arange(512.0).reshape(8, 8, 8)
+        with pytest.raises(ReproError, match="max_iter"):
+            calibrated_boxes(score, 0.25, max_iter=max_iter)
+
+    def test_zero_tolerance_and_one_step_still_run(self):
+        score = np.arange(512.0).reshape(8, 8, 8)
+        assert len(calibrated_boxes(score, 0.25, tolerance=0.0, max_iter=1)) > 0
+
 
 class TestTwoLevelHierarchy:
     def test_assembly(self, rng):
