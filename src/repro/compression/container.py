@@ -522,9 +522,12 @@ def pack_container(
 def _normalize_selector(value, kind: str) -> set | None:
     """Turn a scalar-or-iterable selector into a set (``None`` = all).
 
-    ``field`` selectors hold strings; ``level``/``patch`` selectors hold
-    ints. Anything else is a caller error worth naming, not a downstream
-    TypeError.
+    ``field`` selectors hold strings; ``step``/``level``/``patch``
+    selectors hold integers — ints, NumPy integers, or floats with an
+    integral finite value — and nothing is coerced: a bool, a fractional
+    or non-finite number, a bool array or anything else is a
+    :class:`~repro.errors.CompressionError` naming the selector, never a
+    rounded index or a downstream ``TypeError`` / ``OverflowError``.
     """
     if value is None:
         return None
@@ -541,27 +544,53 @@ def _normalize_selector(value, kind: str) -> set | None:
                 "iterable of names, or None"
             )
         return items
-    if isinstance(value, (int, np.integer)):
-        return {int(value)}
-    if isinstance(value, str):
+    if isinstance(value, (int, float, np.number, np.bool_)):
+        return {_selector_int(value, value, kind)}
+    try:
+        items = None if isinstance(value, (str, bytes)) else tuple(value)
+    except TypeError:
+        items = None
+    if items is None:
         raise CompressionError(
             f"invalid {kind} selector {value!r}: pass an int, an iterable of "
             "ints, or None"
         )
-    try:
-        return {int(v) for v in value}
-    except (TypeError, ValueError):
-        raise CompressionError(
-            f"invalid {kind} selector {value!r}: pass an int, an iterable of "
-            "ints, or None"
-        ) from None
+    if set(map(type, items)) <= {int}:  # plain ints, the common case: one pass
+        return set(items)
+    return {_selector_int(v, value, kind) for v in items}
+
+
+def _selector_int(v, value, kind: str) -> int:
+    """One item of an integer selector ``value``, exactly as given."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if (
+        isinstance(v, (float, np.floating))
+        and np.isfinite(v)
+        and float(v).is_integer()
+    ):
+        return int(v)
+    raise CompressionError(
+        f"invalid {kind} selector {value!r}: {v!r} is not an integer; pass "
+        "an int, an iterable of ints, or None"
+    )
+
+
+def _selection(levels, fields, patches) -> tuple[set | None, set | None, set | None]:
+    """The three patch selectors, validated, as the sets
+    :meth:`ContainerReader.lookup` takes."""
+    return (
+        _normalize_selector(levels, "level"),
+        _normalize_selector(fields, "field"),
+        _normalize_selector(patches, "patch"),
+    )
 
 
 def _key_filter(levels, fields, patches):
     """The three patch selectors (validated here) as one predicate over
-    ``(level, field, patch)`` keys."""
-    wants = [_normalize_selector(s, kind)
-             for s, kind in ((levels, "level"), (fields, "field"), (patches, "patch"))]
+    ``(level, field, patch)`` keys — for in-memory streams, which have no
+    catalog to look up."""
+    wants = _selection(levels, fields, patches)
     return lambda key: all(want is None or k in want for want, k in zip(wants, key))
 
 
@@ -713,7 +742,16 @@ class ContainerReader(ReaderView):
                 raise FormatError(f"group {g.gid} section too short")
             if g.offset < _HEADER.size or g.offset + g.length > self._payload_end:
                 raise FormatError(f"group {g.gid} section points outside the payload")
-        for e in self.entries:
+        # The selection lookup (:meth:`lookup`): the catalog cut into runs of
+        # consecutive entries that share a (level, field) and repeat no
+        # patch, each a patch -> catalog position map in catalog order.
+        runs: list[tuple[int, str, dict[int, int]]] = []
+        where: dict[int, int] = {}
+        for i, e in enumerate(self.entries):
+            if not runs or runs[-1][0] != e.level or runs[-1][1] != e.field or e.patch in where:
+                where = {}
+                runs.append((e.level, e.field, where))
+            where[e.patch] = i
             if not 0 <= e.level < n_levels:
                 raise FormatError(
                     f"index entry {e.describe()} has out-of-range level "
@@ -736,6 +774,7 @@ class ContainerReader(ReaderView):
                         f"index entry {e.describe()} has a malformed group member"
                     )
                 self._group_members[e.group] = self._group_members.get(e.group, 0) + 1
+        self._runs = runs
         self._by_key = {e.key: e for e in self.entries}
         self._group_cache: dict[int, GroupHandle] = {}
 
@@ -814,6 +853,32 @@ class ContainerReader(ReaderView):
             raise FormatError(
                 f"container has no patch (level={level}, field={field!r}, patch={patch})"
             ) from None
+
+    def lookup(
+        self, levels: set | None, fields: set | None, patches: set | None
+    ) -> list[int]:
+        """Positions in :attr:`entries` of the entries a selection picks, in
+        catalog order (the order a walk of :attr:`entries` meets them).
+
+        The selectors are :func:`_selection`'s sets (``None`` = all). Only
+        the catalog's ``(level, field)`` runs are walked; a selected run
+        costs the smaller of its length and the ``patches`` set, so a
+        selection visits about the entries it returns, on every catalog —
+        interleaved runs, gaps and unsorted patch numbers included.
+        """
+        out: list[int] = []
+        for level, field, where in self._runs:
+            if (levels is not None and level not in levels) or (
+                fields is not None and field not in fields
+            ):
+                continue
+            if patches is None:
+                out += where.values()
+            elif len(patches) < len(where):
+                out += sorted([where[p] for p in patches if p in where])
+            else:
+                out += [i for p, i in where.items() if p in patches]
+        return out
 
     def read_stream(self, entry: PatchIndexEntry, verify: bool = True):
         """Read one patch's raw compressed stream, crc-checked.
@@ -940,8 +1005,8 @@ class ContainerReader(ReaderView):
         extents of a group are read, so the byte cost stays O(selection).
         """
         _reject_steps(steps)
-        wanted = _key_filter(levels, fields, patches)
-        chosen = [e for e in self.entries if wanted(e.key)]
+        entries = self.entries
+        chosen = [entries[i] for i in self.lookup(*_selection(levels, fields, patches))]
         copy = parallel == "process" or (pool is not None and pool.mode == "process")
         blobs = [self.read_stream(e, verify=verify) for e in chosen]
         members = [

@@ -29,7 +29,7 @@ tests reconcile against observed backend request counts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, Sequence
 
 from repro.errors import ServeError
 
@@ -75,6 +75,26 @@ class ServeCache:
         self.hits += 1
         self._entries.move_to_end(key)
         return entry[0]
+
+    def get_many(self, keys: Sequence[Hashable]) -> list:
+        """``[get(k) for k in keys]`` in one call: the same values (``None``
+        for a miss), the same ``hits`` / ``misses`` and the same recency
+        order — each hit refreshed in turn, as that many :meth:`get` calls
+        would leave it."""
+        find, refresh = self._entries.get, self._entries.move_to_end
+        out = []
+        misses = 0
+        for key in keys:
+            entry = find(key, _MISS)
+            if entry is _MISS:
+                misses += 1
+                out.append(None)
+            else:
+                refresh(key)
+                out.append(entry[0])
+        self.misses += misses
+        self.hits += len(out) - misses
+        return out
 
     # kept: reads an entry's charge without touching recency (cache accounting tests)
     def peek_charge(self, key: Hashable) -> int | None:

@@ -57,6 +57,7 @@ from repro.compression.container import (
     ReaderView,
     _decode_run,
     _normalize_selector,
+    _selection,
 )
 from repro.errors import (
     DeadlineExceeded,
@@ -428,12 +429,11 @@ class QueryService(ReaderView):
         ``owned``, each planned patch registers a single-flight future
         there (and in ``_inflight``) that the caller MUST resolve or fail;
         ``owned=None`` (the ``plan()`` path) skips the single-flight table.
-        A fully cached step costs no ``await``; an unreadable catalog or
-        group header goes through :meth:`_fail_over`."""
+        A fully cached step costs no ``await``, one catalog lookup and one
+        batched cache lookup; an unreadable catalog or group header goes
+        through :meth:`_fail_over`."""
         want_steps = _normalize_selector(steps, "step")
-        want_levels = _normalize_selector(levels, "level")
-        want_fields = _normalize_selector(fields, "field")
-        want_patches = _normalize_selector(patches, "patch")
+        want = _selection(levels, fields, patches)
         hits: dict[tuple, np.ndarray] = {}
         waits: dict[int, list[tuple[tuple, asyncio.Future]]] = {}
         work: list[tuple[_StepCatalog, StepPlan]] = []
@@ -449,24 +449,20 @@ class QueryService(ReaderView):
                 cat = await self._fail_over(s, load, info, owned, partial)
                 if cat is None:
                     continue
+            picked = cat.reader.lookup(*want)
+            keys, pkeys = cat.keys(verify)
+            info.keys += len(picked)
+            cached = (
+                self._cache.get_many([pkeys[i] for i in picked])
+                if self._cache is not None else [None] * len(picked)
+            )
             misses: list[PatchIndexEntry] = []
-            for e in cat.reader.entries:
-                if not (
-                    (want_levels is None or e.level in want_levels)
-                    and (want_fields is None or e.field in want_fields)
-                    and (want_patches is None or e.patch in want_patches)
-                ):
-                    continue
-                info.keys += 1
-                key = (s, e.level, e.field, e.patch)
-                pkey = ("patch", cat.file, s, e.level, e.field, e.patch, verify)
-                cached = (
-                    self._cache.get(pkey) if self._cache is not None else None
-                )
-                if cached is not None:
-                    hits[key] = cached
+            for i, arr in zip(picked, cached):
+                if arr is not None:
+                    hits[keys[i]] = arr
                     info.cache_hits += 1
                     continue
+                key, pkey = keys[i], pkeys[i]
                 if owned is not None:
                     pending = self._inflight.get(pkey)
                     if pending is not None:
@@ -476,7 +472,7 @@ class QueryService(ReaderView):
                     fut = asyncio.get_running_loop().create_future()
                     self._inflight[pkey] = fut
                     owned[key] = (pkey, fut)
-                misses.append(e)
+                misses.append(cat.reader.entries[i])
                 info.cache_misses += 1
             if not misses:
                 continue

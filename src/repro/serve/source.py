@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.compression.container import ContainerReader
@@ -106,6 +106,20 @@ class _StepCatalog:
     #: A healed step's parity-reconstructed segment, which its reader and
     #: payload reads are over; ``None`` for a step read from its file.
     blob: bytes | None = None
+    _keys: dict = field(default_factory=dict, repr=False)
+
+    def keys(self, verify: bool) -> tuple[list[tuple], list[tuple]]:
+        """Per catalog entry, in catalog order: its result key ``(step,
+        level, field, patch)`` and its decoded-patch cache key — built once
+        per ``verify`` flag, and gone with the catalog."""
+        out = self._keys.get(verify)
+        if out is None:
+            s, file, entries = self.step, self.file, self.reader.entries
+            out = self._keys[verify] = (
+                [(s, e.level, e.field, e.patch) for e in entries],
+                [("patch", file, s, e.level, e.field, e.patch, verify) for e in entries],
+            )
+        return out
 
 
 class StepSource:
