@@ -107,12 +107,13 @@ def test_batched_compression_speedup(benchmark, many_small_patches):
 
     per_patch = compress_hierarchy(h, "sz-lr", 1e-3, fields=["density"])
     batched = compress_hierarchy(h, "sz-lr", 1e-3, fields=["density"], batch="level")
-    assert batched.groups, "level batching must produce shared-codebook groups"
+    assert batched.group_entries, "level batching must produce shared-codebook groups"
 
     codec = resolve_patch_codec("sz-lr")
     arrays = [p.data for p in h[0].patches("density")]
     one_at_a_time = lambda: [codec.compress(a, 1e-3, "rel") for a in arrays]
-    assert one_at_a_time() == per_patch.streams[0]["density"], "stacking changed bytes"
+    streams = [bytes(per_patch.read_stream(e)) for e in per_patch.entries]
+    assert one_at_a_time() == streams, "stacking changed bytes"
 
     per_s = _best_of(one_at_a_time)
     stacked_s = _best_of(lambda: compress_hierarchy(h, "sz-lr", 1e-3, fields=["density"]))

@@ -29,6 +29,7 @@ from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
 from repro.errors import FormatError
+from repro.storage import ByteSource
 
 __all__ = [
     "write_plotfile",
@@ -153,11 +154,11 @@ def write_container(path: str | Path, container, overwrite: bool = False) -> Pat
 
 def read_container(path: str | Path):
     """Load a full :class:`~repro.compression.amr_codec.CompressedHierarchy`
-    from an ``RPH2`` container at ``path``."""
+    from an ``RPH2`` container at ``path`` (every stream crc-checked)."""
     from repro.compression.amr_codec import CompressedHierarchy
 
-    with open_container(path) as reader:
-        return CompressedHierarchy.fromreader(reader)
+    with ByteSource.open(path) as src:
+        return CompressedHierarchy.frombytes(src.read(0, src.size))
 
 
 def open_container(path: str | Path, backend=None):

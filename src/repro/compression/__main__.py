@@ -119,12 +119,13 @@ def _cmd_info_plotfile(args) -> int:
     print(f"codec:   {container.codec}")
     print(f"eb:      {container.error_bound:g} ({container.mode})")
     print(f"fields:  {list(container.fields)}")
-    print(f"levels:  {len(container.streams)}")
+    print(f"levels:  {container.n_levels}")
     print(f"ratio:   {container.ratio:.2f}x")
-    for lev_idx, level in enumerate(container.streams):
-        for field, blobs in sorted(level.items()):
-            size = sum(len(b) for b in blobs)
-            print(f"  level {lev_idx} {field}: {len(blobs)} patches, {size} bytes")
+    lengths: dict[tuple[int, str], list[int]] = {}
+    for e in container.entries:
+        lengths.setdefault((e.level, e.field), []).append(e.length)
+    for (lev_idx, field), sizes in sorted(lengths.items()):
+        print(f"  level {lev_idx} {field}: {len(sizes)} patches, {sum(sizes)} bytes")
     return 0
 
 

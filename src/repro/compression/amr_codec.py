@@ -2,7 +2,10 @@
 
 Applies an error-bounded codec per (level, field, patch) and packages the
 result into a seekable, patch-indexed container (see
-:mod:`repro.compression.container`). Three paper-relevant features:
+:mod:`repro.compression.container`). The result, a
+:class:`CompressedHierarchy`, is that container's bytes held in memory and
+read through :class:`~repro.compression.container.ContainerReader` like any
+file. Three paper-relevant features:
 
 * **Redundant-data exclusion** (§2.2): patch-based AMR keeps coarse data
   under refined regions; since post-analysis never reads it (Figure 3), the
@@ -26,7 +29,6 @@ raises a clear "unsupported legacy magic" error instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -38,11 +40,7 @@ from repro.amr.patch import Patch
 from repro.compression.base import BatchResult, Compressor
 from repro.compression.container import (
     ContainerReader,
-    GroupHandle,
-    _decode_selection,
-    _iter_streams,
-    _key_filter,
-    _reject_steps,
+    _describe,
     pack_container,
     pack_group,
 )
@@ -56,6 +54,7 @@ __all__ = [
     "decompress_hierarchy",
     "decompress_selection",
     "resolve_patch_codec",
+    "validate_fields",
     "validate_field_bounds",
     "average_down",
 ]
@@ -96,159 +95,57 @@ def average_down(hierarchy: AMRHierarchy, field: str) -> None:
                 cpatch.view(overlap)[...] = reduced
 
 
-@dataclass
-class CompressedHierarchy:
-    """Container of per-patch compressed streams for one hierarchy.
+class CompressedHierarchy(ContainerReader):
+    """An ``RPH2`` snapshot held in memory: a :class:`ContainerReader` over
+    its own bytes.
 
-    Level-batched compression (``batch="level"``) additionally carries the
-    shared-codebook group sections in ``groups`` (raw ``RPGB`` blobs, gid
-    order) and the ``(level, field, patch) -> (gid, member)`` membership in
-    ``stream_groups``; both are empty for the per-patch path.
+    :func:`compress_hierarchy` packs its streams into the container once
+    and hands the bytes here; ``select``, :func:`decompress_hierarchy` and
+    ``repro.open`` read them as they read any snapshot.
     """
 
-    codec: str
-    error_bound: float
-    mode: str
-    fields: tuple[str, ...]
-    exclude_covered: bool
-    #: streams[level][field][patch] -> bytes
-    streams: list[dict[str, list[bytes]]]
-    original_bytes: int
-    #: group sections (raw RPGB blobs), indexed by gid.
-    groups: list[bytes] = field(default_factory=list)
-    #: (level, field, patch) -> (gid, member) for grouped streams.
-    stream_groups: dict[tuple[int, str, int], tuple[int, int]] = field(default_factory=dict)
-    #: per-field error-bound overrides (empty when single-bound).
-    field_bounds: dict[str, float] = field(default_factory=dict)
+    def __init__(self, raw):
+        self._raw = bytes(raw)
+        super().__init__(self._raw)
 
-    @property
-    def compressed_bytes(self) -> int:
-        """Total payload size (patch streams plus group sections)."""
-        return sum(
-            len(blob) for level in self.streams for plist in level.values() for blob in plist
-        ) + sum(len(g) for g in self.groups)
+    def tobytes(self) -> bytes:
+        """The seekable patch-indexed ``RPH2`` container bytes."""
+        return self._raw
 
     @property
     def ratio(self) -> float:
         """Compression ratio over the stored fields."""
         return self.original_bytes / self.compressed_bytes
 
-    def _meta(self) -> dict:
-        meta = {
-            "codec": self.codec,
-            "error_bound": self.error_bound,
-            "mode": self.mode,
-            "fields": list(self.fields),
-            "exclude_covered": self.exclude_covered,
-            "original_bytes": self.original_bytes,
-        }
-        if self.field_bounds:
-            meta["field_bounds"] = dict(self.field_bounds)
-        return meta
-
-    def tobytes(self) -> bytes:
-        """Serialize to the seekable patch-indexed ``RPH2`` container."""
-        return pack_container(
-            self._meta(), self.streams,
-            groups=self.groups or None,
-            stream_groups=self.stream_groups or None,
-        )
-
-    # kept: decodes an in-memory hierarchy's grouped streams (what CompressedHierarchy.frombytes returns)
-    def _group_handle(self, gid: int) -> GroupHandle:
-        """Parsed handle over one in-memory group section, cached (the
-        shared codebook's decode tables amortize across members)."""
-        cache = self.__dict__.setdefault("_group_handles", {})
-        if gid not in cache:
-            if not 0 <= gid < len(self.groups):
-                raise FormatError(f"hierarchy has no group {gid}")
-            cache[gid] = GroupHandle(gid, self.groups[gid])
-        return cache[gid]
-
-    def select(
-        self,
-        levels=None,
-        fields=None,
-        patches=None,
-        verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
-        *,
-        steps=None,
-    ) -> dict[tuple[int, str, int], np.ndarray]:
-        """Decompress a subset of in-memory streams (see
-        :func:`decompress_selection` for the selector semantics).
-
-        Streams are already in memory, so this filters and decodes them
-        directly — no serialization round-trip — in the runs every reader
-        decodes in (:func:`repro.compression.container._decode_selection`).
-        The keywords are every reader's: ``verify`` is ignored (there is no
-        index to check crcs against) and ``steps`` must be ``None``.
-        """
-        _reject_steps(steps)
-        wanted = _key_filter(levels, fields, patches)
-        copy = parallel == "process" or (pool is not None and pool.mode == "process")
-        members = []
-        for lev_idx, field, p_idx, blob in _iter_streams(self.streams):
-            if wanted(key := (lev_idx, field, p_idx)):
-                gid, member = self.stream_groups.get(key, (None, None))
-                shared = None if gid is None else self._group_handle(gid).shared(member, copy=copy)
-                members.append((key, self.codec, blob, shared))
-        arrays = _decode_selection(members, parallel, workers, pool)
-        return {member[0]: arr for member, arr in zip(members, arrays)}
-
     # kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
     @classmethod
-    def frombytes(cls, raw: bytes) -> "CompressedHierarchy":
-        """Parse a container produced by :meth:`tobytes`.
+    def frombytes(cls, raw) -> "CompressedHierarchy":
+        """Parse a container from outside the program, checked in full.
 
         Accepts the indexed ``RPH2`` format only; anything else —
         including the legacy monolithic ``RPRH`` magic, which
         :class:`ContainerReader` names in its rejection — is a
-        :class:`~repro.errors.FormatError`.
+        :class:`~repro.errors.FormatError`. The result owns a copy of
+        ``raw``; every stream's crc32 and every group header is verified
+        here, each ``(level, field)``'s patches must be numbered 0, 1, ...
+        in index order, and the group ids 0, 1, ...
         """
-        return cls.fromreader(ContainerReader(raw))
-
-    @classmethod
-    def fromreader(cls, reader: ContainerReader) -> "CompressedHierarchy":
-        """Materialize every stream of an open :class:`ContainerReader`.
-
-        Streams (and group sections) are owned ``bytes`` regardless of the
-        reader's mode: an in-memory hierarchy outlives the reader (and
-        pickles under process-mode selection), so zero-copy views are
-        copied out here — the one place materialization is the point.
-        """
-        streams: list[dict[str, list[bytes]]] = [{} for _ in range(reader.n_levels)]
-        stream_groups: dict[tuple[int, str, int], tuple[int, int]] = {}
-        for entry in reader.entries:
-            plist = streams[entry.level].setdefault(entry.field, [])
-            if entry.patch != len(plist):
+        held = cls(raw)
+        next_patch: dict[tuple[int, str], int] = {}
+        for entry in held.entries:
+            if entry.patch != next_patch.get(entry.key[:2], 0):
                 raise FormatError(
                     f"container index out of order at patch {entry.describe()}"
                 )
-            plist.append(bytes(reader.read_stream(entry)))
-            if entry.group is not None:
-                stream_groups[entry.key] = (entry.group, entry.member)
-        group_rows = sorted(reader.group_entries, key=lambda g: g.gid)
-        if [g.gid for g in group_rows] != list(range(len(group_rows))):
-            raise FormatError(
-                "container group ids are not contiguous from 0 "
-                f"(got {[g.gid for g in group_rows]})"
-            )
-        groups = [bytes(reader.read_group_blob(g.gid)) for g in group_rows]
-        return cls(
-            codec=reader.codec,
-            error_bound=reader.error_bound,
-            mode=reader.mode,
-            fields=reader.fields,
-            exclude_covered=reader.exclude_covered,
-            streams=streams,
-            original_bytes=reader.original_bytes,
-            groups=groups,
-            stream_groups=stream_groups,
-            field_bounds=reader.field_bounds,
-        )
+            next_patch[entry.key[:2]] = entry.patch + 1
+            held.read_stream(entry)
+        gids = sorted(g.gid for g in held.group_entries)
+        if gids != list(range(len(gids))):
+            raise FormatError(f"container group ids are not contiguous from 0 (got {gids})")
+        for gid in gids:
+            held.group(gid)
+        return held
+
 
 #: Cells a run of patches may hold before it is encoded; where a run is cut
 #: never changes a byte. ``benchmarks/e2e`` ``campaign_write`` (62 fine patches
@@ -316,6 +213,25 @@ def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") 
             kwargs["block_size"] = "auto"
         return make_codec(codec, **kwargs)
     return codec
+
+
+def validate_fields(fields) -> tuple[str, ...] | None:
+    """A ``fields=`` list as a tuple (``None``, every field, passes).
+
+    An empty list or a name given twice is a :class:`CompressionError`:
+    either would write a container that describes its data wrongly.
+    Shared by :func:`compress_hierarchy`, the streaming writer and the
+    sharded campaign writer, each before any byte is written.
+    """
+    if fields is None:
+        return None
+    names = tuple(fields)
+    if not names:
+        raise CompressionError("fields= is empty: name at least one field, or pass None for all")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise CompressionError(f"fields= names field {name!r} more than once")
+    return names
 
 
 def validate_field_bounds(field_bounds, fields) -> dict[str, float]:
@@ -408,17 +324,29 @@ def compress_hierarchy(
         the container index (``ContainerReader.field_bounds``).
     """
     comp = resolve_patch_codec(codec, k_streams=k_streams)
-    names = tuple(fields) if fields is not None else hierarchy.field_names
+    names = validate_fields(fields) or hierarchy.field_names
     for name in names:
         if name not in hierarchy.field_names:
             raise CompressionError(f"hierarchy has no field {name!r}")
     if batch not in ("patch", "level"):
         raise CompressionError(f"unknown batch mode {batch!r} (use 'patch' or 'level')")
     field_bounds = validate_field_bounds(field_bounds, names)
+    meta = {
+        "codec": comp.name,
+        "error_bound": float(error_bound),
+        "mode": mode,
+        "fields": list(names),
+        "exclude_covered": exclude_covered,
+        "original_bytes": sum(hierarchy.nbytes(name) for name in names),
+        "field_bounds": field_bounds,
+    }
     if batch == "level":
-        return _compress_hierarchy_batched(
+        streams, groups, stream_groups = _compress_hierarchy_batched(
             hierarchy, comp, error_bound, mode, names, exclude_covered,
             parallel, workers, pool, field_bounds,
+        )
+        return CompressedHierarchy(
+            pack_container(meta, streams, groups=groups, stream_groups=stream_groups)
         )
     # Cut each (level, field) into runs of patches (PatchRuns): the map
     # over runs is pure (paper §3.3) and a run's streams are the per-patch
@@ -446,17 +374,7 @@ def compress_hierarchy(
     streams: list[dict[str, list[bytes]]] = [{name: [] for name in names} for _ in hierarchy]
     for ((lev_idx, name), _, _), result in zip(runs, results):
         streams[lev_idx][name] += result.streams
-    original = sum(hierarchy.nbytes(name) for name in names)
-    return CompressedHierarchy(
-        codec=comp.name,
-        error_bound=float(error_bound),
-        mode=mode,
-        fields=names,
-        exclude_covered=exclude_covered,
-        streams=streams,
-        original_bytes=original,
-        field_bounds=field_bounds,
-    )
+    return CompressedHierarchy(pack_container(meta, streams))
 
 
 def _compress_hierarchy_batched(
@@ -470,8 +388,9 @@ def _compress_hierarchy_batched(
     workers: int,
     pool,
     field_bounds: dict[str, float],
-) -> CompressedHierarchy:
-    """The ``batch="level"`` body of :func:`compress_hierarchy`.
+) -> tuple[list, list[bytes], dict]:
+    """The ``batch="level"`` streams of :func:`compress_hierarchy`:
+    ``(streams, groups, stream_groups)`` as :func:`pack_container` takes them.
 
     Groups same-shape patches of each (level, field) into one fused
     ``compress_batch`` task; the parallel map runs per group. Group ids
@@ -529,23 +448,25 @@ def _compress_hierarchy_batched(
                 stream_groups[key] = (gid, member)
         for (lev_idx, name, p_idx), blob in zip(keys, result.streams):
             streams[lev_idx][name][p_idx] = blob
-    original = sum(hierarchy.nbytes(name) for name in names)
-    return CompressedHierarchy(
-        codec=comp.name,
-        error_bound=float(error_bound),
-        mode=mode,
-        fields=names,
-        exclude_covered=exclude_covered,
-        streams=streams,
-        original_bytes=original,
-        groups=groups,
-        stream_groups=stream_groups,
-        field_bounds=field_bounds,
-    )
+    return streams, groups, stream_groups
+
+
+def _template_patch(decoded: dict, key: tuple[int, str, int], box) -> np.ndarray:
+    """The decoded patch ``key`` on the template's ``box``."""
+    arr = decoded.get(key)
+    what = _describe(*key)
+    if arr is None:
+        raise CompressionError(f"template patch {what} is not in the container")
+    if arr.size != box.size:
+        raise CompressionError(
+            f"template patch {what} has {box.size} cells but the container's "
+            f"stream holds {arr.size}: the template's boxes are not the container's"
+        )
+    return arr.reshape(box.shape)
 
 
 def decompress_hierarchy(
-    container: CompressedHierarchy,
+    container: ContainerReader,
     template: AMRHierarchy,
     restore: str = "none",
     parallel: str = "serial",
@@ -557,13 +478,16 @@ def decompress_hierarchy(
     Parameters
     ----------
     container:
-        Output of :func:`compress_hierarchy` (per-patch or level-batched;
-        grouped streams decode against their shared codebooks
-        transparently).
+        Output of :func:`compress_hierarchy`, or any snapshot reader
+        (per-patch or level-batched; grouped streams decode against their
+        shared codebooks transparently).
     template:
         Hierarchy providing the box structure and any fields that were not
         compressed (structure travels with the plotfile, not the codec
-        stream — matching how AMReX stores metadata separately).
+        stream — matching how AMReX stores metadata separately). A box the
+        container holds no patch for, or a patch of another size, is a
+        :class:`~repro.errors.CompressionError` naming the first such
+        ``(level, field, patch)``.
     restore:
         ``"none"`` — leave decompressed coarse values as stored;
         ``"average_down"`` — rebuild covered coarse cells from fine data
@@ -589,7 +513,7 @@ def decompress_hierarchy(
         for name in template.field_names:
             if name in container.fields:
                 patches = [
-                    Patch(box, decoded[(lev_idx, name, p_idx)].reshape(box.shape))
+                    Patch(box, _template_patch(decoded, (lev_idx, name, p_idx), box))
                     for p_idx, box in enumerate(lev.boxes)
                 ]
             else:

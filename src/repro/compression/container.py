@@ -228,12 +228,12 @@ def _group_header_len(n_patches: int, codebook_len: int) -> int:
 class GroupHandle:
     """Parsed header of one group section plus lazy member-payload access.
 
-    ``section`` is the group section's bytes: a
-    :class:`~repro.storage.ByteSource` window of a container
-    (:meth:`ContainerReader.group`) or an in-memory blob
-    (:class:`~repro.compression.amr_codec.CompressedHierarchy`). The header
-    — shared codebook bytes and extent table — is read once, and checked
-    against ``header_crc32`` before it is parsed when one is given;
+    ``section`` is the group section's :class:`~repro.storage.ByteSource`
+    window of a container (:meth:`ContainerReader.group`, whether the
+    container is a file or the bytes an in-memory
+    :class:`~repro.compression.amr_codec.CompressedHierarchy` holds). The
+    header — shared codebook bytes and extent table — is read once, and
+    checked against ``header_crc32`` before it is parsed when one is given;
     payloads are fetched per member, so a selection touches only its
     members' extents. The decoded
     :class:`~repro.compression.huffman.SharedCodebook` (and with it the
@@ -241,14 +241,13 @@ class GroupHandle:
     construction across all members of the group.
     """
 
-    def __init__(self, gid: int, section, header_crc32: int | None = None):
-        src = section if isinstance(section, ByteSource) else ByteSource(section)
-        prefix = src.read(0, _GROUP_HEAD.size)
+    def __init__(self, gid: int, section: ByteSource, header_crc32: int | None = None):
+        prefix = section.read(0, _GROUP_HEAD.size)
         if len(prefix) < _GROUP_HEAD.size or prefix[:4] != GROUP_MAGIC:
             raise FormatError(f"group {gid}: not a group section (bad magic)")
         magic, n_patches, codebook_len, payload_len = _GROUP_HEAD.unpack(prefix)
         header_len = _group_header_len(n_patches, codebook_len)
-        header = src.read(0, header_len)
+        header = section.read(0, header_len)
         #: crc32 of the header region as read (the group table records it).
         self.header_crc32 = zlib.crc32(header)
         if header_crc32 is not None and self.header_crc32 != header_crc32:
@@ -263,7 +262,7 @@ class GroupHandle:
                 f"group {gid}: truncated shared codebook or extent table "
                 f"(header needs {header_len} bytes, section gave {len(header)})"
             )
-        if header_len + payload_len > src.size:
+        if header_len + payload_len > section.size:
             raise FormatError(
                 f"group {gid}: recorded payload region ({payload_len} bytes) "
                 "extends past the group section end"
@@ -293,7 +292,7 @@ class GroupHandle:
                     f"[{rel}, {rel + ln}) past the group payload end "
                     f"({self.payload_len} bytes)"
                 )
-        self._section = src
+        self._section = section
         self._codebook: huffman.SharedCodebook | None = None
 
     @property
@@ -466,7 +465,6 @@ def build_index_bytes(
 def pack_container(
     meta: Mapping[str, Any],
     streams: Sequence[Mapping[str, Sequence[bytes]]],
-    stream_codecs: Mapping[tuple[int, str, int], str] | None = None,
     groups: Sequence[bytes] | None = None,
     stream_groups: Mapping[tuple[int, str, int], tuple[int, int]] | None = None,
 ) -> bytes:
@@ -479,8 +477,6 @@ def pack_container(
         ``n_levels`` (derived from ``streams``).
     streams:
         ``streams[level][field][patch] -> bytes`` layout.
-    stream_codecs:
-        Optional per-stream codec override; defaults to ``meta["codec"]``.
     groups:
         Shared-codebook group sections (``RPGB`` blobs from
         :func:`pack_group`), indexed by gid; written after the patch
@@ -490,13 +486,10 @@ def pack_container(
         ``(level, field, patch) -> (gid, member)`` for every grouped
         stream; its index row grows the two extra columns.
     """
-    default_codec = str(meta["codec"])
+    codec = str(meta["codec"])
     out = bytearray(pack_header())
     entries: list[list] = []
     for lev_idx, field, p_idx, blob in _iter_streams(streams):
-        codec = default_codec
-        if stream_codecs is not None:
-            codec = stream_codecs.get((lev_idx, field, p_idx), default_codec)
         row = [lev_idx, field, p_idx, len(out), len(blob), codec, zlib.crc32(blob)]
         if stream_groups is not None:
             membership = stream_groups.get((lev_idx, field, p_idx))
@@ -584,23 +577,6 @@ def _selection(levels, fields, patches) -> tuple[set | None, set | None, set | N
         _normalize_selector(fields, "field"),
         _normalize_selector(patches, "patch"),
     )
-
-
-def _key_filter(levels, fields, patches):
-    """The three patch selectors (validated here) as one predicate over
-    ``(level, field, patch)`` keys — for in-memory streams, which have no
-    catalog to look up."""
-    wants = _selection(levels, fields, patches)
-    return lambda key: all(want is None or k in want for want, k in zip(wants, key))
-
-
-def _reject_steps(steps) -> None:
-    """A snapshot's answer to the ``steps=`` keyword every ``select`` takes."""
-    if steps is not None:
-        raise CompressionError(
-            "steps= selector given but the source is a single-snapshot "
-            "container; only RPH2S time-series sources carry timesteps"
-        )
 
 
 class ReaderView(Closing):
@@ -942,16 +918,6 @@ class ContainerReader(ReaderView):
             )
         return handle
 
-    # kept: materializes an in-memory CompressedHierarchy from a container
-    def read_group_blob(self, gid: int):
-        """One group section's full bytes (header + payloads) — used to
-        materialize an in-memory :class:`CompressedHierarchy`."""
-        g = self.group_entry(gid)
-        blob = self._src.read(g.offset, g.length)
-        if len(blob) != g.length:
-            raise FormatError(f"group {gid}: section truncated")
-        return blob
-
     def _entry_shared(
         self, entry: PatchIndexEntry, verify: bool = True, copy: bool = False
     ) -> SharedEntropy | None:
@@ -1004,7 +970,11 @@ class ContainerReader(ReaderView):
         copied to ``bytes`` once for pickling. Only the selected members'
         extents of a group are read, so the byte cost stays O(selection).
         """
-        _reject_steps(steps)
+        if steps is not None:
+            raise CompressionError(
+                "steps= selector given but the source is a single-snapshot "
+                "container; only RPH2S time-series sources carry timesteps"
+            )
         entries = self.entries
         chosen = [entries[i] for i in self.lookup(*_selection(levels, fields, patches))]
         copy = parallel == "process" or (pool is not None and pool.mode == "process")

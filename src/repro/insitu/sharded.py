@@ -93,6 +93,7 @@ from repro.insitu.writer import (
     DURABILITY_MODES,
     StreamingWriter,
     _validate_field_bounds,
+    _validate_fields,
 )
 from repro.parallel.pool import WorkerPool
 from repro.storage import ByteSink, ByteSource, LocalFileBackend, StorageBackend
@@ -417,6 +418,7 @@ class ShardedSeriesWriter:
         # manifest (and the shards before the refusal) behind.
         if mode not in ("abs", "rel"):
             raise CompressionError(f"unknown error-bound mode {mode!r}")
+        fields = _validate_fields(fields)
         resolve_patch_codec(codec)
         backend = backend or LocalFileBackend()
         manifest_name = str(path)

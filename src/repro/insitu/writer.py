@@ -44,6 +44,7 @@ from repro.compression.amr_codec import (
     _fill_covered,
     resolve_patch_codec,
     validate_field_bounds as _validate_field_bounds,
+    validate_fields as _validate_fields,
 )
 from repro.compression.base import Compressor
 from repro.compression.container import (
@@ -152,9 +153,8 @@ class StreamingWriter:
         # is acquired: a refused create/append_to must not touch the target.
         if mode not in ("abs", "rel"):
             raise CompressionError(f"unknown error-bound mode {mode!r}")
-        self._field_bounds = _validate_field_bounds(
-            field_bounds, tuple(fields) if fields is not None else None
-        )
+        fields = _validate_fields(fields)
+        self._field_bounds = _validate_field_bounds(field_bounds, fields)
         if durability not in DURABILITY_MODES:
             raise CompressionError(
                 f"unknown durability mode {durability!r} (have {DURABILITY_MODES})"
@@ -167,7 +167,7 @@ class StreamingWriter:
         self._comp = resolve_patch_codec(codec)
         self._eb = float(error_bound)
         self._mode = mode
-        self._fields: tuple[str, ...] | None = tuple(fields) if fields is not None else None
+        self._fields: tuple[str, ...] | None = fields
         self._exclude_covered = bool(exclude_covered)
         if pool is not None and pool.closed:
             raise CompressionError("worker pool is closed")
@@ -577,7 +577,7 @@ class StreamingWriter:
         the writer was created with ``exclude_covered=True``.
         """
         if fields is not None:
-            names = tuple(fields)
+            names = _validate_fields(fields)
         elif self._fields is not None:
             names = self._fields
         else:

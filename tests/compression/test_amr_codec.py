@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from repro.amr import flatten_to_uniform
+from repro.amr.hierarchy import AMRHierarchy
 from repro.compression.amr_codec import (
     CompressedHierarchy,
     average_down,
     compress_hierarchy,
     decompress_hierarchy,
     decompress_selection,
+    resolve_patch_codec,
 )
 from repro.compression.container import ContainerReader
 from repro.errors import CompressionError
+from tests.conftest import make_sphere_hierarchy
 
 
 class CountingBytesIO(io.BytesIO):
@@ -57,6 +60,18 @@ class TestRoundtrip:
     def test_unknown_field_rejected(self, sphere_hierarchy):
         with pytest.raises(CompressionError):
             compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, fields=["nope"])
+
+    @pytest.mark.parametrize("batch", ["patch", "level"])
+    def test_repeated_field_rejected_by_name(self, sphere_hierarchy, batch):
+        """A repeated name once wrote phantom patches (or orphan groups)
+        and doubled ``original_bytes``."""
+        with pytest.raises(CompressionError, match="field 'f' more than once"):
+            compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, fields=["f", "f"], batch=batch)
+
+    def test_empty_field_list_rejected(self, sphere_hierarchy):
+        """An empty list once gave a container whose ``ratio`` divided by zero."""
+        with pytest.raises(CompressionError, match="fields= is empty"):
+            compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, fields=[])
 
     def test_codec_instance_accepted(self, sphere_hierarchy):
         from repro.compression.sz_lr import SZLR
@@ -100,6 +115,24 @@ class TestExcludeCovered:
             decompress_hierarchy(container, sphere_hierarchy, restore="magic")
 
 
+class TestWrongTemplate:
+    def test_other_boxes_name_the_patch_and_both_sizes(self):
+        container = compress_hierarchy(make_sphere_hierarchy(16), "sz-lr", 1e-3)
+        with pytest.raises(
+            CompressionError,
+            match=r"\(level=0, field='f', patch=0\) has 32768 cells .* holds 4096",
+        ):
+            decompress_hierarchy(container, make_sphere_hierarchy(32))
+
+    def test_a_patch_the_container_lacks_is_named(self, sphere_hierarchy):
+        coarse_only = AMRHierarchy(sphere_hierarchy.domain, [sphere_hierarchy[0]], 2)
+        container = compress_hierarchy(coarse_only, "sz-lr", 1e-3)
+        with pytest.raises(
+            CompressionError, match=r"\(level=1, field='f', patch=0\) is not in the container"
+        ):
+            decompress_hierarchy(container, sphere_hierarchy)
+
+
 class TestContainer:
     def test_serialization_roundtrip(self, sphere_hierarchy):
         container = compress_hierarchy(sphere_hierarchy, "sz-interp", 1e-3)
@@ -123,9 +156,11 @@ class TestContainer:
         raw = container.tobytes()
         reader = ContainerReader(io.BytesIO(raw))
         assert len(reader.entries) == 6  # 2 levels x 2 fields, 1+2 patches
+        codec = resolve_patch_codec("sz-lr")
         for entry in reader.entries:
             blob = raw[entry.offset : entry.offset + entry.length]
-            assert blob == container.streams[entry.level][entry.field][entry.patch]
+            patch = multi_field_hierarchy[entry.level].patches(entry.field)[entry.patch]
+            assert blob == codec.compress(patch.data, 1e-3, "rel")
 
 
 class TestSelectiveDecompression:

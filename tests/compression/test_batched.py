@@ -10,6 +10,7 @@ path.
 
 from __future__ import annotations
 
+import json
 import struct
 import zlib
 
@@ -32,7 +33,6 @@ from repro.compression.base import GROUPED_STAGE, SharedEntropy, StreamReader
 from repro.compression.container import (
     GROUP_MAGIC,
     ContainerReader,
-    pack_container,
     pack_group,
 )
 from repro.compression.registry import codec_supports_batch
@@ -91,7 +91,7 @@ class TestBatchedEquivalence:
         bat = compress_hierarchy(
             hierarchy, codec_name, 1e-3, fields=["density"], batch="level"
         )
-        assert bat.groups, "level batching should produce shared-codebook groups"
+        assert bat.group_entries, "level batching should produce shared-codebook groups"
         dec_per = per.select()
         dec_bat = bat.select()
         for p_idx, patch in enumerate(hierarchy[0].patches("density")):
@@ -101,12 +101,13 @@ class TestBatchedEquivalence:
             assert np.abs(dec_bat[key] - dec_per[key]).max() <= 2 * eb
 
     def test_grouped_streams_record_stage_and_member(self, grouped):
-        for key, (gid, member) in grouped.stream_groups.items():
-            lev, field, p_idx = key
-            reader = StreamReader(grouped.streams[lev][field][p_idx])
+        members = [e for e in grouped.entries if e.group is not None]
+        assert members
+        for entry in members:
+            reader = StreamReader(grouped.read_stream(entry))
             assert reader.params["entropy"] == GROUPED_STAGE
-            assert reader.params["group_member"] == member
-            assert 0 <= gid < len(grouped.groups)
+            assert reader.params["group_member"] == entry.member
+            assert 0 <= entry.group < len(grouped.group_entries)
 
     def test_batched_smaller_than_per_patch(self, hierarchy):
         """Shared codebooks amortize header bytes: the grouped container
@@ -190,7 +191,7 @@ class TestBatchedEquivalence:
         level = AMRLevel(0, BoxArray(boxes), (1.0,) * 3, {"f": patches})
         h = AMRHierarchy(Box.from_shape((16, 24, 8)), [level], 2)
         bat = compress_hierarchy(h, "sz-lr", 1e-3, fields=["f"], batch="level")
-        assert len(bat.groups) == 2
+        assert len(bat.group_entries) == 2
         dec = bat.select()
         for p_idx, patch in enumerate(patches):
             eb = 1e-3 * (patch.data.max() - patch.data.min())
@@ -223,8 +224,8 @@ class TestGroupedContainer:
     def test_roundtrip_bytes(self, grouped):
         raw = grouped.tobytes()
         back = CompressedHierarchy.frombytes(raw)
-        assert back.groups == grouped.groups
-        assert back.stream_groups == grouped.stream_groups
+        assert back.group_entries == grouped.group_entries
+        assert back.entries == grouped.entries
         assert back.tobytes() == raw
 
     def test_reader_modes_agree(self, grouped, tmp_path):
@@ -263,7 +264,7 @@ class TestGroupedContainer:
 
     def test_stream_alone_refuses_decode(self, grouped):
         """A grouped stream without its group section names the problem."""
-        blob = grouped.streams[0]["density"][0]
+        blob = grouped.read_stream(grouped.entry(0, "density", 0))
         with pytest.raises(Exception, match="grouped"):
             SZLR().decompress(blob)
 
@@ -331,12 +332,14 @@ class TestGroupedCorruption:
             ContainerReader(bytes(bad)).select(patches=0)
 
     def test_unknown_group_reference(self, grouped):
-        raw = pack_container(
-            grouped._meta(),
-            grouped.streams,
-            groups=grouped.groups,
-            stream_groups={(0, "density", 0): (99, 0)},
-        )
+        raw = grouped.tobytes()
+        off, length, _, _ = struct.unpack_from("<QQI8s", raw, len(raw) - 28)
+        index = json.loads(raw[off : off + length])
+        assert len(index["entries"][0]) == 9  # (0, "density", 0) is grouped
+        index["entries"][0][7] = 99
+        forged = json.dumps(index, separators=(",", ":")).encode()
+        footer = struct.pack("<QQI8s", off, len(forged), zlib.crc32(forged), b"RPH2-IDX")
+        raw = raw[:off] + forged + footer
         with pytest.raises(FormatError, match="unknown group"):
             ContainerReader(raw)
 

@@ -149,7 +149,7 @@ class TestContainerBoundProperty:
         assert parsed.fields == container.fields
         assert parsed.exclude_covered == container.exclude_covered
         assert parsed.original_bytes == container.original_bytes
-        assert parsed.streams == container.streams
+        assert parsed.entries == container.entries
         # Serialization is a pure function of the parsed state.
         assert parsed.tobytes() == container.tobytes()
 

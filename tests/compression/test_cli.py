@@ -59,6 +59,14 @@ class TestPlotfileCommands:
         info = capsys.readouterr().out
         assert "level 1" in info and "sz-lr" in info
 
+    def test_repeated_field_exits_2_writing_nothing(self, sphere_hierarchy, tmp_path, capsys):
+        plt = write_plotfile(tmp_path / "plt", sphere_hierarchy)
+        out = tmp_path / "plt.rprh"
+        assert main(["compress-plotfile", str(plt), "-o", str(out), "--fields", "f,f"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "field 'f' more than once" in err
+        assert not out.exists()
+
     def test_exclude_covered_flag(self, sphere_hierarchy, tmp_path, capsys):
         plt = write_plotfile(tmp_path / "plt", sphere_hierarchy)
         out = tmp_path / "x.rprh"

@@ -306,12 +306,23 @@ class TestBytesSourceZeroCopy:
         assert seen == [memoryview] * len(out)
 
     def test_frombytes_streams_are_owned_bytes(self, container_path):
+        """A parsed hierarchy outlives the buffer it was parsed from:
+        mutating or closing that buffer leaves ``select`` unchanged."""
         from repro.compression.amr_codec import CompressedHierarchy
 
-        ch = CompressedHierarchy.frombytes(container_path.read_bytes())
-        for level in ch.streams:
-            for plist in level.values():
-                assert all(type(b) is bytes for b in plist)
+        want = CompressedHierarchy.frombytes(container_path.read_bytes()).select()
+        buf = bytearray(container_path.read_bytes())
+        held = CompressedHierarchy.frombytes(buf)
+        buf[:] = bytes(len(buf))
+        with open(container_path, "rb") as fh:
+            mapping = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            mapped = CompressedHierarchy.frombytes(mapping)
+            mapping.close()  # BufferError if the hierarchy still pinned it
+        for ch in (held, mapped):
+            got = ch.select()
+            assert set(got) == set(want)
+            for key, arr in want.items():
+                assert np.array_equal(got[key], arr)
 
 
 class TestCustomCodecRegistration:

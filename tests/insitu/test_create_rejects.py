@@ -23,6 +23,8 @@ BAD = {
     "codec": {"codec": "no-such-codec"},
     "mode": {"mode": "x"},
     "parallel": {"parallel": "gpu"},
+    "fields-repeated": {"fields": ["f", "f"]},
+    "fields-empty": {"fields": []},
 }
 
 
@@ -96,6 +98,19 @@ class TestStreamingWriter:
         with pytest.raises(CompressionError, match="pool is closed"):
             _create("fresh.rph2s", backend, pool=pool)
         assert not look.exists("fresh.rph2s")
+
+    @pytest.mark.parametrize("fields", [["f", "f"], []], ids=["repeated", "empty"])
+    def test_append_step_checks_its_field_list_first(self, store, fields):
+        """A repeated name once sealed ``n_patches`` twice over and recorded
+        the series fields as ``('f', 'f')``."""
+        backend, look = store
+        with _create("run.rph2s", backend) as w:
+            with pytest.raises(CompressionError, match="more than once|is empty"):
+                w.append_step(make_sphere_hierarchy(8), fields=fields)
+            entry = w.append_step(make_sphere_hierarchy(8), fields=["f"])
+        assert entry.n_patches == 2
+        with SeriesReader.open("run.rph2s", backend=backend) as reader:
+            assert reader.fields == ("f",) and reader.n_steps == 1
 
     def test_append_to_keeps_the_series_on_a_bad_argument(self, store):
         backend, look = store
