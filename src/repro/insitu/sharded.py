@@ -43,9 +43,9 @@ Shard ``name`` is a basename; shards always live next to the manifest
 :meth:`ShardedSeriesWriter.create` with ``final=false`` (so a killed
 campaign still names its shards for recovery) and once at
 :meth:`~ShardedSeriesWriter.close` with ``final=true`` and the full step
-routing. Each shard is an ordinary, self-contained RPH2S series — every
-durability/seal/recovery property of the single-writer format holds
-per shard.
+routing, in place over the first. Each shard is an ordinary,
+self-contained RPH2S series — every durability/seal/recovery property of
+the single-writer format holds per shard.
 
 Reading is transparent: ``repro.open`` (and :meth:`SeriesReader.open`, its
 typed special case) sniffs the RPHM magic and returns a
@@ -181,10 +181,14 @@ def parse_manifest(blob: bytes) -> dict:
     """Parse and validate an RPHM manifest; returns the JSON body.
 
     Alien bytes raise :class:`~repro.errors.FormatError`; a manifest that
-    is too short or fails its crc is classified as
-    :class:`~repro.errors.TruncatedSeriesError` — the shards it referenced
-    are still recoverable by discovery.
+    is too short (down to an empty object or a torn magic) or fails its
+    crc is classified as :class:`~repro.errors.TruncatedSeriesError` — the
+    shards it referenced are still recoverable by discovery.
     """
+    if len(blob) < len(MANIFEST_MAGIC) and MANIFEST_MAGIC.startswith(blob):
+        raise TruncatedSeriesError(
+            f"manifest magic torn to {len(blob)} bytes{_RECOVERY_HINT}"
+        )
     if blob[: len(MANIFEST_MAGIC)] != MANIFEST_MAGIC:
         raise FormatError(
             f"not an RPHM manifest (magic {blob[:4]!r}, expected {MANIFEST_MAGIC!r})"
@@ -433,6 +437,17 @@ class ShardedSeriesWriter:
         field_bounds = _validate_field_bounds(field_bounds, fields)
         if field_bounds:
             meta["field_bounds"] = field_bounds
+        if overwrite:
+            # Shards and parity of an earlier campaign that this layout does
+            # not name would be adopted by rediscovery once this manifest is
+            # torn: remove them before the manifest names the new layout.
+            from repro.integrity.parity import parity_names
+
+            keep = {*names, *parity_names(manifest_name, parity)}
+            for found in _discover(backend, manifest_name):
+                for stale in found:
+                    if stale not in keep:
+                        backend.delete(stale)
         # Write the non-final manifest BEFORE any shard exists: a campaign
         # killed at any later point still names its shards for recovery.
         rows = [
@@ -660,10 +675,23 @@ def _write_manifest(
     parity: list[dict] | None = None,
     overwrite: bool = True,
 ) -> None:
-    with ByteSink.create(
-        name, backend=backend, overwrite=overwrite, what="campaign manifest"
-    ) as sink:
-        sink.write(pack_manifest(meta, rows, final=final, parity=parity))
+    """Write the manifest and make it stable; every manifest write goes
+    through here. An existing manifest is rewritten in place, never
+    truncated first: truncating an fsync'd object can stall its open for
+    tens of milliseconds. A kill mid-rewrite leaves either the new prefix
+    over the old bytes (its crc fails: a :class:`TruncatedSeriesError`,
+    and the shards are rediscovered) or the whole new manifest before a
+    stale tail (which :func:`parse_manifest` never reads)."""
+    blob = pack_manifest(meta, rows, final=final, parity=parity)
+    if overwrite and backend.exists(name):
+        sink = ByteSink.append(name, backend=backend)
+    else:
+        sink = ByteSink.create(
+            name, backend=backend, overwrite=overwrite, what="campaign manifest"
+        )
+    with sink:
+        sink.write(blob)
+        sink.truncate(len(blob))
         sink.sync()
 
 
@@ -961,8 +989,9 @@ def recover_sharded(
     surviving shard indexes. Shards with nothing salvageable are dropped
     from the rewritten manifest (and listed on the report). Dry-run by
     default: nothing is modified. ``backend`` serves the scan and the
-    commit alike: every write is an in-place truncate + append on a shard
-    or a whole-object rewrite of the manifest, never a rename.
+    commit alike: every write is in place — a truncate + append on a
+    shard, a rewrite of the manifest from offset 0 cut to its new length —
+    never a rename.
     """
     from repro.insitu.recovery import recover_series
 

@@ -214,6 +214,14 @@ class TestManifest:
             parse_manifest(b"NOPE" + b"\x00" * 64)
         assert not isinstance(exc.value, TruncatedSeriesError)
 
+    def test_manifest_torn_inside_its_magic_is_recoverable_class(self):
+        for n in range(len(MANIFEST_MAGIC)):
+            with pytest.raises(TruncatedSeriesError, match="torn"):
+                parse_manifest(MANIFEST_MAGIC[:n])
+        with pytest.raises(FormatError) as exc:
+            parse_manifest(b"RX")
+        assert not isinstance(exc.value, TruncatedSeriesError)
+
     def test_nonfinal_manifest_refused_without_recover(self, tmp_path):
         manifest = tmp_path / "killed.rphm"
         writer = ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3,
@@ -225,26 +233,77 @@ class TestManifest:
             open_series(manifest)
 
 
+class TestOverwrite:
+    def test_overwrite_removes_what_the_new_layout_does_not_name(self, tmp_path):
+        """A 2-shard campaign written over a 4-shard one with parity leaves
+        no old shard or parity file for rediscovery to adopt."""
+        manifest = tmp_path / "camp.rphm"
+        write_sharded_series(manifest, _steps(4), n_shards=4, parity=1,
+                             parallel="serial")
+        with pytest.raises(CompressionError, match="parity"):  # touches nothing
+            ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3, n_shards=2,
+                                       parity=3, overwrite=True)
+        assert len(list(tmp_path.iterdir())) == 6
+        write_sharded_series(manifest, _steps(2), n_shards=2, parallel="serial",
+                             overwrite=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "camp.rphm", "camp.shard000.rph2s", "camp.shard001.rph2s",
+        ]
+        raw = manifest.read_bytes()
+        manifest.write_bytes(raw[: len(raw) // 2])
+        report = recover_sharded(manifest)
+        assert len(report.shard_reports) == 2 and report.steps == (0, 1)
+
+
 class TestKilledWriter:
+    def test_failed_final_manifest_write_leaves_it_recoverable(self, tmp_path):
+        """The close's manifest write fails before a byte lands: the
+        non-final manifest it was rewriting is still there and every
+        sealed step is salvaged."""
+        from repro.faults import FaultPlan, FaultyBackend
+        from repro.sims.nyx import NyxConfig
+        from repro.sims.streams import nyx_step_stream
+        from repro.storage import LocalFileBackend
+
+        plan = FaultPlan()
+        plan.nth(1, match="*.rphm", kind="storage")
+        with pytest.raises(StorageError, match="injected"):
+            write_sharded_series(
+                "camp.rphm", nyx_step_stream(4, NyxConfig(coarse_n=8)),
+                n_shards=2, parallel="serial",
+                backend=FaultyBackend(LocalFileBackend(root=tmp_path), plan),
+            )
+        assert parse_manifest((tmp_path / "camp.rphm").read_bytes())["final"] is False
+        report = recover_sharded(
+            "camp.rphm", commit=True, backend=LocalFileBackend(root=tmp_path)
+        )
+        assert report.steps == (0, 1, 2, 3) and not report.dropped
+
     def test_crashsim_matrix_union_oracle(self, campaign, tmp_path):
         """Every deterministic kill: normal open refuses, recovery serves
-        exactly the union oracle, survivors bit-exact, commit repairs."""
+        exactly the union oracle, survivors bit-exact, commit repairs. A
+        manifest torn inside its magic is no campaign to ``SeriesReader``
+        (it tells one by its magic alone); ``recover_sharded`` is told."""
         manifest, _, ref = campaign
         points = faultsim.sharded_injection_points(manifest)
-        assert len(points) == 2 + N_SHARDS * len(faultsim.DEFAULT_FRACS)
-        assert {p.manifest for p in points} == {"nonfinal", "torn"}
+        assert len(points) == 6 + N_SHARDS * len(faultsim.DEFAULT_FRACS)
+        assert {p.manifest for p in points} == set(faultsim.MANIFEST_STATES)
         for i, pt in enumerate(points):
             ctx = f"[sharded point {i}: {pt.label}]"
             vman = faultsim.apply_sharded(manifest, pt, tmp_path / f"v{i}")
-            with pytest.raises(TruncatedSeriesError):
-                SeriesReader.open(vman)
-            with SeriesReader.open(vman, recover=True) as reader:
-                assert reader.recovered, ctx
-                assert reader.steps == pt.expect_steps, ctx
-                got = reader.select()
-            for key, want in ref.items():
-                if key[0] in pt.expect_steps:
-                    assert np.array_equal(got[key], want), (ctx, key)
+            if not vman.read_bytes().startswith(MANIFEST_MAGIC):
+                with pytest.raises(FormatError):
+                    SeriesReader.open(vman, recover=True)
+            else:
+                with pytest.raises(TruncatedSeriesError):
+                    SeriesReader.open(vman)
+                with SeriesReader.open(vman, recover=True) as reader:
+                    assert reader.recovered, ctx
+                    assert reader.steps == pt.expect_steps, ctx
+                    got = reader.select()
+                for key, want in ref.items():
+                    if key[0] in pt.expect_steps:
+                        assert np.array_equal(got[key], want), (ctx, key)
 
             report = recover_sharded(vman, commit=True)
             assert isinstance(report, ShardedRecoveryReport)

@@ -328,12 +328,14 @@ class ShardedCrashPoint:
     """One deterministic kill of a sharded campaign.
 
     ``cuts`` maps each shard basename to the offset its file is truncated
-    at (every shard is cut — a killed campaign never wrote any shard's
-    index/footer); the ``victim``'s cut lands inside its in-flight step.
-    ``manifest`` is ``"nonfinal"`` (the initial manifest a real kill
-    leaves behind) or ``"torn"`` (the manifest itself is half-written, so
-    recovery must rediscover the shards by name). ``expect_steps`` is the
-    union survivor oracle across shards.
+    at (a campaign killed before close wrote no shard's index/footer, so
+    every shard is cut; one killed in close's manifest rewrite keeps them
+    whole); the ``victim``'s cut lands inside its in-flight step.
+    ``manifest`` names the manifest the kill leaves, one of
+    :data:`MANIFEST_STATES`: the initial non-final one a real kill leaves
+    behind, or one torn by a kill inside a write or an in-place rewrite,
+    so recovery must rediscover the shards by name. ``expect_steps`` is
+    the union survivor oracle across shards.
     """
 
     victim: str
@@ -341,6 +343,22 @@ class ShardedCrashPoint:
     expect_steps: tuple[int, ...]
     label: str
     manifest: str = "nonfinal"
+
+
+#: How each :class:`ShardedCrashPoint` ``manifest`` kind is shaped from
+#: the campaign's non-final and final manifest bytes. A manifest is
+#: rewritten in place, so a kill inside a rewrite leaves the new prefix
+#: over the old bytes, or the whole new manifest before a stale tail.
+MANIFEST_STATES = {
+    "nonfinal": lambda nonfinal, final: nonfinal,
+    "torn": lambda nonfinal, final: nonfinal[: max(5, len(nonfinal) // 2)],
+    "torn-0": lambda nonfinal, final: nonfinal[:0],
+    "torn-2": lambda nonfinal, final: nonfinal[:2],
+    "half-final": lambda nonfinal, final: (
+        final[: len(final) // 2] + nonfinal[len(final) // 2 :]
+    ),
+    "stale-tail": lambda nonfinal, final: nonfinal + final[len(nonfinal) :],
+}
 
 
 def sharded_injection_points(
@@ -352,7 +370,8 @@ def sharded_injection_points(
     Derived from each shard's real layout: the clean-boundary kill (all
     shards sealed), one mid-payload kill per shard per fraction (that
     shard loses exactly its last step; all other shards keep everything),
-    and a torn-manifest variant exercising shard rediscovery.
+    and one kill per torn manifest state of :data:`MANIFEST_STATES`
+    exercising shard rediscovery.
     """
     man = parse_manifest(Path(manifest_path).read_bytes())
     base = Path(manifest_path).parent
@@ -364,6 +383,7 @@ def sharded_injection_points(
         e.step for entries, _ in layout.values() for e in entries
     ))
     sealed_cuts = {name: idx for name, (_, idx) in layout.items()}
+    whole_cuts = {name: (base / name).stat().st_size for name in layout}
 
     points = [ShardedCrashPoint(
         victim="", cuts=dict(sealed_cuts), expect_steps=all_steps,
@@ -386,6 +406,24 @@ def sharded_injection_points(
         label="manifest torn mid-body (shards rediscovered by name)",
         manifest="torn",
     ))
+    for n in (0, 2):
+        points.append(ShardedCrashPoint(
+            victim="", cuts=dict(sealed_cuts), expect_steps=all_steps,
+            label=f"manifest torn to {n} bytes (shards rediscovered by name)",
+            manifest=f"torn-{n}",
+        ))
+    points.append(ShardedCrashPoint(
+        victim="", cuts=whole_cuts, expect_steps=all_steps,
+        label="close killed half-way through rewriting the final manifest "
+              "over the non-final one (shards rediscovered by name)",
+        manifest="half-final",
+    ))
+    points.append(ShardedCrashPoint(
+        victim="", cuts=dict(sealed_cuts), expect_steps=all_steps,
+        label="non-final manifest rewritten over a longer one, killed "
+              "before the stale tail was cut",
+        manifest="stale-tail",
+    ))
     return points
 
 
@@ -401,9 +439,9 @@ def apply_sharded(
         {"name": r["name"], "durability": r["durability"], "steps": []}
         for r in man["shards"]
     ]
-    blob = pack_manifest(meta, rows, final=False)
-    if point.manifest == "torn":
-        blob = blob[: max(5, len(blob) // 2)]
+    blob = MANIFEST_STATES[point.manifest](
+        pack_manifest(meta, rows, final=False), manifest_path.read_bytes()
+    )
     out_manifest = output_dir / manifest_path.name
     out_manifest.write_bytes(blob)
     for row in man["shards"]:
