@@ -126,9 +126,10 @@ class CompressedHierarchy(ContainerReader):
         including the legacy monolithic ``RPRH`` magic, which
         :class:`ContainerReader` names in its rejection — is a
         :class:`~repro.errors.FormatError`. The result owns a copy of
-        ``raw``; every stream's crc32 and every group header is verified
-        here, each ``(level, field)``'s patches must be numbered 0, 1, ...
-        in index order, and the group ids 0, 1, ...
+        ``raw``; every stream's crc32, every group header and every group
+        member payload's crc32 is verified here, each ``(level, field)``'s
+        patches must be numbered 0, 1, ... in index order, and the group
+        ids 0, 1, ...
         """
         held = cls(raw)
         next_patch: dict[tuple[int, str], int] = {}
@@ -143,14 +144,18 @@ class CompressedHierarchy(ContainerReader):
         if gids != list(range(len(gids))):
             raise FormatError(f"container group ids are not contiguous from 0 (got {gids})")
         for gid in gids:
-            held.group(gid)
+            group = held.group(gid)
+            for member in range(group.n_patches):
+                group.read_payload(member)
         return held
 
 
-#: Cells a run of patches may hold before it is encoded; where a run is cut
-#: never changes a byte. ``benchmarks/e2e`` ``campaign_write`` (62 fine patches
-#: per field, median 8^3), medians of ten pairs: 8 k cells and the heap tree
-#: build 240 ms/op, 160.7 MB peak RSS; 64 k and the two-queue build 181 ms,
+#: Cells a run of patches may hold before it is encoded. A cut decides the
+#: groups — an sz-lr run is one shared-codebook group section — so it moves
+#: the written bytes but never a decoded value. ``benchmarks/e2e``
+#: ``campaign_write`` (62 fine patches per field, median 8^3), medians of ten
+#: pairs, with per-patch codebooks: 8 k cells and the heap tree build
+#: 240 ms/op, 160.7 MB peak RSS; 64 k and the two-queue build 181 ms,
 #: 164.9 MB (+2.6 %: a run's int64 temporaries); the budget alone is -10 %.
 #: 8 k was once kept because ``ops_per_s`` resolved only 0.22 /s of spread; its
 #: bound is now 25 % of ~4.2 /s, ~1.06 /s, and runs spread by 0.17-0.27 /s
@@ -301,7 +306,11 @@ def compress_hierarchy(
         scales with each patch for the vectorized decode); ignored when
         ``codec`` is an instance, which already carries its configuration.
     batch:
-        ``"patch"`` (historical: one codec call per patch) or ``"level"``
+        ``"patch"`` — each (level, field) is cut into runs of consecutive
+        patches (:data:`RUN_CELL_BUDGET` cells); a codec with a grouped
+        run path (``sz-lr``) codes each run under one shared Huffman
+        codebook, one group section per run, and any other codec writes
+        self-contained per-patch streams — or ``"level"``
         — the **fused level-batched path**: all same-shape patches of one
         (level, field) run prediction + quantization as one batched kernel
         invocation and share one Huffman codebook per group, written as
@@ -341,23 +350,37 @@ def compress_hierarchy(
         "field_bounds": field_bounds,
     }
     if batch == "level":
-        streams, groups, stream_groups = _compress_hierarchy_batched(
-            hierarchy, comp, error_bound, mode, names, exclude_covered,
-            parallel, workers, pool, field_bounds,
+        tasks, memberships, counts = _level_tasks(
+            hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
         )
-        return CompressedHierarchy(
-            pack_container(meta, streams, groups=groups, stream_groups=stream_groups)
+    else:
+        tasks, memberships, counts = _run_tasks(
+            hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
         )
-    # Cut each (level, field) into runs of patches (PatchRuns): the map
-    # over runs is pure (paper §3.3) and a run's streams are the per-patch
-    # streams byte for byte, so any executor that preserves order — and
-    # any cut — produces the same container bytes.
+    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
+    return CompressedHierarchy(_assemble(meta, counts, memberships, results))
+
+
+def _run_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds):
+    """The ``batch="patch"`` tasks of :func:`compress_hierarchy`:
+    ``(tasks, memberships, counts)`` as :func:`_assemble` takes them.
+
+    Each (level, field) is cut into runs of patches (:class:`PatchRuns`),
+    fields in sorted order — the order the streaming writer feeds them, so
+    a segment's groups are numbered as this container's. The map over runs
+    is pure (paper §3.3), so any executor that preserves order produces
+    the same container bytes.
+    """
     runs, cutter = [], PatchRuns()
+    counts: list[dict[str, int]] = []
     for lev_idx, lev in enumerate(hierarchy):
         masks = level_covered_masks(hierarchy, lev_idx) if exclude_covered else None
-        for name in names:
+        counts.append({})
+        for name in sorted(names):
             field_eb = field_bounds.get(name, error_bound)
-            for p_idx, patch in enumerate(lev.patches(name)):
+            patches = lev.patches(name)
+            counts[-1][name] = len(patches)
+            for p_idx, patch in enumerate(patches):
                 data = patch.data
                 if masks is not None and masks[p_idx].any():
                     # Resolve the bound against the *original* values first:
@@ -369,34 +392,45 @@ def compress_hierarchy(
                     bound = comp.resolve_member_bound(data, field_eb, mode)
                 runs += cutter.add((lev_idx, name), data, bound)
     runs += cutter.flush()
-    tasks = [(comp, members, bounds, "patch") for _, members, bounds in runs]
-    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
-    streams: list[dict[str, list[bytes]]] = [{name: [] for name in names} for _ in hierarchy]
-    for ((lev_idx, name), _, _), result in zip(runs, results):
-        streams[lev_idx][name] += result.streams
-    return CompressedHierarchy(pack_container(meta, streams))
+    tasks, memberships, first = [], [], {}
+    for key, members, bounds in runs:
+        tasks.append((comp, members, bounds, "patch"))
+        start = first.get(key, 0)
+        memberships.append([(*key, p_idx) for p_idx in range(start, start + len(members))])
+        first[key] = start + len(members)
+    return tasks, memberships, counts
 
 
-def _compress_hierarchy_batched(
-    hierarchy: AMRHierarchy,
-    comp: Compressor,
-    error_bound: float,
-    mode: str,
-    names: tuple[str, ...],
-    exclude_covered: bool,
-    parallel: str,
-    workers: int,
-    pool,
-    field_bounds: dict[str, float],
-) -> tuple[list, list[bytes], dict]:
-    """The ``batch="level"`` streams of :func:`compress_hierarchy`:
-    ``(streams, groups, stream_groups)`` as :func:`pack_container` takes them.
+def _assemble(meta: dict, counts: list, memberships: list, results: list) -> bytes:
+    """The container of a hierarchy's compressed tasks, for both batch
+    modes: ``memberships[t]`` names task ``t``'s members ``(level, field,
+    patch)``, ``counts[level][field]`` the patches of each key. Group ids
+    follow task order, skipping tasks without a shared codebook (their
+    members are self-contained streams)."""
+    streams: list[dict[str, list[bytes]]] = [
+        {name: [b""] * n for name, n in level.items()} for level in counts
+    ]
+    groups: list[bytes] = []
+    stream_groups: dict[tuple[int, str, int], tuple[int, int]] = {}
+    for keys, result in zip(memberships, results):
+        if result.codebook is not None:
+            for member, key in enumerate(keys):
+                stream_groups[key] = (len(groups), member)
+            groups.append(pack_group(result.codebook, result.payloads))
+        for (lev_idx, name, p_idx), blob in zip(keys, result.streams):
+            streams[lev_idx][name][p_idx] = blob
+    return pack_container(meta, streams, groups=groups, stream_groups=stream_groups)
+
+
+def _level_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds):
+    """The ``batch="level"`` tasks of :func:`compress_hierarchy`:
+    ``(tasks, memberships, counts)`` as :func:`_assemble` takes them.
 
     Groups same-shape patches of each (level, field) into one fused
-    ``compress_batch`` task; the parallel map runs per group. Group ids
-    are assigned in deterministic task order (level ascending, field in
-    ``names`` order, shape by first appearance), so the container bytes —
-    like the per-patch path's — are identical across execution modes.
+    ``compress_batch`` task; the parallel map runs per group. Task order
+    (level ascending, field in ``names`` order, shape by first appearance)
+    numbers the groups, so the container bytes — like the per-run
+    path's — are identical across execution modes.
     """
     if not getattr(comp, "supports_batch", False):
         raise CompressionError(
@@ -432,23 +466,7 @@ def _compress_hierarchy_batched(
                 tasks.append((comp, stacked, bounds, "level"))
                 memberships.append([(lev_idx, name, p) for p in idxs])
         counts_by_level.append(counts)
-    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
-    # Deterministic assembly: gids in task order, skipping fallback groups
-    # (pooled alphabet too large -> members became self-contained streams).
-    streams: list[dict[str, list[bytes]]] = [
-        {name: [b""] * counts[name] for name in names} for counts in counts_by_level
-    ]
-    groups: list[bytes] = []
-    stream_groups: dict[tuple[int, str, int], tuple[int, int]] = {}
-    for keys, result in zip(memberships, results):
-        if result.codebook is not None:
-            gid = len(groups)
-            groups.append(pack_group(result.codebook, result.payloads))
-            for member, key in enumerate(keys):
-                stream_groups[key] = (gid, member)
-        for (lev_idx, name, p_idx), blob in zip(keys, result.streams):
-            streams[lev_idx][name][p_idx] = blob
-    return streams, groups, stream_groups
+    return tasks, memberships, counts_by_level
 
 
 def _template_patch(decoded: dict, key: tuple[int, str, int], box) -> np.ndarray:

@@ -47,7 +47,6 @@ __all__ = [
     "STREAM_MAGIC",
     "ENTROPY_STAGES",
     "GROUPED_STAGE",
-    "GROUPED_SECTION_BACKEND",
     "BatchResult",
     "SharedEntropy",
     "check_entropy_params",
@@ -76,21 +75,13 @@ HUFFMAN_SECTION_LEVEL = 1
 #: Default DEFLATE level for sections the backend itself entropy-codes.
 RAW_SECTION_LEVEL = 6
 
-#: Grouped (``HUFS``) member payloads are pure shared-codebook bitstreams
-#: — no alphabet header, no length table — and measured DEFLATE gain on
-#: them is ~1.1% for ~18 ms per 256 x 16^3 group (level 1 and level 6
-#: alike). The measured-right default is therefore the ``"none"`` backend
-#: (a 1-byte tag); setting the codec's ``backend_level`` explicitly opts a
-#: group back into its configured backend at that level.
-GROUPED_SECTION_BACKEND = "none"
-
-
 class BatchResult(NamedTuple):
     """Output of a codec's ``compress_batch`` over one group of patches.
 
     ``codebook`` is the serialized shared Huffman codebook (``HUFB``), or
-    ``None`` when the pooled alphabet forced the DEFLATE fallback — then
-    ``payloads`` is empty and every stream is self-contained. Otherwise
+    ``None`` when the group has none (a codec without a grouped path,
+    ``entropy="deflate"``, or a pooled alphabet too large to Huffman-code)
+    — then ``payloads`` is empty and every stream is self-contained. Otherwise
     ``payloads[i]`` is member ``i``'s entropy payload (backend-compressed
     ``HUFS``) and ``streams[i]`` its codec stream *without* a codes
     section (params record :data:`GROUPED_STAGE` and ``group_member``).
@@ -177,8 +168,9 @@ def encode_codes(
     :data:`RAW_SECTION_LEVEL` for the fallback, where DEFLATE *is* the
     entropy coder). Returns ``(blob, stage)`` where ``stage`` names the
     encoding actually used — codecs record it in their stream params so
-    :func:`decode_codes` can invert it. The one-member case of
-    :func:`encode_codes_batch` with ``batch="patch"``.
+    :func:`decode_codes` can invert it. What a ``batch="patch"``
+    :func:`encode_codes_batch` writes per member when its run has no
+    shared codebook.
     """
     blobs, stages = _encode_members([codes], entropy, backend, k_streams, level)
     return blobs[0], stages[0]
@@ -197,43 +189,60 @@ def encode_codes_batch(
     ``(codebook_bytes, payloads, stages)``: one payload and one recorded
     stage name per member, and the group's shared codebook if it has one.
 
-    ``"patch"``: ``codes`` is a sequence of ragged per-member arrays; each
-    gets the section :func:`encode_codes` would write for it, bit-packed
-    in one pass (no codebook; a member may fall back to ``"deflate"``
-    alone).
-
-    ``"level"``: ``codes`` is the ``(members, symbols)`` matrix of
-    same-shape patches. The Huffman path builds **one** shared codebook
-    from the pooled frequencies and packs every member in a single pass
+    The Huffman path builds **one** shared codebook from the group's
+    pooled frequencies and packs every member in a single pass
     (:func:`repro.compression.huffman.encode_batch`); per-member payloads
-    are wrapped individually so random access stays per-member. By default
-    they are *stored*, not re-DEFLATEd (:data:`GROUPED_SECTION_BACKEND` —
-    measured gain is ~1% for real time); pass ``level`` to opt back into
-    ``backend`` at that level. A pooled alphabet too large to Huffman-code
-    (or ``entropy="deflate"``) falls back to self-contained per-member
-    DEFLATE sections with ``codebook=None``.
+    are wrapped individually (:func:`_wrap_grouped`) so random access
+    stays per-member. ``codes`` is, by ``batch``:
+
+    * ``"level"``: the ``(members, symbols)`` matrix of same-shape
+      patches. A pooled alphabet too large to Huffman-code (or
+      ``entropy="deflate"``) falls back to self-contained per-member
+      DEFLATE sections with ``codebook=None``.
+    * ``"patch"``: a sequence of ragged per-member arrays — a run of
+      patches. When the pooled alphabet is too large to Huffman-code (or
+      ``entropy="deflate"``) every member gets the self-contained section
+      :func:`encode_codes` would write for it, with ``codebook=None``.
     """
     if batch == "patch":
-        return (None, *_encode_members(codes, entropy, backend, k_streams, level))
-    mat = np.ascontiguousarray(codes, dtype=np.int64)
-    if entropy == "huffman" and mat.size:
+        members = [np.ascontiguousarray(c, dtype=np.int64).ravel() for c in codes]
+        pooled = np.concatenate(members) if members else np.zeros(0, np.int64)
+    else:
+        members = pooled = np.ascontiguousarray(codes, dtype=np.int64)
+    if entropy == "huffman" and pooled.size:
         try:
-            codebook, inverse = huffman.SharedCodebook.from_symbols_with_inverse(mat)
-            if level is None:
-                wrap = lambda blob: compress_bytes(blob, GROUPED_SECTION_BACKEND)
-            else:
-                wrap = lambda blob: compress_bytes(blob, backend, level)
-            payloads = [
-                wrap(blob)
-                for blob in huffman.encode_batch(
-                    mat, codebook, k_streams=k_streams, inverse=inverse
-                )
-            ]
-            return codebook.tobytes(), payloads, [GROUPED_STAGE] * len(payloads)
+            codebook, inverse = huffman.SharedCodebook.from_symbols_with_inverse(pooled)
         except huffman.HuffmanAlphabetError:
             pass
+        else:
+            if batch == "patch":
+                inverse = np.split(inverse, np.cumsum([m.size for m in members])[:-1])
+            blobs = huffman.encode_batch(members, codebook, k_streams=k_streams, inverse=inverse)
+            payloads = _wrap_grouped(blobs, codebook, backend, level)
+            return codebook.tobytes(), payloads, [GROUPED_STAGE] * len(payloads)
+    if batch == "patch":
+        return (None, *_encode_members(members, entropy, backend, k_streams, level))
     lvl = RAW_SECTION_LEVEL if level is None else level
-    return None, [pack_ints(row, backend, lvl) for row in mat], ["deflate"] * len(mat)
+    return None, [pack_ints(row, backend, lvl) for row in members], ["deflate"] * len(members)
+
+
+def _wrap_grouped(blobs: list, codebook: huffman.SharedCodebook, backend: str, level) -> list:
+    """The lossless wrappers of a group's ``HUFS`` payloads.
+
+    An explicit ``level`` runs ``backend`` at that level on every payload.
+    Otherwise a payload is *stored* (the 1-byte ``"none"`` tag), unless the
+    codebook has a 1-bit code: Huffman spends at least one bit per symbol,
+    so only a symbol that dominates its group leaves runs for DEFLATE to
+    find. Then ``backend`` at :data:`HUFFMAN_SECTION_LEVEL` is tried per
+    payload and kept where it is smaller.
+    """
+    if level is not None:
+        return [compress_bytes(blob, backend, level) for blob in blobs]
+    stored = [compress_bytes(blob, "none") for blob in blobs]
+    if codebook.lengths.min() > 1:
+        return stored
+    deflated = [compress_bytes(blob, backend, HUFFMAN_SECTION_LEVEL) for blob in blobs]
+    return [d if len(d) < len(s) else s for d, s in zip(deflated, stored)]
 
 
 def decode_codes(sections, stages, shareds, counts) -> list:

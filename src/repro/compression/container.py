@@ -39,12 +39,15 @@ Index schema (JSON)::
 Every stream carries its own crc32 in the index; corruption is detected
 per patch and reported with the failing ``(level, field, patch)`` triple.
 
-Grouped streams (level-batched compression)
--------------------------------------------
+Grouped streams
+---------------
 ``compress_hierarchy(..., batch="level")`` entropy-codes all same-shape
-patches of one (level, field) against a **shared Huffman codebook**. The
-codebook and the per-patch entropy payloads live in a *group section*
-(magic ``RPGB``), one per group:
+patches of one (level, field) against a **shared Huffman codebook**;
+``batch="patch"`` (the default, and every series segment) does the same
+for each run of consecutive patches of one (level, field) that an sz-lr
+codec encodes together. The codebook and the per-patch entropy payloads
+live in a *group section* (magic ``RPGB``), one per group, after the patch
+streams in group-id order:
 
 .. code-block:: text
 
@@ -68,9 +71,9 @@ only that member's payload extent, so ``decompress_selection`` stays
 O(selection) payload bytes. The group header carries its own crc32 in the
 index row; each payload extent carries one in the extent table.
 
-Containers written without ``batch="level"`` are byte-identical to the
-pre-group format (no ``"groups"`` key, 7-column entries); readers older
-than the grouped layout cannot open grouped containers.
+A container without groups (a codec without a grouped path,
+``entropy="deflate"``) has no ``"groups"`` key and 7-column entries;
+readers older than the grouped layout cannot open grouped containers.
 """
 
 from __future__ import annotations
@@ -225,6 +228,14 @@ def _group_header_len(n_patches: int, codebook_len: int) -> int:
     return _GROUP_HEAD.size + codebook_len + n_patches * _GROUP_EXTENT.size
 
 
+def _group_row(gid: int, offset: int, blob: bytes) -> list:
+    """The group-table row of the :func:`pack_group` section ``blob``
+    written at ``offset``: ``[gid, offset, length, header_crc32]``."""
+    n_patches, codebook_len = struct.unpack_from("<II", blob, 4)
+    header_len = _group_header_len(n_patches, codebook_len)
+    return [gid, offset, len(blob), zlib.crc32(bytes(blob[:header_len]))]
+
+
 class GroupHandle:
     """Parsed header of one group section plus lazy member-payload access.
 
@@ -247,7 +258,7 @@ class GroupHandle:
             raise FormatError(f"group {gid}: not a group section (bad magic)")
         magic, n_patches, codebook_len, payload_len = _GROUP_HEAD.unpack(prefix)
         header_len = _group_header_len(n_patches, codebook_len)
-        header = section.read(0, header_len)
+        header = prefix + section.read(_GROUP_HEAD.size, header_len - _GROUP_HEAD.size)
         #: crc32 of the header region as read (the group table records it).
         self.header_crc32 = zlib.crc32(header)
         if header_crc32 is not None and self.header_crc32 != header_crc32:
@@ -499,11 +510,7 @@ def pack_container(
         out += blob
     group_rows: list[list] = []
     for gid, blob in enumerate(groups or ()):
-        n_patches, codebook_len = struct.unpack_from("<II", blob, 4)
-        header_len = _group_header_len(n_patches, codebook_len)
-        group_rows.append(
-            [gid, len(out), len(blob), zlib.crc32(bytes(blob[:header_len]))]
-        )
+        group_rows.append(_group_row(gid, len(out), blob))
         out += blob
     index_bytes = build_index_bytes(meta, len(streams), entries, group_rows)
     index_offset = len(out)

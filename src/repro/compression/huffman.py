@@ -620,73 +620,92 @@ def encode_many(members, k_streams: int | str = "auto") -> list:
 
 
 def encode_batch(
-    codes: np.ndarray,
+    codes,
     codebook: SharedCodebook,
     k_streams: int | str = "auto",
-    inverse: np.ndarray | None = None,
+    inverse=None,
 ) -> list[bytes]:
-    """Encode every row of ``codes`` against one shared codebook.
+    """Encode every member of a group against one shared codebook.
 
     Parameters
     ----------
     codes:
-        ``(n_members, n_symbols)`` int64 array — one row per group member
-        (same-shape patches of one level). Every symbol must be in the
+        The members' symbols: a ``(n_members, n_symbols)`` int64 matrix
+        (same-shape patches of one level) or a sequence of arrays of any
+        sizes (a run of ragged patches). Every symbol must be in the
         codebook's alphabet.
     codebook:
         The group's shared :class:`SharedCodebook`.
     k_streams:
-        Interleave width per member (resolved once — members share
-        ``n_symbols``, so they share K).
+        Interleave width per member, resolved per member size — members
+        of one size share K.
     inverse:
-        Optional precomputed alphabet indices of ``codes`` (from
-        :meth:`SharedCodebook.from_symbols_with_inverse`), skipping the
-        per-call lookup over the pooled symbols.
+        Optional precomputed alphabet indices of ``codes``, shaped like it
+        (from :meth:`SharedCodebook.from_symbols_with_inverse`), skipping
+        the per-call lookup over the pooled symbols.
 
     Returns
     -------
     list[bytes]
-        One ``HUFS`` payload per row: ``magic b"HUFS" | n_symbols (u64) |
-        k_streams (u32) | stream_bits (u64[K]) | packed bits``. Each
-        payload is exactly what a one-row call produces for that row
-        alone — but the whole group is packed in a *single* pass, which is
-        where the fused batch throughput comes from.
+        One ``HUFS`` payload per member: ``magic b"HUFS" | n_symbols
+        (u64) | k_streams (u32) | stream_bits (u64[K]) | packed bits``.
+        Each payload is exactly what a one-member call produces for that
+        member alone — but members of one size share one
+        :func:`_stream_layout` and a *single* :func:`_scatter_pack` packs
+        the whole group, which is where the fused batch throughput comes
+        from. An empty member gets its header-only payload.
     """
-    mat = np.ascontiguousarray(codes, dtype=np.int64)
-    if mat.ndim != 2 or mat.shape[1] == 0:
-        raise CompressionError(
-            f"encode_batch expects a non-empty (members, symbols) matrix, "
-            f"got shape {mat.shape}"
-        )
-    P, n = mat.shape
-    if P == 0:
-        return []
-    K = resolve_k_streams(k_streams, n)
-    if inverse is None:
-        inverse = codebook.lookup(mat)
-    elif inverse.shape != mat.shape:
-        raise CompressionError(
-            f"precomputed inverse shape {inverse.shape} does not match "
-            f"codes shape {mat.shape}"
-        )
-    sym_lens = codebook.lengths64[inverse]
-    sym_codes = codebook.codes_f[inverse]  # float64: what the packer's bincount weighs
-    # Byte layout: member-major, stream-minor — member p's payload is the
-    # contiguous run of its K streams, so per-member slicing is free.
-    stream_bits, offsets, member_bytes = _stream_layout(sym_lens, K)
-    starts = np.concatenate(([0], np.cumsum(member_bytes)))
-    offsets = offsets + 8 * starts[:-1, None]
-    packed = _scatter_pack(
-        sym_codes.ravel(),
-        sym_lens.ravel(),
-        offsets.ravel(),
-        int(starts[-1]),
-    )
-    head = _HUFS_HEAD.pack(HUFS_MAGIC, n, K)
-    headers = stream_bits.astype(np.uint64)
+    if isinstance(codes, np.ndarray) and codes.ndim == 2:
+        # One size: the matrix is already the layout's (members, symbols).
+        members = [np.ascontiguousarray(codes, dtype=np.int64)]
+        if inverse is None:
+            inverse = codebook.lookup(members[0])
+        elif inverse.shape != members[0].shape:
+            raise CompressionError(
+                f"precomputed inverse shape {inverse.shape} does not match "
+                f"codes shape {members[0].shape}"
+            )
+        sizes = {members[0].shape[1]: (list(range(members[0].shape[0])), inverse)}
+    else:
+        members = [np.ascontiguousarray(m, dtype=np.int64).ravel() for m in codes]
+        if inverse is None:
+            inverse = [codebook.lookup(m) for m in members]
+        by_size: dict[int, list[int]] = {}
+        for i, m in enumerate(members):
+            if inverse[i].shape != m.shape:
+                raise CompressionError(
+                    f"precomputed inverse of member {i} has shape "
+                    f"{inverse[i].shape}, its codes {m.shape}"
+                )
+            by_size.setdefault(m.size, []).append(i)
+        sizes = {
+            n: (idx, inverse[idx[0]][None] if len(idx) == 1 else np.stack([inverse[i] for i in idx]))
+            for n, idx in by_size.items()
+        }
+    # Byte layout: size group by size group, member-major, stream-minor —
+    # a member's payload is the contiguous run of its K streams, so
+    # per-member slicing is free.
+    heads: dict[int, tuple] = {}  # member -> (n, K, stream_bits, start, end)
+    parts, cursor = [], 0
+    for n, (idx, rows) in sizes.items():
+        if n == 0:
+            heads.update((i, (0, 0, b"", cursor, cursor)) for i in idx)
+            continue
+        K = resolve_k_streams(k_streams, n)
+        sym_lens = codebook.lengths64[rows]
+        stream_bits, offsets, member_bytes = _stream_layout(sym_lens, K)
+        starts = cursor + np.concatenate(([0], np.cumsum(member_bytes)))
+        # float64 codes: what the packer's bincount weighs
+        parts.append((codebook.codes_f[rows], sym_lens, offsets + 8 * starts[:-1, None]))
+        bits = stream_bits.astype(np.uint64)
+        for r, i in enumerate(idx):
+            heads[i] = (n, K, bits[r].tobytes(), int(starts[r]), int(starts[r + 1]))
+        cursor = int(starts[-1])
+    flat = [np.concatenate([p[j].ravel() for p in parts]) if parts else np.zeros(0) for j in range(3)]
+    packed = _scatter_pack(*flat, cursor)
     return [
-        head + headers[p].tobytes() + packed[starts[p] : starts[p + 1]].tobytes()
-        for p in range(P)
+        _HUFS_HEAD.pack(HUFS_MAGIC, n, K) + bits + packed[start:end].tobytes()
+        for n, K, bits, start, end in (heads[i] for i in range(len(heads)))
     ]
 
 

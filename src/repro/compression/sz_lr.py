@@ -15,12 +15,11 @@ coefficients, and one Huffman+DEFLATE-coded quantization-code array.
 The unit the kernel chain sees is the *block*, not the patch: every array
 blockifies to an ``(n_blocks, bs**ndim)`` matrix whatever its shape, so
 one body (:meth:`SZLR._kernel`) serves a single array
-(:meth:`SZLR.compress`), a run of ragged patches written as per-patch
-streams (``compress_batch(batch="patch")`` — byte for byte what
-``compress`` writes for each member, from one kernel pass and one Huffman
-bit-pack per run), and the **level-batched fused path**
-(``batch="level"``), which additionally pools a group's codes under one
-shared canonical Huffman codebook (see ``docs/architecture.md``).
+(:meth:`SZLR.compress`, a self-contained stream), a run of ragged patches
+(``compress_batch(batch="patch")``) and the **level-batched fused path**
+(``batch="level"``); the two batch modes pool a run's or a group's codes
+under one shared canonical Huffman codebook (see
+``docs/architecture.md``), built and bit-packed once per run.
 
 The decode side mirrors it: ``decompress_batch`` entropy-decodes a run of
 streams in one lockstep, then :meth:`SZLR._reconstruct_batch` stacks the
@@ -42,6 +41,7 @@ from repro.compression.base import (
     StreamWriter,
     check_backend_level,
     check_entropy_params,
+    encode_codes,
     encode_codes_batch,
 )
 from repro.compression.lorenzo import lorenzo_forward, lorenzo_inverse
@@ -122,7 +122,7 @@ class SZLR(Compressor):
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
         arr = self._validate_input(data)
         eb = self.resolve_error_bound(arr, error_bound, mode)
-        return self._compress_run([arr], [np.asarray(data).dtype], [eb])[0]
+        return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
 
     def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
         """Compress a group of patches as one fused kernel run.
@@ -140,10 +140,12 @@ class SZLR(Compressor):
           :class:`~repro.compression.base.SharedEntropy`. A scalar
           ``error_bound`` is resolved per patch; a ``(n_patches,)`` array
           is absolute (:meth:`resolve_error_bounds`).
-        * ``"patch"``: ``data`` is a sequence of arrays of any shapes and
-          ``streams[i]`` is **byte for byte** ``compress(data[i],
-          error_bound[i], mode)`` — own codebook, own sections (see
-          :meth:`Compressor.compress_batch`).
+        * ``"patch"``: ``data`` is a sequence of arrays of any shapes (a
+          run of patches) whose codes are likewise pooled into one shared
+          codebook; ``streams[i]`` decodes bit for bit to what
+          ``compress(data[i], error_bound[i], mode)`` decodes to. A run
+          whose pooled alphabet is too large to Huffman-code keeps
+          ``compress``'s self-contained streams (``codebook=None``).
         """
         if batch == "patch":
             dtypes = [np.asarray(a).dtype for a in data]
@@ -152,7 +154,7 @@ class SZLR(Compressor):
                 self.resolve_error_bound(a, eb, mode)
                 for a, eb in zip(arrs, self._member_specs(arrs, error_bound))
             ]
-            return BatchResult(None, [], self._compress_run(arrs, dtypes, ebs))
+            return self._compress_run(arrs, dtypes, ebs, grouped=True)
         orig_dtype = np.asarray(data).dtype
         arr = self._validate_input(data, batch=True)
         n_patches = arr.shape[0]
@@ -185,18 +187,18 @@ class SZLR(Compressor):
         self.last_stage_times = times
         return BatchResult(codebook, payloads if grouped else [], streams)
 
-    def _compress_run(self, arrs: list, dtypes: list, ebs: list) -> list[bytes]:
-        """Self-contained streams of validated float64 members under
-        absolute bounds: the body of :meth:`compress` (one member) and of
-        ``compress_batch(batch="patch")``. Members agreeing on ``(bs,
-        ndim)`` run the kernel chain as one block matrix, all members'
-        codes go through one ragged Huffman pass, and only the sections
-        are written per member."""
+    def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
+        """The streams of validated float64 members under absolute bounds:
+        the body of :meth:`compress` (one self-contained member) and of
+        ``compress_batch(batch="patch")`` (a run under one shared codebook
+        when ``grouped``). Members agreeing on ``(bs, ndim)`` run the
+        kernel chain as one block matrix, all members' codes go through
+        one Huffman pass, and only the sections are written per member."""
         times = StageTimes()
         geometries: dict[tuple[int, int], list[int]] = {}
         for i, arr in enumerate(arrs):
             geometries.setdefault((self._resolve_block_size(arr.shape), arr.ndim), []).append(i)
-        plan = []  # (member, (bs, padded shape), its rows, its group's kernel output)
+        plan: list = [None] * len(arrs)  # member -> ((bs, padded shape), its rows, its kernel output)
         for (bs, ndim), members in geometries.items():
             with times.measure("blockify"):
                 parts = [reg.blockify(arrs[i], bs) for i in members]
@@ -205,21 +207,31 @@ class SZLR(Compressor):
             rows = [slice(a, b) for a, b in zip([0] + ends, ends)]
             eb_blocks = np.repeat([ebs[i] for i in members], np.diff([0] + ends))
             out = self._kernel(blocks, eb_blocks, bs, ndim, times, rows)
-            plan += [(i, (bs, p[1]), r, out) for i, p, r in zip(members, parts, rows)]
+            for i, p, r in zip(members, parts, rows):
+                plan[i] = ((bs, p[1]), r, out)
         with times.measure("entropy"):
-            _, blobs, stages = encode_codes_batch(
-                [out[3][r].ravel() for _, _, r, out in plan],
-                self.entropy, self.backend, self.k_streams,
-                level=self.backend_level, batch="patch",
-            )
-        with times.measure("pack"):
-            streams: list = [None] * len(arrs)
-            for (i, geometry, r, out), blob, stage in zip(plan, blobs, stages):
-                streams[i] = self._pack_member(
-                    arrs[i].shape, dtypes[i], ebs[i], geometry, stage, r, out, blob
+            codes = [out[3][r].ravel() for _, r, out in plan]
+            if grouped:
+                codebook, blobs, stages = encode_codes_batch(
+                    codes, self.entropy, self.backend, self.k_streams,
+                    level=self.backend_level, batch="patch",
                 )
+            else:
+                codebook, (blob, stage) = None, encode_codes(
+                    codes[0], self.entropy, self.backend, self.k_streams, level=self.backend_level,
+                )
+                blobs, stages = [blob], [stage]
+        with times.measure("pack"):
+            grouped = codebook is not None
+            streams = [
+                self._pack_member(
+                    arrs[i].shape, dtypes[i], ebs[i], geometry, stages[i], r, out,
+                    None if grouped else blobs[i], i if grouped else None,
+                )
+                for i, (geometry, r, out) in enumerate(plan)
+            ]
         self.last_stage_times = times
-        return streams
+        return BatchResult(codebook, blobs if grouped else [], streams)
 
     def _kernel(self, blocks, eb_blocks, bs: int, ndim: int, times: StageTimes, fits):
         """The SZ-L/R kernel chain over a block matrix under per-block

@@ -6,8 +6,10 @@ still accumulating*: ``add_patch`` copies the array into the run of its
 ``(level, field)``, a full run goes to the :mod:`repro.parallel` pool as one
 task, and the writer drains finished blobs straight to disk in submission
 order. Memory stays bounded by the in-flight window (``max_pending`` runs of
-``RUN_CELL_BUDGET`` cells plus their compressed blobs), never by the
-hierarchy or the campaign:
+``RUN_CELL_BUDGET`` cells plus their compressed blobs) and the step's group
+sections — a run's shared codebook and entropy payloads, held until
+:meth:`StreamingWriter.end_step` writes them before the segment index —
+never by the campaign:
 
 .. code-block:: python
 
@@ -49,8 +51,10 @@ from repro.compression.amr_codec import (
 from repro.compression.base import Compressor
 from repro.compression.container import (
     CONTAINER_VERSION,
+    _group_row,
     build_index_bytes,
     pack_footer,
+    pack_group,
     pack_header,
 )
 from repro.errors import CompressionError, StorageError
@@ -116,7 +120,9 @@ class StreamingWriter:
         pool): with the run being filled, at most
         ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells:
         (2 + 1) * (65 536 + 512) * 8 B ~ 1.6 MB of float64 at the one-lane
-        default with 8^3 patches.
+        default with 8^3 patches. The step's group sections (its runs'
+        codebooks and entropy payloads, a share of its compressed bytes)
+        are held on top until :meth:`end_step`.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`. The writer
         then pipelines through that pool — which survives across
@@ -313,14 +319,17 @@ class StreamingWriter:
         if self._in_step:
             self._seg_crc = zlib.crc32(blob, self._seg_crc)
 
-    def _write_streams(self, level: int, field: str, p_idx: int, blobs: list) -> None:
-        """Append a run's streams: patches ``p_idx``, ``p_idx + 1``, ..."""
-        for p_idx, blob in enumerate(blobs, p_idx):
+    def _write_streams(self, level: int, field: str, p_idx: int, result) -> None:
+        """Append a run's streams — patches ``p_idx``, ``p_idx + 1``, ... —
+        and hold its group section, if it has one, for :meth:`end_step`."""
+        grouped = result.codebook is not None
+        for member, blob in enumerate(result.streams):
             rel = self._sink.pos - self._seg_start
-            self._entries.append(
-                [level, field, p_idx, rel, len(blob), self._comp.name, zlib.crc32(blob)]
-            )
+            row = [level, field, p_idx + member, rel, len(blob), self._comp.name, zlib.crc32(blob)]
+            self._entries.append(row + [len(self._groups), member] if grouped else row)
             self._write(blob)
+        if grouped:
+            self._groups.append(pack_group(result.codebook, result.payloads))
 
     def _sync(self) -> None:
         """Make the bytes written so far stable (:meth:`ByteSink.sync`): a
@@ -342,7 +351,7 @@ class StreamingWriter:
         deterministic) until at most ``down_to`` remain in flight."""
         while len(self._pending) > down_to:
             level, field, p_idx, fut = self._pending.popleft()
-            self._write_streams(level, field, p_idx, fut.result().streams)
+            self._write_streams(level, field, p_idx, fut.result())
 
     def _encode_runs(self, runs: list) -> None:
         """Encode completed runs: inline, or one pool task each."""
@@ -350,7 +359,7 @@ class StreamingWriter:
             task = (self._comp, members, bounds, "patch")
             first = (*key, self._counts[key] - len(members))
             if self._pool is None:
-                self._write_streams(*first, _compress_task(task).streams)
+                self._write_streams(*first, _compress_task(task))
             else:
                 self._pending.append((*first, self._pool.submit(_compress_task, task)))
                 self._drain(self._max_pending - 1)
@@ -420,6 +429,7 @@ class StreamingWriter:
         self._seg_start = self._sink.pos
         self._seg_crc = 0
         self._entries: list[list] = []
+        self._groups: list[bytes] = []  # the step's group sections, by gid
         self._counts: dict[tuple[int, str], int] = {}
         self._orig_bytes = 0
         self._pending: deque = deque()
@@ -506,7 +516,11 @@ class StreamingWriter:
             "original_bytes": self._orig_bytes,
             "field_bounds": self._field_bounds,
         }
-        index_bytes = build_index_bytes(meta, n_levels, self._entries)
+        group_rows = []
+        for gid, blob in enumerate(self._groups):
+            group_rows.append(_group_row(gid, self._sink.pos - self._seg_start, blob))
+            self._write(blob)
+        index_bytes = build_index_bytes(meta, n_levels, self._entries, group_rows)
         rel_index_offset = self._sink.pos - self._seg_start
         self._write(index_bytes)
         self._write(pack_footer(rel_index_offset, len(index_bytes), zlib.crc32(index_bytes)))

@@ -436,6 +436,7 @@ class QueryService(ReaderView):
         want = _selection(levels, fields, patches)
         hits: dict[tuple, np.ndarray] = {}
         waits: dict[int, list[tuple[tuple, asyncio.Future]]] = {}
+        missed: list[tuple[int, _StepCatalog, list[PatchIndexEntry]]] = []
         work: list[tuple[_StepCatalog, StepPlan]] = []
         for s in self._step_order:
             if want_steps is not None and s not in want_steps:
@@ -474,8 +475,12 @@ class QueryService(ReaderView):
                     owned[key] = (pkey, fut)
                 misses.append(cat.reader.entries[i])
                 info.cache_misses += 1
-            if not misses:
-                continue
+            if misses:
+                missed.append((s, cat, misses))
+        # Plan only once every miss of the selection is registered: loading
+        # a step's group headers awaits, and a query walking meanwhile must
+        # find the later steps' decodes in flight too.
+        for s, cat, misses in missed:
 
             async def plan(healed, cat=cat, misses=misses):
                 return await self._plan_misses(healed or cat, misses, verify, info)

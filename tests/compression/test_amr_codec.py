@@ -17,6 +17,7 @@ from repro.compression.amr_codec import (
     decompress_selection,
     resolve_patch_codec,
 )
+from repro.compression.base import StreamReader
 from repro.compression.container import ContainerReader
 from repro.errors import CompressionError
 from tests.conftest import make_sphere_hierarchy
@@ -160,7 +161,10 @@ class TestContainer:
         for entry in reader.entries:
             blob = raw[entry.offset : entry.offset + entry.length]
             patch = multi_field_hierarchy[entry.level].patches(entry.field)[entry.patch]
-            assert blob == codec.compress(patch.data, 1e-3, "rel")
+            assert StreamReader(blob).shape == patch.data.shape
+            shared = reader.group(entry.group).shared(entry.member)
+            want = codec.decompress(codec.compress(patch.data, 1e-3, "rel"))
+            assert np.array_equal(codec.decompress(blob, shared), want)
 
 
 class TestSelectiveDecompression:
@@ -214,7 +218,9 @@ class TestSelectiveDecompression:
         out = reader.select(levels=0, fields="f", patches=0)
         assert list(out) == [(0, "f", 0)]
         consumed = counting.bytes_read
-        assert consumed == index_overhead + target.length
+        group = reader.group(target.group)  # cached by the select: reads nothing
+        member_bytes = group.member_extent(target.member)[1]
+        assert consumed == index_overhead + target.length + group.header_len + member_bytes
         skipped = sum(e.length for e in reader.entries) - target.length
         assert skipped > 0 and consumed <= len(raw) - skipped
 

@@ -370,11 +370,12 @@ class TestGroupedCorruption:
             pack_group(b"HUFBxxxx", [])
 
     def test_ungrouped_container_unchanged(self, hierarchy):
-        """Per-patch containers carry no group table and keep 7-column
-        entries — the pre-group byte format."""
+        """Containers without shared codebooks (a codec without a grouped
+        run path) carry no group table and keep 7-column entries — the
+        pre-group byte format."""
         import json
 
-        per = compress_hierarchy(hierarchy, "sz-lr", 1e-3, fields=["density"])
+        per = compress_hierarchy(hierarchy, "sz-interp", 1e-3, fields=["density"])
         reader = ContainerReader(per.tobytes())
         assert reader.group_entries == []
         raw = per.tobytes()

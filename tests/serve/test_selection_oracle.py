@@ -91,7 +91,9 @@ class WalkCache(ServeCache):
 
 
 class WalkService(QueryService):
-    """``QueryService`` with the walking ``_gather`` over a ``WalkCache``."""
+    """``QueryService`` with the walking ``_gather`` over a ``WalkCache``
+    (its planning deferred until the walk has registered every miss, the
+    single-flight order the service keeps over grouped segments)."""
 
     def __init__(self, path, **kwargs):
         super().__init__(path, **kwargs)
@@ -107,6 +109,7 @@ class WalkService(QueryService):
         want_patches = _normalize_selector(patches, "patch")
         hits: dict[tuple, np.ndarray] = {}
         waits: dict[int, list[tuple[tuple, asyncio.Future]]] = {}
+        missed: list[tuple[int, _StepCatalog, list[PatchIndexEntry]]] = []
         work: list[tuple[_StepCatalog, StepPlan]] = []
         for s in self._step_order:
             if want_steps is not None and s not in want_steps:
@@ -149,8 +152,11 @@ class WalkService(QueryService):
                     owned[key] = (pkey, fut)
                 misses.append(e)
                 info.cache_misses += 1
-            if not misses:
-                continue
+            if misses:
+                missed.append((s, cat, misses))
+        # Planning follows the walk, as in the service: every miss is
+        # registered in flight before a step's group headers are awaited.
+        for s, cat, misses in missed:
 
             async def plan(healed, cat=cat, misses=misses):
                 return await self._plan_misses(healed or cat, misses, verify, info)
