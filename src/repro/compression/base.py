@@ -366,9 +366,15 @@ class StreamReader:
             self._meta = json.loads(bytes(blob[start : start + header_len]).decode())
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"corrupt stream header: {exc}") from exc
+        if not isinstance(self._meta, dict) or not isinstance(self._meta.get("sections"), list):
+            raise FormatError("corrupt stream header: not an object with a sections list")
         self._sections: dict[str, Any] = {}
         offset = start + header_len
         for sec in self._meta["sections"]:
+            # type(...) is int: a bool or a float is no length
+            if not (isinstance(sec, dict) and isinstance(sec.get("name"), str)
+                    and type(sec.get("length")) is int and sec["length"] >= 0):
+                raise FormatError(f"corrupt stream header: malformed section {sec!r}")
             end = offset + sec["length"]
             if end > len(blob):
                 raise FormatError(f"stream truncated in section {sec['name']!r}")

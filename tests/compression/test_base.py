@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,52 @@ class TestStreamContainer:
     def test_tiny_blob(self):
         with pytest.raises(FormatError):
             StreamReader(b"RP")
+
+
+def _forged(header) -> bytes:
+    """A stream whose JSON header is ``header``, followed by eight bytes."""
+    raw = json.dumps(header).encode()
+    return b"RPRC" + struct.pack("<BI", 1, len(raw)) + raw + b"12345678"
+
+
+_SECTIONS = {"codec": "t", "shape": [1], "dtype": "<f8", "params": {}}
+
+
+class TestForgedHeaders:
+    """Every header field the parser sizes or names a section by is checked
+    by type: a forged header is a ``FormatError``, never a ``TypeError``, a
+    ``KeyError`` or a section made of the header's own bytes."""
+
+    @pytest.mark.parametrize("header", [
+        [1, 2], "sections", 7, None,                     # not an object
+        dict(_SECTIONS),                                 # no sections list
+        {**_SECTIONS, "sections": {"name": "a", "length": 1}},
+    ], ids=["list", "string", "number", "null", "no-sections", "sections-object"])
+    def test_header_shape(self, header):
+        with pytest.raises(FormatError):
+            StreamReader(_forged(header))
+
+    @pytest.mark.parametrize("section", [
+        {"name": "a", "length": 2.0}, {"name": "a", "length": "2"},
+        {"name": "a", "length": True}, {"name": "a", "length": None},
+        {"name": "a"}, {"name": 3, "length": 2}, ["a", 2], "a",
+    ], ids=["float", "string", "bool", "null", "no-length", "int-name", "list", "str"])
+    def test_section_types(self, section):
+        with pytest.raises(FormatError):
+            StreamReader(_forged({**_SECTIONS, "sections": [section]}))
+
+    def test_negative_length_cannot_rewind_into_the_header(self):
+        blob = _forged({**_SECTIONS, "sections": [
+            {"name": "a", "length": 4}, {"name": "back", "length": -40},
+            {"name": "b", "length": 8},
+        ]})
+        with pytest.raises(FormatError):
+            StreamReader(blob)
+
+    def test_well_formed_forgery_still_parses(self):
+        r = StreamReader(_forged({**_SECTIONS, "sections": [
+            {"name": "a", "length": 3}, {"name": "b", "length": 5}]}))
+        assert (r.section("a"), r.section("b")) == (b"123", b"45678")
 
 
 class TestResolveErrorBound:
