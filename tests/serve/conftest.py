@@ -50,9 +50,9 @@ def sharded_path(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def snapshot_path(tmp_path_factory):
-    """A standalone level-batched RPH2 snapshot — the only source kind
-    whose streams live in RPGB shared-codebook groups (the streaming
-    writer never groups), so this is what exercises batched decode."""
+    """A standalone level-batched RPH2 snapshot: one RPGB shared-codebook
+    group per (level, field, patch shape), where the series and campaigns
+    hold one per run of patches."""
     path = tmp_path_factory.mktemp("serve-snap") / "snap.rph2"
     blob = compress_hierarchy(
         step_hierarchy(0), "sz-lr", 1e-3, batch="level"
