@@ -15,8 +15,8 @@ before it stacked runs of patches — against ``batch="level"``, and
 **asserts the fused path is >= 1.4x faster**, gated in CI against the
 committed baseline in ``benchmarks/baselines/BENCH_bench_batched.json``.
 ``stacked_speedup`` is the same loop over ``batch="patch"``: the same
-bytes, written by one kernel pass and one bit-pack per run of patches
-(sixteen 16^3 patches at 64 k cells a run).
+decoded values, written by one kernel pass, one shared codebook and one
+bit-pack per run of patches (sixteen 16^3 patches at 64 k cells a run).
 
 What the ratio divides by matters more than what it measures: nothing in
 the system runs the one-at-a-time loop any more, and every improvement to
@@ -112,8 +112,11 @@ def test_batched_compression_speedup(benchmark, many_small_patches):
     codec = resolve_patch_codec("sz-lr")
     arrays = [p.data for p in h[0].patches("density")]
     one_at_a_time = lambda: [codec.compress(a, 1e-3, "rel") for a in arrays]
-    streams = [bytes(per_patch.read_stream(e)) for e in per_patch.entries]
-    assert one_at_a_time() == streams, "stacking changed bytes"
+    alone = [codec.decompress(blob) for blob in one_at_a_time()]
+    stacked = per_patch.select()
+    assert all(np.array_equal(stacked[e.key], want) for e, want in zip(per_patch.entries, alone)), (
+        "stacking changed decoded values"
+    )
 
     per_s = _best_of(one_at_a_time)
     stacked_s = _best_of(lambda: compress_hierarchy(h, "sz-lr", 1e-3, fields=["density"]))

@@ -514,10 +514,11 @@ class Compressor(ABC):
         """Compress a group of patches in one call.
 
         ``batch="patch"``: ``data`` is a sequence of arrays of any shapes,
-        ``error_bound`` one spec or one per member, and ``streams[i]`` is
-        byte for byte ``compress(data[i], error_bound[i], mode)``. This
-        default is that loop; :class:`~repro.compression.sz_lr.SZLR` runs
-        the members as one block matrix instead. ``batch="level"``
+        ``error_bound`` one spec or one per member, and ``streams[i]``
+        decodes bit for bit to what ``compress(data[i], error_bound[i],
+        mode)`` decodes to. This default is that loop, byte for byte;
+        :class:`~repro.compression.sz_lr.SZLR` runs the members as one
+        block matrix under one shared codebook instead. ``batch="level"``
         (shared-codebook grouped streams) needs ``supports_batch``.
         """
         if batch != "patch":

@@ -446,8 +446,8 @@ def build_index_bytes(
     Shared by :func:`pack_container` and the streaming series writer so a
     segment written incrementally is byte-identical to a batch-packed
     container given the same streams and layout order. The ``groups``
-    table is only emitted when non-empty, keeping per-patch containers
-    byte-identical to the pre-group format.
+    table is only emitted when non-empty, keeping containers without
+    shared codebooks byte-identical to the pre-group format.
     """
     index = {
         "format": "rph2",

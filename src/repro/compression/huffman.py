@@ -657,15 +657,14 @@ def encode_batch(
     """
     if isinstance(codes, np.ndarray) and codes.ndim == 2:
         # One size: the matrix is already the layout's (members, symbols).
-        members = [np.ascontiguousarray(codes, dtype=np.int64)]
-        if inverse is None:
-            inverse = codebook.lookup(members[0])
-        elif inverse.shape != members[0].shape:
+        mat = np.ascontiguousarray(codes, dtype=np.int64)
+        rows = codebook.lookup(mat) if inverse is None else inverse
+        if rows.shape != mat.shape:
             raise CompressionError(
-                f"precomputed inverse shape {inverse.shape} does not match "
-                f"codes shape {members[0].shape}"
+                f"precomputed inverse shape {rows.shape} does not match "
+                f"codes shape {mat.shape}"
             )
-        sizes = {members[0].shape[1]: (list(range(members[0].shape[0])), inverse)}
+        sizes = {mat.shape[1]: (range(mat.shape[0]), rows)}
     else:
         members = [np.ascontiguousarray(m, dtype=np.int64).ravel() for m in codes]
         if inverse is None:

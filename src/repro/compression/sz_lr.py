@@ -243,7 +243,7 @@ class SZLR(Compressor):
         kernel by row count and they round differently (OpenBLAS/Haswell:
         1, 2-300 and >= 500 rows give three different last bits). ``fits``
         are the row slices the matmuls run over: a member's fit sees the
-        rows it would see alone, so its stream stays byte-identical.
+        rows it would see alone, so its codes stay what they are alone.
         """
         n_blocks, block_cells = blocks.shape
         with times.measure("lorenzo"):
