@@ -20,14 +20,14 @@ implements that stage:
   whole run of ragged members, each keeping its own codebook, K and
   byte-aligned streams,
 * **shared codebooks** (``HUFB`` + ``HUFS`` layouts): many small symbol
-  arrays — the per-patch quantization codes of one AMR level — can be
-  coded against one :class:`SharedCodebook` built from their pooled
-  frequencies. The codebook (alphabet + lengths) is serialized once per
-  group; each member's payload carries only its bitstreams, and
-  :func:`encode_batch` packs every member of a group in a single
-  vectorized pass. This is what makes level-batched compression
-  cheap: the pure-Python tree build and the codebook bytes are paid per
-  *group*, not per patch.
+  arrays — the per-patch quantization codes of one AMR level, or of one
+  run of patches — can be coded against one :class:`SharedCodebook`
+  built from their pooled frequencies. The codebook (alphabet + lengths)
+  is serialized once per group; each member's payload carries only its
+  bitstreams, and :func:`encode_batch` packs every member of a group, of
+  one size or ragged, in a single vectorized pass. This is what makes
+  batched compression cheap: the pure-Python tree build and the codebook
+  bytes are paid per *group*, not per patch.
 
 The alphabet is the set of distinct int64 code values; streams record the
 alphabet explicitly, so arbitrary (sparse, negative) code values work.

@@ -143,9 +143,10 @@ class SZLR(Compressor):
         * ``"patch"``: ``data`` is a sequence of arrays of any shapes (a
           run of patches) whose codes are likewise pooled into one shared
           codebook; ``streams[i]`` decodes bit for bit to what
-          ``compress(data[i], error_bound[i], mode)`` decodes to. A run
-          whose pooled alphabet is too large to Huffman-code keeps
-          ``compress``'s self-contained streams (``codebook=None``).
+          ``compress(data[i], error_bound[i], mode)`` decodes to. A lone
+          member, and a run whose pooled alphabet is too large to
+          Huffman-code, keep ``compress``'s self-contained streams
+          (``codebook=None``).
         """
         if batch == "patch":
             dtypes = [np.asarray(a).dtype for a in data]
@@ -154,7 +155,9 @@ class SZLR(Compressor):
                 self.resolve_error_bound(a, eb, mode)
                 for a, eb in zip(arrs, self._member_specs(arrs, error_bound))
             ]
-            return self._compress_run(arrs, dtypes, ebs, grouped=True)
+            # A lone member shares its codebook with no one: it keeps the
+            # self-contained stream, without a group section's framing.
+            return self._compress_run(arrs, dtypes, ebs, grouped=len(arrs) > 1)
         orig_dtype = np.asarray(data).dtype
         arr = self._validate_input(data, batch=True)
         n_patches = arr.shape[0]

@@ -161,10 +161,13 @@ class TestContainer:
         for entry in reader.entries:
             blob = raw[entry.offset : entry.offset + entry.length]
             patch = multi_field_hierarchy[entry.level].patches(entry.field)[entry.patch]
+            alone = codec.compress(patch.data, 1e-3, "rel")
+            if entry.group is None:  # a lone patch's run: compress's stream
+                assert blob == alone
+                continue
             assert StreamReader(blob).shape == patch.data.shape
             shared = reader.group(entry.group).shared(entry.member)
-            want = codec.decompress(codec.compress(patch.data, 1e-3, "rel"))
-            assert np.array_equal(codec.decompress(blob, shared), want)
+            assert np.array_equal(codec.decompress(blob, shared), codec.decompress(alone))
 
 
 class TestSelectiveDecompression:
@@ -218,9 +221,7 @@ class TestSelectiveDecompression:
         out = reader.select(levels=0, fields="f", patches=0)
         assert list(out) == [(0, "f", 0)]
         consumed = counting.bytes_read
-        group = reader.group(target.group)  # cached by the select: reads nothing
-        member_bytes = group.member_extent(target.member)[1]
-        assert consumed == index_overhead + target.length + group.header_len + member_bytes
+        assert consumed == index_overhead + target.length
         skipped = sum(e.length for e in reader.entries) - target.length
         assert skipped > 0 and consumed <= len(raw) - skipped
 

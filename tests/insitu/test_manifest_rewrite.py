@@ -27,15 +27,13 @@ from tests.conftest import make_sphere_hierarchy
 MANIFEST = "camp.rphm"
 
 #: md5 of each file of the 3-step, 2-shard, parity-1, durability="step"
-#: campaign of :func:`_steps`. First taken when a manifest was truncated
-#: and rewritten, and the in-place rewrite left the same bytes; re-pinned
-#: from the in-place code when runs of patches came to share a Huffman
-#: codebook (the shard bytes moved, the manifest protocol did not).
+#: campaign of :func:`_steps`, as written when a manifest was truncated
+#: and rewritten: the in-place rewrite must leave the same bytes.
 PINNED = {
-    "camp.parity000.rpxp": "ebb0fef3c9ff2bf5a8b12cf604472707",
-    "camp.rphm": "2d697c2ea8600879f282de0025f089a9",
-    "camp.shard000.rph2s": "ed6b9bda09ac40c911bce82689d300ca",
-    "camp.shard001.rph2s": "a114118b4cbb38986439c2921bb5b8b3",
+    "camp.parity000.rpxp": "f272afe86c929ad13a76e4e2ace17516",
+    "camp.rphm": "f229fc95479e08ff6df237cca35af689",
+    "camp.shard000.rph2s": "820c2f4a41fccacc388c609859d7bae3",
+    "camp.shard001.rph2s": "db0747b13d12398a1f0f9c07c2de9a02",
 }
 
 

@@ -68,7 +68,7 @@ MATRIX = {
     "deleted2": (lambda c: _delete(c, 0, 1), 0, 4, ["missing"], False),
     "deleted+rot": (
         lambda c: (_delete(c, 1), _flip_segment(c, 2, 1)),
-        1, 2, ["group-payload", "parity-member", "segment"], False,
+        1, 2, ["parity-member", "segment", "stream"], False,
     ),
     "manifest": (lambda c: os.remove(c["manifest_path"]), 0, 0, ["missing"], False),
 }

@@ -50,9 +50,10 @@ def sharded_path(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def snapshot_path(tmp_path_factory):
-    """A standalone level-batched RPH2 snapshot: one RPGB shared-codebook
-    group per (level, field, patch shape), where the series and campaigns
-    hold one per run of patches."""
+    """A standalone level-batched RPH2 snapshot — the only source of these
+    fixtures whose streams live in RPGB shared-codebook groups (the series
+    and campaign hold one patch per level, and a run of one patch is not
+    grouped), so this is what exercises batched decode."""
     path = tmp_path_factory.mktemp("serve-snap") / "snap.rph2"
     blob = compress_hierarchy(
         step_hierarchy(0), "sz-lr", 1e-3, batch="level"

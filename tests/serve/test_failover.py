@@ -1,6 +1,6 @@
 """One fail-over matrix for the read service: wherever a step's bytes stop
 being readable (its shard cannot be opened, its segment index is corrupt,
-a payload byte rots mid-segment), the outcome is decided by the one helper
+a payload byte rots mid-stream), the outcome is decided by the one helper
 in ``QueryService`` — healed from parity byte-identically, reported
 ``missing`` under ``partial=True``, or a typed error — and a healed step is
 reconstructed once, cached, and fully accounted."""
@@ -66,7 +66,7 @@ def _damage(stage: str, victim: str, entries) -> set[int]:
         return {e.step for e in entries}
     if stage == "catalog":  # a byte of the segment index: the parse fails
         flip_byte(Path(victim), first.offset + first.length - FOOTER_SIZE - 2)
-    else:  # "decode": a payload byte mid-segment: a group payload crc fails
+    else:  # "decode": a payload byte mid-stream: the stream crc fails
         flip_byte(Path(victim), first.offset + first.length // 2)
     return {first.step}
 

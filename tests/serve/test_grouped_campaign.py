@@ -18,16 +18,18 @@ from repro.compression.container import ContainerReader
 from repro.insitu.series import SeriesReader
 from repro.serve import QueryService
 
+from tests.compression.test_stacked import many_patch_hierarchy
 from tests.integrity.conftest import flip_byte
-from tests.serve.conftest import N_SHARD_STEPS, N_SHARDS, step_hierarchy
+
+N_STEPS = 4
 
 
 @pytest.fixture(scope="module")
 def grouped_template(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-grouped")
     manifest = root / "camp.rphm"
-    write_sharded_series(manifest, [step_hierarchy(s) for s in range(N_SHARD_STEPS)],
-                         "sz-lr", 1e-3, n_shards=N_SHARDS, parallel="serial", parity=1)
+    write_sharded_series(manifest, [many_patch_hierarchy(s) for s in range(N_STEPS)],
+                         "sz-lr", 1e-3, n_shards=2, parallel="serial", parity=1)
     with repro.open(manifest) as reader:
         truth = reader.select()
     return root, truth
@@ -87,9 +89,9 @@ def test_cold_and_warm_replies_are_the_select(grouped):
 
 def test_a_cold_one_patch_query_is_the_select(grouped):
     manifest, truth = grouped
-    ((got, info),) = _query(manifest, [{"steps": 1, "levels": 1, "fields": "f", "patches": 0}])
+    ((got, info),) = _query(manifest, [{"steps": 1, "levels": 1, "fields": "a", "patches": 0}])
     assert info.group_batches == 1
-    assert _equal(got, _subset(truth, lambda k: k == (1, 1, "f", 0)))
+    assert _equal(got, _subset(truth, lambda k: k == (1, 1, "a", 0)))
 
 
 def test_partial_reply_drops_the_rotten_step(grouped):
@@ -108,3 +110,22 @@ def test_healed_reply_is_the_select(grouped):
     assert _equal(healed, truth)
     assert again_info.repairs == 0 and again_info.cache_misses == 0
     assert _equal(again, _subset(truth, lambda k: k[0] == 0))
+
+
+def test_a_concurrent_query_joins_every_step_in_flight(grouped):
+    """Loading a step's group headers awaits; a second query walking
+    meanwhile must find every step's decode already in flight, not only
+    the first one's, and read nothing itself."""
+    manifest, truth = grouped
+
+    async def run():
+        svc = QueryService(manifest)
+        try:
+            return await asyncio.gather(svc.query_info(), svc.query_info())
+        finally:
+            svc.close()
+
+    (first, first_info), (second, second_info) = asyncio.run(run())
+    assert first_info.cache_misses == len(truth) and first_info.group_batches > N_STEPS
+    assert second_info.cache_misses == 0 and second_info.fetched_bytes == 0
+    assert _equal(first, truth) and _equal(second, truth)
