@@ -820,15 +820,27 @@ def _decode_streams(members: list) -> list:
     if symbols >= _SCALAR_CUTOFF and sum(members[i][1] for i in run) >= _VECTOR_MIN_STREAMS:
         decoded = _decode_streams_vector([members[i] for i in run])
     else:
-        decoded = [_decode_streams_scalar(*members[i]) for i in run]
+        # A shared codebook's table serves all its members of the call:
+        # size the list-or-array choice by their symbols together.
+        book_symbols: dict[int, int] = {}
+        for i in run:
+            key = id(members[i][4])
+            book_symbols[key] = book_symbols.get(key, 0) + members[i][0]
+        decoded = [
+            _decode_streams_scalar(*members[i], book_symbols[id(members[i][4])]) for i in run
+        ]
     for i, syms in zip(run, decoded):
         out[i] = syms
     return out
 
 
-def _decode_streams_scalar(n, K, stream_bits, payload, codebook: SharedCodebook) -> np.ndarray:
-    """Per-stream scalar decode + interleave (small calls, narrow K)."""
-    tsym, tlen = codebook.scalar_tables(n)
+def _decode_streams_scalar(
+    n, K, stream_bits, payload, codebook: SharedCodebook, book_symbols: int | None = None
+) -> np.ndarray:
+    """Per-stream scalar decode + interleave (small calls, narrow K);
+    ``book_symbols`` is what the call decodes with ``codebook`` in all
+    (default: this member's ``n``)."""
+    tsym, tlen = codebook.scalar_tables(n if book_symbols is None else book_symbols)
     max_len = codebook.tables()[2]
     stream_bytes = (stream_bits + 7) // 8
     starts = np.concatenate(([0], np.cumsum(stream_bytes)[:-1]))
