@@ -225,6 +225,22 @@ class TestSelectiveDecompression:
         skipped = sum(e.length for e in reader.entries) - target.length
         assert skipped > 0 and consumed <= len(raw) - skipped
 
+    def test_single_grouped_patch_reads_o_patch_bytes(self, multi_field_hierarchy):
+        # A patch of a grouped run adds its run's group header (read once)
+        # and its own payload extent — never the other members' payloads.
+        raw = compress_hierarchy(multi_field_hierarchy, "sz-lr", 1e-3).tobytes()
+        counting = CountingBytesIO(raw)
+        reader = ContainerReader(counting)
+        index_overhead = counting.bytes_read
+        target = reader.entry(1, "a", 1)
+        assert target.group is not None
+        reader.select(levels=1, fields="a", patches=1)
+        group = reader.group(target.group)  # cached by the select: reads nothing
+        member_bytes = group.member_extent(target.member)[1]
+        assert counting.bytes_read == (
+            index_overhead + target.length + group.header_len + member_bytes
+        )
+
     def test_bad_source_type_rejected(self):
         with pytest.raises(CompressionError, match="cannot read"):
             decompress_selection(12345)

@@ -331,6 +331,18 @@ class TestGroupedCorruption:
         with pytest.raises(FormatError, match="checksum"):
             ContainerReader(bytes(bad)).select(patches=0)
 
+    def test_frombytes_checks_every_member_payload(self, raw_and_reader):
+        """Parsing outside bytes is checked in full: a payload byte of the
+        last member of the last group fails ``frombytes`` itself."""
+        raw, reader = raw_and_reader
+        g = reader.group_entries[-1]
+        handle = reader.group(g.gid)
+        rel, length, _ = handle.member_extent(handle.n_patches - 1)
+        bad = bytearray(raw)
+        bad[g.offset + handle.header_len + rel + length - 1] ^= 0xFF
+        with pytest.raises(FormatError, match="checksum mismatch in member"):
+            CompressedHierarchy.frombytes(bytes(bad))
+
     def test_unknown_group_reference(self, grouped):
         raw = grouped.tobytes()
         off, length, _, _ = struct.unpack_from("<QQI8s", raw, len(raw) - 28)

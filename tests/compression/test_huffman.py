@@ -173,6 +173,20 @@ class TestHUF2Layout:
         assert isinstance(tsym, list) and isinstance(tlen, list)
         assert book.scalar_tables(4096)[0] is tsym
 
+    def test_a_call_sizes_a_shared_tables_choice_by_all_its_members(self):
+        """Small members of one group decoded in one scalar call index the
+        table as lists once they hold enough symbols together, though each
+        alone would index the arrays."""
+        rng = np.random.default_rng(5)
+        book = huffman.SharedCodebook.from_symbols(np.arange(64).repeat(np.arange(1, 65)))
+        n = book.tables()[0].size // 10  # alone: n * 8 < table, arrays
+        members = [rng.choice(book.alphabet, size=n) for _ in range(12)]
+        assert 12 * n < huffman._SCALAR_CUTOFF  # the scalar loop
+        payloads = huffman.encode_batch(members, book)
+        out = huffman.decode_many(payloads, [book] * len(payloads))
+        assert all(np.array_equal(o, m) for o, m in zip(out, members))
+        assert book._lists is not None
+
     def test_auto_widens_with_input(self):
         # Below the 8-stream floor, K clamps to the symbol count.
         assert huffman.resolve_k_streams("auto", 3) == 3
