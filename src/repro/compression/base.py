@@ -226,7 +226,9 @@ def encode_codes_batch(
     return None, [pack_ints(row, backend, lvl) for row in members], ["deflate"] * len(members)
 
 
-def _wrap_grouped(blobs: list, codebook: huffman.SharedCodebook, backend: str, level) -> list:
+def _wrap_grouped(
+    blobs: list, codebook: huffman.SharedCodebook, backend: str, level: int | None
+) -> list:
     """The lossless wrappers of a group's ``HUFS`` payloads.
 
     An explicit ``level`` runs ``backend`` at that level on every payload.

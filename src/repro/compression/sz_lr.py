@@ -225,16 +225,16 @@ class SZLR(Compressor):
                 )
                 blobs, stages = [blob], [stage]
         with times.measure("pack"):
-            grouped = codebook is not None
+            shared = codebook is not None  # False too when the pooled alphabet did not fit
             streams = [
                 self._pack_member(
                     arrs[i].shape, dtypes[i], ebs[i], geometry, stages[i], r, out,
-                    None if grouped else blobs[i], i if grouped else None,
+                    None if shared else blobs[i], i if shared else None,
                 )
                 for i, (geometry, r, out) in enumerate(plan)
             ]
         self.last_stage_times = times
-        return BatchResult(codebook, blobs if grouped else [], streams)
+        return BatchResult(codebook, blobs if shared else [], streams)
 
     def _kernel(self, blocks, eb_blocks, bs: int, ndim: int, times: StageTimes, fits):
         """The SZ-L/R kernel chain over a block matrix under per-block
