@@ -5,7 +5,8 @@ level, or one field without decompressing the rest. This benchmark builds
 a 3-level Nyx-like hierarchy, compresses it once, and compares a full
 decode against a single-patch selective decode — the latter must win by at
 least :data:`MIN_SELECTIVE_SPEEDUP` (it reads and decodes O(patch) bytes,
-not O(hierarchy)).
+not O(hierarchy)). Both containers are grouped: each run of patches shares
+one Huffman codebook, whose table a lone patch's read still builds.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def test_per_level_extraction(benchmark, container_bytes):
 
 
 # ----------------------------------------------------------------------
-# Grouped (level-batched) containers: random access must stay O(selection)
+# Grouped containers (runs of patches): random access must stay O(selection)
 # ----------------------------------------------------------------------
 class _CountingFile(io.BytesIO):
     """Seekable file wrapper that counts the bytes actually read."""
@@ -127,8 +128,9 @@ class _CountingFile(io.BytesIO):
 
 @pytest.fixture(scope="module")
 def grouped_bytes():
-    """Grouped container over a many-small-patch level (the layout the
-    level-batched path produces: shared codebooks + per-patch extents)."""
+    """Grouped container over a many-small-patch level: 64 patches of 16^3,
+    four runs of sixteen, each run one group (a shared codebook +
+    per-patch extents). ``batch="level"`` writes the default's bytes."""
     from repro.amr.box import Box
     from repro.amr.boxarray import BoxArray
     from repro.amr.hierarchy import AMRHierarchy
@@ -161,8 +163,9 @@ def test_grouped_one_patch_cost(benchmark, grouped_bytes):
     one patch against one patch's *share* of a full decode (full-decode time
     / its 64 patches). A full decode is one lockstep pass over all members (PR 21), so
     its per-patch share is tiny and a lone patch — open, index, group
-    header, codebook, one scalar decode — costs a dozen of them; 64 would
-    mean the selection decoded the whole group. That reads are O(selection)
+    header, codebook, one scalar decode — costs a dozen of them; decoding
+    the patch's whole group (a run of 16) would add 16 more. That reads
+    are O(selection)
     in *bytes* is pinned by ``grouped_one_patch_read_fraction`` below."""
     n_patches = len(decompress_selection(grouped_bytes))
     full_s = _best_of(lambda: decompress_selection(grouped_bytes))

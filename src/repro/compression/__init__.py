@@ -23,7 +23,6 @@ from repro.compression.zfp_like import ZFPLike
 from repro.compression.registry import (
     available_codecs,
     codec_accepts,
-    codec_supports_batch,
     make_codec,
     register_codec,
     decompress_any,
@@ -59,7 +58,6 @@ __all__ = [
     "ZFPLike",
     "available_codecs",
     "codec_accepts",
-    "codec_supports_batch",
     "make_codec",
     "register_codec",
     "decompress_any",

@@ -101,7 +101,7 @@ def _cmd_compress_plotfile(args) -> int:
     fields = args.fields.split(",") if args.fields else None
     container = compress_hierarchy(
         hierarchy, args.codec, args.eb, mode=args.mode, fields=fields,
-        exclude_covered=args.exclude_covered, batch=args.batch,
+        exclude_covered=args.exclude_covered,
         parallel=args.parallel, workers=args.workers,
     )
     out = args.output if args.output else Path(args.input).with_suffix(".rprh")
@@ -391,12 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--mode", choices=("abs", "rel"), default="rel")
     p.add_argument("--fields", default=None, help="comma-separated subset")
     p.add_argument("--exclude-covered", action="store_true")
-    p.add_argument(
-        "--batch", choices=("patch", "level"), default="patch",
-        help="'level' fuses same-shape patches per (level, field) under a "
-             "shared Huffman codebook (grouped streams; much faster on "
-             "many-small-patch hierarchies)",
-    )
     p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
     p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_compress_plotfile)

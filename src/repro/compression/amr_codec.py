@@ -29,6 +29,8 @@ raises a clear "unsupported legacy magic" error instead.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -151,7 +153,8 @@ class CompressedHierarchy(ContainerReader):
 
 
 #: Cells a run of patches may hold before it is encoded. A cut decides the
-#: groups — an sz-lr run is one shared-codebook group section — so it moves
+#: groups — an sz-lr or sz-interp run is one shared-codebook group section —
+#: so it moves
 #: the written bytes but never a decoded value. ``benchmarks/e2e``
 #: ``campaign_write`` (62 fine patches per field, median 8^3), medians of ten
 #: pairs, with per-patch codebooks: 8 k cells and the heap tree build
@@ -188,11 +191,11 @@ class PatchRuns:
         return done
 
 
-def _compress_task(task: tuple[Compressor, object, object, str]) -> BatchResult:
-    """Module-level compress task (picklable for process mode): one group
-    of patches under resolved absolute bounds, in layout ``batch``."""
-    comp, members, bounds, batch = task
-    return comp.compress_batch(members, bounds, "abs", batch=batch)
+def _compress_task(task: tuple[Compressor, list, list]) -> BatchResult:
+    """Module-level compress task (picklable for process mode): one run of
+    patches under resolved absolute bounds."""
+    comp, members, bounds = task
+    return comp.compress_batch(members, bounds, "abs")
 
 
 def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") -> Compressor:
@@ -242,22 +245,22 @@ def validate_fields(fields) -> tuple[str, ...] | None:
 def validate_field_bounds(field_bounds, fields) -> dict[str, float]:
     """Normalize a ``{field: bound}`` override mapping (empty when None).
 
-    Bounds must be positive finite numbers; when the field set is already
-    known (``fields`` is not None), every override key must name one of
-    its fields. Shared by :func:`compress_hierarchy`, the streaming
-    writer, and the sharded campaign writer so every entry point rejects
-    bad overrides identically.
+    Bounds must be positive finite real numbers, never coerced: a string,
+    ``None`` or a bool is a :class:`CompressionError` like a bound of 0.
+    When the field set is already known (``fields`` is not None), every
+    override key must name one of its fields. Shared by
+    :func:`compress_hierarchy`, the streaming writer, and the sharded
+    campaign writer so every entry point rejects bad overrides identically.
     """
     if not field_bounds:
         return {}
     out: dict[str, float] = {}
     for name, bound in field_bounds.items():
-        eb = float(bound)
-        if not eb > 0 or eb != eb or eb == float("inf"):
+        if isinstance(bound, bool) or not isinstance(bound, Real) or not 0 < bound < math.inf:
             raise CompressionError(
                 f"field_bounds[{name!r}] must be a positive finite bound, got {bound!r}"
             )
-        out[str(name)] = eb
+        out[str(name)] = float(bound)
     if fields is not None:
         unknown = sorted(set(out) - set(fields))
         if unknown:
@@ -306,21 +309,16 @@ def compress_hierarchy(
         scales with each patch for the vectorized decode); ignored when
         ``codec`` is an instance, which already carries its configuration.
     batch:
-        ``"patch"`` — each (level, field) is cut into runs of consecutive
-        patches (:data:`RUN_CELL_BUDGET` cells); a codec with a grouped
-        run path (``sz-lr``) codes each run under one shared Huffman
-        codebook, one group section per run, and any other codec writes
-        self-contained per-patch streams — or ``"level"``
-        — the **fused level-batched path**: all same-shape patches of one
-        (level, field) run prediction + quantization as one batched kernel
-        invocation and share one Huffman codebook per group, written as
-        grouped container streams (see ``docs/container_format.md``).
-        Real AMR hierarchies are built from many small patches at fixed
-        blocking factors, so this amortizes every per-stream fixed cost
-        the paper's workload shape is dominated by. Requires a codec with
-        ``supports_batch`` (``sz-lr``, ``sz-interp``); the parallel map
-        then runs per *group*, and the container bytes remain identical
-        across serial/thread/process.
+        ``"patch"`` or ``"level"``; both write the same container bytes.
+        Each (level, field) is cut into runs of consecutive patches
+        (:data:`RUN_CELL_BUDGET` cells, :class:`PatchRuns`); a codec with a
+        run path (``sz-lr``, ``sz-interp``) codes each run of two or more
+        patches under one shared Huffman codebook, one group section per
+        run (see ``docs/container_format.md``), and any other codec writes
+        self-contained per-patch streams. ``"level"`` once selected a
+        second, level-batched path, which the run path now beats in bytes
+        and time; the parameter stays so that callers written for it keep
+        working, and any other value is refused.
     pool:
         Optional persistent :class:`repro.parallel.WorkerPool`, reused
         across calls (e.g. across timesteps) instead of building an
@@ -349,21 +347,16 @@ def compress_hierarchy(
         "original_bytes": sum(hierarchy.nbytes(name) for name in names),
         "field_bounds": field_bounds,
     }
-    if batch == "level":
-        tasks, memberships, counts = _level_tasks(
-            hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
-        )
-    else:
-        tasks, memberships, counts = _run_tasks(
-            hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
-        )
+    tasks, memberships, counts = _run_tasks(
+        hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
+    )
     results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
     return CompressedHierarchy(_assemble(meta, counts, memberships, results))
 
 
 def _run_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds):
-    """The ``batch="patch"`` tasks of :func:`compress_hierarchy`:
-    ``(tasks, memberships, counts)`` as :func:`_assemble` takes them.
+    """The tasks of :func:`compress_hierarchy`: ``(tasks, memberships,
+    counts)`` as :func:`_assemble` takes them.
 
     Each (level, field) is cut into runs of patches (:class:`PatchRuns`),
     fields in sorted order — the order the streaming writer feeds them, so
@@ -394,7 +387,7 @@ def _run_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field
     runs += cutter.flush()
     tasks, memberships, first = [], [], {}
     for key, members, bounds in runs:
-        tasks.append((comp, members, bounds, "patch"))
+        tasks.append((comp, members, bounds))
         start = first.get(key, 0)
         memberships.append([(*key, p_idx) for p_idx in range(start, start + len(members))])
         first[key] = start + len(members)
@@ -402,9 +395,9 @@ def _run_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field
 
 
 def _assemble(meta: dict, counts: list, memberships: list, results: list) -> bytes:
-    """The container of a hierarchy's compressed tasks, for both batch
-    modes: ``memberships[t]`` names task ``t``'s members ``(level, field,
-    patch)``, ``counts[level][field]`` the patches of each key. Group ids
+    """The container of a hierarchy's compressed runs: ``memberships[t]``
+    names task ``t``'s members ``(level, field, patch)``,
+    ``counts[level][field]`` the patches of each key. Group ids
     follow task order, skipping tasks without a shared codebook (their
     members are self-contained streams)."""
     streams: list[dict[str, list[bytes]]] = [
@@ -420,53 +413,6 @@ def _assemble(meta: dict, counts: list, memberships: list, results: list) -> byt
         for (lev_idx, name, p_idx), blob in zip(keys, result.streams):
             streams[lev_idx][name][p_idx] = blob
     return pack_container(meta, streams, groups=groups, stream_groups=stream_groups)
-
-
-def _level_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds):
-    """The ``batch="level"`` tasks of :func:`compress_hierarchy`:
-    ``(tasks, memberships, counts)`` as :func:`_assemble` takes them.
-
-    Groups same-shape patches of each (level, field) into one fused
-    ``compress_batch`` task; the parallel map runs per group. Task order
-    (level ascending, field in ``names`` order, shape by first appearance)
-    numbers the groups, so the container bytes — like the per-run
-    path's — are identical across execution modes.
-    """
-    if not getattr(comp, "supports_batch", False):
-        raise CompressionError(
-            f"codec {comp.name!r} does not implement the level-batched fused "
-            "path; use batch='patch' (batch-capable codecs: sz-lr, sz-interp)"
-        )
-    # One task per (level, field, patch shape): stack the members and
-    # resolve every bound to an absolute value up front (identical math to
-    # the per-patch path, including the covered-cell fill ordering).
-    tasks: list[tuple] = []
-    memberships: list[list[tuple[int, str, int]]] = []  # task -> member keys
-    counts_by_level: list[dict[str, int]] = []
-    for lev_idx, lev in enumerate(hierarchy):
-        masks = level_covered_masks(hierarchy, lev_idx) if exclude_covered else None
-        counts: dict[str, int] = {}
-        for name in names:
-            patches = lev.patches(name)
-            counts[name] = len(patches)
-            field_eb = field_bounds.get(name, error_bound)
-            by_shape: dict[tuple[int, ...], list[int]] = {}
-            for p_idx, patch in enumerate(patches):
-                by_shape.setdefault(patch.box.shape, []).append(p_idx)
-            for idxs in by_shape.values():
-                stacked = np.stack([patches[p].data for p in idxs])
-                # Bounds resolve against the *original* values, vectorized
-                # over the stack; the covered-cell fill (which may shrink a
-                # patch's range and must not tighten its bound) runs after.
-                bounds = comp.resolve_error_bounds(stacked, field_eb, mode)
-                if masks is not None:
-                    for row, p_idx in enumerate(idxs):
-                        if masks[p_idx].any():
-                            stacked[row] = _fill_covered(stacked[row], masks[p_idx])
-                tasks.append((comp, stacked, bounds, "level"))
-                memberships.append([(lev_idx, name, p) for p in idxs])
-        counts_by_level.append(counts)
-    return tasks, memberships, counts_by_level
 
 
 def _template_patch(decoded: dict, key: tuple[int, str, int], box) -> np.ndarray:
@@ -497,8 +443,8 @@ def decompress_hierarchy(
     ----------
     container:
         Output of :func:`compress_hierarchy`, or any snapshot reader
-        (per-patch or level-batched; grouped streams decode against their
-        shared codebooks transparently).
+        (grouped streams decode against their shared codebooks
+        transparently).
     template:
         Hierarchy providing the box structure and any fields that were not
         compressed (structure travels with the plotfile, not the codec

@@ -76,11 +76,12 @@ HUFFMAN_SECTION_LEVEL = 1
 RAW_SECTION_LEVEL = 6
 
 class BatchResult(NamedTuple):
-    """Output of a codec's ``compress_batch`` over one group of patches.
+    """Output of a codec's ``compress_batch`` over one run of patches.
 
     ``codebook`` is the serialized shared Huffman codebook (``HUFB``), or
-    ``None`` when the group has none (a codec without a grouped path,
-    ``entropy="deflate"``, or a pooled alphabet too large to Huffman-code)
+    ``None`` when the run has none (a codec without a run path, a run of one
+    member, ``entropy="deflate"``, or a pooled alphabet too large to
+    Huffman-code)
     — then ``payloads`` is empty and every stream is self-contained. Otherwise
     ``payloads[i]`` is member ``i``'s entropy payload (backend-compressed
     ``HUFS``) and ``streams[i]`` its codec stream *without* a codes
@@ -168,9 +169,8 @@ def encode_codes(
     :data:`RAW_SECTION_LEVEL` for the fallback, where DEFLATE *is* the
     entropy coder). Returns ``(blob, stage)`` where ``stage`` names the
     encoding actually used — codecs record it in their stream params so
-    :func:`decode_codes` can invert it. What a ``batch="patch"``
-    :func:`encode_codes_batch` writes per member when its run has no
-    shared codebook.
+    :func:`decode_codes` can invert it. What :func:`encode_codes_batch`
+    writes per member when its run has no shared codebook.
     """
     blobs, stages = _encode_members([codes], entropy, backend, k_streams, level)
     return blobs[0], stages[0]
@@ -182,48 +182,34 @@ def encode_codes_batch(
     backend: str,
     k_streams: int | str = "auto",
     level: int | None = None,
-    batch: str = "level",
 ) -> tuple[bytes | None, list, list]:
-    """Entropy-encode the code arrays of one group of patches, in the
-    layout ``compress_hierarchy``'s ``batch=`` names. Returns
-    ``(codebook_bytes, payloads, stages)``: one payload and one recorded
-    stage name per member, and the group's shared codebook if it has one.
+    """Entropy-encode the code arrays of a run of patches (``codes``, one
+    array of any size per member). Returns ``(codebook_bytes, payloads,
+    stages)``: one payload and one recorded stage name per member, and the
+    run's shared codebook if it has one.
 
-    The Huffman path builds **one** shared codebook from the group's
-    pooled frequencies and packs every member in a single pass
+    The Huffman path builds **one** shared codebook from the run's pooled
+    frequencies and packs every member in a single pass
     (:func:`repro.compression.huffman.encode_batch`); per-member payloads
     are wrapped individually (:func:`_wrap_grouped`) so random access
-    stays per-member. ``codes`` is, by ``batch``:
-
-    * ``"level"``: the ``(members, symbols)`` matrix of same-shape
-      patches. A pooled alphabet too large to Huffman-code (or
-      ``entropy="deflate"``) falls back to self-contained per-member
-      DEFLATE sections with ``codebook=None``.
-    * ``"patch"``: a sequence of ragged per-member arrays — a run of
-      patches. When the pooled alphabet is too large to Huffman-code (or
-      ``entropy="deflate"``) every member gets the self-contained section
-      :func:`encode_codes` would write for it, with ``codebook=None``.
+    stays per-member. When the pooled alphabet is too large to
+    Huffman-code (or ``entropy="deflate"``) every member gets the
+    self-contained section :func:`encode_codes` would write for it, with
+    ``codebook=None``.
     """
-    if batch == "patch":
-        members = [np.ascontiguousarray(c, dtype=np.int64).ravel() for c in codes]
-        pooled = np.concatenate(members) if members else np.zeros(0, np.int64)
-    else:
-        members = pooled = np.ascontiguousarray(codes, dtype=np.int64)
+    members = [np.ascontiguousarray(c, dtype=np.int64).ravel() for c in codes]
+    pooled = np.concatenate(members) if members else np.zeros(0, np.int64)
     if entropy == "huffman" and pooled.size:
         try:
             codebook, inverse = huffman.SharedCodebook.from_symbols_with_inverse(pooled)
         except huffman.HuffmanAlphabetError:
             pass
         else:
-            if batch == "patch":
-                inverse = np.split(inverse, np.cumsum([m.size for m in members])[:-1])
+            inverse = np.split(inverse, np.cumsum([m.size for m in members])[:-1])
             blobs = huffman.encode_batch(members, codebook, k_streams=k_streams, inverse=inverse)
             payloads = _wrap_grouped(blobs, codebook, backend, level)
             return codebook.tobytes(), payloads, [GROUPED_STAGE] * len(payloads)
-    if batch == "patch":
-        return (None, *_encode_members(members, entropy, backend, k_streams, level))
-    lvl = RAW_SECTION_LEVEL if level is None else level
-    return None, [pack_ints(row, backend, lvl) for row in members], ["deflate"] * len(members)
+    return (None, *_encode_members(members, entropy, backend, k_streams, level))
 
 
 def _wrap_grouped(
@@ -423,8 +409,9 @@ class Compressor(ABC):
     #: registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether this codec implements ``compress_batch`` (the level-batched
-    #: fused path with shared Huffman codebooks).
+    #: Whether this codec has a run path (``_compress_run``): a run of two or
+    #: more members is written under one shared Huffman codebook, and its
+    #: grouped streams decode with their :class:`SharedEntropy`.
     supports_batch: bool = False
 
     # kept: the abstract codec contract; every codec overrides it
@@ -512,24 +499,54 @@ class Compressor(ABC):
         (what the default :meth:`_reconstruct_batch` calls)."""
         raise NotImplementedError
 
-    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
-        """Compress a group of patches in one call.
+    def compress_batch(self, data, error_bound, mode: str = "abs") -> BatchResult:
+        """Compress a run of patches in one call.
 
-        ``batch="patch"``: ``data`` is a sequence of arrays of any shapes,
-        ``error_bound`` one spec or one per member, and ``streams[i]``
-        decodes bit for bit to what ``compress(data[i], error_bound[i],
-        mode)`` decodes to. This default is that loop, byte for byte;
-        :class:`~repro.compression.sz_lr.SZLR` runs the members as one
-        block matrix under one shared codebook instead. ``batch="level"``
-        (shared-codebook grouped streams) needs ``supports_batch``.
+        ``data`` is any sequence of arrays of any shapes (a ``(n, *shape)``
+        stack is the sequence of its ``n`` members), ``error_bound`` one
+        spec or one per member, and ``streams[i]`` decodes bit for bit to
+        what ``compress(data[i], error_bound[i], mode)`` decodes to. A
+        codec with ``supports_batch`` runs the members through its
+        ``_compress_run``, under one shared codebook when there are two or
+        more; any other writes ``compress``'s streams, byte for byte.
         """
-        if batch != "patch":
-            raise CompressionError(
-                f"codec {self.name!r} does not implement the level-batched fused path"
+        specs = self._member_specs(data, error_bound)
+        if not self.supports_batch:
+            return BatchResult(None, [], [self.compress(a, eb, mode) for a, eb in zip(data, specs)])
+        dtypes = [np.asarray(a).dtype for a in data]
+        arrs = [self._validate_input(a) for a in data]
+        ebs = [self.resolve_error_bound(a, eb, mode) for a, eb in zip(arrs, specs)]
+        # A lone member shares its codebook with no one: it keeps the
+        # self-contained stream, without a group section's framing.
+        return self._compress_run(arrs, dtypes, ebs, grouped=len(arrs) > 1)
+
+    def _compress_one(self, data, error_bound: float, mode: str) -> bytes:
+        """``compress`` of a codec with a run path: the run of one member."""
+        arr = self._validate_input(data)
+        eb = self.resolve_error_bound(arr, error_bound, mode)
+        return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
+
+    def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
+        """The streams of validated float64 members under absolute bounds,
+        under one shared codebook when ``grouped`` (codecs with
+        ``supports_batch`` implement it)."""
+        raise NotImplementedError
+
+    def _encode_run(self, codes: list, grouped: bool) -> tuple[bytes | None, list, list]:
+        """``(codebook, blobs, stages)`` of a run's code arrays under this
+        codec's ``entropy`` / ``backend`` / ``k_streams`` /
+        ``backend_level`` (every codec with a run path has them): the run's
+        shared codebook when
+        ``grouped`` (:func:`encode_codes_batch`), else the one member's
+        self-contained section (:func:`encode_codes`)."""
+        if grouped:
+            return encode_codes_batch(
+                codes, self.entropy, self.backend, self.k_streams, level=self.backend_level,
             )
-        return BatchResult(None, [], [
-            self.compress(a, eb, mode) for a, eb in zip(data, self._member_specs(data, error_bound))
-        ])
+        blob, stage = encode_codes(
+            codes[0], self.entropy, self.backend, self.k_streams, level=self.backend_level,
+        )
+        return None, [blob], [stage]
 
     @staticmethod
     def _member_specs(members, error_bound) -> list:
@@ -554,19 +571,15 @@ class Compressor(ABC):
     # Shared helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _validate_input(data, batch: bool = False, finite: bool = True) -> np.ndarray:
+    def _validate_input(data, finite: bool = True) -> np.ndarray:
         """``data`` as a C-contiguous float64 array after the checks every
-        codec makes: a 1-3 D float array — with ``batch``, a
-        ``(n_patches, *shape)`` stack of them — non-empty and (unless the
-        caller checks that itself, ``finite=False``) free of NaN/Inf."""
+        codec makes: a 1-3 D float array, non-empty and (unless the caller
+        checks that itself, ``finite=False``) free of NaN/Inf."""
         arr = np.ascontiguousarray(data)
         if arr.dtype.kind != "f":
             raise CompressionError(f"only float arrays are supported, got {arr.dtype}")
-        if arr.ndim - batch not in (1, 2, 3):
-            raise CompressionError(
-                f"only 1-3 D arrays{' (plus a leading patch axis)' * batch} "
-                f"supported, got {arr.ndim}-D"
-            )
+        if arr.ndim not in (1, 2, 3):
+            raise CompressionError(f"only 1-3 D arrays supported, got {arr.ndim}-D")
         if arr.size == 0:
             raise CompressionError("cannot compress an empty array")
         if finite and not np.isfinite(arr).all():
@@ -576,9 +589,14 @@ class Compressor(ABC):
     @staticmethod
     def resolve_error_bound(data, error_bound: float, mode: str, value_range=None) -> float:
         """Convert a (value, mode) pair to an absolute bound
-        (``value_range``: ``max - min`` of ``data`` when already known)."""
-        if error_bound <= 0:
-            raise CompressionError(f"error bound must be > 0, got {error_bound}")
+        (``value_range``: ``max - min`` of ``data`` when already known).
+
+        The bound must be finite and positive, and so must a ``"rel"``
+        bound scaled by the value range: an infinite or NaN bound would
+        write a stream that no reader accepts, or one that decodes to NaN.
+        """
+        if not 0 < error_bound < math.inf:
+            raise CompressionError(f"error bound must be finite and > 0, got {error_bound}")
         if mode == "abs":
             return float(error_bound)
         if mode == "rel":
@@ -587,46 +605,13 @@ class Compressor(ABC):
             if value_range == 0.0:
                 # Constant field: any positive bound works; pick the value.
                 return float(error_bound)
-            if float(error_bound) * value_range == 0.0:
+            eb = float(error_bound) * value_range
+            if eb == 0.0:
                 raise CompressionError(REL_UNDERFLOW.format(error_bound, value_range))
-            return float(error_bound) * value_range
+            if not eb < math.inf:  # the range overflowed, or the data holds NaN/Inf
+                raise CompressionError(
+                    f"relative error bound {error_bound} of the data's value range "
+                    f"{value_range} is not finite; pass an absolute bound"
+                )
+            return eb
         raise CompressionError(f"unknown error-bound mode {mode!r} (use 'abs' or 'rel')")
-
-    @classmethod
-    def resolve_error_bounds(cls, batch: np.ndarray, error_bound, mode: str) -> np.ndarray:
-        """Per-patch absolute bounds for a ``(n_patches, *shape)`` batch.
-
-        ``error_bound`` may be a scalar spec (resolved per patch — in
-        ``"rel"`` mode every patch gets a bound scaled to *its own* value
-        range, exactly as the per-patch path does) or a pre-resolved
-        ``(n_patches,)`` array of absolute bounds (``mode`` must then be
-        ``"abs"``; the covered-cell path resolves before filling).
-        """
-        n = batch.shape[0]
-        eb = np.asarray(error_bound, dtype=np.float64)
-        if eb.ndim == 0:
-            spatial = tuple(range(1, batch.ndim))
-            if np.any(eb <= 0):
-                raise CompressionError(f"error bound must be > 0, got {error_bound}")
-            if mode == "abs":
-                return np.full(n, float(eb))
-            if mode == "rel":
-                ranges = batch.max(axis=spatial) - batch.min(axis=spatial)
-                out = np.where(ranges == 0.0, float(eb), float(eb) * ranges)
-                if not out.all():
-                    raise CompressionError(REL_UNDERFLOW.format(error_bound, ranges[out == 0.0][0]))
-                return np.ascontiguousarray(out)
-            raise CompressionError(
-                f"unknown error-bound mode {mode!r} (use 'abs' or 'rel')"
-            )
-        if eb.shape != (n,):
-            raise CompressionError(
-                f"per-patch bounds must have shape ({n},), got {eb.shape}"
-            )
-        if mode != "abs":
-            raise CompressionError(
-                "per-patch bound arrays are already absolute; pass mode='abs'"
-            )
-        if np.any(eb <= 0):
-            raise CompressionError("every per-patch bound must be > 0")
-        return np.ascontiguousarray(eb)

@@ -12,7 +12,7 @@ container (magic ``RPH2``):
     offset 4   u8     container version (currently 1)
     offset 5   patch streams, concatenated back to back; each stream is an
                independent self-describing codec blob (``RPRC`` framing)
-    ...        group sections (only in level-batched containers; see below)
+    ...        group sections (only in grouped containers; see below)
     ...        index: JSON document (see below)
     EOF-28     footer: u64 index_offset, u64 index_length,
                u32 crc32(index bytes), followed at EOF-8 by the
@@ -41,11 +41,10 @@ per patch and reported with the failing ``(level, field, patch)`` triple.
 
 Grouped streams
 ---------------
-``compress_hierarchy(..., batch="level")`` entropy-codes all same-shape
-patches of one (level, field) against a **shared Huffman codebook**;
-``batch="patch"`` (the default, and every series segment) does the same
-for each run of consecutive patches of one (level, field) that an sz-lr
-codec encodes together. The codebook and the per-patch entropy payloads
+``compress_hierarchy`` (and every series segment) entropy-codes each run
+of consecutive patches of one (level, field) that an sz-lr or sz-interp
+codec encodes together against a **shared Huffman codebook**. The
+codebook and the per-patch entropy payloads
 live in a *group section* (magic ``RPGB``), one per group, after the patch
 streams in group-id order:
 

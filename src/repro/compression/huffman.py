@@ -20,8 +20,8 @@ implements that stage:
   whole run of ragged members, each keeping its own codebook, K and
   byte-aligned streams,
 * **shared codebooks** (``HUFB`` + ``HUFS`` layouts): many small symbol
-  arrays — the per-patch quantization codes of one AMR level, or of one
-  run of patches — can be coded against one :class:`SharedCodebook`
+  arrays — the per-patch quantization codes of one run of patches — can
+  be coded against one :class:`SharedCodebook`
   built from their pooled frequencies. The codebook (alphabet + lengths)
   is serialized once per group; each member's payload carries only its
   bitstreams, and :func:`encode_batch` packs every member of a group, of
@@ -630,19 +630,19 @@ def encode_batch(
     Parameters
     ----------
     codes:
-        The members' symbols: a ``(n_members, n_symbols)`` int64 matrix
-        (same-shape patches of one level) or a sequence of arrays of any
-        sizes (a run of ragged patches). Every symbol must be in the
-        codebook's alphabet.
+        The members' symbols: a sequence of arrays of any sizes (a run of
+        ragged patches; a ``(n_members, n_symbols)`` matrix is the sequence
+        of its rows). Every symbol must be in the codebook's alphabet.
     codebook:
         The group's shared :class:`SharedCodebook`.
     k_streams:
         Interleave width per member, resolved per member size — members
         of one size share K.
     inverse:
-        Optional precomputed alphabet indices of ``codes``, shaped like it
-        (from :meth:`SharedCodebook.from_symbols_with_inverse`), skipping
-        the per-call lookup over the pooled symbols.
+        Optional precomputed alphabet indices of ``codes``, one array per
+        member shaped like its codes (from
+        :meth:`SharedCodebook.from_symbols_with_inverse`), skipping the
+        per-call lookup over the pooled symbols.
 
     Returns
     -------
@@ -655,32 +655,21 @@ def encode_batch(
         the whole group, which is where the fused batch throughput comes
         from. An empty member gets its header-only payload.
     """
-    if isinstance(codes, np.ndarray) and codes.ndim == 2:
-        # One size: the matrix is already the layout's (members, symbols).
-        mat = np.ascontiguousarray(codes, dtype=np.int64)
-        rows = codebook.lookup(mat) if inverse is None else inverse
-        if rows.shape != mat.shape:
+    members = [np.ascontiguousarray(m, dtype=np.int64).ravel() for m in codes]
+    if inverse is None:
+        inverse = [codebook.lookup(m) for m in members]
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(members):
+        if inverse[i].shape != m.shape:
             raise CompressionError(
-                f"precomputed inverse shape {rows.shape} does not match "
-                f"codes shape {mat.shape}"
+                f"precomputed inverse of member {i} has shape "
+                f"{inverse[i].shape}, its codes {m.shape}"
             )
-        sizes = {mat.shape[1]: (range(mat.shape[0]), rows)}
-    else:
-        members = [np.ascontiguousarray(m, dtype=np.int64).ravel() for m in codes]
-        if inverse is None:
-            inverse = [codebook.lookup(m) for m in members]
-        by_size: dict[int, list[int]] = {}
-        for i, m in enumerate(members):
-            if inverse[i].shape != m.shape:
-                raise CompressionError(
-                    f"precomputed inverse of member {i} has shape "
-                    f"{inverse[i].shape}, its codes {m.shape}"
-                )
-            by_size.setdefault(m.size, []).append(i)
-        sizes = {
-            n: (idx, inverse[idx[0]][None] if len(idx) == 1 else np.stack([inverse[i] for i in idx]))
-            for n, idx in by_size.items()
-        }
+        by_size.setdefault(m.size, []).append(i)
+    sizes = {
+        n: (idx, inverse[idx[0]][None] if len(idx) == 1 else np.stack([inverse[i] for i in idx]))
+        for n, idx in by_size.items()
+    }
     # Byte layout: size group by size group, member-major, stream-minor —
     # a member's payload is the contiguous run of its K streams, so
     # per-member slicing is free.

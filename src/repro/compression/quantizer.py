@@ -29,8 +29,8 @@ _MAX_SAFE_CODE = 2**52
 
 def _check_eb(eb) -> None:
     """Every quantizer entry point takes a scalar bound or a broadcastable
-    array of per-row bounds (the level-batched path quantizes all patches
-    of a group in one call, each under its own resolved absolute bound)."""
+    array of per-row bounds (a run of patches quantizes all its members
+    in one call, each under its own resolved absolute bound)."""
     if np.any(np.asarray(eb) <= 0):
         raise CompressionError(f"error bound must be > 0, got {eb}")
 

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "available_codecs",
     "codec_accepts",
-    "codec_supports_batch",
     "make_codec",
     "register_codec",
     "decompress_any",
@@ -65,27 +64,6 @@ def codec_accepts(name: str, param: str) -> bool:
         p.name == param or p.kind is inspect.Parameter.VAR_KEYWORD
         for p in sig.parameters.values()
     )
-
-
-# kept: operator need: whether a codec takes batch="level" without building one
-def codec_supports_batch(name: str) -> bool:
-    """Whether codec ``name`` implements the level-batched fused path
-    (``compress_batch`` + shared-codebook decode).
-
-    Checked on the factory when it is a :class:`Compressor` subclass;
-    custom factories registered as plain callables conservatively report
-    ``False`` (their instances may still be passed to
-    ``compress_hierarchy`` directly, which checks the instance).
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise CompressionError(
-            f"unknown codec {name!r}; available: {available_codecs()}"
-        ) from None
-    if isinstance(factory, type) and issubclass(factory, Compressor):
-        return bool(getattr(factory, "supports_batch", False))
-    return False
 
 
 def make_codec(name: str, **kwargs) -> Compressor:

@@ -29,43 +29,28 @@ __all__ = [
 ]
 
 
-def blockify(arr: np.ndarray, bs: int, batch: bool = False) -> tuple[np.ndarray, tuple[int, ...]]:
+def blockify(arr: np.ndarray, bs: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Split ``arr`` into ``bs``-cubes after edge padding.
 
     Returns ``(blocks, padded_shape)`` where ``blocks`` has shape
     ``(n_blocks, bs**ndim)`` in C-order block raster order. Edge padding
     replicates border values so every block is full — padding cells are
     dropped again by :func:`unblockify`.
-
-    With ``batch=True`` the leading axis of ``arr`` is a batch of
-    same-shape patches: each ``arr[p]`` is blockified independently and
-    the results are stacked patch-major, so ``blocks`` has shape
-    ``(n_patches * blocks_per_patch, bs**ndim)`` with patch ``p``'s blocks
-    at rows ``[p * blocks_per_patch, (p + 1) * blocks_per_patch)`` —
-    identical rows to ``n_patches`` separate calls, computed in one pad +
-    transpose. ``padded_shape`` stays the *spatial* padded shape.
     """
     if bs < 2:
         raise CompressionError(f"block size must be >= 2, got {bs}")
-    spatial = arr.shape[1:] if batch else arr.shape
-    pad = [(0, (-s) % bs) for s in spatial]
-    if batch:
-        pad = [(0, 0)] + pad
+    pad = [(0, (-s) % bs) for s in arr.shape]
     padded = np.pad(arr, pad, mode="edge") if any(p[1] for p in pad) else arr
-    nb = tuple(s // bs for s in (padded.shape[1:] if batch else padded.shape))
-    ndim = len(spatial)
-    # reshape to ([P,] nb0, bs, nb1, bs, ...) then move block axes to front.
+    nb = tuple(s // bs for s in padded.shape)
+    ndim = arr.ndim
+    # reshape to (nb0, bs, nb1, bs, ...) then move block axes to front.
     shape = []
     for n in nb:
         shape.extend((n, bs))
-    lead = 1 if batch else 0
-    view = padded.reshape(padded.shape[:lead] + tuple(shape))
-    order = list(range(lead)) \
-        + list(range(lead, lead + 2 * ndim, 2)) \
-        + list(range(lead + 1, lead + 2 * ndim, 2))
+    view = padded.reshape(tuple(shape))
+    order = list(range(0, 2 * ndim, 2)) + list(range(1, 2 * ndim, 2))
     blocks = view.transpose(order).reshape(-1, bs**ndim)
-    padded_spatial = padded.shape[1:] if batch else padded.shape
-    return np.ascontiguousarray(blocks), padded_spatial
+    return np.ascontiguousarray(blocks), padded.shape
 
 
 def unblockify(blocks: np.ndarray, bs: int, padded_shape: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
@@ -104,7 +89,7 @@ def coefficient_pitches(eb, bs: int, ndim: int) -> np.ndarray:
     slope is scaled by up to ``bs`` cells, so slopes get ``eb/(2*bs)`` —
     keeping coefficient rounding well inside the residual quantizer's
     correction range (mirrors the reference SZ choice). ``eb`` is a scalar
-    bound or a per-block array of shape ``(n,)`` (the level-batched path),
+    bound or a per-block array of shape ``(n,)`` (a run's block matrix),
     giving pitches of shape ``(1 + ndim,)`` or ``(n, 1 + ndim)``.
 
     The pitch is computed by *division* (``eb / (2*bs)``), exactly as the

@@ -6,6 +6,10 @@ refinement level predicts the new lattice points by cubic interpolation
 along one axis at a time (see :mod:`repro.compression.interpolation`) and
 quantizes the corrections. Artifacts are therefore smooth and global rather
 than block-wise — the property the paper's Figures 10/11 analyze.
+
+:meth:`SZInterp.compress` is the one-member case of the run path
+(``compress_batch``): members of one shape run the interpolation passes as
+one stack, and a run's codes pool under one shared Huffman codebook.
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from repro.compression.base import (
     StreamWriter,
     check_backend_level,
     check_entropy_params,
-    encode_codes,
-    encode_codes_batch,
 )
 from repro.compression.interpolation import InterpPlan, predict_axis
 from repro.compression.lossless import compress_bytes, decompress_bytes
@@ -147,60 +149,41 @@ class SZInterp(Compressor):
         return writer.tobytes()
 
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        """The one-member case of :meth:`compress_batch`'s level pass."""
-        orig_dtype = np.asarray(data).dtype
-        arr = self._validate_input(data)
-        eb = self.resolve_error_bound(arr, error_bound, mode)
-        times = StageTimes()
-        plan, anchors, codes = self._interp_pass(arr[None], eb, times)
-        with times.measure("entropy"):
-            code_blob, entropy_used = encode_codes(
-                codes[0], self.entropy, self.backend, self.k_streams,
-                level=self.backend_level,
-            )
-        with times.measure("pack"):
-            blob = self._pack_member(
-                arr.shape, orig_dtype, eb, plan.stride, entropy_used, anchors[0], code_blob
-            )
-        self.last_stage_times = times
-        return blob
+        """A self-contained stream: the run of one member (:meth:`_compress_run`)."""
+        return self._compress_one(data, error_bound, mode)
 
-    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
-        """Compress a ``(n_patches, *shape)`` group in one fused run.
-
-        Every interpolation pass operates on the whole batch at once (the
-        predictor slices are axis-generic, so a leading patch axis rides
-        along for free), and all patches' correction codes pool into one
-        shared Huffman codebook. ``error_bound``/``mode`` follow
-        :meth:`~repro.compression.base.Compressor.resolve_error_bounds`.
-        ``batch="patch"`` is the base class's per-member loop: the passes
-        depend on the patch shape, so ragged members share no kernel work.
-        """
-        if batch == "patch":
-            return super().compress_batch(data, error_bound, mode, batch)
-        orig_dtype = np.asarray(data).dtype
-        arr = self._validate_input(data, batch=True)
-        n_patches, shape = arr.shape[0], arr.shape[1:]
-        ebs = self.resolve_error_bounds(arr, error_bound, mode)
+    def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
+        """The streams of validated float64 members under absolute bounds:
+        the body of :meth:`compress` (one self-contained member) and of
+        :meth:`compress_batch` (a run under one shared codebook when
+        ``grouped``). Members of one shape run one :meth:`_interp_pass` as
+        a stack (the passes depend on the shape, not on the values), all
+        members' codes go through one entropy pass, and only the sections
+        are written per member."""
         times = StageTimes()
-        plan, anchors, all_codes = self._interp_pass(
-            arr, ebs.reshape((n_patches,) + (1,) * len(shape)), times
-        )
+        shapes: dict[tuple[int, ...], list[int]] = {}
+        for i, arr in enumerate(arrs):
+            shapes.setdefault(arr.shape, []).append(i)
+        plan: list = [None] * len(arrs)  # member -> (stride, anchors, codes)
+        for shape, members in shapes.items():
+            stack = np.stack([arrs[i] for i in members])
+            eb = np.reshape([ebs[i] for i in members], (-1,) + (1,) * len(shape))
+            interp, anchors, codes = self._interp_pass(stack, eb, times)
+            for row, i in enumerate(members):
+                plan[i] = (interp.stride, anchors[row], codes[row])
         with times.measure("entropy"):
-            codebook, payloads, (entropy_used, *_) = encode_codes_batch(
-                all_codes, self.entropy, self.backend, self.k_streams,
-                level=self.backend_level,
-            )
+            codebook, blobs, stages = self._encode_run([c for *_, c in plan], grouped)
         with times.measure("pack"):
+            shared = codebook is not None  # False too when the pooled alphabet did not fit
             streams = [
                 self._pack_member(
-                    shape, orig_dtype, float(ebs[i]), plan.stride, entropy_used,
-                    anchors[i], payloads[i], member=i,
+                    arrs[i].shape, dtypes[i], ebs[i], stride, stages[i], member_anchors,
+                    None if shared else blobs[i], member=i,
                 )
-                for i in range(n_patches)
+                for i, (stride, member_anchors, _) in enumerate(plan)
             ]
         self.last_stage_times = times
-        return BatchResult(codebook, payloads if codebook is not None else [], streams)
+        return BatchResult(codebook, blobs if shared else [], streams)
 
     def _reconstruct(self, reader: StreamReader, all_codes: np.ndarray) -> np.ndarray:
         eb = float(reader.params["eb"])

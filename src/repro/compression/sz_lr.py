@@ -15,11 +15,10 @@ coefficients, and one Huffman+DEFLATE-coded quantization-code array.
 The unit the kernel chain sees is the *block*, not the patch: every array
 blockifies to an ``(n_blocks, bs**ndim)`` matrix whatever its shape, so
 one body (:meth:`SZLR._kernel`) serves a single array
-(:meth:`SZLR.compress`, a self-contained stream), a run of ragged patches
-(``compress_batch(batch="patch")``) and the **level-batched fused path**
-(``batch="level"``); the two batch modes pool a run's or a group's codes
-under one shared canonical Huffman codebook (see
-``docs/architecture.md``), built and bit-packed once per run.
+(:meth:`SZLR.compress`, a self-contained stream) and a run of ragged
+patches (``compress_batch``), whose codes pool under one shared canonical
+Huffman codebook (see ``docs/architecture.md``), built and bit-packed once
+per run.
 
 The decode side mirrors it: ``decompress_batch`` entropy-decodes a run of
 streams in one lockstep, then :meth:`SZLR._reconstruct_batch` stacks the
@@ -32,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import (
-    GROUPED_STAGE,
     RAW_SECTION_LEVEL,
     BatchResult,
     Compressor,
@@ -41,8 +39,6 @@ from repro.compression.base import (
     StreamWriter,
     check_backend_level,
     check_entropy_params,
-    encode_codes,
-    encode_codes_batch,
 )
 from repro.compression.lorenzo import lorenzo_forward, lorenzo_inverse
 from repro.compression.lossless import compress_bytes, decompress_bytes, pack_ints, unpack_ints
@@ -120,81 +116,17 @@ class SZLR(Compressor):
     # Compression
     # ------------------------------------------------------------------
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        arr = self._validate_input(data)
-        eb = self.resolve_error_bound(arr, error_bound, mode)
-        return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
+        """A self-contained stream: the run of one member (:meth:`_compress_run`)."""
+        return self._compress_one(data, error_bound, mode)
 
-    def compress_batch(self, data, error_bound, mode: str = "abs", batch: str = "level") -> BatchResult:
-        """Compress a group of patches as one fused kernel run.
-
-        Every stage that :meth:`compress` runs per patch — blockify,
-        dual-quant Lorenzo, the regression fit, predictor selection —
-        executes once over the group's block matrix. ``batch`` names what
-        the members are written as:
-
-        * ``"level"``: ``data`` is a ``(n_patches, *shape)`` stack whose
-          codes are pooled into **one** shared canonical Huffman codebook
-          (:func:`repro.compression.base.encode_codes_batch`). Member
-          streams record :data:`~repro.compression.base.GROUPED_STAGE` and
-          decode through :meth:`decompress` with their group's
-          :class:`~repro.compression.base.SharedEntropy`. A scalar
-          ``error_bound`` is resolved per patch; a ``(n_patches,)`` array
-          is absolute (:meth:`resolve_error_bounds`).
-        * ``"patch"``: ``data`` is a sequence of arrays of any shapes (a
-          run of patches) whose codes are likewise pooled into one shared
-          codebook; ``streams[i]`` decodes bit for bit to what
-          ``compress(data[i], error_bound[i], mode)`` decodes to. A lone
-          member, and a run whose pooled alphabet is too large to
-          Huffman-code, keep ``compress``'s self-contained streams
-          (``codebook=None``).
-        """
-        if batch == "patch":
-            dtypes = [np.asarray(a).dtype for a in data]
-            arrs = [self._validate_input(a) for a in data]
-            ebs = [
-                self.resolve_error_bound(a, eb, mode)
-                for a, eb in zip(arrs, self._member_specs(arrs, error_bound))
-            ]
-            # A lone member shares its codebook with no one: it keeps the
-            # self-contained stream, without a group section's framing.
-            return self._compress_run(arrs, dtypes, ebs, grouped=len(arrs) > 1)
-        orig_dtype = np.asarray(data).dtype
-        arr = self._validate_input(data, batch=True)
-        n_patches = arr.shape[0]
-        shape = arr.shape[1:]
-        ebs = self.resolve_error_bounds(arr, error_bound, mode)
-        bs = self._resolve_block_size(shape)
-        times = StageTimes()
-
-        with times.measure("blockify"):
-            blocks, padded_shape = reg.blockify(arr, bs, batch=True)
-        per_patch = blocks.shape[0] // n_patches
-        eb_blocks = np.repeat(ebs, per_patch)
-        out = self._kernel(blocks, eb_blocks, bs, len(shape), times, [slice(None)])
-        with times.measure("entropy"):
-            codebook, payloads, stages = encode_codes_batch(
-                out[3].reshape(n_patches, -1),
-                self.entropy, self.backend, self.k_streams,
-                level=self.backend_level,
-            )
-        with times.measure("pack"):
-            grouped = stages[0] == GROUPED_STAGE
-            streams = [
-                self._pack_member(
-                    shape, orig_dtype, float(ebs[i]), (bs, padded_shape), stages[i],
-                    slice(i * per_patch, (i + 1) * per_patch), out,
-                    None if grouped else payloads[i], i if grouped else None,
-                )
-                for i in range(n_patches)
-            ]
-        self.last_stage_times = times
-        return BatchResult(codebook, payloads if grouped else [], streams)
+    #: In this class's namespace too, where tools that rebind entry points look.
+    compress_batch = Compressor.compress_batch
 
     def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
         """The streams of validated float64 members under absolute bounds:
         the body of :meth:`compress` (one self-contained member) and of
-        ``compress_batch(batch="patch")`` (a run under one shared codebook
-        when ``grouped``). Members agreeing on ``(bs, ndim)`` run the
+        :meth:`compress_batch` (a run under one shared codebook when
+        ``grouped``). Members agreeing on ``(bs, ndim)`` run the
         kernel chain as one block matrix, all members' codes go through
         one Huffman pass, and only the sections are written per member."""
         times = StageTimes()
@@ -214,16 +146,7 @@ class SZLR(Compressor):
                 plan[i] = ((bs, p[1]), r, out)
         with times.measure("entropy"):
             codes = [out[3][r].ravel() for _, r, out in plan]
-            if grouped:
-                codebook, blobs, stages = encode_codes_batch(
-                    codes, self.entropy, self.backend, self.k_streams,
-                    level=self.backend_level, batch="patch",
-                )
-            else:
-                codebook, (blob, stage) = None, encode_codes(
-                    codes[0], self.entropy, self.backend, self.k_streams, level=self.backend_level,
-                )
-                blobs, stages = [blob], [stage]
+            codebook, blobs, stages = self._encode_run(codes, grouped)
         with times.measure("pack"):
             shared = codebook is not None  # False too when the pooled alphabet did not fit
             streams = [

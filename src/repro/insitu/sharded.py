@@ -423,7 +423,8 @@ class ShardedSeriesWriter:
         if mode not in ("abs", "rel"):
             raise CompressionError(f"unknown error-bound mode {mode!r}")
         fields = _validate_fields(fields)
-        resolve_patch_codec(codec)
+        # The campaign-wide bound itself (a "rel" one is scaled per patch).
+        error_bound = resolve_patch_codec(codec).resolve_error_bound(None, error_bound, "abs")
         backend = backend or LocalFileBackend()
         manifest_name = str(path)
         names = shard_names(manifest_name, n_shards)

@@ -171,7 +171,8 @@ class StreamingWriter:
                 f"unknown execution mode {parallel!r} (have {EXECUTION_MODES})"
             )
         self._comp = resolve_patch_codec(codec)
-        self._eb = float(error_bound)
+        # The series-wide bound itself (a "rel" one is scaled per patch).
+        self._eb = self._comp.resolve_error_bound(None, error_bound, "abs")
         self._mode = mode
         self._fields: tuple[str, ...] | None = fields
         self._exclude_covered = bool(exclude_covered)
@@ -356,7 +357,7 @@ class StreamingWriter:
     def _encode_runs(self, runs: list) -> None:
         """Encode completed runs: inline, or one pool task each."""
         for key, members, bounds in runs:
-            task = (self._comp, members, bounds, "patch")
+            task = (self._comp, members, bounds)
             first = (*key, self._counts[key] - len(members))
             if self._pool is None:
                 self._write_streams(*first, _compress_task(task))

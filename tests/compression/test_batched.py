@@ -1,11 +1,11 @@
-"""Level-batched fused compression: grouped streams, shared codebooks.
+"""Grouped runs of patches: grouped streams, shared codebooks.
 
-Covers the ``compress_hierarchy(..., batch="level")`` path end to end:
-per-patch vs batched value equivalence under the error bound, the grouped
-container layout (``RPGB`` sections + extended index), O(selection) random
-access, byte identity across execution modes, the corruption suite for
-doctored group sections, and the group-aware ``decompress_block`` fast
-path.
+Covers ``compress_hierarchy``'s runs end to end: decoded values equal to
+one-at-a-time ``compress`` under the error bound, ``batch="level"`` as the
+same container as ``batch="patch"``, the grouped container layout
+(``RPGB`` sections + extended index), O(selection) random access, byte
+identity across execution modes, the corruption suite for doctored group
+sections, and the group-aware ``decompress_block`` fast path.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.compression.container import (
     ContainerReader,
     pack_group,
 )
-from repro.compression.registry import codec_supports_batch
+from repro.compression.amr_codec import resolve_patch_codec
 from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError, FormatError
 
@@ -77,28 +77,39 @@ def codec_name(request):
 
 @pytest.fixture(scope="module")
 def grouped(hierarchy):
-    return compress_hierarchy(
-        hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
-    )
+    return compress_hierarchy(hierarchy, "sz-lr", 1e-3, fields=["density"])
 
 
 class TestBatchedEquivalence:
     def test_bound_holds_and_matches_per_patch(self, hierarchy, codec_name):
-        """Batched output obeys the per-patch-resolved rel bound, and stays
-        within 2*eb of the per-patch path's reconstruction (same math,
-        kernel-batched)."""
-        per = compress_hierarchy(hierarchy, codec_name, 1e-3, fields=["density"])
-        bat = compress_hierarchy(
-            hierarchy, codec_name, 1e-3, fields=["density"], batch="level"
-        )
-        assert bat.group_entries, "level batching should produce shared-codebook groups"
-        dec_per = per.select()
+        """Grouped runs obey the per-patch-resolved rel bound and decode bit
+        for bit to one-at-a-time ``compress`` streams."""
+        bat = compress_hierarchy(hierarchy, codec_name, 1e-3, fields=["density"])
+        assert bat.group_entries, "runs of patches should produce shared-codebook groups"
+        codec = resolve_patch_codec(codec_name)
         dec_bat = bat.select()
         for p_idx, patch in enumerate(hierarchy[0].patches("density")):
             eb = 1e-3 * (patch.data.max() - patch.data.min())
             key = (0, "density", p_idx)
             assert np.abs(dec_bat[key] - patch.data).max() <= eb * (1 + 1e-12)
-            assert np.abs(dec_bat[key] - dec_per[key]).max() <= 2 * eb
+            alone = codec.decompress(codec.compress(patch.data, 1e-3, "rel"))
+            assert np.array_equal(dec_bat[key], alone)
+
+    @pytest.mark.parametrize("name", ["sz-lr", "sz-interp", "zfp-like"])
+    @pytest.mark.parametrize("exclude_covered", [False, True])
+    def test_level_writes_the_patch_container(self, name, exclude_covered):
+        """``batch="level"`` no longer selects a path: it writes the bytes of
+        ``batch="patch"`` for every codec, zfp-like included (which the
+        level path refused)."""
+        from tests.compression.test_stacked import many_patch_hierarchy
+
+        h = many_patch_hierarchy()
+        level, patch = (
+            compress_hierarchy(h, name, 1e-3, batch=batch, exclude_covered=exclude_covered)
+            for batch in ("level", "patch")
+        )
+        assert level.tobytes() == patch.tobytes()
+        assert bool(level.group_entries) == (name != "zfp-like")
 
     def test_grouped_streams_record_stage_and_member(self, grouped):
         members = [e for e in grouped.entries if e.group is not None]
@@ -109,14 +120,13 @@ class TestBatchedEquivalence:
             assert reader.params["group_member"] == entry.member
             assert 0 <= entry.group < len(grouped.group_entries)
 
-    def test_batched_smaller_than_per_patch(self, hierarchy):
+    def test_batched_smaller_than_per_patch(self, hierarchy, grouped):
         """Shared codebooks amortize header bytes: the grouped container
-        should not be larger than the per-patch one on small patches."""
-        per = compress_hierarchy(hierarchy, "sz-lr", 1e-3, fields=["density"])
-        bat = compress_hierarchy(
-            hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
-        )
-        assert bat.compressed_bytes <= per.compressed_bytes * 1.02
+        should not be larger than the one-at-a-time streams on small
+        patches."""
+        codec = resolve_patch_codec("sz-lr")
+        alone = sum(len(codec.compress(p.data, 1e-3, "rel")) for p in hierarchy[0].patches("density"))
+        assert grouped.compressed_bytes <= alone * 1.02
 
     def test_decompress_hierarchy_grouped(self, hierarchy, grouped):
         restored = decompress_hierarchy(grouped, hierarchy)
@@ -125,34 +135,7 @@ class TestBatchedEquivalence:
             out = restored[0].patches("density")[p_idx].data
             assert np.abs(out - patch.data).max() <= eb * (1 + 1e-12)
 
-    def test_exclude_covered_batched(self):
-        """Two-level hierarchy with the covered-cell fill: the batched path
-        mirrors the per-patch bound-resolve-then-fill ordering."""
-        from repro.sims import NyxConfig
-        from repro.sims.nyx import nyx_multilevel_hierarchy
-
-        h = nyx_multilevel_hierarchy(NyxConfig(coarse_n=16), levels=2, fractions=(0.4,))
-        per = compress_hierarchy(
-            h, "sz-lr", 1e-3, fields=["baryon_density"], exclude_covered=True
-        )
-        bat = compress_hierarchy(
-            h, "sz-lr", 1e-3, fields=["baryon_density"], exclude_covered=True,
-            batch="level",
-        )
-        dp = per.select()
-        db = bat.select()
-        assert set(dp) == set(db)
-        for key in dp:
-            scale = max(np.abs(dp[key]).max(), 1.0)
-            assert np.abs(dp[key] - db[key]).max() <= 1e-6 * scale or np.allclose(
-                dp[key], db[key], atol=4e-3 * scale
-            )
-
-    def test_unsupported_codec_raises(self, hierarchy):
-        with pytest.raises(CompressionError, match="level-batched"):
-            compress_hierarchy(
-                hierarchy, "zfp-like", 1e-3, fields=["density"], batch="level"
-            )
+    def test_unknown_batch_value_is_refused(self, hierarchy):
         with pytest.raises(CompressionError, match="batch mode"):
             compress_hierarchy(
                 hierarchy, "sz-lr", 1e-3, fields=["density"], batch="bogus"
@@ -172,14 +155,10 @@ class TestBatchedEquivalence:
             out = codec.decompress(stream)
             assert np.abs(out - batch[i]).max() <= 1e-3
 
-    def test_registry_reports_batch_support(self):
-        assert codec_supports_batch("sz-lr")
-        assert codec_supports_batch("sz-interp")
-        assert not codec_supports_batch("zfp-like")
-
-    def test_mixed_shapes_form_separate_groups(self):
-        """Patches of different shapes in one (level, field) land in
-        distinct groups, all decodable."""
+    @pytest.mark.parametrize("name", ["sz-lr", "sz-interp"])
+    def test_mixed_shapes_share_one_run_group(self, name):
+        """Patches of different shapes in one (level, field) run share one
+        group — the run, not the shape, decides it — all decodable."""
         rng = np.random.default_rng(3)
         boxes = [
             Box.from_shape((8, 8, 8), lo=(0, 0, 0)),
@@ -190,8 +169,9 @@ class TestBatchedEquivalence:
         patches = [Patch(b, rng.standard_normal(b.shape)) for b in boxes]
         level = AMRLevel(0, BoxArray(boxes), (1.0,) * 3, {"f": patches})
         h = AMRHierarchy(Box.from_shape((16, 24, 8)), [level], 2)
-        bat = compress_hierarchy(h, "sz-lr", 1e-3, fields=["f"], batch="level")
-        assert len(bat.group_entries) == 2
+        bat = compress_hierarchy(h, name, 1e-3, fields=["f"])
+        assert len(bat.group_entries) == 1
+        assert [e.member for e in bat.entries] == [0, 1, 2, 3]
         dec = bat.select()
         for p_idx, patch in enumerate(patches):
             eb = 1e-3 * (patch.data.max() - patch.data.min())
@@ -204,7 +184,7 @@ class TestBatchedDeterminism:
         container bytes (acceptance criterion)."""
         blobs = {
             mode: compress_hierarchy(
-                hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level",
+                hierarchy, "sz-lr", 1e-3, fields=["density"],
                 parallel=mode, workers=3,
             ).tobytes()
             for mode in ("serial", "thread", "process")
@@ -382,12 +362,12 @@ class TestGroupedCorruption:
             pack_group(b"HUFBxxxx", [])
 
     def test_ungrouped_container_unchanged(self, hierarchy):
-        """Containers without shared codebooks (a codec without a grouped
-        run path) carry no group table and keep 7-column entries — the
-        pre-group byte format."""
+        """Containers without shared codebooks (a codec without a run path)
+        carry no group table and keep 7-column entries — the pre-group byte
+        format."""
         import json
 
-        per = compress_hierarchy(hierarchy, "sz-interp", 1e-3, fields=["density"])
+        per = compress_hierarchy(hierarchy, "zfp-like", 1e-3, fields=["density"])
         reader = ContainerReader(per.tobytes())
         assert reader.group_entries == []
         raw = per.tobytes()
@@ -405,7 +385,7 @@ class TestGroupedBlockDecode:
         symbol count at one patch's codes (regression for the fused
         layout)."""
         bat = compress_hierarchy(
-            hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
+            hierarchy, "sz-lr", 1e-3, fields=["density"]
         )
         reader = ContainerReader(bat.tobytes())
         entry = reader.entry(0, "density", 2)
@@ -436,7 +416,7 @@ class TestGroupedBlockDecode:
 
     def test_block_matches_full_decode(self, hierarchy):
         bat = compress_hierarchy(
-            hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
+            hierarchy, "sz-lr", 1e-3, fields=["density"]
         )
         reader = ContainerReader(bat.tobytes())
         entry = reader.entry(0, "density", 4)
@@ -456,12 +436,12 @@ class TestPoolIntegration:
         from repro.parallel import WorkerPool
 
         serial = compress_hierarchy(
-            hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level"
+            hierarchy, "sz-lr", 1e-3, fields=["density"]
         ).tobytes()
         with WorkerPool("thread", workers=workers) as pool:
             for _ in range(2):  # reused across calls
                 out = compress_hierarchy(
-                    hierarchy, "sz-lr", 1e-3, fields=["density"], batch="level",
+                    hierarchy, "sz-lr", 1e-3, fields=["density"],
                     pool=pool,
                 ).tobytes()
                 assert out == serial

@@ -8,6 +8,8 @@ container round-tripped through its serialized form.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -19,8 +21,11 @@ from repro.compression.amr_codec import (
     compress_hierarchy,
     decompress_hierarchy,
 )
-from repro.compression.registry import available_codecs, codec_supports_batch, make_codec
+from repro.compression.registry import available_codecs, make_codec
+from repro.compression.zmesh_like import ZMeshLike
 from repro.errors import CompressionError
+from repro.insitu.sharded import ShardedSeriesWriter
+from repro.insitu.writer import StreamingWriter
 
 CODICS = sorted(available_codecs())
 
@@ -155,8 +160,7 @@ class TestContainerBoundProperty:
 
 
 @pytest.mark.parametrize("codec, batch", [
-    (codec, batch) for codec in CODICS for batch in ("patch", "level")
-    if batch == "patch" or codec_supports_batch(codec)])
+    (codec, batch) for codec in CODICS for batch in ("patch", "level")])
 def test_relative_bound_that_underflows_is_refused_by_name(codec, batch):
     """A relative bound the data's range rounds to 0.0 is refused naming the
     bound that was given, the range and the way out — not as "error bound
@@ -172,3 +176,66 @@ def test_relative_bound_that_underflows_is_refused_by_name(codec, batch):
     compress_hierarchy(h, codec, 1e-4, mode="abs", batch=batch)
     compress_hierarchy(_hierarchy_from({"f0": np.zeros((2, 2, 2))}), codec, 1e-4,
                        mode="rel", batch=batch)
+
+
+#: A patch whose value range times a relative bound of 1e300 overflows.
+WIDE_PATCH = np.linspace(-1e10, 1e10, 64).reshape(4, 4, 4)
+
+#: Bounds no codec may accept: infinite or NaN, or a relative one whose
+#: product with ``WIDE_PATCH``'s value range overflows.
+NON_FINITE_BOUNDS = [(math.inf, "abs"), (math.nan, "abs"), (math.inf, "rel"),
+                     (math.nan, "rel"), (1e300, "rel")]
+
+
+@pytest.mark.parametrize("bound, mode", NON_FINITE_BOUNDS)
+@pytest.mark.parametrize("codec", CODICS)
+def test_non_finite_bound_is_refused(codec, bound, mode):
+    """A bound that is not finite is a ``CompressionError`` before a byte is
+    written — from ``compress``, ``compress_batch`` and
+    ``compress_hierarchy`` alike. Accepted, sz-lr wrote a stream its own
+    reader refused, and sz-interp and zfp-like wrote streams that decode
+    to NaN."""
+    comp = make_codec(codec)
+    with pytest.raises(CompressionError, match="finite"):
+        comp.compress(WIDE_PATCH, bound, mode)
+    with pytest.raises(CompressionError, match="finite"):
+        comp.compress_batch([WIDE_PATCH, WIDE_PATCH[:2]], bound, mode)
+    with pytest.raises(CompressionError, match="finite"):
+        compress_hierarchy(_hierarchy_from({"f0": WIDE_PATCH}), codec, bound, mode=mode)
+
+
+@pytest.mark.parametrize("bound, mode", NON_FINITE_BOUNDS)
+def test_zmesh_refuses_a_non_finite_bound(bound, mode):
+    with pytest.raises(CompressionError, match="finite"):
+        ZMeshLike("sz-lr").compress_hierarchy(_hierarchy_from({"f0": WIDE_PATCH}), "f0",
+                                              bound, mode)
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_writers_refuse_a_non_finite_bound_before_writing(tmp_path, bound):
+    """The series-wide bound is checked with the other arguments: neither
+    the series file nor the campaign's manifest is created."""
+    series, manifest = tmp_path / "run.rph2s", tmp_path / "camp.rphm"
+    with pytest.raises(CompressionError, match="finite"):
+        StreamingWriter.create(series, "sz-lr", bound)
+    with pytest.raises(CompressionError, match="finite"):
+        ShardedSeriesWriter.create(manifest, "sz-lr", bound, n_shards=2)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bound, mode", NON_FINITE_BOUNDS)
+def test_streaming_writer_refuses_a_non_finite_patch_bound(tmp_path, bound, mode):
+    """A per-patch bound that is not finite is refused by ``add_patch``
+    before the patch is buffered: the series is byte for byte the one
+    written without the attempt."""
+    def write(path, attempt):
+        with StreamingWriter.create(path, "sz-lr", 1e-3) as writer:
+            writer.begin_step()
+            writer.add_patch(0, "f0", WIDE_PATCH)
+            if attempt:
+                with pytest.raises(CompressionError, match="finite"):
+                    writer.add_patch(0, "f0", WIDE_PATCH, error_bound=bound, mode=mode)
+            writer.end_step()
+        return path.read_bytes()
+
+    assert write(tmp_path / "tried.rph2s", True) == write(tmp_path / "plain.rph2s", False)

@@ -7,7 +7,7 @@ Huffman streams advance in one lockstep (``huffman.decode_many``), under
 one member at a time through the per-symbol scalar loop — and, below the
 codecs, a bit-by-bit canonical-Huffman decoder kept in this file. The two
 must agree byte for byte: on every patch of the pinned file fixtures, on
-a level-batched snapshot, on ragged hypothesis runs, and under serial /
+a grouped snapshot, on ragged hypothesis runs, and under serial /
 thread / process pools. Forged blobs placed *inside* a healthy run are
 refused with the same typed error they get alone.
 """

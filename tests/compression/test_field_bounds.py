@@ -50,6 +50,18 @@ def test_validate_rejects_non_positive_or_non_finite(bad):
         validate_field_bounds({"a": bad}, ("a",))
 
 
+@pytest.mark.parametrize("bad", ["x", "1e-3", None, True, [1e-3]])
+def test_validate_refuses_what_is_not_a_number(bad, hierarchy):
+    """A bound that is not a real number is a typed refusal, never coerced:
+    ``"x"`` raised a bare ``ValueError``, ``None`` a bare ``TypeError``,
+    and ``True`` passed as 1.0."""
+    with pytest.raises(CompressionError, match="positive finite"):
+        validate_field_bounds({"a": bad}, ("a",))
+    name = hierarchy.field_names[0]
+    with pytest.raises(CompressionError, match="positive finite"):
+        compress_hierarchy(hierarchy, "sz-lr", 1e-3, field_bounds={name: bad})
+
+
 def test_validate_rejects_unknown_field_names():
     with pytest.raises(CompressionError, match="unknown fields"):
         validate_field_bounds({"ghost": 1e-3}, ("a", "b"))

@@ -9,7 +9,7 @@ per-codebook table build ``reference_table``. New and old must agree byte
 for byte — on hypothesis runs that mix dimensions, block sizes, dtypes,
 bounds, predictors, grouped and self-contained streams and the BLAS row
 classes of the regression matmul; on the pinned file fixtures; on a sharded
-campaign and a level-batched snapshot. Streams whose sections disagree with
+campaign and a grouped snapshot. Streams whose sections disagree with
 their header or with each other are a typed ``DecompressionError`` on every
 path — alone, inside a run, through ``decompress_block`` and through a
 container run, which names the member.
@@ -182,7 +182,7 @@ def _member(draw, rng):
 @st.composite
 def mixed_runs(draw):
     """A run of self-contained members, grouped members of one or two
-    level-batched groups, and regression members in each BLAS row class
+    runs of same-shape members, and regression members in each BLAS row class
     (1 row, 2-300 rows, >= 500 rows), shuffled."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     blobs, shareds = [], []

@@ -93,7 +93,7 @@ CASES = {
 
 #: sha256 digests. ``<case>``: the case's ``[codec.compress(a, eb, mode) for a
 #: in run]`` streams at the commit before runs were stacked (``compress``
-#: still writes them). ``run:<case>``: the ``compress_batch(batch="patch")``
+#: still writes them). ``run:<case>``: the ``compress_batch``
 #: codebook, payloads and streams of the case. The file digests: the
 #: containers, series and campaign of :class:`TestFilesIdentical`.
 DIGESTS = {
@@ -173,13 +173,13 @@ class TestStackedRunIdentity:
         codec = SZLR(**kwargs)
         alone = _one_at_a_time(case)
         assert _digest(alone) == DIGESTS[case]
-        result = codec.compress_batch(_run(run), eb, mode, batch="patch")
+        result = codec.compress_batch(_run(run), eb, mode)
         assert _same_arrays(_decode(codec, result), [codec.decompress(s) for s in alone])
         pinned = [result.codebook or b"", *result.payloads, *result.streams]
         assert _digest(pinned) == DIGESTS[f"run:{case}"]
 
     def test_a_run_shares_one_codebook(self):
-        result = SZLR(block_size="auto").compress_batch(_run("ragged3d"), 1e-3, "rel", batch="patch")
+        result = SZLR(block_size="auto").compress_batch(_run("ragged3d"), 1e-3, "rel")
         assert result.codebook is not None and len(result.payloads) == len(result.streams)
         params = [StreamReader(s).params for s in result.streams]
         assert {p["entropy"] for p in params} == {GROUPED_STAGE}
@@ -190,25 +190,25 @@ class TestStackedRunIdentity:
         codec = SZLR(block_size="auto")
         bounds = [codec.resolve_error_bound(a, 1e-3 * (1 + i % 3), "rel")
                   for i, a in enumerate(members)]
-        stacked = codec.compress_batch(members, bounds, "abs", batch="patch")
+        stacked = codec.compress_batch(members, bounds, "abs")
         want = [codec.decompress(codec.compress(a, eb, "abs")) for a, eb in zip(members, bounds)]
         assert _same_arrays(_decode(codec, stacked), want)
 
     def test_auto_block_size_splits_the_run(self):
         streams = SZLR(block_size="auto").compress_batch(
-            _run("ragged3d"), 1e-3, "rel", batch="patch").streams
+            _run("ragged3d"), 1e-3, "rel").streams
         sizes = {StreamReader(s).params["block_size"] for s in streams}
         assert len(sizes) > 1, "members must resolve to different block sizes"
 
     def test_deflate_fallback_stays_with_its_member(self):
         streams = SZLR(block_size="auto").compress_batch(
-            _run("deflate_mid_run"), 1e-9, "rel", batch="patch").streams
+            _run("deflate_mid_run"), 1e-9, "rel").streams
         stages = [StreamReader(s).params["entropy"] for s in streams]
         assert stages == ["huffman", "deflate", "huffman"]
 
     def test_one_symbol_alphabet(self):
         codec = SZLR(block_size="auto", predictor="lorenzo")
-        result = codec.compress_batch(_run("one_symbol"), 1.0, "abs", batch="patch")
+        result = codec.compress_batch(_run("one_symbol"), 1.0, "abs")
         for member, out in zip(_run("one_symbol"), _decode(codec, result)):
             assert np.abs(out - member).max() <= 1.0
 
@@ -217,17 +217,29 @@ class TestStackedRunIdentity:
         members[3] = members[3].copy()
         members[3][0, 0, 0] = np.nan
         with pytest.raises(CompressionError, match="NaN/Inf"):
-            SZLR().compress_batch(members, 1e-3, "rel", batch="patch")
+            SZLR().compress_batch(members, 1e-3, "rel")
 
-    @pytest.mark.parametrize("name", ["zfp-like", "sz-interp"])
+    @pytest.mark.parametrize("name", ["zfp-like"])
     def test_codecs_without_a_stacked_path_loop(self, name):
         codec = make_codec(name)
         members = _run("ragged3d")[:4]
-        result = codec.compress_batch(members, 1e-3, "rel", batch="patch")
+        result = codec.compress_batch(members, 1e-3, "rel")
         assert result.streams == [codec.compress(a, 1e-3, "rel") for a in members]
         bounds = [0.01, 0.02, 0.03, 0.04]
-        result = codec.compress_batch(members, bounds, "abs", batch="patch")
+        result = codec.compress_batch(members, bounds, "abs")
         assert result.streams == [codec.compress(a, eb, "abs") for a, eb in zip(members, bounds)]
+
+    def test_sz_interp_run_decodes_as_one_at_a_time(self):
+        """SZ-Interp's run shares one codebook and stacks same-shape members
+        (two of the four here), and decodes as ``compress`` one at a time."""
+        codec = make_codec("sz-interp")
+        members = _run("ragged3d")[:4]
+        for bounds, mode in ((1e-3, "rel"), ([0.01, 0.02, 0.03, 0.04], "abs")):
+            result = codec.compress_batch(members, bounds, mode)
+            assert result.codebook is not None
+            specs = bounds if isinstance(bounds, list) else [bounds] * len(members)
+            want = [codec.decompress(codec.compress(a, eb, mode)) for a, eb in zip(members, specs)]
+            assert _same_arrays(_decode(codec, result), want)
 
 
 # ----------------------------------------------------------------------

@@ -147,21 +147,20 @@ class TestValidation:
 
 
 class TestOnePassBytes:
-    """``compress`` is the one-member case of the batched pass. The bytes
-    of ``compress`` and ``batch="patch"`` are what the two separate loops
-    wrote: ``DIGEST`` was taken from the parent commit over the same 96
-    cases (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages).
-    ``LEVEL_DIGEST`` pins ``compress_batch`` level over the same cases,
+    """``compress`` is the one-member case of the run path. ``DIGEST`` pins,
+    over 96 cases (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages),
+    ``compress``'s streams — unchanged since they were two separate loops —
+    and ``compress_batch``'s codebook, payloads and streams of a run of
+    three same-shape members: one stacked pass under one shared codebook,
     its grouped payloads under the 1-bit DEFLATE rule
     (``repro.compression.base._wrap_grouped``)."""
 
     SHAPES = [(1, 1, 1), (2, 3, 4), (5,), (8, 8, 8), (9, 7, 5), (16, 16), (17, 1, 3),
               (33, 33)]
     DIGEST = "7a6abc1ebc05655bcde91f42ebd06146fef02e4477798e39ecaa8e83b8f6c72c"
-    LEVEL_DIGEST = "05aa24ae27299891337e18a184158cbd869351b81e95f71ebe653461ff59cdd5"
 
     def test_digest_battery(self):
-        h, level = hashlib.sha256(), hashlib.sha256()
+        h = hashlib.sha256()
         rng = np.random.default_rng(20261001)
         for shape in self.SHAPES:
             base = rng.standard_normal((3, *shape)).cumsum(axis=-1)
@@ -173,15 +172,14 @@ class TestOnePassBytes:
                         alone = [codec.compress(member, eb, "rel") for member in stack]
                         for blob in alone:
                             h.update(blob)
-                        for kind, sha in (("level", level), ("patch", h)):
-                            res = codec.compress_batch(stack, eb, "rel", batch=kind)
-                            sha.update(res.codebook or b"")
-                            for blob in (*res.payloads, *res.streams):
-                                sha.update(blob)
+                        res = codec.compress_batch(stack, eb, "rel")
+                        h.update(res.codebook or b"")
+                        for blob in (*res.payloads, *res.streams):
+                            h.update(blob)
                         # ungrouped members are the stand-alone streams
                         if res.codebook is None:
                             assert res.streams == alone
-        assert (h.hexdigest(), level.hexdigest()) == (self.DIGEST, self.LEVEL_DIGEST)
+        assert h.hexdigest() == self.DIGEST
 
     def test_one_member_batch_decodes_like_compress(self, smooth_field):
         codec = SZInterp(entropy="deflate")

@@ -7,9 +7,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.io import write_series, write_sharded_series
+from repro.amr.level import AMRLevel
 from repro.compression.amr_codec import compress_hierarchy, decompress_selection
 
+from tests.compression.test_stacked import many_patch_hierarchy
 from tests.conftest import make_sphere_hierarchy
 
 N_STEPS = 4
@@ -48,17 +51,22 @@ def sharded_path(tmp_path_factory):
     return path
 
 
+def grouped_step_hierarchy():
+    """Two levels of many small patches (16 coarse, 60 fine) holding one
+    field ``f``: each level is one run of patches, so one RPGB group."""
+    h = many_patch_hierarchy()
+    levels = [AMRLevel(lev.index, lev.boxes, lev.dx, {"f": lev.patches("a")}) for lev in h]
+    return AMRHierarchy(h.domain, levels, h.ref_ratios)
+
+
 @pytest.fixture(scope="session")
 def snapshot_path(tmp_path_factory):
-    """A standalone level-batched RPH2 snapshot — the only source of these
-    fixtures whose streams live in RPGB shared-codebook groups (the series
-    and campaign hold one patch per level, and a run of one patch is not
-    grouped), so this is what exercises batched decode."""
+    """A standalone RPH2 snapshot of many-patch levels — the only source of
+    these fixtures whose streams live in RPGB shared-codebook groups (the
+    series and campaign hold one patch per level, and a run of one patch
+    is not grouped), so this is what exercises batched decode."""
     path = tmp_path_factory.mktemp("serve-snap") / "snap.rph2"
-    blob = compress_hierarchy(
-        step_hierarchy(0), "sz-lr", 1e-3, batch="level"
-    ).tobytes()
-    path.write_bytes(blob)
+    path.write_bytes(compress_hierarchy(grouped_step_hierarchy(), "sz-lr", 1e-3).tobytes())
     return path
 
 

@@ -286,7 +286,7 @@ def test_failed_shard_open_counts_against_its_breaker(campaign):
 def test_corrupt_group_header_fails_through_the_same_helper(
     snapshot_path, tmp_path, partial
 ):
-    """A level-batched snapshot has no parity — nothing to heal: a flipped
+    """A grouped snapshot has no parity — nothing to heal: a flipped
     RPGB header byte is a typed error, or step 0 ``missing``."""
     path = tmp_path / "snap.rph2"
     shutil.copy(snapshot_path, path)

@@ -208,7 +208,7 @@ def test_grouped_snapshot_plan_execution_matches_direct(snapshot_path, selectors
             plan = await svc.plan(**selectors)
             assert plan.fetched_bytes <= int(1.25 * plan.extent_bytes)
             if not selectors:
-                # Full selection over a level-batched snapshot must plan
+                # Full selection over a grouped snapshot must plan
                 # shared-codebook batches, not per-patch decodes.
                 assert plan.n_group_batches > 0
             served = await svc.query(**selectors)

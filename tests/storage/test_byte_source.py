@@ -40,6 +40,7 @@ from repro.storage import (
     MemoryBackend,
     RangedBackend,
 )
+from tests.compression.test_stacked import many_patch_hierarchy
 from tests.conftest import make_sphere_hierarchy
 
 DATA = bytes(range(256)) * 40 + b"tail"
@@ -305,18 +306,16 @@ def no_collector():
 
 
 def test_closed_grouped_reader_is_freed_without_the_collector(tmp_path, no_collector):
-    """A ``batch="level"`` container that served a grouped select: the
-    group handles it cached must not keep it (and its codebooks and decode
-    tables) alive in a reference cycle."""
+    """A grouped container (runs of many patches) that served a grouped
+    select: the group handles it cached must not keep it (and its codebooks
+    and decode tables) alive in a reference cycle."""
     path = tmp_path / "snap.rph2"
-    path.write_bytes(
-        compress_hierarchy(_steps(1, 16)[0], "sz-lr", 1e-3, batch="level").tobytes()
-    )
+    path.write_bytes(compress_hierarchy(many_patch_hierarchy(), "sz-lr", 1e-3).tobytes())
     for build in (lambda: ContainerReader.open(path),
                   lambda: ContainerReader(path.read_bytes())):
         opened = build()
         assert any(e.group is not None for e in opened.entries)
-        assert opened.select(fields=["f"])
+        assert opened.select(fields=["a"])
         ref = weakref.ref(opened)
         opened.close()
         del opened
