@@ -157,7 +157,7 @@ class TestOnePassBytes:
 
     SHAPES = [(1, 1, 1), (2, 3, 4), (5,), (8, 8, 8), (9, 7, 5), (16, 16), (17, 1, 3),
               (33, 33)]
-    DIGEST = "7a6abc1ebc05655bcde91f42ebd06146fef02e4477798e39ecaa8e83b8f6c72c"
+    DIGEST = "694855f50839dadf6d960bfbbf1b401f4c7ead8cc7482eab9878b0aec64618ba"
 
     def test_digest_battery(self):
         h = hashlib.sha256()
