@@ -154,8 +154,7 @@ class CompressedHierarchy(ContainerReader):
 
 #: Cells a run of patches may hold before it is encoded. A cut decides the
 #: groups — an sz-lr or sz-interp run is one shared-codebook group section —
-#: so it moves
-#: the written bytes but never a decoded value. ``benchmarks/e2e``
+#: so it moves the written bytes but never a decoded value. ``benchmarks/e2e``
 #: ``campaign_write`` (62 fine patches per field, median 8^3), medians of ten
 #: pairs, with per-patch codebooks: 8 k cells and the heap tree build
 #: 240 ms/op, 160.7 MB peak RSS; 64 k and the two-queue build 181 ms,

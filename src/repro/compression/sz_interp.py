@@ -166,7 +166,8 @@ class SZInterp(Compressor):
             shapes.setdefault(arr.shape, []).append(i)
         plan: list = [None] * len(arrs)  # member -> (stride, anchors, codes)
         for shape, members in shapes.items():
-            stack = np.stack([arrs[i] for i in members])
+            stack = (np.stack([arrs[i] for i in members]) if len(members) > 1
+                     else arrs[members[0]][None])
             eb = np.reshape([ebs[i] for i in members], (-1,) + (1,) * len(shape))
             interp, anchors, codes = self._interp_pass(stack, eb, times)
             for row, i in enumerate(members):
