@@ -41,6 +41,7 @@ from repro.compression.container import (
 )
 from repro.compression.amr_codec import (
     CompressedHierarchy,
+    SegmentWriter,
     compress_hierarchy,
     decompress_hierarchy,
     decompress_selection,
@@ -71,6 +72,7 @@ __all__ = [
     "pack_header",
     "pack_footer",
     "build_index_bytes",
+    "SegmentWriter",
     "compress_hierarchy",
     "decompress_hierarchy",
     "decompress_selection",

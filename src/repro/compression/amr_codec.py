@@ -15,8 +15,11 @@ file. Three paper-relevant features:
   averaging the decompressed fine data down (``restore="average_down"``),
   which keeps the hierarchy self-consistent for dual-cell visualization.
 * **Per-patch independence**: every patch is a separate stream, so runs of
-  patches are (de)compressed through :func:`repro.parallel.pool.parallel_map`
-  serially, on one background thread or in processes — with identical output.
+  patches are (de)compressed serially, on one background thread or in
+  processes of a :class:`repro.parallel.WorkerPool` — with identical output.
+  One :class:`SegmentWriter` writes every ``RPH2`` container: a
+  :func:`compress_hierarchy` snapshot into memory, and each step of a
+  :class:`repro.insitu.StreamingWriter` series into its file.
 * **Selective decompression**: the container's footer-located index lets
   :func:`decompress_selection` pull one patch, one level, or one field
   while reading O(selection) payload bytes — and, for ``RPH2S`` time-series
@@ -29,7 +32,11 @@ raises a clear "unsupported legacy magic" error instead.
 
 from __future__ import annotations
 
+import io
 import math
+import zlib
+from collections import deque
+from contextlib import nullcontext
 from numbers import Real
 from typing import Sequence
 
@@ -43,16 +50,22 @@ from repro.compression.base import BatchResult, Compressor
 from repro.compression.container import (
     ContainerReader,
     _describe,
-    pack_container,
+    _group_row,
+    build_index_bytes,
+    pack_footer,
     pack_group,
+    pack_header,
 )
 from repro.compression.registry import codec_accepts, make_codec
 from repro.errors import CompressionError, FormatError
-from repro.parallel.pool import parallel_map
+from repro.parallel.pool import WorkerPool
+from repro.storage import ByteSink
 
 __all__ = [
     "CompressedHierarchy",
+    "SegmentWriter",
     "compress_hierarchy",
+    "hierarchy_patches",
     "decompress_hierarchy",
     "decompress_selection",
     "resolve_patch_codec",
@@ -101,8 +114,8 @@ class CompressedHierarchy(ContainerReader):
     """An ``RPH2`` snapshot held in memory: a :class:`ContainerReader` over
     its own bytes.
 
-    :func:`compress_hierarchy` packs its streams into the container once
-    and hands the bytes here; ``select``, :func:`decompress_hierarchy` and
+    :func:`compress_hierarchy` writes the container once (a
+    :class:`SegmentWriter` over memory) and hands the bytes here; ``select``, :func:`decompress_hierarchy` and
     ``repro.open`` read them as they read any snapshot.
     """
 
@@ -166,9 +179,9 @@ RUN_CELL_BUDGET = 1 << 16
 
 
 class PatchRuns:
-    """Where runs of patches ``(key, members, bounds)`` are cut, for the
-    streaming writer and :func:`compress_hierarchy` alike: consecutive
-    patches of one key, up to :data:`RUN_CELL_BUDGET` cells."""
+    """Where runs of patches ``(key, members, bounds)`` are cut, for every
+    :class:`SegmentWriter`: consecutive patches of one key, up to
+    :data:`RUN_CELL_BUDGET` cells."""
 
     def __init__(self):
         self.key, self.members, self.bounds, self.cells = None, [], [], 0
@@ -197,6 +210,156 @@ def _compress_task(task: tuple[Compressor, list, list]) -> BatchResult:
     return comp.compress_batch(members, bounds, "abs")
 
 
+def hierarchy_patches(hierarchy, names, comp, error_bound, field_bounds, mode, exclude_covered):
+    """Every patch of the fields ``names`` as ``(level, field, data,
+    error_bound, mode)``, in layout order: level ascending, field sorted,
+    patch ascending — the one hierarchy walk of :func:`compress_hierarchy`
+    and ``StreamingWriter.append_step``.
+
+    With ``exclude_covered`` a coarse patch's covered cells are filled
+    (§2.2) and its bound is resolved first, against the *original* values,
+    as an absolute one: filling may shrink the range (peaks often live
+    under the refined region) and must not tighten the bound.
+    """
+    for lev_idx, lev in enumerate(hierarchy):
+        masks = level_covered_masks(hierarchy, lev_idx) if exclude_covered else None
+        for name in sorted(names):
+            field_eb = field_bounds.get(name, error_bound)
+            for p_idx, patch in enumerate(lev.patches(name)):
+                data = patch.data
+                if masks is not None and masks[p_idx].any():
+                    bound = comp.resolve_error_bound(data, field_eb, mode)
+                    yield lev_idx, name, _fill_covered(data, masks[p_idx]), bound, "abs"
+                else:
+                    yield lev_idx, name, data, field_eb, mode
+
+
+class SegmentWriter:
+    """One ``RPH2`` container written patch by patch through a
+    :class:`~repro.storage.ByteSink` — the one writer of the format: a
+    :func:`compress_hierarchy` snapshot is one over an in-memory sink, and
+    each :class:`repro.insitu.StreamingWriter` step one over its series.
+
+    :meth:`add` copies a patch into the run of its ``(level, field)``
+    (:class:`PatchRuns`); :meth:`encode` codes completed runs inline, or as
+    one task each on ``pool`` with at most ``max_pending`` in flight
+    (default two per lane), and writes their streams in submission order.
+    A run with a shared codebook leaves a group section, held until
+    :meth:`finish` writes the groups, the index and the footer. ``comp`` is
+    ``None`` for a writer fed encoded streams only (:meth:`write_run`).
+    """
+
+    def __init__(self, sink: ByteSink, comp: Compressor | None, pool: WorkerPool | None = None,
+                 max_pending: int | None = None):
+        self._sink, self._comp = sink, comp
+        # A serial pool runs inline — same as no pool at all.
+        self._pool = pool if pool is not None and pool.mode != "serial" else None
+        self._max_pending = int(max_pending or 2 * pool.workers) if self._pool else 1
+        self.start, self.crc, self.original_bytes = sink.pos, 0, 0
+        self._rows: list[tuple] = []
+        self._groups: list[bytes] = []  # the group sections, by gid
+        self._counts: dict[tuple[int, str], int] = {}
+        self._pending: deque = deque()
+        self._run = PatchRuns()
+        self._write(pack_header())
+
+    @property
+    def n_patches(self) -> int:
+        """Patches whose streams are written so far."""
+        return len(self._rows)
+
+    @property
+    def fields(self) -> list[str]:
+        """Fields of the written streams, in order of first appearance."""
+        return list(dict.fromkeys(row[1] for row in self._rows))
+
+    def _write(self, blob: bytes) -> None:
+        self._sink.write(blob)
+        self.crc = zlib.crc32(blob, self.crc)
+
+    def add(self, level: int, field: str, data, error_bound: float, mode: str) -> list:
+        """Validate and buffer one patch as the next of its ``(level, field)``;
+        returns the runs that completes, for :meth:`encode`. Input the codec
+        rejects (non-float, empty, NaN/Inf, a bad bound) raises here, before
+        anything is buffered or counted."""
+        arr = np.asarray(data)
+        eb = self._comp.resolve_member_bound(arr, error_bound, mode)
+        # Own the values. tobytes() is a memcpy under the GIL; an ndarray
+        # copy of > 500 cells releases it, and every release is a chance to
+        # hand the lock to the caller's thread or a pool= worker (~25 us).
+        arr = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
+        self.original_bytes += arr.nbytes
+        self._counts[level, field] = self._counts.get((level, field), 0) + 1
+        return self._run.add((level, field), arr, eb)
+
+    def encode(self, runs: list) -> None:
+        """Encode completed runs: inline, or one pool task each."""
+        for key, members, bounds in runs:
+            task = (self._comp, members, bounds)
+            first = (*key, self._counts[key] - len(members))
+            if self._pool is None:
+                self.write_run(*first, _compress_task(task))
+            else:
+                self._pending.append((*first, self._pool.submit(_compress_task, task)))
+                self._drain(self._max_pending - 1)
+
+    def _drain(self, down_to: int) -> None:
+        """Retire finished encodes (FIFO keeps the byte order deterministic)
+        until at most ``down_to`` remain in flight."""
+        while len(self._pending) > down_to:
+            level, field, p_idx, fut = self._pending.popleft()
+            self.write_run(level, field, p_idx, fut.result())
+
+    def write_run(self, level: int, field: str, p_idx: int, result: BatchResult) -> None:
+        """Write a run's streams — patches ``p_idx``, ``p_idx + 1``, ... — and
+        hold its group section, if it has one, for :meth:`finish`."""
+        grouped = result.codebook is not None
+        for member, blob in enumerate(result.streams):
+            row = (level, field, p_idx + member, self._sink.pos - self.start, len(blob),
+                   zlib.crc32(blob))
+            self._rows.append(row + (len(self._groups), member) if grouped else row)
+            self._write(blob)
+        if grouped:
+            self._groups.append(pack_group(result.codebook, result.payloads))
+
+    def flush(self) -> None:
+        """Encode the open run and wait for every encode in flight."""
+        self.encode(self._run.flush())
+        self._drain(0)
+
+    def finish(self, meta: dict) -> int:
+        """:meth:`flush`, then write the group sections, the index (``meta``,
+        whose ``original_bytes`` defaults to the added patches'; rows in
+        layout order) and the footer. Returns the container's level count."""
+        self.flush()
+        self._rows.sort(key=lambda row: row[:3])
+        n_levels = self._rows[-1][0] + 1 if self._rows else 0
+        codec = str(meta["codec"])
+        entries = [[*row[:5], codec, *row[5:]] for row in self._rows]
+        group_rows = []
+        for gid, blob in enumerate(self._groups):
+            group_rows.append(_group_row(gid, self._sink.pos - self.start, blob))
+            self._write(blob)
+        meta = {"original_bytes": self.original_bytes, **meta}
+        index_bytes = build_index_bytes(meta, n_levels, entries, group_rows)
+        index_offset = self._sink.pos - self.start
+        self._write(index_bytes)
+        self._write(pack_footer(index_offset, len(index_bytes), zlib.crc32(index_bytes)))
+        return n_levels
+
+    # kept: a failed step or compress_hierarchy abandons its segment here (no driver fails one)
+    def discard(self) -> None:
+        """Drop the open run and retire every encode in flight, swallowing
+        their failures: the segment is being abandoned."""
+        self._run = PatchRuns()
+        while self._pending:
+            *_, fut = self._pending.popleft()
+            try:
+                fut.result()
+            except Exception:
+                pass
+
+
 def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") -> Compressor:
     """Resolve a registry name or instance into a patch-ready codec.
 
@@ -205,9 +368,10 @@ def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") 
     edge-padding waste a fixed 6-cube would pay on them; ``k_streams``
     (the Huffman interleave width, threaded from
     :func:`compress_hierarchy`) is forwarded to named codecs the same way.
-    Both the batch :func:`compress_hierarchy` path and the streaming
-    :class:`repro.insitu.StreamingWriter` resolve codecs through here, which
-    is what keeps their output streams byte-identical. Codec *instances*
+    :func:`compress_hierarchy` and :class:`repro.insitu.StreamingWriter`
+    resolve codecs through here and write through one
+    :class:`SegmentWriter`, so a series segment is the snapshot container
+    of the same data by construction. Codec *instances*
     pass through unchanged — they already carry their configuration.
     Custom codecs registered through ``register_codec`` whose factories
     never grew a ``k_streams`` parameter are constructed without it.
@@ -300,9 +464,10 @@ def compress_hierarchy(
     exclude_covered:
         Apply the §2.2 redundant-data optimization on coarse levels.
     parallel, workers:
-        Execution mode for the per-patch map (``"serial"``, ``"thread"`` —
-        one background lane — or ``"process"``, ``workers`` processes); the
-        container bytes are identical across modes.
+        Execution mode for the run encodes (``"serial"``, ``"thread"`` —
+        one background lane — or ``"process"``, ``workers`` processes; two
+        runs per lane in flight, :class:`SegmentWriter`); the container
+        bytes are identical across modes.
     k_streams:
         Huffman interleave width forwarded to named codecs (``"auto"``
         scales with each patch for the vectorized decode); ignored when
@@ -343,75 +508,21 @@ def compress_hierarchy(
         "mode": mode,
         "fields": list(names),
         "exclude_covered": exclude_covered,
-        "original_bytes": sum(hierarchy.nbytes(name) for name in names),
         "field_bounds": field_bounds,
     }
-    tasks, memberships, counts = _run_tasks(
-        hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds,
-    )
-    results = parallel_map(_compress_task, tasks, mode=parallel, workers=workers, pool=pool)
-    return CompressedHierarchy(_assemble(meta, counts, memberships, results))
-
-
-def _run_tasks(hierarchy, comp, error_bound, mode, names, exclude_covered, field_bounds):
-    """The tasks of :func:`compress_hierarchy`: ``(tasks, memberships,
-    counts)`` as :func:`_assemble` takes them.
-
-    Each (level, field) is cut into runs of patches (:class:`PatchRuns`),
-    fields in sorted order — the order the streaming writer feeds them, so
-    a segment's groups are numbered as this container's. The map over runs
-    is pure (paper §3.3), so any executor that preserves order produces
-    the same container bytes.
-    """
-    runs, cutter = [], PatchRuns()
-    counts: list[dict[str, int]] = []
-    for lev_idx, lev in enumerate(hierarchy):
-        masks = level_covered_masks(hierarchy, lev_idx) if exclude_covered else None
-        counts.append({})
-        for name in sorted(names):
-            field_eb = field_bounds.get(name, error_bound)
-            patches = lev.patches(name)
-            counts[-1][name] = len(patches)
-            for p_idx, patch in enumerate(patches):
-                data = patch.data
-                if masks is not None and masks[p_idx].any():
-                    # Resolve the bound against the *original* values first:
-                    # filling may shrink the range (peaks often live under
-                    # the refined region) and must not tighten the bound.
-                    bound = comp.resolve_error_bound(data, field_eb, mode)
-                    data = _fill_covered(data, masks[p_idx])
-                else:
-                    bound = comp.resolve_member_bound(data, field_eb, mode)
-                runs += cutter.add((lev_idx, name), data, bound)
-    runs += cutter.flush()
-    tasks, memberships, first = [], [], {}
-    for key, members, bounds in runs:
-        tasks.append((comp, members, bounds))
-        start = first.get(key, 0)
-        memberships.append([(*key, p_idx) for p_idx in range(start, start + len(members))])
-        first[key] = start + len(members)
-    return tasks, memberships, counts
-
-
-def _assemble(meta: dict, counts: list, memberships: list, results: list) -> bytes:
-    """The container of a hierarchy's compressed runs: ``memberships[t]``
-    names task ``t``'s members ``(level, field, patch)``,
-    ``counts[level][field]`` the patches of each key. Group ids
-    follow task order, skipping tasks without a shared codebook (their
-    members are self-contained streams)."""
-    streams: list[dict[str, list[bytes]]] = [
-        {name: [b""] * n for name, n in level.items()} for level in counts
-    ]
-    groups: list[bytes] = []
-    stream_groups: dict[tuple[int, str, int], tuple[int, int]] = {}
-    for keys, result in zip(memberships, results):
-        if result.codebook is not None:
-            for member, key in enumerate(keys):
-                stream_groups[key] = (len(groups), member)
-            groups.append(pack_group(result.codebook, result.payloads))
-        for (lev_idx, name, p_idx), blob in zip(keys, result.streams):
-            streams[lev_idx][name][p_idx] = blob
-    return pack_container(meta, streams, groups=groups, stream_groups=stream_groups)
+    buf = io.BytesIO()
+    with nullcontext(pool) if pool is not None else WorkerPool(parallel, workers) as lane:
+        segment = SegmentWriter(ByteSink(buf), comp, lane)
+        try:
+            for level, name, data, eb, eb_mode in hierarchy_patches(
+                hierarchy, names, comp, error_bound, field_bounds, mode, exclude_covered,
+            ):
+                segment.encode(segment.add(level, name, data, eb, eb_mode))
+            segment.finish(meta)
+        except BaseException:
+            segment.discard()
+            raise
+    return CompressedHierarchy(buf.getvalue())
 
 
 def _template_patch(decoded: dict, key: tuple[int, str, int], box) -> np.ndarray:

@@ -77,23 +77,24 @@ readers older than the grouped layout cannot open grouped containers.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 import zlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.compression import huffman
-from repro.compression.base import SharedEntropy
+from repro.compression.base import BatchResult, SharedEntropy
 from repro.compression.lossless import compress_bytes, decompress_bytes
 from repro.compression.registry import make_codec
 from repro.errors import CompressionError, DecompressionError, FormatError, ReproError
 from repro.parallel.pool import WorkerPool
-from repro.storage import ByteSource, Closing
+from repro.storage import ByteSink, ByteSource, Closing
 
 __all__ = [
     "CONTAINER_MAGIC",
@@ -365,17 +366,6 @@ class GroupHandle:
         return SharedEntropy(self.codebook, payload)
 
 
-def _iter_streams(
-    streams: Sequence[Mapping[str, Sequence[bytes]]],
-) -> Iterable[tuple[int, str, int, bytes]]:
-    """Deterministic stream order: level ascending, field sorted, patch
-    ascending — the order the bytes are laid out on disk."""
-    for lev_idx, level in enumerate(streams):
-        for field in sorted(level):
-            for p_idx, blob in enumerate(level[field]):
-                yield lev_idx, field, p_idx, blob
-
-
 def pack_header() -> bytes:
     """The 5-byte ``RPH2`` container header (magic + version)."""
     return _HEADER.pack(CONTAINER_MAGIC, _VERSION)
@@ -442,9 +432,8 @@ def build_index_bytes(
 ) -> bytes:
     """Serialize the container index JSON (canonical key order).
 
-    Shared by :func:`pack_container` and the streaming series writer so a
-    segment written incrementally is byte-identical to a batch-packed
-    container given the same streams and layout order. The ``groups``
+    Called by :meth:`~repro.compression.amr_codec.SegmentWriter.finish`,
+    the one writer of every ``RPH2`` container and series segment. The ``groups``
     table is only emitted when non-empty, keeping containers without
     shared codebooks byte-identical to the pre-group format.
     """
@@ -472,50 +461,24 @@ def build_index_bytes(
     return json.dumps(index, separators=(",", ":")).encode()
 
 
+# kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
 def pack_container(
-    meta: Mapping[str, Any],
-    streams: Sequence[Mapping[str, Sequence[bytes]]],
-    groups: Sequence[bytes] | None = None,
-    stream_groups: Mapping[tuple[int, str, int], tuple[int, int]] | None = None,
+    meta: Mapping[str, Any], streams: Sequence[Mapping[str, Sequence[bytes]]]
 ) -> bytes:
-    """Serialize per-patch streams plus ``meta`` into an ``RPH2`` container.
+    """An ``RPH2`` container of self-contained per-patch ``streams``
+    (``streams[level][field][patch] -> bytes``) under ``meta`` (every index
+    key but ``n_levels``), laid out by the one
+    :class:`~repro.compression.amr_codec.SegmentWriter`."""
+    from repro.compression.amr_codec import SegmentWriter  # it imports this module
 
-    Parameters
-    ----------
-    meta:
-        Container metadata; must provide every key in ``_META_KEYS`` except
-        ``n_levels`` (derived from ``streams``).
-    streams:
-        ``streams[level][field][patch] -> bytes`` layout.
-    groups:
-        Shared-codebook group sections (``RPGB`` blobs from
-        :func:`pack_group`), indexed by gid; written after the patch
-        streams. Omitted entirely for per-patch containers, which keeps
-        their bytes identical to the pre-group format.
-    stream_groups:
-        ``(level, field, patch) -> (gid, member)`` for every grouped
-        stream; its index row grows the two extra columns.
-    """
-    codec = str(meta["codec"])
-    out = bytearray(pack_header())
-    entries: list[list] = []
-    for lev_idx, field, p_idx, blob in _iter_streams(streams):
-        row = [lev_idx, field, p_idx, len(out), len(blob), codec, zlib.crc32(blob)]
-        if stream_groups is not None:
-            membership = stream_groups.get((lev_idx, field, p_idx))
-            if membership is not None:
-                row += [int(membership[0]), int(membership[1])]
-        entries.append(row)
-        out += blob
-    group_rows: list[list] = []
-    for gid, blob in enumerate(groups or ()):
-        group_rows.append(_group_row(gid, len(out), blob))
-        out += blob
-    index_bytes = build_index_bytes(meta, len(streams), entries, group_rows)
-    index_offset = len(out)
-    out += index_bytes
-    out += pack_footer(index_offset, len(index_bytes), zlib.crc32(index_bytes))
-    return bytes(out)
+    buf = io.BytesIO()
+    segment = SegmentWriter(ByteSink(buf), None)
+    for lev_idx, level in enumerate(streams):
+        for field in sorted(level):
+            for p_idx, blob in enumerate(level[field]):
+                segment.write_run(lev_idx, field, p_idx, BatchResult(None, [], [blob]))
+    segment.finish(meta)
+    return buf.getvalue()
 
 
 def _normalize_selector(value, kind: str) -> set | None:

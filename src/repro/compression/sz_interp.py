@@ -14,6 +14,8 @@ one stack, and a run's codes pool under one shared Huffman codebook.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.compression.base import (
@@ -187,14 +189,28 @@ class SZInterp(Compressor):
         return BatchResult(codebook, blobs if shared else [], streams)
 
     def _reconstruct(self, reader: StreamReader, all_codes: np.ndarray) -> np.ndarray:
-        eb = float(reader.params["eb"])
+        eb = reader.params.get("eb")
+        if type(eb) is not float or not 0.0 < eb < np.inf:
+            raise DecompressionError(f"stream header records an invalid error bound {eb!r}")
         shape = reader.shape
         plan = InterpPlan(shape)
+        # Every lattice point but the anchors carries one code, and every
+        # anchor eight bytes: sections that disagree with the header shape
+        # are refused before the shape sizes any allocation.
+        lattice = tuple(len(range(0, n, plan.stride)) for n in shape)
+        expected = math.prod(shape) - math.prod(lattice)
+        if all_codes.size != expected:
+            raise DecompressionError(
+                f"interpolation code stream has {all_codes.size} codes, but the "
+                f"header shape {list(shape)} implies {expected}"
+            )
+        anchor_raw = decompress_bytes(reader.section("anchors"), 8 * math.prod(lattice))
+        if len(anchor_raw) != 8 * math.prod(lattice):
+            raise DecompressionError(
+                f"anchors section has {len(anchor_raw)} bytes for {math.prod(lattice)} anchor(s)"
+            )
         recon = np.zeros(shape, dtype=np.float64)
-        anchor_raw = decompress_bytes(reader.section("anchors"), 8 * self._cells(reader))
-        anchor_view = recon[plan.anchor_slices()]
-        anchors = np.frombuffer(anchor_raw, dtype=np.float64).reshape(anchor_view.shape)
-        recon[plan.anchor_slices()] = anchors
+        recon[plan.anchor_slices()] = np.frombuffer(anchor_raw, dtype=np.float64).reshape(lattice)
         pos = 0
         for stride, half in plan.levels():
             for axis in range(len(shape)):
@@ -204,14 +220,7 @@ class SZInterp(Compressor):
                     continue
                 knots = self._sub_lattice(recon, plan, stride, axis)
                 pred = predict_axis(knots, axis, targets, half)
-                count = pred.size
-                if pos + count > all_codes.size:
-                    raise DecompressionError("interpolation code stream truncated")
-                codes = all_codes[pos : pos + count].reshape(pred.shape)
-                pos += count
+                codes = all_codes[pos : pos + pred.size].reshape(pred.shape)
+                pos += pred.size
                 recon[grid] = reconstruct_from_codes(pred, codes, eb)
-        if pos != all_codes.size:
-            raise DecompressionError(
-                f"interpolation code stream has {all_codes.size - pos} unused codes"
-            )
         return recon.astype(reader.dtype, copy=False)

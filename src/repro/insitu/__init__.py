@@ -5,8 +5,10 @@ materialized hierarchy; this subsystem compresses a *campaign* as the
 solver produces it, timestep after timestep, with bounded memory:
 
 * :class:`~repro.insitu.writer.StreamingWriter` — accepts patches/levels
-  incrementally, pipelines compression through the :mod:`repro.parallel`
-  pool, and appends each finished step as a self-contained RPH2 segment;
+  incrementally and appends each step as a self-contained RPH2 segment,
+  written by the same :class:`~repro.compression.amr_codec.SegmentWriter`
+  as a snapshot (compression pipelined through the :mod:`repro.parallel`
+  pool);
 * :class:`~repro.insitu.series.SeriesReader` — footer-located timestep
   index giving ``(step, level, field, patch)`` random access that reads
   O(selection) bytes;

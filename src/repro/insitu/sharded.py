@@ -559,17 +559,16 @@ class ShardedSeriesWriter:
 
     def _append_with_retry(self, k: int, hierarchy, t: float, n: int):
         """Append step ``n`` on shard ``k``, retrying transient storage
-        faults with bounded exponential backoff. Each failed attempt's
-        partial segment bytes are rolled back first, so the shard file
-        never accumulates garbage between attempts. Runs on the lane
-        thread (or inline in serial mode), one step at a time."""
+        faults with bounded exponential backoff. A failed attempt, retried
+        or not, leaves no byte in the shard: ``append_step`` rolls its
+        partial segment back itself. Runs on the lane thread (or inline in
+        serial mode), one step at a time."""
         writer = self._writers[k]
         attempt = 0
         while True:
             try:
                 return writer.append_step(hierarchy, time=t, step=n)
             except TransientStorageError:
-                writer.rollback_step()
                 if attempt >= self._retries:
                     raise
                 self._sleep(self._retry_delay * (2 ** attempt))

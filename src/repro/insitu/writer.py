@@ -2,14 +2,15 @@
 
 :class:`StreamingWriter` accepts patches incrementally — in the order a
 (simulated) solver produces them — and compresses them *while the step is
-still accumulating*: ``add_patch`` copies the array into the run of its
-``(level, field)``, a full run goes to the :mod:`repro.parallel` pool as one
-task, and the writer drains finished blobs straight to disk in submission
-order. Memory stays bounded by the in-flight window (``max_pending`` runs of
-``RUN_CELL_BUDGET`` cells plus their compressed blobs) and the step's group
-sections — a run's shared codebook and entropy payloads, held until
-:meth:`StreamingWriter.end_step` writes them before the segment index —
-never by the campaign:
+still accumulating*. Each step is one
+:class:`~repro.compression.amr_codec.SegmentWriter` over the series file:
+``add_patch`` copies the array into the run of its ``(level, field)``, a
+full run goes to the :mod:`repro.parallel` pool as one task, and finished
+blobs go straight to disk in submission order. Memory stays bounded by the
+in-flight window (``max_pending`` runs of ``RUN_CELL_BUDGET`` cells plus
+their compressed blobs) and the step's group sections — a run's shared
+codebook and entropy payloads, held until :meth:`StreamingWriter.end_step`
+writes them before the segment index — never by the campaign:
 
 .. code-block:: python
 
@@ -23,40 +24,34 @@ never by the campaign:
 
 Each finished step becomes a complete, self-contained RPH2 segment; the
 timestep index and series footer are written at :meth:`StreamingWriter.close`.
-When patches are fed in the canonical layout order (level ascending, field
-sorted, patch ascending — what :meth:`append_step` does), a segment is
-byte-identical to the batch :func:`repro.compression.amr_codec.compress_hierarchy`
-output for the same data.
+This module adds only the series framing around the segments: the series
+header, the seals, fsync placement, resuming (:meth:`StreamingWriter.append_to`),
+rollback, and the series index and footer. A segment is the
+:func:`repro.compression.amr_codec.compress_hierarchy` container of the same
+data by construction: both are one segment writer fed by one hierarchy walk.
+A step that fails after writing any byte is rolled back to the last sealed
+step, so a refused step leaves nothing behind in the file.
 """
 
 from __future__ import annotations
 
 import zlib
-from collections import deque
+from contextlib import contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
-from repro.amr.coverage import level_covered_masks
 from repro.amr.hierarchy import AMRHierarchy
 from repro.compression.amr_codec import (
-    PatchRuns,
-    _compress_task,
-    _fill_covered,
+    SegmentWriter,
+    hierarchy_patches,
     resolve_patch_codec,
     validate_field_bounds as _validate_field_bounds,
     validate_fields as _validate_fields,
 )
 from repro.compression.base import Compressor
-from repro.compression.container import (
-    CONTAINER_VERSION,
-    _group_row,
-    build_index_bytes,
-    pack_footer,
-    pack_group,
-    pack_header,
-)
+from repro.compression.container import CONTAINER_VERSION, pack_footer
 from repro.errors import CompressionError, StorageError
 from repro.insitu.series import (
     SERIES_FOOTER_MAGIC,
@@ -181,19 +176,17 @@ class StreamingWriter:
         if max_pending is not None and int(max_pending) < 1:
             raise CompressionError(f"max_pending must be >= 1, got {max_pending}")
         self._closed = False
-        self._in_step = False
+        self._segment: SegmentWriter | None = None  # the open step's
         self._sink: ByteSink | None = None
         self._owns_pool = pool is None and parallel != "serial"
         if self._owns_pool:
             pool = WorkerPool(parallel, workers)
-        # A serial pool runs inline — same as no pool at all.
-        self._pool = pool if pool is not None and pool.mode != "serial" else None
-        self._max_pending = int(max_pending or 2 * pool.workers) if self._pool else 1
+        self._pool, self._max_pending = pool, max_pending
         try:
             self._sink = _open() if _open is not None else ByteSink(fileobj)
             if _resume is None:
                 self._steps: list[SeriesStepEntry] = []
-                self._write(_SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION))
+                self._sink.write(_SERIES_HEADER.pack(SERIES_MAGIC, SERIES_VERSION))
             else:
                 # Cut the old index/footer only now, every argument accepted.
                 resume_pos, self._steps = _resume
@@ -313,24 +306,28 @@ class StreamingWriter:
             self.abort()
 
     # ------------------------------------------------------------------
-    # Low-level byte accounting
+    # Metadata, rollback and durability
     # ------------------------------------------------------------------
-    def _write(self, blob: bytes) -> None:
-        self._sink.write(blob)
-        if self._in_step:
-            self._seg_crc = zlib.crc32(blob, self._seg_crc)
+    def _meta(self) -> dict:
+        """The metadata a segment index and the series index record."""
+        return {
+            "codec": self._comp.name,
+            "error_bound": self._eb,
+            "mode": self._mode,
+            "fields": list(self._fields or ()),
+            "exclude_covered": self._exclude_covered,
+            "field_bounds": self._field_bounds,
+        }
 
-    def _write_streams(self, level: int, field: str, p_idx: int, result) -> None:
-        """Append a run's streams — patches ``p_idx``, ``p_idx + 1``, ... —
-        and hold its group section, if it has one, for :meth:`end_step`."""
-        grouped = result.codebook is not None
-        for member, blob in enumerate(result.streams):
-            rel = self._sink.pos - self._seg_start
-            row = [level, field, p_idx + member, rel, len(blob), self._comp.name, zlib.crc32(blob)]
-            self._entries.append(row + [len(self._groups), member] if grouped else row)
-            self._write(blob)
-        if grouped:
-            self._groups.append(pack_group(result.codebook, result.payloads))
+    @contextmanager
+    def _step_guard(self):
+        """Roll the step back (:meth:`rollback_step`) on any failure in the
+        block, then re-raise: a refused step leaves no byte in the file."""
+        try:
+            yield
+        except BaseException:
+            self.rollback_step()
+            raise
 
     def _sync(self) -> None:
         """Make the bytes written so far stable (:meth:`ByteSink.sync`): a
@@ -346,24 +343,6 @@ class StreamingWriter:
                 "bytes may not be stable — the per-step crash guarantee "
                 "does not hold for this writer"
             ) from exc
-
-    def _drain(self, down_to: int) -> None:
-        """Retire finished compression futures (FIFO keeps disk order
-        deterministic) until at most ``down_to`` remain in flight."""
-        while len(self._pending) > down_to:
-            level, field, p_idx, fut = self._pending.popleft()
-            self._write_streams(level, field, p_idx, fut.result())
-
-    def _encode_runs(self, runs: list) -> None:
-        """Encode completed runs: inline, or one pool task each."""
-        for key, members, bounds in runs:
-            task = (self._comp, members, bounds)
-            first = (*key, self._counts[key] - len(members))
-            if self._pool is None:
-                self._write_streams(*first, _compress_task(task))
-            else:
-                self._pending.append((*first, self._pool.submit(_compress_task, task)))
-                self._drain(self._max_pending - 1)
 
     # ------------------------------------------------------------------
     # Step protocol
@@ -382,10 +361,6 @@ class StreamingWriter:
     def field_bounds(self) -> dict[str, float]:
         """Per-field error-bound overrides (empty when single-bound)."""
         return dict(self._field_bounds)
-
-    def _bound_for(self, field: str) -> float:
-        """The error bound patches of ``field`` compress under."""
-        return self._field_bounds.get(field, self._eb)
 
     def _adopt_fields(self, names: tuple[str, ...]) -> None:
         """Fix the series field set (first finished step infers it)."""
@@ -416,7 +391,7 @@ class StreamingWriter:
         """
         if self._closed:
             raise CompressionError("writer is closed")
-        if self._in_step:
+        if self._segment is not None:
             raise CompressionError("previous step still open; call end_step() first")
         n = self.next_step if step is None else int(step)
         if self._steps and n <= self._steps[-1].step:
@@ -424,18 +399,10 @@ class StreamingWriter:
                 f"step numbers must be strictly increasing: got {n} after "
                 f"{self._steps[-1].step}"
             )
-        self._in_step = True
         self._cur_step = n
         self._step_time = float(n) if time is None else float(time)
-        self._seg_start = self._sink.pos
-        self._seg_crc = 0
-        self._entries: list[list] = []
-        self._groups: list[bytes] = []  # the step's group sections, by gid
-        self._counts: dict[tuple[int, str], int] = {}
-        self._orig_bytes = 0
-        self._pending: deque = deque()
-        self._run = PatchRuns()  # consecutive patches of one (level, field)
-        self._write(pack_header())
+        with self._step_guard():
+            self._segment = SegmentWriter(self._sink, self._comp, self._pool, self._max_pending)
         return n
 
     def add_patch(
@@ -458,10 +425,11 @@ class StreamingWriter:
         (:class:`~repro.compression.amr_codec.PatchRuns`), flushed at
         :meth:`end_step` at the latest. Input the codec rejects (non-float,
         empty, NaN/Inf, a bad bound) raises from this call, before the
-        patch is buffered; a failing encode surfaces when its run is
-        flushed or drained (``docs/api.md``).
+        patch is buffered, and the step stays open; a failing encode
+        surfaces when its run is flushed or drained and rolls the step
+        back (``docs/api.md``).
         """
-        if not self._in_step:
+        if self._segment is None:
             raise CompressionError("no open step; call begin_step() first")
         level = int(level)
         if level < 0:
@@ -470,79 +438,53 @@ class StreamingWriter:
             raise CompressionError(
                 f"field {field!r} is not part of this series (have {list(self._fields)})"
             )
-        arr = np.asarray(data)
-        eb = self._comp.resolve_member_bound(
-            arr,
-            self._bound_for(field) if error_bound is None else float(error_bound),
+        runs = self._segment.add(
+            level, field, data,
+            self._field_bounds.get(field, self._eb) if error_bound is None else float(error_bound),
             self._mode if mode is None else mode,
         )
-        # Own the values. tobytes() is a memcpy under the GIL; an ndarray
-        # copy of > 500 cells releases it, and every release is a chance to
-        # hand the lock to the caller's thread or a pool= worker (~25 us).
-        arr = np.frombuffer(arr.tobytes(), arr.dtype).reshape(arr.shape)
-        self._orig_bytes += arr.nbytes
-        self._counts[level, field] = self._counts.get((level, field), 0) + 1
-        self._encode_runs(self._run.add((level, field), arr, eb))
+        if runs:  # most patches complete no run: skip the guard's ~2 us
+            with self._step_guard():
+                self._segment.encode(runs)
 
     def end_step(self) -> SeriesStepEntry:
         """Finish the open step: flush the pipeline, write the segment's
-        index and footer, and record the step in the timestep index."""
-        if not self._in_step:
+        index and footer and its seal, and record the step in the timestep
+        index. A refused step (empty, or carrying other fields than the
+        series) is rolled back, as is one whose writing fails."""
+        segment = self._segment
+        if segment is None:
             raise CompressionError("no open step to end")
-        self._encode_runs(self._run.flush())
-        self._drain(0)
-        if not self._entries:
-            self._in_step = False
-            raise CompressionError("empty timestep: add at least one patch before end_step()")
-        step_fields = []
-        for _, field, *_ in self._entries:
-            if field not in step_fields:
-                step_fields.append(field)
-        if self._fields is None:
-            self._adopt_fields(tuple(step_fields))
-        elif set(step_fields) != set(self._fields):
-            self._in_step = False
-            raise CompressionError(
-                f"step {self._cur_step} carries fields {step_fields}, but the "
-                f"series carries {list(self._fields)}"
+        with self._step_guard():
+            segment.flush()
+            if not segment.n_patches:
+                raise CompressionError("empty timestep: add at least one patch before end_step()")
+            if self._fields is None:
+                self._adopt_fields(tuple(segment.fields))
+            elif set(segment.fields) != set(self._fields):
+                raise CompressionError(
+                    f"step {self._cur_step} carries fields {segment.fields}, but the "
+                    f"series carries {list(self._fields)}"
+                )
+            n_levels = segment.finish(self._meta())
+            entry = SeriesStepEntry(
+                step=self._cur_step,
+                offset=segment.start,
+                length=self._sink.pos - segment.start,
+                crc32=segment.crc,
+                container_version=CONTAINER_VERSION,
+                time=self._step_time,
+                n_levels=n_levels,
+                n_patches=segment.n_patches,
+                original_bytes=segment.original_bytes,
             )
-        self._entries.sort(key=lambda e: (e[0], e[1], e[2]))
-        n_levels = self._entries[-1][0] + 1
-        meta = {
-            "codec": self._comp.name,
-            "error_bound": self._eb,
-            "mode": self._mode,
-            "fields": list(self._fields),
-            "exclude_covered": self._exclude_covered,
-            "original_bytes": self._orig_bytes,
-            "field_bounds": self._field_bounds,
-        }
-        group_rows = []
-        for gid, blob in enumerate(self._groups):
-            group_rows.append(_group_row(gid, self._sink.pos - self._seg_start, blob))
-            self._write(blob)
-        index_bytes = build_index_bytes(meta, n_levels, self._entries, group_rows)
-        rel_index_offset = self._sink.pos - self._seg_start
-        self._write(index_bytes)
-        self._write(pack_footer(rel_index_offset, len(index_bytes), zlib.crc32(index_bytes)))
-        entry = SeriesStepEntry(
-            step=self._cur_step,
-            offset=self._seg_start,
-            length=self._sink.pos - self._seg_start,
-            crc32=self._seg_crc,
-            container_version=CONTAINER_VERSION,
-            time=self._step_time,
-            n_levels=n_levels,
-            n_patches=len(self._entries),
-            original_bytes=self._orig_bytes,
-        )
-        # Seal the step before advancing: the seal record restates the
-        # index row after the segment bytes it describes, so a crash at any
-        # later point can rebuild this step without the series footer. The
-        # seal is not part of the segment (entry.length excludes it), which
-        # keeps segments byte-identical to batch compress_hierarchy output.
-        self._in_step = False
-        self._write(pack_seal(entry))
+            # Seal the step before advancing: the seal record restates the
+            # index row after the segment bytes it describes, so a crash at
+            # any later point can rebuild this step without the series
+            # footer. The seal is not part of the segment (entry.length
+            # excludes it), so a segment is a snapshot container.
+            self._sink.write(pack_seal(entry))
+        self._segment = None
         self._data_end = self._sink.pos
         if self._durability == "step":
             self._sync()
@@ -553,25 +495,20 @@ class StreamingWriter:
     def rollback_step(self) -> None:
         """Abandon the step in flight and truncate its partial bytes.
 
-        After an append failed mid-step (e.g. a
-        :class:`~repro.errors.TransientStorageError` from the byte sink),
-        the file holds a partial, unsealed segment. This discards any
-        in-flight compression futures and truncates back to the end of the
-        last *sealed* step, leaving the writer exactly where it was before
-        the failed ``begin_step`` — the same step number can be appended
-        again. A no-op when nothing was written past the sealed prefix.
+        Every step that fails after writing a byte — an append, an
+        ``end_step`` refusal, a failing encode, a
+        :class:`~repro.errors.TransientStorageError` from the byte sink —
+        is rolled back here already. This discards any in-flight
+        compression futures and truncates back to the end of the last
+        *sealed* step, leaving the writer exactly where it was before the
+        failed ``begin_step`` — the same step number can be appended again.
+        A no-op when nothing was written past the sealed prefix.
         """
         if self._closed:
             raise CompressionError("writer is closed")
-        self._in_step = False
-        self._run = PatchRuns()  # the unflushed run goes with the step
-        pending = getattr(self, "_pending", None)
-        while pending:
-            *_, fut = pending.popleft()
-            try:
-                fut.result()  # retire, discard (and swallow its failure)
-            except Exception:
-                pass
+        if self._segment is not None:
+            self._segment.discard()
+            self._segment = None
         self._sink.truncate(self._data_end)
 
     def append_step(
@@ -584,12 +521,13 @@ class StreamingWriter:
         """Append one whole hierarchy as the next timestep.
 
         Convenience wrapper over the ``begin_step`` / ``add_patch`` /
-        ``end_step`` protocol that feeds patches in the canonical layout
-        order (level ascending, field sorted, patch ascending), so the
-        resulting segment is byte-identical to
+        ``end_step`` protocol that feeds every patch through
+        :meth:`add_patch` in the canonical layout order (level ascending,
+        field sorted, patch ascending), so the resulting segment is
         :func:`~repro.compression.amr_codec.compress_hierarchy` +
         ``tobytes()`` on the same data. Applies the covered-cell fill when
-        the writer was created with ``exclude_covered=True``.
+        the writer was created with ``exclude_covered=True``. A step that
+        fails part-way is rolled back: the series holds no byte of it.
         """
         if fields is not None:
             names = _validate_fields(fields)
@@ -600,9 +538,7 @@ class StreamingWriter:
         for name in names:
             if name not in hierarchy.field_names:
                 raise CompressionError(f"hierarchy has no field {name!r}")
-        # Reject a field-set mismatch BEFORE compressing anything: end_step
-        # would catch it too, but only after the whole rejected segment's
-        # bytes had been written (and permanently orphaned) in the file.
+        # Reject a field-set mismatch before compressing anything.
         if self._fields is not None and set(names) != set(self._fields):
             raise CompressionError(
                 f"step carries fields {sorted(names)}, but the series "
@@ -611,29 +547,12 @@ class StreamingWriter:
         if self._fields is None:
             self._adopt_fields(names)
         self.begin_step(step=step, time=time)
-        try:
-            for lev_idx, lev in enumerate(hierarchy):
-                masks = (
-                    level_covered_masks(hierarchy, lev_idx)
-                    if self._exclude_covered
-                    else None
-                )
-                for name in sorted(names):
-                    for p_idx, patch in enumerate(lev.patches(name)):
-                        data = patch.data
-                        if masks is not None and masks[p_idx].any():
-                            # Mirror the batch path: resolve the bound
-                            # against the original values, then fill.
-                            eb_abs = self._comp.resolve_error_bound(
-                                data, self._bound_for(name), self._mode
-                            )
-                            data = _fill_covered(data, masks[p_idx])
-                            self.add_patch(lev_idx, name, data, error_bound=eb_abs, mode="abs")
-                        else:
-                            self.add_patch(lev_idx, name, data)
-        except Exception:
-            self._in_step = False
-            raise
+        with self._step_guard():
+            for level, name, data, eb, mode in hierarchy_patches(
+                hierarchy, names, self._comp, self._eb, self._field_bounds, self._mode,
+                self._exclude_covered,
+            ):
+                self.add_patch(level, name, data, error_bound=eb, mode=mode)
         return self.end_step()
 
     # ------------------------------------------------------------------
@@ -644,19 +563,11 @@ class StreamingWriter:
         resources. The file is not a valid RPH2S container until this runs."""
         if self._closed:
             return
-        if self._in_step:
+        if self._segment is not None:
             raise CompressionError("cannot close with an open step; call end_step() first")
-        meta = {
-            "codec": self._comp.name,
-            "error_bound": self._eb,
-            "mode": self._mode,
-            "fields": list(self._fields) if self._fields is not None else [],
-            "exclude_covered": self._exclude_covered,
-            "field_bounds": self._field_bounds,
-        }
-        index_bytes = build_series_index_bytes(meta, self._steps)
+        index_bytes = build_series_index_bytes(self._meta(), self._steps)
         index_offset = self._sink.pos
-        self._write(index_bytes)
+        self._sink.write(index_bytes)
         # Two-phase commit: make the index (and every sealed segment before
         # it) durable *before* the footer that points at it goes out. A
         # crash between the syncs leaves a footerless file, which recovery
@@ -664,7 +575,7 @@ class StreamingWriter:
         # footer magic / index crc checks at open.
         if self._durability != "none":
             self._sync()
-        self._write(
+        self._sink.write(
             pack_footer(
                 index_offset, len(index_bytes), zlib.crc32(index_bytes), SERIES_FOOTER_MAGIC
             )

@@ -1,5 +1,5 @@
-"""Parallel execution: an ordered map and a persistent worker pool."""
+"""Parallel execution: a persistent worker pool."""
 
-from repro.parallel.pool import EXECUTION_MODES, WorkerPool, parallel_map
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool
 
-__all__ = ["WorkerPool", "parallel_map", "EXECUTION_MODES"]
+__all__ = ["WorkerPool", "EXECUTION_MODES"]

@@ -1,9 +1,10 @@
-"""A persistent worker pool and an ordered parallel map over it.
+"""A persistent worker pool for ordered maps and pipelined tasks.
 
 AMR patches are independent (paper §3.3), so their compression is a pure
 map. :class:`WorkerPool` survives across maps and timesteps (every parallel
-entry point takes ``pool=``); :func:`parallel_map` maps on one, propagating
-worker exceptions.
+entry point takes ``pool=``); its :meth:`~WorkerPool.map` preserves order and
+propagates worker exceptions, and :meth:`~WorkerPool.submit` feeds pipelined
+callers such as the segment writer.
 
 ``"thread"`` is ONE background lane whatever ``workers`` says: it frees the
 calling thread (a solver, an event loop), and that is all it can do. On the
@@ -22,7 +23,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ReproError
 
-__all__ = ["parallel_map", "WorkerPool", "EXECUTION_MODES"]
+__all__ = ["WorkerPool", "EXECUTION_MODES"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,8 +46,6 @@ class WorkerPool:
         CPU core. Validated in every mode (a negative count is refused),
         and sizes nothing else: :attr:`workers` is 1 for serial and thread
         pools.
-    chunksize:
-        Batch size for process-mode maps (amortizes IPC overhead).
 
     The pool is reusable across any number of :meth:`map` / :meth:`submit`
     calls until :meth:`close` (or the ``with`` block) releases it — the
@@ -61,16 +60,13 @@ class WorkerPool:
                 compress_hierarchy(step, "sz-lr", 1e-3, pool=pool)
     """
 
-    def __init__(self, mode: str = "thread", workers: int | None = None, chunksize: int = 1):
+    def __init__(self, mode: str = "thread", workers: int | None = None):
         if mode not in EXECUTION_MODES:
             raise ReproError(f"unknown execution mode {mode!r} (have {EXECUTION_MODES})")
-        if chunksize < 1:
-            raise ReproError(f"chunksize must be >= 1, got {chunksize}")
         if workers is not None and workers < 0:
             raise ReproError(f"workers must be >= 0 or None, got {workers}")
         self._mode = mode
         self._workers = (workers or os.cpu_count() or 1) if mode == "process" else 1
-        self._chunksize = int(chunksize)
         self._closed = False
         self._pid = os.getpid()
         self._executor: Executor | None = None
@@ -120,15 +116,16 @@ class WorkerPool:
             )
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        """Apply ``fn`` to every item, preserving order (see
-        :func:`parallel_map` for the contract). A thread pool runs every
-        item on its lane, so a map never overlaps another caller's task; a
-        process pool runs a lone item inline rather than pickle it."""
+        """Apply ``fn`` to every item, preserving order; the first worker
+        exception propagates (``fn`` must be picklable for ``"process"``).
+        A thread pool runs every item on its lane, so a map never overlaps
+        another caller's task; a process pool runs a lone item inline
+        rather than pickle it."""
         self._check_open()
         seq: Sequence[T] = list(items)
         if self._executor is None or (self._mode == "process" and len(seq) <= 1):
             return [fn(item) for item in seq]
-        return list(self._executor.map(fn, seq, chunksize=self._chunksize))
+        return list(self._executor.map(fn, seq))
 
     def submit(self, fn: Callable[..., R], *args) -> Future:
         """Schedule one call; serial pools run it inline and return an
@@ -164,34 +161,3 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    mode: str = "serial",
-    workers: int | None = 2,
-    chunksize: int = 1,
-    pool: WorkerPool | None = None,
-) -> list[R]:
-    """Apply ``fn`` to every item, preserving order.
-
-    Parameters
-    ----------
-    fn:
-        Callable applied per item; must be picklable for ``"process"``.
-    items:
-        Work items.
-    mode, workers, chunksize:
-        The :class:`WorkerPool` built for this call when no ``pool`` is
-        given (``workers`` sizes process mode only; ``0`` = one per core).
-    pool:
-        Optional persistent :class:`WorkerPool`. When given, the map runs
-        on it (its mode/size/chunksize govern; ``mode``/``workers``/
-        ``chunksize`` here are ignored) and nothing is constructed or torn
-        down per call.
-    """
-    if pool is not None:
-        return pool.map(fn, items)
-    with WorkerPool(mode, workers, chunksize) as own:
-        return own.map(fn, items)

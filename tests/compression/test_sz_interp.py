@@ -3,14 +3,27 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
-from repro.compression.base import StreamReader
+from repro.compression.base import StreamReader, StreamWriter
 from repro.compression.interpolation import InterpPlan, anchor_stride, predict_axis
+from repro.compression.lossless import compress_bytes
 from repro.compression.sz_interp import SZInterp
+from repro.compression.sz_lr import SZLR
+from repro.compression.zfp_like import ZFPLike
 from repro.errors import CompressionError, DecompressionError
+
+
+def _with_shape(blob: bytes, shape: list) -> bytes:
+    """``blob`` with its stream header's ``shape`` replaced by ``shape``."""
+    version, n = struct.unpack_from("<BI", blob, 4)
+    header = json.loads(blob[9 : 9 + n])
+    raw = json.dumps({**header, "shape": shape}).encode()
+    return blob[:4] + struct.pack("<BI", version, len(raw)) + raw + blob[9 + n :]
 
 
 class TestPlan:
@@ -144,6 +157,33 @@ class TestValidation:
         data[3, 3] = np.inf
         with pytest.raises(CompressionError):
             SZInterp().compress(data, 1e-3)
+
+    @pytest.mark.parametrize("codec", [SZInterp, SZLR, ZFPLike], ids=lambda c: c.name)
+    def test_forged_shape_refused_before_allocating(self, codec):
+        """A header claiming a 4096^3 array (512 GiB of float64) over an
+        8^3 stream is a DecompressionError, not a 512 GiB ``np.zeros``."""
+        blob = codec().compress(np.random.default_rng(0).standard_normal((8, 8, 8)), 1e-2)
+        assert codec().decompress(_with_shape(blob, [8, 8, 8])).shape == (8, 8, 8)
+        with pytest.raises(DecompressionError):
+            codec().decompress(_with_shape(blob, [4096, 4096, 4096]))
+
+    @pytest.mark.parametrize("forgery", [
+        {"eb": "0.01"}, {"eb": -0.01}, {"eb": None}, {"anchors": np.zeros(3)},
+    ], ids=["eb-string", "eb-negative", "eb-null", "anchors-short"])
+    def test_forged_sections_are_typed_refusals(self, forgery):
+        """A bound or an anchors section that disagrees with the header is
+        a DecompressionError, never a ValueError from ``float`` or
+        ``reshape``, nor a silently wrong array."""
+        codec = SZInterp(entropy="deflate")
+        reader = StreamReader(codec.compress(np.random.default_rng(0).standard_normal((8, 8, 8)), 1e-2))
+        params = {**reader.params, **{k: v for k, v in forgery.items() if k == "eb"}}
+        writer = StreamWriter(reader.codec, reader.shape, reader.dtype, params)
+        anchors = forgery.get("anchors")
+        writer.add_section("anchors", reader.section("anchors") if anchors is None
+                           else compress_bytes(anchors.tobytes(), "deflate"))
+        writer.add_section("codes", reader.section("codes"))
+        with pytest.raises(DecompressionError):
+            codec.decompress(writer.tobytes())
 
 
 class TestOnePassBytes:

@@ -9,11 +9,13 @@ gets stored. Validation still happens *at* the call.
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.amr.io import open_series
+from repro.amr.patch import Patch
 from repro.errors import CompressionError
 from repro.insitu import ShardedSeriesWriter, StreamingWriter
 from repro.parallel import WorkerPool
@@ -91,6 +93,70 @@ class TestOwnership:
                     got = reader.read_patch(step, lev_idx, "f", 0)
                     want = level.patches("f")[0].data
                     assert np.abs(got - want).max() <= EB * (1 + 1e-12)
+
+
+def _two_fields(nan: bool = False):
+    """The sphere hierarchy with a second field ``g``; with ``nan``, ``g``'s
+    last patch (the walk's last) holds a NaN, so its refusal comes after
+    ``f``'s and level 0's runs were encoded and written."""
+    h = make_sphere_hierarchy(8)
+    for level in h:
+        level.add_field("g", [Patch(p.box, p.data + 1.0) for p in level.patches("f")])
+    if nan:
+        h[h.n_levels - 1].patches("g")[-1].data[1, 2, 3] = np.nan
+    return h
+
+
+class TestRefusedStepLeavesNoBytes:
+    """A step refused after writing any byte is truncated back to the last
+    sealed step: the finished file equals one written without the attempt."""
+
+    @staticmethod
+    def _series(path, attempt, pooled):
+        with WorkerPool("thread") as pool:
+            with StreamingWriter.create(path, "sz-lr", EB, mode="abs",
+                                        pool=pool if pooled else None) as w:
+                w.append_step(_two_fields())
+                if attempt is not None:
+                    with pytest.raises(CompressionError):
+                        attempt(w)
+                w.append_step(_two_fields())
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_nan_in_a_later_field(self, tmp_path, pooled):
+        def nan_step(w):
+            w.append_step(_two_fields(nan=True))
+
+        clean = self._series(tmp_path / "clean.rph2s", None, pooled)
+        assert self._series(tmp_path / "nan.rph2s", nan_step, pooled) == clean
+
+    def test_empty_end_step(self, tmp_path):
+        def empty_step(w):
+            w.begin_step()
+            w.end_step()
+
+        clean = self._series(tmp_path / "clean.rph2s", None, False)
+        assert self._series(tmp_path / "empty.rph2s", empty_step, False) == clean
+
+    @pytest.mark.parametrize("parallel", ["serial", "thread"])
+    def test_sharded_lane(self, tmp_path, parallel):
+        def campaign(name, refused):
+            manifest = tmp_path / name / "camp.rphm"
+            manifest.parent.mkdir()
+            with ShardedSeriesWriter.create(manifest, "sz-lr", EB, mode="abs", n_shards=2,
+                                            parallel=parallel) as w:
+                w.append_step(_two_fields(), step=0, shard=0)
+                if refused:
+                    with pytest.raises(CompressionError):
+                        w.append_step(_two_fields(nan=True), step=1, shard=0)
+                        w.flush()  # a lane failure surfaces here
+                w.append_step(_two_fields(), step=2, shard=0)
+                w.append_step(_two_fields(), step=3, shard=1)
+                shards = w.shards
+            return [Path(name).read_bytes() for name in shards]
+
+        assert campaign("refused", True) == campaign("clean", False)
 
 
 class TestErrorsSurfaceAtTheCall:

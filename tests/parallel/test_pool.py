@@ -1,4 +1,4 @@
-"""Tests for the ordered parallel map and the persistent worker pool."""
+"""Tests for the persistent worker pool: its ordered map and its submit."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.errors import ReproError
-from repro.parallel import EXECUTION_MODES, WorkerPool, parallel_map
+from repro.parallel import EXECUTION_MODES, WorkerPool
 
 
 def square(x: int) -> int:
@@ -20,37 +20,41 @@ def square(x: int) -> int:
 class TestModes:
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_order_preserved(self, mode):
-        out = parallel_map(square, range(20), mode=mode, workers=3)
-        assert out == [x * x for x in range(20)]
+        with WorkerPool(mode, workers=3) as pool:
+            assert pool.map(square, range(20)) == [x * x for x in range(20)]
 
     def test_process_mode(self):
-        out = parallel_map(square, range(8), mode="process", workers=2)
-        assert out == [x * x for x in range(8)]
+        with WorkerPool("process", workers=2) as pool:
+            assert pool.map(square, range(8)) == [x * x for x in range(8)]
 
     def test_empty_items(self):
-        assert parallel_map(square, [], mode="thread") == []
+        with WorkerPool("thread") as pool:
+            assert pool.map(square, []) == []
 
     def test_single_item_short_circuits(self):
-        assert parallel_map(square, [3], mode="process") == [9]
+        with WorkerPool("process") as pool:
+            assert pool.map(square, [3]) == [9]
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ReproError):
-            parallel_map(square, [1], mode="gpu")
+            WorkerPool("gpu")
 
     def test_bad_workers_rejected(self):
         """A negative count is refused in every mode, even where ``workers``
-        sizes nothing; ``0`` means one per core, as in :class:`WorkerPool`."""
+        sizes nothing; ``0`` means one per core."""
         for mode in EXECUTION_MODES:
             with pytest.raises(ReproError, match="workers must be"):
-                parallel_map(square, [1, 2], mode=mode, workers=-1)
-        assert parallel_map(square, [1, 2], mode="thread", workers=0) == [1, 4]
+                WorkerPool(mode, workers=-1)
+        with WorkerPool("thread", workers=0) as pool:
+            assert pool.map(square, [1, 2]) == [1, 4]
 
     def test_exception_propagates(self):
         def boom(x):
             raise ValueError("boom")
 
-        with pytest.raises(ValueError):
-            parallel_map(boom, [1, 2], mode="thread", workers=2)
+        with WorkerPool("thread", workers=2) as pool:
+            with pytest.raises(ValueError):
+                pool.map(boom, [1, 2])
 
 
 def boom(x):
@@ -67,20 +71,19 @@ class TestWorkerPool:
         with WorkerPool("process", workers=2) as pool:
             assert pool.map(square, range(8)) == [x * x for x in range(8)]
 
-    def test_reused_across_parallel_map_calls(self):
+    def test_reused_across_map_calls(self):
         """The executor survives across maps — the churn fix."""
         with WorkerPool("thread", workers=2) as pool:
             for _ in range(3):
-                out = parallel_map(square, range(10), pool=pool)
-                assert out == [x * x for x in range(10)]
+                assert pool.map(square, range(10)) == [x * x for x in range(10)]
             # pool still open after repeated use
             assert not pool.closed
 
-    def test_parallel_map_pool_overrides_mode(self):
-        """With pool=, the historical mode/workers args are ignored."""
+    def test_serial_pool_maps_on_the_calling_thread(self):
+        """A serial pool is a no-op pool: its map runs inline."""
         with WorkerPool("serial") as pool:
-            out = parallel_map(square, range(5), mode="process", workers=64, pool=pool)
-            assert out == [x * x for x in range(5)]
+            assert pool.map(lambda _: threading.get_ident(), range(3)) == [
+                threading.get_ident()] * 3
 
     def test_submit_serial_runs_inline(self):
         with WorkerPool("serial") as pool:
@@ -108,8 +111,8 @@ class TestWorkerPool:
     def test_bad_args_rejected(self):
         with pytest.raises(ReproError):
             WorkerPool("gpu")
-        with pytest.raises(ReproError):
-            WorkerPool("thread", chunksize=0)
+        with pytest.raises(TypeError):  # maps are unbatched: no chunksize
+            WorkerPool("thread", chunksize=1)
 
     def test_workers_resolution(self):
         """``workers`` sizes process pools only: a thread pool is one lane."""
