@@ -5,9 +5,9 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.patch import Patch
 from repro.amr.level import AMRLevel
 from repro.amr.hierarchy import AMRHierarchy
-from repro.amr.regrid import cluster_tags, boxes_from_mask
-from repro.amr.coverage import patch_covered_mask, level_covered_masks, exposed_fraction
-from repro.amr.uniform import flatten_to_uniform, upsample_nearest, upsample_linear
+from repro.amr.regrid import cluster_tags
+from repro.amr.coverage import patch_covered_mask, level_covered_masks
+from repro.amr.uniform import flatten_to_uniform, upsample_nearest
 from repro.amr.io import (
     write_plotfile,
     read_plotfile,
@@ -27,13 +27,10 @@ __all__ = [
     "AMRLevel",
     "AMRHierarchy",
     "cluster_tags",
-    "boxes_from_mask",
     "patch_covered_mask",
     "level_covered_masks",
-    "exposed_fraction",
     "flatten_to_uniform",
     "upsample_nearest",
-    "upsample_linear",
     "write_plotfile",
     "read_plotfile",
     "write_container",

@@ -13,9 +13,7 @@ origin) lives on :class:`repro.amr.level.AMRLevel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from repro.errors import BoxError
 from repro.util.validation import as_tuple
@@ -93,13 +91,6 @@ class Box:
             out *= s
         return out
 
-    # kept: AMReX box calculus: whether an index lies in a box
-    def contains_point(self, point: Sequence[int]) -> bool:
-        """Whether an index tuple lies inside this box."""
-        if len(point) != self.ndim:
-            raise BoxError(f"point dim {len(point)} != box dim {self.ndim}")
-        return all(l <= int(p) <= h for l, p, h in zip(self.lo, point, self.hi))
-
     def contains_box(self, other: "Box") -> bool:
         """Whether ``other`` is fully inside this box."""
         self._check_dim(other)
@@ -160,16 +151,6 @@ class Box:
             tuple(h + o for h, o in zip(self.hi, off)),
         )
 
-    # kept: AMReX box calculus: ghost-cell and buffer growth of a box
-    def grow(self, n: int | Sequence[int]) -> "Box":
-        """Grow (or shrink for negative ``n``) by ``n`` cells on every face."""
-        g = as_tuple(n, self.ndim, "n")
-        lo = tuple(l - v for l, v in zip(self.lo, g))
-        hi = tuple(h + v for h, v in zip(self.hi, g))
-        if any(b < a for a, b in zip(lo, hi)):
-            raise BoxError(f"grow({g}) empties box {self}")
-        return Box(lo, hi)
-
     # ------------------------------------------------------------------
     # Indexing helpers
     # ------------------------------------------------------------------
@@ -199,20 +180,6 @@ class Box:
         lo2 = list(self.lo)
         lo2[axis] = index + 1
         return Box(self.lo, tuple(hi1)), Box(tuple(lo2), self.hi)
-
-    # kept: AMReX box calculus: tile a box into grids of at most a max size
-    def chunk(self, max_shape: int | Sequence[int]) -> Iterator["Box"]:
-        """Yield sub-boxes tiling this box with at most ``max_shape`` cells
-        per dimension. Tiles on the high edge may be smaller."""
-        ms = as_tuple(max_shape, self.ndim, "max_shape")
-        if any(v < 1 for v in ms):
-            raise BoxError(f"max_shape must be >= 1, got {ms}")
-        starts = [range(l, h + 1, m) for l, h, m in zip(self.lo, self.hi, ms)]
-        grids = np.meshgrid(*[np.asarray(list(s)) for s in starts], indexing="ij")
-        for corner in zip(*[g.ravel() for g in grids]):
-            lo = tuple(int(c) for c in corner)
-            hi = tuple(min(int(c) + m - 1, h) for c, m, h in zip(corner, ms, self.hi))
-            yield Box(lo, hi)
 
     def _check_dim(self, other: "Box") -> None:
         if other.ndim != self.ndim:

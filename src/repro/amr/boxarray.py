@@ -104,11 +104,6 @@ class BoxArray:
                 return False
         return True
 
-    # kept: AMReX box calculus: whether a box list covers an index
-    def contains_point(self, point: Sequence[int]) -> bool:
-        """Whether the union covers an index point."""
-        return any(b.contains_point(point) for b in self._boxes)
-
     def mask(self, window: Box) -> np.ndarray:
         """Boolean occupancy mask of the union restricted to ``window``.
 
@@ -128,11 +123,6 @@ class BoxArray:
             out[tuple(map(slice, l, h))] = True
         return out
 
-    # kept: AMReX box calculus: the boxes of a list that meet a target box
-    def intersecting(self, target: Box) -> "BoxArray":
-        """Sub-array of boxes that intersect ``target``."""
-        return BoxArray(b for b in self._boxes if b.intersects(target))
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -143,11 +133,6 @@ class BoxArray:
     def coarsen(self, ratio: int | Sequence[int]) -> "BoxArray":
         """Coarsen every box (map to coarser index space)."""
         return BoxArray(b.coarsen(ratio) for b in self._boxes)
-
-    # kept: AMReX box calculus: grow every box of a list
-    def grow(self, n: int | Sequence[int]) -> "BoxArray":
-        """Grow every box by ``n`` cells per face."""
-        return BoxArray(b.grow(n) for b in self._boxes)
 
     def clamped(self, domain: Box) -> "BoxArray":
         """Intersect every box with ``domain``, dropping the disjoint ones."""

@@ -15,7 +15,7 @@ from repro.amr.box import Box
 from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import AMRHierarchy
 
-__all__ = ["patch_covered_mask", "level_covered_masks", "exposed_fraction"]
+__all__ = ["patch_covered_mask", "level_covered_masks"]
 
 
 def patch_covered_mask(
@@ -44,14 +44,3 @@ def level_covered_masks(hierarchy: AMRHierarchy, level: int) -> list[np.ndarray]
     fine_boxes = hierarchy[level + 1].boxes
     ratio = hierarchy.ref_ratios[level]
     return [patch_covered_mask(b, fine_boxes, ratio) for b in lev.boxes]
-
-
-# kept: operator need: the share of a level that exclude_covered still stores
-def exposed_fraction(hierarchy: AMRHierarchy, level: int) -> float:
-    """Fraction of ``level``'s stored cells *not* shadowed by finer data."""
-    masks = level_covered_masks(hierarchy, level)
-    total = sum(m.size for m in masks)
-    covered = sum(int(m.sum()) for m in masks)
-    if total == 0:
-        return 0.0
-    return 1.0 - covered / total

@@ -161,6 +161,7 @@ def read_container(path: str | Path):
         return CompressedHierarchy.frombytes(src.read(0, src.size))
 
 
+# kept: the snapshot door of docs/api.md, held to the snapshot parser
 def open_container(path: str | Path, backend=None):
     """Open ``path`` for random access and return a
     :class:`~repro.compression.container.ContainerReader` — ``repro.open``

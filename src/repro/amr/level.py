@@ -88,15 +88,6 @@ class AMRLevel:
                 f"level {self.index} has no field {field!r} (have {self.field_names})"
             ) from None
 
-    # kept: derives a field (a log or a magnitude) from one a level stores
-    def map_field(self, field: str, fn, name: str | None = None) -> None:
-        """Store ``fn(data)`` of every patch of ``field`` as field ``name``.
-
-        With ``name=None`` the field is replaced in place.
-        """
-        out = [Patch(p.box, np.asarray(fn(p.data))) for p in self.patches(field)]
-        self._fields[name if name is not None else field] = out
-
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
@@ -118,7 +109,6 @@ class AMRLevel:
         """Cells stored on this level (union of boxes)."""
         return self.boxes.cell_count()
 
-    # kept: the ndim every object of the data model answers (Box, BoxArray, AMRHierarchy)
     @property
     def ndim(self) -> int:
         """Spatial dimensionality."""

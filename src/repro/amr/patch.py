@@ -7,8 +7,6 @@ compression, and per-patch parallelism.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.amr.box import Box
@@ -47,28 +45,6 @@ class Patch:
     def full(cls, box: Box, fill: float = 0.0, dtype: np.dtype | type = np.float64) -> "Patch":
         """Patch filled with a constant."""
         return cls(box, np.full(box.shape, fill, dtype=dtype))
-
-    # kept: samples an analytic field at cell centres, for synthetic inputs
-    @classmethod
-    def from_function(cls, box: Box, fn, dx: Sequence[float] | float = 1.0) -> "Patch":
-        """Sample ``fn(x, y, ...)`` at cell centers.
-
-        ``fn`` receives one coordinate array per dimension (cell centers in
-        physical units: ``(index + 0.5) * dx``) and must broadcast.
-        """
-        ndim = box.ndim
-        if np.isscalar(dx):
-            dxs = (float(dx),) * ndim
-        else:
-            dxs = tuple(float(v) for v in dx)  # type: ignore[union-attr]
-            if len(dxs) != ndim:
-                raise BoxError(f"dx must have length {ndim}")
-        axes = [
-            (np.arange(box.lo[d], box.hi[d] + 1, dtype=np.float64) + 0.5) * dxs[d]
-            for d in range(ndim)
-        ]
-        coords = np.meshgrid(*axes, indexing="ij")
-        return cls(box, np.asarray(fn(*coords), dtype=np.float64))
 
     # ------------------------------------------------------------------
     # Views and extraction

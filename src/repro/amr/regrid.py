@@ -34,7 +34,7 @@ from repro.amr.boxarray import BoxArray
 from repro.errors import ReproError
 from repro.util.validation import check_int
 
-__all__ = ["cluster_tags", "boxes_from_mask"]
+__all__ = ["cluster_tags"]
 
 #: An inclusive index box ``(lo, hi)`` as plain int tuples.
 Span = tuple[tuple[int, ...], tuple[int, ...]]
@@ -272,10 +272,3 @@ def _greedy_boxes(mask: np.ndarray) -> list[Span]:
         out.append(box)
         remaining[tuple(slice(l, h + 1) for l, h in zip(*box))] = False
     return out
-
-
-# kept: the exact decomposition of a mask, the lossless end of cluster_tags' efficiency knob
-def boxes_from_mask(mask: np.ndarray) -> BoxArray:
-    """Exact disjoint box decomposition of a boolean (or integer, nonzero =
-    set) mask of at least one dimension, by greedy runs."""
-    return BoxArray(Box(lo, hi) for lo, hi in _greedy_boxes(_tag_mask(mask)))

@@ -22,9 +22,7 @@ from repro.compression.sz_interp import SZInterp
 from repro.compression.zfp_like import ZFPLike
 from repro.compression.registry import (
     available_codecs,
-    codec_accepts,
     make_codec,
-    register_codec,
     decompress_any,
 )
 from repro.compression.zmesh_like import ZMeshLike, morton_order, serialize_hierarchy_1d
@@ -58,9 +56,7 @@ __all__ = [
     "SZInterp",
     "ZFPLike",
     "available_codecs",
-    "codec_accepts",
     "make_codec",
-    "register_codec",
     "decompress_any",
     "CompressedHierarchy",
     "ContainerReader",

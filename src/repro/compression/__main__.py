@@ -170,20 +170,27 @@ def _cmd_inspect(args) -> int:
     return 0
 
 
-def _parse_int_list(spec: str | None) -> list[int] | None:
-    return None if spec is None else [int(s) for s in spec.split(",")]
+def _parse_int_list(spec: str | None, option: str) -> list[int] | None:
+    """A comma-separated integer selector; anything else is a typed
+    refusal naming ``option`` (one line and exit 2, not a traceback)."""
+    if spec is None:
+        return None
+    try:
+        return [int(s) for s in spec.split(",")]
+    except ValueError:
+        raise CompressionError(f"{option} takes comma-separated integers, got {spec!r}") from None
 
 
 def _cmd_extract(args) -> int:
     # decompress_selection is repro.open + select: snapshot, series or campaign.
     selected = decompress_selection(
         args.input,
-        levels=_parse_int_list(args.level),
+        levels=_parse_int_list(args.level, "--level"),
         fields=args.field.split(",") if args.field else None,
-        patches=_parse_int_list(args.patch),
+        patches=_parse_int_list(args.patch, "--patch"),
         parallel=args.parallel,
         workers=args.workers,
-        steps=_parse_int_list(args.step),
+        steps=_parse_int_list(args.step, "--step"),
     )
     if not selected:
         print("selection matched no patches", file=sys.stderr)

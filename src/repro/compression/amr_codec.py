@@ -11,7 +11,7 @@ file. Three paper-relevant features:
   under refined regions; since post-analysis never reads it (Figure 3), the
   codec can overwrite those cells with values that compress to almost
   nothing before encoding. On decompression the cells are either left as
-  the filled values (``restore="fill"``) or rebuilt by conservatively
+  the filled values (``restore="none"``) or rebuilt by conservatively
   averaging the decompressed fine data down (``restore="average_down"``),
   which keeps the hierarchy self-consistent for dual-cell visualization.
 * **Per-patch independence**: every patch is a separate stream, so runs of
@@ -56,7 +56,7 @@ from repro.compression.container import (
     pack_group,
     pack_header,
 )
-from repro.compression.registry import codec_accepts, make_codec
+from repro.compression.registry import make_codec
 from repro.errors import CompressionError, FormatError
 from repro.parallel.pool import WorkerPool
 from repro.storage import ByteSink
@@ -87,7 +87,6 @@ def _fill_covered(data: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-# kept: decompress_hierarchy(restore="average_down") reaches it: AMReX's covered-cell rule
 def average_down(hierarchy: AMRHierarchy, field: str) -> None:
     """Overwrite covered coarse cells with the conservative average of the
     overlying fine cells (AMReX ``average_down``), in place."""
@@ -132,7 +131,6 @@ class CompressedHierarchy(ContainerReader):
         """Compression ratio over the stored fields."""
         return self.original_bytes / self.compressed_bytes
 
-    # kept: benchmarks/e2e/trace.py ENTRY_POINTS names it
     @classmethod
     def frombytes(cls, raw) -> "CompressedHierarchy":
         """Parse a container from outside the program, checked in full.
@@ -360,29 +358,20 @@ class SegmentWriter:
                 pass
 
 
-def resolve_patch_codec(codec: str | Compressor, k_streams: int | str = "auto") -> Compressor:
+def resolve_patch_codec(codec: str | Compressor) -> Compressor:
     """Resolve a registry name or instance into a patch-ready codec.
 
     Per-patch arrays are sized by the regridder's blocking factor (multiples
     of 4/8), so ``sz-lr`` gets automatic block selection to avoid the
-    edge-padding waste a fixed 6-cube would pay on them; ``k_streams``
-    (the Huffman interleave width, threaded from
-    :func:`compress_hierarchy`) is forwarded to named codecs the same way.
+    edge-padding waste a fixed 6-cube would pay on them.
     :func:`compress_hierarchy` and :class:`repro.insitu.StreamingWriter`
     resolve codecs through here and write through one
     :class:`SegmentWriter`, so a series segment is the snapshot container
     of the same data by construction. Codec *instances*
     pass through unchanged — they already carry their configuration.
-    Custom codecs registered through ``register_codec`` whose factories
-    never grew a ``k_streams`` parameter are constructed without it.
     """
     if isinstance(codec, str):
-        kwargs: dict = {}
-        if codec_accepts(codec, "k_streams"):
-            kwargs["k_streams"] = k_streams
-        if codec == "sz-lr":
-            kwargs["block_size"] = "auto"
-        return make_codec(codec, **kwargs)
+        return make_codec(codec, **({"block_size": "auto"} if codec == "sz-lr" else {}))
     return codec
 
 
@@ -443,7 +432,6 @@ def compress_hierarchy(
     exclude_covered: bool = False,
     parallel: str = "serial",
     workers: int = 2,
-    k_streams: int | str = "auto",
     batch: str = "patch",
     pool=None,
     field_bounds=None,
@@ -468,10 +456,6 @@ def compress_hierarchy(
         one background lane — or ``"process"``, ``workers`` processes; two
         runs per lane in flight, :class:`SegmentWriter`); the container
         bytes are identical across modes.
-    k_streams:
-        Huffman interleave width forwarded to named codecs (``"auto"``
-        scales with each patch for the vectorized decode); ignored when
-        ``codec`` is an instance, which already carries its configuration.
     batch:
         ``"patch"`` or ``"level"``; both write the same container bytes.
         Each (level, field) is cut into runs of consecutive patches
@@ -494,7 +478,7 @@ def compress_hierarchy(
         same ``mode``; fields not named keep ``error_bound``. Recorded in
         the container index (``ContainerReader.field_bounds``).
     """
-    comp = resolve_patch_codec(codec, k_streams=k_streams)
+    comp = resolve_patch_codec(codec)
     names = validate_fields(fields) or hierarchy.field_names
     for name in names:
         if name not in hierarchy.field_names:

@@ -9,10 +9,10 @@ right codec without out-of-band metadata.
 This module also hosts the **shared entropy stage** every SZ-style codec
 threads its quantization codes through: canonical Huffman in the K-way
 interleaved ``HUF2`` layout (see :mod:`repro.compression.huffman`), with
-the DEFLATE fallback for oversized alphabets. Codecs expose the interleave
-width as their ``k_streams`` constructor parameter and record it in the
-stream params; blobs self-describe their K, so any stream decodes
-regardless of the reader's configuration.
+the DEFLATE fallback for oversized alphabets. The interleave width is
+``"auto"`` (it scales with the input), and codecs record that in the
+stream params; blobs self-describe their K, so a stream of any K
+decodes.
 
 Streams are plain buffers end to end: :class:`StreamReader` accepts
 ``bytes`` *or* a ``memoryview`` (the zero-copy mmap container path) and
@@ -50,7 +50,6 @@ __all__ = [
     "BatchResult",
     "SharedEntropy",
     "check_entropy_params",
-    "check_backend_level",
     "encode_codes",
     "encode_codes_batch",
     "decode_codes",
@@ -107,82 +106,51 @@ class SharedEntropy(NamedTuple):
     payload: Any
 
 
-def check_entropy_params(entropy: str, k_streams: int | str = "auto") -> None:
-    """Validate codec constructor entropy parameters.
+def check_entropy_params(entropy: str) -> None:
+    """Validate a codec's ``entropy`` constructor parameter.
 
     Construction-time misuse is a :class:`CompressionError` (nothing is
-    being decoded yet), shared here so every codec rejects bad ``entropy``
-    / ``k_streams`` arguments identically.
+    being decoded yet), shared here so every codec rejects a bad
+    ``entropy`` identically.
     """
     if entropy not in ENTROPY_STAGES:
         raise CompressionError(
             f"entropy must be one of {ENTROPY_STAGES}, got {entropy!r}"
         )
-    if k_streams != "auto":
-        # Delegate range checking (raises CompressionError on misuse).
-        huffman.resolve_k_streams(k_streams, 1)
 
 
-def check_backend_level(backend_level: int | None) -> None:
-    """Validate a codec's ``backend_level`` constructor parameter
-    (``None`` = per-section defaults, else a zlib level 0-9)."""
-    if backend_level is None:
-        return
-    if isinstance(backend_level, bool) or not isinstance(backend_level, int) \
-            or not 0 <= backend_level <= 9:
-        raise CompressionError(
-            f"backend_level must be None or an int in [0, 9], got {backend_level!r}"
-        )
-
-
-def _encode_members(members, entropy, backend, k_streams, level) -> tuple[list, list]:
+def _encode_members(members, entropy) -> tuple[list, list]:
     """``(blobs, stages)``: one self-contained codes section per member of
     a run. The Huffman stage packs the whole run in one pass; a member
     whose alphabet is too large falls back to DEFLATE alone."""
     coded = [None] * len(members)
     if entropy == "huffman":
-        coded = huffman.encode_many(members, k_streams=k_streams)
-    huf = HUFFMAN_SECTION_LEVEL if level is None else level
-    raw = RAW_SECTION_LEVEL if level is None else level
+        coded = huffman.encode_many(members)
     blobs = [
-        pack_ints(np.ascontiguousarray(codes), backend, raw) if blob is None
-        else compress_bytes(blob, backend, huf)
+        pack_ints(np.ascontiguousarray(codes), level=RAW_SECTION_LEVEL) if blob is None
+        else compress_bytes(blob, level=HUFFMAN_SECTION_LEVEL)
         for codes, blob in zip(members, coded)
     ]
     return blobs, ["deflate" if blob is None else "huffman" for blob in coded]
 
 
-def encode_codes(
-    codes: np.ndarray,
-    entropy: str,
-    backend: str,
-    k_streams: int | str = "auto",
-    level: int | None = None,
-) -> tuple[bytes, str]:
+def encode_codes(codes: np.ndarray, entropy: str) -> tuple[bytes, str]:
     """Entropy-encode a quantization-code array into a section blob.
 
     ``"huffman"`` runs the K-way interleaved canonical Huffman stage then
-    the lossless backend (the SZ pipeline); alphabets too large to
-    Huffman-code fall back to ``"deflate"``. ``level`` overrides the
-    backend compression level (default: :data:`HUFFMAN_SECTION_LEVEL` for
-    Huffman-coded sections — the output is already near-entropy — and
-    :data:`RAW_SECTION_LEVEL` for the fallback, where DEFLATE *is* the
-    entropy coder). Returns ``(blob, stage)`` where ``stage`` names the
+    DEFLATE at :data:`HUFFMAN_SECTION_LEVEL` (the SZ pipeline; the output
+    is already near-entropy); alphabets too large to Huffman-code fall
+    back to ``"deflate"`` at :data:`RAW_SECTION_LEVEL`, where DEFLATE *is*
+    the entropy coder. Returns ``(blob, stage)`` where ``stage`` names the
     encoding actually used — codecs record it in their stream params so
     :func:`decode_codes` can invert it. What :func:`encode_codes_batch`
     writes per member when its run has no shared codebook.
     """
-    blobs, stages = _encode_members([codes], entropy, backend, k_streams, level)
+    blobs, stages = _encode_members([codes], entropy)
     return blobs[0], stages[0]
 
 
-def encode_codes_batch(
-    codes,
-    entropy: str,
-    backend: str,
-    k_streams: int | str = "auto",
-    level: int | None = None,
-) -> tuple[bytes | None, list, list]:
+def encode_codes_batch(codes, entropy: str) -> tuple[bytes | None, list, list]:
     """Entropy-encode the code arrays of a run of patches (``codes``, one
     array of any size per member). Returns ``(codebook_bytes, payloads,
     stages)``: one payload and one recorded stage name per member, and the
@@ -206,30 +174,25 @@ def encode_codes_batch(
             pass
         else:
             inverse = np.split(inverse, np.cumsum([m.size for m in members])[:-1])
-            blobs = huffman.encode_batch(members, codebook, k_streams=k_streams, inverse=inverse)
-            payloads = _wrap_grouped(blobs, codebook, backend, level)
+            blobs = huffman.encode_batch(members, codebook, inverse=inverse)
+            payloads = _wrap_grouped(blobs, codebook)
             return codebook.tobytes(), payloads, [GROUPED_STAGE] * len(payloads)
-    return (None, *_encode_members(members, entropy, backend, k_streams, level))
+    return (None, *_encode_members(members, entropy))
 
 
-def _wrap_grouped(
-    blobs: list, codebook: huffman.SharedCodebook, backend: str, level: int | None
-) -> list:
+def _wrap_grouped(blobs: list, codebook: huffman.SharedCodebook) -> list:
     """The lossless wrappers of a group's ``HUFS`` payloads.
 
-    An explicit ``level`` runs ``backend`` at that level on every payload.
-    Otherwise a payload is *stored* (the 1-byte ``"none"`` tag), unless the
-    codebook has a 1-bit code: Huffman spends at least one bit per symbol,
-    so only a symbol that dominates its group leaves runs for DEFLATE to
-    find. Then ``backend`` at :data:`HUFFMAN_SECTION_LEVEL` is tried per
-    payload and kept where it is smaller.
+    A payload is *stored* (the 1-byte ``"none"`` tag), unless the codebook
+    has a 1-bit code: Huffman spends at least one bit per symbol, so only a
+    symbol that dominates its group leaves runs for DEFLATE to find. Then
+    DEFLATE at :data:`HUFFMAN_SECTION_LEVEL` is tried per payload and kept
+    where it is smaller.
     """
-    if level is not None:
-        return [compress_bytes(blob, backend, level) for blob in blobs]
     stored = [compress_bytes(blob, "none") for blob in blobs]
     if codebook.lengths.min() > 1:
         return stored
-    deflated = [compress_bytes(blob, backend, HUFFMAN_SECTION_LEVEL) for blob in blobs]
+    deflated = [compress_bytes(blob, level=HUFFMAN_SECTION_LEVEL) for blob in blobs]
     return [d if len(d) < len(s) else s for d, s in zip(deflated, stored)]
 
 
@@ -526,26 +489,14 @@ class Compressor(ABC):
         eb = self.resolve_error_bound(arr, error_bound, mode)
         return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
 
-    def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
-        """The streams of validated float64 members under absolute bounds,
-        under one shared codebook when ``grouped`` (codecs with
-        ``supports_batch`` implement it)."""
-        raise NotImplementedError
-
     def _encode_run(self, codes: list, grouped: bool) -> tuple[bytes | None, list, list]:
         """``(codebook, blobs, stages)`` of a run's code arrays under this
-        codec's ``entropy`` / ``backend`` / ``k_streams`` /
-        ``backend_level`` (every codec with a run path has them): the run's
-        shared codebook when
-        ``grouped`` (:func:`encode_codes_batch`), else the one member's
-        self-contained section (:func:`encode_codes`)."""
+        codec's ``entropy``: the run's shared codebook when ``grouped``
+        (:func:`encode_codes_batch`), else the one member's self-contained
+        section (:func:`encode_codes`)."""
         if grouped:
-            return encode_codes_batch(
-                codes, self.entropy, self.backend, self.k_streams, level=self.backend_level,
-            )
-        blob, stage = encode_codes(
-            codes[0], self.entropy, self.backend, self.k_streams, level=self.backend_level,
-        )
+            return encode_codes_batch(codes, self.entropy)
+        blob, stage = encode_codes(codes[0], self.entropy)
         return None, [blob], [stage]
 
     @staticmethod

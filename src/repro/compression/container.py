@@ -325,7 +325,6 @@ class GroupHandle:
         member, offsets relative to the payload region start."""
         return tuple(self._extents)
 
-    # kept: the ranged-read planner and the service's crc check read members by extent
     def member_extent(self, member: int) -> tuple[int, int, int]:
         """One member's ``(rel_offset, length, crc32)`` extent-table row —
         what a selection planner needs to target the payload bytes without
@@ -579,6 +578,7 @@ class ReaderView(Closing):
         """Compressed field names (identical across a series' steps)."""
         return tuple(self._meta["fields"])
 
+    # kept: operator need: whether a container stores covered coarse cells (its hierarchy oracle reads it)
     @property
     def exclude_covered(self) -> bool:
         """Whether the §2.2 covered-cell optimization was applied."""

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable
 
 from repro.compression.base import STREAM_MAGIC, Compressor, StreamReader
@@ -15,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "available_codecs",
-    "codec_accepts",
     "make_codec",
-    "register_codec",
     "decompress_any",
 ]
 
@@ -31,39 +28,6 @@ _FACTORIES: dict[str, Callable[..., Compressor]] = {
 def available_codecs() -> tuple[str, ...]:
     """Registered codec names."""
     return tuple(sorted(_FACTORIES))
-
-
-# kept: operator need: plug a custom codec into every writer and reader by name
-def register_codec(name: str, factory: Callable[..., Compressor]) -> None:
-    """Register a custom codec factory under ``name``."""
-    if name in _FACTORIES:
-        raise CompressionError(f"codec {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def codec_accepts(name: str, param: str) -> bool:
-    """Whether codec ``name``'s factory takes keyword ``param``.
-
-    Lets generic call sites (e.g. ``resolve_patch_codec`` threading
-    ``k_streams``) forward optional tuning parameters without breaking
-    custom factories registered through :func:`register_codec` whose
-    constructors never grew them. Unsignaturable factories (builtins,
-    C callables) conservatively report ``False``.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise CompressionError(
-            f"unknown codec {name!r}; available: {available_codecs()}"
-        ) from None
-    try:
-        sig = inspect.signature(factory)
-    except (TypeError, ValueError):
-        return False
-    return any(
-        p.name == param or p.kind is inspect.Parameter.VAR_KEYWORD
-        for p in sig.parameters.values()
-    )
 
 
 def make_codec(name: str, **kwargs) -> Compressor:

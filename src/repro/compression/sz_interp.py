@@ -25,7 +25,6 @@ from repro.compression.base import (
     Compressor,
     StreamReader,
     StreamWriter,
-    check_backend_level,
     check_entropy_params,
 )
 from repro.compression.interpolation import InterpPlan, predict_axis
@@ -44,41 +43,22 @@ class SZInterp(Compressor):
     ----------
     entropy:
         ``"huffman"`` (default SZ pipeline) or ``"deflate"``.
-    backend:
-        Lossless byte backend for all sections.
-    k_streams:
-        Huffman interleave width: ``"auto"`` (scales with the input; the
-        vectorized-decode default) or an explicit stream count.
-    backend_level:
-        Backend compression level for every section (0-9), or ``None``
-        for the measured per-section defaults (cheap level for
-        already-Huffman-coded sections; see
-        :data:`~repro.compression.base.HUFFMAN_SECTION_LEVEL`).
+
+    Every section is DEFLATEd at the per-section levels of
+    :mod:`repro.compression.base` (the cheap
+    :data:`~repro.compression.base.HUFFMAN_SECTION_LEVEL` for
+    Huffman-coded sections).
     """
 
     name = "sz-interp"
     supports_batch = True
 
-    def __init__(
-        self,
-        entropy: str = "huffman",
-        backend: str = "deflate",
-        k_streams: int | str = "auto",
-        backend_level: int | None = None,
-    ):
+    def __init__(self, entropy: str = "huffman"):
         # Constructor misuse is a CompressionError (nothing is being
         # decoded here); this used to raise DecompressionError.
-        check_entropy_params(entropy, k_streams)
-        check_backend_level(backend_level)
+        check_entropy_params(entropy)
         self.entropy = entropy
-        self.backend = backend
-        self.k_streams = k_streams if k_streams == "auto" else int(k_streams)
-        self.backend_level = backend_level
         self.last_stage_times: StageTimes = StageTimes()
-
-    def _raw_level(self) -> int:
-        """Backend level for non-entropy sections."""
-        return RAW_SECTION_LEVEL if self.backend_level is None else self.backend_level
 
     # ------------------------------------------------------------------
     def _sub_lattice(
@@ -135,16 +115,13 @@ class SZInterp(Compressor):
                      member: int = 0) -> bytes:
         """One member's stream: params, anchors section and — unless the
         codes live in a group's shared payload — its codes section."""
-        params = {"eb": eb, "stride": stride, "entropy": entropy_used,
-                  "k_streams": self.k_streams}
+        params = {"eb": eb, "stride": stride, "entropy": entropy_used, "k_streams": "auto"}
         if entropy_used == GROUPED_STAGE:
             params["group_member"] = member
         writer = StreamWriter(self.name, shape, dtype, params)
         writer.add_section(
             "anchors",
-            compress_bytes(
-                np.ascontiguousarray(anchors).tobytes(), self.backend, self._raw_level()
-            ),
+            compress_bytes(np.ascontiguousarray(anchors).tobytes(), level=RAW_SECTION_LEVEL),
         )
         if entropy_used != GROUPED_STAGE:
             writer.add_section("codes", code_blob)

@@ -37,7 +37,6 @@ from repro.compression.base import (
     SharedEntropy,
     StreamReader,
     StreamWriter,
-    check_backend_level,
     check_entropy_params,
 )
 from repro.compression.lorenzo import lorenzo_forward, lorenzo_inverse
@@ -63,21 +62,13 @@ class SZLR(Compressor):
     entropy:
         ``"huffman"`` (canonical Huffman then DEFLATE, the SZ pipeline) or
         ``"deflate"`` (skip Huffman; ablation baseline).
-    backend:
-        Lossless backend for all byte sections.
     predictor:
         ``"auto"`` (per-block selection), ``"lorenzo"`` or ``"regression"``
         to force one path (ablation).
-    k_streams:
-        Huffman interleave width: ``"auto"`` (scales with the input; the
-        vectorized-decode default) or an explicit stream count.
-    backend_level:
-        Lossless-backend compression level for every section (0-9), or
-        ``None`` for the measured per-section defaults: already-Huffman-
-        coded codes sections take the cheap
-        :data:`~repro.compression.base.HUFFMAN_SECTION_LEVEL`, raw
-        sections the backend's usual
-        :data:`~repro.compression.base.RAW_SECTION_LEVEL`.
+
+    Every section is DEFLATEd: Huffman-coded codes sections at the cheap
+    :data:`~repro.compression.base.HUFFMAN_SECTION_LEVEL`, the others at
+    :data:`~repro.compression.base.RAW_SECTION_LEVEL`.
     """
 
     name = "sz-lr"
@@ -87,30 +78,19 @@ class SZLR(Compressor):
         self,
         block_size: int | str = 6,
         entropy: str = "huffman",
-        backend: str = "deflate",
         predictor: str = "auto",
-        k_streams: int | str = "auto",
-        backend_level: int | None = None,
     ):
         if block_size == "auto":
             pass  # resolved per array at compression time
         elif not isinstance(block_size, int) or block_size < 2:
             raise CompressionError(f"block_size must be >= 2 or 'auto', got {block_size}")
-        check_entropy_params(entropy, k_streams)
-        check_backend_level(backend_level)
+        check_entropy_params(entropy)
         if predictor not in ("auto", "lorenzo", "regression"):
             raise CompressionError(f"unknown predictor {predictor!r}")
         self.block_size = block_size if block_size == "auto" else int(block_size)
         self.entropy = entropy
-        self.backend = backend
         self.predictor = predictor
-        self.k_streams = k_streams if k_streams == "auto" else int(k_streams)
-        self.backend_level = backend_level
         self.last_stage_times: StageTimes = StageTimes()
-
-    def _raw_level(self) -> int:
-        """Backend level for non-entropy sections."""
-        return RAW_SECTION_LEVEL if self.backend_level is None else self.backend_level
 
     # ------------------------------------------------------------------
     # Compression
@@ -209,18 +189,18 @@ class SZLR(Compressor):
             "block_size": bs,
             "padded_shape": list(padded_shape),
             "entropy": entropy_used,
-            "k_streams": self.k_streams,
+            "k_streams": "auto",
             "predictor": self.predictor,
         }
         if group_member is not None:
             params["group_member"] = group_member
         writer = StreamWriter(self.name, shape, dtype, params)
-        lvl = self._raw_level()
+        lvl = RAW_SECTION_LEVEL
         modes, dc, qcoefs = (a[rows] for a in kernel_out[:3])
         lor_sel = modes == MODE_LORENZO
-        writer.add_section("modes", compress_bytes(modes.astype(np.uint8).tobytes(), self.backend, lvl))
-        writer.add_section("dc", pack_ints(dc[lor_sel], self.backend, lvl))
-        writer.add_section("coefs", pack_ints(qcoefs[~lor_sel].ravel(), self.backend, lvl))
+        writer.add_section("modes", compress_bytes(modes.astype(np.uint8).tobytes(), level=lvl))
+        writer.add_section("dc", pack_ints(dc[lor_sel], level=lvl))
+        writer.add_section("coefs", pack_ints(qcoefs[~lor_sel].ravel(), level=lvl))
         if code_blob is not None:
             writer.add_section("codes", code_blob)
         return writer.tobytes()

@@ -25,7 +25,6 @@ from repro.compression.base import (
     Compressor,
     StreamReader,
     StreamWriter,
-    check_entropy_params,
     encode_codes,
 )
 from repro.compression.lossless import pack_ints, unpack_ints
@@ -83,25 +82,11 @@ def s_transform_inverse(coefs: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 class ZFPLike(Compressor):
-    """Fixed-accuracy transform codec over 4^d blocks.
-
-    ``k_streams`` sets the Huffman interleave width (``"auto"`` scales
-    with the input for the vectorized decode).
-    """
+    """Fixed-accuracy transform codec over 4^d blocks; its coefficients go
+    through the Huffman stage of :func:`~repro.compression.base.encode_codes`."""
 
     name = "zfp-like"
     _block_edge = 4
-
-    def __init__(
-        self,
-        entropy: str = "huffman",
-        backend: str = "deflate",
-        k_streams: int | str = "auto",
-    ):
-        check_entropy_params(entropy, k_streams)
-        self.entropy = entropy
-        self.backend = backend
-        self.k_streams = k_streams if k_streams == "auto" else int(k_streams)
 
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
         orig_dtype = np.asarray(data).dtype
@@ -116,9 +101,7 @@ class ZFPLike(Compressor):
         dc = flat[:, 0].copy()
         rest = flat.copy()
         rest[:, 0] = 0
-        code_blob, entropy_used = encode_codes(
-            rest.ravel(), self.entropy, self.backend, self.k_streams
-        )
+        code_blob, entropy_used = encode_codes(rest.ravel(), "huffman")
         writer = StreamWriter(
             self.name,
             arr.shape,
@@ -127,10 +110,10 @@ class ZFPLike(Compressor):
                 "eb": eb,
                 "padded_shape": list(padded_shape),
                 "entropy": entropy_used,
-                "k_streams": self.k_streams,
+                "k_streams": "auto",
             },
         )
-        writer.add_section("dc", pack_ints(dc, self.backend))
+        writer.add_section("dc", pack_ints(dc))
         writer.add_section("codes", code_blob)
         return writer.tobytes()
 

@@ -73,15 +73,12 @@ class ZMeshLike:
     codec:
         The 1-D backend codec name (``"sz-lr"`` degrades to 1-D blocks;
         ``"sz-interp"`` does 1-D interpolation).
-    k_streams:
-        Huffman interleave width forwarded to the backend codec
-        (``"auto"`` scales with the input for the vectorized decode).
     """
 
     name = "zmesh-like"
 
-    def __init__(self, codec: str = "sz-lr", k_streams: int | str = "auto"):
-        self._backend = make_codec(codec, k_streams=k_streams)
+    def __init__(self, codec: str = "sz-lr"):
+        self._backend = make_codec(codec)
 
     def compress_hierarchy(
         self, hierarchy: AMRHierarchy, field: str, error_bound: float, mode: str = "rel"

@@ -205,7 +205,6 @@ def _recover_in_gap(
     return None
 
 
-# kept: salvages a series a killed writer left behind (input from outside the program)
 def _recover_by_inner_footer(
     src: ByteSource, pos: int, limit: int, next_step: int
 ) -> tuple[SeriesStepEntry, int] | None:

@@ -70,10 +70,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.compression.amr_codec import resolve_patch_codec
-from repro.compression.container import ContainerReader, _normalize_selector
+from repro.compression.container import ContainerReader
 from repro.errors import (
     CompressionError,
     FormatError,
@@ -230,7 +228,6 @@ def _shard_path(manifest: str | Path, basename: str) -> str:
     return os.path.join(base_dir, basename) if base_dir else basename
 
 
-# kept: finds a campaign's shards when its manifest is lost (recover_sharded)
 def _discover(backend: StorageBackend, manifest_name: str) -> tuple[list[str], list[str]]:
     """A campaign's ``(shard names, parity names)`` as the naming
     convention finds them next to the manifest, each sorted."""
@@ -709,7 +706,6 @@ class ShardedRecoveryReport:
     #: Shards that could not be salvaged at all: ``(name, reason)``.
     dropped: list[tuple[str, str]] = field(default_factory=list)
 
-    # kept: operator need: the steps a campaign holds
     @property
     def steps(self) -> tuple[int, ...]:
         """Union of salvageable step numbers across shards, ascending."""
@@ -943,36 +939,6 @@ class ShardedSeriesReader(_SeriesView):
     def verify_step(self, step: int) -> None:
         """Check a whole segment's crc32 against its shard's index."""
         self._reader_for(step).verify_step(step)
-
-    # kept: a degraded read for library callers, who do not go through QueryService
-    def select_partial(
-        self, steps=None, **options
-    ) -> tuple[dict[tuple[int, int, str, int], np.ndarray], list[dict]]:
-        """Degraded :meth:`select` (``options`` are its other keywords):
-        serve what the surviving shards can.
-
-        Instead of failing the whole selection when one shard is dead or
-        corrupt, each selected step is read from its shard independently;
-        the result is ``(results, missing)`` where ``results`` holds every
-        patch that could be read (same keys/bytes as :meth:`select`) and
-        ``missing`` holds one ``{"step", "file", "error", "detail"}``
-        record, in step order, per selected step that could not. An empty
-        ``missing`` list means the result is complete.
-        """
-        want_steps = _normalize_selector(steps, "step")
-        out: dict[tuple[int, int, str, int], np.ndarray] = {}
-        missing: list[dict] = []
-        for step in self.steps:
-            if want_steps is None or step in want_steps:
-                try:
-                    sub = self.open_step(step).select(**options)
-                    out.update({(step, *key): arr for key, arr in sub.items()})
-                except (StorageError, FormatError) as exc:
-                    missing.append({
-                        "step": step, "file": self.shard_of(step),
-                        "error": type(exc).__name__, "detail": str(exc),
-                    })
-        return out, missing
 
 
 def recover_sharded(

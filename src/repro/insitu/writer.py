@@ -63,7 +63,7 @@ from repro.insitu.series import (
     build_series_index_bytes,
     pack_seal,
 )
-from repro.parallel.pool import EXECUTION_MODES, WorkerPool
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool, check_workers
 from repro.storage import ByteSink
 
 __all__ = ["StreamingWriter", "DURABILITY_MODES"]
@@ -165,6 +165,7 @@ class StreamingWriter:
             raise CompressionError(
                 f"unknown execution mode {parallel!r} (have {EXECUTION_MODES})"
             )
+        check_workers(workers)  # a serial writer builds no pool to check it
         self._comp = resolve_patch_codec(codec)
         # The series-wide bound itself (a "rel" one is scaled per patch).
         self._eb = self._comp.resolve_error_bound(None, error_bound, "abs")

@@ -22,14 +22,22 @@ from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPool
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ReproError
+from repro.util.validation import check_int
 
-__all__ = ["WorkerPool", "EXECUTION_MODES"]
+__all__ = ["WorkerPool", "EXECUTION_MODES", "check_workers"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: Supported execution modes.
 EXECUTION_MODES = ("serial", "thread", "process")
+
+
+def check_workers(workers) -> int | None:
+    """``workers`` as an ``int``, or ``None``; anything but ``None`` or a
+    non-bool integer >= 0 is a :class:`~repro.errors.ReproError` (never
+    coerced: ``True`` is not one process, ``"2"`` not two)."""
+    return None if workers is None else check_int("workers", workers, minimum=0)
 
 
 class WorkerPool:
@@ -43,9 +51,9 @@ class WorkerPool:
         no two tasks ever run at once), or ``"process"``.
     workers:
         Process count of a ``"process"`` pool; ``None``/``0`` means one per
-        CPU core. Validated in every mode (a negative count is refused),
-        and sizes nothing else: :attr:`workers` is 1 for serial and thread
-        pools.
+        CPU core. Validated in every mode before any executor is built
+        (:func:`check_workers`), and sizes nothing else: :attr:`workers` is
+        1 for serial and thread pools.
 
     The pool is reusable across any number of :meth:`map` / :meth:`submit`
     calls until :meth:`close` (or the ``with`` block) releases it — the
@@ -63,8 +71,7 @@ class WorkerPool:
     def __init__(self, mode: str = "thread", workers: int | None = None):
         if mode not in EXECUTION_MODES:
             raise ReproError(f"unknown execution mode {mode!r} (have {EXECUTION_MODES})")
-        if workers is not None and workers < 0:
-            raise ReproError(f"workers must be >= 0 or None, got {workers}")
+        workers = check_workers(workers)
         self._mode = mode
         self._workers = (workers or os.cpu_count() or 1) if mode == "process" else 1
         self._closed = False

@@ -119,7 +119,6 @@ class ServeCache:
         self._evict()
         return True
 
-    # kept: charges a catalog entry for the group header its loader parsed
     def inflate(self, key: Hashable, delta: int) -> None:
         """Grow an entry's charge in place (a catalog that just loaded a
         group header). Missing keys are a no-op — the entry may have been

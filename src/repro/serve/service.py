@@ -66,7 +66,7 @@ from repro.errors import (
     ServeError,
     StorageError,
 )
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, check_workers
 from repro.serve.cache import ServeCache
 from repro.serve.planner import (
     DEFAULT_GAP_CAP,
@@ -235,6 +235,7 @@ class QueryService(ReaderView):
         heal_write_back: bool = False,
         clock=time.monotonic,
     ):
+        check_workers(workers)  # before the source opens anything
         self._gap_cap = int(gap_cap)
         self._slack = float(slack)
         self._cache = ServeCache(cache_bytes) if cache_bytes is not None else None

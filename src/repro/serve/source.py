@@ -367,7 +367,6 @@ class StepSource:
         if not gids:
             return
 
-        # kept: parses a catalog's decode tables before worker threads read them
         def load() -> None:
             for gid in gids:
                 # parse the decode tables now; immutable afterwards, so

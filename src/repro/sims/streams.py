@@ -76,7 +76,6 @@ def nyx_step_stream(
         yield SimStep(index=i, time=growth, hierarchy=nyx_hierarchy(cfg))
 
 
-# kept: `stream --sim warpx` reaches it: the paper's second application
 def warpx_step_stream(
     n_steps: int,
     config: WarpXConfig | None = None,

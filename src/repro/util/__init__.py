@@ -1,8 +1,6 @@
 """Shared utilities: validation helpers, stage timing, deterministic RNG."""
 
 from repro.util.validation import (
-    check_dim,
-    check_positive,
     check_int,
     check_array,
     check_same_shape,
@@ -12,8 +10,6 @@ from repro.util.timer import StageTimes
 from repro.util.rng import make_rng
 
 __all__ = [
-    "check_dim",
-    "check_positive",
     "check_int",
     "check_array",
     "check_same_shape",

@@ -14,44 +14,11 @@ import numpy as np
 from repro.errors import ReproError
 
 __all__ = [
-    "check_dim",
-    "check_positive",
     "check_int",
     "check_array",
     "check_same_shape",
     "as_tuple",
 ]
-
-
-# kept: refuses a dimensionality the data model does not support
-def check_dim(ndim: int, *, allowed: Sequence[int] = (1, 2, 3)) -> int:
-    """Validate a spatial dimensionality.
-
-    Parameters
-    ----------
-    ndim:
-        Number of spatial dimensions.
-    allowed:
-        Permitted values.
-
-    Returns
-    -------
-    int
-        The validated ``ndim``.
-    """
-    if ndim not in allowed:
-        raise ReproError(f"dimensionality {ndim} not supported (allowed: {tuple(allowed)})")
-    return int(ndim)
-
-
-# kept: refuses a non-positive size, step or bound from a caller
-def check_positive(name: str, value: float, *, strict: bool = True) -> float:
-    """Validate that ``value`` is positive (or non-negative if not strict)."""
-    if strict and not value > 0:
-        raise ReproError(f"{name} must be > 0, got {value!r}")
-    if not strict and not value >= 0:
-        raise ReproError(f"{name} must be >= 0, got {value!r}")
-    return value
 
 
 def check_int(name: str, value: Any, minimum: int) -> int:

@@ -18,10 +18,8 @@ from repro.viz.cracks import CrackReport, crack_report, interface_gap, interior_
 from repro.viz.render import render_mesh
 from repro.viz.image_io import write_pgm, read_pgm
 from repro.viz.line1d import Figure14Demo, figure14_demo, blocky_compress_1d
-from repro.viz.colormap import apply_colormap, write_ppm
 from repro.viz.volume import (
     slice_image,
-    max_intensity_projection,
     volume_render,
     normalize_field,
 )
@@ -49,9 +47,6 @@ __all__ = [
     "figure14_demo",
     "blocky_compress_1d",
     "slice_image",
-    "max_intensity_projection",
     "volume_render",
     "normalize_field",
-    "apply_colormap",
-    "write_ppm",
 ]

@@ -5,11 +5,10 @@ sensitive* to compression error than volume rendering or slicing. These
 axis-aligned implementations make that claim testable:
 
 * :func:`slice_image` — a 2-D slice through the uniform composite;
-* :func:`max_intensity_projection` — brightest-sample projection;
 * :func:`volume_render` — front-to-back emission/absorption compositing
   with a linear transfer function (pure NumPy cumulative products).
 
-All three consume the uniform composite (via
+Both consume the uniform composite (via
 :func:`repro.amr.uniform.flatten_to_uniform`) so they apply unchanged to
 original and decompressed hierarchies.
 """
@@ -21,7 +20,7 @@ import numpy as np
 from repro.errors import VisualizationError
 from repro.util.validation import check_array
 
-__all__ = ["slice_image", "max_intensity_projection", "volume_render", "normalize_field"]
+__all__ = ["slice_image", "volume_render", "normalize_field"]
 
 
 def normalize_field(field: np.ndarray, lo: float | None = None, hi: float | None = None) -> np.ndarray:
@@ -48,15 +47,6 @@ def slice_image(field: np.ndarray, axis: int = 0, index: int | None = None) -> n
     if not 0 <= idx < n:
         raise VisualizationError(f"slice index {idx} out of range [0, {n})")
     return np.take(arr, idx, axis=axis).astype(np.float64, copy=True)
-
-
-# kept: the brightest-sample projection, a third 2-D view beside slices and volume renders
-def max_intensity_projection(field: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Maximum-intensity projection along ``axis``."""
-    arr = check_array("field", field, ndim=3)
-    if not 0 <= axis <= 2:
-        raise VisualizationError(f"axis must be 0..2, got {axis}")
-    return arr.max(axis=axis).astype(np.float64)
 
 
 def volume_render(

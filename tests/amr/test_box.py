@@ -55,16 +55,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_contains_point(self):
-        b = Box((0, 0), (3, 3))
-        assert b.contains_point((0, 0))
-        assert b.contains_point((3, 3))
-        assert not b.contains_point((4, 0))
-
-    def test_contains_point_dim_mismatch(self):
-        with pytest.raises(BoxError):
-            Box((0, 0), (1, 1)).contains_point((0, 0, 0))
-
     def test_contains_box(self):
         outer = Box((0, 0), (9, 9))
         assert outer.contains_box(Box((2, 2), (5, 5)))
@@ -112,15 +102,6 @@ class TestTransforms:
         b = Box((0, 0), (2, 2)).shift((5, -1))
         assert b.lo == (5, -1) and b.hi == (7, 1)
 
-    def test_grow_and_shrink(self):
-        b = Box((2, 2), (5, 5))
-        assert b.grow(1) == Box((1, 1), (6, 6))
-        assert b.grow(-1) == Box((3, 3), (4, 4))
-
-    def test_overshrink_rejected(self):
-        with pytest.raises(BoxError):
-            Box((0, 0), (1, 1)).grow(-1)
-
     def test_bad_ratio_rejected(self):
         with pytest.raises(BoxError):
             Box((0,), (3,)).refine(0)
@@ -155,14 +136,6 @@ class TestIndexing:
         with pytest.raises(BoxError):
             Box((0,), (3,)).split(1, 1)
 
-    def test_chunk_tiles_exactly(self):
-        b = Box((0, 0, 0), (9, 9, 9))
-        tiles = list(b.chunk(4))
-        assert sum(t.size for t in tiles) == b.size
-        for t in tiles:
-            assert b.contains_box(t)
-            assert all(s <= 4 for s in t.shape)
-
 
 class TestProperties:
     @given(boxes_3d(), boxes_3d())
@@ -187,12 +160,3 @@ class TestProperties:
     def test_coarsen_then_refine_covers(self, b: Box, r: int):
         cover = b.coarsen(r).refine(r)
         assert cover.contains_box(b)
-
-    @given(boxes_3d(), st.integers(0, 3))
-    def test_grow_size_monotone(self, b: Box, n: int):
-        assert b.grow(n).size >= b.size
-
-    @given(boxes_3d())
-    def test_chunk_partition_property(self, b: Box):
-        tiles = list(b.chunk(3))
-        assert sum(t.size for t in tiles) == b.size

@@ -53,10 +53,6 @@ class TestGeometry:
     def test_is_disjoint(self, disjoint_pair: BoxArray):
         assert disjoint_pair.is_disjoint()
 
-    def test_contains_point(self, disjoint_pair: BoxArray):
-        assert disjoint_pair.contains_point((5, 2))
-        assert not disjoint_pair.contains_point((8, 0))
-
     def test_mask_window(self, disjoint_pair: BoxArray):
         window = Box((2, 0), (5, 3))
         mask = disjoint_pair.mask(window)
@@ -69,22 +65,12 @@ class TestGeometry:
         assert mask.sum() == 4
         assert mask[0, 0] and not mask[2, 2]
 
-    def test_intersecting(self, disjoint_pair: BoxArray):
-        hits = disjoint_pair.intersecting(Box((3, 0), (4, 3)))
-        assert len(hits) == 2
-        none = disjoint_pair.intersecting(Box((10, 10), (11, 11)))
-        assert len(none) == 0
-
 
 class TestTransforms:
     def test_refine_coarsen(self, disjoint_pair: BoxArray):
         refined = disjoint_pair.refine(2)
         assert refined.cell_count() == disjoint_pair.cell_count() * 4
         assert refined.coarsen(2) == disjoint_pair
-
-    def test_grow_overlaps(self, disjoint_pair: BoxArray):
-        grown = disjoint_pair.grow(1)
-        assert not grown.is_disjoint()
 
     def test_clamped_drops_outside(self):
         ba = BoxArray([Box((0, 0), (3, 3)), Box((10, 10), (12, 12))])

@@ -8,12 +8,9 @@ from repro.amr import (
     AMRHierarchy,
     Box,
     BoxArray,
-    exposed_fraction,
     level_covered_masks,
     patch_covered_mask,
 )
-
-from tests.conftest import make_sphere_hierarchy
 
 
 class TestPatchCoveredMask:
@@ -48,14 +45,3 @@ class TestLevelMasks:
         masks = level_covered_masks(multi_field_hierarchy, 0)
         for m, b in zip(masks, multi_field_hierarchy[0].boxes):
             assert m.shape == b.shape
-
-
-class TestExposedFraction:
-    def test_sphere(self, sphere_hierarchy: AMRHierarchy):
-        assert exposed_fraction(sphere_hierarchy, 0) == 0.5
-        assert exposed_fraction(sphere_hierarchy, 1) == 1.0
-
-    def test_consistent_with_densities(self):
-        h = make_sphere_hierarchy(8)
-        # Level 0 stores the full domain; exposed fraction = density share.
-        assert exposed_fraction(h, 0) == h.densities()[0]

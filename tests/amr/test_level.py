@@ -52,16 +52,6 @@ class TestFields:
         with pytest.raises(HierarchyError):
             two_box_level.patches("nope")
 
-    def test_map_field_in_place(self, two_box_level: AMRLevel):
-        two_box_level.map_field("f", lambda d: d * 10)
-        assert two_box_level.patches("f")[0].data[0, 0] == 10.0
-
-    def test_map_field_new_name(self, two_box_level: AMRLevel):
-        two_box_level.map_field("f", np.square, name="f2")
-        assert "f2" in two_box_level.field_names
-        assert two_box_level.patches("f")[1].data[0, 0] == 2.0
-        assert two_box_level.patches("f2")[1].data[0, 0] == 4.0
-
 
 class TestAssembly:
     def test_to_array_full_window(self, two_box_level: AMRLevel):

@@ -23,24 +23,6 @@ class TestConstruction:
         p = Patch.full(Box((0,), (3,)), fill=1, dtype=np.int32)
         assert p.data.dtype == np.int32
 
-    def test_from_function_samples_cell_centers(self):
-        p = Patch.from_function(Box((0, 0), (1, 1)), lambda x, y: x + 10 * y, dx=1.0)
-        # Cell centers at 0.5 and 1.5.
-        assert p.data[0, 0] == pytest.approx(0.5 + 5.0)
-        assert p.data[1, 1] == pytest.approx(1.5 + 15.0)
-
-    def test_from_function_anisotropic_dx(self):
-        p = Patch.from_function(Box((0,), (3,)), lambda x: x, dx=(0.25,))
-        assert p.data[0] == pytest.approx(0.125)
-
-    def test_from_function_offset_box(self):
-        p = Patch.from_function(Box((4,), (5,)), lambda x: x, dx=2.0)
-        assert p.data[0] == pytest.approx(9.0)  # (4 + 0.5) * 2
-
-    def test_from_function_bad_dx(self):
-        with pytest.raises(BoxError):
-            Patch.from_function(Box((0, 0), (1, 1)), lambda x, y: x, dx=(1.0,))
-
 
 class TestViews:
     def test_view_is_a_view(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.amr import Box, boxes_from_mask, cluster_tags
+from repro.amr import Box, cluster_tags
 from repro.errors import ReproError
 
 
@@ -89,21 +89,6 @@ class TestBlocking:
         assert _covers(boxes, tags)
 
 
-class TestBoxesFromMask:
-    def test_exact_decomposition(self):
-        rng = np.random.default_rng(6)
-        mask = rng.random((12, 12)) > 0.6
-        boxes = boxes_from_mask(mask)
-        window = Box.from_shape(mask.shape)
-        assert np.array_equal(boxes.mask(window), mask)
-        assert boxes.is_disjoint()
-
-    def test_full_mask_one_box(self):
-        boxes = boxes_from_mask(np.ones((5, 7), dtype=bool))
-        assert len(boxes) == 1
-        assert boxes[0].shape == (5, 7)
-
-
 class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**20 - 1), st.integers(1, 4))
@@ -153,23 +138,20 @@ class TestTagTypes:
         with pytest.raises(ReproError, match="tags must be boolean or integer"):
             cluster_tags(np.array([[0.0, 0.5], [2.0, np.nan]]))
 
-    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
     @pytest.mark.parametrize("tags", [
         np.zeros((4, 4)),
         np.array([[True, None], [False, True]], dtype=object),
         np.array(["a", ""]),
     ])
-    def test_float_object_and_string_tags_rejected(self, fn, tags):
+    def test_float_object_and_string_tags_rejected(self, tags):
         with pytest.raises(ReproError, match="tags must be boolean or integer"):
-            fn(tags)
+            cluster_tags(tags)
 
-    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
-    def test_zero_d_tags_rejected(self, fn):
+    def test_zero_d_tags_rejected(self):
         with pytest.raises(ReproError, match="at least one dimension"):
-            fn(np.array(True))
+            cluster_tags(np.array(True))
 
-    @pytest.mark.parametrize("fn", [cluster_tags, boxes_from_mask])
-    def test_integer_tags_are_nonzero_cells(self, fn):
+    def test_integer_tags_are_nonzero_cells(self):
         tags = np.zeros((6, 6), dtype=np.int16)
         tags[2:4, 1:5] = 7
-        assert list(fn(tags)) == [Box((2, 1), (3, 4))]
+        assert list(cluster_tags(tags)) == [Box((2, 1), (3, 4))]

@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.amr.hierarchy as hierarchy_module
-from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, boxes_from_mask, cluster_tags
+from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, cluster_tags
+from repro.amr.regrid import _greedy_boxes as greedy_spans
 from repro.errors import HierarchyError, ReproError
 from repro.sims import NyxConfig, nyx_step_stream
 from repro.sims.nyx import nyx_multilevel_hierarchy
@@ -290,8 +291,9 @@ def test_cluster_tags_matches_the_reference(tags, blocking, efficiency, max_boxe
 
 @settings(max_examples=150, deadline=None)
 @given(tag_masks())
-def test_boxes_from_mask_matches_the_reference(mask):
-    assert boxes_from_mask(mask) == reference_boxes_from_mask(mask)
+def test_greedy_boxes_match_the_reference(mask):
+    got = BoxArray(Box(lo, hi) for lo, hi in greedy_spans(mask))
+    assert got == reference_boxes_from_mask(mask)
 
 
 def test_integer_tags_cluster_like_their_boolean_mask():

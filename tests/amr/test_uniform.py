@@ -12,7 +12,6 @@ from repro.amr import (
     BoxArray,
     Patch,
     flatten_to_uniform,
-    upsample_linear,
     upsample_nearest,
 )
 from repro.errors import HierarchyError
@@ -46,29 +45,6 @@ class TestUpsampleNearest:
         assert up.mean() == pytest.approx(arr.mean())
 
 
-class TestUpsampleLinear:
-    def test_shape(self):
-        up = upsample_linear(np.zeros((3, 4)), (2, 2))
-        assert up.shape == (6, 8)
-
-    def test_linear_ramp_preserved(self):
-        # A linear function should be reproduced exactly in the interior.
-        x = np.arange(8.0)
-        up = upsample_linear(x, (2,))
-        # Fine centers at coarse coords -0.25, 0.25, 0.75, ...
-        inner = up[1:-1]
-        expect = np.arange(16.0)[1:-1] * 0.5 - 0.25
-        assert np.allclose(inner, expect)
-
-    def test_constant_field_exact(self):
-        up = upsample_linear(np.full((3, 3), 7.0), (4, 4))
-        assert np.allclose(up, 7.0)
-
-    def test_edges_clamped(self):
-        up = upsample_linear(np.array([0.0, 10.0]), (2,))
-        assert up[0] == 0.0  # clamped, not extrapolated
-
-
 class TestFlatten:
     def test_single_level_identity(self, rng):
         dom = Box.from_shape((4, 4, 4))
@@ -84,16 +60,8 @@ class TestFlatten:
         assert np.array_equal(uniform[16:], fine.data)
 
     def test_nearest_matches_manual_upsample(self, sphere_hierarchy):
-        uniform = flatten_to_uniform(sphere_hierarchy, "f", method="nearest")
+        uniform = flatten_to_uniform(sphere_hierarchy, "f")
         coarse = sphere_hierarchy[0].patches("f")[0].data
         up = upsample_nearest(coarse, (2, 2, 2))
         # Un-refined half comes from the coarse level.
         assert np.array_equal(uniform[:16], up[:16])
-
-    def test_linear_method_runs(self, sphere_hierarchy):
-        uniform = flatten_to_uniform(sphere_hierarchy, "f", method="linear")
-        assert np.isfinite(uniform).all()
-
-    def test_unknown_method_rejected(self, sphere_hierarchy):
-        with pytest.raises(HierarchyError):
-            flatten_to_uniform(sphere_hierarchy, "f", method="cubic")

@@ -243,6 +243,16 @@ class TestOneErrorPath:
         assert code == 2, (argv, err)
         assert err.startswith(f"{command}: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("spec", ["1,x", "x", "", "1.5", "1,,2"])
+    @pytest.mark.parametrize("option", ["--level", "--patch", "--step"])
+    def test_a_bad_selector_is_one_line_and_exit_2(self, inputs, capsys, option, spec):
+        capsys.readouterr()
+        code = main(["extract", str(inputs / "run.rph2s"), option, spec])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err + out
+        assert code == 2, err
+        assert err.startswith(f"extract: {option} ") and err.count("\n") == 1, err
+
     def test_recover_names_the_snapshot_it_was_given(self, inputs, capsys):
         assert main(["recover", str(inputs / "snap.rprh")]) == 2
         assert "snap.rprh is an RPH2 snapshot container" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from repro.compression import (
     available_codecs,
     decompress_any,
     make_codec,
-    register_codec,
 )
 from repro.errors import CompressionError
 
@@ -28,15 +27,6 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(CompressionError):
             make_codec("sz-9000")
-
-    def test_register_custom(self):
-        class Dummy(SZLR):
-            name = "dummy-lr"
-
-        register_codec("dummy-lr", Dummy)
-        assert "dummy-lr" in available_codecs()
-        with pytest.raises(CompressionError):
-            register_codec("dummy-lr", Dummy)
 
     def test_decompress_any_routes(self, smooth_field):
         for name in ("sz-lr", "sz-interp", "zfp-like"):

@@ -87,8 +87,6 @@ CASES = {
     "entropy_deflate": ("ragged3d", {"block_size": "auto", "entropy": "deflate"}, 1e-3, "rel"),
     "lorenzo": ("ragged3d", {"block_size": "auto", "predictor": "lorenzo"}, 1e-3, "rel"),
     "regression": ("ragged3d", {"block_size": "auto", "predictor": "regression"}, 1e-3, "rel"),
-    "k_streams": ("ragged3d", {"block_size": "auto", "k_streams": 4}, 1e-3, "rel"),
-    "backend_level": ("ragged3d", {"block_size": "auto", "backend_level": 3}, 1e-3, "rel"),
 }
 
 #: sha256 digests. ``<case>``: the case's ``[codec.compress(a, eb, mode) for a
@@ -99,13 +97,11 @@ CASES = {
 DIGESTS = {
     "1d": "80fff8ccc21fec7970c609ab490e8e94c17f963bada13667c6fd27e2b9218a6d",
     "2d": "b77c14fa49e60c0bd80ceb6fd78df2550c5bcef46b6a93b8493ff85fae50986c",
-    "backend_level": "61a44b33f4e6c77fdda1dee9c8502ed9ad63e86a95d5d3b6d6aba89b3c155247",
     "constant": "018626d70a8643e75c9633d648995db530ab199c72d366775bb36414691ff52c",
     "deflate_mid_run": "31ef76480529f1b77bfd0e91ccb2bd6009ea2f86b4ebb2b02de54f57af2c0c00",
     "entropy_deflate": "3073594982c2a75117c1839d25ba5083f5f4adb0932a5b084804a14863043040",
     "fixed_bs6": "b864bce7967fafbab30a9e68a78b049ec9266934f87b7cae2c6ddb93cd292fc6",
     "float32": "dcd0134e3e3e802b14fe7a9e72862d2e1bca4790d5f032dc01234ffc4e75dbe6",
-    "k_streams": "c5f2cfbb7d8eb21feb36a62639ec398cecf559bd518b520da1101ebc0100ff57",
     "lattice": "12f15b6a80880323215dd01e01bb5d157f89d60a936e08ee51a931cf4155dfe4",
     "lorenzo": "ee85a853c0ab063694097a78659d5bd7e8254d3e29c8564c48a5c0e9f314ca58",
     "mixed_ndim": "29941600f0247a8d7f5cfe4dfc7add9753483d7f5c7dbacfbd2fcc3aa348d443",
@@ -116,13 +112,11 @@ DIGESTS = {
     "sharded": "256bfd37e756f6b4a58e39714e4736b2a3807dcb05a6a71e0216c87b1a872c8a",
     "run:1d": "565a723dea37ae1ed68c8ed81120cd4e7bac1aa913f1445631a4c6b03a9a6046",
     "run:2d": "d53ffaeabc049b33d2f5e1785aee441081e62e182dd643c365bd8d8daa791789",
-    "run:backend_level": "17d14230fd0c257fa3c1d4522685c9863ed9765ae808fe2a13ecf79433b6e62b",
     "run:constant": "4c3a5c0a12fb8d83447cd034fbbf02afa42c325d5da7f594b4c0694a3a61f017",
     "run:deflate_mid_run": "7d8015fc16137d830a301b5b70d458ef25456d78b8c5ee5dc0e4b7ac87a6d717",
     "run:entropy_deflate": "783e213f58e09ea691b16e99871c16df531ea9ea1a5604fbf62354ea90ea8779",
     "run:fixed_bs6": "ca8d31c912a1ec589e7790441bd2362c533dd3f9c3804f0e07ee4a5407201728",
     "run:float32": "753f3f281f28cf9968106e76e30af5abd31c0e7aebc667d758df4c97db266a84",
-    "run:k_streams": "f74bbad12e25e3e4d0a097607db6e88f1a2bd7f1757333f41a0932a3d9b47f37",
     "run:lattice": "f36c40c32c6924e71a2077cf952c716673ebae0a09854eb4d6db2079865da0ea",
     "run:lorenzo": "39c425b3ae22954100eef29ef1b0547a60d355a9945febba78d1615d3908217a",
     "run:mixed_ndim": "8d6dbc8b5029c8b5a3bc0d206307357b4ef9cea226fc14aa4269c3eb191b4c38",

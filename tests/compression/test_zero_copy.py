@@ -218,18 +218,11 @@ class TestConstructorErrorTaxonomy:
     """Constructor misuse is CompressionError — audited across codecs
     (SZInterp used to raise DecompressionError for a bad ``entropy``)."""
 
-    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR, ZFPLike])
+    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR])
     def test_bad_entropy(self, codec_cls):
         with pytest.raises(CompressionError) as exc:
             codec_cls(entropy="rle")
         assert not isinstance(exc.value, DecompressionError)
-
-    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR, ZFPLike])
-    def test_bad_k_streams(self, codec_cls):
-        for bad in (0, -4, "wide", 1.5):
-            with pytest.raises(CompressionError) as exc:
-                codec_cls(k_streams=bad)
-            assert not isinstance(exc.value, DecompressionError)
 
     def test_backend_with_mmap_on_every_reader_open(self):
         """One mistake, one error type: each reader's ``open`` hands the
@@ -242,21 +235,30 @@ class TestConstructorErrorTaxonomy:
                 reader_cls.open("x", backend=MemoryBackend(), mmap=True)
             assert type(exc.value) is CompressionError
 
-    def test_k_streams_recorded_in_stream_params(self):
+    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR, ZFPLike])
+    def test_k_streams_recorded_in_stream_params(self, codec_cls):
         from repro.compression.base import StreamReader
 
         data = np.linspace(0.0, 1.0, 4096).reshape(16, 16, 16)
-        for k in ("auto", 8):
-            blob = SZLR(k_streams=k).compress(data, 1e-3)
-            assert StreamReader(blob).params["k_streams"] == k
+        blob = codec_cls().compress(data, 1e-3)
+        assert StreamReader(blob).params["k_streams"] == "auto"
 
-    def test_explicit_k_decodes_regardless_of_reader_config(self):
-        """Blobs self-describe their K; a differently-configured codec
-        instance decodes them unchanged."""
+    def test_explicit_k_decodes(self, monkeypatch):
+        """Blobs self-describe their K: streams whose codes were packed
+        at K = 16 and K = 2 both decode."""
+        from repro.compression import huffman
+
         data = np.linspace(0.0, 1.0, 4096).reshape(16, 16, 16)
-        blob = SZLR(k_streams=16).compress(data, 1e-3)
-        recon = SZLR(k_streams=2).decompress(blob)
-        assert np.abs(recon - data).max() <= 1e-3 * (1 + 1e-12)
+        resolve = huffman.resolve_k_streams
+        blobs = []
+        for k in (16, 2):
+            monkeypatch.setattr(huffman, "resolve_k_streams", lambda _, n, k=k: resolve(k, n))
+            blobs.append(SZLR().compress(data, 1e-3))
+        monkeypatch.undo()
+        assert blobs[0] != blobs[1]
+        for blob in blobs:
+            recon = SZLR().decompress(blob)
+            assert np.abs(recon - data).max() <= 1e-3 * (1 + 1e-12)
 
 
 class TestMmapOpenFailure:
@@ -323,37 +325,3 @@ class TestBytesSourceZeroCopy:
             assert set(got) == set(want)
             for key, arr in want.items():
                 assert np.array_equal(got[key], arr)
-
-
-class TestCustomCodecRegistration:
-    """resolve_patch_codec must not force k_streams on custom factories
-    registered through the public register_codec API."""
-
-    def test_plain_factory_still_constructs(self):
-        from repro.compression.amr_codec import resolve_patch_codec
-        from repro.compression.registry import (
-            _FACTORIES,
-            codec_accepts,
-            register_codec,
-        )
-
-        class PlainCodec(SZLR):
-            name = "plain-zc-test"
-
-            def __init__(self):
-                super().__init__()
-
-        register_codec("plain-zc-test", PlainCodec)
-        try:
-            assert not codec_accepts("plain-zc-test", "k_streams")
-            assert codec_accepts("sz-lr", "k_streams")
-            codec = resolve_patch_codec("plain-zc-test", k_streams=8)
-            assert isinstance(codec, PlainCodec)
-        finally:
-            _FACTORIES.pop("plain-zc-test", None)
-
-    def test_named_codec_gets_k_streams(self):
-        from repro.compression.amr_codec import resolve_patch_codec
-
-        codec = resolve_patch_codec("sz-lr", k_streams=16)
-        assert codec.k_streams == 16

@@ -58,12 +58,3 @@ class TestCodec:
         c = ZFPLike()
         blob = c.compress(smooth_field, 1e-3, mode="rel")
         assert smooth_field.nbytes / len(blob) > 4
-
-    def test_deflate_variant(self, smooth_field):
-        c = ZFPLike(entropy="deflate")
-        recon = c.decompress(c.compress(smooth_field, 1e-3))
-        assert np.abs(recon - smooth_field).max() <= 1e-3 * (1 + 1e-12)
-
-    def test_bad_entropy_rejected(self):
-        with pytest.raises(CompressionError):
-            ZFPLike(entropy="bitplane")

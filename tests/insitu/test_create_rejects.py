@@ -74,9 +74,13 @@ class TestStreamingWriter:
     @pytest.mark.parametrize("kwargs", [
         {"max_pending": -1, "parallel": "thread"},
         {"workers": -2, "parallel": "thread"},
+        {"workers": True},
+        {"workers": 1.5},
+        {"workers": "2", "parallel": "thread"},
         {"field_bounds": {"f": -1.0}},
         {"field_bounds": {"g": 1e-3}, "fields": ["f"]},
-    ], ids=["max_pending", "workers", "bound", "unknown-field"])
+    ], ids=["max_pending", "workers", "workers-bool", "workers-float", "workers-str",
+            "bound", "unknown-field"])
     def test_other_arguments_are_checked_first_too(self, store, kwargs):
         backend, look = store
         with pytest.raises(ReproError):

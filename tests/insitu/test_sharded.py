@@ -456,59 +456,6 @@ class TestShardedReaderApi:
             got = reader.read_patch(*key)
             assert np.array_equal(got, ref[key])
 
-    def test_select_partial_serves_around_dead_shard(self, campaign):
-        """Degraded read: one shard's GETs all fail, select_partial still
-        serves every surviving shard's patches bit-exactly and reports
-        exactly the victim's steps as missing."""
-        from repro.faults import FaultPlan
-        from repro.storage import LocalFileBackend, RangedBackend
-
-        manifest, _, ref = campaign
-        plan = FaultPlan()
-        backend = RangedBackend(
-            LocalFileBackend(), readahead=1 << 12, max_retries=0, fault=plan,
-        )
-        with ShardedSeriesReader.open(manifest, backend=backend) as reader:
-            # Healthy campaign: partial is exactly select, nothing missing.
-            got, missing = reader.select_partial()
-            assert missing == []
-            assert set(got) == set(ref)
-            for key, want in ref.items():
-                assert np.array_equal(got[key], want), key
-
-            victim = reader.shard_of(0)
-            victim_steps = {
-                e.step for e in reader.step_entries
-                if reader.shard_of(e.step) == victim
-            }
-            plan.always(lambda name, off, length: name == victim,
-                        kind="storage")
-            got, missing = reader.select_partial()
-            assert {m["step"] for m in missing} == victim_steps
-            for m in missing:
-                assert m["file"] == victim
-                assert m["error"] == "StorageError"
-                assert "injected storage fault" in m["detail"]
-            served_steps = {k[0] for k in got}
-            assert served_steps == set(range(N_STEPS)) - victim_steps
-            for key, arr in got.items():
-                assert np.array_equal(arr, ref[key]), key
-
-            # The outage ends: the same call is complete again.
-            plan.clear()
-            again, missing2 = reader.select_partial()
-            assert missing2 == [] and set(again) == set(ref)
-
-    def test_select_partial_respects_selectors(self, campaign):
-        manifest, _, ref = campaign
-        with open_series(manifest) as reader:
-            got, missing = reader.select_partial(steps=[1, 4], levels=0)
-            assert missing == []
-            assert got, "selection came back empty"
-            for key, arr in got.items():
-                assert key[0] in (1, 4) and key[1] == 0
-                assert np.array_equal(arr, ref[key]), key
-
     def test_duplicate_step_across_shards_refused(self, tmp_path):
         """Two shards both claiming a step is corruption, not a tie to
         break silently."""

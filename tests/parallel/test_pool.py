@@ -48,6 +48,27 @@ class TestModes:
         with WorkerPool("thread", workers=0) as pool:
             assert pool.map(square, [1, 2]) == [1, 4]
 
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    @pytest.mark.parametrize("workers", [True, False, 1.5, 2.0, "2"])
+    def test_workers_are_never_coerced(self, mode, workers, monkeypatch):
+        """Only ``None`` or a non-bool int is a count: anything else is a
+        typed refusal before an executor is built."""
+        import repro.parallel.pool as pool_module
+
+        built = []
+        for name in ("ThreadPoolExecutor", "ProcessPoolExecutor"):
+            monkeypatch.setattr(pool_module, name, lambda *a, **k: built.append(a or k))
+        with pytest.raises(ReproError, match="workers must be an integer"):
+            WorkerPool(mode, workers=workers)
+        assert built == []
+
+    def test_numpy_integers_are_counts(self):
+        """Constructed, never submitted to: no process starts."""
+        import numpy as np
+
+        with WorkerPool("process", workers=np.int64(2)) as pool:
+            assert pool.workers == 2 and type(pool.workers) is int
+
     def test_exception_propagates(self):
         def boom(x):
             raise ValueError("boom")

@@ -20,7 +20,7 @@ import pytest
 from repro.amr.io import write_sharded_series
 from repro.compression.amr_codec import decompress_selection
 from repro.compression.container import _decode_run
-from repro.errors import DeadlineExceeded, ServeError
+from repro.errors import DeadlineExceeded, ReproError, ServeError
 from repro.faults import FaultPlan, FaultyBackend
 from repro.parallel import WorkerPool
 from repro.serve import QueryService
@@ -117,6 +117,16 @@ def test_no_two_decodes_of_one_service_overlap(campaign, spy, workers):
             assert_byte_identical(got, _truth(full, **sel))
 
     _run(scenario())
+
+
+@pytest.mark.parametrize("decode_mode", ["thread", "process"])
+@pytest.mark.parametrize("workers", [True, 1.5, "2"])
+def test_workers_that_are_not_a_count_are_refused(campaign, decode_mode, workers):
+    """Refused before the source opens anything or a pool is built, in
+    thread mode too, where ``workers`` sizes nothing."""
+    manifest, _ = campaign
+    with pytest.raises(ReproError, match="workers must be an integer"):
+        QueryService(manifest, workers=workers, decode_mode=decode_mode)
 
 
 def test_a_handed_in_pool_runs_as_given(campaign, spy):

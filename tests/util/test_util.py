@@ -12,27 +12,12 @@ from repro.util import (
     StageTimes,
     as_tuple,
     check_array,
-    check_dim,
-    check_positive,
     check_same_shape,
     make_rng,
 )
 
 
 class TestValidation:
-    def test_check_dim(self):
-        assert check_dim(2) == 2
-        with pytest.raises(ReproError):
-            check_dim(4)
-
-    def test_check_positive(self):
-        assert check_positive("x", 1.5) == 1.5
-        with pytest.raises(ReproError):
-            check_positive("x", 0.0)
-        assert check_positive("x", 0.0, strict=False) == 0.0
-        with pytest.raises(ReproError):
-            check_positive("x", -1.0, strict=False)
-
     def test_check_array_rank(self):
         with pytest.raises(ReproError):
             check_array("a", np.zeros((2, 2)), ndim=3)

@@ -79,13 +79,6 @@ class TestCrackReport:
         with pytest.raises(MetricError):
             crack_report(res, h)
 
-    def test_is_sealed(self):
-        h = make_sphere_hierarchy(8)
-        res = resampling_isosurface(h, "f", 0.55)
-        report = crack_report(res, h)
-        assert report.is_sealed(gap_tolerance=10.0)
-        assert not report.is_sealed(gap_tolerance=0.0) or report.open_edge_count == 0
-
     def test_open_edge_length_positive_with_cracks(self):
         h = make_sphere_hierarchy(16)
         report = crack_report(resampling_isosurface(h, "f", 0.55), h)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import VisualizationError
-from repro.viz import max_intensity_projection, normalize_field, slice_image, volume_render
+from repro.viz import normalize_field, slice_image, volume_render
 
 
 @pytest.fixture
@@ -52,21 +52,6 @@ class TestSlice:
         s = slice_image(blob_field)
         s[0, 0] = 99.0
         assert blob_field[12, 0, 0] != 99.0
-
-
-class TestMIP:
-    def test_shape(self, blob_field):
-        assert max_intensity_projection(blob_field, axis=1).shape == (24, 24)
-
-    def test_value_is_max(self, blob_field):
-        mip = max_intensity_projection(blob_field, axis=0)
-        assert mip.max() == pytest.approx(blob_field.max())
-
-    def test_center_brightest(self, blob_field):
-        mip = max_intensity_projection(blob_field, axis=0)
-        i, j = np.unravel_index(mip.argmax(), mip.shape)
-        # 24 samples have no exact center; either straddling index is fine.
-        assert i in (11, 12) and j in (11, 12)
 
 
 class TestVolumeRender:
