@@ -214,6 +214,7 @@ class TestOneErrorPath:
         h = make_sphere_hierarchy(8)
         write_container(root / "snap.rprh", compress_hierarchy(h, "sz-lr", 1e-3))
         write_series(root / "run.rph2s", [h, h])
+        write_plotfile(root / "plt", h)
         (root / "array.rprc").write_bytes(SZLR().compress(np.zeros((8, 8, 8)), 1e-3))
         (root / "junk.bin").write_bytes(b"junk")
         (root / "empty.bin").write_bytes(b"")
@@ -252,6 +253,23 @@ class TestOneErrorPath:
         assert "Traceback" not in err + out
         assert code == 2, err
         assert err.startswith(f"extract: {option} ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [
+        "compress-plotfile {root}/plt -o {out} --parallel process",
+        "extract {root}/run.rph2s -o {out} --parallel process",
+        "stream --sim nyx --steps 1 -o {out} --parallel process",
+        "serve {root}/run.rph2s",
+    ], ids=lambda command: command.split()[0])
+    def test_a_negative_worker_count_is_one_line_and_exit_2(self, inputs, tmp_path, capsys, command):
+        out = tmp_path / "out.bin"
+        argv = command.format(root=inputs, out=out).split() + ["--workers", "-1"]
+        capsys.readouterr()
+        code = main(argv)
+        stdout, err = capsys.readouterr()
+        assert "Traceback" not in err + stdout
+        assert code == 2, err
+        assert err == f"{argv[0]}: workers must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_recover_names_the_snapshot_it_was_given(self, inputs, capsys):
         assert main(["recover", str(inputs / "snap.rprh")]) == 2

@@ -110,6 +110,10 @@ def test_a_kept_line_on_a_reached_function_fails(funcs):
     assert "shown is reached: its # kept: line is stale" in problems[0]
 
 
+def test_a_class_kept_line_covers_every_unreached_method(funcs):
+    assert reach.check(list(funcs.values()), clean(funcs) - hits(funcs["read"])) == []
+
+
 def test_a_class_kept_line_that_covers_nothing_unreached_fails(funcs):
     problems = reach.check(list(funcs.values()), clean(funcs) | hits(funcs["write"]))
     assert len(problems) == 1
