@@ -59,9 +59,9 @@ def decompress_bytes(blob: bytes, limit: int) -> bytes:
     return body
 
 
-def pack_ints(values: np.ndarray, backend: str = "deflate", level: int = 6) -> bytes:
+def pack_ints(values: np.ndarray, level: int = 6) -> bytes:
     """Serialize an integer array (dtype narrowed to the smallest that fits)
-    and losslessly compress it at ``level``.
+    and DEFLATE it at ``level``.
 
     Arrays already stored in the narrowest fitting dtype are serialized
     without the narrowing copy (``astype(..., copy=False)`` is a no-op
@@ -80,7 +80,7 @@ def pack_ints(values: np.ndarray, backend: str = "deflate", level: int = 6) -> b
                 arr = arr.astype(dtype, copy=False)
                 break
     header = struct.pack("<2sQ", arr.dtype.str[-2:].encode(), arr.size)
-    return header + compress_bytes(arr.tobytes(), backend, level)
+    return header + compress_bytes(arr.tobytes(), "deflate", level)
 
 
 def unpack_ints(blob: bytes, limit: int) -> np.ndarray:

@@ -231,11 +231,11 @@ class TestPackInts:
         assert np.array_equal(unpack_ints(pack_ints(arr8), arr8.size), arr8)
 
     def test_level_reachable_and_roundtrips(self, rng):
-        """The backend level threads through; any level decodes (the blob
+        """The DEFLATE level threads through; any level decodes (the blob
         self-describes its backend, not its level)."""
         arr = rng.integers(-5, 5, size=50_000)
-        fast = pack_ints(arr, "deflate", 1)
-        slow = pack_ints(arr, "deflate", 9)
+        fast = pack_ints(arr, level=1)
+        slow = pack_ints(arr, level=9)
         assert np.array_equal(unpack_ints(fast, arr.size), arr)
         assert np.array_equal(unpack_ints(slow, arr.size), arr)
         assert len(slow) <= len(fast)

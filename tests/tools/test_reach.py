@@ -93,11 +93,6 @@ def test_a_clean_ledger_passes(funcs):
     assert reach.check(list(funcs.values()), clean(funcs)) == []
 
 
-def test_the_def_line_counts_as_a_hit_too(funcs):
-    ledger = clean(funcs) - hits(funcs["helper"]) | {f"{funcs['helper'].path}:{funcs['helper'].line}"}
-    assert reach.check(list(funcs.values()), ledger) == []
-
-
 def test_unreached_without_a_kept_line_fails(funcs):
     problems = reach.check(list(funcs.values()), clean(funcs) - hits(funcs["inner"]))
     assert len(problems) == 1

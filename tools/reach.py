@@ -1,12 +1,12 @@
 #!/usr/bin/env python
 """Reachability ledger: which functions of ``src/repro`` any driver runs.
 
-Run from anywhere (about 80 s on a 2-core box)::
+Run from anywhere (about 35 s on a 2-core box)::
 
-    python tools/reach.py [-v]
+    python tools/reach.py
 
 It runs every driver of the library under a stdlib profiler and never the
-tests: the experiment registry (``run all --quick``), the four e2e
+tests (the CLI's inputs come from ``repro.sims``): the experiment registry (``run all --quick``), the four e2e
 workloads at ``--scale smoke`` (``setup()``, one ``block()``,
 ``verify()``; ``benchmarks/e2e/`` is imported, not edited), the CLI's 12
 subcommands plus ``stream --sim warpx`` on small inputs,
@@ -27,12 +27,13 @@ line per violation, when
   is stale), or a class's ``# kept: every method:`` line covers no
   unreached method.
 
-``-v`` also lists every unreached function by module. Exit 0 when clean.
+It prints each driver's exit code and time, then the reached count and
+every unreached function by module, then the violations. Exit 0 when
+clean.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import atexit
 import os
@@ -105,7 +106,8 @@ class Function:
     owner: int | None  # line of a ``# kept: every method:`` class it sits in
 
     def hit(self, hits: set[str]) -> bool:
-        return f"{self.path}:{self.first}" in hits or f"{self.path}:{self.line}" in hits
+        # a code object's first line is its first decorator's
+        return f"{self.path}:{self.first}" in hits
 
 
 def _comment_above(lines: list[str], node) -> str:
@@ -196,12 +198,12 @@ for name, cls in workloads.WORKLOADS.items():
 
 _INPUTS = """\
 import numpy as np
-from tests.conftest import make_sphere_hierarchy
 from repro.amr import write_plotfile
 from repro.amr.io import write_sharded_series
+from repro.sims.nyx import NyxConfig, nyx_hierarchy, nyx_timesteps
 np.save("a.npy", np.random.default_rng(0).random((16, 16, 16)))
-write_plotfile("plt", make_sphere_hierarchy(8))
-write_sharded_series("camp.rphm", [make_sphere_hierarchy(8) for _ in range(3)],
+write_plotfile("plt", nyx_hierarchy(NyxConfig(coarse_n=8)))
+write_sharded_series("camp.rphm", nyx_timesteps(config=NyxConfig(coarse_n=8)),
                      n_shards=2, parity=1, parallel="serial")
 """
 
@@ -256,18 +258,17 @@ def _steps(repo: Path, work: Path) -> list[tuple[str, list[str], bool]]:
     ]
 
 
-def _run(label: str, argv: list[str], env, cwd: Path, must: bool, verbose: bool) -> None:
+def _run(label: str, argv: list[str], env, cwd: Path, must: bool) -> None:
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.PIPE, text=True)
-    if verbose:
-        print(f"  {label}: exit {proc.returncode} ({time.perf_counter() - t0:.1f} s)")
+    print(f"  {label}: exit {proc.returncode} ({time.perf_counter() - t0:.1f} s)")
     if must and proc.returncode != 0:
         raise SystemExit(f"reach: driver {label!r} failed (exit {proc.returncode}):\n"
                          f"{proc.stderr[-2000:]}")
 
 
-def _serve(env, cwd: Path, verbose: bool) -> None:
+def _serve(env, cwd: Path) -> None:
     """``serve`` on the campaign, asked ping/meta/plan/query/stats/shutdown."""
     log = cwd / "serve.log"
     with open(log, "w") as out:
@@ -279,7 +280,7 @@ def _serve(env, cwd: Path, verbose: bool) -> None:
             if "serving" in log.read_text() or server.poll() is not None:
                 break
             time.sleep(0.2)
-        _run("serve client", [sys.executable, "-c", _CLIENT], env, cwd, True, verbose)
+        _run("serve client", [sys.executable, "-c", _CLIENT], env, cwd, True)
         server.wait(timeout=30)
     finally:
         if server.poll() is None:
@@ -287,7 +288,7 @@ def _serve(env, cwd: Path, verbose: bool) -> None:
             server.wait()
 
 
-def drive(repo: Path, work: Path, verbose: bool = False) -> Path:
+def drive(repo: Path, work: Path) -> Path:
     """Run every driver under the profiler in ``work``; return the ledger
     directory."""
     ledger, site = work / "ledger", work / "site"
@@ -296,25 +297,20 @@ def drive(repo: Path, work: Path, verbose: bool = False) -> Path:
     (site / "sitecustomize.py").write_text(
         _SITECUSTOMIZE.format(path=str(Path(__file__).resolve())))
     env = dict(os.environ, REPRO_LEDGER=str(ledger),
-               PYTHONPATH=os.pathsep.join([str(site), str(repo / "src"), str(repo)]))
+               PYTHONPATH=os.pathsep.join([str(site), str(repo / "src")]))
     for label, argv, must in _steps(repo, work):
-        _run(label, argv, env, work, must, verbose)
+        _run(label, argv, env, work, must)
         if label == "repair":
-            _serve(env, work, verbose)
+            _serve(env, work)
     return ledger
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="time each driver and list the unreached functions by module")
-    args = parser.parse_args(argv)
+def main() -> int:
     src = REPO / "src" / "repro"
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
-        hits = read_ledger(drive(REPO, Path(work), args.verbose))
+        hits = read_ledger(drive(REPO, Path(work)))
     funcs = functions(src)
-    text = report(funcs, hits, src)
-    print(text if args.verbose else text.splitlines()[0])
+    print(report(funcs, hits, src))
     problems = check(funcs, hits)
     for line in problems:
         print(line)
