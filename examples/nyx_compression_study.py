@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Nyx rate-distortion study: Figure 13 plus the ZFP-like baseline.
+"""Nyx rate-distortion study: Figure 13 over the paper's two codecs.
 
-Sweeps all three codecs (SZ-L/R, SZ-Interp, and the transform-based
-ZFP-like baseline) across error bounds on the Nyx density field, prints
-the rate-distortion table with ASCII plots, and demonstrates the
+Sweeps SZ-L/R and SZ-Interp across error bounds on the Nyx density field,
+prints the rate-distortion table with ASCII plots, and demonstrates the
 redundant-coarse-data exclusion (paper §2.2): the excluded container is
 decoded with ``restore="average_down"``, which rebuilds the covered coarse
 cells from the decompressed fine data.
@@ -47,7 +46,7 @@ def main() -> int:
     print(f"dataset: {ds.hierarchy}")
 
     rows = []
-    for codec in ("sz-lr", "sz-interp", "zfp-like"):
+    for codec in ("sz-lr", "sz-interp"):
         for eb in args.error_bounds:
             container = compress_hierarchy(ds.hierarchy, codec, eb, mode="rel", fields=[ds.field])
             restored = flatten_to_uniform(decompress_hierarchy(container, ds.hierarchy), ds.field)
@@ -65,7 +64,7 @@ def main() -> int:
             print(f"  {codec:10s} eb={eb:<8g} CR={rows[-1].cr:7.1f} PSNR={rows[-1].psnr:6.2f}")
 
     print()
-    print(format_table(rows, title="Figure 13 extended: Nyx rate-distortion (3 codecs)"))
+    print(format_table(rows, title="Figure 13: Nyx rate-distortion"))
     series_p = {}
     series_r = {}
     for r in rows:

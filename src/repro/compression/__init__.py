@@ -6,7 +6,6 @@ Public entry points:
   codec (the paper's SZ-L/R),
 * :class:`repro.compression.sz_interp.SZInterp` — global spline
   interpolation codec (the paper's SZ-Interp),
-* :class:`repro.compression.zfp_like.ZFPLike` — transform-based baseline,
 * :func:`repro.compression.amr_codec.compress_hierarchy` /
   :func:`~repro.compression.amr_codec.decompress_hierarchy` — AMR-aware
   per-patch compression with optional redundant-coarse-data exclusion,
@@ -19,7 +18,6 @@ Public entry points:
 from repro.compression.base import Compressor, CompressionStats, StreamReader, StreamWriter
 from repro.compression.sz_lr import SZLR
 from repro.compression.sz_interp import SZInterp
-from repro.compression.zfp_like import ZFPLike
 from repro.compression.registry import (
     available_codecs,
     make_codec,
@@ -54,7 +52,6 @@ __all__ = [
     "StreamWriter",
     "SZLR",
     "SZInterp",
-    "ZFPLike",
     "available_codecs",
     "make_codec",
     "decompress_any",

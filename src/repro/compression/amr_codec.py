@@ -459,11 +459,11 @@ def compress_hierarchy(
     batch:
         ``"patch"`` or ``"level"``; both write the same container bytes.
         Each (level, field) is cut into runs of consecutive patches
-        (:data:`RUN_CELL_BUDGET` cells, :class:`PatchRuns`); a codec with a
-        run path (``sz-lr``, ``sz-interp``) codes each run of two or more
-        patches under one shared Huffman codebook, one group section per
-        run (see ``docs/container_format.md``), and any other codec writes
-        self-contained per-patch streams. ``"level"`` once selected a
+        (:data:`RUN_CELL_BUDGET` cells, :class:`PatchRuns`); the codec
+        codes each run of two or more patches under one shared Huffman
+        codebook, one group section per run (see
+        ``docs/container_format.md``), and a run of one patch as a
+        self-contained stream. ``"level"`` once selected a
         second, level-batched path, which the run path now beats in bytes
         and time; the parameter stays so that callers written for it keep
         working, and any other value is refused.

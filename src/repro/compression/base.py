@@ -3,7 +3,7 @@
 Every codec in :mod:`repro.compression` produces a byte stream with a small
 framed header (magic, codec name, dtype, shape, parameter JSON) followed by
 named binary sections. The container is what makes streams self-describing:
-:func:`repro.compression.registry.decompress` can route any blob to the
+:func:`repro.compression.registry.decompress_any` can route any blob to the
 right codec without out-of-band metadata.
 
 This module also hosts the **shared entropy stage** every SZ-style codec
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Mapping, NamedTuple
 
@@ -78,9 +77,8 @@ class BatchResult(NamedTuple):
     """Output of a codec's ``compress_batch`` over one run of patches.
 
     ``codebook`` is the serialized shared Huffman codebook (``HUFB``), or
-    ``None`` when the run has none (a codec without a run path, a run of one
-    member, ``entropy="deflate"``, or a pooled alphabet too large to
-    Huffman-code)
+    ``None`` when the run has none (a run of one member,
+    ``entropy="deflate"``, or a pooled alphabet too large to Huffman-code)
     — then ``payloads`` is empty and every stream is self-contained. Otherwise
     ``payloads[i]`` is member ``i``'s entropy payload (backend-compressed
     ``HUFS``) and ``streams[i]`` its codec stream *without* a codes
@@ -203,14 +201,21 @@ def decode_codes(sections, stages, shareds, counts) -> list:
     in one lockstep (:func:`huffman.decode_many`). A grouped stream
     (:data:`GROUPED_STAGE`) has no codes section (``sections[i]`` is
     ``None``): its symbols are ``shareds[i].payload``, decoded against
-    ``shareds[i].codebook`` (``docs/container_format.md``). ``counts[i]``,
-    the most codes member ``i``'s header allows, bounds its inflate.
+    ``shareds[i].codebook`` (``docs/container_format.md``). A
+    self-contained stream given a :class:`SharedEntropy` (a grouped index
+    row over it: a malformed index) is refused. ``counts[i]``, the most
+    codes member ``i``'s header allows, bounds its inflate.
     """
     out: list = [None] * len(sections)
     slots, blobs, books = [], [], []
     parsed: dict[bytes, huffman.SharedCodebook] = {}  # raw HUFB bytes, once per call
     for i, (section, stage, shared, count) in enumerate(zip(sections, stages, shareds, counts)):
         book = None
+        if shared is not None and stage != GROUPED_STAGE:
+            raise DecompressionError(
+                f"stream is self-contained (entropy stage {stage!r}) but its index "
+                "row places it in a shared-codebook group"
+            )
         if stage == "deflate":
             out[i] = unpack_ints(section, count)
             continue
@@ -361,26 +366,24 @@ class StreamReader:
             raise FormatError(f"stream has no section {name!r}") from None
 
 
-class Compressor(ABC):
+class Compressor:
     """Error-bounded lossy compressor interface.
 
-    Subclasses implement :meth:`compress` / :meth:`decompress` over 1-3 D
-    float arrays and must guarantee ``max|x - x'| <= eb`` for the resolved
-    absolute error bound.
+    A codec implements two hooks over a *run* of members: ``_compress_run``
+    (validated float64 arrays and absolute bounds to a :class:`BatchResult`,
+    under one shared Huffman codebook when ``grouped``) and
+    ``_reconstruct_batch`` (parsed streams and their decoded codes back to
+    arrays). :meth:`compress` / :meth:`decompress` are the runs of one
+    member. Every codec must guarantee ``max|x - x'| <= eb`` for the
+    resolved absolute error bound.
     """
 
     #: registry name; subclasses override.
     name: str = "abstract"
 
-    #: Whether this codec has a run path (``_compress_run``): a run of two or
-    #: more members is written under one shared Huffman codebook, and its
-    #: grouped streams decode with their :class:`SharedEntropy`.
-    supports_batch: bool = False
-
-    # kept: the abstract codec contract; every codec overrides it
-    @abstractmethod
     def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        """Compress ``data`` under an error bound.
+        """Compress ``data`` under an error bound into a self-contained
+        stream: the run of one member (``_compress_run``).
 
         Parameters
         ----------
@@ -393,9 +396,9 @@ class Compressor(ABC):
             bound (``eb_abs = error_bound * (max - min)``), as used
             throughout the paper's evaluation.
         """
-
-    #: Block edge a codec pads to when its streams do not record one (``None``: no padding).
-    _block_edge: int | None = None
+        arr = self._validate_input(data)
+        eb = self.resolve_error_bound(arr, error_bound, mode)
+        return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
 
     def decompress(self, blob: bytes, shared: SharedEntropy | None = None) -> np.ndarray:
         """Reconstruct one stream — :meth:`decompress_batch` of one member (a
@@ -406,7 +409,7 @@ class Compressor(ABC):
         """Reconstruct a run of this codec's streams — ``out[i]`` is bit for
         bit ``decompress(blobs[i])``: parse every header, decode all
         members' codes in **one** entropy pass (:func:`decode_codes`), then
-        rebuild the arrays (:meth:`_reconstruct_batch`). ``shareds[i]`` is
+        rebuild the arrays (``_reconstruct_batch``). ``shareds[i]`` is
         member ``i``'s :class:`SharedEntropy` when its stream is grouped,
         else ``None``."""
         readers = [StreamReader(blob) for blob in blobs]
@@ -416,14 +419,10 @@ class Compressor(ABC):
     def _decode_codes(self, readers: list, shareds: list) -> tuple[list, list]:
         """``(codes, cells)`` of parsed streams of this codec: each member's
         quantization codes and its :meth:`_cells`."""
-        for reader, shared in zip(readers, shareds):
+        for reader in readers:
             if reader.codec != self.name:
                 raise DecompressionError(
                     f"stream was produced by codec {reader.codec!r}, not {self.name!r}"
-                )
-            if shared is not None and not self.supports_batch:
-                raise CompressionError(
-                    f"stream is grouped but codec {self.name!r} does not accept shared entropy"
                 )
         stages = [reader.params["entropy"] for reader in readers]
         sections = [
@@ -436,9 +435,10 @@ class Compressor(ABC):
     def _cells(self, reader: "StreamReader") -> int:
         """The cell count of a parsed stream after edge padding: no section
         holds more, which bounds every inflate. Derived from the header's
-        shape and block edge; a ``padded_shape`` that disagrees is refused."""
+        shape and block edge (none: no padding); a ``padded_shape`` that
+        disagrees is refused."""
         params = reader.params
-        bs = params.get("block_size", self._block_edge)
+        bs = params.get("block_size")
         edge = 1 if bs is None else bs
         try:
             padded = [s + (-s) % edge for s in reader.shape]
@@ -449,45 +449,23 @@ class Compressor(ABC):
             return math.prod(padded)
         raise DecompressionError("stream header records an inconsistent shape, block size or padding")
 
-    def _reconstruct_batch(self, readers: list, codes: list, cells: list) -> list:
-        """Rebuild the arrays of a run of parsed streams from their decoded
-        codes and :meth:`_cells`. This default is one :meth:`_reconstruct`
-        per member; :class:`~repro.compression.sz_lr.SZLR` runs the run's
-        blocks as one matrix instead."""
-        return [self._reconstruct(reader, c) for reader, c in zip(readers, codes)]
-
-    # kept: the per-member rebuild SZInterp and ZFPLike implement
-    def _reconstruct(self, reader: "StreamReader", codes: np.ndarray) -> np.ndarray:
-        """Rebuild the array of one parsed stream from its decoded codes
-        (what the default :meth:`_reconstruct_batch` calls)."""
-        raise NotImplementedError
-
     def compress_batch(self, data, error_bound, mode: str = "abs") -> BatchResult:
         """Compress a run of patches in one call.
 
         ``data`` is any sequence of arrays of any shapes (a ``(n, *shape)``
         stack is the sequence of its ``n`` members), ``error_bound`` one
         spec or one per member, and ``streams[i]`` decodes bit for bit to
-        what ``compress(data[i], error_bound[i], mode)`` decodes to. A
-        codec with ``supports_batch`` runs the members through its
-        ``_compress_run``, under one shared codebook when there are two or
-        more; any other writes ``compress``'s streams, byte for byte.
+        what ``compress(data[i], error_bound[i], mode)`` decodes to. The
+        members run through the codec's ``_compress_run``, under one
+        shared codebook when there are two or more.
         """
         specs = self._member_specs(data, error_bound)
-        if not self.supports_batch:
-            return BatchResult(None, [], [self.compress(a, eb, mode) for a, eb in zip(data, specs)])
         dtypes = [np.asarray(a).dtype for a in data]
         arrs = [self._validate_input(a) for a in data]
         ebs = [self.resolve_error_bound(a, eb, mode) for a, eb in zip(arrs, specs)]
         # A lone member shares its codebook with no one: it keeps the
         # self-contained stream, without a group section's framing.
         return self._compress_run(arrs, dtypes, ebs, grouped=len(arrs) > 1)
-
-    def _compress_one(self, data, error_bound: float, mode: str) -> bytes:
-        """``compress`` of a codec with a run path: the run of one member."""
-        arr = self._validate_input(data)
-        eb = self.resolve_error_bound(arr, error_bound, mode)
-        return self._compress_run([arr], [np.asarray(data).dtype], [eb], grouped=False).streams[0]
 
     def _encode_run(self, codes: list, grouped: bool) -> tuple[bytes | None, list, list]:
         """``(codebook, blobs, stages)`` of a run's code arrays under this

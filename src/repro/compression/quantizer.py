@@ -20,7 +20,6 @@ __all__ = [
     "quantize_residuals",
     "reconstruct_from_codes",
     "prequantize",
-    "dequantize",
 ]
 
 #: Quantization codes are stored as int64; bound where float rounding is exact.
@@ -98,8 +97,8 @@ def prequantize(data: np.ndarray, eb) -> np.ndarray:
     """Snap ``data`` to the lattice ``2 * eb * k`` (dual-quant first stage).
 
     ``eb`` is a positive scalar or broadcastable array of bounds. The
-    returned int64 array ``q`` satisfies ``|data - dequantize(q, eb)| <= eb``
-    in float64 wherever a lattice point's reconstruction can
+    returned int64 array ``q`` satisfies ``|data - 2 * eb * q| <= eb`` in
+    float64 wherever a lattice point's reconstruction can
     (:func:`_onto_bound`).
     All subsequent prediction/transform arithmetic on ``q`` is exact, which
     is what makes the vectorized Lorenzo codec bit-exact invertible.
@@ -116,8 +115,3 @@ def prequantize(data: np.ndarray, eb) -> np.ndarray:
         )
     return _onto_bound(q, data, None, step, eb).astype(np.int64)
 
-
-def dequantize(q: np.ndarray, eb) -> np.ndarray:
-    """Inverse of :func:`prequantize`."""
-    _check_eb(eb)
-    return q.astype(np.float64) * (2.0 * np.asarray(eb))

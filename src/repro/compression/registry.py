@@ -7,7 +7,6 @@ from typing import Callable
 from repro.compression.base import STREAM_MAGIC, Compressor, StreamReader
 from repro.compression.sz_interp import SZInterp
 from repro.compression.sz_lr import SZLR
-from repro.compression.zfp_like import ZFPLike
 from repro.errors import CompressionError
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
 _FACTORIES: dict[str, Callable[..., Compressor]] = {
     SZLR.name: SZLR,
     SZInterp.name: SZInterp,
-    ZFPLike.name: ZFPLike,
 }
 
 

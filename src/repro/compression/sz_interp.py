@@ -23,7 +23,6 @@ from repro.compression.base import (
     RAW_SECTION_LEVEL,
     BatchResult,
     Compressor,
-    StreamReader,
     StreamWriter,
     check_entropy_params,
 )
@@ -51,7 +50,6 @@ class SZInterp(Compressor):
     """
 
     name = "sz-interp"
-    supports_batch = True
 
     def __init__(self, entropy: str = "huffman"):
         # Constructor misuse is a CompressionError (nothing is being
@@ -127,10 +125,6 @@ class SZInterp(Compressor):
             writer.add_section("codes", code_blob)
         return writer.tobytes()
 
-    def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        """A self-contained stream: the run of one member (:meth:`_compress_run`)."""
-        return self._compress_one(data, error_bound, mode)
-
     def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:
         """The streams of validated float64 members under absolute bounds:
         the body of :meth:`compress` (one self-contained member) and of
@@ -165,39 +159,45 @@ class SZInterp(Compressor):
         self.last_stage_times = times
         return BatchResult(codebook, blobs if shared else [], streams)
 
-    def _reconstruct(self, reader: StreamReader, all_codes: np.ndarray) -> np.ndarray:
-        eb = reader.params.get("eb")
-        if type(eb) is not float or not 0.0 < eb < np.inf:
-            raise DecompressionError(f"stream header records an invalid error bound {eb!r}")
-        shape = reader.shape
-        plan = InterpPlan(shape)
-        # Every lattice point but the anchors carries one code, and every
-        # anchor eight bytes: sections that disagree with the header shape
-        # are refused before the shape sizes any allocation.
-        lattice = tuple(len(range(0, n, plan.stride)) for n in shape)
-        expected = math.prod(shape) - math.prod(lattice)
-        if all_codes.size != expected:
-            raise DecompressionError(
-                f"interpolation code stream has {all_codes.size} codes, but the "
-                f"header shape {list(shape)} implies {expected}"
-            )
-        anchor_raw = decompress_bytes(reader.section("anchors"), 8 * math.prod(lattice))
-        if len(anchor_raw) != 8 * math.prod(lattice):
-            raise DecompressionError(
-                f"anchors section has {len(anchor_raw)} bytes for {math.prod(lattice)} anchor(s)"
-            )
-        recon = np.zeros(shape, dtype=np.float64)
-        recon[plan.anchor_slices()] = np.frombuffer(anchor_raw, dtype=np.float64).reshape(lattice)
-        pos = 0
-        for stride, half in plan.levels():
-            for axis in range(len(shape)):
-                grid = plan.target_grid(stride, axis)
-                targets = np.arange(half, shape[axis], stride)
-                if targets.size == 0:
-                    continue
-                knots = self._sub_lattice(recon, plan, stride, axis)
-                pred = predict_axis(knots, axis, targets, half)
-                codes = all_codes[pos : pos + pred.size].reshape(pred.shape)
-                pos += pred.size
-                recon[grid] = reconstruct_from_codes(pred, codes, eb)
-        return recon.astype(reader.dtype, copy=False)
+    def _reconstruct_batch(self, readers: list, codes: list, cells: list) -> list:
+        """Rebuild a run of parsed streams from their decoded codes, one
+        member at a time: the inverse of each member's interpolation
+        passes (``cells`` goes unused; SZ-Interp pads nothing)."""
+        out = []
+        for reader, all_codes in zip(readers, codes):
+            eb = reader.params.get("eb")
+            if type(eb) is not float or not 0.0 < eb < np.inf:
+                raise DecompressionError(f"stream header records an invalid error bound {eb!r}")
+            shape = reader.shape
+            plan = InterpPlan(shape)
+            # Every lattice point but the anchors carries one code, and every
+            # anchor eight bytes: sections that disagree with the header shape
+            # are refused before the shape sizes any allocation.
+            lattice = tuple(len(range(0, n, plan.stride)) for n in shape)
+            expected = math.prod(shape) - math.prod(lattice)
+            if all_codes.size != expected:
+                raise DecompressionError(
+                    f"interpolation code stream has {all_codes.size} codes, but the "
+                    f"header shape {list(shape)} implies {expected}"
+                )
+            anchor_raw = decompress_bytes(reader.section("anchors"), 8 * math.prod(lattice))
+            if len(anchor_raw) != 8 * math.prod(lattice):
+                raise DecompressionError(
+                    f"anchors section has {len(anchor_raw)} bytes for {math.prod(lattice)} anchor(s)"
+                )
+            recon = np.zeros(shape, dtype=np.float64)
+            recon[plan.anchor_slices()] = np.frombuffer(anchor_raw, dtype=np.float64).reshape(lattice)
+            pos = 0
+            for stride, half in plan.levels():
+                for axis in range(len(shape)):
+                    grid = plan.target_grid(stride, axis)
+                    targets = np.arange(half, shape[axis], stride)
+                    if targets.size == 0:
+                        continue
+                    knots = self._sub_lattice(recon, plan, stride, axis)
+                    pred = predict_axis(knots, axis, targets, half)
+                    chunk = all_codes[pos : pos + pred.size].reshape(pred.shape)
+                    pos += pred.size
+                    recon[grid] = reconstruct_from_codes(pred, chunk, eb)
+            out.append(recon.astype(reader.dtype, copy=False))
+        return out

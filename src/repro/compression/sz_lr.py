@@ -72,7 +72,6 @@ class SZLR(Compressor):
     """
 
     name = "sz-lr"
-    supports_batch = True
 
     def __init__(
         self,
@@ -95,11 +94,8 @@ class SZLR(Compressor):
     # ------------------------------------------------------------------
     # Compression
     # ------------------------------------------------------------------
-    def compress(self, data: np.ndarray, error_bound: float, mode: str = "abs") -> bytes:
-        """A self-contained stream: the run of one member (:meth:`_compress_run`)."""
-        return self._compress_one(data, error_bound, mode)
-
     #: In this class's namespace too, where tools that rebind entry points look.
+    compress = Compressor.compress
     compress_batch = Compressor.compress_batch
 
     def _compress_run(self, arrs: list, dtypes: list, ebs: list, grouped: bool) -> BatchResult:

@@ -22,7 +22,7 @@ from repro.amr.boxarray import BoxArray
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
-from repro.compression import huffman
+from repro.compression import amr_codec, huffman
 from repro.compression.amr_codec import (
     CompressedHierarchy,
     compress_hierarchy,
@@ -95,12 +95,11 @@ class TestBatchedEquivalence:
             alone = codec.decompress(codec.compress(patch.data, 1e-3, "rel"))
             assert np.array_equal(dec_bat[key], alone)
 
-    @pytest.mark.parametrize("name", ["sz-lr", "sz-interp", "zfp-like"])
+    @pytest.mark.parametrize("name", ["sz-lr", "sz-interp"])
     @pytest.mark.parametrize("exclude_covered", [False, True])
     def test_level_writes_the_patch_container(self, name, exclude_covered):
         """``batch="level"`` no longer selects a path: it writes the bytes of
-        ``batch="patch"`` for every codec, zfp-like included (which the
-        level path refused)."""
+        ``batch="patch"`` for every codec."""
         from tests.compression.test_stacked import many_patch_hierarchy
 
         h = many_patch_hierarchy()
@@ -109,7 +108,7 @@ class TestBatchedEquivalence:
             for batch in ("level", "patch")
         )
         assert level.tobytes() == patch.tobytes()
-        assert bool(level.group_entries) == (name != "zfp-like")
+        assert level.group_entries
 
     def test_grouped_streams_record_stage_and_member(self, grouped):
         members = [e for e in grouped.entries if e.group is not None]
@@ -361,13 +360,14 @@ class TestGroupedCorruption:
         with pytest.raises(CompressionError):
             pack_group(b"HUFBxxxx", [])
 
-    def test_ungrouped_container_unchanged(self, hierarchy):
-        """Containers without shared codebooks (a codec without a run path)
+    def test_ungrouped_container_unchanged(self, hierarchy, monkeypatch):
+        """Containers without shared codebooks (every run one patch long)
         carry no group table and keep 7-column entries — the pre-group byte
         format."""
         import json
 
-        per = compress_hierarchy(hierarchy, "zfp-like", 1e-3, fields=["density"])
+        monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", 1)
+        per = compress_hierarchy(hierarchy, "sz-lr", 1e-3, fields=["density"])
         reader = ContainerReader(per.tobytes())
         assert reader.group_entries == []
         raw = per.tobytes()

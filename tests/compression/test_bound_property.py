@@ -193,8 +193,7 @@ def test_non_finite_bound_is_refused(codec, bound, mode):
     """A bound that is not finite is a ``CompressionError`` before a byte is
     written — from ``compress``, ``compress_batch`` and
     ``compress_hierarchy`` alike. Accepted, sz-lr wrote a stream its own
-    reader refused, and sz-interp and zfp-like wrote streams that decode
-    to NaN."""
+    reader refused, and sz-interp wrote streams that decode to NaN."""
     comp = make_codec(codec)
     with pytest.raises(CompressionError, match="finite"):
         comp.compress(WIDE_PATCH, bound, mode)

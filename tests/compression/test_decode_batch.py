@@ -319,27 +319,29 @@ class TestDecompressBatchAgainstTheScalarLoop:
         assert_same(batched, one_at_a_time(codec, blobs, shareds))
 
     def test_codec_without_groups_and_deflate_members(self, rng, monkeypatch):
-        codec = make_codec("zfp-like")
+        """Self-contained streams (each ``compress``, the run of one member)
+        decode in one run beside a DEFLATE member."""
+        codec = make_codec("sz-lr")
         fields = [rng.normal(size=(8, 8, 8)).cumsum(axis=0) for _ in range(12)]
         blobs = [codec.compress(f, 1e-3) for f in fields]
-        # Too many distinct coefficients to Huffman-code: a DEFLATE member.
+        # Too many distinct codes to Huffman-code: a DEFLATE member.
         blobs.append(codec.compress(rng.normal(size=(44, 44, 44)) * 1e3, 1e-3))
         assert base.StreamReader(blobs[-1]).params["entropy"] == "deflate"
         batched = codec.decompress_batch(blobs)
         scalar_loop_only(monkeypatch)
-        assert_same(batched, one_at_a_time("zfp-like", blobs, [None] * 13))
+        assert_same(batched, one_at_a_time("sz-lr", blobs, [None] * 13))
 
     def test_grouped_row_of_a_codec_without_groups_is_refused(self, rng):
-        """An index row that is grouped but names a codec with no
-        shared-codebook path (a malformed index): the shared entropy is not
-        silently ignored, and the run names the patch."""
-        codec = make_codec("zfp-like")
+        """An index row that is grouped over a self-contained stream (a
+        malformed index): the shared entropy is not silently ignored, and
+        the run names the patch."""
+        codec = make_codec("sz-lr")
         blob = codec.compress(rng.normal(size=(8, 8, 8)), 1e-3)
         shared = base.SharedEntropy(b"", b"")
-        with pytest.raises(CompressionError, match="does not accept shared entropy"):
+        with pytest.raises(DecompressionError, match="self-contained"):
             codec.decompress(blob, shared)
-        members = [((0, "a", 0), "zfp-like", blob, None), ((0, "a", 1), "zfp-like", blob, shared)]
-        with pytest.raises(CompressionError, match=r"patch=1\).*does not accept shared entropy"):
+        members = [((0, "a", 0), "sz-lr", blob, None), ((0, "a", 1), "sz-lr", blob, shared)]
+        with pytest.raises(DecompressionError, match=r"patch=1\).*self-contained"):
             _decode_run((members, None))
 
     @pytest.mark.parametrize("pool_workers", [2, 4])

@@ -173,23 +173,6 @@ class TestBoundedInflate:
 
         assert _peak_of(attempt) < 1 << 20
 
-    def test_zfp_padding_is_checked_against_its_fixed_block(self):
-        from repro.compression.base import StreamReader, StreamWriter
-        from repro.compression.zfp_like import ZFPLike
-
-        data = np.random.default_rng(0).normal(size=(6, 6, 6))
-        blob = ZFPLike().compress(data, 1e-2)
-        reader = StreamReader(blob)
-        assert reader.params["padded_shape"] == [8, 8, 8]
-        assert ZFPLike().decompress(blob).shape == data.shape
-        writer = StreamWriter(
-            reader.codec, reader.shape, reader.dtype, {**reader.params, "padded_shape": [1 << 28]}
-        )
-        for name in ("dc", "codes"):
-            writer.add_section(name, reader.section(name))
-        with pytest.raises(DecompressionError, match="inconsistent shape, block size"):
-            ZFPLike().decompress(writer.tobytes())
-
 
 class TestPackInts:
     def test_roundtrip_int64(self, rng):

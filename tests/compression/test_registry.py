@@ -17,7 +17,7 @@ from repro.errors import CompressionError
 class TestRegistry:
     def test_builtins_present(self):
         names = available_codecs()
-        assert {"sz-lr", "sz-interp", "zfp-like"} <= set(names)
+        assert {"sz-lr", "sz-interp"} <= set(names)
 
     def test_make_codec(self):
         c = make_codec("sz-lr", block_size=4)
@@ -29,7 +29,7 @@ class TestRegistry:
             make_codec("sz-9000")
 
     def test_decompress_any_routes(self, smooth_field):
-        for name in ("sz-lr", "sz-interp", "zfp-like"):
+        for name in ("sz-lr", "sz-interp"):
             blob = make_codec(name).compress(smooth_field, 1e-3)
             recon = decompress_any(blob)
             assert np.abs(recon - smooth_field).max() <= 1e-3 * (1 + 1e-12)

@@ -213,16 +213,6 @@ class TestStackedRunIdentity:
         with pytest.raises(CompressionError, match="NaN/Inf"):
             SZLR().compress_batch(members, 1e-3, "rel")
 
-    @pytest.mark.parametrize("name", ["zfp-like"])
-    def test_codecs_without_a_stacked_path_loop(self, name):
-        codec = make_codec(name)
-        members = _run("ragged3d")[:4]
-        result = codec.compress_batch(members, 1e-3, "rel")
-        assert result.streams == [codec.compress(a, 1e-3, "rel") for a in members]
-        bounds = [0.01, 0.02, 0.03, 0.04]
-        result = codec.compress_batch(members, bounds, "abs")
-        assert result.streams == [codec.compress(a, eb, "abs") for a, eb in zip(members, bounds)]
-
     def test_sz_interp_run_decodes_as_one_at_a_time(self):
         """SZ-Interp's run shares one codebook and stacks same-shape members
         (two of the four here), and decodes as ``compress`` one at a time."""

@@ -14,7 +14,6 @@ from repro.compression.interpolation import InterpPlan, anchor_stride, predict_a
 from repro.compression.lossless import compress_bytes
 from repro.compression.sz_interp import SZInterp
 from repro.compression.sz_lr import SZLR
-from repro.compression.zfp_like import ZFPLike
 from repro.errors import CompressionError, DecompressionError
 
 
@@ -158,7 +157,7 @@ class TestValidation:
         with pytest.raises(CompressionError):
             SZInterp().compress(data, 1e-3)
 
-    @pytest.mark.parametrize("codec", [SZInterp, SZLR, ZFPLike], ids=lambda c: c.name)
+    @pytest.mark.parametrize("codec", [SZInterp, SZLR], ids=lambda c: c.name)
     def test_forged_shape_refused_before_allocating(self, codec):
         """A header claiming a 4096^3 array (512 GiB of float64) over an
         8^3 stream is a DecompressionError, not a 512 GiB ``np.zeros``."""

@@ -22,7 +22,6 @@ from repro.compression.amr_codec import compress_hierarchy
 from repro.compression.container import ContainerReader
 from repro.compression.sz_interp import SZInterp
 from repro.compression.sz_lr import SZLR
-from repro.compression.zfp_like import ZFPLike
 from repro.errors import CompressionError, DecompressionError, FormatError
 from repro.insitu import SeriesReader
 from tests.conftest import make_sphere_hierarchy
@@ -235,7 +234,7 @@ class TestConstructorErrorTaxonomy:
                 reader_cls.open("x", backend=MemoryBackend(), mmap=True)
             assert type(exc.value) is CompressionError
 
-    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR, ZFPLike])
+    @pytest.mark.parametrize("codec_cls", [SZInterp, SZLR])
     def test_k_streams_recorded_in_stream_params(self, codec_cls):
         from repro.compression.base import StreamReader
 

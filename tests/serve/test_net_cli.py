@@ -51,11 +51,10 @@ def running_server(path, server_kwargs=None, **service_kwargs):
     try:
         yield box["addr"]
     finally:
-        coro = box["server"].stop()
-        try:  # no-op if a shutdown op already stopped the loop
-            asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=15)
-        except Exception:
-            coro.close()
+        # A shutdown op may already have ended the loop: a stop scheduled on
+        # it would never run. A live server's thread ends once stop() has.
+        if thread.is_alive():
+            asyncio.run_coroutine_threadsafe(box["server"].stop(), loop)
         thread.join(timeout=15)
         loop.close()
 
