@@ -268,7 +268,6 @@ def write_sharded_series(
     return Path(path)
 
 
-# kept: operator need: append to a series again after `recover --commit`
 def append_step(path: str | Path, hierarchy, time: float | None = None,
                 step: int | None = None, parallel: str = "serial",
                 workers: int | None = 2, durability: str = "close"):

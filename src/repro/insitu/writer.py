@@ -240,7 +240,6 @@ class StreamingWriter:
             ),
         )
 
-    # kept: operator need: resume a series after `recover --commit` (append_step)
     @classmethod
     def append_to(
         cls,
@@ -378,7 +377,6 @@ class StreamingWriter:
         """Timesteps recorded so far (including any resumed from disk)."""
         return len(self._steps)
 
-    # kept: operator need: the step number the next append gets
     @property
     def next_step(self) -> int:
         """Step number :meth:`begin_step` will assign by default."""

@@ -8,7 +8,8 @@ then this module:
    the "redundant" data of Figure 3),
 2. chooses the refined region by clustering a tag mask whose tagged
    fraction is calibrated (bisection) so the fine level's share of the
-   domain matches the Table 1 density target,
+   domain matches the Table 1 density target; a pass whose tagged
+   blocks alone already cover too much is decided without clustering,
 3. cuts the fine fields into patches over the clustered boxes.
 """
 
@@ -48,6 +49,22 @@ def average_pool(fine: np.ndarray, ratio: int) -> np.ndarray:
     return view.mean(axis=tuple(range(1, 2 * fine.ndim, 2)))
 
 
+def _block_floor(tags: np.ndarray, factor: int) -> int:
+    """Cells of the ``factor``-aligned blocks that hold a tag.
+
+    Blocks start at index 0 and the last one on each axis is clipped at
+    the top edge, as ``cluster_tags`` rounds its boxes: every box it
+    returns is a union of such blocks, and together they cover every tag.
+    """
+    blocks = tags
+    for axis, n in enumerate(tags.shape):
+        blocks = np.logical_or.reduceat(blocks, np.arange(0, n, factor), axis=axis)
+    cells = blocks.astype(np.int64)
+    for n in reversed(tags.shape):
+        cells = cells @ np.minimum(factor, n - np.arange(0, n, factor))
+    return int(cells)
+
+
 def calibrated_boxes(
     score: np.ndarray,
     target_fraction: float,
@@ -63,18 +80,44 @@ def calibrated_boxes(
     rectangular, tags are not), so the tagged fraction that produces the
     desired *covered* fraction is found iteratively — mirroring how one
     would tune an AMR refinement threshold to hit a storage budget.
-    ``tolerance`` is a number >= 0 and ``max_iter`` an integer >= 1.
+    ``tolerance`` is a number >= 0, ``max_iter`` and ``blocking_factor``
+    integers >= 1 and ``efficiency`` a real number in ``(0, 1]``; each is
+    checked before any work.
+
+    A pass is clustered only when it can matter. Its *floor*, the share of
+    the domain in ``blocking_factor``-aligned blocks holding a tag, is a
+    lower bound on the covered share, since ``cluster_tags`` covers every
+    tag with whole (clipped) blocks. A pass whose floor overshoots the
+    target by more than ``tolerance`` is decided without clustering (too
+    much is covered: the bracket's top moves down) and set aside. After
+    the loop a set-aside pass is clustered only if its floor's error does
+    not exceed the best error found, ties going to the earlier pass, so
+    the result is the box list clustering every pass would choose.
     """
     if not 0.0 < target_fraction < 1.0:
         raise ReproError(f"target_fraction must be in (0, 1), got {target_fraction}")
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real) or not tolerance >= 0:
         raise ReproError(f"tolerance must be a number >= 0, got {tolerance!r}")
     max_iter = check_int("max_iter", max_iter, 1)
+    blocking_factor = check_int("blocking_factor", blocking_factor, 1)
+    if (isinstance(efficiency, bool) or not isinstance(efficiency, numbers.Real)
+            or not 0.0 < efficiency <= 1.0):
+        raise ReproError(f"efficiency must be a real number in (0, 1], got {efficiency!r}")
     domain = Box.from_shape(score.shape)
     lo_q, hi_q = 0.0, 1.0  # tagged-fraction bisection bracket
     best: BoxArray | None = None
-    best_err = np.inf
-    for _ in range(max_iter):
+    best_err, best_pass = np.inf, -1
+    # (pass, quantile cut, floor error); the cut, not the mask, is kept
+    # so that set-aside passes hold no domain-sized arrays.
+    set_aside: list[tuple[int, float, float]] = []
+
+    def cluster(tags: np.ndarray) -> tuple[BoxArray, float]:
+        """The pass's boxes and the share of the domain they cover."""
+        # Clustered boxes are disjoint and inside the mask's domain.
+        boxes = cluster_tags(tags, efficiency=efficiency, blocking_factor=blocking_factor)
+        return boxes, sum(b.size for b in boxes) / domain.size
+
+    for i in range(max_iter):
         frac = 0.5 * (lo_q + hi_q)
         if frac <= 0.0 or frac >= 1.0:
             break
@@ -83,18 +126,29 @@ def calibrated_boxes(
         if not tags.any():
             lo_q = frac
             continue
-        # Clustered boxes are disjoint and inside the mask's domain.
-        boxes = cluster_tags(tags, efficiency=efficiency, blocking_factor=blocking_factor)
-        covered = sum(b.size for b in boxes) / domain.size
+        floor_err = _block_floor(tags, blocking_factor) / domain.size - target_fraction
+        if floor_err > tolerance:
+            set_aside.append((i, cut, floor_err))
+            hi_q = frac
+            continue
+        boxes, covered = cluster(tags)
         err = abs(covered - target_fraction)
         if err < best_err:
-            best, best_err = boxes, err
+            best, best_err, best_pass = boxes, err, i
         if err <= tolerance:
             break
         if covered > target_fraction:
             hi_q = frac
         else:
             lo_q = frac
+    # A set-aside pass errs by at least its floor's error.
+    for i, cut, floor_err in set_aside:
+        if floor_err > best_err:
+            continue
+        boxes, covered = cluster(score > cut)
+        err = abs(covered - target_fraction)
+        if err < best_err or (err == best_err and i < best_pass):
+            best, best_err, best_pass = boxes, err, i
     if best is None or len(best) == 0:
         raise ReproError("refinement calibration produced no boxes")
     return best
@@ -152,8 +206,10 @@ def nested_calibrated_boxes(
 
     ``score`` and ``outer`` live in the same index space. Candidate boxes
     are clipped piecewise against the outer boxes, so the result nests
-    properly (the requirement for a third AMR level).
+    properly (the requirement for a third AMR level). ``blocking_factor``
+    is an integer >= 1, checked before any work.
     """
+    blocking_factor = check_int("blocking_factor", blocking_factor, 1)
     domain = Box.from_shape(score.shape)
     outer_mask = outer.mask(domain)
     masked = np.where(outer_mask, score, -np.inf)

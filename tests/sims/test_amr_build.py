@@ -7,7 +7,9 @@ import pytest
 
 from repro.amr import Box, BoxArray
 from repro.errors import ReproError
+import repro.sims.amr_build as amr_build
 from repro.sims import average_pool, calibrated_boxes, two_level_hierarchy
+from repro.sims.amr_build import nested_calibrated_boxes
 from repro.sims.spectral import gaussian_random_field
 
 
@@ -61,6 +63,31 @@ class TestCalibratedBoxes:
         score = np.arange(512.0).reshape(8, 8, 8)
         with pytest.raises(ReproError, match="max_iter"):
             calibrated_boxes(score, 0.25, max_iter=max_iter)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Any quantile, floor or clustering fails the test."""
+        def boom(*args, **kwargs):
+            raise AssertionError("work began before the arguments were checked")
+        monkeypatch.setattr(amr_build.np, "quantile", boom)
+        monkeypatch.setattr(amr_build, "_block_floor", boom)
+        monkeypatch.setattr(amr_build, "cluster_tags", boom)
+
+    @pytest.mark.parametrize("argument, value", [
+        *(("blocking_factor", v) for v in (0, -2, 2.5, True, "4")),
+        *(("efficiency", v) for v in (0, 1.5, float("nan"), "0.7")),
+    ])
+    def test_blocking_and_efficiency_are_checked_first(self, no_work, argument, value):
+        score = np.arange(512.0).reshape(8, 8, 8)
+        with pytest.raises(ReproError, match=argument):
+            calibrated_boxes(score, 0.25, **{argument: value})
+
+    @pytest.mark.parametrize("value", [0, -2, 2.5, True, "4"])
+    def test_nested_blocking_is_checked_first(self, no_work, value):
+        score = np.arange(512.0).reshape(8, 8, 8)
+        outer = BoxArray([Box((0, 0, 0), (7, 7, 3))])
+        with pytest.raises(ReproError, match="blocking_factor"):
+            nested_calibrated_boxes(score, outer, 0.25, blocking_factor=value)
 
     def test_zero_tolerance_and_one_step_still_run(self):
         score = np.arange(512.0).reshape(8, 8, 8)

@@ -58,7 +58,9 @@ Each group holds its own oracle:
   mid-seal              killed while writing the 64-byte step seal record
   step-boundary         killed exactly on a sealed step boundary (clean crash)
   append-resume         killed right after ``append_to``'s eager truncation
-                        of the old index/footer (all seals intact, no index)
+                        of the old index/footer (all seals intact, no index);
+                        the committed recovery must then take one more step
+                        through ``append_to`` and scrub clean
   mid-index             killed while writing the series timestep index
   mid-footer            killed while writing the 28-byte series footer
   post-footer-garbage   a partial rewrite appended bytes after a valid footer
@@ -123,8 +125,14 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
-from repro.amr.io import write_series, write_sharded_series  # noqa: E402
+from repro.amr.io import (  # noqa: E402
+    append_step,
+    recover_series,
+    write_series,
+    write_sharded_series,
+)
 from repro.compression.amr_codec import decompress_selection  # noqa: E402
+from repro.compression.base import Compressor  # noqa: E402
 from repro.compression.container import FOOTER_SIZE  # noqa: E402
 from repro.errors import (  # noqa: E402
     DeadlineExceeded,
@@ -144,6 +152,7 @@ from repro.insitu.sharded import (  # noqa: E402
     parse_manifest,
 )
 from repro.integrity import repair_sharded, scrub  # noqa: E402
+from repro.metrics.error import verify_error_bound  # noqa: E402
 from repro.parallel.pool import WorkerPool  # noqa: E402
 from repro.serve import InProcessClient, QueryService  # noqa: E402
 from repro.sims import NyxConfig, nyx_step_stream  # noqa: E402
@@ -158,6 +167,8 @@ DEFAULT_FRACS = (0.15, 0.5, 0.85)
 #: Appended after a valid footer by the post-footer-garbage class.
 GARBAGE = b"\x89CRASHSIM-GARBAGE\x00" * 7
 
+#: The simulation every corpus file is written from.
+CORPUS_SIM = NyxConfig(coarse_n=8)
 SERIES_STEPS = 4
 SHARD_STEPS = 6
 N_SHARDS = 3
@@ -495,17 +506,16 @@ class Corpus:
 
 def build_corpus(root: Path) -> Corpus:
     """Write the series and both campaigns under ``root``."""
-    cfg = NyxConfig(coarse_n=8)
     root.mkdir(parents=True, exist_ok=True)
     series = root / "run.rph2s"
-    write_series(series, nyx_step_stream(SERIES_STEPS, cfg),
+    write_series(series, nyx_step_stream(SERIES_STEPS, CORPUS_SIM),
                  codec="sz-lr", error_bound=1e-3, durability="step")
     manifests = {}
     for parity in (0, 1):
         directory = root / f"parity{parity}"
         directory.mkdir(exist_ok=True)
         manifests[parity] = directory / "camp.rphm"
-        write_sharded_series(manifests[parity], nyx_step_stream(SHARD_STEPS, cfg),
+        write_sharded_series(manifests[parity], nyx_step_stream(SHARD_STEPS, CORPUS_SIM),
                              codec="sz-lr", error_bound=1e-3, n_shards=N_SHARDS,
                              parallel="serial", durability="step", parity=parity)
     directory = manifests[1].parent
@@ -560,8 +570,52 @@ def scenario_series_kill(corpus: Corpus, seed: int) -> str:
             if (variant[e.offset:e.offset + e.length]
                     != raw[want.offset:want.offset + want.length]):
                 raise Violation(f"{ctx}: step {e.step} segment bytes differ")
+        if pt.klass == "append-resume":
+            _resume_series(ctx, corpus.root / "series-kill" / "resumed.rph2s",
+                           variant, raw, original)
     classes = len({pt.klass for pt in points})
-    return f"{len(points)} points in {classes} offset classes salvaged exactly their sealed steps"
+    return (f"{len(points)} points in {classes} offset classes salvaged exactly their "
+            "sealed steps; the append-resume series took one more step")
+
+
+def _resume_series(ctx: str, path: Path, variant: bytes, raw: bytes,
+                   original: dict) -> None:
+    """Commit the recovery of an append killed after its truncation, then
+    append one more corpus step through ``append_to``: the old segments
+    keep their bytes, the new step decodes within its bound and the file
+    scrubs clean."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(variant)
+    recover_series(path, commit=True)
+    hierarchy = next(nyx_step_stream(1, CORPUS_SIM)).hierarchy
+    entry = append_step(path, hierarchy)
+    resumed = path.read_bytes()
+    with SeriesReader(io.BytesIO(resumed)) as reader:
+        entries = {e.step: e for e in reader.step_entries}
+        meta = reader.meta()
+    if sorted(entries) != sorted(original) + [entry.step]:
+        raise Violation(f"{ctx}: resumed series holds steps {sorted(entries)}")
+    for step, want in original.items():
+        e = entries[step]
+        if (resumed[e.offset:e.offset + e.length]
+                != raw[want.offset:want.offset + want.length]):
+            raise Violation(f"{ctx}: step {step} segment bytes moved on resume")
+    decoded = decompress_selection(str(path), steps=entry.step)
+    written = {(entry.step, lev_idx, name, p) for lev_idx, lev in enumerate(hierarchy)
+               for name in hierarchy.field_names for p in range(len(lev.patches(name)))}
+    if set(decoded) != written:
+        raise Violation(f"{ctx}: appended step decodes {len(decoded)} of "
+                        f"{len(written)} patches")
+    for (_, level, name, patch), arr in decoded.items():
+        data = hierarchy[level].patches(name)[patch].data
+        bound = Compressor.resolve_error_bound(data, float(meta["error_bound"]),
+                                               str(meta["mode"]))
+        if not verify_error_bound(data, arr, bound):
+            raise Violation(f"{ctx}: appended patch {(level, name, patch)} "
+                            f"exceeds its bound {bound:g}")
+    report = scrub(path)
+    if not report.clean:
+        raise Violation(f"{ctx}: resumed series scrubs dirty: {report.describe()}")
 
 
 def scenario_campaign_kill(corpus: Corpus, seed: int) -> str:
