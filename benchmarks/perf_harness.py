@@ -33,11 +33,12 @@ metrics present in the baseline file).
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
+
+from repro.experiments.registry import validate_artifact, write_artifact
 
 __all__ = [
     "record",
@@ -46,8 +47,6 @@ __all__ = [
     "flush",
     "session_flush",
     "metric_count",
-    "write_artifact",
-    "validate_artifact",
 ]
 
 #: Environment variable naming the directory BENCH_<name>.json files go to.
@@ -81,8 +80,8 @@ def record(
     tolerance:
         Optional per-metric regression tolerance overriding
         ``bench_compare``'s default (fraction, e.g. ``0.2`` = 20%); checked
-        here (:func:`_check_tolerance`), so a bad value fails at the line
-        that wrote it.
+        here against the artifact schema (``validate_artifact``), so a bad
+        value fails at the line that wrote it.
     """
     entry: dict[str, Any] = {
         "value": float(value),
@@ -90,26 +89,10 @@ def record(
         "higher_is_better": bool(higher_is_better),
     }
     if tolerance is not None:
-        _check_tolerance(metric, tolerance, entry["higher_is_better"])
+        entry["tolerance"] = tolerance
+        validate_artifact({"bench": bench, "scale": 0.0, "metrics": {metric: entry}})
         entry["tolerance"] = float(tolerance)
     _METRICS.setdefault(bench, {})[metric] = entry
-
-
-def _check_tolerance(metric: str, tolerance: Any, higher_is_better: bool) -> None:
-    """Raise ``ValueError`` unless ``tolerance`` is a usable regression
-    allowance: a finite fraction > 0, and <= 1 when higher is better — a
-    throughput cannot fall by more than all of itself, while a latency can
-    regress to several times its baseline."""
-    limit = 1.0 if higher_is_better else sys.float_info.max
-    if (
-        not isinstance(tolerance, (int, float))
-        or isinstance(tolerance, bool)
-        or not 0 < tolerance <= limit  # false for NaN
-    ):
-        raise ValueError(
-            f"metric {metric!r} 'tolerance' must be in (0, 1] when higher is "
-            f"better, positive and finite otherwise; got {tolerance!r}"
-        )
 
 
 def metric_count(bench: str | None = None) -> int:
@@ -138,72 +121,6 @@ def json_dir() -> Path | None:
     """Artifact output directory, or ``None`` when JSON emission is off."""
     value = os.environ.get(ENV_JSON_DIR, "").strip()
     return Path(value) if value else None
-
-
-def write_artifact(
-    out_dir: Path,
-    bench: str,
-    metrics: Mapping[str, Mapping[str, Any]],
-    scale: float,
-    peak_rss: float | None = None,
-) -> Path:
-    """Write one ``BENCH_<bench>.json`` artifact and return its path.
-
-    The single artifact writer shared by the pytest session hook
-    (:func:`flush`) and the registry runner
-    (``repro.experiments.registry``): both producers emit byte-identical
-    documents for the same inputs. ``peak_rss`` is an optional,
-    machine-volatile annotation — registry runs omit it so their
-    artifacts stay deterministic and byte-comparable against committed
-    baselines (the ``bench-registry-consistency`` CI check).
-    """
-    doc: dict[str, Any] = {
-        "bench": bench,
-        "scale": float(scale),
-        "metrics": {k: dict(v) for k, v in metrics.items()},
-    }
-    if peak_rss is not None:
-        doc["peak_rss_mb"] = peak_rss
-    validate_artifact(doc)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"BENCH_{bench}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def validate_artifact(doc: Mapping[str, Any]) -> None:
-    """Raise ``ValueError`` unless ``doc`` matches the artifact schema.
-
-    Schema: ``bench`` (str), ``scale`` (number), ``metrics`` (mapping of
-    metric name -> record with numeric ``value``, str ``unit``, bool
-    ``higher_is_better``, and optional ``tolerance`` > 0, at most 1 when
-    higher is better — :func:`_check_tolerance`); ``peak_rss_mb`` is
-    optional and may be null.
-    """
-    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
-        raise ValueError("artifact 'bench' must be a non-empty string")
-    if not isinstance(doc.get("scale"), (int, float)) or isinstance(doc.get("scale"), bool):
-        raise ValueError("artifact 'scale' must be a number")
-    metrics = doc.get("metrics")
-    if not isinstance(metrics, Mapping) or not metrics:
-        raise ValueError("artifact 'metrics' must be a non-empty mapping")
-    for name, entry in metrics.items():
-        if not isinstance(name, str) or not name:
-            raise ValueError("metric names must be non-empty strings")
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"metric {name!r} record must be a mapping")
-        value = entry.get("value")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValueError(f"metric {name!r} 'value' must be a number")
-        if not isinstance(entry.get("unit"), str):
-            raise ValueError(f"metric {name!r} 'unit' must be a string")
-        if not isinstance(entry.get("higher_is_better"), bool):
-            raise ValueError(f"metric {name!r} 'higher_is_better' must be a bool")
-        if "tolerance" in entry:
-            _check_tolerance(name, entry["tolerance"], entry["higher_is_better"])
-        unknown = set(entry) - {"value", "unit", "higher_is_better", "tolerance"}
-        if unknown:
-            raise ValueError(f"metric {name!r} has unknown keys {sorted(unknown)}")
 
 
 def flush() -> list[Path]:

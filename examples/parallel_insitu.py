@@ -4,10 +4,10 @@
 AMR patches are independent (paper §3.3), so a hierarchy compresses as a
 pure map over runs of patches. This example shows:
 
-* ``compress_hierarchy(..., parallel="process", workers=N)`` — N worker
-  processes, writing the same container bytes as the serial run (a
+* ``compress_hierarchy(..., pool=WorkerPool("process", N))`` — N worker
+  processes, writing the same container bytes as the inline run (a
   ``"thread"`` pool is one background lane: it frees the caller, it adds
-  no core);
+  no core); one pool serves the compress and the decode;
 * random access: decode one 6^3 block out of a compressed stream.
 
 Usage::
@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.compression import SZLR, compress_hierarchy, decompress_selection
 from repro.experiments.datasets import load_app
+from repro.parallel import WorkerPool
 
 
 def main() -> int:
@@ -35,13 +36,14 @@ def main() -> int:
     data = ds.uniform_field()
     eb = 1e-3 * float(data.max() - data.min())
 
-    # 1. Per-patch hierarchy compression: serial vs N processes.
+    # 1. Per-patch hierarchy compression: inline vs N processes.
     spec = dict(codec="sz-lr", error_bound=eb, mode="abs", fields=[ds.field])
-    raw = compress_hierarchy(ds.hierarchy, **spec, parallel="process", workers=args.workers)
-    same = raw.tobytes() == compress_hierarchy(ds.hierarchy, **spec).tobytes()
-    print(f"WarpX {ds.field}: CR={raw.ratio:.1f} on {args.workers} processes, "
-          f"same container bytes as serial: {same}")
-    decoded = decompress_selection(raw.tobytes(), parallel="process", workers=args.workers)
+    with WorkerPool("process", args.workers) as pool:
+        raw = compress_hierarchy(ds.hierarchy, **spec, pool=pool)
+        same = raw.tobytes() == compress_hierarchy(ds.hierarchy, **spec).tobytes()
+        print(f"WarpX {ds.field}: CR={raw.ratio:.1f} on {pool.workers} processes, "
+              f"same container bytes as serial: {same}")
+        decoded = decompress_selection(raw.tobytes(), pool=pool)
     worst = max(
         float(np.abs(decoded[(lev_idx, ds.field, p_idx)] - patch.data).max())
         for lev_idx, level in enumerate(ds.hierarchy)

@@ -203,9 +203,8 @@ def write_series(
     fields=None,
     exclude_covered: bool = False,
     overwrite: bool = False,
-    parallel: str = "serial",
-    workers: int | None = 2,
     durability: str = "close",
+    pool=None,
 ) -> Path:
     """Stream an iterable of timesteps into an ``RPH2S`` series at ``path``.
 
@@ -214,14 +213,15 @@ def write_series(
     attributes (e.g. :class:`repro.sims.streams.SimStep`). The iterable is
     consumed lazily — pass a generator and peak memory stays O(snapshot).
     ``durability="step"`` fsyncs every sealed step (crash loses at most the
-    step in flight); the default syncs at close only.
+    step in flight); the default syncs at close only. ``pool``: as
+    :class:`~repro.insitu.StreamingWriter`'s.
     """
     from repro.insitu.writer import StreamingWriter
 
     with StreamingWriter.create(
         path, codec, error_bound, mode=mode, fields=fields,
-        exclude_covered=exclude_covered, parallel=parallel, workers=workers,
-        overwrite=overwrite, durability=durability,
+        exclude_covered=exclude_covered, overwrite=overwrite,
+        durability=durability, pool=pool,
     ) as writer:
         _append_steps(writer, steps)
     return Path(path)
@@ -269,8 +269,7 @@ def write_sharded_series(
 
 
 def append_step(path: str | Path, hierarchy, time: float | None = None,
-                step: int | None = None, parallel: str = "serial",
-                workers: int | None = 2, durability: str = "close"):
+                step: int | None = None, durability: str = "close", pool=None):
     """Append one timestep to an existing ``RPH2S`` series file.
 
     Reopens the series (its recorded codec/bound/fields are authoritative),
@@ -279,8 +278,7 @@ def append_step(path: str | Path, hierarchy, time: float | None = None,
     """
     from repro.insitu.writer import StreamingWriter
 
-    with StreamingWriter.append_to(path, parallel=parallel, workers=workers,
-                                   durability=durability) as writer:
+    with StreamingWriter.append_to(path, pool=pool, durability=durability) as writer:
         return writer.append_step(hierarchy, time=time, step=step)
 
 

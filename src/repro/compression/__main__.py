@@ -48,7 +48,7 @@ from repro.compression.base import StreamReader
 from repro.compression.registry import available_codecs, decompress_any, make_codec
 from repro.errors import CompressionError, FormatError, ReproError
 from repro.insitu.writer import DURABILITY_MODES
-from repro.parallel.pool import EXECUTION_MODES
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool
 
 __all__ = ["main"]
 
@@ -99,11 +99,11 @@ def _cmd_info(args) -> int:
 def _cmd_compress_plotfile(args) -> int:
     hierarchy = read_plotfile(args.input)
     fields = args.fields.split(",") if args.fields else None
-    container = compress_hierarchy(
-        hierarchy, args.codec, args.eb, mode=args.mode, fields=fields,
-        exclude_covered=args.exclude_covered,
-        parallel=args.parallel, workers=args.workers,
-    )
+    with WorkerPool(args.parallel, args.workers) as pool:
+        container = compress_hierarchy(
+            hierarchy, args.codec, args.eb, mode=args.mode, fields=fields,
+            exclude_covered=args.exclude_covered, pool=pool,
+        )
     out = args.output if args.output else Path(args.input).with_suffix(".rprh")
     Path(out).write_bytes(container.tobytes())
     print(
@@ -183,15 +183,15 @@ def _parse_int_list(spec: str | None, option: str) -> list[int] | None:
 
 def _cmd_extract(args) -> int:
     # decompress_selection is repro.open + select: snapshot, series or campaign.
-    selected = decompress_selection(
-        args.input,
-        levels=_parse_int_list(args.level, "--level"),
-        fields=args.field.split(",") if args.field else None,
-        patches=_parse_int_list(args.patch, "--patch"),
-        parallel=args.parallel,
-        workers=args.workers,
-        steps=_parse_int_list(args.step, "--step"),
-    )
+    with WorkerPool(args.parallel, args.workers) as pool:
+        selected = decompress_selection(
+            args.input,
+            levels=_parse_int_list(args.level, "--level"),
+            fields=args.field.split(",") if args.field else None,
+            patches=_parse_int_list(args.patch, "--patch"),
+            steps=_parse_int_list(args.step, "--step"),
+            pool=pool,
+        )
     if not selected:
         print("selection matched no patches", file=sys.stderr)
         return 1
@@ -275,7 +275,6 @@ def _cmd_serve(args) -> int:
             args.input,
             recover=args.recover,
             cache_bytes=args.cache_bytes if args.cache_bytes > 0 else None,
-            workers=args.workers,
         )
         try:
             server = QueryServer(
@@ -350,11 +349,10 @@ def _cmd_stream(args) -> int:
             n_steps = writer.n_steps
         print(f"{out}: {n_steps} steps across {args.shards} shards")
         return 0
-    with StreamingWriter.create(
+    with WorkerPool(args.parallel, args.workers) as pool, StreamingWriter.create(
         out, args.codec, args.eb, mode=args.mode, fields=fields,
-        exclude_covered=args.exclude_covered, parallel=args.parallel,
-        workers=args.workers, overwrite=args.overwrite,
-        durability=args.durability,
+        exclude_covered=args.exclude_covered, overwrite=args.overwrite,
+        durability=args.durability, pool=pool,
     ) as writer:
         for hierarchy, time, step in step_source():
             entry = writer.append_step(hierarchy, time=time, step=step)
@@ -470,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--cache-bytes", type=int, default=64 << 20,
                    help="LRU budget for decoded patches + catalogs "
                         "(default 64 MiB; 0 disables caching)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="accepted; sizes nothing: decode is ONE thread beside the loop")
     p.add_argument("--recover", action="store_true",
                    help="serve the fully-sealed steps of a crash-"
                         "interrupted series (read-only recovery scan)")

@@ -15,8 +15,8 @@ file. Three paper-relevant features:
   averaging the decompressed fine data down (``restore="average_down"``),
   which keeps the hierarchy self-consistent for dual-cell visualization.
 * **Per-patch independence**: every patch is a separate stream, so runs of
-  patches are (de)compressed serially, on one background thread or in
-  processes of a :class:`repro.parallel.WorkerPool` — with identical output.
+  patches are (de)compressed inline or on the lane or processes of a
+  ``pool=`` :class:`repro.parallel.WorkerPool` — with identical output.
   One :class:`SegmentWriter` writes every ``RPH2`` container: a
   :func:`compress_hierarchy` snapshot into memory, and each step of a
   :class:`repro.insitu.StreamingWriter` series into its file.
@@ -36,7 +36,6 @@ import io
 import math
 import zlib
 from collections import deque
-from contextlib import nullcontext
 from numbers import Real
 from typing import Sequence
 
@@ -58,7 +57,7 @@ from repro.compression.container import (
 )
 from repro.compression.registry import make_codec
 from repro.errors import CompressionError, FormatError
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, check_pool
 from repro.storage import ByteSink
 
 __all__ = [
@@ -175,6 +174,11 @@ class CompressedHierarchy(ContainerReader):
 #: between quartiles (``docs/performance.md``).
 RUN_CELL_BUDGET = 1 << 16
 
+#: Runs a pooled :class:`SegmentWriter` keeps in flight per lane. With the
+#: run being filled, one lane buffers (2 + 1) * (65 536 + 512) * 8 B ~ 1.6 MB
+#: of float64 with 8^3 patches.
+RUNS_PER_LANE = 2
+
 
 class PatchRuns:
     """Where runs of patches ``(key, members, bounds)`` are cut, for every
@@ -240,19 +244,18 @@ class SegmentWriter:
 
     :meth:`add` copies a patch into the run of its ``(level, field)``
     (:class:`PatchRuns`); :meth:`encode` codes completed runs inline, or as
-    one task each on ``pool`` with at most ``max_pending`` in flight
-    (default two per lane), and writes their streams in submission order.
+    one task each on ``pool`` with at most :data:`RUNS_PER_LANE` per lane
+    in flight, and writes their streams in submission order.
     A run with a shared codebook leaves a group section, held until
     :meth:`finish` writes the groups, the index and the footer. ``comp`` is
     ``None`` for a writer fed encoded streams only (:meth:`write_run`).
     """
 
-    def __init__(self, sink: ByteSink, comp: Compressor | None, pool: WorkerPool | None = None,
-                 max_pending: int | None = None):
+    def __init__(self, sink: ByteSink, comp: Compressor | None, pool: WorkerPool | None = None):
         self._sink, self._comp = sink, comp
         # A serial pool runs inline — same as no pool at all.
         self._pool = pool if pool is not None and pool.mode != "serial" else None
-        self._max_pending = int(max_pending or 2 * pool.workers) if self._pool else 1
+        self._max_pending = RUNS_PER_LANE * pool.workers if self._pool else 1
         self.start, self.crc, self.original_bytes = sink.pos, 0, 0
         self._rows: list[tuple] = []
         self._groups: list[bytes] = []  # the group sections, by gid
@@ -430,10 +433,8 @@ def compress_hierarchy(
     mode: str = "rel",
     fields: Sequence[str] | None = None,
     exclude_covered: bool = False,
-    parallel: str = "serial",
-    workers: int = 2,
     batch: str = "patch",
-    pool=None,
+    pool: WorkerPool | None = None,
     field_bounds=None,
 ) -> CompressedHierarchy:
     """Compress selected fields of ``hierarchy`` patch by patch.
@@ -451,11 +452,6 @@ def compress_hierarchy(
         Fields to include (default: all).
     exclude_covered:
         Apply the §2.2 redundant-data optimization on coarse levels.
-    parallel, workers:
-        Execution mode for the run encodes (``"serial"``, ``"thread"`` —
-        one background lane — or ``"process"``, ``workers`` processes; two
-        runs per lane in flight, :class:`SegmentWriter`); the container
-        bytes are identical across modes.
     batch:
         ``"patch"`` or ``"level"``; both write the same container bytes.
         Each (level, field) is cut into runs of consecutive patches
@@ -468,9 +464,9 @@ def compress_hierarchy(
         and time; the parameter stays so that callers written for it keep
         working, and any other value is refused.
     pool:
-        Optional persistent :class:`repro.parallel.WorkerPool`, reused
-        across calls (e.g. across timesteps) instead of building an
-        executor per call; overrides ``parallel``/``workers``.
+        Where the run encodes run: ``None`` (default) inline, or a
+        :class:`repro.parallel.WorkerPool` the caller owns and may reuse
+        across calls; the container bytes are identical either way.
     field_bounds:
         Optional ``{field: bound}`` overrides of ``error_bound`` — the
         mixed-physics knob (e.g. WarpX E fields at one bound, B fields at
@@ -478,6 +474,7 @@ def compress_hierarchy(
         same ``mode``; fields not named keep ``error_bound``. Recorded in
         the container index (``ContainerReader.field_bounds``).
     """
+    check_pool(pool)
     comp = resolve_patch_codec(codec)
     names = validate_fields(fields) or hierarchy.field_names
     for name in names:
@@ -495,17 +492,16 @@ def compress_hierarchy(
         "field_bounds": field_bounds,
     }
     buf = io.BytesIO()
-    with nullcontext(pool) if pool is not None else WorkerPool(parallel, workers) as lane:
-        segment = SegmentWriter(ByteSink(buf), comp, lane)
-        try:
-            for level, name, data, eb, eb_mode in hierarchy_patches(
-                hierarchy, names, comp, error_bound, field_bounds, mode, exclude_covered,
-            ):
-                segment.encode(segment.add(level, name, data, eb, eb_mode))
-            segment.finish(meta)
-        except BaseException:
-            segment.discard()
-            raise
+    segment = SegmentWriter(ByteSink(buf), comp, pool)
+    try:
+        for level, name, data, eb, eb_mode in hierarchy_patches(
+            hierarchy, names, comp, error_bound, field_bounds, mode, exclude_covered,
+        ):
+            segment.encode(segment.add(level, name, data, eb, eb_mode))
+        segment.finish(meta)
+    except BaseException:
+        segment.discard()
+        raise
     return CompressedHierarchy(buf.getvalue())
 
 
@@ -527,9 +523,7 @@ def decompress_hierarchy(
     container: ContainerReader,
     template: AMRHierarchy,
     restore: str = "none",
-    parallel: str = "serial",
-    workers: int = 2,
-    pool=None,
+    pool: WorkerPool | None = None,
 ) -> AMRHierarchy:
     """Rebuild a hierarchy from compressed streams.
 
@@ -550,20 +544,17 @@ def decompress_hierarchy(
         ``"none"`` — leave decompressed coarse values as stored;
         ``"average_down"`` — rebuild covered coarse cells from fine data
         (recommended with ``exclude_covered=True``).
-    parallel, workers:
-        Execution mode for the decode (one run of patches per lane:
-        ``workers`` under ``"process"``, else one); the rebuilt hierarchy
-        is identical across modes.
     pool:
-        Optional persistent :class:`repro.parallel.WorkerPool` to run the
-        decode on (overrides ``parallel``/``workers``).
+        Where the decode runs: ``None`` (default) inline, or a
+        :class:`repro.parallel.WorkerPool` (one run of patches per lane);
+        the rebuilt hierarchy is identical either way.
     """
     if restore not in ("none", "average_down"):
         raise CompressionError(f"unknown restore mode {restore!r}")
     decoded = container.select(
         levels=range(template.n_levels),
         fields=[name for name in template.field_names if name in container.fields],
-        parallel=parallel, workers=workers, pool=pool,
+        pool=pool,
     )
     new_levels = []
     for lev_idx, lev in enumerate(template):
@@ -591,11 +582,9 @@ def decompress_selection(
     fields=None,
     patches=None,
     verify: bool = True,
-    parallel: str = "serial",
-    workers: int = 2,
     *,
     steps=None,
-    pool=None,
+    pool: WorkerPool | None = None,
     backend=None,
 ):
     """Random-access decompression of a subset of patches: ``repro.open``
@@ -617,12 +606,12 @@ def decompress_selection(
         when it matches all three.
     verify:
         Check each stream's crc32 against the index before decoding.
-    parallel, workers:
-        Execution mode for the decode map (``workers`` sizes ``"process"``;
-        ``"thread"`` is one background lane).
     steps:
         Timestep selector (scalar, iterable, or ``None`` = all). Only valid
         for time-series sources; a snapshot source rejects it.
+    pool:
+        Where the decode runs: ``None`` (default) inline, or a
+        :class:`repro.parallel.WorkerPool` the caller owns.
     backend:
         The :class:`repro.storage.StorageBackend` a path is read through
         (default: the local filesystem).
@@ -636,11 +625,12 @@ def decompress_selection(
     # The door imports repro.insitu, which imports this module: resolve it lazily.
     from repro.door import open as open_any
 
+    check_pool(pool)
     reader = open_any(source, backend=backend)
     try:
         return reader.select(
             levels=levels, fields=fields, patches=patches, verify=verify,
-            parallel=parallel, workers=workers, pool=pool, steps=steps,
+            pool=pool, steps=steps,
         )
     finally:
         if reader is not source:

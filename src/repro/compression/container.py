@@ -81,7 +81,6 @@ import io
 import json
 import struct
 import zlib
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -93,7 +92,7 @@ from repro.compression.base import BatchResult, SharedEntropy
 from repro.compression.lossless import compress_bytes, decompress_bytes
 from repro.compression.registry import make_codec
 from repro.errors import CompressionError, DecompressionError, FormatError, ReproError
-from repro.parallel.pool import WorkerPool
+from repro.parallel.pool import WorkerPool, check_pool
 from repro.storage import ByteSink, ByteSource, Closing
 
 __all__ = [
@@ -918,9 +917,7 @@ class ContainerReader(ReaderView):
         fields=None,
         patches=None,
         verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
+        pool: WorkerPool | None = None,
         *,
         steps=None,
     ) -> dict[tuple[int, str, int], np.ndarray]:
@@ -931,14 +928,15 @@ class ContainerReader(ReaderView):
         ``(level, field, patch)`` triple. ``steps`` is the keyword every
         reader's ``select`` takes; a snapshot has no timesteps and rejects
         anything but ``None``. Stream reads are serial (one
-        seekable handle); the selection then decodes as one run, or one run
-        per process of a process pool (``parallel`` / ``workers`` or a
-        persistent ``pool``).
+        seekable handle); the selection then decodes as one run, inline
+        (``pool=None``) or on ``pool``, or one run per process of a
+        process pool.
         In zero-copy (mmap/buffer) mode the streams reach the codecs as
         ``memoryview`` slices — except in process mode, where they are
         copied to ``bytes`` once for pickling. Only the selected members'
         extents of a group are read, so the byte cost stays O(selection).
         """
+        check_pool(pool)
         if steps is not None:
             raise CompressionError(
                 "steps= selector given but the source is a single-snapshot "
@@ -946,14 +944,14 @@ class ContainerReader(ReaderView):
             )
         entries = self.entries
         chosen = [entries[i] for i in self.lookup(*_selection(levels, fields, patches))]
-        copy = parallel == "process" or (pool is not None and pool.mode == "process")
+        copy = pool is not None and pool.mode == "process"
         blobs = [self.read_stream(e, verify=verify) for e in chosen]
         members = [
             (e.key, e.codec, bytes(blob) if copy else blob,
              self._entry_shared(e, verify=verify, copy=copy))
             for e, blob in zip(chosen, blobs)
         ]
-        arrays = _decode_selection(members, parallel, workers, pool)
+        arrays = _decode_selection(members, pool)
         return {e.key: arr for e, arr in zip(chosen, arrays)}
 
 
@@ -1007,15 +1005,14 @@ def _decode_run(task) -> list[np.ndarray]:
     return out
 
 
-def _decode_selection(members, parallel, workers, pool) -> list[np.ndarray]:
+def _decode_selection(members, pool: WorkerPool | None) -> list[np.ndarray]:
     """Decode a selection (:func:`_decode_run` members, already checked) as
-    contiguous runs, one per lane of ``pool`` (or of the pool ``parallel`` /
-    ``workers`` build for the call): one run unless it is a process pool —
-    a lockstep round costs the same however many members ride it, so a run
-    is as wide as it can be."""
-    with nullcontext(pool) if pool is not None else WorkerPool(parallel, workers) as lanes:
-        n_runs = max(1, min(lanes.workers, len(members)))
-        cuts = [len(members) * r // n_runs for r in range(n_runs + 1)]
-        tasks = [(members[a:b], None) for a, b in zip(cuts, cuts[1:])]
-        runs = lanes.map(_decode_run, tasks)
-    return [arr for run in runs for arr in run]
+    contiguous runs, one per lane of ``pool`` (one run inline for ``None``):
+    one run unless it is a process pool — a lockstep round costs the same
+    however many members ride it, so a run is as wide as it can be."""
+    if pool is None:
+        return _decode_run((members, None))
+    n_runs = max(1, min(pool.workers, len(members)))
+    cuts = [len(members) * r // n_runs for r in range(n_runs + 1)]
+    tasks = [(members[a:b], None) for a, b in zip(cuts, cuts[1:])]
+    return [arr for run in pool.map(_decode_run, tasks) for arr in run]

@@ -67,7 +67,7 @@ def open(target, *, backend=None, mmap=False, recover=False):
     the caller's to close. The result is the matching ``ContainerReader``,
     ``SeriesReader`` or ``ShardedSeriesReader``: ``reader.kind`` says which,
     all are context managers, and all take the same ``select(levels=,
-    fields=, patches=, verify=, parallel=, workers=, pool=, steps=)``.
+    fields=, patches=, verify=, pool=, steps=)``.
 
     ``backend`` (default: the local filesystem) serves a path's bytes and a
     campaign's shards, ``mmap=True`` maps a local path instead, and

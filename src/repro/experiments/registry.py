@@ -18,9 +18,9 @@ Running an entry does three things:
 2. re-asserts the paper-shape checks the legacy drivers carried (a failed
    check raises :class:`~repro.errors.ExperimentError` — the claim itself
    broke, not just a metric drifted),
-3. emits a ``BENCH_<name>.json`` artifact through
-   ``benchmarks/perf_harness.py`` for ``tools/bench_compare.py`` to gate
-   against ``benchmarks/baselines/``.
+3. emits a ``BENCH_<name>.json`` artifact through :func:`write_artifact`
+   (the one artifact writer; ``benchmarks/perf_harness.py`` uses it too)
+   for ``tools/bench_compare.py`` to gate against ``benchmarks/baselines/``.
 
 Registry artifacts are **deterministic**: fixed seeds, metric values
 rounded to :data:`SIG_FIGS` significant digits, and no RSS/timing
@@ -39,7 +39,7 @@ CLI (``python -m repro.experiments`` is this ``main``)::
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import json
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -62,6 +62,8 @@ __all__ = [
     "groups",
     "resolve",
     "run_experiment",
+    "write_artifact",
+    "validate_artifact",
     "main",
 ]
 
@@ -221,27 +223,76 @@ def resolve(selectors) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _perf_harness():
-    """The shared artifact writer (``benchmarks/perf_harness.py``).
-
-    ``benchmarks/`` is not a package; pytest puts it on ``sys.path`` but
-    the CLI runs from anywhere in the repo, so fall back to loading the
-    module straight off the repo layout (``src/repro/...`` -> repo root).
+def write_artifact(
+    out_dir: Path,
+    bench: str,
+    metrics: Mapping[str, Mapping[str, Any]],
+    scale: float,
+    peak_rss: float | None = None,
+) -> Path:
+    """Write one ``BENCH_<bench>.json`` artifact and return its path: the
+    one writer of :func:`run_experiment` and ``benchmarks/perf_harness.py``.
+    ``peak_rss`` is an optional, machine-volatile annotation — registry
+    runs omit it so their artifacts stay byte-comparable against committed
+    baselines (the ``bench-registry-consistency`` CI check).
     """
-    try:
-        import perf_harness  # type: ignore
+    doc: dict[str, Any] = {
+        "bench": bench,
+        "scale": float(scale),
+        "metrics": {k: dict(v) for k, v in metrics.items()},
+    }
+    if peak_rss is not None:
+        doc["peak_rss_mb"] = peak_rss
+    validate_artifact(doc)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    path = out_dir / f"BENCH_{bench}.json"
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return path
 
-        return perf_harness
-    except ImportError:
-        pass
-    path = Path(__file__).resolve().parents[3] / "benchmarks" / "perf_harness.py"
-    spec = importlib.util.spec_from_file_location("perf_harness", path)
-    if spec is None or spec.loader is None:  # pragma: no cover - repo layout
-        raise ExperimentError(f"cannot load perf_harness from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules.setdefault("perf_harness", module)
-    spec.loader.exec_module(module)
-    return module
+
+def validate_artifact(doc: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless ``doc`` matches the artifact schema.
+
+    Schema: ``bench`` (str), ``scale`` (number), ``metrics`` (mapping of
+    metric name -> record with numeric ``value``, str ``unit``, bool
+    ``higher_is_better``, and optional ``tolerance``: a finite fraction > 0,
+    at most 1 when higher is better — a throughput cannot fall by more than
+    all of itself, while a latency can regress to several times its
+    baseline); ``peak_rss_mb`` is optional and may be null.
+    """
+    if not isinstance(doc.get("bench"), str) or not doc["bench"]:
+        raise ValueError("artifact 'bench' must be a non-empty string")
+    if not isinstance(doc.get("scale"), (int, float)) or isinstance(doc.get("scale"), bool):
+        raise ValueError("artifact 'scale' must be a number")
+    metrics = doc.get("metrics")
+    if not isinstance(metrics, Mapping) or not metrics:
+        raise ValueError("artifact 'metrics' must be a non-empty mapping")
+    for name, entry in metrics.items():
+        if not isinstance(name, str) or not name:
+            raise ValueError("metric names must be non-empty strings")
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"metric {name!r} record must be a mapping")
+        value = entry.get("value")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"metric {name!r} 'value' must be a number")
+        if not isinstance(entry.get("unit"), str):
+            raise ValueError(f"metric {name!r} 'unit' must be a string")
+        if not isinstance(entry.get("higher_is_better"), bool):
+            raise ValueError(f"metric {name!r} 'higher_is_better' must be a bool")
+        tolerance = entry.get("tolerance")
+        limit = 1.0 if entry["higher_is_better"] else sys.float_info.max
+        if "tolerance" in entry and (
+            not isinstance(tolerance, (int, float))
+            or isinstance(tolerance, bool)
+            or not 0 < tolerance <= limit  # false for NaN
+        ):
+            raise ValueError(
+                f"metric {name!r} 'tolerance' must be in (0, 1] when higher is "
+                f"better, positive and finite otherwise; got {tolerance!r}"
+            )
+        unknown = set(entry) - {"value", "unit", "higher_is_better", "tolerance"}
+        if unknown:
+            raise ValueError(f"metric {name!r} has unknown keys {sorted(unknown)}")
 
 
 def _checked_scale(scale: float) -> float:
@@ -262,8 +313,8 @@ def run_experiment(
 
     ``scale`` overrides the spec's quick/full scales when given; it must be
     finite and > 0. With ``out_dir``, writes ``BENCH_<name>.json`` there
-    through ``perf_harness.write_artifact`` (schema-validated,
-    deterministic — no RSS annotation).
+    through :func:`write_artifact` (schema-validated, deterministic — no
+    RSS annotation).
     """
     load_all()
     spec = EXPERIMENTS.get(name)
@@ -295,9 +346,7 @@ def run_experiment(
         records[metric] = entry
     artifact = None
     if out_dir is not None:
-        artifact = _perf_harness().write_artifact(
-            Path(out_dir), name, records, run_scale
-        )
+        artifact = write_artifact(Path(out_dir), name, records, run_scale)
     return ExperimentResult(
         name=name, group=spec.group, scale=run_scale,
         metrics=records, artifact=artifact,

@@ -69,6 +69,7 @@ from repro.compression.container import (
     read_index,
 )
 from repro.errors import FormatError, TruncatedSeriesError
+from repro.parallel.pool import WorkerPool, check_pool
 from repro.storage import ByteSource
 
 __all__ = [
@@ -280,9 +281,7 @@ class _SeriesView(ReaderView):
         fields=None,
         patches=None,
         verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
-        pool=None,
+        pool: WorkerPool | None = None,
     ) -> dict[tuple[int, int, str, int], np.ndarray]:
         """Decompress the subset of patches matching the selectors.
 
@@ -290,18 +289,17 @@ class _SeriesView(ReaderView):
         an iterable, or ``None`` (no restriction); results are keyed by
         ``(step, level, field, patch)``, in step order. Only the selected
         steps' segment indexes are ever read — unselected segments (and, in
-        a campaign, unselected shards) cost zero payload bytes. ``pool`` (a
-        persistent :class:`repro.parallel.WorkerPool`) is reused across
-        every selected segment's decode map.
+        a campaign, unselected shards) cost zero payload bytes. ``pool``
+        (``None``: inline) runs every selected segment's decode.
         """
+        check_pool(pool)
         want_steps = _normalize_selector(steps, "step")
         out: dict[tuple[int, int, str, int], np.ndarray] = {}
         for e in self.step_entries:
             if want_steps is not None and e.step not in want_steps:
                 continue
             sub = self.open_step(e.step).select(
-                levels=levels, fields=fields, patches=patches, verify=verify,
-                parallel=parallel, workers=workers, pool=pool,
+                levels=levels, fields=fields, patches=patches, verify=verify, pool=pool,
             )
             for (lev, field, p_idx), arr in sub.items():
                 out[(e.step, lev, field, p_idx)] = arr

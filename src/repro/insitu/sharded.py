@@ -461,8 +461,8 @@ class ShardedSeriesWriter:
                 writers.append(
                     StreamingWriter.create(
                         name, codec, error_bound, mode=mode, fields=fields,
-                        exclude_covered=exclude_covered, parallel="serial",
-                        overwrite=overwrite, durability=dur, backend=backend,
+                        exclude_covered=exclude_covered, overwrite=overwrite,
+                        durability=dur, backend=backend,
                         field_bounds=field_bounds,
                     )
                 )

@@ -7,18 +7,21 @@ still accumulating*. Each step is one
 ``add_patch`` copies the array into the run of its ``(level, field)``, a
 full run goes to the :mod:`repro.parallel` pool as one task, and finished
 blobs go straight to disk in submission order. Memory stays bounded by the
-in-flight window (``max_pending`` runs of ``RUN_CELL_BUDGET`` cells plus
-their compressed blobs) and the step's group sections — a run's shared
-codebook and entropy payloads, held until :meth:`StreamingWriter.end_step`
-writes them before the segment index — never by the campaign:
+in-flight window (``RUNS_PER_LANE`` runs of ``RUN_CELL_BUDGET`` cells per
+lane plus their compressed blobs) and the step's group sections — a run's
+shared codebook and entropy payloads, held until
+:meth:`StreamingWriter.end_step` writes them before the segment index —
+never by the campaign:
 
 .. code-block:: python
 
     from repro.insitu import StreamingWriter
+    from repro.parallel import WorkerPool
     from repro.sims import nyx_step_stream
 
-    with StreamingWriter.create("run.rph2s", codec="sz-lr",
-                                error_bound=1e-3, parallel="thread") as w:
+    with WorkerPool("thread") as pool, StreamingWriter.create(
+        "run.rph2s", codec="sz-lr", error_bound=1e-3, pool=pool
+    ) as w:
         for s in nyx_step_stream(16):                 # lazy generator
             w.append_step(s.hierarchy, time=s.time, step=s.index)
 
@@ -63,7 +66,7 @@ from repro.insitu.series import (
     build_series_index_bytes,
     pack_seal,
 )
-from repro.parallel.pool import EXECUTION_MODES, WorkerPool, check_workers
+from repro.parallel.pool import WorkerPool, check_pool
 from repro.storage import ByteSink
 
 __all__ = ["StreamingWriter", "DURABILITY_MODES"]
@@ -105,25 +108,10 @@ class StreamingWriter:
     exclude_covered:
         Recorded in the metadata; :meth:`append_step` applies the §2.2
         covered-cell fill when set.
-    parallel, workers:
-        Execution mode for the per-patch compression pipeline
-        (``"serial"``, ``"thread"`` — one background lane — or
-        ``"process"``, ``workers`` processes).
-    max_pending:
-        In-flight *run* limit for the parallel modes, at least 1 (default
-        two per lane: 2 for a thread pool, ``2 * workers`` for a process
-        pool): with the run being filled, at most
-        ``(max_pending + 1) * (RUN_CELL_BUDGET + one patch)`` buffered cells:
-        (2 + 1) * (65 536 + 512) * 8 B ~ 1.6 MB of float64 at the one-lane
-        default with 8^3 patches. The step's group sections (its runs'
-        codebooks and entropy payloads, a share of its compressed bytes)
-        are held on top until :meth:`end_step`.
     pool:
-        Optional persistent :class:`repro.parallel.WorkerPool`. The writer
-        then pipelines through that pool — which survives across
-        timesteps *and across writers* — instead of building its own, and
-        leaves it running at :meth:`close` (the caller's ``with`` block
-        owns it). Overrides ``parallel``/``workers``.
+        Where the compression pipeline runs: ``None`` (default) inline, or
+        a :class:`repro.parallel.WorkerPool` the caller owns (:meth:`close`
+        leaves it running), ``RUNS_PER_LANE`` runs per lane in flight.
     durability:
         Crash-durability mode (see :data:`DURABILITY_MODES`). Every mode
         seals each finished segment with a crc-protected seal record — the
@@ -141,9 +129,6 @@ class StreamingWriter:
         mode: str = "rel",
         fields: Sequence[str] | None = None,
         exclude_covered: bool = False,
-        parallel: str = "serial",
-        workers: int | None = 2,
-        max_pending: int | None = None,
         pool: WorkerPool | None = None,
         durability: str = "close",
         field_bounds=None,
@@ -161,28 +146,17 @@ class StreamingWriter:
                 f"unknown durability mode {durability!r} (have {DURABILITY_MODES})"
             )
         self._durability = durability
-        if parallel not in EXECUTION_MODES:
-            raise CompressionError(
-                f"unknown execution mode {parallel!r} (have {EXECUTION_MODES})"
-            )
-        check_workers(workers)  # a serial writer builds no pool to check it
+        check_pool(pool)
         self._comp = resolve_patch_codec(codec)
         # The series-wide bound itself (a "rel" one is scaled per patch).
         self._eb = self._comp.resolve_error_bound(None, error_bound, "abs")
         self._mode = mode
         self._fields: tuple[str, ...] | None = fields
         self._exclude_covered = bool(exclude_covered)
-        if pool is not None and pool.closed:
-            raise CompressionError("worker pool is closed")
-        if max_pending is not None and int(max_pending) < 1:
-            raise CompressionError(f"max_pending must be >= 1, got {max_pending}")
         self._closed = False
         self._segment: SegmentWriter | None = None  # the open step's
         self._sink: ByteSink | None = None
-        self._owns_pool = pool is None and parallel != "serial"
-        if self._owns_pool:
-            pool = WorkerPool(parallel, workers)
-        self._pool, self._max_pending = pool, max_pending
+        self._pool = pool
         try:
             self._sink = _open() if _open is not None else ByteSink(fileobj)
             if _resume is None:
@@ -193,7 +167,7 @@ class StreamingWriter:
                 resume_pos, self._steps = _resume
                 self._sink.truncate(resume_pos)
         except BaseException:
-            self.abort()  # releases an owned pool, not just the handle
+            self.abort()
             raise
         # End of the last durable prefix (header or last sealed step):
         # rollback_step() may truncate back to here, never past it.
@@ -211,9 +185,6 @@ class StreamingWriter:
         mode: str = "rel",
         fields: Sequence[str] | None = None,
         exclude_covered: bool = False,
-        parallel: str = "serial",
-        workers: int | None = 2,
-        max_pending: int | None = None,
         overwrite: bool = False,
         pool: WorkerPool | None = None,
         durability: str = "close",
@@ -232,9 +203,8 @@ class StreamingWriter:
         """
         return cls(
             None, codec, error_bound, mode=mode, fields=fields,
-            exclude_covered=exclude_covered, parallel=parallel,
-            workers=workers, max_pending=max_pending, pool=pool,
-            durability=durability, field_bounds=field_bounds,
+            exclude_covered=exclude_covered, pool=pool, durability=durability,
+            field_bounds=field_bounds,
             _open=lambda: ByteSink.create(
                 path, backend=backend, overwrite=overwrite, what="series object"
             ),
@@ -244,9 +214,6 @@ class StreamingWriter:
     def append_to(
         cls,
         path: str | Path,
-        parallel: str = "serial",
-        workers: int | None = 2,
-        max_pending: int | None = None,
         pool: WorkerPool | None = None,
         durability: str = "close",
         backend=None,
@@ -266,6 +233,7 @@ class StreamingWriter:
         most the step in flight (``tools/faultsim.py`` injects this as the
         ``append-resume`` class).
         """
+        check_pool(pool)  # before the series is read
         with SeriesReader.open(path, backend=backend) as reader:
             if getattr(reader, "is_sharded", False):
                 raise CompressionError(
@@ -282,9 +250,6 @@ class StreamingWriter:
             mode=str(meta["mode"]),
             fields=tuple(meta["fields"]) or None,
             exclude_covered=bool(meta["exclude_covered"]),
-            parallel=parallel,
-            workers=workers,
-            max_pending=max_pending,
             pool=pool,
             durability=durability,
             field_bounds=meta.get("field_bounds"),
@@ -401,7 +366,7 @@ class StreamingWriter:
         self._cur_step = n
         self._step_time = float(n) if time is None else float(time)
         with self._step_guard():
-            self._segment = SegmentWriter(self._sink, self._comp, self._pool, self._max_pending)
+            self._segment = SegmentWriter(self._sink, self._comp, self._pool)
         return n
 
     def add_patch(
@@ -586,13 +551,11 @@ class StreamingWriter:
         self.abort()
 
     def abort(self) -> None:
-        """Release the pool and the sink without finalizing the index. A
-        shared :class:`~repro.parallel.WorkerPool` and a borrowed file are
-        left running and open — their owners decide their lifetime."""
+        """Release the sink without finalizing the index. The caller's
+        :class:`~repro.parallel.WorkerPool` and a borrowed file are left
+        running and open — their owners decide their lifetime."""
         if self._closed:
             return
         self._closed = True
-        if self._owns_pool:
-            self._pool.close()
         if self._sink is not None:
             self._sink.close()

@@ -1,10 +1,10 @@
 """A persistent worker pool for ordered maps and pipelined tasks.
 
 AMR patches are independent (paper §3.3), so their compression is a pure
-map. :class:`WorkerPool` survives across maps and timesteps (every parallel
-entry point takes ``pool=``); its :meth:`~WorkerPool.map` preserves order and
-propagates worker exceptions, and :meth:`~WorkerPool.submit` feeds pipelined
-callers such as the segment writer.
+map. :class:`WorkerPool` survives across maps and timesteps (``pool=`` on
+every entry point; ``None`` runs inline); its :meth:`~WorkerPool.map`
+preserves order and propagates worker exceptions, and
+:meth:`~WorkerPool.submit` feeds pipelined callers such as the segment writer.
 
 ``"thread"`` is ONE background lane whatever ``workers`` says: it frees the
 calling thread (a solver, an event loop), and that is all it can do. On the
@@ -21,10 +21,10 @@ import os
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from repro.errors import ReproError
+from repro.errors import CompressionError, ReproError
 from repro.util.validation import check_int
 
-__all__ = ["WorkerPool", "EXECUTION_MODES", "check_workers"]
+__all__ = ["WorkerPool", "EXECUTION_MODES", "check_pool", "check_workers"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -40,15 +40,22 @@ def check_workers(workers) -> int | None:
     return None if workers is None else check_int("workers", workers, minimum=0)
 
 
+def check_pool(pool: "WorkerPool | None") -> None:
+    """Refuse a closed ``pool`` (``None``, inline, passes): every snapshot and
+    series entry point calls this before it reads or writes a byte."""
+    if pool is not None and pool.closed:
+        raise CompressionError("worker pool is closed")
+
+
 class WorkerPool:
     """A persistent, context-managed executor for repeated parallel maps.
 
     Parameters
     ----------
     mode:
-        ``"serial"`` (inline execution — a no-op pool, so call sites can
-        take a pool unconditionally), ``"thread"`` (one background lane:
-        no two tasks ever run at once), or ``"process"``.
+        ``"serial"`` (inline execution, as ``pool=None`` is), ``"thread"``
+        (one background lane: no two tasks ever run at once), or
+        ``"process"``.
     workers:
         Process count of a ``"process"`` pool; ``None``/``0`` means one per
         CPU core. Validated in every mode before any executor is built
@@ -93,7 +100,6 @@ class WorkerPool:
         else 1."""
         return self._workers
 
-    # kept: operator need: whether a pool has been closed
     @property
     def closed(self) -> bool:
         """Whether :meth:`close` has released the executor."""

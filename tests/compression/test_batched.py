@@ -38,6 +38,7 @@ from repro.compression.container import (
 from repro.compression.amr_codec import resolve_patch_codec
 from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError, FormatError
+from repro.parallel import WorkerPool
 
 
 def many_patch_hierarchy(
@@ -181,19 +182,19 @@ class TestBatchedDeterminism:
     def test_byte_identical_across_modes(self, hierarchy):
         """Serial, thread, and process execution produce identical grouped
         container bytes (acceptance criterion)."""
-        blobs = {
-            mode: compress_hierarchy(
-                hierarchy, "sz-lr", 1e-3, fields=["density"],
-                parallel=mode, workers=3,
-            ).tobytes()
-            for mode in ("serial", "thread", "process")
-        }
+        blobs = {}
+        for mode in ("serial", "thread", "process"):
+            with WorkerPool(mode, workers=3) as pool:
+                blobs[mode] = compress_hierarchy(
+                    hierarchy, "sz-lr", 1e-3, fields=["density"], pool=pool,
+                ).tobytes()
         assert blobs["serial"] == blobs["thread"] == blobs["process"]
 
     def test_select_identical_across_modes(self, grouped):
         base = grouped.select()
         for mode in ("thread", "process"):
-            other = grouped.select(parallel=mode, workers=3)
+            with WorkerPool(mode, workers=3) as pool:
+                other = grouped.select(pool=pool)
             assert set(base) == set(other)
             for key in base:
                 assert np.array_equal(base[key], other[key])
@@ -232,7 +233,8 @@ class TestGroupedContainer:
     def test_selection_process_mode(self, grouped):
         raw = grouped.tobytes()
         full = grouped.select()
-        out = decompress_selection(raw, patches=[0, 3], parallel="process", workers=2)
+        with WorkerPool("process", workers=2) as pool:
+            out = decompress_selection(raw, patches=[0, 3], pool=pool)
         for key, arr in out.items():
             assert np.array_equal(arr, full[key])
 
@@ -433,8 +435,6 @@ class TestGroupedBlockDecode:
 class TestPoolIntegration:
     @pytest.mark.parametrize("workers", [3, 8])
     def test_compress_hierarchy_with_pool(self, hierarchy, workers):
-        from repro.parallel import WorkerPool
-
         serial = compress_hierarchy(
             hierarchy, "sz-lr", 1e-3, fields=["density"]
         ).tobytes()
@@ -448,8 +448,6 @@ class TestPoolIntegration:
             assert not pool.closed
 
     def test_decompress_selection_with_pool(self, grouped):
-        from repro.parallel import WorkerPool
-
         raw = grouped.tobytes()
         base = decompress_selection(raw)
         with WorkerPool("thread", workers=2) as pool:
@@ -460,14 +458,12 @@ class TestPoolIntegration:
 
     def test_streaming_writer_shared_pool(self, hierarchy, tmp_path):
         """A shared WorkerPool pipelines the writer across steps and stays
-        open after close(); output matches the writer-owned-executor path
-        byte for byte."""
+        open after close(); output matches the inline writer byte for byte."""
         from repro.insitu.writer import StreamingWriter
-        from repro.parallel import WorkerPool
 
         own = tmp_path / "own.rph2s"
         shared = tmp_path / "shared.rph2s"
-        with StreamingWriter.create(own, "sz-lr", 1e-3, parallel="thread", workers=2) as w:
+        with StreamingWriter.create(own, "sz-lr", 1e-3) as w:
             w.append_step(hierarchy, time=0.0)
             w.append_step(hierarchy, time=1.0)
         with WorkerPool("thread", workers=2) as pool:
@@ -481,7 +477,6 @@ class TestPoolIntegration:
 
     def test_streaming_writer_rejects_closed_pool(self, tmp_path):
         from repro.insitu.writer import StreamingWriter
-        from repro.parallel import WorkerPool
 
         pool = WorkerPool("thread", workers=1)
         pool.close()

@@ -258,7 +258,6 @@ class TestOneErrorPath:
         "compress-plotfile {root}/plt -o {out} --parallel process",
         "extract {root}/run.rph2s -o {out} --parallel process",
         "stream --sim nyx --steps 1 -o {out} --parallel process",
-        "serve {root}/run.rph2s",
     ], ids=lambda command: command.split()[0])
     def test_a_negative_worker_count_is_one_line_and_exit_2(self, inputs, tmp_path, capsys, command):
         out = tmp_path / "out.bin"

@@ -16,8 +16,7 @@ from repro.compression.amr_codec import (
     decompress_hierarchy,
     decompress_selection,
 )
-from repro.errors import ReproError
-from repro.parallel import EXECUTION_MODES
+from repro.parallel import EXECUTION_MODES, WorkerPool
 
 MODES = list(EXECUTION_MODES)
 
@@ -27,18 +26,17 @@ class TestCompressDeterminism:
     def test_byte_identical_across_modes(self, sphere_hierarchy, codec):
         reference = compress_hierarchy(sphere_hierarchy, codec, 1e-3).tobytes()
         for mode in MODES:
-            raw = compress_hierarchy(
-                sphere_hierarchy, codec, 1e-3, parallel=mode, workers=3
-            ).tobytes()
+            with WorkerPool(mode, workers=3) as pool:
+                raw = compress_hierarchy(sphere_hierarchy, codec, 1e-3, pool=pool).tobytes()
             assert raw == reference, f"{mode} container differs from serial"
 
     def test_multi_patch_multi_field(self, multi_field_hierarchy):
-        blobs = {
-            mode: compress_hierarchy(
-                multi_field_hierarchy, "sz-lr", 1e-3, parallel=mode, workers=2
-            ).tobytes()
-            for mode in MODES
-        }
+        blobs = {}
+        for mode in MODES:
+            with WorkerPool(mode, workers=2) as pool:
+                blobs[mode] = compress_hierarchy(
+                    multi_field_hierarchy, "sz-lr", 1e-3, pool=pool
+                ).tobytes()
         assert blobs["serial"] == blobs["thread"] == blobs["process"]
 
     def test_exclude_covered_mode_independent(self, sphere_hierarchy):
@@ -46,10 +44,10 @@ class TestCompressDeterminism:
             sphere_hierarchy, "sz-lr", 1e-3, exclude_covered=True
         ).tobytes()
         for mode in ("thread", "process"):
-            raw = compress_hierarchy(
-                sphere_hierarchy, "sz-lr", 1e-3, exclude_covered=True,
-                parallel=mode, workers=2,
-            ).tobytes()
+            with WorkerPool(mode, workers=2) as pool:
+                raw = compress_hierarchy(
+                    sphere_hierarchy, "sz-lr", 1e-3, exclude_covered=True, pool=pool,
+                ).tobytes()
             assert raw == reference
 
 
@@ -60,15 +58,16 @@ class TestDecompressDeterminism:
             decompress_hierarchy(container, sphere_hierarchy), "f"
         )
         for mode in MODES:
-            out = decompress_hierarchy(
-                container, sphere_hierarchy, parallel=mode, workers=3
-            )
+            with WorkerPool(mode, workers=3) as pool:
+                out = decompress_hierarchy(container, sphere_hierarchy, pool=pool)
             assert np.array_equal(flatten_to_uniform(out, "f"), reference)
 
     def test_cross_mode_roundtrip(self, sphere_hierarchy):
         # decompress(compress(h)) must not care which mode did which half.
-        thread_c = compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, parallel="thread")
-        out = decompress_hierarchy(thread_c, sphere_hierarchy, parallel="process", workers=2)
+        with WorkerPool("thread") as pool:
+            thread_c = compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, pool=pool)
+        with WorkerPool("process", workers=2) as pool:
+            out = decompress_hierarchy(thread_c, sphere_hierarchy, pool=pool)
         serial_c = compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3)
         ref = decompress_hierarchy(serial_c, sphere_hierarchy)
         assert np.array_equal(
@@ -79,13 +78,8 @@ class TestDecompressDeterminism:
         raw = compress_hierarchy(multi_field_hierarchy, "sz-lr", 1e-3).tobytes()
         reference = decompress_selection(raw, levels=1, fields="a")
         for mode in MODES:
-            got = decompress_selection(raw, levels=1, fields="a", parallel=mode, workers=2)
+            with WorkerPool(mode, workers=2) as pool:
+                got = decompress_selection(raw, levels=1, fields="a", pool=pool)
             assert got.keys() == reference.keys()
             for key in reference:
                 assert np.array_equal(got[key], reference[key])
-
-
-class TestModeValidation:
-    def test_unknown_mode_rejected(self, sphere_hierarchy):
-        with pytest.raises(ReproError):
-            compress_hierarchy(sphere_hierarchy, "sz-lr", 1e-3, parallel="gpu")

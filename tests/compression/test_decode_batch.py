@@ -355,7 +355,8 @@ class TestDecompressBatchAgainstTheScalarLoop:
         reference = decompress_selection(raw)
         assert reference.keys() == {e.key for e in ContainerReader(raw).entries}
         for workers in (2, 3):
-            got = decompress_selection(raw, parallel=mode, workers=workers)
+            with WorkerPool(mode, workers=workers) as pool:
+                got = decompress_selection(raw, pool=pool)
             assert_same([got[k] for k in reference], list(reference.values()))
         with WorkerPool(mode, workers=pool_workers) as pool:
             got = container.select(pool=pool)

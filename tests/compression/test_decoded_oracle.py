@@ -25,6 +25,7 @@ from repro.compression import amr_codec
 from repro.compression.amr_codec import compress_hierarchy
 from repro.insitu import StreamingWriter
 from repro.insitu.series import SeriesReader
+from repro.parallel import WorkerPool
 from repro.storage import LocalFileBackend, MemoryBackend
 from tests.compression.test_stacked import many_patch_hierarchy
 
@@ -87,7 +88,9 @@ def test_snapshot(steps, monkeypatch, codec, batch, cut):
 def test_series_segments_are_the_batch_containers(steps, tmp_path, monkeypatch, codec, cut, backend):
     monkeypatch.setattr(amr_codec, "RUN_CELL_BUDGET", cut)
     store = _backend(backend, tmp_path)
-    with StreamingWriter.create("s.rph2s", codec, EB, parallel="thread", backend=store) as writer:
+    with WorkerPool("thread") as pool, StreamingWriter.create(
+        "s.rph2s", codec, EB, pool=pool, backend=store
+    ) as writer:
         for hierarchy in steps:
             writer.append_step(hierarchy)
     assert _decoded_digest(_select("s.rph2s", store)) == DIGESTS[f"series:{codec}:patch"]

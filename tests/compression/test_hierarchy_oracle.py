@@ -49,6 +49,7 @@ from repro.compression.container import (
     pack_header,
 )
 from repro.errors import CompressionError, FormatError
+from repro.parallel import WorkerPool
 from repro.storage import ByteSource
 
 
@@ -183,8 +184,6 @@ class StreamModel:
         fields=None,
         patches=None,
         verify: bool = True,
-        parallel: str = "serial",
-        workers: int = 2,
         pool=None,
         *,
         steps=None,
@@ -192,14 +191,14 @@ class StreamModel:
         """Decompress a subset of in-memory streams."""
         _reject_steps(steps)
         wanted = _key_filter(levels, fields, patches)
-        copy = parallel == "process" or (pool is not None and pool.mode == "process")
+        copy = pool is not None and pool.mode == "process"
         members = []
         for lev_idx, field, p_idx, blob in _iter_streams(self.streams):
             if wanted(key := (lev_idx, field, p_idx)):
                 gid, member = self.stream_groups.get(key, (None, None))
                 shared = None if gid is None else self._group_handle(gid).shared(member, copy=copy)
                 members.append((key, self.codec, blob, shared))
-        arrays = _decode_selection(members, parallel, workers, pool)
+        arrays = _decode_selection(members, pool)
         return {member[0]: arr for member, arr in zip(members, arrays)}
 
     @classmethod
@@ -238,8 +237,7 @@ class StreamModel:
 
 
 def oracle_decompress_hierarchy(
-    container, template: AMRHierarchy, restore: str = "none",
-    parallel: str = "serial", workers: int = 2, pool=None,
+    container, template: AMRHierarchy, restore: str = "none", pool=None,
 ) -> AMRHierarchy:
     """Rebuild a hierarchy from compressed streams."""
     if restore not in ("none", "average_down"):
@@ -247,7 +245,7 @@ def oracle_decompress_hierarchy(
     decoded = container.select(
         levels=range(template.n_levels),
         fields=[name for name in template.field_names if name in container.fields],
-        parallel=parallel, workers=workers, pool=pool,
+        pool=pool,
     )
     new_levels = []
     for lev_idx, lev in enumerate(template):
@@ -370,19 +368,20 @@ def test_reader_is_the_stream_model(hierarchy, options, selectors, parallel):
         stored + sum(map(len, model.groups)))
     # (a) every selection decodes to the stream model's arrays
     levels, fields, patches = selectors
-    want = _outcome(lambda: model.select(levels, fields, patches, parallel=parallel))
-    for reader in (held, parsed):
-        _same_outcome(
-            _outcome(lambda: reader.select(levels, fields, patches, parallel=parallel)),
-            want,
-        )
-    for restore in ("none", "average_down"):
-        got = decompress_hierarchy(held, hierarchy, restore=restore, parallel=parallel)
-        ref = oracle_decompress_hierarchy(model, hierarchy, restore=restore, parallel=parallel)
-        for lev_got, lev_ref in zip(got, ref):
-            for name in hierarchy.field_names:
-                for p, q in zip(lev_got.patches(name), lev_ref.patches(name)):
-                    assert p.data.tobytes() == q.data.tobytes()
+    with WorkerPool(parallel) as pool:
+        want = _outcome(lambda: model.select(levels, fields, patches, pool=pool))
+        for reader in (held, parsed):
+            _same_outcome(
+                _outcome(lambda: reader.select(levels, fields, patches, pool=pool)),
+                want,
+            )
+        for restore in ("none", "average_down"):
+            got = decompress_hierarchy(held, hierarchy, restore=restore, pool=pool)
+            ref = oracle_decompress_hierarchy(model, hierarchy, restore=restore, pool=pool)
+            for lev_got, lev_ref in zip(got, ref):
+                for name in hierarchy.field_names:
+                    for p, q in zip(lev_got.patches(name), lev_ref.patches(name)):
+                        assert p.data.tobytes() == q.data.tobytes()
 
 
 @pytest.mark.parametrize("batch", ["patch", "level"])
@@ -390,6 +389,6 @@ def test_process_pool_selection_is_the_stream_model(batch):
     hierarchy = small_hierarchy(3, {0: True, 2: False}, seed=7)
     held = compress_hierarchy(hierarchy, "sz-lr", 1e-3, batch=batch, exclude_covered=True)
     model = StreamModel.fromreader(ContainerReader(held.tobytes()))
-    for selectors in ((None, None, None), (1, "b", [0, 2])):
-        _same_arrays(held.select(*selectors, parallel="process", workers=2),
-                     model.select(*selectors, parallel="process", workers=2))
+    with WorkerPool("process", workers=2) as pool:
+        for selectors in ((None, None, None), (1, "b", [0, 2])):
+            _same_arrays(held.select(*selectors, pool=pool), model.select(*selectors, pool=pool))

@@ -100,8 +100,9 @@ class TestRoundtrip:
         steps = make_steps(2)
         a = tmp_path / "serial.rph2s"
         b = tmp_path / "thread.rph2s"
-        write_series(a, steps, parallel="serial")
-        write_series(b, steps, parallel="thread", workers=3)
+        write_series(a, steps)
+        with WorkerPool("thread", workers=3) as pool:
+            write_series(b, steps, pool=pool)
         assert a.read_bytes() == b.read_bytes()
 
     def test_exclude_covered_matches_batch(self, tmp_path):
@@ -180,8 +181,10 @@ class TestStepProtocol:
 
     def test_append_to_bad_args_preserve_series(self, series_path):
         before = series_path.read_bytes()
-        with pytest.raises(CompressionError, match="unknown execution mode"):
-            StreamingWriter.append_to(series_path, parallel="bogus")
+        pool = WorkerPool("thread")
+        pool.close()
+        with pytest.raises(CompressionError, match="worker pool is closed"):
+            StreamingWriter.append_to(series_path, pool=pool)
         # A rejected append must not destroy a valid series.
         assert series_path.read_bytes() == before
         with open_series(series_path) as reader:

@@ -269,11 +269,11 @@ def hierarchy():
 class TestFilesIdentical:
     @pytest.mark.parametrize("case", sorted(FILE_CASES))
     def test_compress_hierarchy_patch_mode(self, hierarchy, case):
-        blobs = {
-            mode: compress_hierarchy(hierarchy, "sz-lr", 1e-3, parallel=mode, workers=2,
-                                     **FILE_CASES[case]).tobytes()
-            for mode in ("serial", "thread", "process")
-        }
+        blobs = {}
+        for mode in ("serial", "thread", "process"):
+            with WorkerPool(mode, workers=2) as pool:
+                blobs[mode] = compress_hierarchy(hierarchy, "sz-lr", 1e-3, pool=pool,
+                                                 **FILE_CASES[case]).tobytes()
         assert blobs["serial"] == blobs["thread"] == blobs["process"]
         assert _digest([blobs["serial"]]) == DIGESTS[f"container:{case}"]
 
@@ -281,15 +281,16 @@ class TestFilesIdentical:
     def test_write_series(self, hierarchy, tmp_path, case):
         raws = []
         for mode in ("serial", "thread", "process"):
-            path = write_series(tmp_path / f"{mode}.rph2s", [hierarchy, hierarchy],
-                                error_bound=1e-3, parallel=mode, **FILE_CASES[case])
+            with WorkerPool(mode, workers=2) as pool:
+                path = write_series(tmp_path / f"{mode}.rph2s", [hierarchy, hierarchy],
+                                    error_bound=1e-3, pool=pool, **FILE_CASES[case])
             raws.append(path.read_bytes())
         assert raws[0] == raws[1] == raws[2]
         assert _digest([raws[0]]) == DIGESTS[f"series:{case}"]
 
     def test_series_segment_is_the_batch_container(self, hierarchy, tmp_path):
-        path = write_series(tmp_path / "s.rph2s", [hierarchy], error_bound=1e-3,
-                            parallel="thread")
+        with WorkerPool("thread") as pool:
+            path = write_series(tmp_path / "s.rph2s", [hierarchy], error_bound=1e-3, pool=pool)
         container = compress_hierarchy(hierarchy, "sz-lr", 1e-3).tobytes()
         assert container in path.read_bytes()
 

@@ -24,6 +24,7 @@ from repro.compression.sz_interp import SZInterp
 from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError, DecompressionError, FormatError
 from repro.insitu import SeriesReader
+from repro.parallel import WorkerPool
 from tests.conftest import make_sphere_hierarchy
 
 
@@ -154,7 +155,8 @@ class TestContainerMmap:
     def test_thread_parallel_on_mapping(self, container_path):
         with ContainerReader.open(container_path, mmap=True) as r:
             serial = r.select()
-            threaded = r.select(parallel="thread", workers=2)
+            with WorkerPool("thread") as pool:
+                threaded = r.select(pool=pool)
         for key in serial:
             assert np.array_equal(serial[key], threaded[key])
 

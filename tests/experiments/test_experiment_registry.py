@@ -12,6 +12,7 @@ import importlib
 import json
 import runpy
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.experiments.registry import (
     resolve,
     round_sig,
     run_experiment,
+    validate_artifact,
 )
 
 load_all()
@@ -47,22 +49,19 @@ def test_entry_runs_quick_and_emits_schema_valid_artifact(name, tmp_path):
     # The artifact exists, parses, and passes the shared schema validator.
     assert result.artifact == tmp_path / f"BENCH_{name}.json"
     doc = json.loads(result.artifact.read_text())
-    from repro.experiments.registry import _perf_harness
-
-    _perf_harness().validate_artifact(doc)
+    validate_artifact(doc)
     assert doc["bench"] == name
     assert doc["scale"] == spec.quick_scale
     # Deterministic artifacts never carry the RSS annotation.
     assert "peak_rss_mb" not in doc
 
 
-def test_tolerance_schema_follows_the_metric_direction():
+def test_tolerance_schema_follows_the_metric_direction(monkeypatch):
     """A lower-is-better metric can regress by more than 100 %, a
     higher-is-better one cannot; ``record`` applies the artifact's own
     check, so a bad value fails where it is written."""
-    from repro.experiments.registry import _perf_harness
-
-    harness = _perf_harness()
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[2] / "benchmarks"))
+    harness = importlib.import_module("perf_harness")
 
     def doc(tolerance, higher_is_better):
         entry = {"value": 1.0, "unit": "ms", "higher_is_better": higher_is_better,
@@ -70,14 +69,14 @@ def test_tolerance_schema_follows_the_metric_direction():
         return {"bench": "b", "scale": 0.25, "metrics": {"m": entry}}
 
     for tolerance, higher in [(3.0, False), (0.25, False), (1.0, True), (0.9, True)]:
-        harness.validate_artifact(doc(tolerance, higher))
+        validate_artifact(doc(tolerance, higher))
         harness.record("tolerance_schema_probe", "m", 1.0, "ms", higher, tolerance)
     bad = [(3.0, True), (0.0, False), (-1.0, False), (float("inf"), False),
            (float("nan"), False), (True, False), ("0.5", True)]
     try:
         for tolerance, higher in bad:
             with pytest.raises(ValueError, match="tolerance"):
-                harness.validate_artifact(doc(tolerance, higher))
+                validate_artifact(doc(tolerance, higher))
             with pytest.raises(ValueError, match="tolerance"):
                 harness.record("tolerance_schema_probe", "m", 1.0, "ms", higher, tolerance)
     finally:

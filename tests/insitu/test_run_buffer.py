@@ -16,6 +16,7 @@ import pytest
 
 from repro.amr.io import open_series
 from repro.amr.patch import Patch
+from repro.compression import amr_codec
 from repro.errors import CompressionError
 from repro.insitu import ShardedSeriesWriter, StreamingWriter
 from repro.parallel import WorkerPool
@@ -49,17 +50,17 @@ class TestOwnership:
             w.end_step()
         _assert_stored(path, originals)
 
-    def test_pool_source_reused_before_the_worker_runs(self, tmp_path):
+    def test_pool_source_reused_before_the_worker_runs(self, tmp_path, monkeypatch):
         """Fails at the parent commit: the queued task held a view of the
         caller's buffer and stored the overwritten values (max error 7)."""
+        monkeypatch.setattr(amr_codec, "RUNS_PER_LANE", 64)  # nothing drains early
         originals = _patches()
         path = tmp_path / "p.rph2s"
         gate = threading.Event()
         with WorkerPool("thread", workers=1) as pool:
             blocker = pool.submit(gate.wait, 30)  # the single worker is busy
             try:
-                with StreamingWriter.create(path, "sz-lr", EB, mode="abs", pool=pool,
-                                            max_pending=64) as w:
+                with StreamingWriter.create(path, "sz-lr", EB, mode="abs", pool=pool) as w:
                     w.begin_step()
                     for arr in originals:
                         scratch = arr.copy()

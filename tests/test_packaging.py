@@ -6,6 +6,9 @@ version without importing it."""
 from __future__ import annotations
 
 import ast
+import json
+import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,9 +29,7 @@ def _third_party_imports() -> set[str]:
             else:
                 continue
             found.update(name.partition(".")[0] for name in names)
-    # benchmarks/perf_harness.py is the repo's own, loaded by path
-    local = {p.stem for p in (REPO / "benchmarks").glob("*.py")}
-    return found - set(sys.stdlib_module_names) - local - {"repro", "__future__"}
+    return found - set(sys.stdlib_module_names) - {"repro", "__future__"}
 
 
 def _setup_keywords() -> dict:
@@ -53,3 +54,28 @@ def test_setup_reports_the_package_version():
     out = subprocess.run([sys.executable, "setup.py", "--version"], cwd=REPO,
                          capture_output=True, text=True, check=True).stdout
     assert out.split()[-1] == repro.__version__ == "1.0.0"
+
+
+def test_the_registry_runs_from_a_copy_of_the_package_alone(tmp_path):
+    """``repro`` needs nothing of the checkout: a copy of ``src/repro``
+    outside it imports every module, lists the registry and runs and
+    writes an experiment."""
+    shutil.copytree(REPO / "src" / "repro", tmp_path / "site" / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(tmp_path / "site")}
+
+    def run(*args: str) -> str:
+        proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    imported = run("-c", "import importlib, pkgutil, repro\n"
+                   "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+                   "    importlib.import_module(m.name)\n"
+                   "print(repro.__file__)")
+    assert imported.strip() == str(tmp_path / "site" / "repro" / "__init__.py")
+    assert "table1" in run("-m", "repro.experiments", "list")
+    run("-m", "repro.experiments", "run", "table1", "--quick", "--out", str(tmp_path / "out"))
+    doc = json.loads((tmp_path / "out" / "BENCH_table1.json").read_text())
+    assert doc["bench"] == "table1" and doc["metrics"]
