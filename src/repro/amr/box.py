@@ -96,7 +96,7 @@ class Box:
         self._check_dim(other)
         return all(sl <= ol and oh <= sh for sl, ol, oh, sh in zip(self.lo, other.lo, other.hi, self.hi))
 
-    # kept: the pairwise oracle tests/amr/test_disjoint_oracle.py checks is_disjoint against
+    # kept: the pairwise oracle tests/oracles/test_disjoint_oracle.py checks is_disjoint against
     def intersects(self, other: "Box") -> bool:
         """Whether the two boxes share at least one cell."""
         self._check_dim(other)
@@ -142,7 +142,7 @@ class Box:
             tuple(fdiv(h, v) for h, v in zip(self.hi, r)),
         )
 
-    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/amr/test_regrid_oracle.py) shifts boxes
+    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/oracles/test_regrid_oracle.py) shifts boxes
     def shift(self, offset: Sequence[int]) -> "Box":
         """Translate by an integer offset."""
         off = as_tuple(offset, self.ndim, "offset")
@@ -164,7 +164,7 @@ class Box:
         org = tuple(int(v) for v in origin) if origin is not None else (0,) * self.ndim
         return tuple(slice(l - o, h - o + 1) for l, o, h in zip(self.lo, org, self.hi))
 
-    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/amr/test_regrid_oracle.py) splits boxes
+    # kept: AMReX box calculus; the per-visit clustering kept as the regrid's oracle (tests/oracles/test_regrid_oracle.py) splits boxes
     def split(self, axis: int, index: int) -> tuple["Box", "Box"]:
         """Split into two boxes along ``axis`` at cell ``index``.
 

@@ -48,7 +48,7 @@ from repro.compression.base import StreamReader
 from repro.compression.registry import available_codecs, decompress_any, make_codec
 from repro.errors import CompressionError, FormatError, ReproError
 from repro.insitu.writer import DURABILITY_MODES
-from repro.parallel.pool import EXECUTION_MODES, WorkerPool
+from repro.parallel.pool import EXECUTION_MODES, WorkerPool, check_workers
 
 __all__ = ["main"]
 
@@ -337,15 +337,22 @@ def _cmd_stream(args) -> int:
     if args.shards > 1:
         from repro.insitu.sharded import ShardedSeriesWriter
 
+        check_workers(args.workers)
+        if args.parallel == "process":
+            raise CompressionError(
+                "--parallel process cannot drive a sharded campaign; "
+                "pass serial or thread with --shards > 1"
+            )
         with ShardedSeriesWriter.create(
             out, args.codec, args.eb, mode=args.mode, n_shards=args.shards,
             fields=fields, exclude_covered=args.exclude_covered,
-            overwrite=args.overwrite, durability=args.durability,
+            overwrite=args.overwrite, parallel=args.parallel,
+            durability=args.durability,
         ) as writer:
-            for hierarchy, time, step in step_source():
-                n = writer.append_step(hierarchy, time=time, step=step)
-                print(f"  step {n} -> shard "
-                      f"{Path(writer.shards[writer._route[n]]).name}")
+            for i, (hierarchy, time, step) in enumerate(step_source()):
+                shard = i % args.shards  # the writer's own round-robin, pinned
+                n = writer.append_step(hierarchy, time=time, step=step, shard=shard)
+                print(f"  step {n} -> shard {Path(writer.shards[shard]).name}")
             n_steps = writer.n_steps
         print(f"{out}: {n_steps} steps across {args.shards} shards")
         return 0

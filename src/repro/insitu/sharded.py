@@ -498,7 +498,6 @@ class ShardedSeriesWriter:
         """Number of shard files this campaign fans out across."""
         return len(self._writers)
 
-    # kept: operator need: a campaign's step count
     @property
     def n_steps(self) -> int:
         """Steps submitted so far: in flight, sealed or failed, either mode."""

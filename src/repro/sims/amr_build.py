@@ -110,12 +110,19 @@ def calibrated_boxes(
     # (pass, quantile cut, floor error); the cut, not the mask, is kept
     # so that set-aside passes hold no domain-sized arrays.
     set_aside: list[tuple[int, float, float]] = []
+    # Two cuts can tag the same cells (a coarse score has few distinct
+    # quantiles): each distinct mask is clustered once per call, keyed by
+    # its packed bits (one bit a cell, not a domain-sized array).
+    clustered: dict[bytes, tuple[BoxArray, float]] = {}
 
     def cluster(tags: np.ndarray) -> tuple[BoxArray, float]:
         """The pass's boxes and the share of the domain they cover."""
-        # Clustered boxes are disjoint and inside the mask's domain.
-        boxes = cluster_tags(tags, efficiency=efficiency, blocking_factor=blocking_factor)
-        return boxes, sum(b.size for b in boxes) / domain.size
+        key = np.packbits(tags).tobytes()
+        if key not in clustered:
+            # Clustered boxes are disjoint and inside the mask's domain.
+            boxes = cluster_tags(tags, efficiency=efficiency, blocking_factor=blocking_factor)
+            clustered[key] = boxes, sum(b.size for b in boxes) / domain.size
+        return clustered[key]
 
     for i in range(max_iter):
         frac = 0.5 * (lo_q + hi_q)

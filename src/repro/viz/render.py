@@ -10,8 +10,9 @@ grayscale images deterministically:
   Python loop. Every candidate gets the inside test; only the samples
   inside get a pixel id, a depth and a face index.
 
-What decides a pixel is contract (``tests/viz/test_render.py`` keeps the
-one-candidate-at-a-time algorithm as the oracle and compares bytes):
+What decides a pixel is contract (``tests/oracles/test_render_oracle.py``
+compares bytes with the one-candidate-at-a-time algorithm, kept as the
+oracle in ``tests/oracles/common.py``):
 
 * **Candidates.** Pixel centres are the integers. A face's candidates are
   the integers of ``[ceil(min - pad), floor(max + pad)]`` per image axis,

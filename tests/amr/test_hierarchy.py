@@ -8,7 +8,7 @@ import pytest
 from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
 from repro.errors import HierarchyError
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 def _level(index: int, boxes: BoxArray, dx: float, fields=("f",), value: float = 0.0):

@@ -7,7 +7,7 @@ import pytest
 from repro.amr import campaign_cost, snapshot_bytes
 from repro.errors import ReproError
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 class TestSnapshotBytes:

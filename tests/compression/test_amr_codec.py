@@ -20,20 +20,8 @@ from repro.compression.amr_codec import (
 from repro.compression.base import StreamReader
 from repro.compression.container import ContainerReader
 from repro.errors import CompressionError
-from tests.conftest import make_sphere_hierarchy
-
-
-class CountingBytesIO(io.BytesIO):
-    """BytesIO that tallies how many payload bytes are actually read."""
-
-    def __init__(self, raw: bytes):
-        super().__init__(raw)
-        self.bytes_read = 0
-
-    def read(self, size=-1):
-        out = super().read(size)
-        self.bytes_read += len(out)
-        return out
+from tests.conftest import CountingBytesIO
+from tests.strategies import make_sphere_hierarchy
 
 
 class TestRoundtrip:

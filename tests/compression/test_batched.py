@@ -31,7 +31,6 @@ from repro.compression.amr_codec import (
 )
 from repro.compression.base import GROUPED_STAGE, SharedEntropy, StreamReader
 from repro.compression.container import (
-    GROUP_MAGIC,
     ContainerReader,
     pack_group,
 )
@@ -40,35 +39,12 @@ from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError, FormatError
 from repro.parallel import WorkerPool
 
-
-def many_patch_hierarchy(
-    n_patches: tuple[int, int, int] = (3, 3, 2),
-    ps: int = 16,
-    sigma: float = 0.05,
-    seed: int = 0,
-    field: str = "density",
-) -> AMRHierarchy:
-    """Single-level hierarchy tiled with ``ps``-cube patches."""
-    rng = np.random.default_rng(seed)
-    nx, ny, nz = n_patches
-    grids = np.meshgrid(*[np.linspace(0.0, 1.0, ps)] * 3, indexing="ij")
-    base = np.sin(6 * grids[0]) * np.cos(5 * grids[1]) + grids[2] ** 2
-    boxes, patches = [], []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                box = Box.from_shape((ps,) * 3, lo=(i * ps, j * ps, k * ps))
-                boxes.append(box)
-                data = base + sigma * rng.standard_normal((ps,) * 3) + 0.1 * (i + j + k)
-                patches.append(Patch(box, data))
-    level = AMRLevel(0, BoxArray(boxes), (1.0,) * 3, {field: patches})
-    domain = Box.from_shape((nx * ps, ny * ps, nz * ps))
-    return AMRHierarchy(domain, [level], 2)
+from tests.strategies import many_patch_hierarchy, tiled_hierarchy
 
 
 @pytest.fixture(scope="module")
 def hierarchy():
-    return many_patch_hierarchy()
+    return tiled_hierarchy()
 
 
 @pytest.fixture(scope="module", params=["sz-lr", "sz-interp"])
@@ -101,8 +77,6 @@ class TestBatchedEquivalence:
     def test_level_writes_the_patch_container(self, name, exclude_covered):
         """``batch="level"`` no longer selects a path: it writes the bytes of
         ``batch="patch"`` for every codec."""
-        from tests.compression.test_stacked import many_patch_hierarchy
-
         h = many_patch_hierarchy()
         level, patch = (
             compress_hierarchy(h, name, 1e-3, batch=batch, exclude_covered=exclude_covered)
@@ -176,28 +150,6 @@ class TestBatchedEquivalence:
         for p_idx, patch in enumerate(patches):
             eb = 1e-3 * (patch.data.max() - patch.data.min())
             assert np.abs(dec[(0, "f", p_idx)] - patch.data).max() <= eb * (1 + 1e-12)
-
-
-class TestBatchedDeterminism:
-    def test_byte_identical_across_modes(self, hierarchy):
-        """Serial, thread, and process execution produce identical grouped
-        container bytes (acceptance criterion)."""
-        blobs = {}
-        for mode in ("serial", "thread", "process"):
-            with WorkerPool(mode, workers=3) as pool:
-                blobs[mode] = compress_hierarchy(
-                    hierarchy, "sz-lr", 1e-3, fields=["density"], pool=pool,
-                ).tobytes()
-        assert blobs["serial"] == blobs["thread"] == blobs["process"]
-
-    def test_select_identical_across_modes(self, grouped):
-        base = grouped.select()
-        for mode in ("thread", "process"):
-            with WorkerPool(mode, workers=3) as pool:
-                other = grouped.select(pool=pool)
-            assert set(base) == set(other)
-            for key in base:
-                assert np.array_equal(base[key], other[key])
 
 
 class TestGroupedContainer:

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.amr import write_plotfile
 from repro.compression.__main__ import main
+from repro.insitu.sharded import ShardedSeriesWriter
+
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 
 @pytest.fixture
@@ -128,13 +132,10 @@ class TestContainerCommands:
 
 class TestSeriesCommands:
     @pytest.fixture
-    def plotfile_steps(self, sphere_hierarchy, tmp_path):
+    def plotfile_steps(self, tmp_path):
         """Three plotfile directories, one per timestep."""
-        dirs = []
-        for i in range(3):
-            h = sphere_hierarchy.map_fields(lambda lev, name, d, i=i: d * (1 + 0.5 * i))
-            dirs.append(str(write_plotfile(tmp_path / f"plt_{i:04d}", h)))
-        return dirs
+        return [str(write_plotfile(tmp_path / f"plt_{i:04d}", h))
+                for i, h in enumerate(scaled_steps(3, step=0.5, cells=16))]
 
     @pytest.fixture
     def series_file(self, plotfile_steps, tmp_path):
@@ -183,6 +184,43 @@ class TestSeriesCommands:
                 "step00001_level0_f_patch00000",
             ]
 
+    def test_sharded_stream_names_each_steps_shard(self, plotfile_steps, tmp_path, capsys):
+        out = tmp_path / "camp.rphm"
+        assert main(["stream", *plotfile_steps, "-o", str(out), "--shards", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"  step {n} -> shard camp.shard00{n % 2}.rph2s" for n in range(3)
+        ] + [f"{out}: 3 steps across 2 shards"]
+        with repro.open(out) as reader:
+            assert [reader.shard_of(n)[-14:] for n in range(3)] == [
+                "shard000.rph2s", "shard001.rph2s", "shard000.rph2s"]
+
+    def test_sharded_stream_runs_on_the_lane_it_is_given(self, plotfile_steps, tmp_path, monkeypatch):
+        modes, create = [], ShardedSeriesWriter.create.__func__
+        monkeypatch.setattr(ShardedSeriesWriter, "create", classmethod(
+            lambda cls, *a, **kw: modes.append(kw["parallel"]) or create(cls, *a, **kw)))
+        for mode in ("serial", "thread"):
+            (tmp_path / mode).mkdir()
+            assert main(["stream", *plotfile_steps, "-o", str(tmp_path / mode / "camp.rphm"),
+                         "--shards", "2", "--parallel", mode]) == 0
+        serial, thread = (sorted((tmp_path / m).iterdir()) for m in modes)
+        assert modes == ["serial", "thread"]
+        assert [p.read_bytes() for p in serial] == [p.read_bytes() for p in thread]
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--parallel", "process"], "--parallel process cannot drive a sharded campaign; "
+                                    "pass serial or thread with --shards > 1"),
+        (["--workers", "-1"], "workers must be >= 0, got -1"),
+        (["--parallel", "thread", "--workers", "-1"], "workers must be >= 0, got -1"),
+    ], ids=["process", "workers", "thread-workers"])
+    def test_sharded_stream_refusals_are_one_line_and_write_nothing(
+            self, plotfile_steps, tmp_path, capsys, extra, message):
+        out = tmp_path / "camp" / "camp.rphm"
+        out.parent.mkdir()
+        capsys.readouterr()
+        assert main(["stream", *plotfile_steps, "-o", str(out), "--shards", "2", *extra]) == 2
+        assert capsys.readouterr() == ("", f"stream: {message}\n")
+        assert list(out.parent.iterdir()) == []
+
     def test_inspect_empty_series(self, tmp_path, capsys):
         from repro.insitu import StreamingWriter
 
@@ -208,8 +246,6 @@ class TestOneErrorPath:
         from repro.amr.io import write_container, write_series
         from repro.compression import SZLR
         from repro.compression.amr_codec import compress_hierarchy
-        from tests.conftest import make_sphere_hierarchy
-
         root = tmp_path_factory.mktemp("cli-errors")
         h = make_sphere_hierarchy(8)
         write_container(root / "snap.rprh", compress_hierarchy(h, "sz-lr", 1e-3))
@@ -276,8 +312,6 @@ class TestOneErrorPath:
 
     def test_repair_does_not_blame_parity_for_a_non_campaign(self, inputs, tmp_path, capsys):
         from repro.amr.io import write_sharded_series
-        from tests.conftest import make_sphere_hierarchy
-
         assert main(["repair", str(inputs / "missing.bin")]) == 2
         assert "cannot open" in capsys.readouterr().err
         assert main(["repair", str(inputs / "junk.bin")]) == 2

@@ -27,7 +27,7 @@ from repro.errors import CompressionError, FormatError, ReproError
 
 @pytest.fixture(scope="module")
 def container_raw():
-    from tests.conftest import make_sphere_hierarchy
+    from tests.strategies import make_sphere_hierarchy
 
     h = make_sphere_hierarchy()
     return compress_hierarchy(h, "sz-lr", 1e-3).tobytes()

@@ -29,24 +29,16 @@ from repro.compression.container import ContainerReader
 from repro.errors import CompressionError, FormatError
 from repro.insitu import SeriesReader, StreamingWriter
 from repro.parallel import WorkerPool
-from tests.conftest import make_sphere_hierarchy
+from tests.conftest import CountingBytesIO
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 _FOOTER = struct.Struct("<QQI8s")
-
-
-def make_steps(n: int = 3):
-    """n small two-level hierarchies with step-dependent data."""
-    base = make_sphere_hierarchy(8)
-    return [
-        base.map_fields(lambda lev, name, d, i=i: d * (1.0 + 0.25 * i))
-        for i in range(n)
-    ]
 
 
 @pytest.fixture()
 def series_path(tmp_path):
     path = tmp_path / "run.rph2s"
-    write_series(path, make_steps(3), codec="sz-lr", error_bound=1e-3)
+    write_series(path, scaled_steps(3), codec="sz-lr", error_bound=1e-3)
     return path
 
 
@@ -64,20 +56,9 @@ def _join(payload: bytes, index_bytes: bytes) -> bytes:
     )
 
 
-class CountingBytesIO(io.BytesIO):
-    def __init__(self, raw: bytes):
-        super().__init__(raw)
-        self.bytes_read = 0
-
-    def read(self, size=-1):
-        out = super().read(size)
-        self.bytes_read += len(out)
-        return out
-
-
 class TestRoundtrip:
     def test_streamed_series_reads_back(self, series_path):
-        steps = make_steps(3)
+        steps = scaled_steps(3)
         with open_series(series_path) as reader:
             assert reader.steps == (0, 1, 2)
             assert reader.fields == ("f",)
@@ -91,13 +72,13 @@ class TestRoundtrip:
     def test_segments_byte_identical_to_batch(self, series_path):
         raw = series_path.read_bytes()
         with open_series(series_path) as reader:
-            for i, h in enumerate(make_steps(3)):
+            for i, h in enumerate(scaled_steps(3)):
                 batch = compress_hierarchy(h, "sz-lr", 1e-3).tobytes()
                 e = reader.entry(i)
                 assert raw[e.offset : e.offset + e.length] == batch
 
     def test_parallel_modes_byte_identical(self, tmp_path):
-        steps = make_steps(2)
+        steps = scaled_steps(2)
         a = tmp_path / "serial.rph2s"
         b = tmp_path / "thread.rph2s"
         write_series(a, steps)
@@ -217,7 +198,7 @@ class TestStepProtocol:
         assert w._closed and w._sink.closed
 
     def test_append_to_extends_series(self, series_path):
-        h = make_steps(1)[0]
+        h = scaled_steps(1)[0]
         entry = append_step(series_path, h, time=7.5)
         assert entry.step == 3 and entry.time == 7.5
         with open_series(series_path) as reader:
@@ -257,7 +238,7 @@ class TestSelection:
                 self.maps += 1
                 return super().map(fn, items)
 
-        steps = make_steps(3)
+        steps = scaled_steps(3)
         if kind == "snapshot":
             snapshot = compress_hierarchy(steps[0], "sz-lr", 1e-3)
             path = write_container(tmp_path / "snap.rprh", snapshot)

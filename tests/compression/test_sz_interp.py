@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import struct
 
@@ -185,42 +184,3 @@ class TestValidation:
             codec.decompress(writer.tobytes())
 
 
-class TestOnePassBytes:
-    """``compress`` is the one-member case of the run path. ``DIGEST`` pins,
-    over 96 cases (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages),
-    ``compress``'s streams — unchanged since they were two separate loops —
-    and ``compress_batch``'s codebook, payloads and streams of a run of
-    three same-shape members: one stacked pass under one shared codebook,
-    its grouped payloads under the 1-bit DEFLATE rule
-    (``repro.compression.base._wrap_grouped``)."""
-
-    SHAPES = [(1, 1, 1), (2, 3, 4), (5,), (8, 8, 8), (9, 7, 5), (16, 16), (17, 1, 3),
-              (33, 33)]
-    DIGEST = "694855f50839dadf6d960bfbbf1b401f4c7ead8cc7482eab9878b0aec64618ba"
-
-    def test_digest_battery(self):
-        h = hashlib.sha256()
-        rng = np.random.default_rng(20261001)
-        for shape in self.SHAPES:
-            base = rng.standard_normal((3, *shape)).cumsum(axis=-1)
-            for dtype in (np.float32, np.float64):
-                stack = base.astype(dtype)
-                for eb in (1e-1, 1e-3, 1e-5):
-                    for entropy in ("huffman", "deflate"):
-                        codec = SZInterp(entropy=entropy)
-                        alone = [codec.compress(member, eb, "rel") for member in stack]
-                        for blob in alone:
-                            h.update(blob)
-                        res = codec.compress_batch(stack, eb, "rel")
-                        h.update(res.codebook or b"")
-                        for blob in (*res.payloads, *res.streams):
-                            h.update(blob)
-                        # ungrouped members are the stand-alone streams
-                        if res.codebook is None:
-                            assert res.streams == alone
-        assert h.hexdigest() == self.DIGEST
-
-    def test_one_member_batch_decodes_like_compress(self, smooth_field):
-        codec = SZInterp(entropy="deflate")
-        res = codec.compress_batch(smooth_field[None], 1e-3, "abs")
-        assert res.streams == [codec.compress(smooth_field, 1e-3, "abs")]

@@ -25,7 +25,7 @@ from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError, DecompressionError, FormatError
 from repro.insitu import SeriesReader
 from repro.parallel import WorkerPool
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 
 @pytest.fixture(scope="module")
@@ -39,11 +39,7 @@ def container_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def series_path(tmp_path_factory):
-    base = make_sphere_hierarchy(8)
-    steps = [
-        base.map_fields(lambda lev, name, d, i=i: d * (1.0 + 0.25 * i))
-        for i in range(3)
-    ]
+    steps = scaled_steps(3)
     path = tmp_path_factory.mktemp("zc") / "run.rph2s"
     write_series(path, steps, codec="sz-lr", error_bound=1e-3)
     return path

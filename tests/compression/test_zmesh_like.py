@@ -9,7 +9,7 @@ from repro.compression.amr_codec import compress_hierarchy
 from repro.compression.zmesh_like import ZMeshLike, morton_order, serialize_hierarchy_1d
 from repro.errors import CompressionError
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 class TestMortonOrder:

@@ -1,8 +1,11 @@
-"""Shared fixtures: small deterministic fields and hierarchies."""
+"""Shared fixtures: small deterministic fields and hierarchies (the
+builders behind them live in ``tests/strategies.py``), and the loader of
+the fault simulator the crash tests drive."""
 
 from __future__ import annotations
 
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
+
+from tests.strategies import make_sphere_hierarchy
 
 
 def load_faultsim():
@@ -21,6 +26,19 @@ def load_faultsim():
         sys.modules["faultsim"] = module  # dataclasses resolves cls.__module__
         spec.loader.exec_module(module)
     return sys.modules["faultsim"]
+
+
+class CountingBytesIO(io.BytesIO):
+    """BytesIO that tallies how many payload bytes are actually read."""
+
+    def __init__(self, raw: bytes):
+        super().__init__(raw)
+        self.bytes_read = 0
+
+    def read(self, size=-1):
+        out = super().read(size)
+        self.bytes_read += len(out)
+        return out
 
 
 @pytest.fixture
@@ -41,34 +59,6 @@ def smooth_field() -> np.ndarray:
 def rough_field(rng: np.random.Generator, smooth_field: np.ndarray) -> np.ndarray:
     """Smooth field plus strong noise (Nyx-like irregularity)."""
     return smooth_field + 0.3 * rng.normal(size=smooth_field.shape)
-
-
-def make_sphere_hierarchy(n: int = 16, radius: float = 0.55) -> AMRHierarchy:
-    """Two-level hierarchy holding the distance field of a sphere.
-
-    Level 1 refines the +x half of the domain; the field is the distance to
-    the domain center, so the ``radius`` iso-surface is a sphere crossing
-    the level interface.
-    """
-
-    def dist_cells(box: Box, dx: float) -> np.ndarray:
-        axes = [(np.arange(box.lo[d], box.hi[d] + 1) + 0.5) * dx for d in range(3)]
-        xx, yy, zz = np.meshgrid(*axes, indexing="ij")
-        return np.sqrt((xx - 1.0) ** 2 + (yy - 1.0) ** 2 + (zz - 1.0) ** 2)
-
-    dom = Box.from_shape((n, n, n))
-    dx0 = 2.0 / n
-    level0 = AMRLevel(
-        0, BoxArray([dom]), (dx0,) * 3, {"f": [Patch(dom, dist_cells(dom, dx0))]}
-    )
-    fine_boxes = BoxArray([Box((n, 0, 0), (2 * n - 1, 2 * n - 1, 2 * n - 1))])
-    level1 = AMRLevel(
-        1,
-        fine_boxes,
-        (dx0 / 2,) * 3,
-        {"f": [Patch(b, dist_cells(b, dx0 / 2)) for b in fine_boxes]},
-    )
-    return AMRHierarchy(dom, [level0, level1], 2)
 
 
 @pytest.fixture

@@ -32,7 +32,8 @@ from repro.amr.io import append_step, open_series, recover_series, write_series
 from repro.compression.__main__ import main as cli_main
 from repro.errors import CompressionError, FormatError, TruncatedSeriesError
 from repro.insitu import SeriesReader, StreamingWriter, scan_segments
-from tests.conftest import load_faultsim, make_sphere_hierarchy
+from tests.conftest import CountingBytesIO, load_faultsim
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 faultsim = load_faultsim()
 
@@ -50,11 +51,7 @@ _FOOTER_INTACT = ("payload-bitflip", "seal-bitflip", "adjacent-seal-bitflip")
 def campaign(tmp_path_factory):
     """One finished, durable series + its pre-crash ground truth."""
     path = tmp_path_factory.mktemp("crash") / "run.rph2s"
-    base = make_sphere_hierarchy(8)
-    steps = [
-        base.map_fields(lambda lev, name, d, i=i: d * (1.0 + 0.2 * i))
-        for i in range(N_STEPS)
-    ]
+    steps = scaled_steps(N_STEPS, step=0.2)
     write_series(path, steps, codec="sz-lr", error_bound=1e-3, durability="step")
     raw = path.read_bytes()
     with open_series(path) as reader:
@@ -150,21 +147,13 @@ class TestCrashMatrix:
         assert path.read_bytes() == campaign.raw
 
     def test_recovery_reads_o_scan_bytes(self, campaign):
-        class CountingBytesIO(io.BytesIO):
-            bytes_read = 0
-
-            def read(self, size=-1):
-                out = super().read(size)
-                CountingBytesIO.bytes_read += len(out)
-                return out
-
         # Worst interesting case: footer gone, every step sealed.
         variant = campaign.raw[: campaign.raw.rfind(b"RPH2SIDX") - 40]
         counting = CountingBytesIO(variant)
         report = scan_segments(counting)
         assert report.entries, "scan found nothing — bad test setup"
         # A bounded number of passes over the file, never O(steps x file).
-        assert CountingBytesIO.bytes_read <= 4 * len(variant) + 4096
+        assert counting.bytes_read <= 4 * len(variant) + 4096
 
 
 class TestRecoverSurfaces:

@@ -16,7 +16,7 @@ from repro.insitu import SeriesReader, StreamingWriter
 from repro.insitu.sharded import ShardedSeriesWriter
 from repro.parallel import WorkerPool
 from repro.storage import LocalFileBackend, MemoryBackend
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 BAD = {
     "durability": {"durability": "paranoid"},

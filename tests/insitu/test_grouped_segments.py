@@ -15,7 +15,7 @@ from repro.amr.io import recover_series, write_series
 from repro.compression.container import FOOTER_SIZE, ContainerReader
 from repro.insitu import SeriesReader
 from repro.insitu.series import SEAL_SIZE
-from tests.compression.test_stacked import many_patch_hierarchy
+from tests.strategies import many_patch_hierarchy
 
 N_STEPS = 3
 

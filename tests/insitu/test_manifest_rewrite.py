@@ -22,7 +22,7 @@ from repro.amr.io import write_sharded_series
 from repro.insitu.sharded import parse_manifest, recover_sharded
 from repro.integrity import repair_sharded
 from repro.storage import LocalFileBackend, MemoryBackend, StorageBackend
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import scaled_steps
 
 MANIFEST = "camp.rphm"
 
@@ -74,14 +74,6 @@ class SpyBackend(StorageBackend):
         return [n for n in self.overwritten if n.endswith(".rphm")]
 
 
-def _steps(n=3):
-    base = make_sphere_hierarchy(8)
-    return [
-        base.map_fields(lambda lev, name, d, i=i: d * (1.0 + 0.25 * i))
-        for i in range(n)
-    ]
-
-
 def _files(backend: StorageBackend) -> dict[str, bytes]:
     out = {}
     for name in backend.list("camp."):
@@ -95,7 +87,7 @@ def _md5s(files: dict[str, bytes]) -> dict[str, str]:
 
 
 def _write(backend, durability="step", parallel="serial", parity=1, **kw):
-    write_sharded_series(MANIFEST, _steps(), n_shards=2, parity=parity,
+    write_sharded_series(MANIFEST, scaled_steps(3), n_shards=2, parity=parity,
                          parallel=parallel, durability=durability,
                          backend=backend, **kw)
 

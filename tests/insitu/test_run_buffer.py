@@ -20,7 +20,7 @@ from repro.compression import amr_codec
 from repro.errors import CompressionError
 from repro.insitu import ShardedSeriesWriter, StreamingWriter
 from repro.parallel import WorkerPool
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 EB = 1e-3
 

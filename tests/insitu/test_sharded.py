@@ -42,7 +42,8 @@ from repro.insitu.sharded import (
     parse_manifest,
     shard_names,
 )
-from tests.conftest import load_faultsim, make_sphere_hierarchy
+from tests.conftest import load_faultsim
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 faultsim = load_faultsim()
 
@@ -50,19 +51,11 @@ N_STEPS = 6
 N_SHARDS = 3
 
 
-def _steps(n=N_STEPS):
-    base = make_sphere_hierarchy(8)
-    return [
-        base.map_fields(lambda lev, name, d, i=i: d * (1.0 + 0.25 * i))
-        for i in range(n)
-    ]
-
-
 @pytest.fixture(scope="module")
 def campaign(tmp_path_factory):
     """A finished 3-shard campaign plus its single-writer reference."""
     root = tmp_path_factory.mktemp("sharded")
-    steps = _steps()
+    steps = scaled_steps(N_STEPS)
     manifest = root / "camp.rphm"
     write_sharded_series(manifest, steps, n_shards=N_SHARDS, parallel="serial",
                          durability="step")
@@ -106,7 +99,7 @@ class TestShardedWrite:
 
     def test_explicit_shard_pinning(self, tmp_path):
         manifest = tmp_path / "pinned.rphm"
-        steps = _steps(4)
+        steps = scaled_steps(4)
         with ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3, n_shards=2,
                                         parallel="serial") as writer:
             for i, h in enumerate(steps):
@@ -128,7 +121,7 @@ class TestShardedWrite:
         """File identity, not just value identity: the background lane
         writes every byte — shards, parity, manifest — that inline
         appends write."""
-        steps = _steps(4)
+        steps = scaled_steps(4)
         for mode in ("thread", "serial"):
             (tmp_path / mode).mkdir()
             write_sharded_series(tmp_path / mode / "camp.rphm", steps,
@@ -155,7 +148,7 @@ class TestManifest:
 
     def test_manifest_records_per_shard_durability(self, tmp_path):
         manifest = tmp_path / "mixed.rphm"
-        write_sharded_series(manifest, _steps(4), n_shards=2, parallel="serial",
+        write_sharded_series(manifest, scaled_steps(4), n_shards=2, parallel="serial",
                              durability=("step", "none"))
         man = parse_manifest(manifest.read_bytes())
         assert man["final"] is True
@@ -181,7 +174,7 @@ class TestManifest:
         writer = ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3,
                                             n_shards=2, parallel=parallel)
         try:
-            for i, h in enumerate(_steps(4)):
+            for i, h in enumerate(scaled_steps(4)):
                 if (parallel, i) == ("serial", 1):
                     with pytest.raises(StorageError, match="injected"):
                         writer.append_step(h, step=i)
@@ -238,13 +231,13 @@ class TestOverwrite:
         """A 2-shard campaign written over a 4-shard one with parity leaves
         no old shard or parity file for rediscovery to adopt."""
         manifest = tmp_path / "camp.rphm"
-        write_sharded_series(manifest, _steps(4), n_shards=4, parity=1,
+        write_sharded_series(manifest, scaled_steps(4), n_shards=4, parity=1,
                              parallel="serial")
         with pytest.raises(CompressionError, match="parity"):  # touches nothing
             ShardedSeriesWriter.create(manifest, "sz-lr", 1e-3, n_shards=2,
                                        parity=3, overwrite=True)
         assert len(list(tmp_path.iterdir())) == 6
-        write_sharded_series(manifest, _steps(2), n_shards=2, parallel="serial",
+        write_sharded_series(manifest, scaled_steps(2), n_shards=2, parallel="serial",
                              overwrite=True)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "camp.rphm", "camp.shard000.rph2s", "camp.shard001.rph2s",
@@ -317,7 +310,7 @@ class TestKilledWriter:
         The per-shard oracles differ: A keeps everything it ever sealed, B
         loses exactly the in-flight step."""
         manifest = tmp_path / "mixed.rphm"
-        write_sharded_series(manifest, _steps(6), n_shards=2, parallel="serial",
+        write_sharded_series(manifest, scaled_steps(6), n_shards=2, parallel="serial",
                              durability=("step", "none"))
         names = [Path(n).name for n in shard_names(str(manifest), 2)]
         points = faultsim.sharded_injection_points(manifest)
@@ -460,7 +453,7 @@ class TestShardedReaderApi:
         """Two shards both claiming a step is corruption, not a tie to
         break silently."""
         manifest = tmp_path / "dup.rphm"
-        write_sharded_series(manifest, _steps(2), n_shards=2, parallel="serial")
+        write_sharded_series(manifest, scaled_steps(2), n_shards=2, parallel="serial")
         names = shard_names(str(manifest), 2)
         # Clone shard 0 over shard 1: both now hold step 0.
         Path(names[1]).write_bytes(Path(names[0]).read_bytes())

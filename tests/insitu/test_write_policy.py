@@ -20,7 +20,7 @@ from repro.insitu import SeriesReader, recover_series
 from repro.insitu.sharded import ShardedSeriesWriter
 from repro.integrity import repair_sharded, scrub
 from repro.storage import MemoryBackend
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 needs_proc = pytest.mark.skipif(
     not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd to name descriptors"

@@ -7,31 +7,21 @@ from __future__ import annotations
 import os
 import shutil
 
-import numpy as np
 import pytest
 
 from repro.amr.io import write_series, write_sharded_series
 from repro.insitu.series import SEAL_SIZE, SeriesReader
 from repro.insitu.sharded import ShardedSeriesReader
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import step_hierarchy
 
 N_STEPS = 6
 N_SHARDS = 3
 PARITY = 1
 
 
-def step_hierarchy(s: int):
-    """A two-level hierarchy whose data differs per step."""
-    h = make_sphere_hierarchy(n=8)
-    for level in h.levels:
-        for p in level.patches("f"):
-            p.data += 0.05 * (s + 1) * np.cos(p.data * (s + 1))
-    return h
-
-
 def campaign_steps():
-    return [step_hierarchy(s) for s in range(N_STEPS)]
+    return [step_hierarchy(s, 8) for s in range(N_STEPS)]
 
 
 @pytest.fixture(scope="session")
@@ -84,5 +74,5 @@ def flip_byte(path, pos: int) -> None:
 @pytest.fixture(scope="session")
 def series_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("integrity-series") / "run.rph2s"
-    write_series(path, [step_hierarchy(s) for s in range(3)], "sz-lr", 1e-3)
+    write_series(path, [step_hierarchy(s, 8) for s in range(3)], "sz-lr", 1e-3)
     return path

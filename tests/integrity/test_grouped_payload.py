@@ -18,8 +18,8 @@ from repro.insitu import SeriesReader
 from repro.integrity import repair_sharded, scrub
 from repro.serve import QueryService
 
-from tests.compression.test_stacked import many_patch_hierarchy
 from tests.integrity.conftest import flip_byte
+from tests.strategies import many_patch_hierarchy
 
 N_STEPS = 4
 

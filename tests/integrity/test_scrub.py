@@ -21,7 +21,8 @@ from repro.compression.amr_codec import compress_hierarchy
 from repro.integrity import scrub
 from repro.storage import MemoryBackend
 
-from tests.integrity.conftest import flip_byte, step_hierarchy
+from tests.integrity.conftest import flip_byte
+from tests.strategies import step_hierarchy
 
 SEED = 20260808
 
@@ -32,7 +33,7 @@ SEED = 20260808
 def _snapshot(tmp_path, batch):
     path = tmp_path / f"snap-{batch}.rph2"
     path.write_bytes(
-        compress_hierarchy(step_hierarchy(0), "sz-lr", 1e-3, batch=batch)
+        compress_hierarchy(step_hierarchy(0, 8), "sz-lr", 1e-3, batch=batch)
         .tobytes()
     )
     return path
@@ -60,7 +61,7 @@ def test_clean_campaign_scrubs_zero_findings(campaign):
 
 def test_recovered_series_scrubs_zero_findings(tmp_path):
     path = tmp_path / "torn.rph2s"
-    write_series(path, [step_hierarchy(s) for s in range(3)], "sz-lr", 1e-3)
+    write_series(path, [step_hierarchy(s, 8) for s in range(3)], "sz-lr", 1e-3)
     blob = path.read_bytes()
     path.write_bytes(blob[: len(blob) - 40])  # tear off footer + index tail
     recover_series(path, commit=True)

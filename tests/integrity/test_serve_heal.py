@@ -14,6 +14,7 @@ from repro.serve import InProcessClient
 from repro.storage import LocalFileBackend, RangedBackend
 
 from tests.integrity.conftest import flip_byte
+from tests.serve.conftest import assert_byte_identical
 
 
 @pytest.fixture(scope="session")
@@ -21,15 +22,6 @@ def truth(campaign_template):
     return decompress_selection(
         str(campaign_template["root"] / campaign_template["manifest"])
     )
-
-
-def assert_byte_identical(served, truth):
-    assert set(served) == set(truth), (
-        f"missing {sorted(set(truth) - set(served))[:4]}, "
-        f"extra {sorted(set(served) - set(truth))[:4]}"
-    )
-    for key, arr in served.items():
-        assert arr.tobytes() == truth[key].tobytes(), key
 
 
 def test_destroyed_shard_serves_complete_not_partial(campaign, truth):

@@ -29,6 +29,8 @@ from repro.sims import NyxConfig, nyx_step_stream
 from repro.sims.amr_build import _block_floor, calibrated_boxes
 from repro.sims.nyx import nyx_hierarchy
 
+from tests.strategies import score_fields
+
 
 def reference_calibrated_boxes(
     score: np.ndarray,
@@ -94,27 +96,6 @@ def counting(module):
 # ---------------------------------------------------------------------------
 # Score fields
 # ---------------------------------------------------------------------------
-@st.composite
-def score_fields(draw):
-    """1-3-D scores, some of shapes no block size divides (10x12x9):
-    noise, smooth blobs, or a few levels (quantile ties leave passes
-    untagged), drawn from a seed so examples stay cheap."""
-    ndim = draw(st.integers(1, 3))
-    side = {1: 64, 2: 24, 3: 12}[ndim]
-    shape = tuple(draw(st.lists(st.integers(2, side), min_size=ndim, max_size=ndim)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["noise", "blobs", "levels"]))
-    if kind == "noise":
-        return rng.random(shape)
-    if kind == "levels":
-        return rng.integers(0, draw(st.integers(2, 5)), shape).astype(float)
-    grids = np.ogrid[tuple(slice(0, s) for s in shape)]
-    score = np.zeros(shape)
-    for _ in range(draw(st.integers(1, 4))):
-        centre = [rng.uniform(0, s) for s in shape]
-        width = [rng.uniform(0.5, max(1.0, s / 3)) for s in shape]
-        score += np.exp(-sum(((g - c) / w) ** 2 for g, c, w in zip(grids, centre, width)))
-    return score
 
 
 def _nyx_score(config: NyxConfig) -> np.ndarray:
@@ -202,3 +183,16 @@ def test_benchmark_campaign_cluster_calls(seed, most):
         for _ in nyx_step_stream(2, NyxConfig(coarse_n=32), growth_range=growth_range):
             pass
     assert calls.calls <= most
+
+
+@pytest.mark.parametrize("seed, masks", [(0, 4), (3, 3), (42, 3)])
+def test_each_distinct_mask_is_clustered_once(seed, masks):
+    """At ``coarse_n=8`` (the fault simulator's corpus) the bisection runs
+    all 24 passes, and most of them cut the 8^3 score where an earlier pass
+    did: 19, 18 and 18 clusterings at these seeds were of 4, 3 and 3
+    distinct masks."""
+    score = _nyx_score(NyxConfig(coarse_n=8, seed=seed))
+    with counting(amr_build) as calls:
+        boxes = calibrated_boxes(score, 0.407, blocking_factor=4)
+    assert calls.calls == masks
+    assert boxes == reference_calibrated_boxes(score, 0.407, blocking_factor=4)

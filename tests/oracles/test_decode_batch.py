@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from repro.amr.io import write_sharded_series
 from repro.compression import base, huffman
@@ -31,11 +31,12 @@ from repro.compression.amr_codec import (
 from repro.compression.container import ContainerReader, _decode_run
 from repro.compression.lossless import compress_bytes
 from repro.compression.registry import make_codec
-from repro.errors import CompressionError, DecompressionError
+from repro.errors import DecompressionError
 from repro.insitu.series import SeriesReader
 from repro.parallel import WorkerPool
 
-from tests.compression.test_stacked import FILE_CASES, many_patch_hierarchy
+from tests.oracles.common import assert_same
+from tests.strategies import FILE_CASES, many_patch_hierarchy, ragged_runs
 
 
 # ----------------------------------------------------------------------
@@ -94,56 +95,9 @@ def one_at_a_time(codec_name: str, blobs, shareds) -> list[np.ndarray]:
     return [codec.decompress_batch([blob], [shared])[0] for blob, shared in zip(blobs, shareds)]
 
 
-def assert_same(batched, reference):
-    assert len(batched) == len(reference)
-    for got, want in zip(batched, reference):
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
 # ----------------------------------------------------------------------
 # Huffman stage: decode_many == the bit-by-bit reference, any ragged run
 # ----------------------------------------------------------------------
-_EXTREME = 1 << 57  # beyond what fits beside a 5-bit length in one int64
-
-member_kinds = st.sampled_from(["huf2", "one-symbol", "extreme", "group-a", "group-b", "empty"])
-
-
-@st.composite
-def ragged_runs(draw):
-    """Members of one decode call: own-codebook ``HUF2`` blobs (ordinary,
-    one-symbol, non-fusable, empty) mixed with ``HUFS`` payloads of two
-    different groups; sizes from 1 symbol up, K from 1 to 1024."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    books = {
-        "group-a": huffman.SharedCodebook.from_symbols(np.arange(-20, 21)),
-        "group-b": huffman.SharedCodebook.from_symbols(
-            np.concatenate([np.zeros(50, np.int64), np.arange(-3, 4)])),
-    }
-    blobs, codebooks, symbols = [], [], []
-    for kind in draw(st.lists(member_kinds, min_size=0, max_size=7)):
-        n = draw(st.sampled_from([1, 2, 7, 64, 513, 2000, 5000]))
-        k = draw(st.sampled_from([1, 3, 8, 33, 256, 1024]))
-        if kind in books:
-            book = books[kind]
-            syms = rng.choice(book.alphabet, size=n)
-            blob = huffman.encode_batch(syms[None, :], book, k_streams=k)[0]
-        else:
-            book = None
-            if kind == "empty":
-                syms = np.empty(0, dtype=np.int64)
-            elif kind == "one-symbol":
-                syms = np.full(n, int(rng.integers(-9, 9)), dtype=np.int64)
-            elif kind == "extreme":
-                pool = np.array([-_EXTREME * 31, -_EXTREME, -1, 0, 5, _EXTREME, _EXTREME * 63])
-                syms = rng.choice(pool, size=n)
-            else:
-                syms = rng.integers(-40, 40, size=n)
-            blob = huffman.encode_many([syms], k_streams=k)[0]
-        blobs.append(blob)
-        codebooks.append(book)
-        symbols.append(np.asarray(syms, dtype=np.int64))
-    return blobs, codebooks, symbols
 
 
 class TestLockstepAgainstTheReference:

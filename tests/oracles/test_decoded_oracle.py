@@ -27,7 +27,7 @@ from repro.insitu import StreamingWriter
 from repro.insitu.series import SeriesReader
 from repro.parallel import WorkerPool
 from repro.storage import LocalFileBackend, MemoryBackend
-from tests.compression.test_stacked import many_patch_hierarchy
+from tests.strategies import many_patch_hierarchy
 
 #: Run budgets: one patch per run, runs cut mid-level, one run per level.
 CUTS = (1, 4096, 1 << 16)

@@ -8,26 +8,16 @@ one-cell overlaps and repeats are common.
 
 from __future__ import annotations
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 from repro.amr import Box, BoxArray
+
+from tests.strategies import box_lists
 
 
 def _loop_is_disjoint(boxes: list[Box]) -> bool:
     return not any(boxes[i].intersects(boxes[j])
                    for i in range(len(boxes)) for j in range(i + 1, len(boxes)))
-
-
-@st.composite
-def box_lists(draw):
-    ndim = draw(st.sampled_from([1, 2, 2, 3]))
-    n = draw(st.integers(0, 12))
-    boxes = []
-    for _ in range(n):
-        lo = draw(st.lists(st.integers(-3, 6), min_size=ndim, max_size=ndim))
-        ext = draw(st.lists(st.integers(0, 3), min_size=ndim, max_size=ndim))
-        boxes.append(Box(tuple(lo), tuple(l + e for l, e in zip(lo, ext))))
-    return boxes
 
 
 @settings(max_examples=400, deadline=None)

@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
+from repro.amr import AMRHierarchy, AMRLevel, Patch
 from repro.compression.amr_codec import (
     CompressedHierarchy,
     average_down,
@@ -51,6 +51,9 @@ from repro.compression.container import (
 from repro.errors import CompressionError, FormatError
 from repro.parallel import WorkerPool
 from repro.storage import ByteSource
+
+from tests.oracles.common import outcome, same_arrays, same_outcome
+from tests.strategies import COMPRESS, FIELDS, LEVELS, PATCHES, hierarchies, small_hierarchy
 
 
 # ----------------------------------------------------------------------
@@ -268,79 +271,6 @@ def oracle_decompress_hierarchy(
 
 
 # ----------------------------------------------------------------------
-# Small hierarchies
-# ----------------------------------------------------------------------
-def small_hierarchy(n_coarse: int, refined: dict[int, bool], seed: int) -> AMRHierarchy:
-    """``n_coarse`` coarse 4^3 boxes in a row; coarse box ``i`` in
-    ``refined`` is covered at ratio 2 by one 8^3 box, or by two 4x8x8
-    boxes when ``refined[i]`` (two shapes in one level: two groups)."""
-    rng = np.random.default_rng(seed)
-    coarse = [Box((4 * i, 0, 0), (4 * i + 3, 3, 3)) for i in range(n_coarse)]
-    fine = []
-    for i, split in sorted(refined.items()):
-        if split:
-            fine += [Box((8 * i + h, 0, 0), (8 * i + h + 3, 7, 7)) for h in (0, 4)]
-        else:
-            fine.append(Box((8 * i, 0, 0), (8 * i + 7, 7, 7)))
-    levels = []
-    for idx, (boxes, dx) in enumerate(((coarse, 1.0), (fine, 0.5))):
-        if not boxes:
-            break
-        level = AMRLevel(idx, BoxArray(boxes), (dx,) * 3)
-        for name, scale in (("a", 1.0), ("b", 30.0)):
-            level.add_field(name, [
-                Patch(b, scale * rng.standard_normal(b.shape).cumsum(axis=0)) for b in boxes
-            ])
-        levels.append(level)
-    return AMRHierarchy(Box.from_shape((4 * n_coarse, 4, 4)), levels, 2)
-
-
-@st.composite
-def hierarchies(draw):
-    n_coarse = draw(st.integers(1, 3))
-    refined = draw(st.dictionaries(st.integers(0, n_coarse - 1), st.booleans()))
-    return small_hierarchy(n_coarse, refined, draw(st.integers(0, 2**16)))
-
-
-COMPRESS = st.fixed_dictionaries({
-    "codec": st.sampled_from(["sz-lr", "sz-interp"]),
-    "error_bound": st.sampled_from([1e-3, 1e-2]),
-    "batch": st.sampled_from(["patch", "level"]),
-    "exclude_covered": st.booleans(),
-    "fields": st.sampled_from([None, ["a"], ["b", "a"]]),
-    "field_bounds": st.sampled_from([None, {"a": 5e-4}]),
-})
-
-LEVELS = st.sampled_from([None, 0, 1, [1, 0], range(2), (5,), np.int64(1), 1.0, set(),
-                          True, 0.5, "0"])
-FIELDS = st.sampled_from([None, "a", ["a", "b"], ("b",), "zz", [], 3, [1]])
-PATCHES = st.sampled_from([None, 0, [0, 2], range(1, 3), np.array([1, 0]), {1}, 2.0,
-                           [np.int32(3), 0], np.bool_(True), [float("nan")]])
-
-
-def _outcome(fn):
-    """``fn()``'s result, or the type and message of what it raised."""
-    try:
-        return fn()
-    except CompressionError as exc:
-        return (type(exc), str(exc))
-
-
-def _same_arrays(got: dict, want: dict) -> None:
-    assert list(got) == list(want)
-    for key, arr in want.items():
-        assert got[key].dtype == arr.dtype and got[key].shape == arr.shape
-        assert got[key].tobytes() == arr.tobytes(), key
-
-
-def _same_outcome(got, want) -> None:
-    if isinstance(want, tuple):
-        assert got == want
-    else:
-        _same_arrays(got, want)
-
-
-# ----------------------------------------------------------------------
 # The reader against the stream model
 # ----------------------------------------------------------------------
 @settings(max_examples=100, deadline=None)
@@ -369,10 +299,10 @@ def test_reader_is_the_stream_model(hierarchy, options, selectors, parallel):
     # (a) every selection decodes to the stream model's arrays
     levels, fields, patches = selectors
     with WorkerPool(parallel) as pool:
-        want = _outcome(lambda: model.select(levels, fields, patches, pool=pool))
+        want = outcome(lambda: model.select(levels, fields, patches, pool=pool))
         for reader in (held, parsed):
-            _same_outcome(
-                _outcome(lambda: reader.select(levels, fields, patches, pool=pool)),
+            same_outcome(
+                outcome(lambda: reader.select(levels, fields, patches, pool=pool)),
                 want,
             )
         for restore in ("none", "average_down"):
@@ -391,4 +321,4 @@ def test_process_pool_selection_is_the_stream_model(batch):
     model = StreamModel.fromreader(ContainerReader(held.tobytes()))
     with WorkerPool("process", workers=2) as pool:
         for selectors in ((None, None, None), (1, "b", [0, 2])):
-            _same_arrays(held.select(*selectors, pool=pool), model.select(*selectors, pool=pool))
+            same_arrays(held.select(*selectors, pool=pool), model.select(*selectors, pool=pool))

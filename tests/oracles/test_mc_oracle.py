@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.viz import TriangleMesh, marching_cubes, render_mesh
 from repro.viz import dual_cell, mc_tables as tables, pipelines
 from repro.viz.marching_cubes import _interp_t
 from repro.viz.mesh import _length
 
-from tests.conftest import make_sphere_hierarchy
-from tests.viz.test_render import _reference_render
+from tests.oracles.common import _reference_render
+from tests.strategies import make_sphere_hierarchy, mc_cases
 
 
 # ----------------------------------------------------------------------
@@ -112,34 +112,6 @@ def assert_same_normals(mesh: TriangleMesh) -> None:
         expected = _reference_face_normals(mesh, normalize=normalize)
         assert got.shape == expected.shape and got.flags.c_contiguous
         assert got.tobytes() == expected.tobytes()
-
-
-# ----------------------------------------------------------------------
-# Fields
-# ----------------------------------------------------------------------
-@st.composite
-def mc_cases(draw):
-    """A vertex field, 2..14 per axis (not cubic), with NaN holes, an
-    optional cell mask, values rounded so that some hit ``iso`` exactly
-    (which makes degenerate faces), and arbitrary spacing and origin."""
-    shape = tuple(draw(st.lists(st.integers(2, 14), min_size=3, max_size=3)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    field = rng.normal(size=shape)
-    if draw(st.booleans()):  # smooth: a surface with large connected sheets
-        grids = np.meshgrid(*(np.linspace(-1, 1, n) for n in shape), indexing="ij")
-        field = sum(g * g for g in grids) + 0.1 * field
-    decimals = draw(st.sampled_from([None, 0, 1]))
-    if decimals is not None:
-        field = np.round(field, decimals)
-    field[rng.random(shape) < draw(st.sampled_from([0.0, 0.05, 0.3]))] = np.nan
-    iso = draw(st.sampled_from([0.0, 0.5, 1.0, float(rng.normal())]))
-    cells = tuple(n - 1 for n in shape)
-    mask = rng.random(cells) < 0.8 if draw(st.booleans()) else None
-    spacing = draw(st.one_of(
-        st.floats(1e-3, 1e3),
-        st.tuples(*[st.floats(1e-3, 1e3)] * 3)))
-    origin = draw(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
-    return field, iso, dict(spacing=spacing, origin=origin, cell_mask=mask)
 
 
 class TestMarchingCubesOracle:

@@ -1,8 +1,11 @@
-"""Parallel determinism: the container is a pure function of its inputs.
+"""Parallel determinism: ``compress_hierarchy``'s container is a pure
+function of its inputs.
 
 Paper §3.3: patches are independent, so per-patch (de)compression is an
-order-preserving map. Whatever executor runs the map, the bytes written
-and the arrays read back must be identical.
+order-preserving map. Whatever pool runs the map (serial, one thread lane,
+processes), the bytes written and the arrays read back must be the serial
+ones: for one-patch and multi-field levels, with ``exclude_covered``, and
+for a level of grouped runs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,19 @@ from repro.compression.amr_codec import (
 )
 from repro.parallel import EXECUTION_MODES, WorkerPool
 
+from tests.strategies import tiled_hierarchy
+
 MODES = list(EXECUTION_MODES)
+
+
+@pytest.fixture(scope="module")
+def hierarchy():
+    return tiled_hierarchy()
+
+
+@pytest.fixture(scope="module")
+def grouped(hierarchy):
+    return compress_hierarchy(hierarchy, "sz-lr", 1e-3, fields=["density"])
 
 
 class TestCompressDeterminism:
@@ -49,6 +64,28 @@ class TestCompressDeterminism:
                     sphere_hierarchy, "sz-lr", 1e-3, exclude_covered=True, pool=pool,
                 ).tobytes()
             assert raw == reference
+
+
+class TestBatchedDeterminism:
+    def test_byte_identical_across_modes(self, hierarchy):
+        """Serial, thread, and process execution produce identical grouped
+        container bytes (acceptance criterion)."""
+        blobs = {}
+        for mode in ("serial", "thread", "process"):
+            with WorkerPool(mode, workers=3) as pool:
+                blobs[mode] = compress_hierarchy(
+                    hierarchy, "sz-lr", 1e-3, fields=["density"], pool=pool,
+                ).tobytes()
+        assert blobs["serial"] == blobs["thread"] == blobs["process"]
+
+    def test_select_identical_across_modes(self, grouped):
+        base = grouped.select()
+        for mode in ("thread", "process"):
+            with WorkerPool(mode, workers=3) as pool:
+                other = grouped.select(pool=pool)
+            assert set(base) == set(other)
+            for key in base:
+                assert np.array_equal(base[key], other[key])
 
 
 class TestDecompressDeterminism:

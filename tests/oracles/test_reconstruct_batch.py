@@ -19,20 +19,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from repro.amr.io import write_sharded_series
 from repro.compression import huffman, regression as reg
 from repro.compression.amr_codec import compress_hierarchy
-from repro.compression.base import SharedEntropy, StreamReader, StreamWriter
+from repro.compression.base import StreamReader, StreamWriter
 from repro.compression.container import ContainerReader, _decode_run
 from repro.compression.lossless import compress_bytes, decompress_bytes, pack_ints, unpack_ints
 from repro.compression.sz_lr import MODE_LORENZO, SZLR
 from repro.errors import DecompressionError
 from repro.insitu.series import SeriesReader
 
-from tests.compression.test_decode_batch import assert_same
-from tests.compression.test_stacked import FILE_CASES, many_patch_hierarchy
+from tests.oracles.common import assert_same
+from tests.strategies import FILE_CASES, codebook_runs, many_patch_hierarchy, mixed_runs
 
 
 # ----------------------------------------------------------------------
@@ -103,22 +103,6 @@ def reference_table(books) -> np.ndarray:
 # ----------------------------------------------------------------------
 # One table per run == the per-codebook tables
 # ----------------------------------------------------------------------
-@st.composite
-def codebook_runs(draw):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    books = []
-    for _ in range(draw(st.integers(1, 9))):
-        kind = draw(st.sampled_from(["uniform", "skewed", "two", "wide"]))
-        if kind == "uniform":
-            syms = rng.integers(-40, 40, size=int(rng.integers(2, 4000)))
-        elif kind == "skewed":  # long codes: up to the 16-bit cap
-            syms = rng.geometric(0.08, size=20_000)
-        elif kind == "two":
-            syms = np.array([3, -3] * 5)
-        else:
-            syms = rng.integers(-3000, 3000, size=8000)
-        books.append(huffman.SharedCodebook.from_symbols(syms))
-    return books
 
 
 class TestOneTablePerRun:
@@ -151,61 +135,6 @@ class TestOneTablePerRun:
 # ----------------------------------------------------------------------
 # The stacked inverse kernel == the per-member kernel
 # ----------------------------------------------------------------------
-#: Shapes of regression members whose row count at ``block_size=4`` falls
-#: in each BLAS kernel class: 1 row, 2-300 rows, >= 500 rows. 3-D: with a
-#: 4-column design matrix one row rounds apart from a stack of rows (the
-#: OpenBLAS build this was checked on does so for 294 rows in 300).
-_ROW_CLASSES = {"one": (4, 3, 4), "mid": (8, 8, 12), "many": (32, 32, 32)}
-
-
-def _member(draw, rng):
-    """A random member: ``(data, eb, codec kwargs)``."""
-    ndim = draw(st.integers(1, 3))
-    edge = {1: (1, 300), 2: (1, 30), 3: (1, 13)}[ndim]
-    shape = tuple(draw(st.integers(*edge)) for _ in range(ndim))
-    kind = draw(st.sampled_from(["smooth", "rough", "constant"]))
-    if kind == "constant":
-        data = np.full(shape, float(rng.normal()))
-    else:
-        data = rng.normal(size=shape)
-        for axis in range(ndim) if kind == "smooth" else ():
-            data = data.cumsum(axis=axis)
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    eb = draw(st.sampled_from([1e-4, 3e-3, 0.05, 0.7]))
-    kwargs = {
-        "block_size": draw(st.sampled_from([4, 5, 6, 8, "auto"])),
-        "predictor": draw(st.sampled_from(["auto", "lorenzo", "regression"])),
-    }
-    return data.astype(dtype), eb, kwargs
-
-
-@st.composite
-def mixed_runs(draw):
-    """A run of self-contained members, grouped members of one or two
-    runs of same-shape members, and regression members in each BLAS row class
-    (1 row, 2-300 rows, >= 500 rows), shuffled."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blobs, shareds = [], []
-    for _ in range(draw(st.integers(0, 8))):
-        data, eb, kwargs = _member(draw, rng)
-        blobs.append(SZLR(**kwargs).compress(data, eb))
-        shareds.append(None)
-    for _ in range(draw(st.integers(0, 2))):
-        data, eb, kwargs = _member(draw, rng)
-        n = draw(st.integers(1, 4))
-        stack = np.stack([data + i for i in range(n)])
-        result = SZLR(**kwargs).compress_batch(stack, [eb * (i + 1) for i in range(n)])
-        book = result.codebook
-        if book is not None and draw(st.booleans()):
-            book = huffman.SharedCodebook.frombytes(book)
-        blobs += result.streams
-        shareds += [SharedEntropy(book, p) for p in result.payloads] or [None] * n
-    for rows in draw(st.lists(st.sampled_from(sorted(_ROW_CLASSES)), max_size=3)):
-        data = rng.normal(size=_ROW_CLASSES[rows]).cumsum(axis=0) * rng.choice([1.0, 1e3])
-        blobs.append(SZLR(block_size=4, predictor="regression").compress(data, 1e-3))
-        shareds.append(None)
-    order = rng.permutation(len(blobs))
-    return [blobs[i] for i in order], [shareds[i] for i in order]
 
 
 class TestStackedKernelAgainstThePerMemberKernel:

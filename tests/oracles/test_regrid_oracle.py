@@ -4,8 +4,10 @@
 and ``reference_mask`` are the per-visit ``Box`` implementations of
 Berger–Rigoutsos clustering, the greedy mask decomposition and
 ``BoxArray.mask``; ``reference_nesting`` is the pairwise nesting loop of
-``AMRHierarchy._validate``. The signature-driven versions must return equal
-``BoxArray``s, in the same order, and raise the same first nesting error.
+``AMRHierarchy._validate``. The signature-driven versions (``cluster_tags``,
+``regrid._greedy_boxes``, ``BoxArray.mask`` and the nesting check) must
+return equal ``BoxArray``s, in the same order, and raise the same first
+nesting error.
 The pinned digests are the box lists the generators produced before the
 change.
 """
@@ -26,6 +28,8 @@ from repro.errors import HierarchyError, ReproError
 from repro.sims import NyxConfig, nyx_step_stream
 from repro.sims.nyx import nyx_multilevel_hierarchy
 from repro.sims.warpx import warpx_hierarchy
+
+from tests.strategies import nesting_layouts, tag_masks, windowed_box_lists
 
 
 def reference_mask(boxes: BoxArray, window: Box) -> np.ndarray:
@@ -256,22 +260,6 @@ def reference_boxes_from_mask(mask: np.ndarray) -> BoxArray:
 # ---------------------------------------------------------------------------
 # Clustering
 # ---------------------------------------------------------------------------
-@st.composite
-def tag_masks(draw):
-    """1-3-D noise or blob masks, drawn from a seed so examples stay cheap."""
-    ndim = draw(st.integers(1, 3))
-    side = {1: 48, 2: 20, 3: 10}[ndim]
-    shape = tuple(draw(st.lists(st.integers(1, side), min_size=ndim, max_size=ndim)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.sampled_from(["noise", "blobs"])) == "noise":
-        return rng.random(shape) < draw(st.floats(0.02, 0.6))
-    mask = np.zeros(shape, dtype=bool)
-    for _ in range(draw(st.integers(1, 4))):
-        centre = [rng.uniform(0, s) for s in shape]
-        radius = [rng.uniform(0.5, max(1.0, s / 3)) for s in shape]
-        grids = np.ogrid[tuple(slice(0, s) for s in shape)]
-        mask |= sum(((g - c) / r) ** 2 for g, c, r in zip(grids, centre, radius)) <= 1.0
-    return mask
 
 
 @settings(max_examples=300, deadline=None)
@@ -303,21 +291,8 @@ def test_integer_tags_cluster_like_their_boolean_mask():
     assert cluster_tags(tags, blocking_factor=2) == reference_cluster_tags(tags != 0, blocking_factor=2)
 
 
-@st.composite
-def box_lists(draw):
-    ndim = draw(st.integers(1, 3))
-    boxes = []
-    for _ in range(draw(st.integers(1, 10))):
-        lo = draw(st.lists(st.integers(-4, 8), min_size=ndim, max_size=ndim))
-        ext = draw(st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim))
-        boxes.append(Box(tuple(lo), tuple(l + e for l, e in zip(lo, ext))))
-    lo = draw(st.lists(st.integers(-2, 6), min_size=ndim, max_size=ndim))
-    ext = draw(st.lists(st.integers(0, 6), min_size=ndim, max_size=ndim))
-    return BoxArray(boxes), Box(tuple(lo), tuple(l + e for l, e in zip(lo, ext)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(box_lists())
+@given(windowed_box_lists())
 def test_mask_matches_the_reference(case):
     boxes, window = case
     assert np.array_equal(boxes.mask(window), reference_mask(boxes, window))
@@ -326,34 +301,6 @@ def test_mask_matches_the_reference(case):
 # ---------------------------------------------------------------------------
 # The nesting check
 # ---------------------------------------------------------------------------
-def _disjoint_boxes(draw, extent: tuple[int, ...], n: int, margin: int) -> list[Box]:
-    """Up to ``n`` disjoint boxes inside ``[-margin, extent + margin)``, in
-    draw order."""
-    boxes: list[Box] = []
-    for _ in range(n):
-        lo = [draw(st.integers(-margin, e - 1)) for e in extent]
-        hi = [min(l + draw(st.integers(0, 5)), e - 1 + margin) for l, e in zip(lo, extent)]
-        box = Box(tuple(lo), tuple(hi))
-        if not any(box.intersects(b) for b in boxes):
-            boxes.append(box)
-    return boxes
-
-
-@st.composite
-def hierarchies(draw):
-    """Three levels whose level 1 and 2 boxes are drawn freely: some nest,
-    some leave the domain or their coarser level."""
-    ndim = draw(st.integers(1, 3))
-    ratio = draw(st.sampled_from([2, 3]))
-    domain = Box.from_shape(tuple(draw(st.integers(2, 6)) for _ in range(ndim)))
-    levels = [AMRLevel(0, BoxArray([domain]), (1.0,) * ndim)]
-    extent = domain.shape
-    for index in (1, 2):
-        extent = tuple(e * ratio for e in extent)
-        margin = 1 if index == 2 else draw(st.sampled_from([0, 0, 0, 1]))
-        boxes = _disjoint_boxes(draw, extent, draw(st.integers(1, 8)), margin)
-        levels.append(AMRLevel(index, BoxArray(boxes), (1.0,) * ndim))
-    return domain, levels, ratio
 
 
 def _error(call) -> str | None:
@@ -365,7 +312,7 @@ def _error(call) -> str | None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(hierarchies())
+@given(nesting_layouts())
 def test_nesting_check_matches_the_reference(case):
     domain, levels, ratio = case
     ratios = [(ratio,) * domain.ndim] * 2

@@ -3,22 +3,23 @@
 The renderer broadcasts each group of same-shape faces as ``(gy, gx, n)``
 over contiguous per-face rows. The version before it broadcast the same
 expressions as ``(n, gy, gx)`` over strided columns; it lives on here as a
-second byte oracle beside ``test_render._reference_render``. That one walks
-one face at a time, so it is exact but slow, and its hypothesis meshes have
-at most 50 faces: no shape group there is ever large. This one is fast
-enough for the meshes the paper's experiment renders — tens of thousands
-of faces, groups of thousands.
+second byte oracle beside ``_reference_render`` (``tests/oracles/common.py``).
+That one walks one face at a time, so it is exact but slow, and its
+hypothesis meshes have at most 50 faces: no shape group there is ever
+large. This one is fast enough for the meshes the paper's experiment
+renders — tens of thousands of faces, groups of thousands.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from repro.viz import TriangleMesh, marching_cubes, render_mesh
 
-from tests.viz.test_render import _reference_render
+from tests.oracles.common import _reference_render
+from tests.strategies import same_shape_meshes
 
 
 def _group_render(mesh, axis=0, size=(256, 256), bounds=None,
@@ -117,36 +118,6 @@ def test_sphere_at_256_matches_both_oracles(sphere, axis, window):
     assert (image > 0).sum() > 10_000
     assert image.tobytes() == _group_render(sphere, **kwargs).tobytes()
     assert image.tobytes() == _reference_render(sphere, **kwargs).tobytes()
-
-
-@st.composite
-def same_shape_meshes(draw):
-    """Thousands of copies of one small triangle: integer shifts keep every
-    copy's pixel box the same shape, so they form one or two very large
-    groups. Depths are drawn per copy, or shared so that every overlap
-    is a tie the lowest face index must win."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h, w = draw(st.integers(8, 96)), draw(st.integers(8, 96))
-    axis = draw(st.sampled_from([0, 1, 2]))
-    n = draw(st.integers(500, 4000))
-    scale = draw(st.sampled_from([0.5, 1.0, 2.5, 4.0]))
-    base = rng.uniform(0.0, scale, (3, 3))
-    if draw(st.booleans()):  # corners on pixel centres: lattice edges
-        base = np.round(base)
-    row_axis, col_axis = (a for a in range(3) if a != axis)
-    copies = np.repeat(base[None], n, axis=0)
-    if draw(st.booleans()):  # mirrored copies: a second group, orientation and shade
-        copies[rng.random(n) < 0.5, :, row_axis] *= -1.0
-    shift = np.zeros((n, 1, 3))
-    shift[:, 0, row_axis] = rng.integers(-4, h + 4, n)
-    shift[:, 0, col_axis] = rng.integers(-4, w + 4, n)
-    shift[:, 0, axis] = 0.0 if draw(st.booleans()) else rng.uniform(-1, 1, n)
-    verts = (copies + shift).reshape(-1, 3)
-    faces = np.arange(3 * n).reshape(n, 3)
-    lo, hi = np.zeros(3), np.ones(3)
-    hi[row_axis], hi[col_axis] = h - 1, w - 1
-    bounds = None if draw(st.booleans()) else (lo, hi)
-    return TriangleMesh(verts, faces), dict(axis=axis, size=(h, w), bounds=bounds)
 
 
 @settings(max_examples=40, deadline=None)

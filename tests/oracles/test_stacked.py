@@ -1,13 +1,15 @@
 """Block-stacked per-patch encode: fewer kernel passes, the same values.
 
 A run of patches goes through the SZ-L/R kernel chain as one block matrix
-and through the Huffman stage under one shared codebook. ``compress``
+(``SZLR.compress_batch``) and through the Huffman stage under one shared
+codebook. ``compress``
 still writes each array's self-contained stream byte for byte as the repo
 wrote it before runs were stacked — ``DIGESTS[case]`` holds sha256
 digests taken from that one-at-a-time encoder over the same seeded inputs
 — and a run's grouped streams decode bit for bit to what those streams
 decode to. ``DIGESTS["run:<case>"]`` and the file digests pin the grouped
-bytes themselves.
+bytes themselves. ``TestOnePassBytes.DIGEST`` pins ``SZInterp.compress`` and
+``SZInterp.compress_batch`` the same way.
 """
 
 from __future__ import annotations
@@ -18,29 +20,18 @@ import math
 import numpy as np
 import pytest
 
-from repro.amr import AMRHierarchy, AMRLevel, Box, BoxArray, Patch
 from repro.amr.io import write_series, write_sharded_series
 from repro.compression import amr_codec, huffman, sz_lr
 from repro.compression.amr_codec import compress_hierarchy
 from repro.compression.base import GROUPED_STAGE, SharedEntropy, StreamReader
 from repro.compression.registry import make_codec
+from repro.compression.sz_interp import SZInterp
 from repro.compression.sz_lr import SZLR
 from repro.errors import CompressionError
 from repro.insitu import StreamingWriter
 from repro.parallel import WorkerPool
 
-
-def _field(rng: np.random.Generator, shape, kind: str = "rough") -> np.ndarray:
-    axes = np.meshgrid(*[np.linspace(0.0, 1.0, s) for s in shape], indexing="ij")
-    base = sum(np.sin((3 + d) * x) for d, x in enumerate(axes))
-    if kind == "const":
-        return np.full(shape, 2.5)
-    if kind == "lattice":  # exact ties on the quantization lattice
-        return np.round(base * 4)
-    if kind == "wild":  # > 2**16 distinct codes: too many to Huffman-code
-        return rng.standard_normal(shape) * 1e6
-    noise = 0.0 if kind == "smooth" else 0.05
-    return base + noise * rng.standard_normal(shape)
+from tests.strategies import FILE_CASES, make_field, many_patch_hierarchy
 
 
 RAGGED_3D = [(8, 8, 8), (8, 8, 8), (16, 8, 8), (8, 64, 8), (8, 8, 8), (16, 16, 16),
@@ -51,24 +42,24 @@ def _run(name: str) -> list[np.ndarray]:
     """The seeded members of one matrix case."""
     rng = np.random.default_rng(sum(name.encode()))
     if name == "1d":
-        return [_field(rng, (n,)) for n in (16, 64, 100, 512, 64)]
+        return [make_field(rng, (n,)) for n in (16, 64, 100, 512, 64)]
     if name == "2d":
-        return [_field(rng, s) for s in ((8, 8), (16, 24), (30, 8), (8, 8))]
+        return [make_field(rng, s) for s in ((8, 8), (16, 24), (30, 8), (8, 8))]
     if name == "mixed_ndim":
-        return [_field(rng, s) for s in ((8, 8, 8), (64,), (16, 8), (8, 8, 8), (64,))]
+        return [make_field(rng, s) for s in ((8, 8, 8), (64,), (16, 8), (8, 8, 8), (64,))]
     if name == "float32":
-        return [_field(rng, s).astype(np.float32) for s in RAGGED_3D[:6]]
+        return [make_field(rng, s).astype(np.float32) for s in RAGGED_3D[:6]]
     if name == "constant":
         kinds = ("rough", "const", "rough", "const", "smooth")
-        return [_field(rng, s, k) for s, k in zip(RAGGED_3D, kinds)]
+        return [make_field(rng, s, k) for s, k in zip(RAGGED_3D, kinds)]
     if name == "lattice":
-        return [_field(rng, s, "lattice") for s in RAGGED_3D]
+        return [make_field(rng, s, "lattice") for s in RAGGED_3D]
     if name == "one_symbol":  # a smooth ramp under a loose bound: every code is 0
-        return [_field(rng, (8, 8, 8), "smooth") * 1e-6 for _ in range(3)]
+        return [make_field(rng, (8, 8, 8), "smooth") * 1e-6 for _ in range(3)]
     if name == "deflate_mid_run":
-        return [_field(rng, (8, 8, 8)), _field(rng, (48, 48, 48), "wild"),
-                _field(rng, (16, 8, 8))]
-    return [_field(rng, s) for s in RAGGED_3D]
+        return [make_field(rng, (8, 8, 8)), make_field(rng, (48, 48, 48), "wild"),
+                make_field(rng, (16, 8, 8))]
+    return [make_field(rng, s) for s in RAGGED_3D]
 
 
 #: case -> (run, codec kwargs, error bound, mode)
@@ -229,36 +220,6 @@ class TestStackedRunIdentity:
 # ----------------------------------------------------------------------
 # Files: every writer, every execution mode, the parent's bytes
 # ----------------------------------------------------------------------
-def many_patch_hierarchy(seed: int = 11) -> AMRHierarchy:
-    """16 coarse 8^3 patches; 60 fine patches (56 of 8^3, 4 of 8x8x16) over
-    half the domain — 32768 fine cells per field; the ``small_budget``
-    tests cut it into runs of 4096."""
-    rng = np.random.default_rng(seed)
-    dom = Box.from_shape((32, 16, 16))
-    coarse = [Box((i, j, k), (i + 7, j + 7, k + 7))
-              for i in range(0, 32, 8) for j in range(0, 16, 8) for k in range(0, 16, 8)]
-    fine = []
-    for i in range(0, 32, 8):
-        for j in range(0, 32, 8):
-            if i == 0 and j < 16:  # four double-length boxes
-                fine += [Box((i, j, k), (i + 7, j + 7, k + 15)) for k in (0, 16)]
-            else:
-                fine += [Box((i, j, k), (i + 7, j + 7, k + 7)) for k in range(0, 32, 8)]
-    levels = []
-    for idx, (boxes, dx) in enumerate(((coarse, 1.0), (fine, 0.5))):
-        level = AMRLevel(idx, BoxArray(boxes), (dx,) * 3)
-        for name, scale in (("a", 1.0), ("b", 40.0)):
-            level.add_field(name, [Patch(b, scale * _field(rng, b.shape)) for b in boxes])
-        levels.append(level)
-    assert len(fine) == 60
-    return AMRHierarchy(dom, levels, 2)
-
-
-FILE_CASES = {
-    "plain": {},
-    "field_bounds": {"field_bounds": {"b": 5e-4}},
-    "exclude_covered": {"exclude_covered": True},
-}
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +264,6 @@ class TestFilesIdentical:
         assert _digest([p.read_bytes() for p in files]) == DIGESTS["sharded"]
 
 
-
 # ----------------------------------------------------------------------
 # Count guard: a level is a handful of kernel passes, not one per patch
 # ----------------------------------------------------------------------
@@ -332,3 +292,44 @@ def test_kernel_passes_per_field_are_bounded_by_the_cell_budget(
     assert len(calls) <= 2 * per_field
     # every block of every patch still went through exactly once
     assert sum(calls) == 2 * cells // 8 ** 3
+
+
+class TestOnePassBytes:
+    """``compress`` is the one-member case of the run path. ``DIGEST`` pins,
+    over 96 cases (8 shapes x 2 dtypes x 3 bounds x 2 entropy stages),
+    ``compress``'s streams — unchanged since they were two separate loops —
+    and ``compress_batch``'s codebook, payloads and streams of a run of
+    three same-shape members: one stacked pass under one shared codebook,
+    its grouped payloads under the 1-bit DEFLATE rule
+    (``repro.compression.base._wrap_grouped``)."""
+
+    SHAPES = [(1, 1, 1), (2, 3, 4), (5,), (8, 8, 8), (9, 7, 5), (16, 16), (17, 1, 3),
+              (33, 33)]
+    DIGEST = "694855f50839dadf6d960bfbbf1b401f4c7ead8cc7482eab9878b0aec64618ba"
+
+    def test_digest_battery(self):
+        h = hashlib.sha256()
+        rng = np.random.default_rng(20261001)
+        for shape in self.SHAPES:
+            base = rng.standard_normal((3, *shape)).cumsum(axis=-1)
+            for dtype in (np.float32, np.float64):
+                stack = base.astype(dtype)
+                for eb in (1e-1, 1e-3, 1e-5):
+                    for entropy in ("huffman", "deflate"):
+                        codec = SZInterp(entropy=entropy)
+                        alone = [codec.compress(member, eb, "rel") for member in stack]
+                        for blob in alone:
+                            h.update(blob)
+                        res = codec.compress_batch(stack, eb, "rel")
+                        h.update(res.codebook or b"")
+                        for blob in (*res.payloads, *res.streams):
+                            h.update(blob)
+                        # ungrouped members are the stand-alone streams
+                        if res.codebook is None:
+                            assert res.streams == alone
+        assert h.hexdigest() == self.DIGEST
+
+    def test_one_member_batch_decodes_like_compress(self, smooth_field):
+        codec = SZInterp(entropy="deflate")
+        res = codec.compress_batch(smooth_field[None], 1e-3, "abs")
+        assert res.streams == [codec.compress(smooth_field, 1e-3, "abs")]

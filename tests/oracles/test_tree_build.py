@@ -1,12 +1,13 @@
 """The write side's entropy stage costs one pass per run.
 
 Three things changed under ``huffman.encode_many`` and none may move a
-byte: the code lengths come from the two-queue Huffman build instead of a
-binary heap, and the canonical codes of every member of a run come from
-one pass. ``_oracle_lengths`` is the heap build the two-queue one
-replaced, kept here as the oracle. A run holds up to 64 k cells instead
-of 8 k; since a run shares one codebook, the cut moves bytes but never a
-decoded value.
+byte: the code lengths come from the two-queue Huffman build
+(``huffman._tree_lengths``) instead of a binary heap, and the canonical
+codes of every member of a run come from one pass
+(``huffman._canonical_codes``). ``_oracle_lengths`` is the heap build the
+two-queue one replaced, kept here as the oracle. A run holds up to 64 k
+cells instead of 8 k; since a run shares one codebook, the cut moves bytes
+but never a decoded value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import repro
 from repro.amr.io import write_sharded_series
 from repro.compression import amr_codec, huffman
 from repro.sims import NyxConfig, nyx_step_stream
+
+from tests.strategies import fibonacci, frequency_vectors
 
 #: Heap keys were ``freq << 20 | node_id``: 2**16 leaves make 2**17 - 1 nodes.
 _ID_MASK = (1 << 20) - 1
@@ -59,40 +62,6 @@ def _oracle_code_lengths(freqs: np.ndarray) -> np.ndarray:
         work = (work + 1) // 2
 
 
-def _fibonacci(n: int) -> list[int]:
-    fib = [1, 1]
-    while len(fib) < n:
-        fib.append(fib[-1] + fib[-2])
-    return fib[:n]
-
-
-@st.composite
-def frequency_vectors(draw, widest: bool = True) -> np.ndarray:
-    """Frequency vectors from the corners a tree build can get wrong
-    (``widest``: including alphabets of 2**16 symbols)."""
-    kinds = ["equal", "ties", "one", "two", "near-2**40", "fibonacci", "any"]
-    kind = draw(st.sampled_from(kinds + ["alphabet-2**16"] * widest))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "equal":
-        freqs = np.full(draw(st.integers(2, 3000)), draw(st.integers(1, 1 << 40)))
-    elif kind == "ties":
-        freqs = rng.integers(1, draw(st.integers(2, 5)), draw(st.integers(2, 600)))
-    elif kind == "one":
-        freqs = np.array([draw(st.integers(1, 1 << 40))])
-    elif kind == "two":
-        freqs = np.array(draw(st.lists(st.integers(1, 1 << 40), min_size=2, max_size=2)))
-    elif kind == "alphabet-2**16":
-        freqs = rng.integers(1, draw(st.sampled_from([2, 4])), 1 << 16)  # depth 16-17
-    elif kind == "near-2**40":
-        freqs = (1 << 40) - rng.integers(0, 8, draw(st.integers(2, 400)))
-    elif kind == "fibonacci":  # deeper than MAX_CODE_LENGTH: forces the limiting loop
-        fib = np.array(_fibonacci(draw(st.integers(18, 88))))
-        freqs = rng.permutation(fib * draw(st.integers(1, 3)))
-    else:
-        freqs = np.array(draw(st.lists(st.integers(1, 10**9), min_size=2, max_size=300)))
-    return freqs.astype(np.int64)
-
-
 @settings(max_examples=60, deadline=None)
 @given(frequency_vectors())
 def test_lengths_are_the_heap_builds(freqs):
@@ -104,7 +73,7 @@ def test_lengths_are_the_heap_builds(freqs):
 
 
 def test_fibonacci_counts_go_through_the_limiting_loop():
-    freqs = np.array(_fibonacci(60), dtype=np.int64)
+    freqs = np.array(fibonacci(60), dtype=np.int64)
     assert huffman._tree_lengths(freqs).max() > huffman.MAX_CODE_LENGTH
     capped = huffman.code_lengths(freqs)
     assert capped.max() == huffman.MAX_CODE_LENGTH

@@ -28,7 +28,7 @@ from repro.errors import CompressionError
 from repro.insitu import StreamingWriter
 from repro.parallel import EXECUTION_MODES, WorkerPool
 from repro.storage import ByteSink, ByteSource
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 #: Each entry point as ``(root, hierarchy, opened) -> call``: ``call(pool=)``
 #: makes the request; ``opened(name)`` opens a reader before the spy starts.

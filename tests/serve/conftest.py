@@ -1,39 +1,36 @@
 """Shared sources for the serve suite: one small series, one sharded
 campaign, and one grouped snapshot, each step holding *distinct* data so
-byte-identity checks cannot pass by accident."""
+byte-identity checks cannot pass by accident; the ground truth they are
+checked against; and the two servers the network tests talk to, a real
+``QueryServer`` on a background loop and a one-reply fake."""
 
 from __future__ import annotations
 
-import numpy as np
+import asyncio
+import socket
+import threading
+from contextlib import contextmanager
+
 import pytest
 
 from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.io import write_series, write_sharded_series
 from repro.amr.level import AMRLevel
 from repro.compression.amr_codec import compress_hierarchy, decompress_selection
+from repro.serve import QueryServer, QueryService
 
-from tests.compression.test_stacked import many_patch_hierarchy
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import many_patch_hierarchy, step_hierarchy
 
 N_STEPS = 4
 N_SHARD_STEPS = 6
 N_SHARDS = 3
 
 
-def step_hierarchy(s: int):
-    """A two-level hierarchy whose data differs per step."""
-    h = make_sphere_hierarchy(n=16)
-    for level in h.levels:
-        for p in level.patches("f"):
-            p.data += 0.05 * (s + 1) * np.cos(p.data * (s + 1))
-    return h
-
-
 @pytest.fixture(scope="session")
 def series_path(tmp_path_factory):
     """A 4-step RPH2S series with per-step distinct data."""
     path = tmp_path_factory.mktemp("serve") / "run.rph2s"
-    write_series(path, [step_hierarchy(s) for s in range(N_STEPS)], "sz-lr", 1e-3)
+    write_series(path, [step_hierarchy(s, 16) for s in range(N_STEPS)], "sz-lr", 1e-3)
     return path
 
 
@@ -43,7 +40,7 @@ def sharded_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("serve-sharded") / "camp.rphm"
     write_sharded_series(
         path,
-        [step_hierarchy(s) for s in range(N_SHARD_STEPS)],
+        [step_hierarchy(s, 16) for s in range(N_SHARD_STEPS)],
         "sz-lr",
         1e-3,
         n_shards=N_SHARDS,
@@ -98,3 +95,61 @@ def assert_byte_identical(served: dict, truth: dict):
         a, b = served[key], truth[key]
         assert a.dtype == b.dtype and a.shape == b.shape, key
         assert a.tobytes() == b.tobytes(), f"bytes differ for {key}"
+
+
+@contextmanager
+def running_server(path, server_kwargs=None, **service_kwargs):
+    """A QueryServer on a background event-loop thread; yields (host, port)."""
+    loop = asyncio.new_event_loop()
+    started = threading.Event()
+    box: dict = {}
+
+    async def main():
+        service = QueryService(path, workers=2, **service_kwargs)
+        server = QueryServer(service, **(server_kwargs or {}))
+        await server.start()
+        box["addr"] = server.address
+        box["server"] = server
+        started.set()
+        await server.serve_until_shutdown()
+
+    thread = threading.Thread(target=lambda: loop.run_until_complete(main()),
+                              daemon=True)
+    thread.start()
+    assert started.wait(15), "server did not start"
+    try:
+        yield box["addr"]
+    finally:
+        # A shutdown op may already have ended the loop: a stop scheduled on
+        # it would never run. A live server's thread ends once stop() has.
+        if thread.is_alive():
+            asyncio.run_coroutine_threadsafe(box["server"].stop(), loop)
+        thread.join(timeout=15)
+        loop.close()
+
+
+@contextmanager
+def fake_server(reply: bytes):
+    """Serve one connection: read one request line, send ``reply``, close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+
+    def serve():
+        try:
+            conn, _ = listener.accept()
+        except OSError:
+            return
+        with conn:
+            conn.makefile("rb").readline()
+            try:
+                conn.sendall(reply)
+            except OSError:  # the client stopped reading: that is its answer
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1]
+    finally:
+        listener.close()
+        thread.join(10)

@@ -13,10 +13,7 @@ costs only the bytes actually received.
 from __future__ import annotations
 
 import json
-import socket
-import threading
 import tracemalloc
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -24,32 +21,7 @@ import pytest
 from repro.errors import ServeError
 from repro.serve import TCPClient
 
-
-@contextmanager
-def fake_server(reply: bytes):
-    """Serve one connection: read one request line, send ``reply``, close."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(10)
-
-    def serve():
-        try:
-            conn, _ = listener.accept()
-        except OSError:
-            return
-        with conn:
-            conn.makefile("rb").readline()
-            try:
-                conn.sendall(reply)
-            except OSError:  # the client stopped reading: that is its answer
-                pass
-
-    thread = threading.Thread(target=serve, daemon=True)
-    thread.start()
-    try:
-        yield listener.getsockname()[1]
-    finally:
-        listener.close()
-        thread.join(10)
+from tests.serve.conftest import fake_server
 
 
 def _query(reply: bytes):

@@ -26,8 +26,8 @@ from repro.parallel import WorkerPool
 from repro.serve import QueryService
 from repro.storage import LocalFileBackend
 
-from tests.compression.test_stacked import many_patch_hierarchy
 from tests.serve.conftest import assert_byte_identical, direct_truth
+from tests.strategies import many_patch_hierarchy
 
 #: The eight cold selections of the campaign below: step x field x level.
 COLD = [dict(steps=s, fields=f, levels=lev) for s in (0, 1) for f in "ab" for lev in (0, 1)]

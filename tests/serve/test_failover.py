@@ -24,12 +24,8 @@ from repro.serve import QueryService
 from repro.storage import LocalFileBackend
 
 from tests.integrity.conftest import flip_byte
-from tests.serve.conftest import (
-    N_SHARD_STEPS,
-    N_SHARDS,
-    assert_byte_identical,
-    step_hierarchy,
-)
+from tests.serve.conftest import N_SHARD_STEPS, N_SHARDS, assert_byte_identical
+from tests.strategies import step_hierarchy
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +34,7 @@ def parity_template(tmp_path_factory):
     root = tmp_path_factory.mktemp("serve-parity")
     manifest = root / "camp.rphm"
     write_sharded_series(
-        manifest, [step_hierarchy(s) for s in range(N_SHARD_STEPS)],
+        manifest, [step_hierarchy(s, 16) for s in range(N_SHARD_STEPS)],
         "sz-lr", 1e-3, n_shards=N_SHARDS, parallel="serial", parity=1,
     )
     return root, decompress_selection(manifest)

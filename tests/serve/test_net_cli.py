@@ -7,56 +7,22 @@ per-request, never per-connection or per-server.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import os
 import re
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from repro.errors import DeadlineExceeded, Overloaded, ServeError, StorageError
-from repro.serve import QueryServer, QueryService, TCPClient
+from repro.serve import QueryService, TCPClient
 
-from tests.serve.conftest import assert_byte_identical, direct_truth
+from tests.serve.conftest import assert_byte_identical, direct_truth, running_server
 
 REPO = Path(__file__).resolve().parents[2]
-
-
-@contextmanager
-def running_server(path, server_kwargs=None, **service_kwargs):
-    """A QueryServer on a background event-loop thread; yields (host, port)."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    box: dict = {}
-
-    async def main():
-        service = QueryService(path, workers=2, **service_kwargs)
-        server = QueryServer(service, **(server_kwargs or {}))
-        await server.start()
-        box["addr"] = server.address
-        box["server"] = server
-        started.set()
-        await server.serve_until_shutdown()
-
-    thread = threading.Thread(target=lambda: loop.run_until_complete(main()),
-                              daemon=True)
-    thread.start()
-    assert started.wait(15), "server did not start"
-    try:
-        yield box["addr"]
-    finally:
-        # A shutdown op may already have ended the loop: a stop scheduled on
-        # it would never run. A live server's thread ends once stop() has.
-        if thread.is_alive():
-            asyncio.run_coroutine_threadsafe(box["server"].stop(), loop)
-        thread.join(timeout=15)
-        loop.close()
 
 
 def test_tcp_query_byte_identical(series_path):
@@ -325,10 +291,10 @@ def test_cli_serve_banner_reports_the_sniffed_kind(series_path, sharded_path, sn
     """A one-step series under an alien suffix is a series (the parent's
     banner guessed "snapshot" from the step count and the file name)."""
     from repro.amr.io import write_series
-    from tests.serve.conftest import step_hierarchy
+    from tests.strategies import step_hierarchy
 
     one = tmp_path / "one.dat"
-    write_series(one, [step_hierarchy(0)], "sz-lr", 1e-3)
+    write_series(one, [step_hierarchy(0, 16)], "sz-lr", 1e-3)
     kinds = {one: "series", series_path: "series", sharded_path: "campaign",
              snapshot_path: "snapshot"}
     for path, kind in kinds.items():

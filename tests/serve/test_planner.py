@@ -20,46 +20,18 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ServeError
 from repro.serve import (
-    DEFAULT_GAP_CAP,
     Extent,
     QueryService,
     coalesce_extents,
 )
 
 from tests.serve.conftest import assert_byte_identical, direct_truth
+from tests.strategies import extent_layouts
 
 
 # ----------------------------------------------------------------------
-# Extent-layout strategies
+# Coverage, tightness and budget
 # ----------------------------------------------------------------------
-@st.composite
-def extent_layouts(draw):
-    """Disjoint extents built from (gap, length) runs, returned shuffled
-    so the planner's own sorting is exercised."""
-    n = draw(st.integers(min_value=0, max_value=20))
-    offset = draw(st.integers(min_value=0, max_value=1000))
-    extents = []
-    for i in range(n):
-        gap = draw(
-            st.one_of(
-                st.just(0),  # touching runs are common in real layouts
-                st.integers(min_value=1, max_value=200),
-                st.integers(min_value=1, max_value=200_000),
-            )
-        )
-        length = draw(
-            st.one_of(
-                st.just(0),  # zero-length extents must be harmless
-                st.integers(min_value=1, max_value=5000),
-            )
-        )
-        offset += gap
-        extents.append(
-            Extent(offset, length, "stream", (0, 0, "f", i), crc32=0)
-        )
-        offset += length
-    draw(st.randoms(use_true_random=False)).shuffle(extents)
-    return extents
 
 
 coalesce_params = st.tuples(

@@ -19,8 +19,7 @@ from repro.errors import ServeError
 from repro.serve import TCPClient, net
 from repro.serve.net import MAX_REQUEST_BYTES
 
-from tests.serve.test_client_header import fake_server
-from tests.serve.test_net_cli import running_server
+from tests.serve.conftest import fake_server, running_server
 
 
 def ping_line(length: int) -> bytes:

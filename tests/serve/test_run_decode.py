@@ -22,8 +22,8 @@ from repro.insitu.series import SeriesReader
 from repro.parallel import WorkerPool
 from repro.serve import QueryService
 
-from tests.compression.test_stacked import many_patch_hierarchy
 from tests.serve.conftest import assert_byte_identical
+from tests.strategies import many_patch_hierarchy
 
 FIELD, LEVEL, VICTIM = "a", 1, 37  # the 60 fine patches of one field; one of them
 

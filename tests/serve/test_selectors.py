@@ -21,8 +21,8 @@ from repro.errors import CompressionError
 from repro.insitu.series import SeriesReader
 from repro.serve import InProcessClient, TCPClient
 
-from tests.serve.conftest import step_hierarchy
-from tests.serve.test_net_cli import running_server
+from tests.serve.conftest import running_server
+from tests.strategies import step_hierarchy
 
 FIELD = "f"
 KIND = {"levels": "level", "patches": "patch"}
@@ -50,7 +50,7 @@ REFUSED = [
 
 @pytest.fixture(scope="module")
 def reader():
-    blob = compress_hierarchy(step_hierarchy(0), "sz-lr", 1e-3).tobytes()
+    blob = compress_hierarchy(step_hierarchy(0, 16), "sz-lr", 1e-3).tobytes()
     return ContainerReader(blob)
 
 

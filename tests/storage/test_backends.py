@@ -25,7 +25,7 @@ from repro.errors import (
 )
 from repro.insitu import SeriesReader, StreamingWriter
 from repro.storage import LocalFileBackend, MemoryBackend, RangedBackend
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 @pytest.fixture()

@@ -22,7 +22,6 @@ import tracemalloc
 import weakref
 import zlib
 
-import numpy as np
 import pytest
 
 from repro.amr.io import write_series, write_sharded_series
@@ -40,8 +39,7 @@ from repro.storage import (
     MemoryBackend,
     RangedBackend,
 )
-from tests.compression.test_stacked import many_patch_hierarchy
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import many_patch_hierarchy, step_hierarchy
 
 DATA = bytes(range(256)) * 40 + b"tail"
 SIZE = len(DATA)
@@ -212,14 +210,7 @@ _TRAILER = struct.Struct("<QQI8s")
 
 
 def _steps(n: int, cells: int = 8):
-    out = []
-    for s in range(n):
-        h = make_sphere_hierarchy(cells)
-        for level in h.levels:
-            for p in level.patches("f"):
-                p.data += 0.05 * (s + 1) * np.cos(p.data * (s + 1))
-        out.append(h)
-    return out
+    return [step_hierarchy(s, cells) for s in range(n)]
 
 
 @pytest.fixture(scope="module")

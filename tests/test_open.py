@@ -29,7 +29,7 @@ from repro.errors import CompressionError, FormatError, StorageError
 from repro.insitu import SeriesReader
 from repro.insitu.sharded import ShardedSeriesReader
 from repro.storage import LocalFileBackend, MemoryBackend
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy, scaled_steps
 
 #: fixture -> (file, kind, class-level open, recover)
 FIXTURES = {
@@ -44,16 +44,12 @@ BACKENDS = ("none", "local", "rooted", "memory")
 JUNK = "not an RPH2 container, RPH2S series, or RPHM manifest (magic {!r})"
 
 
-def _scaled(h, factor):
-    return h.map_fields(lambda lev, name, data: data * factor)
-
-
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """The six fixtures in one directory, and the same files in memory."""
     root = tmp_path_factory.mktemp("door")
     base = make_sphere_hierarchy(8)
-    steps = [_scaled(base, 1.0 + 0.5 * i) for i in range(3)]
+    steps = scaled_steps(3, step=0.5)
     write_container(root / "snap.rprh", compress_hierarchy(base, "sz-lr", 1e-3))
     write_series(root / "one.dat", steps[:1])
     write_series(root / "run.rph2s", steps)

@@ -14,7 +14,7 @@ from repro.viz import (
     resampling_isosurface,
 )
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 def open_quad_at(x: float) -> TriangleMesh:

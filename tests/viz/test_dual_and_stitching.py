@@ -14,7 +14,7 @@ from repro.viz import (
 )
 from repro.viz.stitching import dilate_tags
 from repro.errors import VisualizationError
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 class TestDualCell:

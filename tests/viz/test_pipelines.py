@@ -8,7 +8,7 @@ import pytest
 from repro.errors import VisualizationError
 from repro.viz import crack_report, dual_cell_isosurface, resampling_isosurface
 
-from tests.conftest import make_sphere_hierarchy
+from tests.strategies import make_sphere_hierarchy
 
 
 @pytest.fixture(scope="module")

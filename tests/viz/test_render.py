@@ -6,7 +6,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.errors import VisualizationError
 from repro.viz import TriangleMesh, marching_cubes, render_mesh
@@ -168,130 +167,6 @@ class TestValidation:
         lo, hi = flat.bounds()
         assert lo[0] == hi[0]
         assert (render_mesh(flat, size=(16, 16), bounds=(lo, hi)) > 0).all()
-
-
-# ----------------------------------------------------------------------
-# The rasteriser against its oracle
-# ----------------------------------------------------------------------
-def _reference_render(mesh, axis=0, size=(256, 256), bounds=None,
-                      light=(0.5, 0.6, 0.62), background=0.0, ambient=0.25):
-    """The rasteriser ``render_mesh`` replaced, spelled out one face at a
-    time: every integer of ``floor(min)..ceil(max)`` (each end clamped into
-    the window) is a candidate, and an inside sample takes a pixel only when
-    it is strictly nearer than what the pixel holds — faces go in index
-    order, so equal depths keep the lowest face."""
-    h, w = size
-    img = np.full((h, w), float(background))
-    if mesh.is_empty():
-        return img
-    row_axis, col_axis = (a for a in range(3) if a != axis)
-    lo, hi = mesh.bounds() if bounds is None else bounds
-    span = np.where(hi - lo > 0, hi - lo, 1.0)
-    py = (mesh.vertices[:, row_axis] - lo[row_axis]) / span[row_axis] * (h - 1)
-    px = (mesh.vertices[:, col_axis] - lo[col_axis]) / span[col_axis] * (w - 1)
-    lvec = np.asarray(light, dtype=np.float64)
-    lvec = lvec / np.linalg.norm(lvec)
-    shade = ambient + (1.0 - ambient) * np.abs(mesh.face_normals() @ lvec)
-    nearest = np.full((h, w), -np.inf)
-    for k, corners in enumerate(mesh.faces):
-        (ay, by, cy), (ax, bx, cx) = py[corners], px[corners]
-        za, zb, zc = mesh.vertices[corners, axis]
-        det = (by - ay) * (cx - ax) - (bx - ax) * (cy - ay)
-        if det == 0.0:
-            continue
-        y0, y1 = np.clip([np.floor(min(ay, by, cy)), np.ceil(max(ay, by, cy))], 0, h - 1)
-        x0, x1 = np.clip([np.floor(min(ax, bx, cx)), np.ceil(max(ax, bx, cx))], 0, w - 1)
-        box = (slice(int(y0), int(y1) + 1), slice(int(x0), int(x1) + 1))
-        pyc, pxc = np.mgrid[box].astype(np.float64)
-        with np.errstate(all="ignore"):  # a 1e-300 det overflows the weights
-            w1 = ((pyc - ay) * (cx - ax) - (pxc - ax) * (cy - ay)) / det
-            w2 = ((by - ay) * (pxc - ax) - (bx - ax) * (pyc - ay)) / det
-            w0 = 1.0 - w1 - w2
-            z = w0 * za + w1 * zb + w2 * zc
-        eps = -1e-9
-        wins = (w0 >= eps) & (w1 >= eps) & (w2 >= eps) & (z > nearest[box])
-        nearest[box][wins] = z[wins]
-        img[box][wins] = shade[k]
-    return img
-
-
-MESH_KINDS = ("uniform", "lattice", "quarter-lattice", "coplanar", "slivers", "far-outside",
-              "near-lattice")
-
-
-def _generated_case(seed, kind, h, w, axis, own_window):
-    """A mesh of the named kind and the render arguments that make its
-    image coordinates equal its physical ones (so "lattice" means pixel
-    centres on vertices and edges)."""
-    rng = np.random.default_rng(seed)
-    n_verts, n_faces = int(rng.integers(3, 40)), int(rng.integers(1, 50))
-    row_axis, col_axis = (a for a in range(3) if a != axis)
-    lo, hi = np.zeros(3), np.ones(3)
-    hi[row_axis], hi[col_axis] = h - 1, w - 1
-    reach = max(h, w)
-    faces = None
-    if kind == "uniform":  # partly outside the window
-        verts = rng.uniform(-0.2, 1.2, (n_verts, 3)) * hi
-    elif kind == "lattice":
-        verts = rng.integers(-2, reach + 2, (n_verts, 3)).astype(float)
-    elif kind == "quarter-lattice":
-        verts = rng.integers(-8, 4 * reach + 8, (n_verts, 3)) / 4.0
-    elif kind == "coplanar":  # every face at one depth: all overlaps are ties
-        verts = rng.integers(-2, reach + 2, (n_verts, 3)).astype(float)
-        verts[:, axis] = 0.5
-    elif kind == "slivers":  # |det| from ~1e-14 up, along random and lattice lines
-        start = rng.uniform(0, 1, (n_faces, 3)) * hi
-        along = rng.uniform(-1, 1, (n_faces, 3)) * rng.choice([1, 5, 30], (n_faces, 1))
-        if rng.integers(2):
-            start, along = np.round(start), np.round(along)
-        off = 10.0 ** rng.uniform(-14, -3, (n_faces, 1)) * rng.normal(size=(n_faces, 3))
-        third = start + rng.uniform(0.2, 0.8, (n_faces, 1)) * along + off
-        verts = np.stack([start, start + along, third], axis=1).reshape(-1, 3)
-        faces = np.arange(3 * n_faces).reshape(n_faces, 3)
-    elif kind == "far-outside":  # large faces, many wholly outside
-        verts = rng.uniform(-3, 4, (n_verts, 3)) * hi
-    else:  # "near-lattice": sub-pixel faces within 1e-10..0.5 px of pixel centres
-        centre = rng.integers(0, reach, (n_faces, 1, 3)).astype(float)
-        size = 10.0 ** rng.uniform(-10, -0.3, (n_faces, 1, 1))
-        verts = (centre + size * rng.normal(size=(n_faces, 3, 3))).reshape(-1, 3)
-        faces = np.arange(3 * n_faces).reshape(n_faces, 3)
-    if faces is None:  # repeated indices make degenerate faces
-        faces = rng.integers(0, len(verts), (n_faces, 3))
-    return TriangleMesh(verts, faces), dict(
-        axis=axis, size=(h, w), bounds=None if own_window else (lo, hi))
-
-
-class TestAgainstReference:
-    @settings(max_examples=300, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(MESH_KINDS), st.integers(2, 64),
-           st.integers(2, 64), st.sampled_from([0, 1, 2]), st.booleans())
-    def test_images_are_byte_identical(self, seed, kind, h, w, axis, own_window):
-        mesh, kwargs = _generated_case(seed, kind, h, w, axis, own_window)
-        assert render_mesh(mesh, **kwargs).tobytes() == _reference_render(mesh, **kwargs).tobytes()
-
-    def test_isosurface_image(self):
-        ax = np.linspace(-1, 1, 24)
-        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        mesh = marching_cubes(np.sqrt(x * x + y * y + z * z) + 0.2 * x * y, 0.6)
-        for axis in (0, 1, 2):
-            for bounds in (None, (np.full(3, -1.0), np.full(3, 1.0))):
-                kwargs = dict(axis=axis, size=(96, 80), bounds=bounds, background=0.1)
-                assert (render_mesh(mesh, **kwargs).tobytes()
-                        == _reference_render(mesh, **kwargs).tobytes())
-
-    def test_sliver_painting_outside_its_tight_box(self):
-        # |det| ~ 1e-17 px^2: the weights are rounding noise, and the
-        # reference paints pixel (3, 1), a row below the face's own rows
-        # (2.46..2.64). Faces like this one keep the floor..ceil box.
-        verts = np.array([
-            [2.4597587085128785, 0.45975870851287864, 0.5095451291667785],
-            [2.636456553749524, 0.636456553749524, 0.9355100792268508],
-            [2.5964567689011164, 0.5964567689011165, 0.3574547742171649]])
-        mesh = TriangleMesh(verts, np.array([[0, 1, 2]]))
-        kwargs = dict(axis=2, size=(8, 8), bounds=(np.zeros(3), np.array([7.0, 7.0, 1.0])))
-        expected = _reference_render(mesh, **kwargs)
-        assert np.argwhere(expected > 0).tolist() == [[3, 1]]
-        assert render_mesh(mesh, **kwargs).tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,8 @@ It runs every driver of the library under a stdlib profiler and never the
 tests (the CLI's inputs come from ``repro.sims``): the experiment registry (``run all --quick``), the four e2e
 workloads at ``--scale smoke`` (``setup()``, one ``block()``,
 ``verify()``; ``benchmarks/e2e/`` is imported, not edited), the CLI's 12
-subcommands plus ``stream --sim warpx`` on small inputs,
+subcommands plus ``stream --sim warpx`` (one file and two shards) on small
+inputs,
 ``tools/faultsim.py all --quick`` and every ``examples/*.py`` at its
 smallest scale. The profiler (``coverage`` is not a dependency) is
 :func:`install`, loaded by a generated ``sitecustomize.py`` so that every
@@ -241,6 +242,8 @@ def _steps(repo: Path, work: Path) -> list[tuple[str, list[str], bool]]:
         ("stream", cli + ["stream", "--sim", "nyx", "--steps", "2", "-o", "run.rph2s"], True),
         ("stream --sim warpx", cli + ["stream", "--sim", "warpx", "--steps", "2",
                                       "-o", "warpx.rph2s"], True),
+        ("stream --shards 2", cli + ["stream", "--sim", "warpx", "--steps", "2",
+                                     "--shards", "2", "-o", "warpx.rphm"], True),
         ("cut a series", [py, "-c", _CUT], True),
         ("recover", cli + ["recover", "cut.rph2s"], False),
         ("scrub", cli + ["scrub", "camp.rphm"], True),
