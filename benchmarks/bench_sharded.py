@@ -10,7 +10,7 @@ Acceptance gates for the sharded RPHM path (ISSUE 6, re-based by ISSUE 23):
   and the floor is asserted on every box. It is not a speedup and is not
   meant to be: threads cannot overlap this encode (thousands of
   sub-millisecond NumPy/zlib calls, each releasing the interpreter lock
-  into a hand-off; ``docs/performance.md``, PR 23);
+  into a hand-off; ``docs/performance.md``, "Writer lane");
 * the union read of the sharded campaign must be value-identical to the
   single-writer series — sharding changes placement, never bytes' worth
   of data;

@@ -171,7 +171,7 @@ class CompressedHierarchy(ContainerReader):
 #: 164.9 MB (+2.6 %: a run's int64 temporaries); the budget alone is -10 %.
 #: 8 k was once kept because ``ops_per_s`` resolved only 0.22 /s of spread; its
 #: bound is now 25 % of ~4.2 /s, ~1.06 /s, and runs spread by 0.17-0.27 /s
-#: between quartiles (``docs/performance.md``).
+#: between quartiles (``docs/performance.md``, "Run budget").
 RUN_CELL_BUDGET = 1 << 16
 
 #: Runs a pooled :class:`SegmentWriter` keeps in flight per lane. With the

@@ -8,7 +8,7 @@ append-ordered. With ``parallel="thread"`` the whole campaign shares
 gets its thread back while steps encode in arrival order behind it. That
 buys asynchrony, not multi-core encode — two encoding threads trade the
 interpreter lock between sub-millisecond NumPy/zlib calls for longer than
-they overlap (``docs/performance.md``, PR 23). The shards are federated
+they overlap (``docs/performance.md``, "Writer lane"). The shards are federated
 behind a small crc-protected **RPHM manifest**:
 
 .. code-block:: text
@@ -362,7 +362,7 @@ class ShardedSeriesWriter:
         both write the same bytes. With one lane a shard's writes no
         longer overlap another shard's encode, so on a ``backend`` with
         millisecond writes thread mode costs about what serial does
-        (table in ``docs/performance.md``, PR 23). ``max_pending_steps``
+        (``docs/performance.md``, "Writer lane"). ``max_pending_steps``
         bounds the appends queued on the lane (default ``2 * n_shards``).
 
         ``parity=p`` (0 ≤ p ≤ n_shards) writes ``p`` XOR parity shards at

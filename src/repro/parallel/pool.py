@@ -10,8 +10,8 @@ preserves order and propagates worker exceptions, and
 calling thread (a solver, an event loop), and that is all it can do. On the
 paper's 8^3-32^3 patches a task is thousands of sub-millisecond NumPy / zlib
 calls, and a second GIL-bound thread only trades the interpreter lock with
-the first, so both finish later (``docs/performance.md``, the writer-lane
-and decode-lane sections). ``workers`` sizes ``"process"`` pools, the one
+the first, so both finish later (``docs/performance.md``, "Writer lane",
+"Decode lane"). ``workers`` sizes ``"process"`` pools, the one
 multi-core mode.
 """
 

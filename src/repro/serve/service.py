@@ -68,13 +68,7 @@ from repro.errors import (
 )
 from repro.parallel.pool import WorkerPool, check_workers
 from repro.serve.cache import ServeCache
-from repro.serve.planner import (
-    DEFAULT_GAP_CAP,
-    DEFAULT_SLACK,
-    QueryPlan,
-    StepPlan,
-    plan_step,
-)
+from repro.serve.planner import QueryPlan, StepPlan, plan_step
 from repro.serve.resilience import AdmissionGate, Deadline
 from repro.serve.source import StepSource, _StepCatalog
 from repro.storage import LocalFileBackend, StorageBackend
@@ -91,7 +85,7 @@ class QueryInfo:
 
     ``extent_bytes`` is the sum of payload extents the query *needed*
     (the O(selection) floor); ``fetched_bytes`` is what the coalesced
-    reads actually touched (``<= (1 + slack) * extent_bytes`` by planner
+    reads actually touched (``<= (1 + DEFAULT_SLACK) * extent_bytes`` by planner
     construction, and 0 for a fully warm query); ``meta_bytes`` counts
     segment footers/indexes and group headers read on this query's
     behalf, plus every byte a parity reconstruction read (a healed step's
@@ -177,10 +171,7 @@ class QueryService(ReaderView):
         whatever ``workers`` says, as every thread-mode
         :class:`~repro.parallel.WorkerPool` is: it keeps the loop free (hits,
         deadlines, reads overlap the decode); a second only trades the GIL
-        with it, ~1 000 times a query (``docs/performance.md``, decode lane).
-    gap_cap, slack:
-        Planner coalescing knobs (see
-        :func:`repro.serve.planner.coalesce_extents`).
+        with it, ~1 000 times a query (``docs/performance.md``, "Decode lane").
     max_inflight, max_queue, max_bytes:
         Admission control (:class:`~repro.serve.resilience.AdmissionGate`):
         at most ``max_inflight`` queries run concurrently, ``max_queue``
@@ -224,8 +215,6 @@ class QueryService(ReaderView):
         pool: WorkerPool | None = None,
         workers: int | None = 2,
         decode_mode: str = "thread",
-        gap_cap: int = DEFAULT_GAP_CAP,
-        slack: float = DEFAULT_SLACK,
         max_inflight: int | None = 64,
         max_queue: int = 256,
         max_bytes: int | None = None,
@@ -236,8 +225,6 @@ class QueryService(ReaderView):
         clock=time.monotonic,
     ):
         check_workers(workers)  # before the source opens anything
-        self._gap_cap = int(gap_cap)
-        self._slack = float(slack)
         self._cache = ServeCache(cache_bytes) if cache_bytes is not None else None
         self._clock = clock
         self._admission = AdmissionGate(max_inflight, max_queue, max_bytes)
@@ -375,8 +362,6 @@ class QueryService(ReaderView):
             misses,
             {g: cat.reader.group_entry(g).offset for g in gids},
             {g: cat.reader.group(g, verify=False) for g in gids},
-            gap_cap=self._gap_cap,
-            slack_frac=self._slack,
         )
 
     async def _fail_over(

@@ -139,6 +139,12 @@ def test_empty_and_zero_length_only_layouts():
     assert coalesce_extents(only_empty) == []
 
 
+@pytest.mark.parametrize("knob", [{"gap_cap": 0}, {"slack": 0.0}])
+def test_service_plans_with_the_default_budget_only(series_path, knob):
+    with pytest.raises(TypeError, match=next(iter(knob))):
+        QueryService(series_path, **knob)
+
+
 # ----------------------------------------------------------------------
 # Plan-vs-direct byte identity on real sources
 # ----------------------------------------------------------------------

@@ -37,6 +37,9 @@ class TestRepoDocsAreClean:
     def test_every_api_index_name_is_bound_where_listed(self):
         assert checker.check_api_names(REPO_ROOT) == []
 
+    def test_every_performance_pointer_resolves(self):
+        assert checker.check_perf_pointers(REPO_ROOT) == []
+
     def test_main_exits_zero(self, capsys):
         assert checker.main([str(REPO_ROOT)]) == 0
         assert "0 problem(s)" in capsys.readouterr().out
@@ -101,3 +104,22 @@ class TestCheckerCatchesRot:
             "docs/api.md:6: `gone` is not bound in repro.pkg",
             "docs/api.md:7: `Other` is not bound in repro.pkg",
         ]
+
+    def test_dangling_performance_pointer_reported(self, tmp_path):
+        page = "performance.md"  # a name, so the text of this file holds no pointer
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / page).write_text(
+            "# Performance\n\n## PR 23 — one writer lane\n\n### Decode lane\n\n"
+            "| PR | claim |\n|---|---|\n| PR 24 | one decode lane |\n"
+        )
+        (tmp_path / "mod.py").write_text(
+            f"# resolves: ({page}, PR 23), ({page} § PR 23, § PR 24),\n"
+            f'# ({page}, "decode lane"), and a bare ({page}) names nothing\n'
+            f'# dangles: ({page} § PR 24, § PR 99) and ({page}, "Writer lane")\n'
+        )
+        (tmp_path / "CHANGES.md").write_text(f"history: ({page} § PR 7)\n")
+        assert checker.check_perf_pointers(tmp_path) == [
+            "mod.py:3: docs/performance.md has no heading or row PR 99",
+            'mod.py:3: docs/performance.md has no heading or row "Writer lane"',
+        ]
+        assert checker.main([str(tmp_path)]) == 1

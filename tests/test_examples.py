@@ -1,9 +1,9 @@
 """Smoke tests for the example scripts (the fast ones, in-process).
 
 Examples are documentation that executes; these tests keep them from
-rotting. The heavyweight studies (quickstart, warpx_visual_study) are
-exercised implicitly through the experiment benches, so only the scripts
-that finish in seconds run here.
+rotting. The heavyweight study (warpx_visual_study) is exercised
+implicitly through the experiment benches, so only the scripts that
+finish in seconds run here.
 """
 
 from __future__ import annotations
@@ -42,3 +42,14 @@ class TestExamples:
         out = _run("campaign_planning.py", ["--scale", "0.25"], monkeypatch, capsys)
         assert "Campaign plan" in out
         assert "CR=" in out
+
+    def test_quickstart(self, tmp_path, monkeypatch, capsys):
+        out = _run("quickstart.py", [str(tmp_path)], monkeypatch, capsys)
+        for codec in ("sz-lr", "sz-interp"):
+            assert f"{codec:10s} ratio = " in out
+        for method in ("resampling", "dual+redundant"):
+            assert f"{method:15s} render R-SSIM = " in out
+        for prefix in ("original", "szlr"):
+            for method in ("resampling", "dual+redundant"):
+                assert (tmp_path / f"{prefix}_{method}.pgm").is_file()
+        assert (tmp_path / "nyx_plt").is_dir()

@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Documentation checker: intra-repo Markdown links, Python snippets and
-the names of the API index.
+"""Documentation checker: intra-repo Markdown links, Python snippets, the
+names of the API index and the pointers into the performance page.
 
 Run from anywhere::
 
     python tools/check_docs.py [repo_root]
 
-Three checks, all zero-dependency (nothing is imported or executed):
+Four checks, all zero-dependency (nothing is imported or executed):
 
 1. **Link resolution** — every relative link/image target in every
    tracked ``*.md`` file must exist on disk (external ``http(s)``/
@@ -20,6 +20,12 @@ Three checks, all zero-dependency (nothing is imported or executed):
    row must be bound at the top level of that module's source (an import,
    ``def``, ``class``, assignment or ``__all__`` entry, or a name the
    module's ``__getattr__`` answers), read with :mod:`ast`.
+4. **Performance pointers** — wherever a text file outside ``CHANGES.md``
+   and ``ROADMAP.md`` (which log history) names ``docs/performance.md``
+   followed by ``§ PR N``, ``, PR N`` or a quoted section title (further
+   ``, § PR M`` / ``, "Title"`` items may follow), each ``PR N`` must name
+   a heading or the first cell of a table row of that page, and each
+   quoted title must be one of its headings.
 
 Exit status 0 when clean; 1 with one line per problem otherwise. Wired
 into CI as the ``docs`` job and exercised by ``tests/test_docs.py``.
@@ -33,11 +39,13 @@ import sys
 from pathlib import Path
 
 __all__ = [
-    "iter_markdown_files", "check_links", "check_python_snippets", "check_api_names", "main",
+    "iter_markdown_files", "check_links", "check_python_snippets", "check_api_names",
+    "check_perf_pointers", "main",
 ]
 
-#: Directories never scanned for Markdown.
-_SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", "node_modules", ".venv"}
+#: Directories never scanned.
+_SKIP_DIRS = {".git", ".pytest_cache", "__pycache__", "node_modules", ".venv",
+              ".hypothesis", ".bench_e2e_tmp"}
 
 #: Inline links/images: [text](target) / ![alt](target). Targets with
 #: spaces or nested parens are not used in this repo and are ignored.
@@ -50,11 +58,12 @@ _FENCE_RE = re.compile(
 )
 
 
-def iter_markdown_files(root: Path) -> list[Path]:
-    """All Markdown files under ``root``, skipping vendored/cache dirs."""
+def iter_markdown_files(root: Path, pattern: str = "*.md") -> list[Path]:
+    """All files matching ``pattern`` under ``root`` (Markdown by default),
+    skipping vendored/cache dirs."""
     out = []
-    for path in sorted(root.rglob("*.md")):
-        if not _SKIP_DIRS.intersection(p.name for p in path.parents):
+    for path in sorted(root.rglob(pattern)):
+        if path.is_file() and not _SKIP_DIRS.intersection(p.name for p in path.parents):
             out.append(path)
     return out
 
@@ -164,12 +173,66 @@ def check_api_names(root: Path, doc: str = "docs/api.md") -> list[str]:
     return errors
 
 
+#: The page the pointers name, and the files that only log history.
+_PERF_PAGE = "docs/performance.md"
+_PERF_LOGS = {"CHANGES.md", "ROADMAP.md"}
+
+#: Files a pointer may live in.
+_POINTER_SUFFIXES = {".md", ".py", ".yml", ".yaml", ".json", ".txt"}
+
+#: ``performance.md`` (closing quote/link marks allowed), then one or more
+#: ``§ PR N`` / ``, PR N`` / ``, "Title"`` items.
+_ITEM = r'(?:§\s*)?(?:PR\s+\d+|"[^"\n]+")'
+_POINTER_RE = re.compile(
+    r'performance\.md[`*\])]*(?P<items>(?:\s*§\s*|\s*,\s*)' + _ITEM
+    + r'(?:\s*,\s*' + _ITEM + r')*)'
+)
+_TARGET_RE = re.compile(r'PR\s+(\d+)|"([^"\n]+)"')
+
+
+def _perf_targets(page: Path) -> tuple[set[str], set[str]]:
+    """The page's ``PR N`` names (from headings and first table cells) and
+    its heading titles, lower-cased."""
+    prs, titles = set(), set()
+    for line in page.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            title = line.lstrip("#").strip()
+            titles.add(title.lower())
+        elif line.startswith("|"):
+            title = line.split("|")[1]
+        else:
+            continue
+        prs.update(re.findall(r"\bPR (\d+)\b", title))
+    return prs, titles
+
+
+def check_perf_pointers(root: Path) -> list[str]:
+    """Return one error string per pointer into the performance page that
+    names no heading or row of it."""
+    page = root / _PERF_PAGE
+    prs, titles = _perf_targets(page) if page.is_file() else (set(), set())
+    errors = []
+    for path in iter_markdown_files(root, "*"):
+        if path.suffix not in _POINTER_SUFFIXES or path.name in _PERF_LOGS:
+            continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        for match in _POINTER_RE.finditer(text):
+            lineno = text.count("\n", 0, match.start()) + 1
+            for pr, title in _TARGET_RE.findall(match.group("items")):
+                if (pr and pr not in prs) or (title and title.lower() not in titles):
+                    name = f"PR {pr}" if pr else f'"{title}"'
+                    errors.append(f"{path.relative_to(root)}:{lineno}: {_PERF_PAGE} "
+                                  f"has no heading or row {name}")
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point: check the repo rooted at ``argv[0]`` (default: the
     parent of this script's directory)."""
     args = sys.argv[1:] if argv is None else argv
     root = Path(args[0]).resolve() if args else Path(__file__).resolve().parents[1]
-    problems = check_links(root) + check_python_snippets(root) + check_api_names(root)
+    problems = (check_links(root) + check_python_snippets(root) + check_api_names(root)
+                + check_perf_pointers(root))
     for problem in problems:
         print(problem, file=sys.stderr)
     files = iter_markdown_files(root)
