@@ -27,7 +27,8 @@ import numpy as np
 from conftest import bench_scale, emit, once
 
 import perf_harness
-from repro.amr.io import open_series, write_sharded_series
+import repro
+from repro.amr.io import write_sharded_series
 from repro.integrity import repair_sharded, scrub
 from repro.sims import NyxConfig, nyx_step_stream
 
@@ -98,7 +99,7 @@ def test_parity_write_overhead_and_repair(benchmark, tmp_path):
 
     # The manifest's own accounting gives the byte overhead: parity file
     # sizes over the data shards they protect.
-    with open_series(protected) as reader:
+    with repro.open(protected) as reader:
         parity_rows = list(reader.parity)
         shard_bytes = sum(Path(s).stat().st_size for s in reader.shards)
         truth = reader.select()
@@ -116,7 +117,7 @@ def test_parity_write_overhead_and_repair(benchmark, tmp_path):
     repair_s = time.perf_counter() - t0
     assert report.committed and not report.unrecoverable
     assert scrub(protected).clean
-    with open_series(protected) as reader:
+    with repro.open(protected) as reader:
         healed = reader.select()
     assert set(healed) == set(truth)
     for key, want in truth.items():

@@ -32,7 +32,8 @@ import numpy as np
 from conftest import bench_scale, emit, once
 
 import perf_harness
-from repro.amr.io import open_series, write_series, write_sharded_series
+import repro
+from repro.amr.io import write_series, write_sharded_series
 from repro.sims import NyxConfig, nyx_step_stream
 
 STEPS = 8
@@ -94,7 +95,7 @@ def test_sharded_write_throughput_and_identity(benchmark, tmp_path):
 
     # Sharding must never change data: the union read equals the
     # single-writer read, key for key, bit for bit.
-    with open_series(single) as mono, open_series(manifest) as sh:
+    with repro.open(single) as mono, repro.open(manifest) as sh:
         assert sh.is_sharded and sh.n_shards == N_SHARDS
         assert sh.steps == mono.steps
         ref, got = mono.select(), sh.select()
@@ -108,7 +109,7 @@ def test_sharded_write_throughput_and_identity(benchmark, tmp_path):
         for name in (str(manifest.parent / n.name)
                      for n in manifest.parent.glob("*.shard*.rph2s"))
     }
-    with open_series(manifest) as sh:
+    with repro.open(manifest) as sh:
         owner = sh.shard_of(3)
         sh.select(steps=3)
     assert owner in shard_bytes

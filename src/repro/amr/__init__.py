@@ -12,11 +12,8 @@ from repro.amr.io import (
     write_plotfile,
     read_plotfile,
     write_container,
-    read_container,
-    open_container,
     write_series,
     append_step,
-    open_series,
 )
 from repro.amr.iostats import CampaignCost, snapshot_bytes, campaign_cost
 
@@ -34,11 +31,8 @@ __all__ = [
     "write_plotfile",
     "read_plotfile",
     "write_container",
-    "read_container",
-    "open_container",
     "write_series",
     "append_step",
-    "open_series",
     "CampaignCost",
     "snapshot_bytes",
     "campaign_cost",

@@ -1,4 +1,4 @@
-"""Plotfile I/O: a self-contained on-disk format for AMR hierarchies.
+"""Plotfile I/O, plus one-call forms of the compressed writers.
 
 The paper's datasets are AMReX plotfiles / HDF5 groups with one group per
 level (Figure 3 left). HDF5 is unavailable offline, so this module provides
@@ -14,6 +14,12 @@ an equivalent directory layout:
       ...
 
 Arrays are stored as ``.npy`` (no pickling), so any NumPy can read them.
+
+:func:`write_container`, :func:`write_series`, :func:`write_sharded_series`
+and :func:`append_step` write the compressed formats in one call, each
+forwarding its options to the writer that declares them. Everything they
+write is read through ``repro.open``; crash recovery is
+:func:`repro.insitu.recover_series`.
 """
 
 from __future__ import annotations
@@ -29,19 +35,14 @@ from repro.amr.hierarchy import AMRHierarchy
 from repro.amr.level import AMRLevel
 from repro.amr.patch import Patch
 from repro.errors import FormatError
-from repro.storage import ByteSource
 
 __all__ = [
     "write_plotfile",
     "read_plotfile",
     "write_container",
-    "read_container",
-    "open_container",
     "write_series",
     "write_sharded_series",
     "append_step",
-    "open_series",
-    "recover_series",
 ]
 
 _FORMAT_NAME = "repro-amr-plotfile"
@@ -152,32 +153,6 @@ def write_container(path: str | Path, container, overwrite: bool = False) -> Pat
     return target
 
 
-def read_container(path: str | Path):
-    """Load a full :class:`~repro.compression.amr_codec.CompressedHierarchy`
-    from an ``RPH2`` container at ``path`` (every stream crc-checked)."""
-    from repro.compression.amr_codec import CompressedHierarchy
-
-    with ByteSource.open(path) as src:
-        return CompressedHierarchy.frombytes(src.read(0, src.size))
-
-
-# kept: the snapshot door of docs/api.md, held to the snapshot parser
-def open_container(path: str | Path, backend=None):
-    """Open ``path`` for random access and return a
-    :class:`~repro.compression.container.ContainerReader` — ``repro.open``
-    held to the snapshot parser, which refuses anything else by its magic.
-
-    Only the footer and index are read eagerly; use the reader's
-    :meth:`~repro.compression.container.ContainerReader.select` /
-    :meth:`~repro.compression.container.ContainerReader.read_patch` for
-    O(patch)-byte selective decompression. ``backend`` redirects reads
-    through a :class:`repro.storage.StorageBackend`.
-    """
-    from repro.compression.container import ContainerReader
-
-    return ContainerReader.open(path, backend=backend)
-
-
 # ----------------------------------------------------------------------
 # Time-series containers (.rph2s): streaming in-situ campaigns.
 # ----------------------------------------------------------------------
@@ -194,150 +169,55 @@ def _append_steps(writer, steps) -> None:
             writer.append_step(item)
 
 
-def write_series(
-    path: str | Path,
-    steps,
-    codec: str = "sz-lr",
-    error_bound: float = 1e-3,
-    mode: str = "rel",
-    fields=None,
-    exclude_covered: bool = False,
-    overwrite: bool = False,
-    durability: str = "close",
-    pool=None,
-) -> Path:
+def write_series(path: str | Path, steps, codec: str = "sz-lr",
+                 error_bound: float = 1e-3, **options) -> Path:
     """Stream an iterable of timesteps into an ``RPH2S`` series at ``path``.
 
     ``steps`` yields either bare hierarchies (step number = position, time =
     step number) or objects with ``hierarchy`` / ``index`` / ``time``
     attributes (e.g. :class:`repro.sims.streams.SimStep`). The iterable is
     consumed lazily — pass a generator and peak memory stays O(snapshot).
-    ``durability="step"`` fsyncs every sealed step (crash loses at most the
-    step in flight); the default syncs at close only. ``pool``: as
-    :class:`~repro.insitu.StreamingWriter`'s.
+    Every other option (``mode``, ``fields``, ``durability``, ``pool``,
+    ``backend``, ``field_bounds``, ...) is
+    :meth:`StreamingWriter.create <repro.insitu.writer.StreamingWriter.create>`'s.
     """
     from repro.insitu.writer import StreamingWriter
 
-    with StreamingWriter.create(
-        path, codec, error_bound, mode=mode, fields=fields,
-        exclude_covered=exclude_covered, overwrite=overwrite,
-        durability=durability, pool=pool,
-    ) as writer:
+    with StreamingWriter.create(path, codec, error_bound, **options) as writer:
         _append_steps(writer, steps)
     return Path(path)
 
 
-def write_sharded_series(
-    path: str | Path,
-    steps,
-    codec: str = "sz-lr",
-    error_bound: float = 1e-3,
-    mode: str = "rel",
-    n_shards: int = 4,
-    fields=None,
-    exclude_covered: bool = False,
-    overwrite: bool = False,
-    parallel: str = "thread",
-    durability="close",
-    backend=None,
-    parity: int = 0,
-) -> Path:
+def write_sharded_series(path: str | Path, steps, codec: str = "sz-lr",
+                         error_bound: float = 1e-3, **options) -> Path:
     """Stream timesteps into an N-shard campaign behind an RPHM manifest.
 
-    Same ``steps`` contract as :func:`write_series`, but the campaign fans
-    out across ``n_shards`` shard files (``parallel="thread"``: appended in
-    arrival order on one background lane — asynchrony, not multi-core
-    encode); ``path`` is the manifest, and :func:`open_series` on
-    it reads the union transparently. ``durability`` may be one mode or a
-    per-shard sequence; ``backend`` redirects all bytes through a
-    :class:`repro.storage.StorageBackend`. ``parity=p`` additionally
-    writes ``p`` XOR parity shards at close, making the finished campaign
-    repairable after shard damage or loss
-    (:func:`repro.integrity.repair_sharded`, and self-healing reads in
-    :mod:`repro.serve`).
+    Same ``steps`` contract as :func:`write_series`; ``path`` is the
+    manifest, and ``repro.open`` on it reads the union of the shards.
+    Every other option (``n_shards``, ``parallel``, ``durability``,
+    ``backend``, ``parity``, ``field_bounds``, ...) is
+    :meth:`ShardedSeriesWriter.create
+    <repro.insitu.sharded.ShardedSeriesWriter.create>`'s.
     """
     from repro.insitu.sharded import ShardedSeriesWriter
 
-    with ShardedSeriesWriter.create(
-        path, codec, error_bound, mode=mode, n_shards=n_shards, fields=fields,
-        exclude_covered=exclude_covered, parallel=parallel,
-        durability=durability, overwrite=overwrite, backend=backend,
-        parity=parity,
-    ) as writer:
+    with ShardedSeriesWriter.create(path, codec, error_bound, **options) as writer:
         _append_steps(writer, steps)
     return Path(path)
 
 
 def append_step(path: str | Path, hierarchy, time: float | None = None,
-                step: int | None = None, durability: str = "close", pool=None):
+                step: int | None = None, **options):
     """Append one timestep to an existing ``RPH2S`` series file.
 
     Reopens the series (its recorded codec/bound/fields are authoritative),
     appends the hierarchy as the next step, rewrites the timestep index,
     and returns the new :class:`~repro.insitu.series.SeriesStepEntry`.
+    Every other option (``pool``, ``durability``, ``backend``) is
+    :meth:`StreamingWriter.append_to
+    <repro.insitu.writer.StreamingWriter.append_to>`'s.
     """
     from repro.insitu.writer import StreamingWriter
 
-    with StreamingWriter.append_to(path, pool=pool, durability=durability) as writer:
+    with StreamingWriter.append_to(path, **options) as writer:
         return writer.append_step(hierarchy, time=time, step=step)
-
-
-# kept: the series door of docs/api.md, held to the series parser
-def open_series(path: str | Path, backend=None):
-    """Open an ``RPH2S`` series for random access and return a
-    :class:`~repro.insitu.series.SeriesReader` — ``repro.open`` held to
-    the series parser, which refuses a snapshot by its magic.
-
-    Only the series footer and timestep index are read eagerly; use the
-    reader's :meth:`~repro.insitu.series.SeriesReader.select` /
-    :meth:`~repro.insitu.series.SeriesReader.read_patch` for
-    O(selection)-byte access to ``(step, level, field, patch)``.
-
-    A path holding a sharded campaign's ``RPHM`` manifest is opened
-    transparently as a :class:`~repro.insitu.sharded.ShardedSeriesReader`
-    serving the union of its shards; ``backend`` redirects reads through
-    a :class:`repro.storage.StorageBackend`.
-    """
-    from repro.insitu.series import SeriesReader
-
-    return SeriesReader.open(path, backend=backend)
-
-
-def recover_series(path: str | Path, commit: bool = False,
-                   output: str | Path | None = None, backend=None):
-    """Diagnose (and optionally repair) an interrupted ``RPH2S`` write.
-
-    Dry run by default: returns a
-    :class:`~repro.insitu.recovery.RecoveryReport` describing every
-    fully-sealed step still salvageable from ``path`` without modifying the
-    file. With ``commit=True`` trailing garbage is truncated and a fresh
-    timestep index + footer appended, after which the series opens
-    normally; ``output`` redirects the rewrite to a new file. See
-    :mod:`repro.insitu.recovery` for the scan semantics. ``backend``
-    resolves ``path`` and ``output`` (default: the local filesystem).
-
-    A sharded campaign's ``RPHM`` manifest routes to
-    :func:`repro.insitu.sharded.recover_sharded`: every shard is salvaged
-    independently and the manifest rebuilt from the surviving indexes
-    (``output`` is not supported there — recovery is per shard, in place).
-    A snapshot container is written in one piece and has nothing to
-    recover: it is refused by name.
-    """
-    from repro.door import kind_of
-    from repro.insitu.recovery import recover_series as _recover
-    from repro.insitu.sharded import recover_sharded
-
-    kind = kind_of(path, backend=backend)
-    if kind == "snapshot":
-        raise FormatError(
-            f"{path} is an RPH2 snapshot container, written in one piece; only "
-            "an RPH2S series or an RPHM campaign can be recovered"
-        )
-    if kind == "campaign":
-        if output is not None:
-            raise FormatError(
-                "recover_series(output=...) is not supported for sharded "
-                "manifests; shards are recovered in place"
-            )
-        return recover_sharded(path, commit=commit, backend=backend)
-    return _recover(path, commit=commit, output=output, backend=backend)

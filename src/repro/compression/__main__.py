@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.amr.io import read_container, read_plotfile
+from repro.amr.io import read_plotfile
 from repro.compression.amr_codec import compress_hierarchy, decompress_selection
 from repro.compression.base import StreamReader
 from repro.compression.registry import available_codecs, decompress_any, make_codec
@@ -51,9 +51,6 @@ from repro.insitu.writer import DURABILITY_MODES
 from repro.parallel.pool import EXECUTION_MODES, WorkerPool, check_workers
 
 __all__ = ["main"]
-
-_WORKERS_HELP = "process count under --parallel process (0 = one per CPU core); thread is one lane"
-
 
 def _cmd_compress(args) -> int:
     try:
@@ -111,21 +108,6 @@ def _cmd_compress_plotfile(args) -> int:
         f"{list(container.fields)} ({container.original_bytes} -> "
         f"{container.compressed_bytes} bytes)"
     )
-    return 0
-
-
-def _cmd_info_plotfile(args) -> int:
-    container = read_container(args.input)
-    print(f"codec:   {container.codec}")
-    print(f"eb:      {container.error_bound:g} ({container.mode})")
-    print(f"fields:  {list(container.fields)}")
-    print(f"levels:  {container.n_levels}")
-    print(f"ratio:   {container.ratio:.2f}x")
-    lengths: dict[tuple[int, str], list[int]] = {}
-    for e in container.entries:
-        lengths.setdefault((e.level, e.field), []).append(e.length)
-    for (lev_idx, field), sizes in sorted(lengths.items()):
-        print(f"  level {lev_idx} {field}: {len(sizes)} patches, {sum(sizes)} bytes")
     return 0
 
 
@@ -214,7 +196,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from repro.amr.io import recover_series
+    from repro.insitu.recovery import recover_series
 
     if args.output is not None and not args.commit:
         print("recover: -o/--output has no effect without --commit",
@@ -233,7 +215,7 @@ def _cmd_recover(args) -> int:
         return 1
     if args.commit:
         # All mutation goes through the library path (one code path for
-        # the CLI and repro.amr.io.recover_series).
+        # the CLI and repro.insitu.recover_series).
         recover_series(args.input, commit=True, output=args.output)
         target = args.output if args.output is not None else args.input
         print(f"committed: {target} now carries a fresh timestep index "
@@ -377,13 +359,20 @@ def main(argv: list[str] | None = None) -> int:
         description="Error-bounded compression of .npy arrays and plotfiles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    codec_opts = argparse.ArgumentParser(add_help=False)
+    codec_opts.add_argument("--codec", choices=available_codecs(), default="sz-lr")
+    codec_opts.add_argument("--eb", type=float, default=1e-3)
+    codec_opts.add_argument("--mode", choices=("abs", "rel"), default="rel")
+    pool_opts = argparse.ArgumentParser(add_help=False)
+    pool_opts.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
+    pool_opts.add_argument(
+        "--workers", type=int, default=0,
+        help="process count under --parallel process (0 = one per CPU core); thread is one lane",
+    )
 
-    p = sub.add_parser("compress", help="compress a .npy array")
+    p = sub.add_parser("compress", parents=[codec_opts], help="compress a .npy array")
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("--codec", choices=available_codecs(), default="sz-lr")
-    p.add_argument("--eb", type=float, default=1e-3)
-    p.add_argument("--mode", choices=("abs", "rel"), default="rel")
     p.set_defaults(fn=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress a .rprc stream")
@@ -395,21 +384,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("input", type=Path)
     p.set_defaults(fn=_cmd_info)
 
-    p = sub.add_parser("compress-plotfile", help="compress a plotfile directory")
+    p = sub.add_parser("compress-plotfile", parents=[codec_opts, pool_opts],
+                       help="compress a plotfile directory")
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
-    p.add_argument("--codec", choices=available_codecs(), default="sz-lr")
-    p.add_argument("--eb", type=float, default=1e-3)
-    p.add_argument("--mode", choices=("abs", "rel"), default="rel")
     p.add_argument("--fields", default=None, help="comma-separated subset")
     p.add_argument("--exclude-covered", action="store_true")
-    p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_compress_plotfile)
-
-    p = sub.add_parser("info-plotfile", help="inspect a .rprh container")
-    p.add_argument("input", type=Path)
-    p.set_defaults(fn=_cmd_info_plotfile)
 
     p = sub.add_parser(
         "inspect", help="walk a .rprh container's patch index or a .rph2s timestep index"
@@ -418,7 +399,8 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser(
-        "extract", help="selectively decode patches from a .rprh container or .rph2s series"
+        "extract", parents=[pool_opts],
+        help="selectively decode patches from a .rprh container or .rph2s series",
     )
     p.add_argument("input", type=Path)
     p.add_argument("-o", "--output", type=Path, default=None)
@@ -427,12 +409,10 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--field", default=None, help="comma-separated field names")
     p.add_argument("--patch", default=None, help="comma-separated patch indices")
     p.add_argument("--npz", action="store_true", help="force .npz even for one patch")
-    p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser(
-        "stream",
+        "stream", parents=[codec_opts, pool_opts],
         help="compress timesteps as produced (plotfile dirs or a synthetic sim) "
              "into an .rph2s series",
     )
@@ -441,14 +421,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sim", choices=("nyx", "warpx"), default=None,
                    help="stream a synthetic campaign instead of plotfiles")
     p.add_argument("--steps", type=int, default=8, help="synthetic campaign length")
-    p.add_argument("--codec", choices=available_codecs(), default="sz-lr")
-    p.add_argument("--eb", type=float, default=1e-3)
-    p.add_argument("--mode", choices=("abs", "rel"), default="rel")
     p.add_argument("--fields", default=None, help="comma-separated subset")
     p.add_argument("--exclude-covered", action="store_true")
     p.add_argument("--overwrite", action="store_true")
-    p.add_argument("--parallel", choices=EXECUTION_MODES, default="serial")
-    p.add_argument("--workers", type=int, default=0, help=_WORKERS_HELP)
     p.add_argument(
         "--durability", choices=DURABILITY_MODES, default="close",
         help="fsync placement: 'step' makes every sealed step crash-durable, "

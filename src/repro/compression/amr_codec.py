@@ -130,6 +130,7 @@ class CompressedHierarchy(ContainerReader):
         """Compression ratio over the stored fields."""
         return self.original_bytes / self.compressed_bytes
 
+    # kept: the fully checked parse of container bytes from outside the program (docs/api.md)
     @classmethod
     def frombytes(cls, raw) -> "CompressedHierarchy":
         """Parse a container from outside the program, checked in full.

@@ -641,7 +641,7 @@ class ContainerReader(ReaderView):
         if version == _SERIES_VERSION_BYTE:
             raise FormatError(
                 "this is an RPH2S time-series container; open it with "
-                "repro.insitu.SeriesReader / repro.amr.io.open_series"
+                "repro.open / repro.insitu.SeriesReader"
             )
         if version != _VERSION:
             raise FormatError(f"unsupported container version {version}")

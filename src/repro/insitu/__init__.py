@@ -22,9 +22,9 @@ solver produces it, timestep after timestep, with bounded memory:
   (``SeriesReader.open(..., recover=True)``, :func:`recover_series`, and
   the CLI ``recover`` verb rebuild the timestep index from the seals).
 
-High-level helpers live in :mod:`repro.amr.io` (``write_series`` /
-``append_step`` / ``open_series`` / ``recover_series``); the format spec
-is in ``docs/container_format.md``.
+One-call writers live in :mod:`repro.amr.io` (``write_series`` /
+``write_sharded_series`` / ``append_step``), reading is ``repro.open``;
+the format spec is in ``docs/container_format.md``.
 """
 
 from repro.insitu.recovery import (

@@ -427,7 +427,7 @@ def recover_series(
     commit: bool = False,
     output: str | Path | None = None,
     backend: StorageBackend | None = None,
-) -> RecoveryReport:
+):
     """Diagnose (and optionally repair) an interrupted series write.
 
     Dry run by default: opens ``path``, reports whether the footer/index
@@ -445,7 +445,31 @@ def recover_series(
     ``backend`` (a :class:`repro.storage.StorageBackend`) resolves ``path``
     and ``output`` for the scan and the commit alike; the default is the
     local filesystem.
+
+    A sharded campaign's ``RPHM`` manifest routes to
+    :func:`repro.insitu.sharded.recover_sharded`: every shard is salvaged
+    independently and the manifest rebuilt from the surviving indexes
+    (``output`` is refused there — shards are recovered in place). A
+    snapshot container is written in one piece and has nothing to
+    recover: it is refused by name.
     """
+    from repro.door import kind_of
+
+    kind = kind_of(path, backend=backend)
+    if kind == "snapshot":
+        raise FormatError(
+            f"{path} is an RPH2 snapshot container, written in one piece; only "
+            "an RPH2S series or an RPHM campaign can be recovered"
+        )
+    if kind == "campaign":
+        from repro.insitu.sharded import recover_sharded
+
+        if output is not None:
+            raise FormatError(
+                "recover_series(output=...) is not supported for sharded "
+                "manifests; shards are recovered in place"
+            )
+        return recover_sharded(path, commit=commit, backend=backend)
     with ByteSource.open(path, backend=backend) as src:
         try:
             reader = SeriesReader(src)

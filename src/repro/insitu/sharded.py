@@ -112,6 +112,9 @@ MANIFEST_MAGIC = b"RPHM"
 MANIFEST_VERSION = 1
 _MANIFEST_HEAD = struct.Struct("<4sBI")
 _MANIFEST_CRC = struct.Struct("<I")
+#: First backoff (seconds) before retrying a transient append fault; it
+#: doubles per attempt.
+_RETRY_DELAY = 0.05
 
 _RECOVERY_HINT = (
     "; surviving shards are recoverable: run `python -m repro.compression "
@@ -304,7 +307,6 @@ class ShardedSeriesWriter:
         max_pending_steps: int,
         parity: int = 0,
         retries: int = 2,
-        retry_delay: float = 0.05,
         sleep=None,
     ):
         self._path = str(path)
@@ -316,7 +318,6 @@ class ShardedSeriesWriter:
         self._max_pending = max_pending_steps
         self._parity = int(parity)
         self._retries = int(retries)
-        self._retry_delay = float(retry_delay)
         self._sleep = sleep if sleep is not None else _time.sleep
         self._inflight: deque = deque()
         self._rr = 0
@@ -344,7 +345,6 @@ class ShardedSeriesWriter:
         backend: StorageBackend | None = None,
         parity: int = 0,
         retries: int = 2,
-        retry_delay: float = 0.05,
         sleep=None,
         field_bounds=None,
     ) -> "ShardedSeriesWriter":
@@ -377,8 +377,8 @@ class ShardedSeriesWriter:
         A :class:`~repro.errors.TransientStorageError` raised while
         appending a step is retried in place — partial segment bytes
         are rolled back and the append re-runs, up to ``retries`` extra
-        attempts with exponential backoff starting at ``retry_delay``
-        seconds (``sleep`` is injectable for tests), which also delays
+        attempts with exponential backoff starting at 0.05 s
+        (``sleep`` is injectable for tests), which also delays
         the steps queued behind it — instead of failing the campaign.
         """
         n_shards = int(n_shards)
@@ -473,8 +473,7 @@ class ShardedSeriesWriter:
         lane = WorkerPool("thread") if parallel == "thread" else None
         return cls(
             manifest_name, writers, lane, durabilities, meta, backend,
-            pending, parity=parity, retries=retries, retry_delay=retry_delay,
-            sleep=sleep,
+            pending, parity=parity, retries=retries, sleep=sleep,
         )
 
     def __enter__(self) -> "ShardedSeriesWriter":
@@ -567,7 +566,7 @@ class ShardedSeriesWriter:
             except TransientStorageError:
                 if attempt >= self._retries:
                     raise
-                self._sleep(self._retry_delay * (2 ** attempt))
+                self._sleep(_RETRY_DELAY * (2 ** attempt))
                 attempt += 1
 
     def _drain(self, down_to: int) -> None:

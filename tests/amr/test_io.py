@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 from repro.amr import flatten_to_uniform, read_plotfile, write_plotfile
+from repro.amr.io import append_step, write_series, write_sharded_series
 from repro.errors import FormatError
+from repro.insitu import ShardedSeriesWriter, StreamingWriter
+from repro.storage import MemoryBackend
 
 
 class TestRoundtrip:
@@ -35,6 +38,37 @@ class TestRoundtrip:
     def test_dx_preserved(self, sphere_hierarchy, tmp_path):
         loaded = read_plotfile(write_plotfile(tmp_path / "plt", sphere_hierarchy))
         assert loaded[1].dx == sphere_hierarchy[1].dx
+
+
+def _stored(backend: MemoryBackend) -> dict[str, bytes]:
+    return {name: backend.open_read(name).read() for name in backend.list()}
+
+
+def test_writer_options_reach_the_writer(multi_field_hierarchy):
+    """The one-call writers forward every option: the bytes match the
+    writer they wrap, given the same options."""
+    steps, bounds = [multi_field_hierarchy] * 2, {"a": 5e-4}
+    via_io, via_writer = MemoryBackend(), MemoryBackend()
+    write_series("run.rph2s", steps, field_bounds=bounds, backend=via_io)
+    with StreamingWriter.create("run.rph2s", "sz-lr", 1e-3, field_bounds=bounds,
+                                backend=via_writer) as writer:
+        for h in steps:
+            writer.append_step(h)
+    append_step("run.rph2s", steps[0], durability="step", backend=via_io)
+    with StreamingWriter.append_to("run.rph2s", durability="step",
+                                   backend=via_writer) as writer:
+        writer.append_step(steps[0])
+    assert _stored(via_io) == _stored(via_writer)
+
+    options = dict(n_shards=2, parallel="serial", field_bounds=bounds, parity=1)
+    via_io, via_writer = MemoryBackend(), MemoryBackend()
+    write_sharded_series("camp.rphm", steps, backend=via_io, **options)
+    with ShardedSeriesWriter.create("camp.rphm", "sz-lr", 1e-3, backend=via_writer,
+                                    **options) as writer:
+        for h in steps:
+            writer.append_step(h)
+    stored = _stored(via_io)
+    assert len(stored) == 4 and stored == _stored(via_writer)
 
 
 class TestErrors:

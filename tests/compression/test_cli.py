@@ -59,9 +59,10 @@ class TestPlotfileCommands:
         out = tmp_path / "plt.rprh"
         assert main(["compress-plotfile", str(plt), "-o", str(out), "--fields", "f"]) == 0
         assert "ratio" in capsys.readouterr().out
-        assert main(["info-plotfile", str(out)]) == 0
+        assert main(["inspect", str(out)]) == 0
         info = capsys.readouterr().out
-        assert "level 1" in info and "sz-lr" in info
+        assert "sz-lr" in info and "ratio" in info
+        assert any(row.split()[:2] == ["1", "f"] for row in info.splitlines())
 
     def test_repeated_field_exits_2_writing_nothing(self, sphere_hierarchy, tmp_path, capsys):
         plt = write_plotfile(tmp_path / "plt", sphere_hierarchy)
@@ -231,14 +232,52 @@ class TestSeriesCommands:
         assert "steps:    0" in text and "nan" in text
 
 
+class TestSharedOptions:
+    """``--codec`` / ``--eb`` / ``--mode`` and ``--parallel`` / ``--workers``
+    parse alike, with the same defaults and choices, on every subcommand
+    that takes them."""
+
+    @staticmethod
+    def parse(monkeypatch, command, *options):
+        import repro.compression.__main__ as cli
+
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"),
+                            lambda args: seen.append(args) or 0)
+        argv = [command, "in"] + (["-o", "out"] if command == "stream" else [])
+        assert main(argv + list(options)) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("command", ["compress", "compress-plotfile", "stream"])
+    def test_codec_options(self, monkeypatch, capsys, command):
+        args = self.parse(monkeypatch, command)
+        assert (args.codec, args.eb, args.mode) == ("sz-lr", 1e-3, "rel")
+        args = self.parse(monkeypatch, command,
+                          "--codec", "sz-interp", "--eb", "0.5", "--mode", "abs")
+        assert (args.codec, args.eb, args.mode) == ("sz-interp", 0.5, "abs")
+        with pytest.raises(SystemExit) as exc:
+            self.parse(monkeypatch, command, "--codec", "zfp")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["compress-plotfile", "extract", "stream"])
+    def test_pool_options(self, monkeypatch, capsys, command):
+        args = self.parse(monkeypatch, command)
+        assert (args.parallel, args.workers) == ("serial", 0)
+        args = self.parse(monkeypatch, command, "--parallel", "process", "--workers", "3")
+        assert (args.parallel, args.workers) == ("process", 3)
+        with pytest.raises(SystemExit) as exc:
+            self.parse(monkeypatch, command, "--parallel", "gpu")
+        assert exc.value.code == 2
+
+
 class TestOneErrorPath:
     """Every subcommand x {junk, empty, missing, wrong kind}: one stderr
     line, exit 2, never a traceback. ``scrub`` reports such a target as a
     finding (exit 1), as it always has."""
 
     COMMANDS = (
-        "compress", "decompress", "info", "compress-plotfile", "info-plotfile",
-        "inspect", "extract", "stream", "serve", "recover", "scrub", "repair",
+        "compress", "decompress", "info", "compress-plotfile", "inspect",
+        "extract", "stream", "serve", "recover", "scrub", "repair",
     )
 
     @pytest.fixture(scope="class")
@@ -261,7 +300,7 @@ class TestOneErrorPath:
         """A healthy file of a kind the subcommand does not take."""
         if command in ("inspect", "extract", "serve", "scrub"):
             return "array.rprc"  # they take all three containers
-        return {"info-plotfile": "run.rph2s", "repair": "run.rph2s"}.get(command, "snap.rprh")
+        return "run.rph2s" if command == "repair" else "snap.rprh"
 
     @pytest.mark.parametrize("case", ["junk", "empty", "missing", "wrong-kind"])
     @pytest.mark.parametrize("command", COMMANDS)

@@ -17,9 +17,9 @@ import zlib
 import numpy as np
 import pytest
 
+import repro
 from repro.amr.io import (
     append_step,
-    open_series,
     write_container,
     write_series,
     write_sharded_series,
@@ -59,7 +59,7 @@ def _join(payload: bytes, index_bytes: bytes) -> bytes:
 class TestRoundtrip:
     def test_streamed_series_reads_back(self, series_path):
         steps = scaled_steps(3)
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             assert reader.steps == (0, 1, 2)
             assert reader.fields == ("f",)
             assert reader.codec == "sz-lr"
@@ -71,7 +71,7 @@ class TestRoundtrip:
 
     def test_segments_byte_identical_to_batch(self, series_path):
         raw = series_path.read_bytes()
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             for i, h in enumerate(scaled_steps(3)):
                 batch = compress_hierarchy(h, "sz-lr", 1e-3).tobytes()
                 e = reader.entry(i)
@@ -92,7 +92,7 @@ class TestRoundtrip:
         with StreamingWriter.create(path, "sz-lr", 1e-3, exclude_covered=True) as w:
             w.append_step(h)
         batch = compress_hierarchy(h, "sz-lr", 1e-3, exclude_covered=True).tobytes()
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             e = reader.entry(0)
             assert reader.exclude_covered
         assert path.read_bytes()[e.offset : e.offset + e.length] == batch
@@ -101,7 +101,7 @@ class TestRoundtrip:
         path = tmp_path / "empty.rph2s"
         with StreamingWriter.create(path, "sz-lr", 1e-3, fields=["f"]):
             pass
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             assert reader.n_steps == 0
             assert reader.select() == {}
 
@@ -118,7 +118,7 @@ class TestStepProtocol:
                     w.add_patch(lev_idx, "f", patch.data)
             entry = w.end_step()
         assert entry.n_patches == 2 and entry.n_levels == 2
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             assert reader.times == (0.5,)
             got = reader.read_patch(0, 0, "f", 0)
             assert got.shape == h[0].patches("f")[0].data.shape
@@ -168,7 +168,7 @@ class TestStepProtocol:
             StreamingWriter.append_to(series_path, pool=pool)
         # A rejected append must not destroy a valid series.
         assert series_path.read_bytes() == before
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             assert reader.steps == (0, 1, 2)
 
     def test_field_mismatch_rejected_before_writing(self, series_path):
@@ -201,7 +201,7 @@ class TestStepProtocol:
         h = scaled_steps(1)[0]
         entry = append_step(series_path, h, time=7.5)
         assert entry.step == 3 and entry.time == 7.5
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             assert reader.steps == (0, 1, 2, 3)
             # Old segments untouched, new step readable.
             reader.verify_step(0)
@@ -220,7 +220,7 @@ class TestSelection:
         raw = series_path.read_bytes()
         by_bytes = decompress_selection(raw, steps=[0, 2], patches=0, levels=0)
         assert sorted(by_bytes) == [(0, 0, "f", 0), (2, 0, "f", 0)]
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             by_reader = decompress_selection(reader, steps=[0, 2], patches=0, levels=0)
         for key in by_bytes:
             assert np.array_equal(by_bytes[key], by_reader[key])
@@ -276,14 +276,14 @@ class TestSelection:
                     source.close()
 
     def test_missing_step_named(self, series_path):
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             with pytest.raises(FormatError, match="no step 42"):
                 reader.read_patch(42, 0, "f", 0)
 
     def test_single_patch_reads_o_selection_bytes(self, series_path):
         raw = series_path.read_bytes()
         # Expected read footprint, derived from the real layout.
-        with open_series(series_path) as plain:
+        with repro.open(series_path) as plain:
             seg = plain.open_step(1)
             stream_len = seg.entry(1, "f", 0).length
             seg_index_len = plain.entry(1).length - seg._payload_end - 28
@@ -332,7 +332,7 @@ class TestCorruption:
 
     def test_segment_bitflip_caught_by_stream_crc(self, series_path):
         raw = bytearray(series_path.read_bytes())
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             e = reader.entry(0)
         raw[e.offset + 40] ^= 0x01  # inside step 0's payload
         reader = SeriesReader(io.BytesIO(bytes(raw)))
@@ -343,7 +343,7 @@ class TestCorruption:
 
     def test_verify_step_sweeps_whole_segment(self, series_path):
         raw = bytearray(series_path.read_bytes())
-        with open_series(series_path) as reader:
+        with repro.open(series_path) as reader:
             e = reader.entry(2)
         raw[e.offset + e.length - 3] ^= 0x10  # inside step 2's own footer
         reader = SeriesReader(io.BytesIO(bytes(raw)))

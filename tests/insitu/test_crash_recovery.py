@@ -28,10 +28,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.amr.io import append_step, open_series, recover_series, write_series
+import repro
+from repro.amr.io import append_step, write_series
 from repro.compression.__main__ import main as cli_main
 from repro.errors import CompressionError, FormatError, TruncatedSeriesError
-from repro.insitu import SeriesReader, StreamingWriter, scan_segments
+from repro.insitu import SeriesReader, StreamingWriter, recover_series, scan_segments
 from tests.conftest import CountingBytesIO, load_faultsim
 from tests.strategies import make_sphere_hierarchy, scaled_steps
 
@@ -54,7 +55,7 @@ def campaign(tmp_path_factory):
     steps = scaled_steps(N_STEPS, step=0.2)
     write_series(path, steps, codec="sz-lr", error_bound=1e-3, durability="step")
     raw = path.read_bytes()
-    with open_series(path) as reader:
+    with repro.open(path) as reader:
         entries = {e.step: e for e in reader.step_entries}
         ref = reader.select()
     return SimpleNamespace(path=path, raw=raw, entries=entries, ref=ref)
@@ -131,7 +132,7 @@ class TestCrashMatrix:
             assert path.read_bytes() == variant  # recover=True is read-only
 
             assert cli_main(["recover", str(path), "--commit"]) == 0
-            with open_series(path) as reader:  # normal open after commit
+            with repro.open(path) as reader:  # normal open after commit
                 assert not reader.recovered, ctx
                 _assert_bit_exact(campaign, reader, pt.expect_steps, ctx)
 
@@ -183,7 +184,7 @@ class TestRecoverSurfaces:
         damaged.write_bytes(variant)
         assert cli_main(["recover", str(damaged), "--commit", "-o", str(fixed)]) == 0
         assert damaged.read_bytes() == variant
-        with open_series(fixed) as reader:
+        with repro.open(fixed) as reader:
             _assert_bit_exact(
                 campaign, reader, tuple(sorted(campaign.entries)), "output"
             )
@@ -194,7 +195,7 @@ class TestRecoverSurfaces:
         recover_series(path, commit=True)
         entry = append_step(path, make_sphere_hierarchy(8), time=99.0)
         assert entry.step == max(campaign.entries) + 1
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             assert reader.times[-1] == 99.0
 
     def test_recover_report_describe_names_steps(self, campaign, tmp_path):
@@ -228,7 +229,7 @@ class TestDurability:
         path = tmp_path / "hint.rph2s"
         path.write_bytes(campaign.raw[:-10])
         with pytest.raises(TruncatedSeriesError, match="recover"):
-            open_series(path)
+            SeriesReader.open(path)
         # Bad magic stays a distinct, non-recoverable failure class.
         try:
             SeriesReader(io.BytesIO(b"NOPE" + b"\x00" * 128))
@@ -273,7 +274,7 @@ class TestDurability:
             writer.close()
         monkeypatch.undo()
         assert writer.degraded
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             assert reader.n_steps == 1
 
     def test_append_to_truncates_stale_index_eagerly(self, campaign, tmp_path):
@@ -283,7 +284,7 @@ class TestDurability:
         stale index whose entries lie about the file's contents."""
         path = tmp_path / "resume.rph2s"
         path.write_bytes(campaign.raw)
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             resume_pos = reader._index_offset
         writer = StreamingWriter.append_to(path)
         try:
@@ -296,7 +297,7 @@ class TestDurability:
         report = scan_segments(path)
         assert [e.step for e in report.entries] == sorted(campaign.entries)
         recover_series(path, commit=True)
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             _assert_bit_exact(
                 campaign, reader, tuple(sorted(campaign.entries)), "resume"
             )
@@ -316,5 +317,5 @@ class TestDurability:
             assert len(calls) >= min_syncs
         else:
             assert not calls
-        with open_series(path) as reader:
+        with repro.open(path) as reader:
             assert reader.n_steps == 2

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro.amr.io import recover_series, write_series
+from repro.amr.io import write_series
 from repro.compression.container import FOOTER_SIZE, ContainerReader
-from repro.insitu import SeriesReader
+from repro.insitu import SeriesReader, recover_series
 from repro.insitu.series import SEAL_SIZE
 from tests.strategies import many_patch_hierarchy
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.amr.io import open_series
+import repro
 from repro.amr.patch import Patch
 from repro.compression import amr_codec
 from repro.errors import CompressionError
@@ -31,7 +31,7 @@ def _patches(n: int = 5):
 
 
 def _assert_stored(path, originals):
-    with open_series(path) as reader:
+    with repro.open(path) as reader:
         for p_idx, want in enumerate(originals):
             got = reader.read_patch(reader.steps[0], 0, "f", p_idx)
             assert np.abs(got - want).max() <= EB * (1 + 1e-12)
@@ -88,7 +88,7 @@ class TestOwnership:
                                         parallel=parallel) as w:
             for _ in range(2):
                 w.append_step(make_sphere_hierarchy(8))
-        with open_series(manifest) as reader:
+        with repro.open(manifest) as reader:
             for step in reader.steps:
                 for lev_idx, level in enumerate(pristine):
                     got = reader.read_patch(step, lev_idx, "f", 0)

@@ -14,12 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.amr.io import (
-    open_series,
-    recover_series,
-    write_series,
-    write_sharded_series,
-)
+import repro
+from repro.amr.io import write_series, write_sharded_series
 from repro.compression.amr_codec import decompress_selection
 from repro.errors import (
     CompressionError,
@@ -34,6 +30,7 @@ from repro.insitu import (
     ShardedSeriesReader,
     ShardedSeriesWriter,
     StreamingWriter,
+    recover_series,
     recover_sharded,
 )
 from repro.insitu.sharded import (
@@ -61,7 +58,7 @@ def campaign(tmp_path_factory):
                          durability="step")
     single = root / "single.rph2s"
     write_series(single, steps, durability="step")
-    with open_series(single) as reader:
+    with repro.open(single) as reader:
         ref = reader.select()
     return manifest, single, ref
 
@@ -69,7 +66,7 @@ def campaign(tmp_path_factory):
 class TestShardedWrite:
     def test_union_is_value_identical_to_single_writer(self, campaign):
         manifest, _, ref = campaign
-        with open_series(manifest) as reader:
+        with repro.open(manifest) as reader:
             assert reader.is_sharded and reader.n_shards == N_SHARDS
             assert reader.steps == tuple(range(N_STEPS))
             got = reader.select()
@@ -104,7 +101,7 @@ class TestShardedWrite:
                                         parallel="serial") as writer:
             for i, h in enumerate(steps):
                 writer.append_step(h, shard=i // 2)  # ranks 0,0,1,1
-        with open_series(manifest) as reader:
+        with repro.open(manifest) as reader:
             assert reader.shard_of(0) == reader.shard_of(1)
             assert reader.shard_of(2) == reader.shard_of(3)
             assert reader.shard_of(0) != reader.shard_of(2)
@@ -190,7 +187,7 @@ class TestManifest:
         man = parse_manifest(manifest.read_bytes())
         assert man["final"]
         assert [row["steps"] for row in man["shards"]] == [[0, 2], [3]]
-        with open_series(manifest) as reader:
+        with repro.open(manifest) as reader:
             assert reader.steps == (0, 2, 3)
 
     def test_crc_catches_manifest_bit_rot(self, campaign, tmp_path):
@@ -223,7 +220,7 @@ class TestManifest:
         writer.abort()
         assert manifest.read_bytes()[:4] == MANIFEST_MAGIC
         with pytest.raises(TruncatedSeriesError, match="final"):
-            open_series(manifest)
+            SeriesReader.open(manifest)
 
 
 class TestOverwrite:
@@ -301,7 +298,7 @@ class TestKilledWriter:
             report = recover_sharded(vman, commit=True)
             assert isinstance(report, ShardedRecoveryReport)
             assert report.steps == pt.expect_steps, ctx
-            with open_series(vman) as reader:  # normal open after commit
+            with repro.open(vman) as reader:  # normal open after commit
                 assert not reader.recovered, ctx
                 assert reader.steps == pt.expect_steps, ctx
 
@@ -354,7 +351,7 @@ class TestKilledWriter:
         report = recover_series(vman)  # dry run: nothing modified
         assert isinstance(report, ShardedRecoveryReport) and not report.intact
         with pytest.raises(TruncatedSeriesError):
-            open_series(vman)
+            SeriesReader.open(vman)
         with pytest.raises(FormatError, match="output"):
             recover_series(vman, output=tmp_path / "elsewhere.rphm")
 
@@ -431,7 +428,7 @@ class TestRecoverThroughBackend:
 class TestShardedReaderApi:
     def test_meta_and_stats_aggregate(self, campaign):
         manifest, single, _ = campaign
-        with open_series(manifest) as sh, open_series(single) as mono:
+        with repro.open(manifest) as sh, repro.open(single) as mono:
             assert sh.codec == mono.codec == "sz-lr"
             assert sh.error_bound == mono.error_bound
             assert sh.fields == mono.fields
@@ -442,7 +439,7 @@ class TestShardedReaderApi:
 
     def test_open_step_and_read_patch_route(self, campaign):
         manifest, _, ref = campaign
-        with open_series(manifest) as reader:
+        with repro.open(manifest) as reader:
             with reader.open_step(2) as step_reader:
                 assert step_reader.n_levels > 0 and step_reader.entries
             key = next(k for k in ref if k[0] == 3)
@@ -461,4 +458,4 @@ class TestShardedReaderApi:
         meta = {k: man[k] for k in _SERIES_META_KEYS}
         manifest.write_bytes(pack_manifest(meta, man["shards"], final=True))
         with pytest.raises(FormatError, match="shard"):
-            open_series(manifest)
+            SeriesReader.open(manifest)

@@ -14,8 +14,8 @@ import zlib
 
 import pytest
 
-from repro.amr.io import recover_series
 from repro.errors import FormatError, IntegrityError, ReproError
+from repro.insitu.recovery import recover_series
 from repro.insitu.sharded import ShardedSeriesReader, recover_sharded
 from repro.integrity import (
     ParityReader,

@@ -16,8 +16,9 @@ import shutil
 
 import pytest
 
-from repro.amr.io import recover_series, write_series
+from repro.amr.io import write_series
 from repro.compression.amr_codec import compress_hierarchy
+from repro.insitu import recover_series
 from repro.integrity import scrub
 from repro.storage import MemoryBackend
 

@@ -102,9 +102,8 @@ ALLOWED = {
     # benchmarks/e2e/workloads.py:340 builds QueryService(..., workers=2, ...).
     "repro.serve.service.QueryService": {"workers"},
     # benchmarks/e2e/workloads.py:141 calls write_sharded_series(..., parallel=parallel),
-    # which hands its mode to ShardedSeriesWriter.create; the campaign's
+    # which forwards its mode to ShardedSeriesWriter.create; the campaign's
     # max_pending_steps window rides the same pinned signature.
-    "repro.amr.io.write_sharded_series": {"parallel"},
     "repro.insitu.sharded.ShardedSeriesWriter.create": {"parallel", "max_pending_steps"},
     "repro.insitu.sharded.ShardedSeriesWriter": {"max_pending_steps"},
 }

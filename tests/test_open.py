@@ -176,13 +176,13 @@ def test_alien_bytes_are_one_error_everywhere(corpus, backend, name, magic):
 def test_a_missing_path_is_a_storage_error_on_every_reader(corpus, tmp_path):
     """``backend=None`` and ``LocalFileBackend()`` agree in class *and* text;
     the parent raised a bare ``FileNotFoundError`` for the former."""
-    from repro.amr.io import open_container, open_series, read_container, recover_series
+    from repro.insitu import recover_series
     from repro.integrity import ParityReader
 
     missing = str(tmp_path / "missing.bin")
     opens = (
         repro.open, decompress_selection, ContainerReader.open, SeriesReader.open,
-        open_container, open_series, recover_series, ParityReader.open,
+        recover_series, ParityReader.open,
     )
     texts = set()
     for call in opens:
@@ -190,9 +190,6 @@ def test_a_missing_path_is_a_storage_error_on_every_reader(corpus, tmp_path):
             with pytest.raises(StorageError) as exc:
                 call(missing, backend=backend)
             texts.add(str(exc.value))
-    with pytest.raises(StorageError) as exc:
-        read_container(missing)
-    texts.add(str(exc.value))
     assert len(texts) == 1 and "missing.bin" in texts.pop()
     for backend in (LocalFileBackend(root=corpus[0]), corpus[1]):
         with pytest.raises(StorageError, match="missing.bin"):
@@ -214,7 +211,7 @@ def test_typed_opens_keep_their_own_refusals(corpus):
 
 
 def test_recover_series_names_a_snapshot(corpus):
-    from repro.amr.io import recover_series
+    from repro.insitu import recover_series
 
     with pytest.raises(FormatError, match="snap.rprh is an RPH2 snapshot"):
         recover_series(corpus[0] / "snap.rprh")

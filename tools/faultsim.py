@@ -127,7 +127,6 @@ if str(_SRC) not in sys.path:
 
 from repro.amr.io import (  # noqa: E402
     append_step,
-    recover_series,
     write_series,
     write_sharded_series,
 )
@@ -143,7 +142,7 @@ from repro.errors import (  # noqa: E402
     StorageError,
 )
 from repro.faults import FaultPlan, FaultyPool  # noqa: E402
-from repro.insitu import recover_sharded, scan_segments  # noqa: E402
+from repro.insitu import recover_series, recover_sharded, scan_segments  # noqa: E402
 from repro.insitu.series import SEAL_SIZE, SeriesReader  # noqa: E402
 from repro.insitu.sharded import (  # noqa: E402
     _SERIES_META_KEYS,

@@ -8,7 +8,7 @@ Run from anywhere (about 35 s on a 2-core box)::
 It runs every driver of the library under a stdlib profiler and never the
 tests (the CLI's inputs come from ``repro.sims``): the experiment registry (``run all --quick``), the four e2e
 workloads at ``--scale smoke`` (``setup()``, one ``block()``,
-``verify()``; ``benchmarks/e2e/`` is imported, not edited), the CLI's 12
+``verify()``; ``benchmarks/e2e/`` is imported, not edited), the CLI's 11
 subcommands plus ``stream --sim warpx`` (one file and two shards) on small
 inputs,
 ``tools/faultsim.py all --quick`` and every ``examples/*.py`` at its
@@ -235,7 +235,6 @@ def _steps(repo: Path, work: Path) -> list[tuple[str, list[str], bool]]:
         ("decompress", cli + ["decompress", "a.rprc", "-o", "b.npy"], True),
         ("info", cli + ["info", "a.rprc"], True),
         ("compress-plotfile", cli + ["compress-plotfile", "plt", "-o", "h.rprh"], True),
-        ("info-plotfile", cli + ["info-plotfile", "h.rprh"], True),
         ("inspect", cli + ["inspect", "h.rprh"], True),
         ("extract", cli + ["extract", "h.rprh", "--level", "1", "--patch", "0",
                            "-o", "p.npz"], True),
