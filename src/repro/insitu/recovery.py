@@ -422,6 +422,26 @@ def _copy_prefix(src: ByteSource, dst: str | Path, end: int, backend) -> None:
         sink.sync()
 
 
+def _series_report(src: ByteSource) -> RecoveryReport:
+    """What an open series holds: its own index when the footer is intact,
+    else the scan's rebuilt one (with the reason the index was unreadable)."""
+    try:
+        reader = SeriesReader(src)
+        return RecoveryReport(
+            total_bytes=src.size,
+            intact=True,
+            reason=None,
+            meta=reader.meta(),
+            steps=[RecoveredStep(e, sealed=True) for e in reader.step_entries],
+            data_end=reader._index_offset,
+            tail_bytes=0,
+        )
+    except TruncatedSeriesError as exc:
+        report = scan_segments(src)
+        report.reason = str(exc)
+        return report
+
+
 def recover_series(
     path: str | Path,
     commit: bool = False,
@@ -453,44 +473,34 @@ def recover_series(
     snapshot container is written in one piece and has nothing to
     recover: it is refused by name.
     """
-    from repro.door import kind_of
+    from repro.door import sniff
 
-    kind = kind_of(path, backend=backend)
-    if kind == "snapshot":
-        raise FormatError(
-            f"{path} is an RPH2 snapshot container, written in one piece; only "
-            "an RPH2S series or an RPHM campaign can be recovered"
-        )
-    if kind == "campaign":
-        from repro.insitu.sharded import recover_sharded
-
-        if output is not None:
-            raise FormatError(
-                "recover_series(output=...) is not supported for sharded "
-                "manifests; shards are recovered in place"
-            )
-        return recover_sharded(path, commit=commit, backend=backend)
     with ByteSource.open(path, backend=backend) as src:
-        try:
-            reader = SeriesReader(src)
-            report = RecoveryReport(
-                total_bytes=src.size,
-                intact=True,
-                reason=None,
-                meta=reader.meta(),
-                steps=[RecoveredStep(e, sealed=True) for e in reader.step_entries],
-                data_end=reader._index_offset,
-                tail_bytes=0,
+        kind = sniff(src.read(0, len(SERIES_MAGIC)))
+        if kind == "snapshot":
+            raise FormatError(
+                f"{path} is an RPH2 snapshot container, written in one piece; only "
+                "an RPH2S series or an RPHM campaign can be recovered"
             )
-        except TruncatedSeriesError as exc:
-            report = scan_segments(src)
-            report.reason = str(exc)
-        if commit and output is not None:
-            _copy_prefix(
-                src, output,
-                report.total_bytes if report.intact else report.data_end,
-                backend,
-            )
+        if kind == "campaign":
+            if output is not None:
+                raise FormatError(
+                    "recover_series(output=...) is not supported for sharded "
+                    "manifests; shards are recovered in place"
+                )
+            manifest = src.read(0, src.size)
+        else:
+            report = _series_report(src)
+            if commit and output is not None:
+                _copy_prefix(
+                    src, output,
+                    report.total_bytes if report.intact else report.data_end,
+                    backend,
+                )
+    if kind == "campaign":
+        from repro.insitu.sharded import _recover_sharded
+
+        return _recover_sharded(path, commit, backend, manifest)
     if commit and not report.intact:
         commit_recovery(path if output is None else output, report, backend=backend)
     return report

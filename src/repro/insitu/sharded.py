@@ -957,11 +957,22 @@ def recover_sharded(
     shard, a rewrite of the manifest from offset 0 cut to its new length —
     never a rename.
     """
+    return _recover_sharded(path, commit, backend)
+
+
+def _recover_sharded(
+    path: str | Path,
+    commit: bool,
+    backend: StorageBackend | None,
+    manifest: bytes | None = None,
+) -> ShardedRecoveryReport:
+    """:func:`recover_sharded`, from the ``manifest`` bytes when the caller
+    already read them (so the manifest is opened once)."""
     from repro.insitu.recovery import recover_series
 
     backend_ = backend or LocalFileBackend()
     manifest_name = str(path)
-    man, full_names, _, error = _load_campaign(backend_, manifest_name)
+    man, full_names, _, error = _load_campaign(backend_, manifest_name, manifest)
     if error is not None and not isinstance(
         error, (TruncatedSeriesError, StorageError)
     ):

@@ -22,6 +22,10 @@ Eviction is strict LRU over all kinds: whenever the charged total exceeds
 single value larger than the whole budget is never stored (it would evict
 everything and still not fit); the put is counted under ``rejected``.
 
+A query looks each step's selection up in one walk,
+:meth:`ServeCache.collect`, which leaves the values, counters and recency
+order that one :meth:`ServeCache.get` per patch would.
+
 The cache is not thread-safe by itself — the service only touches it from
 its event loop, which is the synchronization. :attr:`stats` exposes
 ``hits`` / ``misses`` / ``evictions`` / ``puts`` / ``rejected`` /
@@ -32,7 +36,7 @@ tests reconcile against observed backend request counts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable, Sequence
+from typing import Any, Hashable
 
 from repro.errors import ServeError
 
@@ -79,25 +83,24 @@ class ServeCache:
         self._entries.move_to_end(key)
         return entry[0]
 
-    def get_many(self, keys: Sequence[Hashable]) -> list:
-        """``[get(k) for k in keys]`` in one call: the same values (``None``
-        for a miss), the same ``hits`` / ``misses`` and the same recency
-        order — each hit refreshed in turn, as that many :meth:`get` calls
-        would leave it."""
+    def collect(self, picked: list[int], pkeys: list, keys: list, into: dict) -> list[int]:
+        """Look up ``pkeys[i]`` for each position ``i`` of ``picked``, in
+        order: a hit is refreshed and stored as ``into[keys[i]]``, a miss's
+        position is returned. The values, ``hits`` / ``misses`` and recency
+        order are what ``len(picked)`` :meth:`get` calls would leave."""
         find, refresh = self._entries.get, self._entries.move_to_end
-        out = []
-        misses = 0
-        for key in keys:
-            entry = find(key, _MISS)
+        missed = []
+        for i in picked:
+            pkey = pkeys[i]
+            entry = find(pkey, _MISS)
             if entry is _MISS:
-                misses += 1
-                out.append(None)
+                missed.append(i)
             else:
-                refresh(key)
-                out.append(entry[0])
-        self.misses += misses
-        self.hits += len(out) - misses
-        return out
+                refresh(pkey)
+                into[keys[i]] = entry[0]
+        self.misses += len(missed)
+        self.hits += len(picked) - len(missed)
+        return missed
 
     # kept: reads an entry's charge without touching recency (cache accounting tests)
     def peek_charge(self, key: Hashable) -> int | None:

@@ -24,7 +24,10 @@ end to end:
 * **Warm queries touch zero payload bytes.** Decoded patches, parsed
   segment catalogs, and group headers/codebooks live in one byte-budgeted
   :class:`~repro.serve.cache.ServeCache`; a repeat query is served
-  entirely from it (the benchmarks gate this at exactly 0 bytes).
+  entirely from it (the benchmarks gate this at exactly 0 bytes). It is
+  one ordered pass that never suspends: no byte reservation and no decode
+  to gather, and its reply is the hits dict the walk built in key order,
+  neither copied nor sorted.
 
 Results are read-only ``ndarray`` views — the same object may serve many
 clients, so mutation is refused by numpy rather than corrupting the cache.
@@ -415,9 +418,11 @@ class QueryService(ReaderView):
         ``owned``, each planned patch registers a single-flight future
         there (and in ``_inflight``) that the caller MUST resolve or fail;
         ``owned=None`` (the ``plan()`` path) skips the single-flight table.
-        A fully cached step costs no ``await``, one catalog lookup and one
-        batched cache lookup; an unreadable catalog or group header goes
-        through :meth:`_fail_over`."""
+        ``hits`` comes back in result-key order (steps ascending, each
+        catalog's picks sorted only when ``_StepCatalog.keys`` found the
+        catalog out of key order), so an all-hit reply is ``hits`` itself. A fully cached step costs no
+        ``await``, one catalog lookup and one cache walk; an unreadable
+        catalog or group header goes through :meth:`_fail_over`."""
         want_steps = _normalize_selector(steps, "step")
         want = _selection(levels, fields, patches)
         hits: dict[tuple, np.ndarray] = {}
@@ -437,18 +442,19 @@ class QueryService(ReaderView):
                 if cat is None:
                     continue
             picked = cat.reader.lookup(*want)
-            keys, pkeys = cat.keys(verify)
+            keys, pkeys, ordered = cat.keys(verify)
+            if not ordered:
+                picked.sort(key=keys.__getitem__)
             info.keys += len(picked)
-            cached = (
-                self._cache.get_many([pkeys[i] for i in picked])
-                if self._cache is not None else [None] * len(picked)
+            missed_at = (
+                picked if self._cache is None
+                else self._cache.collect(picked, pkeys, keys, hits)
             )
+            info.cache_hits += len(picked) - len(missed_at)
+            if not missed_at:
+                continue
             misses: list[PatchIndexEntry] = []
-            for i, arr in zip(picked, cached):
-                if arr is not None:
-                    hits[keys[i]] = arr
-                    info.cache_hits += 1
-                    continue
+            for i in missed_at:
                 key, pkey = keys[i], pkeys[i]
                 if owned is not None:
                     pending = self._inflight.get(pkey)
@@ -628,32 +634,34 @@ class QueryService(ReaderView):
             hits, waits, work = await self._gather(
                 steps, levels, fields, patches, verify, info, owned, partial
             )
-            # Reserve the planned fetch bytes against the admission
-            # byte budget for the duration of execution.
-            reserved = await self._admission.reserve_bytes(
-                sum(plan.fetched_bytes for _, plan in work), dl
-            )
-            try:
-                executed = await asyncio.gather(
-                    *[
-                        self._fail_over(
-                            plan.step,
-                            lambda healed, cat=cat, plan=plan: self._execute(
-                                healed, cat, plan, verify, info
-                            ),
-                            info, owned, partial,
-                        )
-                        for cat, plan in work
-                    ],
-                    # Collect every step's outcome: one step's failure
-                    # must not abandon the others mid-decode.
-                    return_exceptions=True,
+            executed = ()
+            if work:  # a warm query reserves nothing and gathers nothing
+                # Reserve the planned fetch bytes against the admission
+                # byte budget for the duration of execution.
+                reserved = await self._admission.reserve_bytes(
+                    sum(plan.fetched_bytes for _, plan in work), dl
                 )
-            finally:
-                self._admission.release_bytes(reserved)
-            for res in executed:
-                if isinstance(res, BaseException):
-                    raise res
+                try:
+                    executed = await asyncio.gather(
+                        *[
+                            self._fail_over(
+                                plan.step,
+                                lambda healed, cat=cat, plan=plan: self._execute(
+                                    healed, cat, plan, verify, info
+                                ),
+                                info, owned, partial,
+                            )
+                            for cat, plan in work
+                        ],
+                        # Collect every step's outcome: one step's failure
+                        # must not abandon the others mid-decode.
+                        return_exceptions=True,
+                    )
+                finally:
+                    self._admission.release_bytes(reserved)
+                for res in executed:
+                    if isinstance(res, BaseException):
+                        raise res
         except BaseException as exc:
             fail = exc
             if self._closed:  # close() cancelled our queued decode; the caller did not
@@ -673,7 +681,7 @@ class QueryService(ReaderView):
             if self._closed:
                 raise fail from None
             raise
-        results = dict(hits)
+        results = hits
         for sub in executed:
             for key, arr in (sub or {}).items():  # None: reported missing
                 arr.setflags(write=False)
@@ -713,11 +721,13 @@ class QueryService(ReaderView):
         self._stats["group_batches"] += info.group_batches
         if partial:
             self._stats["partial_queries"] += 1
-        out: dict[tuple, np.ndarray] = {}
-        for key in sorted(results):
-            arr = results[key]
-            out[key] = arr if region is None else _apply_region(arr, region, key)
-        return out, info
+        if work or waits:  # decoded or joined keys merge into the hits' order
+            results = {key: results[key] for key in sorted(results)}
+        if region is not None:
+            results = {
+                key: _apply_region(arr, region, key) for key, arr in results.items()
+            }
+        return results, info
 
     async def query(
         self,

@@ -108,16 +108,20 @@ class _StepCatalog:
     blob: bytes | None = None
     _keys: dict = field(default_factory=dict, repr=False)
 
-    def keys(self, verify: bool) -> tuple[list[tuple], list[tuple]]:
+    def keys(self, verify: bool) -> tuple[list[tuple], list[tuple], bool]:
         """Per catalog entry, in catalog order: its result key ``(step,
-        level, field, patch)`` and its decoded-patch cache key — built once
-        per ``verify`` flag, and gone with the catalog."""
+        level, field, patch)`` and its decoded-patch cache key; and whether
+        the catalog lists its entries in result-key order, as every catalog
+        a writer wrote does. Built once per ``verify`` flag, and gone with
+        the catalog."""
         out = self._keys.get(verify)
         if out is None:
             s, file, entries = self.step, self.file, self.reader.entries
+            keys = [(s, e.level, e.field, e.patch) for e in entries]
             out = self._keys[verify] = (
-                [(s, e.level, e.field, e.patch) for e in entries],
+                keys,
                 [("patch", file, s, e.level, e.field, e.patch, verify) for e in entries],
+                all(a <= b for a, b in zip(keys, keys[1:])),
             )
         return out
 

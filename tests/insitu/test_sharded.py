@@ -402,6 +402,36 @@ class TestRecoverThroughBackend:
         with SeriesReader.open("camp.rphm", backend=be) as reader:
             assert reader.steps == expect
 
+    def test_dry_run_opens_every_file_once(self, case):
+        """A dry run sniffs each object from the source it scans: the
+        manifest and every shard are opened for reading exactly once."""
+        from collections import Counter
+
+        from repro.insitu import recover_series
+        from repro.storage import MemoryBackend
+
+        class CountingBackend(MemoryBackend):
+            def __init__(self):
+                super().__init__()
+                self.opens = Counter()
+
+            def open_read(self, name):
+                self.opens[name] += 1
+                return super().open_read(name)
+
+        directory, expect = case
+        be = CountingBackend()
+        for p in self._campaign_files(directory):
+            with be.open_write(p.name) as handle:
+                handle.write(p.read_bytes())
+        shards = sorted(p.name for p in self._campaign_files(directory) if p.suffix == ".rph2s")
+        assert len(shards) == N_SHARDS
+        for recover in (recover_sharded, recover_series):
+            be.opens.clear()
+            report = recover("camp.rphm", backend=be)
+            assert report.steps == expect
+            assert be.opens == Counter(["camp.rphm", *shards]), recover.__name__
+
     def test_rooted_local_backend_dry_then_committed(self, case, tmp_path, monkeypatch):
         import shutil
 

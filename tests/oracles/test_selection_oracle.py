@@ -4,7 +4,7 @@ cache pass.
 A warm query costs what it selects: ``ContainerReader.lookup`` visits the
 catalog's ``(level, field)`` runs and only the entries it returns, each
 step's catalog carries its entries' result and cache keys, and
-``ServeCache.get_many`` looks a step's selection up in one call. The code
+``ServeCache.collect`` looks a step's selection up in one walk. The code
 they replace is kept here verbatim as the oracle — the full catalog walk
 (``_key_filter`` over ``ContainerReader.entries``), ``ServeCache.get`` and
 ``QueryService._gather`` with its per-patch ``get`` loop — and the new
@@ -14,8 +14,8 @@ path must agree with it exactly:
     through ``build_index_bytes`` (interleaved runs, gaps, unsorted and
     repeated patch numbers) under every selector form: equal entry lists,
     in order;
-(b) ``get_many`` against N ``get`` calls: equal values, counters and
-    recency, and so equal eviction order after later ``put`` calls;
+(b) ``collect`` against N ``get`` calls: equal values, misses, counters
+    and recency, and so equal eviction order after later ``put`` calls;
 (c) a scripted ``QueryService`` sequence on a cache small enough to evict
     — cold, warm, partly warm, two overlapping queries sharing one
     single-flight decode, ``partial=True``, ``verify=False`` and ``plan()``
@@ -252,28 +252,53 @@ _op = st.one_of(
 )
 
 
+def _collect_equals_gets(batched: ServeCache, oracle: WalkCache, pkeys: list) -> None:
+    """``collect`` over every position of ``pkeys`` against one ``get`` each:
+    the same hits (keyed ``("r", pkey)``, in order), the same missed
+    positions, the same counters and the same recency."""
+    keys = [("r", k) for k in pkeys]
+    picked = list(range(len(pkeys)))
+    got: dict = {}
+    missed = batched.collect(picked, pkeys, keys, got)
+    want: dict = {}
+    want_missed = []
+    for i in picked:
+        value = oracle.get(pkeys[i])
+        if value is None:
+            want_missed.append(i)
+        else:
+            want[keys[i]] = value
+    assert missed == want_missed
+    assert list(got.items()) == list(want.items())
+    assert batched.stats == oracle.stats
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=st.lists(_op, max_size=60))
-def test_get_many_is_n_gets(ops):
+def test_collect_is_n_gets(ops):
     batched, oracle = ServeCache(100), WalkCache(100)
     for op in ops:
         if op[0] == "put":
             _, k, n = op
             assert batched.put(k, f"v{k}.{n}", n) == oracle.put(k, f"v{k}.{n}", n)
         else:
-            assert batched.get_many(op[1]) == [oracle.get(k) for k in op[1]]
+            _collect_equals_gets(batched, oracle, op[1])
         assert batched.stats == oracle.stats
         assert list(batched._entries.items()) == list(oracle._entries.items())
 
 
-def test_get_many_counts_a_stored_falsy_value_as_a_hit():
+def test_collect_counts_a_stored_falsy_value_as_a_hit():
     batched, oracle = ServeCache(10), WalkCache(10)
     for cache in (batched, oracle):
         cache.put("zero", 0, 1)
         cache.put("one", 1, 1)
-    assert batched.get_many(["zero", "gone", "one", "zero"]) == [
-        oracle.get(k) for k in ["zero", "gone", "one", "zero"]
-    ]
+    got: dict = {}
+    keys = ["a", "b", "c", "d"]
+    assert batched.collect([0, 1, 2, 3], ["zero", "gone", "one", "zero"], keys, got) == [1]
+    assert got == {"a": 0, "c": 1, "d": 0}
+    assert batched.stats["hits"] == 3 and batched.stats["misses"] == 1
+    for k in ["zero", "gone", "one", "zero"]:
+        oracle.get(k)
     assert batched.stats == oracle.stats
     assert list(batched._entries) == list(oracle._entries) == ["one", "zero"]
 

@@ -6,18 +6,33 @@ a byte the backend saw, and a warm query touches none)."""
 from __future__ import annotations
 
 import asyncio
+import json
 import random
 import shutil
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.compression.amr_codec import compress_hierarchy
+from repro.compression.container import (
+    FOOTER_SIZE,
+    ContainerReader,
+    build_index_bytes,
+    pack_footer,
+    unpack_footer,
+)
 from repro.errors import ServeError, TruncatedSeriesError
 from repro.insitu.series import SeriesReader
 from repro.serve import QueryService, ServeCache
 from repro.storage import LocalFileBackend, RangedBackend
 
-from tests.serve.conftest import N_STEPS, assert_byte_identical, direct_truth
+from tests.serve.conftest import (
+    N_STEPS,
+    assert_byte_identical,
+    direct_truth,
+    grouped_step_hierarchy,
+)
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +209,55 @@ def test_patch_cache_key_separates_verify_modes(series_path):
             svc.close()
 
     asyncio.run(scenario())
+
+
+def _out_of_order_snapshot(path):
+    """A written grouped snapshot whose index lists its rows shuffled out of
+    key order (payload untouched: each row still names its bytes, group
+    and member)."""
+    blob = compress_hierarchy(grouped_step_hierarchy(), "sz-lr", 1e-3).tobytes()
+    index_offset, index_length, _ = unpack_footer(blob[-FOOTER_SIZE:])
+    index = json.loads(blob[index_offset : index_offset + index_length])
+    rows = index["entries"]
+    permuted = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))]
+    index_bytes = build_index_bytes(index, index["n_levels"], permuted, index.get("groups"))
+    path.write_bytes(
+        blob[:index_offset] + index_bytes
+        + pack_footer(index_offset, len(index_bytes), zlib.crc32(index_bytes))
+    )
+    return path
+
+
+def test_reply_is_in_key_order_on_an_out_of_order_catalog(tmp_path):
+    """Replies come back sorted by key whatever order the catalog lists its
+    entries in — cold (decoded), warm (all hits) and partly warm — and hold
+    the bytes ``decompress_selection`` decodes."""
+    path = _out_of_order_snapshot(tmp_path / "shuffled.rph2")
+    with ContainerReader(path.read_bytes()) as reader:
+        listed = [e.key for e in reader.entries]
+    assert listed != sorted(listed)
+    warm_sel = {"levels": 1, "patches": [3, 40, 7, 12, 59, 0, 25]}
+    wider_sel = {"patches": range(0, 60, 2)}
+
+    async def scenario():
+        svc = QueryService(path, decode_mode="serial")
+        try:
+            replies = []
+            for sel in (warm_sel, warm_sel, wider_sel, wider_sel):
+                out, info = await svc.query_info(**sel)
+                replies.append((sel, out, info))
+            return replies
+        finally:
+            svc.close()
+
+    replies = asyncio.run(scenario())
+    (_, _, cold), (_, _, warm), (_, _, part), (_, _, rewarm) = replies
+    assert cold.cache_misses == cold.keys > 0
+    assert warm.cache_hits == warm.keys and rewarm.cache_hits == rewarm.keys
+    assert 0 < part.cache_hits < part.keys
+    for sel, out, _ in replies:
+        assert list(out) == sorted(out)
+        assert_byte_identical(out, direct_truth(path, **sel))
 
 
 # ----------------------------------------------------------------------
