@@ -847,6 +847,9 @@ class ShardedSeriesReader(_SeriesView):
         readers: dict[str, SeriesReader] = {}
         salvage: dict[str, Any] = {}
         dropped: list[tuple[str, str]] = []
+        # Whatever refuses the campaign — a shard that will not open, or
+        # shards that do not partition its steps — closes every shard
+        # opened before it.
         try:
             for name in full_names:
                 try:
@@ -865,27 +868,27 @@ class ShardedSeriesReader(_SeriesView):
                 readers[name] = reader
                 if reader.recovered:
                     salvage[name] = reader.recovery
+            if not readers:
+                raise TruncatedSeriesError(
+                    f"{manifest_name}: no shard holds any fully-sealed step; "
+                    "nothing to recover"
+                )
+            clean = (
+                man is not None and man["final"] and not salvage and not dropped
+            )
+            if man is not None and man["final"] and not recover:
+                meta = extract_series_meta(man)
+            else:
+                # Salvage path: the shard indexes are authoritative (the
+                # initial manifest may predate field inference).
+                meta = extract_series_meta(next(iter(readers.values())).meta())
+            recovery = None if clean else _ShardedRecovery(salvage, dropped)
+            parity = list(man.get("parity") or []) if man is not None else []
+            return cls(manifest_name, meta, readers, recovery, parity=parity)
         except BaseException:
             for reader in readers.values():
                 reader.close()
             raise
-        if not readers:
-            raise TruncatedSeriesError(
-                f"{manifest_name}: no shard holds any fully-sealed step; "
-                "nothing to recover"
-            )
-        clean = (
-            man is not None and man["final"] and not salvage and not dropped
-        )
-        if man is not None and man["final"] and not recover:
-            meta = extract_series_meta(man)
-        else:
-            # Salvage path: the shard indexes are authoritative (the
-            # initial manifest may predate field inference).
-            meta = extract_series_meta(next(iter(readers.values())).meta())
-        recovery = None if clean else _ShardedRecovery(salvage, dropped)
-        parity = list(man.get("parity") or []) if man is not None else []
-        return cls(manifest_name, meta, readers, recovery, parity=parity)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -5,10 +5,10 @@ The serving layer of the pipeline: :class:`QueryService` answers
 RPH2S series, RPHM sharded campaign, or RPH2 snapshot, planning each
 query into minimal coalesced ranged reads (:mod:`repro.serve.planner`),
 batching same-group members into one shared-codebook decode on a
-:class:`~repro.parallel.WorkerPool`, and keeping hot catalogs, group
-headers/codebooks, and decoded patches in a byte-budgeted LRU
-(:mod:`repro.serve.cache`). :class:`InProcessClient` is the synchronous
-in-process facade; :class:`QueryServer`/:class:`TCPClient`
+:class:`~repro.parallel.WorkerPool`, keeping each touched step's catalog
+and group headers/codebooks for the service's life, and decoded patches
+in a byte-budgeted LRU (:mod:`repro.serve.cache`). :class:`InProcessClient`
+is the synchronous in-process facade; :class:`QueryServer`/:class:`TCPClient`
 (:mod:`repro.serve.net`) put the same service on a socket — also exposed
 as ``python -m repro.compression serve``.
 

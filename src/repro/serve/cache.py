@@ -1,26 +1,15 @@
-"""Bounded LRU cache for the query service's hot read-path state.
+"""Bounded LRU cache of the query service's decoded patches.
 
-One cache, three kinds of entry, one byte budget:
+Every entry is one decoded, read-only ``ndarray`` keyed by ``("patch",
+file, step, level, field, patch, verify)`` and charged at its ``nbytes``:
+this is what makes a warm repeat query touch **zero** payload bytes. (A
+step's parsed catalog and group headers are not entries: the
+:class:`~repro.serve.source.StepSource` keeps them for its life.)
 
-* ``"catalog"`` — a parsed segment index (the per-step
-  :class:`~repro.compression.container.ContainerReader` over a counting
-  window), charged at the bytes read to parse it — or, for a step healed
-  from parity, at the size of the reconstructed segment it holds. Group
-  headers loaded later through the same catalog *inflate* its charge.
-  That charge under-counts what a catalog holds: about 38 KB per
-  benchmark step, where ``tracemalloc`` sees 0.30–0.34 MB once its group
-  headers and decode tables are parsed.
-* ``"patch"`` — a decoded, read-only ``ndarray``, charged at ``nbytes``.
-  This is what makes a warm repeat query touch **zero** payload bytes.
-
-(The RPGB shared codebooks and extent tables live inside their catalog's
-group-handle cache, so evicting a catalog drops its headers and codebooks
-with it — one lifetime, one charge.)
-
-Eviction is strict LRU over all kinds: whenever the charged total exceeds
-``max_bytes``, least-recently-used entries are dropped until it fits. A
-single value larger than the whole budget is never stored (it would evict
-everything and still not fit); the put is counted under ``rejected``.
+Eviction is strict LRU: whenever the charged total exceeds ``max_bytes``,
+least-recently-used entries are dropped until it fits. A single value
+larger than the whole budget is never stored (it would evict everything
+and still not fit); the put is counted under ``rejected``.
 
 A query looks each step's selection up in one walk,
 :meth:`ServeCache.collect`, which leaves the values, counters and recency
@@ -69,11 +58,12 @@ class ServeCache:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
+    # kept: operator need: look one key up (what collect is defined against)
     def get(self, key: Hashable):
         """The cached value (refreshing its recency), or ``None`` on miss.
 
-        ``None`` is never a stored value — entries are catalogs and
-        arrays — so the sentinel collapses to ``None`` for callers.
+        ``None`` is never a stored value — entries are arrays — so the
+        sentinel collapses to ``None`` for callers.
         """
         entry = self._entries.get(key, _MISS)
         if entry is _MISS:
@@ -102,12 +92,6 @@ class ServeCache:
         self.hits += len(picked) - len(missed)
         return missed
 
-    # kept: reads an entry's charge without touching recency (cache accounting tests)
-    def peek_charge(self, key: Hashable) -> int | None:
-        """Charged size of an entry without touching recency (tests)."""
-        entry = self._entries.get(key, _MISS)
-        return None if entry is _MISS else entry[1]
-
     def put(self, key: Hashable, value: Any, nbytes: int) -> bool:
         """Store ``value`` charged at ``nbytes``; returns False when the
         value alone exceeds the budget (not stored, counted rejected)."""
@@ -124,24 +108,6 @@ class ServeCache:
         self.puts += 1
         self._evict()
         return True
-
-    def inflate(self, key: Hashable, delta: int) -> None:
-        """Grow an entry's charge in place (a catalog that just loaded a
-        group header). Missing keys are a no-op — the entry may have been
-        evicted while its loader ran."""
-        entry = self._entries.get(key, _MISS)
-        if entry is _MISS:
-            return
-        self._entries[key] = (entry[0], entry[1] + int(delta))
-        self.current_bytes += int(delta)
-        self._evict()
-
-    # kept: drops an entry the service invalidated
-    def pop(self, key: Hashable) -> None:
-        """Drop one entry without counting an eviction (invalidation)."""
-        entry = self._entries.pop(key, _MISS)
-        if entry is not _MISS:
-            self.current_bytes -= entry[1]
 
     def _evict(self) -> None:
         while self.current_bytes > self.max_bytes and self._entries:

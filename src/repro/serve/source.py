@@ -13,14 +13,14 @@ bytes that serve it:
   handle per file. Catalog parses, group-header loads, payload fetches and the
   parity healer's stripe reads all end there, so all of them are counted and
   all of them feed the per-file circuit breakers;
-* **catalogs** — each step's parsed segment index, loaded once under a
-  per-``(file, step)`` lock and cached under ``("catalog", file, step)``;
+* **catalogs** — each step's parsed segment index and the group headers
+  loaded through it, parsed once under a per-step lock and kept in one
+  per-step table for the source's life, whatever the service's
+  ``cache_bytes``: a repeat query of a step parses nothing;
 * **healing** — :meth:`StepSource.heal` reconstructs an unreadable step's
   segment from the surviving shards, once, and installs an ordinary catalog
-  whose reader and payload reads are over the reconstructed bytes, cached
-  under the same key and charged at the segment's size: a healed step lives
-  inside the ``cache_bytes`` budget and a repeat query reconstructs nothing
-  (with caching off, or a segment larger than the budget, every query does).
+  whose reader and payload reads are over the reconstructed bytes, in the
+  same table: a repeat query reconstructs nothing.
 
 The source also counts what it reads, on the asking query's ``QueryInfo`` and
 in its own running totals (:attr:`StepSource.spent`): a step's planned payload
@@ -41,7 +41,6 @@ from repro.compression.container import ContainerReader
 from repro.door import kind_of, open as open_any
 from repro.errors import FormatError, IntegrityError, ReproError, StorageError
 from repro.integrity import SegmentHealer
-from repro.serve.cache import ServeCache
 from repro.serve.resilience import CircuitBreaker
 from repro.storage import ByteSource, StorageBackend
 
@@ -141,7 +140,6 @@ class StepSource:
         backend: StorageBackend,
         *,
         recover: bool,
-        cache: ServeCache | None,
         heal: bool,
         heal_write_back: bool,
         breaker_threshold: int | None,
@@ -150,9 +148,8 @@ class StepSource:
     ):
         self.path = str(path)
         self.backend = backend
-        self._cache = cache
-        #: Catalogs when caching is off: repeat queries still skip the parse.
-        self._plain: dict[tuple, _StepCatalog] = {}
+        #: step -> its parsed (or healed) catalog, kept for the source's life.
+        self._catalogs: dict[int, _StepCatalog] = {}
         self._heal = bool(heal)
         self._write_back = bool(heal_write_back)
         self._breaker_threshold = breaker_threshold
@@ -169,7 +166,7 @@ class StepSource:
         self._faults: list[str] = []
         self._handles: dict[str, tuple] = {}
         self._opening = threading.Lock()
-        self._locks: dict[tuple, asyncio.Lock] = {}
+        self._locks: dict[int, asyncio.Lock] = {}
         #: step -> (file, segment offset, segment length)
         self.segments: dict[int, tuple[str, int, int]] = {}
         self.meta: dict = {}
@@ -293,14 +290,13 @@ class StepSource:
         self, info, job, *args,
         guard: str | None = None, what: str = "", spend: str = "meta_bytes",
     ):
-        """Run one blocking read job on the executor; returns ``(result,
-        bytes read)``. Every byte the job's thread pulls through
-        :meth:`read` — whichever window, catalog or healer asked — is
-        counted as ``info.<spend>``, also when the job fails. With
-        ``guard`` the job runs under that file's breaker: fast-failed while
-        it is open, its success when it completes. Whatever files' reads
-        raised meanwhile (the healer reads many in one job) get the failure
-        on their own breakers."""
+        """Run one blocking read job on the executor and return its result.
+        Every byte the job's thread pulls through :meth:`read` — whichever
+        window, catalog or healer asked — is counted as ``info.<spend>``,
+        also when the job fails. With ``guard`` the job runs under that
+        file's breaker: fast-failed while it is open, its success when it
+        completes. Whatever files' reads raised meanwhile (the healer reads
+        many in one job) get the failure on their own breakers."""
         breaker = None if guard is None else self._breaker(guard)
         if breaker is not None:
             breaker.check(what)
@@ -324,50 +320,42 @@ class StepSource:
                     failed.record_failure()
         if breaker is not None:
             breaker.record_success()
-        return out, nbytes
+        return out
 
-    def _lock(self, file: str, step: int) -> asyncio.Lock:
-        return self._locks.setdefault((file, step), asyncio.Lock())
+    def _lock(self, step: int) -> asyncio.Lock:
+        return self._locks.setdefault(step, asyncio.Lock())
 
     # ------------------------------------------------------------------
     # Catalogs and group headers
     # ------------------------------------------------------------------
     def cached(self, step: int) -> _StepCatalog | None:
         """The step's catalog if it is already loaded (or healed)."""
-        file = self.segments[step][0]
-        if self._cache is not None:
-            return self._cache.get(("catalog", file, step))
-        return self._plain.get((file, step))
+        return self._catalogs.get(step)
 
     async def load_catalog(self, step: int, info) -> _StepCatalog:
         """Parse the step's segment footer and index — once: concurrent
-        queries wait on the ``(file, step)`` lock and find the catalog
-        cached, charged the bytes its parse read."""
+        queries wait on the step's lock and find the catalog kept."""
         file, base, length = self.segments[step]
-        async with self._lock(file, step):
+        async with self._lock(step):
             cat = self.cached(step)
             if cat is not None:
                 return cat
             window = ByteSource(_CountedFile(self, file, base + length)).window(base, length)
             try:
-                reader, nbytes = await self._run(
+                reader = await self._run(
                     info, ContainerReader, window,
                     guard=file, what=f"step {step} catalog ({file})",
                 )
             except FormatError as exc:
                 raise FormatError(f"step {step} segment: {exc}") from exc
-            cat = _StepCatalog(file, step, base, reader)
-            if self._cache is not None:
-                self._cache.put(("catalog", file, step), cat, nbytes)
-            else:
-                self._plain[(file, step)] = cat
+            cat = self._catalogs[step] = _StepCatalog(file, step, base, reader)
             return cat
 
     async def load_groups(
         self, cat: _StepCatalog, gids: Sequence[int], verify: bool, info
     ) -> None:
         """Ensure every needed group header (codebook + extent table) is
-        parsed on the catalog, whose cache charge grows by the header bytes."""
+        parsed on the catalog (and kept with it)."""
         if not gids:
             return
 
@@ -377,13 +365,11 @@ class StepSource:
                 # worker threads only read them
                 cat.reader.group(gid, verify=verify).codebook
 
-        async with self._lock(cat.file, cat.step):
-            _, nbytes = await self._run(
+        async with self._lock(cat.step):
+            await self._run(
                 info, load, guard=cat.file if cat.blob is None else None,
                 what=f"step {cat.step} group headers ({cat.file})",
             )
-            if self._cache is not None:
-                self._cache.inflate(("catalog", cat.file, cat.step), nbytes)
 
     # ------------------------------------------------------------------
     # Payload
@@ -398,12 +384,11 @@ class StepSource:
                 for r in reads
             ]
         self._count(info, ranged_reads=len(reads))
-        blobs, _ = await self._run(
+        return await self._run(
             info, lambda: [self.read(cat.file, r.offset, r.length) for r in reads],
             guard=cat.file, what=f"step {cat.step} payload ({cat.file})",
             spend="fetched_bytes",
         )
-        return blobs
 
     # ------------------------------------------------------------------
     # Parity self-healing
@@ -412,26 +397,25 @@ class StepSource:
         """Reconstruct an unreadable step's segment from the surviving
         shards (checksum-proven by :class:`~repro.integrity.SegmentHealer`
         before anything trusts it) and return a catalog over the
-        reconstruction — the cached one when a concurrent query just healed
+        reconstruction — the kept one when a concurrent query just healed
         the step. ``None`` when it cannot be healed (healing off, no parity,
         two members of the stripe lost, a survivor failing its checksum):
         the caller falls back to its ordinary failure path."""
         if not self._heal or self._healer is None:
             return None
         file, base, length = self.segments[step]
-        async with self._lock(file, step):
+        async with self._lock(step):
             cat = self.cached(step)
             if cat is not None and cat.blob is not None:
                 return cat
             try:
-                cat, _ = await self._run(
+                cat = await self._run(
                     info, self._reconstruct, file, step, base, length
                 )
             except (ReproError, OSError):
                 return None
             self._count(info, repairs=1)
-            if self._cache is not None:
-                self._cache.put(("catalog", file, step), cat, len(cat.blob))
+            self._catalogs[step] = cat
             return cat
 
     def _reconstruct(

@@ -3,7 +3,11 @@
 Substrate for the synthetic Nyx/WarpX generators: periodic Gaussian random
 fields with a prescribed isotropic power spectrum, plus Fourier-space
 helpers (Gaussian smoothing, inverse-Laplacian for Zel'dovich velocities).
-All functions are deterministic in the seed.
+All functions are deterministic in the seed. They multiply spectra in place
+and drop each buffer before the next FFT, and return real copies (a
+``.real`` view would keep its complex buffer alive), so a field costs a
+few full-size arrays at a time; ``tests/oracles/test_synthesis_digest.py``
+pins the bytes that this must not change.
 """
 
 from __future__ import annotations
@@ -16,16 +20,23 @@ from repro.util.rng import make_rng
 __all__ = ["wavenumber_grid", "gaussian_random_field", "smooth_field", "zeldovich_velocity"]
 
 
+def _k_grids(shape: tuple[int, ...], box_size: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """The FFT lattice's per-axis angular wavenumbers as sparse
+    (broadcastable) ``ij`` grids, and ``|k|**2`` over the full lattice."""
+    axes = [np.fft.fftfreq(n, d=box_size / n) * 2.0 * np.pi for n in shape]
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    k2 = np.zeros(shape, dtype=np.float64)
+    for g in grids:
+        k2 += g * g
+    return grids, k2
+
+
 def wavenumber_grid(shape: tuple[int, ...], box_size: float = 1.0) -> np.ndarray:
     """Isotropic wavenumber magnitude |k| on the FFT lattice."""
     if any(s < 2 for s in shape):
         raise ReproError(f"shape {shape} too small for spectral synthesis")
-    axes = [np.fft.fftfreq(n, d=box_size / n) * 2.0 * np.pi for n in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    k2 = np.zeros(shape, dtype=np.float64)
-    for g in grids:
-        k2 += g * g
-    return np.sqrt(k2)
+    _, k = _k_grids(shape, box_size)
+    return np.sqrt(k, out=k)
 
 
 def gaussian_random_field(
@@ -40,17 +51,20 @@ def gaussian_random_field(
     large-scale-dominated fields (CDM-like for indices around -2.5).
     """
     rng = make_rng(seed)
-    white = rng.normal(size=shape)
-    k = wavenumber_grid(shape, box_size)
-    amp = np.zeros_like(k)
-    nonzero = k > 0
-    amp[nonzero] = k[nonzero] ** (spectral_index / 2.0)
-    fourier = np.fft.fftn(white) * amp
-    field = np.fft.ifftn(fourier).real
+    fourier = np.fft.fftn(rng.normal(size=shape))
+    amp = wavenumber_grid(shape, box_size)
+    nonzero = amp > 0
+    amp[nonzero] = amp[nonzero] ** (spectral_index / 2.0)
+    fourier *= amp
+    del amp, nonzero
+    field = np.fft.ifftn(fourier).real.copy()
+    del fourier
     std = field.std()
     if std == 0.0:
         raise ReproError("degenerate random field (zero variance)")
-    return (field - field.mean()) / std
+    field -= field.mean()
+    field /= std
+    return field
 
 
 def smooth_field(field: np.ndarray, sigma_cells: float) -> np.ndarray:
@@ -58,9 +72,14 @@ def smooth_field(field: np.ndarray, sigma_cells: float) -> np.ndarray:
     if sigma_cells <= 0:
         return np.asarray(field, dtype=np.float64).copy()
     shape = field.shape
-    k = wavenumber_grid(shape, box_size=float(shape[0]))  # cell units
-    kernel = np.exp(-0.5 * (k * sigma_cells) ** 2)
-    return np.fft.ifftn(np.fft.fftn(field) * kernel).real
+    fourier = np.fft.fftn(field)
+    kernel = wavenumber_grid(shape, box_size=float(shape[0]))  # cell units
+    kernel *= sigma_cells
+    kernel **= 2
+    kernel *= -0.5
+    fourier *= np.exp(kernel, out=kernel)
+    del kernel
+    return np.fft.ifftn(fourier).real.copy()
 
 
 def zeldovich_velocity(delta: np.ndarray, box_size: float = 1.0) -> list[np.ndarray]:
@@ -71,12 +90,10 @@ def zeldovich_velocity(delta: np.ndarray, box_size: float = 1.0) -> list[np.ndar
     produce velocities consistent with a density field.
     """
     shape = delta.shape
-    axes = [np.fft.fftfreq(n, d=box_size / n) * 2.0 * np.pi for n in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    k2 = np.zeros(shape, dtype=np.float64)
-    for g in grids:
-        k2 += g * g
+    grids, k2 = _k_grids(shape, box_size)
     k2[k2 == 0.0] = np.inf  # kill the DC mode
-    dhat = np.fft.fftn(delta)
-    phi_hat = -dhat / k2
-    return [np.fft.ifftn(-1j * g * phi_hat).real for g in grids]
+    phi_hat = np.fft.fftn(delta)
+    np.negative(phi_hat, out=phi_hat)
+    phi_hat /= k2
+    del k2
+    return [np.fft.ifftn(-1j * g * phi_hat).real.copy() for g in grids]

@@ -100,7 +100,6 @@ def assert_byte_identical(served: dict, truth: dict):
 @contextmanager
 def running_server(path, server_kwargs=None, **service_kwargs):
     """A QueryServer on a background event-loop thread; yields (host, port)."""
-    loop = asyncio.new_event_loop()
     started = threading.Event()
     box: dict = {}
 
@@ -109,23 +108,31 @@ def running_server(path, server_kwargs=None, **service_kwargs):
         server = QueryServer(service, **(server_kwargs or {}))
         await server.start()
         box["addr"] = server.address
-        box["server"] = server
+        box["loop"] = asyncio.get_running_loop()
+        box["stop"] = stop = asyncio.Event()
         started.set()
-        await server.serve_until_shutdown()
+        serving = asyncio.ensure_future(server.serve_until_shutdown())
+        # Until a shutdown op ends the server, or the test is done with it.
+        await asyncio.wait(
+            [serving, asyncio.ensure_future(stop.wait())],
+            return_when=asyncio.FIRST_COMPLETED,
+        )
+        await server.stop()
+        await serving
 
-    thread = threading.Thread(target=lambda: loop.run_until_complete(main()),
-                              daemon=True)
+    # asyncio.run cancels what is left (connection handlers) and closes
+    # the loop and its executor before the thread ends.
+    thread = threading.Thread(target=lambda: asyncio.run(main()), daemon=True)
     thread.start()
     assert started.wait(15), "server did not start"
     try:
         yield box["addr"]
     finally:
-        # A shutdown op may already have ended the loop: a stop scheduled on
-        # it would never run. A live server's thread ends once stop() has.
-        if thread.is_alive():
-            asyncio.run_coroutine_threadsafe(box["server"].stop(), loop)
+        try:
+            box["loop"].call_soon_threadsafe(box["stop"].set)
+        except RuntimeError:  # a shutdown op already ended the loop
+            pass
         thread.join(timeout=15)
-        loop.close()
 
 
 @contextmanager

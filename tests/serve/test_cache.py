@@ -69,30 +69,15 @@ def test_oversize_values_are_rejected_not_stored():
     assert cache.put("fits", "Y", 100)
 
 
-def test_inflate_grows_charge_and_can_trigger_eviction():
-    cache = ServeCache(100)
-    cache.put("catalog", "C", 30)
-    cache.put("patch", "P", 40)
-    cache.inflate("catalog", 20)
-    assert cache.peek_charge("catalog") == 50
-    assert cache.current_bytes == 90
-    cache.inflate("catalog", 60)  # 150 total: evicts LRU ("catalog" itself
-    # was refreshed by neither get nor put, so it is the oldest entry)
-    assert cache.current_bytes <= 100
-    cache.inflate("missing", 10)  # no-op, never raises
-    assert cache.peek_charge("missing") is None
-
-
-def test_get_put_counters_and_pop():
+def test_get_put_counters():
     cache = ServeCache(100)
     assert cache.get("k") is None
     cache.put("k", "V", 10)
     assert cache.get("k") == "V"
-    cache.pop("k")
-    assert cache.get("k") is None
+    assert cache.get("j") is None
     assert cache.stats == {
         "hits": 1, "misses": 2, "evictions": 0, "puts": 1, "rejected": 0,
-        "entries": 0, "current_bytes": 0, "max_bytes": 100,
+        "entries": 1, "current_bytes": 10, "max_bytes": 100,
     }
 
 
@@ -161,6 +146,31 @@ def test_cache_disabled_refetches_exactly_the_extents(series_path):
                 == second.fetched_bytes
             )
             assert svc.stats["cache"] is None
+        finally:
+            svc.close()
+
+    asyncio.run(scenario())
+
+
+def test_catalogs_outlive_a_cache_smaller_than_one_query(series_path):
+    """Decoded patches are all the budget holds: a cache too small for one
+    query's patches thrashes on them, but a step's catalog and group
+    headers are parsed once, so every repeat query reads payload only."""
+    budget = 64 << 10
+
+    async def scenario():
+        svc, _ = _counted_service(series_path, cache_bytes=budget)
+        try:
+            for s in range(N_STEPS):
+                served, first = await svc.query_info(steps=s)
+                assert first.meta_bytes > 0
+                assert sum(a.nbytes for a in served.values()) > budget
+            for _ in range(2):
+                for s in range(N_STEPS):
+                    _, again = await svc.query_info(steps=s)
+                    assert again.cache_misses > 0 and again.fetched_bytes > 0
+                    assert again.meta_bytes == 0
+            assert svc.stats["cache"]["evictions"] > 0
         finally:
             svc.close()
 

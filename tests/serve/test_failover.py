@@ -307,3 +307,30 @@ def test_corrupt_group_header_fails_through_the_same_helper(
             svc.close()
 
     asyncio.run(scenario())
+
+
+def test_healed_step_is_kept_without_a_cache(campaign):
+    """With ``cache_bytes=None`` the reconstruction still lives with the
+    step's catalog: the step is rebuilt once, however often it is asked
+    for, and a repeat reads no metadata."""
+    manifest, victim, entries, truth = campaign
+
+    async def scenario():
+        svc, _ = _metered(manifest, cache_bytes=None)
+        try:
+            os.remove(victim)
+            infos = []
+            for _ in range(3):
+                served, info = await svc.query_info(steps=0)
+                assert_byte_identical(
+                    served, {k: v for k, v in truth.items() if k[0] == 0}
+                )
+                infos.append(info)
+            assert svc.stats["repairs"] == 1
+            assert [i.repairs for i in infos] == [1, 0, 0]
+            assert infos[0].meta_bytes > 0
+            assert infos[1].meta_bytes == infos[2].meta_bytes == 0
+        finally:
+            svc.close()
+
+    asyncio.run(scenario())

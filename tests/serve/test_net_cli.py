@@ -234,6 +234,15 @@ def _spawn_serve(*args):
     )
 
 
+def _reap(proc) -> None:
+    """Stop a spawned ``serve`` if it still runs, and close its pipes."""
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+    proc.stdout.close()
+    proc.stderr.close()
+
+
 def _bound_address_of(line: str) -> tuple[str, int]:
     m = re.search(r"on ([\d.]+):(\d+)\s*$", line)
     assert m, f"cannot parse serve banner: {line!r}"
@@ -258,9 +267,7 @@ def test_cli_serve_roundtrip_and_shutdown(series_path):
             client.shutdown()
         assert proc.wait(timeout=15) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        _reap(proc)
 
 
 def test_cli_serve_recovered_series(series_path, tmp_path):
@@ -282,9 +289,7 @@ def test_cli_serve_recovered_series(series_path, tmp_path):
             client.shutdown()
         assert proc.wait(timeout=15) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        _reap(proc)
 
 
 def test_cli_serve_banner_reports_the_sniffed_kind(series_path, sharded_path, snapshot_path, tmp_path):
@@ -311,9 +316,7 @@ def test_cli_serve_banner_reports_the_sniffed_kind(series_path, sharded_path, sn
             client.shutdown()
         assert proc.wait(timeout=15) == 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        _reap(proc)
 
 
 def test_cli_serve_refuses_garbage(tmp_path):
